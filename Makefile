@@ -12,7 +12,7 @@ NUMERIC_PKGS = ./internal/par/... ./internal/mat/... ./internal/mttkrp/... \
 	./internal/layout/... ./internal/cp/... ./internal/dtd/... \
 	./internal/dmsmg/... ./internal/completion/... ./internal/onlinecp/...
 
-.PHONY: all build test vet race check bench bench-comm bench-obs bench-paper bench-par bench-sampled bench-serve profile clean
+.PHONY: all build test vet race check profile clean
 
 all: check
 
@@ -35,69 +35,9 @@ race:
 
 check: vet test race
 
-# Kernel benchmarks with allocation counts, captured as JSON so the
-# allocation-free hot path is tracked across PRs, not just asserted once.
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' \
-		./internal/mat/... ./internal/mttkrp/... ./internal/core/... \
-		| $(GO) run ./cmd/benchjson -o BENCH_kernels.json
-
-# Collective microbenchmarks: tree vs ring all-reduce/all-gather across
-# cluster sizes and payload sizes, plus the subscription row exchange.
-# Each row's maxrank-B/op extra column is the heaviest rank's sent bytes
-# per op — the per-rank bandwidth bound the ring path flattens.
-bench-comm:
-	$(GO) test -bench='BenchmarkComm' -benchmem -benchtime=20x -run '^$$' \
-		./internal/cluster/... ./internal/dplan/... \
-		| $(GO) run ./cmd/benchjson -o BENCH_comm.json
-
-# Observability-plane fence benchmark: the per-step overhead the
-# cluster plane adds, across cluster sizes and per-step span volumes.
-# maxrank-B/op is the coordinator's gather traffic per fence — the
-# plane's bandwidth cost, byte-accounted.
-bench-obs:
-	$(GO) test -bench='BenchmarkObs' -benchmem -benchtime=20x -run '^$$' \
-		./internal/obs/... \
-		| $(GO) run ./cmd/benchjson -o BENCH_obs.json
-
-# End-to-end paper-scale benchmark harness: the streaming benchmark
-# with the tracer's per-phase medians and p95/p99 tails, captured as
-# JSON (benchjson derives per-phase tail_p99_over_p50 columns).
-bench-paper:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/bench/... \
-		| $(GO) run ./cmd/benchjson -o BENCH_stream.json
-
-# Thread-scaling benchmark: the MTTKRP phase and a full DTD step at
-# 1/2/4/8 compute threads, captured as JSON. benchjson derives a
-# speedup_vs_1 column from the threads=1 rows of each benchmark, so
-# BENCH_parallel.json is the 1-thread vs N-thread speedup table.
-bench-par:
-	$(GO) test -bench='BenchmarkParallel' -benchtime=5x -run '^$$' \
-		./internal/bench/... \
-		| $(GO) run ./cmd/benchjson -o BENCH_parallel.json
-
-# Randomized-solver acceptance benchmark: full CP-ALS on a planted
-# nnz ≥ 10^6 low-rank tensor with the exact solver and the
-# leverage-score sketch at the default sample count. Each row reports
-# round_us (per-sweep compute wall) and fit; benchjson derives
-# speedup_vs_exact and fit_gap from the solver=exact baseline, so
-# BENCH_sampled.json is the sampled path's speed/accuracy contract
-# tracked across PRs.
-bench-sampled:
-	$(GO) test -bench='BenchmarkSampledALS' -benchtime=1x -run '^$$' \
-		./internal/bench/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_sampled.json
-
-# Serving front-end benchmark: one writer streams event micro-batches
-# over HTTP while 1/4/8 reader clients run top-K and reconstruction
-# queries against the epoch-swapped snapshots. Extra columns carry the
-# ingest throughput (events_per_sec) and the query latency quantiles;
-# benchjson derives query_tail_p99_over_p50 and the clients=N
-# query_scaling_vs_1client read-concurrency column.
-bench-serve:
-	$(GO) test -bench='BenchmarkServe' -benchtime=5x -run '^$$' \
-		./cmd/worker/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_serve.json
+# Performance is measured by the one outside-in benchmark — `bash
+# benchmark/run.sh`, see benchmark/README.md — not by make targets. The
+# Go Benchmark* functions remain for ad-hoc `go test -bench` runs.
 
 # CPU and heap profiles of the distributed step on the in-process
 # cluster; inspect with `$(GO) tool pprof cpu.prof`.

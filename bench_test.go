@@ -166,9 +166,10 @@ func BenchmarkAblationMTTKRPKernels(b *testing.B) {
 	b.Run("row-grouped", func(b *testing.B) {
 		view := mttkrp.NewModeView(t, 0)
 		dst := mat.New(t.Dims[0], 10)
+		ws := mat.NewWorkspace()
 		for i := 0; i < b.N; i++ {
 			dst.Zero()
-			view.AccumulateInto(dst, factors)
+			view.AccumulateIntoWS(dst, factors, ws)
 		}
 	})
 }

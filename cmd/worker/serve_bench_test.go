@@ -22,9 +22,8 @@ import (
 // clients hammer /predict and /topk against the epoch-swapped
 // snapshots. Each op is one 256-event ingest batch; the extra columns
 // report the ingest throughput (events_per_sec) and the query latency
-// distribution (query_p50_us/p95_us/p99_us — benchjson derives the
-// query_tail_p99_over_p50 amplification, and the clients=N segment
-// gains a qps_vs_1client scaling column).
+// distribution (query_p50_us/p95_us/p99_us). The repository benchmark's
+// serve_write / serve_read workloads are the tracked figures.
 func BenchmarkServe(b *testing.B) {
 	for _, clients := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {

@@ -12,10 +12,10 @@ import (
 	"dismastd/internal/xrand"
 )
 
-// Thread-scaling suite for `make bench-par`: the same work at 1..8
-// compute threads in a single process (no cluster in the way), so the
-// speedup_vs_1 column benchjson derives in BENCH_parallel.json isolates
-// the intra-worker parallel runtime. Speedups track the machine's core
+// Thread-scaling suite: the same work at 1..8 compute threads in a
+// single process (no cluster in the way), so each row against its
+// threads=1 row isolates the intra-worker parallel runtime. Speedups
+// track the machine's core
 // count; on a single-core box every row stays near 1x by construction.
 var benchThreadCounts = []int{1, 2, 4, 8}
 
@@ -94,7 +94,7 @@ func TestParallelBenchFixturesAgree(t *testing.T) {
 	}
 	view := mttkrp.NewModeView(x, 0)
 	want := mat.New(x.Dims[0], cfg.Rank)
-	view.AccumulateInto(want, factors)
+	view.AccumulateIntoWS(want, factors, mat.NewWorkspace())
 	for _, threads := range benchThreadCounts {
 		pool := par.New(threads)
 		wss := mat.NewWorkspaceSet(pool.Threads())

@@ -58,10 +58,9 @@ func TestStreamPhasesReportsEveryRankAndPhase(t *testing.T) {
 	}
 }
 
-// BenchmarkStreamPaper is the paper-scale streaming benchmark `make
-// bench-paper` records: one full 75%→100% stream, with the tracer's
-// per-phase medians surfaced as custom metrics so BENCH_stream.json
-// tracks where iteration time goes across PRs.
+// BenchmarkStreamPaper is the paper-scale streaming benchmark: one
+// full 75%→100% stream, with the tracer's per-phase medians surfaced
+// as custom metrics that show where iteration time goes.
 func BenchmarkStreamPaper(b *testing.B) {
 	cfg := Config{TargetNNZ: 40000, Rank: 8, MaxIters: 5, Workers: 4, Seed: 42}
 	var rep *PhasesReport

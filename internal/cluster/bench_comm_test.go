@@ -7,9 +7,7 @@ import (
 )
 
 // Collective microbenchmarks comparing the tree/funnel and ring paths.
-// `make bench-comm` runs everything named BenchmarkComm* through
-// cmd/benchjson into BENCH_comm.json. Beyond ns/op, each benchmark
-// reports maxrank-B/op: the heaviest rank's sent bytes per operation —
+// Beyond ns/op, each BenchmarkComm* benchmark reports maxrank-B/op: the heaviest rank's sent bytes per operation —
 // the bandwidth bottleneck the ring exists to flatten (Theorem 4's
 // per-rank traffic bound). Trees concentrate O(n·log M) at the root;
 // rings spread ~2·(M−1)/M·n evenly.

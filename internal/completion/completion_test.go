@@ -91,7 +91,7 @@ func TestLambdaRegularises(t *testing.T) {
 		t.Fatal(err)
 	}
 	for m, f := range strong.Factors {
-		if norm := mat.FrobeniusNorm(f); math.IsNaN(norm) || norm > 1e3 {
+		if norm := math.Sqrt(mat.Dot(f, f)); math.IsNaN(norm) || norm > 1e3 {
 			t.Fatalf("mode %d factor norm %v exploded under strong lambda", m, norm)
 		}
 	}

@@ -10,85 +10,25 @@ import (
 	"dismastd/internal/partition"
 )
 
-// TestWorkerComputePathAllocFree pins the tentpole property of the
-// workspace refactor on the distributed side: one full iteration of the
-// per-rank compute path — MTTKRP, Eq. (5) denominators, owned-row
-// updates, Gram partials and their application, and both halves of the
-// Eq. (4) loss — performs zero heap allocations at steady state.
-//
-// With Workers=1 the local Gram partial batch IS the global sum, so
-// feeding it back through applyGramSums reproduces the algorithm's
-// state transitions exactly, isolating the compute path; the transport
-// collectives are covered by TestDistributedSweepAllocFree below.
+// TestWorkerComputePathAllocFree pins the workspace property on the
+// distributed binding's compute path: at Workers=1 every collective is
+// degenerate, so a warm run of the shared dtd.Sweep engine — bound from
+// the plan and a cluster worker exactly as RunWorker binds it — is the
+// per-rank compute path alone (MTTKRP, Eq. (5) denominators, owned-row
+// updates, Gram partials, both halves of the Eq. (4) loss) and must
+// perform zero heap allocations. internal/dtd pins the same engine in
+// its world-of-one binding; TestDistributedSweepAllocFree below adds
+// the transport.
 func TestWorkerComputePathAllocFree(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
-			testWorkerComputePathAllocFree(t, threads)
+			testEngineAllocFree(t, 1, threads, 0, layout.COO)
 		})
 	}
 }
 
-func testWorkerComputePathAllocFree(t *testing.T, threads int) {
-	full := sparseRandom([]int{12, 10, 8}, 600, 5)
-	prevSnap := full.Prefix([]int{9, 8, 6})
-	opts := Options{Rank: 3, MaxIters: 5, Mu: 0.7, Seed: 11, Workers: 1, Threads: threads, Method: partition.GTPMethod}
-	prev, _, err := dtd.Init(prevSnap, dtd.Options{Rank: opts.Rank, MaxIters: opts.MaxIters, Mu: opts.Mu, Seed: opts.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := NewStepJob(prev, full, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cl := cluster.NewLocal(1)
-	if _, err := cl.Run(func(w *cluster.Worker) error {
-		st := newWorkerState(job, w)
-		defer st.close()
-		n := len(st.full)
-		// Establish the replicated Gram state as RunWorker does; with a
-		// single worker the partial batch equals the reduced sum.
-		for m := 0; m < n; m++ {
-			st.gramPartials(m)
-			st.applyGramSums(m, st.batch)
-		}
-		// The pass runs fully instrumented — pre-resolved counters and
-		// spans included — pinning the observability layer's hot-path
-		// zero-allocation contract alongside the kernels'.
-		pass := func() {
-			for m := 0; m < n; m++ {
-				sp := st.obs.Span(st.names[m].mttkrp)
-				st.mttkrpMode(m)
-				sp.End()
-				sp = st.obs.Span(st.names[m].solve)
-				st.denominators(m)
-				st.updateOwnedRows(m)
-				sp.End()
-				sp = st.obs.Span(st.names[m].allreduce)
-				st.gramPartials(m)
-				st.applyGramSums(m, st.batch)
-				sp.End()
-			}
-			sp := st.obs.Span("loss")
-			inner := st.lossLocalInner()
-			done := st.lossFinish(inner)
-			sp.End()
-			if done < 0 {
-				t.Error("negative loss")
-			}
-		}
-		pass() // warm-up: workspace slabs grow to their running maximum
-		if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
-			t.Errorf("steady-state core compute path allocates %v times per iteration, want 0", allocs)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDistributedSweepAllocFree extends the zero-allocation guarantee
-// across the transport: a full multi-rank steady-state sweep — MTTKRP,
+// across the transport: a full multi-rank steady-state run — MTTKRP,
 // solves, the batched Gram all-reduce, the subscription row exchange,
 // and the scalar loss reduction — performs zero heap allocations on the
 // Local transport, on both the tree and ring collective paths. Every
@@ -96,6 +36,7 @@ func testWorkerComputePathAllocFree(t *testing.T, threads int) {
 // mallocs, so a zero here means no rank allocated anywhere in the
 // overlapping measurement windows.
 func TestDistributedSweepAllocFree(t *testing.T) {
+	const workers = 3 // odd: exercises the uneven tree and ring segment split
 	for _, tc := range []struct {
 		name       string
 		threads    int
@@ -109,13 +50,12 @@ func TestDistributedSweepAllocFree(t *testing.T) {
 		{"compiled/threads=4", 4, 0, layout.Compiled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			testDistributedSweepAllocFree(t, tc.threads, tc.ringThresh, tc.layout)
+			testEngineAllocFree(t, workers, tc.threads, tc.ringThresh, tc.layout)
 		})
 	}
 }
 
-func testDistributedSweepAllocFree(t *testing.T, threads, ringThresh int, kind layout.Kind) {
-	const workers = 3 // odd: exercises the uneven tree and ring segment split
+func testEngineAllocFree(t *testing.T, workers, threads, ringThresh int, kind layout.Kind) {
 	full := sparseRandom([]int{12, 10, 8}, 600, 5)
 	prevSnap := full.Prefix([]int{9, 8, 6})
 	opts := Options{Rank: 3, MaxIters: 5, Mu: 0.7, Seed: 11, Workers: workers, Threads: threads, Layout: kind, Method: partition.GTPMethod}
@@ -134,51 +74,20 @@ func testDistributedSweepAllocFree(t *testing.T, threads, ringThresh int, kind l
 	}
 	perRank := make([]float64, workers)
 	if _, err := cl.Run(func(w *cluster.Worker) error {
-		st := newWorkerState(job, w)
-		defer st.close()
-		n := len(st.full)
-		for m := 0; m < n; m++ {
-			if err := st.reduceGrams(m); err != nil {
-				return err
-			}
-		}
-		// One rank's steady-state sweep, fully instrumented, collectives
-		// and exchange included. Every rank runs pass the same number of
-		// times (one warm-up here, one inside AllocsPerRun, then the
-		// measured runs), so the lockstep collective contract holds
-		// across the concurrent measurements.
+		eng := job.bind(w, job.sweep.InitialFactors())
+		defer eng.Close()
+		// One rank's steady-state run, fully instrumented — pre-resolved
+		// counters and spans included — collectives and exchange included.
+		// Every rank runs pass the same number of times (one warm-up here,
+		// one inside AllocsPerRun, then the measured runs), and the loss
+		// every rank stops on is the same reduced value, so the lockstep
+		// collective contract holds across the concurrent measurements.
 		var passErr error
 		pass := func() {
 			if passErr != nil {
 				return // a failed rank stops participating; peers unblock via poisoning
 			}
-			for m := 0; m < n; m++ {
-				sp := st.obs.Span(st.names[m].mttkrp)
-				st.mttkrpMode(m)
-				sp.End()
-				sp = st.obs.Span(st.names[m].solve)
-				st.denominators(m)
-				st.updateOwnedRows(m)
-				sp.End()
-				sp = st.obs.Span(st.names[m].allreduce)
-				err := st.reduceGrams(m)
-				sp.End()
-				if err == nil {
-					sp = st.obs.Span(st.names[m].exchange)
-					err = st.exch.Exchange(m, st.full[m], false)
-					sp.End()
-				}
-				if err != nil {
-					passErr = err
-					return
-				}
-			}
-			sp := st.obs.Span("loss")
-			_, err := st.loss()
-			sp.End()
-			if err != nil {
-				passErr = err
-			}
+			passErr = eng.Run(nil)
 		}
 		pass() // warm-up: workspaces, comm buffers, stream tags, mailbox queues
 		allocs := testing.AllocsPerRun(10, pass)
@@ -192,7 +101,7 @@ func testDistributedSweepAllocFree(t *testing.T, threads, ringThresh int, kind l
 	}
 	for rank, a := range perRank {
 		if a != 0 {
-			t.Errorf("rank %d: steady-state distributed sweep allocates %v times per iteration, want 0", rank, a)
+			t.Errorf("rank %d: steady-state sweep allocates %v times per run, want 0", rank, a)
 		}
 	}
 }

@@ -16,16 +16,18 @@
 // freshly reduced Gram products (IV-B4) — no second pass over the
 // tensor data.
 //
-// The update rules are identical to the centralized DTD of
-// internal/dtd; the equivalence tests in this package verify that the
-// distributed computation reproduces DTD's factors to floating-point
-// reordering tolerance.
+// The update rules are not merely identical to the centralized DTD of
+// internal/dtd — they are the same code: every rank drives the one
+// dtd.Sweep engine, bound to its slice of the partition plan and to its
+// cluster worker through the three-call dtd.Comm seam. At one worker
+// the result equals dtd.Step bit for bit (factors and loss trace); at
+// M > 1 only the reduction order of the Gram partials differs, which
+// the equivalence tests bound at floating-point reordering tolerance.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"dismastd/internal/cluster"
@@ -35,11 +37,9 @@ import (
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
 	"dismastd/internal/obs"
-	"dismastd/internal/par"
 	"dismastd/internal/partition"
 	"dismastd/internal/sample"
 	"dismastd/internal/tensor"
-	"dismastd/internal/xrand"
 )
 
 // Options configures a distributed streaming step.
@@ -168,25 +168,13 @@ type StepStats struct {
 }
 
 // Step advances the decomposition from prev to the new snapshot on an
-// in-process cluster of opts.Workers workers. prev is not modified.
+// in-process cluster of opts.Workers workers — a one-step Session. prev
+// is not modified.
 func Step(prev *dtd.State, snapshot *tensor.Tensor, o Options) (*dtd.State, *StepStats, error) {
-	job, err := NewStepJob(prev, snapshot, o)
-	if err != nil {
+	if _, err := o.withDefaults(); err != nil {
 		return nil, nil, err
 	}
-	cl := cluster.NewLocal(job.opts.Workers)
-	runStats, err := cl.Run(job.RunWorker)
-	if err != nil {
-		return nil, nil, err
-	}
-	st, stats, err := job.Result()
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.Cluster = runStats
-	stats.Phases = PhasesOf(runStats)
-	job.OverrideAlgoMetrics(runStats)
-	return st, stats, nil
+	return NewSession(o.Workers).Step(prev, snapshot, o)
 }
 
 // RankPhases returns each rank's per-phase wall-time aggregates from
@@ -247,39 +235,45 @@ func NewStepJob(prev *dtd.State, snapshot *tensor.Tensor, o Options) (*StepJob, 
 	if err != nil {
 		return nil, err
 	}
-	if err := checkGrowth(prev, snapshot, opts.Rank); err != nil {
+	sweep, err := dtd.NewSweep(prev, snapshot, dtd.Options{
+		Rank: opts.Rank, MaxIters: opts.MaxIters, Tol: opts.Tol, Mu: opts.Mu, Seed: opts.Seed,
+		Threads: opts.Threads, Layout: opts.Layout, Solver: opts.Solver, Samples: opts.Samples, Obs: opts.Obs,
+	})
+	if err != nil {
 		return nil, err
 	}
 	if opts.Solver == sample.Sampled {
 		// Fail here, at plan time, so the per-rank sampler construction in
-		// newWorkerStateFactors can never fail mid-run.
+		// bind can never fail mid-run.
 		if err := sample.CheckDims(snapshot.Dims); err != nil {
 			return nil, err
 		}
 	}
-	sp := opts.Obs.Span("plan/complement")
-	comp := snapshot.Complement(prev.Dims)
-	sp.End()
-	sp = opts.Obs.Span("plan/partition")
-	plan := dplan.BuildWeighted(comp, opts.Workers, opts.Parts, opts.Method, opts.RankWeights)
+	sp := opts.Obs.Span("plan/partition")
+	plan := dplan.BuildWeighted(sweep.Complement(), opts.Workers, opts.Parts, opts.Method, opts.RankWeights)
 	sp.End()
 	if opts.Obs != nil {
 		for _, mp := range plan.ModePlans {
 			mp.Observe(opts.Obs.Reg)
 		}
 	}
-	job := &StepJob{
-		opts:    opts,
-		newDims: append([]int(nil), snapshot.Dims...),
-		plan:    plan,
-		oldDims: prev.Dims,
-		tilde:   prev.Factors,
-		init:    initialFactors(prev, snapshot.Dims, opts),
-		algo:    make([]cluster.Metrics, opts.Workers),
-		caches:  newCaches(opts.Workers),
+	return &StepJob{
+		opts:   opts,
+		sweep:  sweep,
+		plan:   plan,
+		algo:   make([]cluster.Metrics, opts.Workers),
+		caches: newCaches(opts.Workers),
+	}, nil
+}
+
+// stateOf wraps assembled factors as a state; the mode sizes are their
+// row counts.
+func stateOf(factors []*mat.Dense) *dtd.State {
+	st := &dtd.State{Dims: make([]int, len(factors)), Factors: factors}
+	for m, f := range factors {
+		st.Dims[m] = f.Rows
 	}
-	job.precompute()
-	return job, nil
+	return st
 }
 
 func newCaches(workers int) []*layout.Cache {
@@ -308,45 +302,14 @@ func (j *StepJob) Result() (*dtd.State, *StepStats, error) {
 		return nil, nil, ErrNoResult
 	}
 	stats := &StepStats{
-		Iters:         j.iters,
-		Loss:          j.finalLoss,
+		Iters:         len(j.lossTrace),
+		Loss:          j.lossTrace[len(j.lossTrace)-1],
 		LossTrace:     j.lossTrace,
 		ComplementNNZ: j.plan.Tensor.NNZ(),
 		Imbalance:     j.plan.Imbalance(),
 		SetupBytes:    j.plan.SetupBytes(j.opts.Rank),
 	}
-	st := &dtd.State{Dims: append([]int(nil), j.newDims...), Factors: j.result}
-	return st, stats, nil
-}
-
-func checkGrowth(prev *dtd.State, snapshot *tensor.Tensor, rank int) error {
-	if snapshot.Order() != len(prev.Dims) {
-		return fmt.Errorf("%w: order %d vs %d", dtd.ErrDimsMismatch, snapshot.Order(), len(prev.Dims))
-	}
-	for m, d := range snapshot.Dims {
-		if d < prev.Dims[m] {
-			return fmt.Errorf("%w: mode %d shrank %d -> %d", dtd.ErrDimsMismatch, m, prev.Dims[m], d)
-		}
-	}
-	for m, f := range prev.Factors {
-		if f.Rows != prev.Dims[m] || f.Cols != rank {
-			return fmt.Errorf("core: previous factor %d is %dx%d, want %dx%d", m, f.Rows, f.Cols, prev.Dims[m], rank)
-		}
-	}
-	return nil
-}
-
-// initialFactors stacks the previous factors over seeded random growth
-// blocks, drawing in the same order as dtd.Step so both algorithms
-// start from identical matrices.
-func initialFactors(prev *dtd.State, newDims []int, opts Options) []*mat.Dense {
-	src := xrand.New(opts.Seed)
-	out := make([]*mat.Dense, len(newDims))
-	for m, d := range newDims {
-		growth := mat.RandomUniform(d-prev.Dims[m], opts.Rank, src)
-		out[m] = mat.StackRows(prev.Factors[m], growth)
-	}
-	return out
+	return stateOf(j.result), stats, nil
 }
 
 // StepJob carries the read-only shared inputs and the coordinator-side
@@ -354,239 +317,135 @@ func initialFactors(prev *dtd.State, newDims []int, opts Options) []*mat.Dense {
 // concurrently; result fields are written only by rank 0 under mu.
 // Build one with NewStepJob.
 type StepJob struct {
-	opts    Options
-	newDims []int
-	plan    *dplan.Plan
-	oldDims []int
-	tilde   []*mat.Dense // previous factors, read-only
-	init    []*mat.Dense // initial stacked factors, read-only
-
-	cTilde     float64
-	compNormSq float64
+	opts  Options
+	sweep *dtd.Sweep // the step's validated shared inputs; bind derives each rank's engine
+	plan  *dplan.Plan
 
 	// caches holds one layout cache per rank (index = rank), created up
 	// front so concurrent RunWorker calls never share mutable state.
 	// Each rank's compiled kernels are memoised here keyed by the
-	// identity of its entry lists: rebinding a worker state to the same
-	// plan reuses every layout, while an elastic re-partition (new plan,
+	// identity of its entry lists: rebinding an engine to the same plan
+	// reuses every layout, while an elastic re-partition (new plan,
 	// new entry lists) invalidates and recompiles.
 	caches []*layout.Cache
 
 	mu        sync.Mutex
 	result    []*mat.Dense
-	iters     int
-	finalLoss float64
 	lossTrace []float64
 	algo      []cluster.Metrics // per-rank traffic before result collection
 }
 
-func (j *StepJob) precompute() {
-	n := len(j.tilde)
-	grams := make([]*mat.Dense, n)
-	for m := 0; m < n; m++ {
-		grams[m] = mat.Gram(j.tilde[m])
+// rankComm is the distributed dtd.Comm: one rank's collectives over its
+// cluster worker and its subscription-based row exchange over the plan.
+type rankComm struct {
+	w         *cluster.Worker
+	exch      *dplan.Exchanger
+	broadcast bool
+	cBytes    *obs.Counter // allreduce.bytes: batched Gram payload bytes sent
+	naive     *naiveLoss   // non-nil under the NaiveLoss ablation
+}
+
+// naiveLoss is what the NaiveLoss ablation's second pass over the
+// tensor data reads: the rank's last-mode entries and factor replicas.
+type naiveLoss struct {
+	entries []int32
+	comp    *tensor.Tensor
+	factors []*mat.Dense
+	tmp     []float64 // per-entry product buffer
+}
+
+func (c *rankComm) AllReduceSumInPlace(vec []float64) error {
+	c.cBytes.Add(int64(8 * len(vec)))
+	return c.w.AllReduceSumInPlace(vec)
+}
+
+func (c *rankComm) ExchangeRows(mode int, factor *mat.Dense) error {
+	return c.exch.Exchange(mode, factor, c.broadcast)
+}
+
+// ReduceScalarSum sums the ranks' shares of the loss's tensor-model
+// inner product. Under the NaiveLoss ablation the share the engine
+// reused from its MTTKRP is discarded for one recomputed entry by entry
+// (the baseline Section IV-B4 improves on).
+func (c *rankComm) ReduceScalarSum(x float64) (float64, error) {
+	if c.naive != nil {
+		x = c.naive.inner()
+		c.w.AddWork(float64(len(c.naive.entries)) * float64(len(c.naive.factors)) * float64(len(c.naive.tmp)))
 	}
-	j.cTilde = mat.SumAll(mat.HadamardAll(grams...))
-	j.compNormSq = j.plan.Tensor.NormSq()
+	return c.w.ReduceScalarSum(x)
 }
 
-// gramState is the replicated R×R intermediate set for one mode. The
-// three matrices are allocated once per worker and refreshed in place
-// by each all-reduce.
-type gramState struct {
-	g0    *mat.Dense // A^(0)ᵀA^(0)
-	g1    *mat.Dense // A^(1)ᵀA^(1)
-	cross *mat.Dense // ÃᵀA^(0)
-}
-
-// workerState is one rank's complete working set for a step: the local
-// factor replicas, the replicated Gram state, and every scratch buffer
-// the sweep needs. Everything is sized in newWorkerState, so the
-// steady-state compute path — MTTKRP, denominators, row updates, Gram
-// partials, loss — performs zero heap allocations; only the transport
-// collectives (all-reduce, row exchange) allocate.
-type workerState struct {
-	job *StepJob
-	w   *cluster.Worker
-
-	full  []*mat.Dense // local replica of the stacked factors
-	mbuf  []*mat.Dense // per-mode MTTKRP buffers, zeroed each sweep
-	grams []*gramState // replicated Gram state, refreshed in place
-	lastM *mat.Dense   // final mode's MTTKRP, reused by the loss
-
-	ws  *mat.Workspace
-	tmp []float64 // per-entry product buffer (naive loss)
-
-	// Intra-worker parallel runtime: this rank's pool (nil when
-	// Threads <= 1), its per-thread workspaces, the pooled kernels,
-	// the grouped kernels of this rank's entry lists, and the
-	// persistent Gram-partials task. Closed by close().
-	pool    *par.Pool
-	wss     *mat.WorkspaceSet
-	pk      *mat.ParKernels
-	pacc    *mttkrp.ParAccumulator
-	kernels []mttkrp.Kernel
-	gpTask  gramPartialsTask
-
-	d0, d1 *mat.Dense // Eq. (5) denominators
-	g0prod *mat.Dense // ∗_{k≠n} g0
-	hprod  *mat.Dense // ∗_{k≠n} cross
-	sum    *mat.Dense // g0+g1 scratch
-
-	// Sampled-solver state (nil/unused under the exact solver): each
-	// rank sketches its own partition with draw streams keyed by its
-	// rank, and Ĝ overwrites d1 after the exact R×R chains.
-	smp *sample.Sampler
-	gs  *mat.Dense
-
-	g0p, g1p, crossp *mat.Dense // local Gram partials, zeroed each reduce
-	batch            []float64  // 3R² all-reduce payload, rebuilt in place
-	exch             *dplan.Exchanger
-
-	ownedOld, ownedNew [][]int32 // per-mode owned rows split at oldDims
-
-	fullG         []*mat.Dense // per-mode g0+g1, rebuilt by the loss
-	zeroG, crossG []*mat.Dense // stable aliases of grams[m].g0 / .cross
-	h             *mat.Dense   // Hadamard-chain loss scratch
-
-	trace []float64
-	iters int
-
-	// Instrumentation, pre-resolved at construction so the sweeps stay
-	// allocation-free: one span-name set per mode and counter handles for
-	// the hot-path totals. obs (and thus every handle) may be nil.
-	obs       *obs.Obs
-	names     []phaseNames
-	cMttkrp   *obs.Counter // mttkrp.rows: MTTKRP row accumulations (entries)
-	cSolve    *obs.Counter // solve.rows: factor rows updated by Eq. (5)
-	cAllBytes *obs.Counter // allreduce.bytes: batched Gram payload bytes sent
-}
-
-// phaseNames are one mode's span names, formatted once so per-sweep
-// tracing never builds strings.
-type phaseNames struct {
-	mttkrp, chunk, solve, allreduce, exchange string
-}
-
-func newWorkerState(j *StepJob, w *cluster.Worker) *workerState {
-	warm := make([]*mat.Dense, len(j.init))
-	for m := range warm {
-		warm[m] = j.init[m].Clone()
-	}
-	return newWorkerStateFactors(j, w, warm)
-}
-
-// newWorkerStateFactors builds a worker state around externally owned
-// factor replicas instead of cloning the job's initial stack — how the
-// elastic driver rebinds a rank's warm factors to a rebuilt plan after
-// a view change. The matrices are adopted, not copied.
-func newWorkerStateFactors(j *StepJob, w *cluster.Worker, warm []*mat.Dense) *workerState {
-	n := len(j.init)
-	r := j.opts.Rank
-	st := &workerState{
-		job:   j,
-		w:     w,
-		ws:    mat.NewWorkspace(),
-		tmp:   make([]float64, r),
-		batch: make([]float64, 0, 3*r*r),
-		trace: make([]float64, 0, j.opts.MaxIters),
-		pool:  par.New(j.opts.Threads),
-	}
-	st.gpTask.st = st
-	st.exch = dplan.NewExchanger(w, j.plan)
-	st.wss = mat.NewWorkspaceSet(st.pool.Threads())
-	st.pk = mat.NewParKernels(st.pool, st.wss)
-	st.pacc = mttkrp.NewParAccumulator(st.pool, st.wss, w.Obs())
-	st.kernels = make([]mttkrp.Kernel, n)
-	for m := 0; m < n; m++ {
-		st.kernels[m] = mttkrp.CachedKernelOf(j.caches[w.Rank()], j.plan.Tensor, m, j.plan.EntryLists[w.Rank()][m], j.opts.Layout)
-	}
-	st.full = make([]*mat.Dense, n)
-	st.mbuf = make([]*mat.Dense, n)
-	st.grams = make([]*gramState, n)
-	st.fullG = make([]*mat.Dense, n)
-	st.zeroG = make([]*mat.Dense, n)
-	st.crossG = make([]*mat.Dense, n)
-	st.ownedOld = make([][]int32, n)
-	st.ownedNew = make([][]int32, n)
-	for m := 0; m < n; m++ {
-		st.full[m] = warm[m]
-		st.mbuf[m] = mat.New(st.full[m].Rows, r)
-		st.grams[m] = &gramState{g0: mat.New(r, r), g1: mat.New(r, r), cross: mat.New(r, r)}
-		st.fullG[m] = mat.New(r, r)
-		st.zeroG[m] = st.grams[m].g0
-		st.crossG[m] = st.grams[m].cross
-		old := j.oldDims[m]
-		for _, s := range j.plan.OwnedSlices[m][w.Rank()] {
-			if int(s) < old {
-				st.ownedOld[m] = append(st.ownedOld[m], s)
-			} else {
-				st.ownedNew[m] = append(st.ownedNew[m], s)
+func (l *naiveLoss) inner() float64 {
+	n := len(l.factors)
+	var inner float64
+	for _, e := range l.entries {
+		base := int(e) * n
+		for c := range l.tmp {
+			l.tmp[c] = 1
+		}
+		for k := 0; k < n; k++ {
+			row := l.factors[k].Row(int(l.comp.Coords[base+k]))
+			for c := range l.tmp {
+				l.tmp[c] *= row[c]
 			}
 		}
+		s := 0.0
+		for _, v := range l.tmp {
+			s += v
+		}
+		inner += l.comp.Vals[e] * s
 	}
+	return inner
+}
+
+// bind derives rank w's engine from the plan: kernels over the rank's
+// entry lists (compiled layouts memoised in the rank's cache), the rows
+// it owns, and its collectives. factors are the rank's replicas, adopted
+// — the step's initial stack, or the warm factors the elastic driver
+// carries across a view change. The sampled solver forces the broadcast
+// row exchange (see Options.Solver). Close the engine when done.
+func (j *StepJob) bind(w *cluster.Worker, factors []*mat.Dense) *dtd.Sweep {
+	me := w.Rank()
+	comp := j.plan.Tensor
+	n := comp.Order()
+	kernels := make([]mttkrp.Kernel, n)
+	owned := make([][]int32, n)
+	for m := range kernels {
+		kernels[m] = mttkrp.CachedKernelOf(j.caches[me], comp, m, j.plan.EntryLists[me][m], j.opts.Layout)
+		owned[m] = j.plan.OwnedSlices[m][me]
+	}
+	var smp *sample.Sampler
 	if j.opts.Solver == sample.Sampled {
-		smp, err := sample.New(j.plan.Tensor, j.plan.EntryLists[w.Rank()], r, j.opts.Samples, j.opts.Seed, w.Rank())
+		var err error
+		smp, err = sample.New(comp, j.plan.EntryLists[me], j.opts.Rank, j.opts.Samples, j.opts.Seed, me)
 		if err != nil {
 			// NewStepJob ran sample.CheckDims on these dims already.
 			panic(fmt.Sprintf("core: sampler construction failed after CheckDims: %v", err))
 		}
-		st.smp = smp
-		st.gs = mat.New(r, r)
 	}
-	st.d0 = mat.New(r, r)
-	st.d1 = mat.New(r, r)
-	st.g0prod = mat.New(r, r)
-	st.hprod = mat.New(r, r)
-	st.sum = mat.New(r, r)
-	st.g0p = mat.New(r, r)
-	st.g1p = mat.New(r, r)
-	st.crossp = mat.New(r, r)
-	st.h = mat.New(r, r)
-	st.obs = w.Obs()
-	st.names = make([]phaseNames, n)
-	for m := 0; m < n; m++ {
-		st.names[m] = phaseNames{
-			mttkrp:    fmt.Sprintf("mode%d/mttkrp", m),
-			chunk:     fmt.Sprintf("mode%d/mttkrp.chunk", m),
-			solve:     fmt.Sprintf("mode%d/solve", m),
-			allreduce: fmt.Sprintf("mode%d/allreduce", m),
-			exchange:  fmt.Sprintf("mode%d/exchange", m),
-		}
+	comm := &rankComm{
+		w:         w,
+		exch:      dplan.NewExchanger(w, j.plan),
+		broadcast: j.opts.BroadcastRows || smp != nil,
+		cBytes:    w.Obs().Counter("allreduce.bytes"),
 	}
-	st.cMttkrp = st.obs.Counter("mttkrp.rows")
-	st.cSolve = st.obs.Counter("solve.rows")
-	st.cAllBytes = st.obs.Counter("allreduce.bytes")
-	return st
+	if j.opts.NaiveLoss {
+		comm.naive = &naiveLoss{entries: j.plan.EntryLists[me][n-1], comp: comp, factors: factors, tmp: make([]float64, j.opts.Rank)}
+	}
+	return j.sweep.Bind(factors, kernels, owned, smp, comm, w.Obs())
 }
-
-// close releases the worker's pool goroutines.
-func (st *workerState) close() { st.pool.Close() }
 
 // RunWorker is the SPMD body executed by every rank. It must be called
 // exactly once per rank of a cluster of Workers() size.
 func (j *StepJob) RunWorker(w *cluster.Worker) error {
-	st := newWorkerState(j, w)
-	defer st.close()
+	eng := j.bind(w, j.sweep.InitialFactors())
+	defer eng.Close()
 	me := w.Rank()
 
-	if err := st.establishGrams(); err != nil {
+	err := eng.Run(nil)
+	w.AddWork(eng.Work())
+	if err != nil {
 		return err
-	}
-
-	prevLoss := math.Inf(1)
-	for sweep := 0; sweep < j.opts.MaxIters; sweep++ {
-		loss, err := st.sweepOnce(sweep)
-		if err != nil {
-			return err
-		}
-		st.iters = sweep + 1
-		st.trace = append(st.trace, loss)
-		stop := relChange(prevLoss, loss) < j.opts.Tol
-		prevLoss = loss
-		if stop {
-			break
-		}
 	}
 
 	// Record algorithm-only traffic: the result gather below is a
@@ -596,407 +455,22 @@ func (j *StepJob) RunWorker(w *cluster.Worker) error {
 	j.algo[me] = w.MetricsSnapshot()
 	j.mu.Unlock()
 
-	if err := j.gatherResult(w, st.full); err != nil {
+	result, err := j.gatherFactors(w, eng.Factors())
+	if err != nil {
 		return err
 	}
 	if me == 0 {
 		j.mu.Lock()
-		j.iters = st.iters
-		j.lossTrace = st.trace
-		j.finalLoss = st.trace[len(st.trace)-1]
+		j.result = result
+		j.lossTrace = eng.LossTrace()
 		j.mu.Unlock()
 	}
 	return nil
 }
 
-// establishGrams builds the replicated Gram state with an initial
-// all-reduce of per-owner partials — once at step start, and again by
-// the elastic driver whenever row ownership changes mid-step.
-func (st *workerState) establishGrams() error {
-	for m := range st.full {
-		sp := st.obs.Span(st.names[m].allreduce)
-		err := st.reduceGrams(m)
-		sp.End()
-		if err != nil {
-			return err
-		}
-		if st.smp != nil {
-			st.refreshDist(m)
-		}
-	}
-	return nil
-}
-
-// refreshDist rebuilds mode m's draw distribution from this rank's
-// factor replica and the freshly reduced full Gram. Valid only when
-// every row of the replica is globally fresh — which the sampled
-// solver's forced broadcast exchange guarantees.
-func (st *workerState) refreshDist(m int) {
-	g := st.grams[m]
-	st.sum.Add(g.g0, g.g1)
-	st.smp.Refresh(m, st.full[m], st.sum)
-}
-
-// sweepOnce runs one full ALS sweep — the four per-mode phases followed
-// by the loss evaluation — and returns the sweep's loss.
-func (st *workerState) sweepOnce(sweep int) (float64, error) {
-	j := st.job
-	st.obs.SetIter(sweep)
-	for m := range st.full {
-		// 1. Distributed MTTKRP over this worker's mode-m entries — or
-		// the leverage-score sketch of them under the sampled solver.
-		sp := st.obs.Span(st.names[m].mttkrp)
-		if st.smp != nil {
-			st.sampledMttkrp(m)
-		} else {
-			st.mttkrpMode(m)
-		}
-		sp.End()
-
-		// 2. Row-wise update of owned rows.
-		sp = st.obs.Span(st.names[m].solve)
-		st.denominators(m)
-		if st.smp != nil {
-			// Ĝ estimates the ∗_{k≠m}(g0+g1) chain the exact path just
-			// built; the O(R²) g0prod/hprod chains stay exact, so d0 is
-			// recomposed around the sketched d1.
-			st.d1.CopyFrom(st.gs)
-			st.d0.Scale(-(1 - j.opts.Mu), st.g0prod)
-			st.d0.Add(st.d0, st.d1)
-		}
-		st.updateOwnedRows(m)
-		sp.End()
-
-		// 3. All-to-all reduction of the partial Gram products.
-		sp = st.obs.Span(st.names[m].allreduce)
-		err := st.reduceGrams(m)
-		sp.End()
-		if err != nil {
-			return 0, err
-		}
-
-		// 4. Push updated rows to subscribers — every replica under the
-		// sampled solver, which needs all rows globally fresh before the
-		// next leverage refresh.
-		sp = st.obs.Span(st.names[m].exchange)
-		err = st.exch.Exchange(m, st.full[m], j.opts.BroadcastRows || st.smp != nil)
-		sp.End()
-		if err != nil {
-			return 0, err
-		}
-		if st.smp != nil {
-			st.refreshDist(m)
-		}
-	}
-
-	sp := st.obs.Span("loss")
-	loss, err := st.loss()
-	sp.End()
-	return loss, err
-}
-
-// mttkrpMode zeroes the mode's MTTKRP buffer and accumulates this
-// worker's entries into it via the row-grouped view of the plan's
-// per-mode entry list, chunked across the rank's pool, recording it as
-// the loss's reusable lastM. (The grouped kernel reproduces the flat
-// scatter bit-for-bit: each output row starts at +0 and its entries
-// accumulate in entry-list order.)
-func (st *workerState) mttkrpMode(mode int) {
-	j := st.job
-	M := st.mbuf[mode]
-	M.Zero()
-	comp := j.plan.Tensor
-	st.pacc.Accumulate(M, st.kernels[mode], st.full, st.names[mode].chunk)
-	nnz := st.kernels[mode].NNZ()
-	st.w.AddWork(float64(nnz) * float64(comp.Order()) * float64(M.Cols))
-	st.cMttkrp.Add(int64(nnz))
-	st.lastM = M
-}
-
-// sampledMttkrp fills the mode's buffer with the sketched MTTKRP M̂ of
-// this rank's partition and st.gs with the sketched Khatri-Rao Gram Ĝ.
-// lastM becomes the sketch, so the reuse-based loss — and the Tol stop
-// it drives — is an unbiased estimate; LossAgainst gives the exact one.
-func (st *workerState) sampledMttkrp(mode int) {
-	M := st.mbuf[mode]
-	matched := st.smp.Sample(mode, st.full, st.pacc, st.pk, M, st.gs, st.names[mode].chunk)
-	// S draws each build a Khatri-Rao row (plus the S×R Gram), and the
-	// matched entries pay the usual per-entry accumulate.
-	st.w.AddWork(float64(st.smp.Samples()+matched) * float64(len(st.full)) * float64(M.Cols))
-	st.cMttkrp.Add(int64(matched))
-	st.lastM = M
-}
-
-// denominators fills d1 = ∗_{k≠mode}(g0+g1), g0prod = ∗_{k≠mode} g0,
-// hprod = ∗_{k≠mode} cross and d0 = d1 − (1−μ)·g0prod — the Eq. (5)
-// denominator set — falling back to the identity for first-order
-// tensors (no other modes).
-func (st *workerState) denominators(mode int) {
-	first := true
-	for k, g := range st.grams {
-		if k == mode {
-			continue
-		}
-		st.sum.Add(g.g0, g.g1)
-		if first {
-			st.d1.CopyFrom(st.sum)
-			st.g0prod.CopyFrom(g.g0)
-			st.hprod.CopyFrom(g.cross)
-			first = false
-		} else {
-			st.d1.Hadamard(st.d1, st.sum)
-			st.g0prod.Hadamard(st.g0prod, g.g0)
-			st.hprod.Hadamard(st.hprod, g.cross)
-		}
-	}
-	if first {
-		st.d1.SetIdentity()
-		st.g0prod.SetIdentity()
-		st.hprod.SetIdentity()
-	}
-	st.d0.Scale(-(1 - st.job.opts.Mu), st.g0prod)
-	st.d0.Add(st.d0, st.d1)
-}
-
-// updateOwnedRows applies the Eq. (5) row-wise updates to the rows this
-// worker owns in the given mode, in place, with all block scratch taken
-// from the workspace.
-func (st *workerState) updateOwnedRows(mode int) {
-	j := st.job
-	factor := st.full[mode]
-	M := st.mbuf[mode]
-	r := factor.Cols
-	oldRows := st.ownedOld[mode]
-	newRows := st.ownedNew[mode]
-
-	mark := st.ws.Mark()
-	if len(oldRows) > 0 {
-		// Numerator block: μ·Ã[rows]·Hprod + M[rows], solved in place.
-		tblock := st.ws.Take(len(oldRows), r)
-		for i, s := range oldRows {
-			copy(tblock.Row(i), j.tilde[mode].Row(int(s)))
-		}
-		num := st.ws.Take(len(oldRows), r)
-		st.pk.MulInto(num, tblock, st.hprod)
-		num.Scale(j.opts.Mu, num)
-		for i, s := range oldRows {
-			row := num.Row(i)
-			src := M.Row(int(s))
-			for c := range row {
-				row[c] += src[c]
-			}
-		}
-		st.pk.SolveRightRidgeInto(num, num, st.d0)
-		for i, s := range oldRows {
-			copy(factor.Row(int(s)), num.Row(i))
-		}
-	}
-	if len(newRows) > 0 {
-		num := st.ws.Take(len(newRows), r)
-		for i, s := range newRows {
-			copy(num.Row(i), M.Row(int(s)))
-		}
-		st.pk.SolveRightRidgeInto(num, num, st.d1)
-		for i, s := range newRows {
-			copy(factor.Row(int(s)), num.Row(i))
-		}
-	}
-	st.ws.Release(mark)
-	// Old rows pay the μ·Ã·Hprod product plus the solve (2R² each), new
-	// rows just the solve (R²); the two R×R factorisations are R³ each.
-	rr := float64(r) * float64(r)
-	st.w.AddWork((2*float64(len(oldRows))+float64(len(newRows)))*rr + 2*float64(r)*rr)
-	st.cSolve.Add(int64(len(oldRows) + len(newRows)))
-}
-
-// gramPartials computes this worker's partial ÃᵀA⁰, A⁰ᵀA⁰, A¹ᵀA¹ over
-// its owned rows into the persistent partial matrices and packs them
-// into the batch payload. The three R×R partials are computed with
-// their rows chunked across the rank's pool; every chunk scans the
-// owned rows in order, so each partial entry accumulates exactly the
-// sequential sequence.
-func (st *workerState) gramPartials(mode int) {
-	j := st.job
-	r := st.full[mode].Cols
-	st.gpTask.mode = mode
-	st.pool.For(r, &st.gpTask)
-	oldRows := len(st.ownedOld[mode])
-	owned := j.plan.OwnedSlices[mode][st.w.Rank()]
-	// Old rows contribute two outer products (G⁰ and the cross term),
-	// new rows one.
-	st.w.AddWork((2*float64(oldRows) + float64(len(owned)-oldRows)) * float64(r) * float64(r))
-
-	st.batch = st.batch[:0]
-	st.batch = append(st.batch, st.g0p.Data...)
-	st.batch = append(st.batch, st.g1p.Data...)
-	st.batch = append(st.batch, st.crossp.Data...)
-}
-
-// gramPartialsTask evaluates rows [lo, hi) of the mode's three Gram
-// partials (the sequential outer-product loop transposed so output
-// rows, not input rows, are the parallel axis).
-type gramPartialsTask struct {
-	st   *workerState
-	mode int
-}
-
-func (t *gramPartialsTask) RunChunk(lo, hi, tid int) {
-	st := t.st
-	j := st.job
-	factor := st.full[t.mode]
-	tilde := j.tilde[t.mode]
-	old := j.oldDims[t.mode]
-	for i := lo; i < hi; i++ {
-		zeroRow(st.g0p.Row(i))
-		zeroRow(st.g1p.Row(i))
-		zeroRow(st.crossp.Row(i))
-	}
-	for _, s := range j.plan.OwnedSlices[t.mode][st.w.Rank()] {
-		row := factor.Row(int(s))
-		if int(s) < old {
-			trow := tilde.Row(int(s))
-			for i := lo; i < hi; i++ {
-				if av := row[i]; av != 0 {
-					drow := st.g0p.Row(i)
-					for c, bv := range row {
-						drow[c] += av * bv
-					}
-				}
-				if tv := trow[i]; tv != 0 {
-					drow := st.crossp.Row(i)
-					for c, bv := range row {
-						drow[c] += tv * bv
-					}
-				}
-			}
-		} else {
-			for i := lo; i < hi; i++ {
-				av := row[i]
-				if av == 0 {
-					continue
-				}
-				drow := st.g1p.Row(i)
-				for c, bv := range row {
-					drow[c] += av * bv
-				}
-			}
-		}
-	}
-}
-
-func zeroRow(row []float64) {
-	for i := range row {
-		row[i] = 0
-	}
-}
-
-// applyGramSums unpacks a reduced 3R² vector into the mode's replicated
-// Gram state.
-func (st *workerState) applyGramSums(mode int, sum []float64) {
-	r := st.job.opts.Rank
-	g := st.grams[mode]
-	copy(g.g0.Data, sum[:r*r])
-	copy(g.g1.Data, sum[r*r:2*r*r])
-	copy(g.cross.Data, sum[2*r*r:])
-}
-
-// reduceGrams all-reduces the worker's Gram partials in one batched
-// vector and refreshes the mode's replicated state in place. The
-// reduction is in-place over st.batch, so the collective rides pooled
-// transport buffers and nothing on this path allocates.
-func (st *workerState) reduceGrams(mode int) error {
-	st.gramPartials(mode)
-	st.cAllBytes.Add(int64(8 * len(st.batch)))
-	if err := st.w.AllReduceSumInPlace(st.batch); err != nil {
-		return err
-	}
-	st.applyGramSums(mode, st.batch)
-	return nil
-}
-
-// loss evaluates √L of Eq. (4): the local inner-product term, one
-// scalar reduction, then the Gram-state finish — split so the compute
-// halves are separately testable for allocation-freedom.
-func (st *workerState) loss() (float64, error) {
-	inner, err := st.w.ReduceScalarSum(st.lossLocalInner())
-	if err != nil {
-		return 0, err
-	}
-	return st.lossFinish(inner), nil
-}
-
-// lossLocalInner computes this worker's share of the tensor-model inner
-// product, reusing the final mode's MTTKRP rows (owned rows only), or —
-// under the NaiveLoss ablation — a full second pass over the entries.
-func (st *workerState) lossLocalInner() float64 {
-	j := st.job
-	n := len(st.full)
-	r := j.opts.Rank
-
-	var localInner float64
-	if j.opts.NaiveLoss {
-		comp := j.plan.Tensor
-		tmp := st.tmp
-		entries := j.plan.EntryLists[st.w.Rank()][n-1]
-		for _, e := range entries {
-			base := int(e) * n
-			for c := range tmp {
-				tmp[c] = 1
-			}
-			for k := 0; k < n; k++ {
-				row := st.full[k].Row(int(comp.Coords[base+k]))
-				for c := range tmp {
-					tmp[c] *= row[c]
-				}
-			}
-			s := 0.0
-			for _, v := range tmp {
-				s += v
-			}
-			localInner += comp.Vals[e] * s
-		}
-		st.w.AddWork(float64(len(entries)) * float64(n) * float64(r))
-	} else {
-		last := n - 1
-		for _, s := range j.plan.OwnedSlices[last][st.w.Rank()] {
-			mrow := st.lastM.Row(int(s))
-			arow := st.full[last].Row(int(s))
-			for c := range mrow {
-				localInner += mrow[c] * arow[c]
-			}
-		}
-		st.w.AddWork(float64(len(j.plan.OwnedSlices[last][st.w.Rank()])) * float64(r))
-	}
-	return localInner
-}
-
-// lossFinish turns the reduced inner product and the replicated Gram
-// state into √L, entirely from persistent scratch.
-func (st *workerState) lossFinish(inner float64) float64 {
-	j := st.job
-	n := len(st.full)
-	for m := 0; m < n; m++ {
-		st.fullG[m].Add(st.grams[m].g0, st.grams[m].g1)
-	}
-	mat.HadamardAllInto(st.h, st.zeroG...)
-	model0Sq := mat.SumAll(st.h)
-	mat.HadamardAllInto(st.h, st.fullG...)
-	modelFullSq := mat.SumAll(st.h)
-	mat.HadamardAllInto(st.h, st.crossG...)
-	crossOld := mat.SumAll(st.h)
-
-	oldTerm := j.opts.Mu * (j.cTilde + model0Sq - 2*crossOld)
-	newTerm := j.compNormSq - 2*inner + (modelFullSq - model0Sq)
-	l := oldTerm + newTerm
-	if l < 0 {
-		l = 0
-	}
-	return math.Sqrt(l)
-}
-
-// gatherResult collects every worker's owned rows at rank 0 and
-// assembles the final factors there.
-func (j *StepJob) gatherResult(w *cluster.Worker, full []*mat.Dense) error {
+// gatherFactors collects every rank's owned rows at rank 0 and
+// assembles the full factors there; other ranks get nil.
+func (j *StepJob) gatherFactors(w *cluster.Worker, full []*mat.Dense) ([]*mat.Dense, error) {
 	n := len(full)
 	r := j.opts.Rank
 	var result []*mat.Dense
@@ -1018,7 +492,7 @@ func (j *StepJob) gatherResult(w *cluster.Worker, full []*mat.Dense) error {
 		}
 		parts, err := w.GatherBytes(0, cluster.EncodeFloat64s(buf))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if w.Rank() != 0 {
 			continue
@@ -1027,11 +501,11 @@ func (j *StepJob) gatherResult(w *cluster.Worker, full []*mat.Dense) error {
 		for rank, payload := range parts {
 			vals, err := cluster.DecodeFloat64s(payload)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			rows := j.plan.OwnedSlices[m][rank]
 			if len(vals) != len(rows)*r {
-				return fmt.Errorf("core: gather mode %d rank %d: %d values for %d rows", m, rank, len(vals), len(rows))
+				return nil, fmt.Errorf("core: gather mode %d rank %d: %d values for %d rows", m, rank, len(vals), len(rows))
 			}
 			for i, s := range rows {
 				copy(out.Row(int(s)), vals[i*r:(i+1)*r])
@@ -1039,19 +513,7 @@ func (j *StepJob) gatherResult(w *cluster.Worker, full []*mat.Dense) error {
 		}
 		result[m] = out
 	}
-	if w.Rank() == 0 {
-		j.mu.Lock()
-		j.result = result
-		j.mu.Unlock()
-	}
-	return nil
-}
-
-func relChange(prev, cur float64) float64 {
-	if math.IsInf(prev, 1) {
-		return math.Inf(1)
-	}
-	return math.Abs(prev-cur) / math.Max(prev, 1e-12)
+	return result, nil
 }
 
 // ErrNoResult is returned when a run completes without rank 0

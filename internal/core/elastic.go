@@ -23,10 +23,10 @@
 //     grow anyway), and a drainer leaves after view agreement with
 //     nothing to hand off.
 //
-// Membership never changes the maths: every epoch's sweep is the same
-// SPMD computation as the static path (sweepOnce/establishGrams are
-// shared), only bound to a different plan. A run with no membership
-// events reproduces the static per-step results bitwise.
+// Membership never changes the maths: every epoch runs the same
+// dtd.Sweep engine as the static path, only bound to a different plan.
+// A run with no membership events reproduces the static per-step
+// results bitwise.
 
 package core
 
@@ -533,39 +533,22 @@ func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	if err != nil {
 		return nil, v, vw, err
 	}
-	warm := make([]*mat.Dense, len(job.init))
-	for m := range warm {
-		warm[m] = job.init[m].Clone()
-	}
-	st := newWorkerStateFactors(job, vw, warm)
-	defer func() { st.close() }()
-
-	var lastLoss float64
-	for {
-		err := st.establishGrams()
-		if err == nil {
-			prevLoss := math.Inf(1)
-			for sweep := 0; sweep < job.opts.MaxIters; sweep++ {
-				if r, ok := j.opts.KillAtStep[s]; ok && r == w.Rank() && sweep == j.opts.KillSweep {
-					return nil, v, vw, fmt.Errorf("%w: rank %d at step %d sweep %d", ErrScriptedCrash, r, s, sweep)
-				}
-				var loss float64
-				loss, err = st.sweepOnce(sweep)
-				if err != nil {
-					break
-				}
-				lastLoss = loss
-				stop := relChange(prevLoss, loss) < job.opts.Tol
-				prevLoss = loss
-				if stop {
-					break
-				}
-			}
+	eng := job.bind(vw, job.sweep.InitialFactors())
+	defer func() { eng.Close() }()
+	scriptedCrash := func(sweep int) error {
+		if r, ok := j.opts.KillAtStep[s]; ok && r == w.Rank() && sweep == j.opts.KillSweep {
+			return fmt.Errorf("%w: rank %d at step %d sweep %d", ErrScriptedCrash, r, s, sweep)
 		}
+		return nil
+	}
+
+	for {
+		err := eng.Run(scriptedCrash)
+		vw.AddWork(eng.Work())
 		if err == nil {
 			j.chaosSlow(w, vw, job)
 			var synced *dtd.State
-			synced, err = j.syncState(vw, job, st.full)
+			synced, err = j.syncState(vw, job, eng.Factors())
 			if err == nil && rs.plane != nil {
 				// Observability fence: lockstep with the state sync, so
 				// every member contributes and receives the decision.
@@ -573,14 +556,15 @@ func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Work
 			}
 			if err == nil {
 				if vw.Rank() == 0 && s == len(j.snapshots)-1 {
+					trace := eng.LossTrace()
 					j.mu.Lock()
-					j.finalLoss = lastLoss
+					j.finalLoss = trace[len(trace)-1]
 					j.mu.Unlock()
 				}
 				return synced, v, vw, nil
 			}
 		}
-		v, vw, job, st, err = j.recover(w, v, vw, job, st, err, s)
+		v, vw, job, eng, err = j.recover(w, v, vw, job, eng, err, s)
 		if err != nil {
 			return nil, v, vw, err
 		}
@@ -608,12 +592,13 @@ func (j *ElasticJob) chaosSlow(w, vw *cluster.Worker, job *StepJob) {
 // epoch (unblocking survivors stuck on live-but-blocked peers), agree
 // the shrunken view, rebalance the plan with minimal movement, migrate
 // the moved factor rows, absorb the dead rank's rows from local
-// replicas, refresh the row subscriptions, and rebind the worker state
-// to the new epoch with warm factors.
-func (j *ElasticJob) recover(w *cluster.Worker, v cluster.View, vw *cluster.Worker, job *StepJob, st *workerState, cause error, s int) (cluster.View, *cluster.Worker, *StepJob, *workerState, error) {
+// replicas, refresh the row subscriptions, and rebind the engine to the
+// new epoch with warm factors. Any other cause — a scripted crash of
+// this rank included — is returned as it is.
+func (j *ElasticJob) recover(w *cluster.Worker, v cluster.View, vw *cluster.Worker, job *StepJob, eng *dtd.Sweep, cause error, s int) (cluster.View, *cluster.Worker, *StepJob, *dtd.Sweep, error) {
 	pd, ok := cluster.AsPeerDown(cause)
 	if !ok {
-		return v, vw, job, st, cause
+		return v, vw, job, eng, cause
 	}
 	dead := pd.Rank
 	sp := vw.Obs().Span("elastic/recover")
@@ -633,23 +618,23 @@ func (j *ElasticJob) recover(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	}
 	next, err := cluster.AgreeView(w, v, vc)
 	if err != nil {
-		return v, vw, job, st, fmt.Errorf("core: recovering from down rank %d: %w", dead, err)
+		return v, vw, job, eng, fmt.Errorf("core: recovering from down rank %d: %w", dead, err)
 	}
 	newPlan, err := dplan.RebuildRebalanced(job.plan, v, next)
 	if err != nil {
-		return v, vw, job, st, err
+		return v, vw, job, eng, err
 	}
 	vw2, err := w.ViewWorker(next)
 	if err != nil {
-		return v, vw, job, st, err
+		return v, vw, job, eng, err
 	}
 	d := dplan.ComputeDelta(job.plan, v, newPlan, next)
-	full := st.full
-	st.close()
+	full := eng.Factors()
+	eng.Close()
 
 	base := vw2.MetricsSnapshot()
 	if err := dplan.Migrate(vw2, d, full); err != nil {
-		return v, vw, job, st, err
+		return v, vw, job, eng, err
 	}
 	// Refresh every subscription under the new plan: the aborted sweep
 	// left replicas unevenly fresh across ranks, and the old epoch's
@@ -657,7 +642,7 @@ func (j *ElasticJob) recover(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	// the (warm) owners before the Gram state is re-established.
 	for m := range full {
 		if err := dplan.ExchangeRows(vw2, newPlan, m, full[m], false); err != nil {
-			return v, vw, job, st, err
+			return v, vw, job, eng, err
 		}
 	}
 	sent := vw2.MetricsSnapshot().BytesSent - base.BytesSent
@@ -682,13 +667,11 @@ func (j *ElasticJob) recover(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	j.record(next.Epoch, sent, fill)
 
 	job2 := job.withPlan(newPlan, next.Size())
-	st2 := newWorkerStateFactors(job2, vw2, full)
-	return next, vw2, job2, st2, nil
+	return next, vw2, job2, job2.bind(vw2, full), nil
 }
 
 // withPlan rebinds a step job to a rebalanced plan for a different
-// member count; the tensors, previous factors, and loss constants are
-// shared unchanged.
+// member count; the step's shared sweep inputs carry over unchanged.
 func (j *StepJob) withPlan(plan *dplan.Plan, workers int) *StepJob {
 	opts := j.opts
 	opts.Workers = workers
@@ -699,16 +682,11 @@ func (j *StepJob) withPlan(plan *dplan.Plan, workers int) *StepJob {
 	// re-applies the detector's world-keyed weights via stepOpts.
 	opts.RankWeights = nil
 	return &StepJob{
-		opts:       opts,
-		newDims:    j.newDims,
-		plan:       plan,
-		oldDims:    j.oldDims,
-		tilde:      j.tilde,
-		init:       j.init,
-		cTilde:     j.cTilde,
-		compNormSq: j.compNormSq,
-		algo:       make([]cluster.Metrics, workers),
-		caches:     newCaches(workers),
+		opts:   opts,
+		sweep:  j.sweep,
+		plan:   plan,
+		algo:   make([]cluster.Metrics, workers),
+		caches: newCaches(workers),
 	}
 }
 
@@ -718,35 +696,16 @@ func (j *StepJob) withPlan(plan *dplan.Plan, workers int) *StepJob {
 // replication is what makes fences cheap: drains hand off nothing and
 // failures absorb from local replicas.
 func (j *ElasticJob) syncState(vw *cluster.Worker, job *StepJob, full []*mat.Dense) (*dtd.State, error) {
+	assembled, err := job.gatherFactors(vw, full)
+	if err != nil {
+		return nil, err
+	}
 	r := job.opts.Rank
 	factors := make([]*mat.Dense, len(full))
 	for m := range full {
-		owned := job.plan.OwnedSlices[m][vw.Rank()]
-		buf := make([]float64, 0, len(owned)*r)
-		for _, sl := range owned {
-			buf = append(buf, full[m].Row(int(sl))...)
-		}
-		parts, err := vw.GatherBytes(0, cluster.EncodeFloat64s(buf))
-		if err != nil {
-			return nil, err
-		}
 		var enc []byte
 		if vw.Rank() == 0 {
-			out := mat.New(job.newDims[m], r)
-			for rank, payload := range parts {
-				vals, err := cluster.DecodeFloat64s(payload)
-				if err != nil {
-					return nil, err
-				}
-				rows := job.plan.OwnedSlices[m][rank]
-				if len(vals) != len(rows)*r {
-					return nil, fmt.Errorf("core: state sync mode %d rank %d: %d values for %d rows", m, rank, len(vals), len(rows))
-				}
-				for i, sl := range rows {
-					copy(out.Row(int(sl)), vals[i*r:(i+1)*r])
-				}
-			}
-			enc = cluster.EncodeFloat64s(out.Data)
+			enc = cluster.EncodeFloat64s(assembled[m].Data)
 		}
 		got, err := vw.BroadcastBytes(0, enc)
 		if err != nil {
@@ -756,11 +715,10 @@ func (j *ElasticJob) syncState(vw *cluster.Worker, job *StepJob, full []*mat.Den
 		if err != nil {
 			return nil, err
 		}
-		if len(vals) != job.newDims[m]*r {
-			return nil, fmt.Errorf("core: state sync mode %d: %d values for %dx%d", m, len(vals), job.newDims[m], r)
+		if len(vals) != full[m].Rows*r {
+			return nil, fmt.Errorf("core: state sync mode %d: %d values for %dx%d", m, len(vals), full[m].Rows, r)
 		}
-		factors[m] = mat.New(job.newDims[m], r)
-		copy(factors[m].Data, vals)
+		factors[m] = mat.NewFrom(full[m].Rows, r, vals)
 	}
-	return &dtd.State{Dims: append([]int(nil), job.newDims...), Factors: factors}, nil
+	return stateOf(factors), nil
 }

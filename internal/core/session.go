@@ -12,14 +12,14 @@ import (
 // in-process cluster, so a long-lived stream — the event-granularity
 // ingestion path most of all — does not rebuild transport buffer pools
 // and observability state per micro-batch. Each Step is one collective
-// run of the same StepJob body the one-shot Step uses, which makes the
-// end of every micro-batch a step fence exactly like the bulk path's:
-// the elastic driver and the cluster observability plane key off that
-// fence and keep working unchanged. The optional Fence hook runs on
-// every rank after the step body and before the run completes — the
-// point cmd/worker calls Plane.Fence — receiving the session's step
-// index and the job whose PlannedLoads the plane's imbalance detector
-// consumes.
+// run of StepJob.RunWorker (the package-level Step is a session of one
+// step), which makes the end of every micro-batch a step fence exactly
+// like the bulk path's: the elastic driver and the cluster
+// observability plane key off that fence and keep working unchanged.
+// The optional Fence hook runs on every rank after the step body and
+// before the run completes — the point cmd/worker calls Plane.Fence —
+// receiving the session's step index and the job whose PlannedLoads the
+// plane's imbalance detector consumes.
 //
 // Factors are bitwise identical to calling Step once per snapshot:
 // every run constructs fresh per-rank mailboxes and workers, so no

@@ -12,9 +12,8 @@ import (
 
 // BenchmarkCommExchangeRows measures the subscription row exchange —
 // the per-sweep point-to-point traffic between the collectives — on the
-// Local transport, included in `make bench-comm`. With the pooled
-// buffer path this is allocation-free at steady state; -benchmem shows
-// it.
+// Local transport. With the pooled buffer path this is allocation-free
+// at steady state; -benchmem shows it.
 func BenchmarkCommExchangeRows(b *testing.B) {
 	for _, workers := range []int{4, 8} {
 		for _, r := range []int{8, 32} {

@@ -126,7 +126,9 @@ func TestMigrateDeliversWarmRows(t *testing.T) {
 		factors := make([]*mat.Dense, x.Order())
 		for m := range factors {
 			factors[m] = mat.New(x.Dims[m], r)
-			factors[m].Fill(-1)
+			for i := range factors[m].Data {
+				factors[m].Data[i] = -1
+			}
 			// Old owners hold the warm values; the joiner holds none.
 			if w.Rank() < old.Workers {
 				for _, s := range old.OwnedSlices[m][w.Rank()] {

@@ -208,7 +208,9 @@ func TestExchangeRowsDelivers(t *testing.T) {
 			// by column), everything else is poisoned with -1.
 			mode := 0
 			f := mat.New(x.Dims[mode], r)
-			f.Fill(-1)
+			for i := range f.Data {
+				f.Data[i] = -1
+			}
 			for _, s := range p.OwnedSlices[mode][w.Rank()] {
 				row := f.Row(int(s))
 				for c := range row {

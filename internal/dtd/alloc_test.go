@@ -5,20 +5,18 @@ import (
 	"testing"
 
 	"dismastd/internal/layout"
-	"dismastd/internal/mat"
 	"dismastd/internal/obs"
-	"dismastd/internal/par"
-	"dismastd/internal/xrand"
 )
 
-// TestIterationAllocFree pins the tentpole property of the workspace
-// refactor: once the iteration's buffers are warm, a full DTD sweep —
-// the Eq. (5) updates over every mode plus the Eq. (4) loss — performs
-// zero heap allocations. The iteration runs with a live observability
-// bundle so the span and counter instrumentation is inside the
-// measured region, and the property must hold both sequentially and
-// with a live pool (threads > 1), where chunks draw scratch from
-// per-thread workspaces.
+// TestIterationAllocFree pins the workspace property on the world-of-one
+// binding of the engine: once its buffers are warm, a full Run — the
+// Gram establishment, every Eq. (5) sweep over every mode and the
+// Eq. (4) loss after each — performs zero heap allocations. The engine
+// runs with a live observability bundle so the span and counter
+// instrumentation is inside the measured region, and the property must
+// hold both sequentially and with a live pool (threads > 1), where
+// chunks draw scratch from per-thread workspaces. internal/core pins
+// the same engine bound to three ranks over the transport.
 func TestIterationAllocFree(t *testing.T) {
 	for _, kind := range []layout.Kind{layout.COO, layout.Compiled} {
 		for _, threads := range []int{1, 4} {
@@ -30,31 +28,24 @@ func TestIterationAllocFree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts, err = opts.withDefaults()
+				s, err := NewSweep(prev, full, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-
-				comp := full.Complement(prev.Dims)
-				src := xrand.New(opts.Seed)
-				stacked := make([]*mat.Dense, full.Order())
-				for m := 0; m < full.Order(); m++ {
-					growth := mat.RandomUniform(full.Dims[m]-prev.Dims[m], opts.Rank, src)
-					stacked[m] = mat.StackRows(prev.Factors[m], growth)
+				e, err := s.bindSolo()
+				if err != nil {
+					t.Fatal(err)
 				}
-				pool := par.New(opts.Threads)
-				defer pool.Close()
-				it := newIteration(prev, comp, stacked, prev.Dims, opts, pool)
+				defer e.Close()
 
 				pass := func() {
-					it.sweep()
-					if it.loss() < 0 {
-						t.Fatal("negative loss")
+					if err := e.Run(nil); err != nil {
+						t.Fatal(err)
 					}
 				}
 				pass() // warm-up: workspace slabs grow to their running maximum
 				if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
-					t.Fatalf("steady-state DTD iteration allocates %v times per sweep, want 0", allocs)
+					t.Fatalf("steady-state DTD run allocates %v times, want 0", allocs)
 				}
 			})
 		}

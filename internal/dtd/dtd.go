@@ -15,6 +15,10 @@
 // where M_n is the MTTKRP of the relative complement X \ X̃ with the
 // full stacked factors — the only place the tensor data appears, which
 // is why the old snapshot's entries never need to be touched again.
+//
+// The sweep is written once, as the Sweep engine (sweep.go): Step binds
+// it as a world of one, internal/core binds it per rank of a cluster,
+// and Updater applies the same denominators row by row between sweeps.
 package dtd
 
 import (
@@ -27,10 +31,8 @@ import (
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
 	"dismastd/internal/obs"
-	"dismastd/internal/par"
 	"dismastd/internal/sample"
 	"dismastd/internal/tensor"
-	"dismastd/internal/xrand"
 )
 
 // Options controls a DTD streaming step.
@@ -156,351 +158,28 @@ func Init(x *tensor.Tensor, o Options) (*State, *Stats, error) {
 
 // Step advances the decomposition from prev to the new snapshot,
 // touching only the relative complement of the two snapshots
-// (Algorithm 1). prev is not modified.
+// (Algorithm 1). prev is not modified. It is the world-of-one binding of
+// the Sweep engine: every row owned, kernels over the whole complement,
+// no communication.
 func Step(prev *State, snapshot *tensor.Tensor, o Options) (*State, *Stats, error) {
-	opts, err := o.withDefaults()
+	s, err := NewSweep(prev, snapshot, o)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := checkGrowth(prev, snapshot, opts.Rank); err != nil {
+	e, err := s.bindSolo()
+	if err != nil {
 		return nil, nil, err
 	}
-
-	n := snapshot.Order()
-	oldDims := prev.Dims
-	sp := opts.Obs.Span("plan/complement")
-	comp := snapshot.Complement(oldDims)
-	sp.End()
-
-	// Stack old factors over randomly initialised growth blocks.
-	src := xrand.New(opts.Seed)
-	full := make([]*mat.Dense, n)
-	for m := 0; m < n; m++ {
-		growth := mat.RandomUniform(snapshot.Dims[m]-oldDims[m], opts.Rank, src)
-		full[m] = mat.StackRows(prev.Factors[m], growth)
+	defer e.Close()
+	if err := e.Run(nil); err != nil {
+		return nil, nil, err
 	}
-
-	pool := par.New(opts.Threads)
-	defer pool.Close()
-	it := newIteration(prev, comp, full, oldDims, opts, pool)
-	if opts.Solver == sample.Sampled {
-		ssp := opts.Obs.Span("plan/sample-index")
-		smp, err := sample.New(comp, nil, opts.Rank, opts.Samples, opts.Seed, 0)
-		ssp.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		it.bindSampler(smp)
+	trace := e.LossTrace()
+	stats := &Stats{Iters: len(trace), Loss: trace[len(trace)-1], LossTrace: trace, ComplementNNZ: s.comp.NNZ()}
+	if ob := s.opts.Obs; ob != nil && ob.Trace != nil {
+		stats.Phases = obs.AggregatePhases(ob.Trace.Phases())
 	}
-	stats := &Stats{ComplementNNZ: comp.NNZ(), LossTrace: make([]float64, 0, opts.MaxIters)}
-	prevLoss := math.Inf(1)
-	for sweep := 0; sweep < opts.MaxIters; sweep++ {
-		opts.Obs.SetIter(sweep)
-		it.sweep()
-		stats.Iters = sweep + 1
-		lsp := opts.Obs.Span("loss")
-		stats.Loss = it.loss()
-		lsp.End()
-		stats.LossTrace = append(stats.LossTrace, stats.Loss)
-		if relChange(prevLoss, stats.Loss) < opts.Tol {
-			break
-		}
-		prevLoss = stats.Loss
-	}
-	if opts.Obs != nil && opts.Obs.Trace != nil {
-		stats.Phases = obs.AggregatePhases(opts.Obs.Trace.Phases())
-	}
-	return &State{Dims: append([]int(nil), snapshot.Dims...), Factors: full}, stats, nil
-}
-
-func checkGrowth(prev *State, snapshot *tensor.Tensor, rank int) error {
-	if snapshot.Order() != len(prev.Dims) {
-		return fmt.Errorf("%w: order %d vs %d", ErrDimsMismatch, snapshot.Order(), len(prev.Dims))
-	}
-	for m, d := range snapshot.Dims {
-		if d < prev.Dims[m] {
-			return fmt.Errorf("%w: mode %d shrank %d -> %d", ErrDimsMismatch, m, prev.Dims[m], d)
-		}
-	}
-	for m, f := range prev.Factors {
-		if f.Rows != prev.Dims[m] || f.Cols != rank {
-			return fmt.Errorf("dtd: previous factor %d is %dx%d, want %dx%d", m, f.Rows, f.Cols, prev.Dims[m], rank)
-		}
-	}
-	return nil
-}
-
-func relChange(prev, cur float64) float64 {
-	if math.IsInf(prev, 1) {
-		return math.Inf(1)
-	}
-	return math.Abs(prev-cur) / math.Max(prev, 1e-12)
-}
-
-// iteration holds the per-step working set: the complement tensor and
-// its compiled-once mode kernels, the stacked factors, the cached Gram blocks the
-// update rules and the loss both reuse (the paper's "maintain and reuse
-// the intermediate results"), and every scratch buffer the sweep needs.
-// All buffers are sized once in newIteration, so a steady-state sweep —
-// sweep() plus loss() — performs zero heap allocations.
-type iteration struct {
-	opts    Options
-	oldDims []int
-	tilde   []*mat.Dense // previous snapshot factors Ã_n (read-only)
-	full    []*mat.Dense // current stacked factors, updated in place
-	comp    *tensor.Tensor
-	kernels []mttkrp.Kernel
-
-	gram0 []*mat.Dense // A_n^(0)ᵀ A_n^(0), refreshed in place
-	gram1 []*mat.Dense // A_n^(1)ᵀ A_n^(1), refreshed in place
-	cross []*mat.Dense // Ã_nᵀ A_n^(0), refreshed in place
-
-	cTilde     float64 // Σ_{r,s} ∗_k (Ã_kᵀÃ_k) — precomputed constant
-	compNormSq float64 // ‖X\X̃‖² — precomputed constant
-	lastM      *mat.Dense
-
-	ws       *mat.Workspace
-	mbuf     []*mat.Dense // per-mode MTTKRP buffers, zeroed each sweep
-	a0v, a1v []*mat.Dense // old/growth block views into full[m] (stable)
-	m0v, m1v []*mat.Dense // old/growth block views into mbuf[m] (stable)
-	d0, d1   *mat.Dense   // Eq. (5) denominators
-	g0prod   *mat.Dense   // ∗_{k≠n} gram0[k]
-	hprod    *mat.Dense   // ∗_{k≠n} cross[k]
-	sum      *mat.Dense   // gram0[k]+gram1[k] scratch
-	fullG    []*mat.Dense // per-mode gram0+gram1, rebuilt by loss()
-
-	// Sampled-solver state (nil/unused under the exact solver): the
-	// sketch Ĝ of the Khatri-Rao Gram overwrites d1 after the exact
-	// R×R chains compute g0prod and hprod.
-	smp *sample.Sampler
-	gs  *mat.Dense
-
-	// Parallel runtime: the step's pool, one workspace per pool
-	// thread, and the pooled kernel/accumulator front-ends. With
-	// Threads <= 1 the pool is nil and everything runs inline.
-	pool *par.Pool
-	wss  *mat.WorkspaceSet
-	pk   *mat.ParKernels
-	pacc *mttkrp.ParAccumulator
-
-	// Instrumentation, pre-resolved so sweeps stay allocation-free: one
-	// span-name set per mode plus the MTTKRP row counter. May be nil.
-	obs     *obs.Obs
-	names   []sweepNames
-	cMttkrp *obs.Counter
-}
-
-// sweepNames are one mode's span names, formatted once at construction.
-type sweepNames struct {
-	mttkrp, chunk, solve, gram string
-}
-
-func newIteration(prev *State, comp *tensor.Tensor, full []*mat.Dense, oldDims []int, opts Options, pool *par.Pool) *iteration {
-	n := len(full)
-	r := opts.Rank
-	it := &iteration{
-		opts:       opts,
-		oldDims:    oldDims,
-		tilde:      prev.Factors,
-		full:       full,
-		comp:       comp,
-		compNormSq: comp.NormSq(),
-		ws:         mat.NewWorkspace(),
-		pool:       pool,
-	}
-	it.wss = mat.NewWorkspaceSet(pool.Threads())
-	it.pk = mat.NewParKernels(pool, it.wss)
-	it.pacc = mttkrp.NewParAccumulator(pool, it.wss, opts.Obs)
-	gramsTilde := make([]*mat.Dense, n)
-	for m := 0; m < n; m++ {
-		gramsTilde[m] = mat.Gram(prev.Factors[m])
-		it.kernels = append(it.kernels, mttkrp.NewKernel(comp, m, opts.Layout))
-	}
-	it.cTilde = mat.SumAll(mat.HadamardAll(gramsTilde...))
-	it.gram0 = make([]*mat.Dense, n)
-	it.gram1 = make([]*mat.Dense, n)
-	it.cross = make([]*mat.Dense, n)
-	it.mbuf = make([]*mat.Dense, n)
-	it.a0v = make([]*mat.Dense, n)
-	it.a1v = make([]*mat.Dense, n)
-	it.m0v = make([]*mat.Dense, n)
-	it.m1v = make([]*mat.Dense, n)
-	it.fullG = make([]*mat.Dense, n)
-	for m := 0; m < n; m++ {
-		old := oldDims[m]
-		it.gram0[m] = mat.New(r, r)
-		it.gram1[m] = mat.New(r, r)
-		it.cross[m] = mat.New(r, r)
-		it.fullG[m] = mat.New(r, r)
-		it.mbuf[m] = mat.New(full[m].Rows, r)
-		it.a0v[m] = full[m].SliceRows(0, old)
-		it.a1v[m] = full[m].SliceRows(old, full[m].Rows)
-		it.m0v[m] = it.mbuf[m].SliceRows(0, old)
-		it.m1v[m] = it.mbuf[m].SliceRows(old, it.mbuf[m].Rows)
-	}
-	it.d0 = mat.New(r, r)
-	it.d1 = mat.New(r, r)
-	it.g0prod = mat.New(r, r)
-	it.hprod = mat.New(r, r)
-	it.sum = mat.New(r, r)
-	it.obs = opts.Obs
-	it.names = make([]sweepNames, n)
-	for m := 0; m < n; m++ {
-		it.names[m] = sweepNames{
-			mttkrp: fmt.Sprintf("mode%d/mttkrp", m),
-			chunk:  fmt.Sprintf("mode%d/mttkrp.chunk", m),
-			solve:  fmt.Sprintf("mode%d/solve", m),
-			gram:   fmt.Sprintf("mode%d/gram", m),
-		}
-	}
-	it.cMttkrp = it.obs.Counter("mttkrp.rows")
-	for m := 0; m < n; m++ {
-		it.refreshGrams(m)
-	}
-	return it
-}
-
-// bindSampler installs the leverage-score sampler and seeds its draw
-// distributions from the freshly established Grams.
-func (it *iteration) bindSampler(smp *sample.Sampler) {
-	it.smp = smp
-	it.gs = mat.New(it.opts.Rank, it.opts.Rank)
-	for m := range it.full {
-		it.refreshDist(m)
-	}
-}
-
-// refreshDist rebuilds mode m's draw distribution from the current
-// stacked factor and its full Gram (old block + growth block).
-func (it *iteration) refreshDist(m int) {
-	it.sum.Add(it.gram0[m], it.gram1[m])
-	it.smp.Refresh(m, it.full[m], it.sum)
-}
-
-func (it *iteration) refreshGrams(m int) {
-	it.pk.GramInto(it.gram0[m], it.a0v[m])
-	it.pk.GramInto(it.gram1[m], it.a1v[m])
-	it.pk.CrossGramInto(it.cross[m], it.tilde[m], it.a0v[m])
-}
-
-// denominators fills d1 = ∗_{k≠mode}(gram0+gram1), g0prod =
-// ∗_{k≠mode} gram0 and hprod = ∗_{k≠mode} cross — the three Hadamard
-// chains of Eq. (5).
-func (it *iteration) denominators(mode int) {
-	eqDenominators(it.d1, it.g0prod, it.hprod, it.sum, it.gram0, it.gram1, it.cross, mode)
-}
-
-// eqDenominators is the per-mode denominator kernel of the Eq. (5)
-// update rules, shared by the whole-sweep driver (iteration) and the
-// event-granularity row updater (Updater): it fills
-// d1 = ∗_{k≠mode}(gram0+gram1), g0prod = ∗_{k≠mode} gram0 and
-// hprod = ∗_{k≠mode} cross from the cached per-mode Gram blocks,
-// falling back to the identity for first-order tensors (no other
-// modes). sum is R×R scratch.
-func eqDenominators(d1, g0prod, hprod, sum *mat.Dense, gram0, gram1, cross []*mat.Dense, mode int) {
-	first := true
-	for k := range gram0 {
-		if k == mode {
-			continue
-		}
-		sum.Add(gram0[k], gram1[k])
-		if first {
-			d1.CopyFrom(sum)
-			g0prod.CopyFrom(gram0[k])
-			hprod.CopyFrom(cross[k])
-			first = false
-		} else {
-			d1.Hadamard(d1, sum)
-			g0prod.Hadamard(g0prod, gram0[k])
-			hprod.Hadamard(hprod, cross[k])
-		}
-	}
-	if first {
-		d1.SetIdentity()
-		g0prod.SetIdentity()
-		hprod.SetIdentity()
-	}
-}
-
-// sweep performs one pass of the Eq. (5) updates over every mode.
-func (it *iteration) sweep() {
-	r := it.opts.Rank
-	for m := range it.full {
-		sp := it.obs.Span(it.names[m].mttkrp)
-		M := it.mbuf[m]
-		if it.smp != nil {
-			matched := it.smp.Sample(m, it.full, it.pacc, it.pk, M, it.gs, it.names[m].chunk)
-			it.cMttkrp.Add(int64(matched))
-		} else {
-			M.Zero()
-			it.pacc.Accumulate(M, it.kernels[m], it.full, it.names[m].chunk)
-			it.cMttkrp.Add(int64(it.comp.NNZ()))
-		}
-		sp.End()
-
-		sp = it.obs.Span(it.names[m].solve)
-		it.denominators(m)
-		if it.smp != nil {
-			// The sketched Ĝ estimates the same ∗_{k≠m}(A_kᵀA_k) the exact
-			// chain just produced; the exact g0prod/hprod chains stay — they
-			// are O(R²) per mode, not data-dependent.
-			it.d1.CopyFrom(it.gs)
-		}
-		it.d0.Scale(-(1 - it.opts.Mu), it.g0prod)
-		it.d0.Add(it.d0, it.d1)
-
-		mark := it.ws.Mark()
-		num0 := it.ws.Take(it.oldDims[m], r)
-		it.pk.MulInto(num0, it.tilde[m], it.hprod)
-		num0.Scale(it.opts.Mu, num0)
-		num0.AddScaled(1, it.m0v[m])
-
-		it.pk.SolveRightRidgeInto(it.a0v[m], num0, it.d0)
-		it.pk.SolveRightRidgeInto(it.a1v[m], it.m1v[m], it.d1)
-		it.ws.Release(mark)
-		sp.End()
-
-		sp = it.obs.Span(it.names[m].gram)
-		it.refreshGrams(m)
-		if it.smp != nil {
-			it.refreshDist(m)
-		}
-		sp.End()
-		it.lastM = M
-	}
-}
-
-// loss evaluates √L of Eq. (4) from the cached intermediates: the
-// old-region term from the Gram/cross products, the new-data term from
-// the complement norm, the reused MTTKRP (cross term), and the
-// difference of full and old-block model norms.
-func (it *iteration) loss() float64 {
-	n := len(it.full)
-	for m := 0; m < n; m++ {
-		it.fullG[m].Add(it.gram0[m], it.gram1[m])
-	}
-	mark := it.ws.Mark()
-	h := it.ws.Take(it.opts.Rank, it.opts.Rank)
-	mat.HadamardAllInto(h, it.gram0...)
-	model0Sq := mat.SumAll(h)
-	mat.HadamardAllInto(h, it.fullG...)
-	modelFullSq := mat.SumAll(h)
-	mat.HadamardAllInto(h, it.cross...)
-	crossOld := mat.SumAll(h)
-	it.ws.Release(mark)
-
-	oldTerm := it.opts.Mu * (it.cTilde + model0Sq - 2*crossOld)
-	// Under the sampled solver lastM is the sketched M̂, so the cross term
-	// — and with it the loss trace and the Tol stop — is an unbiased
-	// estimate; callers wanting the exact loss use LossAgainst.
-	inner := mat.Dot(it.lastM, it.full[n-1])
-	newTerm := it.compNormSq - 2*inner + (modelFullSq - model0Sq)
-
-	l := oldTerm + newTerm
-	if l < 0 {
-		l = 0 // round-off guard
-	}
-	return math.Sqrt(l)
+	return &State{Dims: s.newDims, Factors: e.Factors()}, stats, nil
 }
 
 // LossAgainst evaluates Eq. (4) definitionally — recomputing every term

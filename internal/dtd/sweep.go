@@ -1,0 +1,638 @@
+package dtd
+
+import (
+	"fmt"
+	"math"
+
+	"dismastd/internal/mat"
+	"dismastd/internal/mttkrp"
+	"dismastd/internal/obs"
+	"dismastd/internal/par"
+	"dismastd/internal/sample"
+	"dismastd/internal/tensor"
+	"dismastd/internal/xrand"
+)
+
+// Comm is the communication seam of the Eq. (5) sweep: the three
+// collective calls a rank makes, and the only place a distributed step
+// differs from a centralized one once its kernels and owned rows are
+// bound. Calls happen in the same order on every rank.
+type Comm interface {
+	// AllReduceSumInPlace replaces vec with its element-wise sum across
+	// ranks — one mode's 3R² batch of Gram partials (Section IV-B3).
+	AllReduceSumInPlace(vec []float64) error
+	// ReduceScalarSum returns the sum of x across ranks — the loss's
+	// tensor-model inner product (Section IV-B4).
+	ReduceScalarSum(x float64) (float64, error)
+	// ExchangeRows makes the mode's freshly solved owned rows visible in
+	// every replica that reads them.
+	ExchangeRows(mode int, factor *mat.Dense) error
+}
+
+// solo is the world-of-one Comm: a rank that owns every row already
+// holds the global sums and has no replica to refresh.
+type solo struct{}
+
+func (solo) AllReduceSumInPlace([]float64) error            { return nil }
+func (solo) ReduceScalarSum(x float64) (float64, error)     { return x, nil }
+func (solo) ExchangeRows(mode int, factor *mat.Dense) error { return nil }
+
+// step is what one streaming step fixes before anyone sweeps: read-only
+// once NewSweep returns, and shared by every binding of the step.
+type step struct {
+	opts    Options
+	prev    *State         // Ã_n and the old mode sizes
+	comp    *tensor.Tensor // X \ X̃
+	newDims []int
+	init    []*mat.Dense // Ã_n stacked over seeded random growth blocks
+
+	cTilde     float64 // Σ_{r,s} ∗_k (Ã_kᵀÃ_k)
+	compNormSq float64 // ‖X\X̃‖²
+}
+
+// Sweep is the one implementation of the Eq. (5) update: the per-mode
+// phase sequence (MTTKRP → denominators → owned-row solve → Gram
+// refresh → row exchange), the Eq. (4) loss that reuses their
+// intermediates, and the MaxIters/Tol loop around them.
+//
+// NewSweep validates a step and prepares what every rank shares; Bind
+// attaches what differs per rank — its factor replicas, its per-mode
+// kernels, the rows it owns and its Comm — and returns the engine Run
+// drives. Step binds every row, whole-complement kernels and no Comm;
+// internal/core binds each rank from its partition plan and cluster
+// worker. The arithmetic is the same code either way, which is why a
+// one-worker distributed step equals the centralized one bit for bit.
+//
+// Every buffer is sized in Bind, so a warm Run performs zero heap
+// allocations apart from what the bound Comm does.
+type Sweep struct {
+	step
+
+	full    []*mat.Dense // this rank's factor replicas, updated in place
+	kernels []mttkrp.Kernel
+	owned   [][]int32 // per-mode owned rows, in the binder's order
+	// owned split at the old mode sizes: old rows take the A^(0) rule,
+	// growth rows the A^(1) rule.
+	ownedOld, ownedNew [][]int32
+	comm               Comm
+
+	// Replicated R×R Gram state. Each mode's three blocks are views into
+	// one 3R² buffer, so the partials are computed, reduced and kept in
+	// place: gram0 = A^(0)ᵀA^(0), gram1 = A^(1)ᵀA^(1), cross = ÃᵀA^(0).
+	gbuf                [][]float64
+	gram0, gram1, cross []*mat.Dense
+	gtask               gramPartialsTask
+
+	denoms
+	mbuf  []*mat.Dense // per-mode MTTKRP buffers
+	lastM *mat.Dense   // final mode's MTTKRP, reused by the loss
+	fullG []*mat.Dense // per-mode gram0+gram1, rebuilt by the loss
+	h     *mat.Dense   // Hadamard-chain loss scratch
+
+	// Sampled-solver state (nil under the exact solver): the sketch Ĝ of
+	// the Khatri-Rao Gram stands in for the d1 chain.
+	smp *sample.Sampler
+	gs  *mat.Dense
+
+	ws   *mat.Workspace
+	pool *par.Pool // nil when Threads <= 1
+	wss  *mat.WorkspaceSet
+	pk   *mat.ParKernels
+	pacc *mttkrp.ParAccumulator
+
+	trace []float64
+	work  float64
+
+	// Instrumentation, resolved in Bind so sweeps never build strings.
+	// obs, and with it every handle, may be nil.
+	obs     *obs.Obs
+	names   []sweepNames
+	cMttkrp *obs.Counter // mttkrp.rows: entries accumulated
+	cSolve  *obs.Counter // solve.rows: factor rows updated
+}
+
+// sweepNames are one mode's span names. The Comm names the third phase:
+// "gram" when the refresh is local, "allreduce" when it is a
+// collective; only a bound Comm has an exchange phase.
+type sweepNames struct {
+	mttkrp, chunk, solve, gram, exchange string
+}
+
+// NewSweep validates one streaming step from prev to snapshot and
+// prepares what all of its bindings share: the relative complement,
+// the stacked initial factors and the loss constants. prev is not
+// modified.
+func NewSweep(prev *State, snapshot *tensor.Tensor, o Options) (*Sweep, error) {
+	opts, err := o.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	if snapshot.Order() != len(prev.Dims) {
+		return nil, fmt.Errorf("%w: order %d vs %d", ErrDimsMismatch, snapshot.Order(), len(prev.Dims))
+	}
+	for m, d := range snapshot.Dims {
+		if d < prev.Dims[m] {
+			return nil, fmt.Errorf("%w: mode %d shrank %d -> %d", ErrDimsMismatch, m, prev.Dims[m], d)
+		}
+	}
+	for m, f := range prev.Factors {
+		if f.Rows != prev.Dims[m] || f.Cols != opts.Rank {
+			return nil, fmt.Errorf("dtd: previous factor %d is %dx%d, want %dx%d", m, f.Rows, f.Cols, prev.Dims[m], opts.Rank)
+		}
+	}
+
+	sp := opts.Obs.Span("plan/complement")
+	comp := snapshot.Complement(prev.Dims)
+	sp.End()
+
+	n := snapshot.Order()
+	src := xrand.New(opts.Seed)
+	init := make([]*mat.Dense, n)
+	gramsTilde := make([]*mat.Dense, n)
+	for m := 0; m < n; m++ {
+		growth := mat.RandomUniform(snapshot.Dims[m]-prev.Dims[m], opts.Rank, src)
+		init[m] = mat.StackRows(prev.Factors[m], growth)
+		gramsTilde[m] = mat.Gram(prev.Factors[m])
+	}
+	return &Sweep{step: step{
+		opts:       opts,
+		prev:       prev,
+		comp:       comp,
+		newDims:    append([]int(nil), snapshot.Dims...),
+		init:       init,
+		cTilde:     mat.SumAll(mat.HadamardAll(gramsTilde...)),
+		compNormSq: comp.NormSq(),
+	}}, nil
+}
+
+// Complement returns X \ X̃, the only tensor data the step touches.
+func (e *Sweep) Complement() *tensor.Tensor { return e.comp }
+
+// InitialFactors returns a fresh copy of the step's starting point: the
+// previous factors stacked over the seeded growth blocks. Every rank
+// starts from the same matrices.
+func (e *Sweep) InitialFactors() []*mat.Dense {
+	out := make([]*mat.Dense, len(e.init))
+	for m, f := range e.init {
+		out[m] = f.Clone()
+	}
+	return out
+}
+
+// Bind returns the engine for one rank of the step. factors are the
+// rank's replicas of the stacked factors, adopted and updated in place;
+// kernels[m] covers the rank's share of the complement for mode m;
+// owned[m] lists the rows of mode m the rank solves. smp is the rank's
+// leverage-score sampler, nil under the exact solver. A nil comm is the
+// world of one. o receives the rank's spans and counters and may be
+// nil. Close the engine when done.
+func (e *Sweep) Bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]int32, smp *sample.Sampler, comm Comm, o *obs.Obs) *Sweep {
+	n := len(e.init)
+	r := e.opts.Rank
+	gramPhase, exchangePhase := "mode%d/allreduce", "mode%d/exchange"
+	if comm == nil {
+		comm = solo{}
+		gramPhase, exchangePhase = "mode%d/gram", ""
+	}
+	b := &Sweep{
+		step:     e.step,
+		full:     factors,
+		kernels:  kernels,
+		owned:    owned,
+		ownedOld: make([][]int32, n),
+		ownedNew: make([][]int32, n),
+		comm:     comm,
+		gbuf:     make([][]float64, n),
+		gram0:    make([]*mat.Dense, n),
+		gram1:    make([]*mat.Dense, n),
+		cross:    make([]*mat.Dense, n),
+		denoms:   newDenoms(r),
+		mbuf:     make([]*mat.Dense, n),
+		fullG:    make([]*mat.Dense, n),
+		h:        mat.New(r, r),
+		smp:      smp,
+		ws:       mat.NewWorkspace(),
+		pool:     par.New(e.opts.Threads),
+		trace:    make([]float64, 0, e.opts.MaxIters),
+		obs:      o,
+		names:    make([]sweepNames, n),
+		cMttkrp:  o.Counter("mttkrp.rows"),
+		cSolve:   o.Counter("solve.rows"),
+	}
+	b.gtask.e = b
+	b.wss = mat.NewWorkspaceSet(b.pool.Threads())
+	b.pk = mat.NewParKernels(b.pool, b.wss)
+	b.pacc = mttkrp.NewParAccumulator(b.pool, b.wss, o)
+	if smp != nil {
+		b.gs = mat.New(r, r)
+	}
+	for m := 0; m < n; m++ {
+		b.gbuf[m] = make([]float64, 3*r*r)
+		b.gram0[m] = mat.NewFrom(r, r, b.gbuf[m][:r*r])
+		b.gram1[m] = mat.NewFrom(r, r, b.gbuf[m][r*r:2*r*r])
+		b.cross[m] = mat.NewFrom(r, r, b.gbuf[m][2*r*r:])
+		b.mbuf[m] = mat.New(factors[m].Rows, r)
+		b.fullG[m] = mat.New(r, r)
+		for _, row := range owned[m] {
+			if int(row) < e.prev.Dims[m] {
+				b.ownedOld[m] = append(b.ownedOld[m], row)
+			} else {
+				b.ownedNew[m] = append(b.ownedNew[m], row)
+			}
+		}
+		b.names[m] = sweepNames{
+			mttkrp: fmt.Sprintf("mode%d/mttkrp", m),
+			chunk:  fmt.Sprintf("mode%d/mttkrp.chunk", m),
+			solve:  fmt.Sprintf("mode%d/solve", m),
+			gram:   fmt.Sprintf(gramPhase, m),
+		}
+		if exchangePhase != "" {
+			b.names[m].exchange = fmt.Sprintf(exchangePhase, m)
+		}
+	}
+	return b
+}
+
+// bindSolo binds the world of one: every row owned, kernels over the
+// whole complement, the step's initial factors adopted as they are, no
+// Comm.
+func (e *Sweep) bindSolo() (*Sweep, error) {
+	n := len(e.init)
+	kernels := make([]mttkrp.Kernel, n)
+	owned := make([][]int32, n)
+	for m := range kernels {
+		kernels[m] = mttkrp.NewKernel(e.comp, m, e.opts.Layout)
+		owned[m] = make([]int32, e.newDims[m])
+		for i := range owned[m] {
+			owned[m][i] = int32(i)
+		}
+	}
+	var smp *sample.Sampler
+	if e.opts.Solver == sample.Sampled {
+		sp := e.opts.Obs.Span("plan/sample-index")
+		var err error
+		smp, err = sample.New(e.comp, nil, e.opts.Rank, e.opts.Samples, e.opts.Seed, 0)
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
+	}
+	return e.Bind(e.init, kernels, owned, smp, nil, e.opts.Obs), nil
+}
+
+// Close releases the engine's pool goroutines.
+func (e *Sweep) Close() { e.pool.Close() }
+
+// Factors returns the rank's factor replicas as the sweeps left them.
+func (e *Sweep) Factors() []*mat.Dense { return e.full }
+
+// LossTrace returns √L after each sweep of the last Run.
+func (e *Sweep) LossTrace() []float64 { return e.trace }
+
+// Work returns the abstract work units (the simtime cost model's flop
+// counts) the engine's compute phases have performed since Bind.
+func (e *Sweep) Work() float64 { return e.work }
+
+// Run establishes the replicated Gram state from the current factors
+// and then sweeps until MaxIters or until the relative loss change
+// falls below Tol. before, when non-nil, runs ahead of each sweep and
+// aborts the run by returning an error (the elastic driver's scripted
+// crashes). A Comm error aborts the run likewise, leaving the factors
+// at an arbitrary point of the sweep; a rebound engine restarts warm.
+func (e *Sweep) Run(before func(sweep int) error) error {
+	for m := range e.full {
+		if err := e.reduceGrams(m); err != nil {
+			return err
+		}
+		if e.smp != nil {
+			e.refreshDist(m)
+		}
+	}
+	e.trace = e.trace[:0]
+	prevLoss := math.Inf(1)
+	for sweep := 0; sweep < e.opts.MaxIters; sweep++ {
+		if before != nil {
+			if err := before(sweep); err != nil {
+				return err
+			}
+		}
+		loss, err := e.sweep(sweep)
+		if err != nil {
+			return err
+		}
+		e.trace = append(e.trace, loss)
+		if relChange(prevLoss, loss) < e.opts.Tol {
+			break
+		}
+		prevLoss = loss
+	}
+	return nil
+}
+
+func relChange(prev, cur float64) float64 {
+	if math.IsInf(prev, 1) {
+		return math.Inf(1)
+	}
+	return math.Abs(prev-cur) / math.Max(prev, 1e-12)
+}
+
+// sweep runs one ALS sweep — the per-mode phases, then the loss — and
+// returns the sweep's loss.
+func (e *Sweep) sweep(iter int) (float64, error) {
+	e.obs.SetIter(iter)
+	for m := range e.full {
+		nm := &e.names[m]
+
+		// 1. MTTKRP over this rank's mode-m entries, or the leverage-score
+		// sketch of them.
+		sp := e.obs.Span(nm.mttkrp)
+		e.mttkrp(m)
+		sp.End()
+
+		// 2. Eq. (5) row update of the owned rows. Under the sampled
+		// solver Ĝ estimates the same ∗_{k≠m}(A_kᵀA_k) the exact d1 chain
+		// builds; the g0prod/hprod chains are O(R²), not data-dependent,
+		// and stay exact.
+		sp = e.obs.Span(nm.solve)
+		e.fill(e.gram0, e.gram1, e.cross, m, e.opts.Mu, e.gs)
+		e.updateOwnedRows(m)
+		sp.End()
+
+		// 3. Refresh the mode's Gram blocks from the new rows.
+		if err := e.reduceGrams(m); err != nil {
+			return 0, err
+		}
+
+		// 4. Push the new rows to the replicas that read them — a phase
+		// only a bound Comm has.
+		sp = obs.Span{}
+		if nm.exchange != "" {
+			sp = e.obs.Span(nm.exchange)
+		}
+		err := e.comm.ExchangeRows(m, e.full[m])
+		sp.End()
+		if err != nil {
+			return 0, err
+		}
+		if e.smp != nil {
+			e.refreshDist(m)
+		}
+	}
+
+	sp := e.obs.Span("loss")
+	defer sp.End()
+	inner, err := e.comm.ReduceScalarSum(e.lossLocalInner())
+	if err != nil {
+		return 0, err
+	}
+	return e.lossFinish(inner), nil
+}
+
+// mttkrp fills the mode's buffer with the MTTKRP of this rank's
+// entries, recording it as the loss's reusable lastM. (The grouped
+// kernels reproduce the flat scatter bit for bit: each output row
+// starts at +0 and its entries accumulate in entry-list order.) Under
+// the sampled solver the buffer holds the sketched M̂ instead and gs the
+// sketched Khatri-Rao Gram Ĝ, so the reuse-based loss — and the Tol
+// stop it drives — is an unbiased estimate; LossAgainst gives the exact
+// one.
+func (e *Sweep) mttkrp(mode int) {
+	M := e.mbuf[mode]
+	cost := float64(len(e.full)) * float64(M.Cols)
+	if e.smp != nil {
+		matched := e.smp.Sample(mode, e.full, e.pacc, e.pk, M, e.gs, e.names[mode].chunk)
+		// S draws each build a Khatri-Rao row (plus the S×R Gram), and
+		// the matched entries pay the usual per-entry accumulate.
+		e.work += float64(e.smp.Samples()+matched) * cost
+		e.cMttkrp.Add(int64(matched))
+	} else {
+		M.Zero()
+		e.pacc.Accumulate(M, e.kernels[mode], e.full, e.names[mode].chunk)
+		nnz := e.kernels[mode].NNZ()
+		e.work += float64(nnz) * cost
+		e.cMttkrp.Add(int64(nnz))
+	}
+	e.lastM = M
+}
+
+// refreshDist rebuilds mode m's draw distribution from this rank's
+// factor replica and the mode's full Gram. Valid only when every row of
+// the replica is globally fresh — which the distributed binding
+// guarantees by broadcasting rows under the sampled solver.
+func (e *Sweep) refreshDist(m int) {
+	e.sum.Add(e.gram0[m], e.gram1[m])
+	e.smp.Refresh(m, e.full[m], e.sum)
+}
+
+// updateOwnedRows applies the Eq. (5) row-wise updates to the rows this
+// rank owns in the given mode, in place, with all block scratch taken
+// from the workspace.
+func (e *Sweep) updateOwnedRows(mode int) {
+	factor := e.full[mode]
+	M := e.mbuf[mode]
+	tilde := e.prev.Factors[mode]
+	r := factor.Cols
+	oldRows, newRows := e.ownedOld[mode], e.ownedNew[mode]
+
+	mark := e.ws.Mark()
+	if len(oldRows) > 0 {
+		// Numerator block: μ·Ã[rows]·Hprod + M[rows], solved in place.
+		tblock := e.ws.Take(len(oldRows), r)
+		for i, s := range oldRows {
+			copy(tblock.Row(i), tilde.Row(int(s)))
+		}
+		num := e.ws.Take(len(oldRows), r)
+		e.pk.MulInto(num, tblock, e.hprod)
+		num.Scale(e.opts.Mu, num)
+		for i, s := range oldRows {
+			row := num.Row(i)
+			src := M.Row(int(s))
+			for c := range row {
+				row[c] += src[c]
+			}
+		}
+		e.pk.SolveRightRidgeInto(num, num, e.d0)
+		for i, s := range oldRows {
+			copy(factor.Row(int(s)), num.Row(i))
+		}
+	}
+	if len(newRows) > 0 {
+		num := e.ws.Take(len(newRows), r)
+		for i, s := range newRows {
+			copy(num.Row(i), M.Row(int(s)))
+		}
+		e.pk.SolveRightRidgeInto(num, num, e.d1)
+		for i, s := range newRows {
+			copy(factor.Row(int(s)), num.Row(i))
+		}
+	}
+	e.ws.Release(mark)
+	// Old rows pay the μ·Ã·Hprod product plus the solve (2R² each), new
+	// rows just the solve (R²); the two R×R factorisations are R³ each.
+	rr := float64(r) * float64(r)
+	e.work += (2*float64(len(oldRows))+float64(len(newRows)))*rr + 2*float64(r)*rr
+	e.cSolve.Add(int64(len(oldRows) + len(newRows)))
+}
+
+// reduceGrams recomputes this rank's partial ÃᵀA⁰, A⁰ᵀA⁰, A¹ᵀA¹ over
+// its owned rows straight into the mode's Gram buffer and all-reduces
+// the buffer in place, which leaves the replicated state refreshed. It
+// is the sweep's third phase and runs under that phase's span.
+func (e *Sweep) reduceGrams(mode int) error {
+	sp := e.obs.Span(e.names[mode].gram)
+	defer sp.End()
+	r := e.opts.Rank
+	e.gtask.mode = mode
+	e.pool.For(r, &e.gtask)
+	// Old rows contribute two outer products (G⁰ and the cross term),
+	// new rows one.
+	e.work += (2*float64(len(e.ownedOld[mode])) + float64(len(e.ownedNew[mode]))) * float64(r) * float64(r)
+	return e.comm.AllReduceSumInPlace(e.gbuf[mode])
+}
+
+// gramPartialsTask evaluates rows [lo, hi) of the mode's three Gram
+// partials: the outer-product loop transposed so output rows, not input
+// rows, are the parallel axis. Every chunk scans the owned rows in
+// order, so each entry accumulates exactly the sequential sequence.
+type gramPartialsTask struct {
+	e    *Sweep
+	mode int
+}
+
+func (t *gramPartialsTask) RunChunk(lo, hi, tid int) {
+	e := t.e
+	factor := e.full[t.mode]
+	tilde := e.prev.Factors[t.mode]
+	g0, g1, cross := e.gram0[t.mode], e.gram1[t.mode], e.cross[t.mode]
+	for i := lo; i < hi; i++ {
+		zeroRow(g0.Row(i))
+		zeroRow(g1.Row(i))
+		zeroRow(cross.Row(i))
+	}
+	for _, s := range e.ownedOld[t.mode] {
+		row := factor.Row(int(s))
+		trow := tilde.Row(int(s))
+		for i := lo; i < hi; i++ {
+			if av := row[i]; av != 0 {
+				drow := g0.Row(i)
+				for c, bv := range row {
+					drow[c] += av * bv
+				}
+			}
+			if tv := trow[i]; tv != 0 {
+				drow := cross.Row(i)
+				for c, bv := range row {
+					drow[c] += tv * bv
+				}
+			}
+		}
+	}
+	for _, s := range e.ownedNew[t.mode] {
+		row := factor.Row(int(s))
+		for i := lo; i < hi; i++ {
+			av := row[i]
+			if av == 0 {
+				continue
+			}
+			drow := g1.Row(i)
+			for c, bv := range row {
+				drow[c] += av * bv
+			}
+		}
+	}
+}
+
+func zeroRow(row []float64) {
+	for i := range row {
+		row[i] = 0
+	}
+}
+
+// lossLocalInner computes this rank's share of the tensor-model inner
+// product <X\X̃, [[A]]> by reusing the final mode's MTTKRP rows (owned
+// rows only) — no second pass over the tensor data.
+func (e *Sweep) lossLocalInner() float64 {
+	last := len(e.full) - 1
+	var inner float64
+	for _, s := range e.owned[last] {
+		mrow := e.lastM.Row(int(s))
+		arow := e.full[last].Row(int(s))
+		for c := range mrow {
+			inner += mrow[c] * arow[c]
+		}
+	}
+	e.work += float64(len(e.owned[last])) * float64(e.opts.Rank)
+	return inner
+}
+
+// lossFinish evaluates √L of Eq. (4) from the reduced inner product and
+// the replicated Gram state: the old-region term from the Gram/cross
+// products, the new-data term from the complement norm, the inner
+// product, and the difference of full and old-block model norms.
+func (e *Sweep) lossFinish(inner float64) float64 {
+	for m := range e.full {
+		e.fullG[m].Add(e.gram0[m], e.gram1[m])
+	}
+	mat.HadamardAllInto(e.h, e.gram0...)
+	model0Sq := mat.SumAll(e.h)
+	mat.HadamardAllInto(e.h, e.fullG...)
+	modelFullSq := mat.SumAll(e.h)
+	mat.HadamardAllInto(e.h, e.cross...)
+	crossOld := mat.SumAll(e.h)
+
+	oldTerm := e.opts.Mu * (e.cTilde + model0Sq - 2*crossOld)
+	newTerm := e.compNormSq - 2*inner + (modelFullSq - model0Sq)
+	l := oldTerm + newTerm
+	if l < 0 {
+		l = 0 // round-off guard
+	}
+	return math.Sqrt(l)
+}
+
+// denoms holds the Eq. (5) denominator set for one mode, shared by the
+// whole-sweep engine and the event-granularity row updater.
+type denoms struct {
+	d0, d1 *mat.Dense // D_0, D_1
+	g0prod *mat.Dense // ∗_{k≠n} gram0[k]
+	hprod  *mat.Dense // ∗_{k≠n} cross[k]
+	sum    *mat.Dense // gram0[k]+gram1[k] scratch
+}
+
+func newDenoms(r int) denoms {
+	return denoms{d0: mat.New(r, r), d1: mat.New(r, r), g0prod: mat.New(r, r), hprod: mat.New(r, r), sum: mat.New(r, r)}
+}
+
+// fill computes the three Hadamard chains d1 = ∗_{k≠mode}(gram0+gram1),
+// g0prod = ∗_{k≠mode} gram0 and hprod = ∗_{k≠mode} cross from the
+// cached per-mode Gram blocks — the identity for first-order tensors
+// (no other modes) — and composes d0 = d1 − (1−μ)·g0prod. A non-nil
+// sketch replaces the d1 chain before d0 is composed.
+func (d *denoms) fill(gram0, gram1, cross []*mat.Dense, mode int, mu float64, sketch *mat.Dense) {
+	first := true
+	for k := range gram0 {
+		if k == mode {
+			continue
+		}
+		d.sum.Add(gram0[k], gram1[k])
+		if first {
+			d.d1.CopyFrom(d.sum)
+			d.g0prod.CopyFrom(gram0[k])
+			d.hprod.CopyFrom(cross[k])
+			first = false
+		} else {
+			d.d1.Hadamard(d.d1, d.sum)
+			d.g0prod.Hadamard(d.g0prod, gram0[k])
+			d.hprod.Hadamard(d.hprod, cross[k])
+		}
+	}
+	if first {
+		d.d1.SetIdentity()
+		d.g0prod.SetIdentity()
+		d.hprod.SetIdentity()
+	}
+	if sketch != nil {
+		d.d1.CopyFrom(sketch)
+	}
+	d.d0.Scale(-(1 - mu), d.g0prod)
+	d.d0.Add(d.d0, d.d1)
+}

@@ -2,6 +2,7 @@ package dtd
 
 import (
 	"fmt"
+	"slices"
 
 	"dismastd/internal/layout"
 	"dismastd/internal/mat"
@@ -44,13 +45,12 @@ type Updater struct {
 	delta      *layout.Delta
 	src        *xrand.Source
 
-	ws                 *mat.Workspace
-	d0, d1             *mat.Dense // Eq. (5) denominators
-	g0prod, hprod, sum *mat.Dense
-	l0, l1             *mat.Dense // Cholesky factors of d0, d1
-	numBuf             *mat.Dense // 1×R numerator / in-place solution
-	tmp, oldRow        []float64
-	touched            []int32
+	ws *mat.Workspace
+	denoms
+	l0, l1      *mat.Dense // Cholesky factors of d0, d1
+	numBuf      *mat.Dense // 1×R numerator / in-place solution
+	tmp, oldRow []float64
+	touched     []int32
 
 	events      int64
 	rowsTouched int64
@@ -74,11 +74,7 @@ func NewUpdater(st *State, o Options) (*Updater, error) {
 		cross:  make([]*mat.Dense, n),
 		src:    xrand.New(opts.Seed),
 		ws:     mat.NewWorkspace(),
-		d0:     mat.New(r, r),
-		d1:     mat.New(r, r),
-		g0prod: mat.New(r, r),
-		hprod:  mat.New(r, r),
-		sum:    mat.New(r, r),
+		denoms: newDenoms(r),
 		l0:     mat.New(r, r),
 		l1:     mat.New(r, r),
 		numBuf: mat.New(1, r),
@@ -199,7 +195,8 @@ func (u *Updater) Apply(coords []int32, vals []float64) {
 		for e := range vals {
 			u.touched = append(u.touched, coords[e*n+m])
 		}
-		u.touched = sortDedup(u.touched)
+		slices.Sort(u.touched)
+		u.touched = slices.Compact(u.touched)
 		u.updateMode(m)
 	}
 }
@@ -207,9 +204,7 @@ func (u *Updater) Apply(coords []int32, vals []float64) {
 // updateMode re-solves the touched rows of one mode with the Eq. (5)
 // row update, then folds each new row into the mode's Gram blocks.
 func (u *Updater) updateMode(m int) {
-	eqDenominators(u.d1, u.g0prod, u.hprod, u.sum, u.gram0, u.gram1, u.cross, m)
-	u.d0.Scale(-(1 - u.opts.Mu), u.g0prod)
-	u.d0.Add(u.d0, u.d1)
+	u.fill(u.gram0, u.gram1, u.cross, m, u.opts.Mu, nil)
 	mat.RidgeCholeskyInto(u.l0, u.d0, u.ws)
 	mat.RidgeCholeskyInto(u.l1, u.d1, u.ws)
 
@@ -265,26 +260,4 @@ func addOuter(g *mat.Dense, a, b []float64, w float64) {
 			gi[j] += wa * bj
 		}
 	}
-}
-
-// sortDedup sorts s ascending and removes duplicates in place. It is a
-// plain insertion sort: micro-batches are small, and avoiding the sort
-// package keeps the warmed Apply path allocation-free.
-func sortDedup(s []int32) []int32 {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

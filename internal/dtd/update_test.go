@@ -84,12 +84,9 @@ func TestUpdaterRowMatchesEq5(t *testing.T) {
 	r := opts.Rank
 
 	// Snapshot the mode-0 denominators before the batch lands.
-	eqDenominators(u.d1, u.g0prod, u.hprod, u.sum, u.gram0, u.gram1, u.cross, 0)
-	d1 := u.d1.Clone()
+	u.fill(u.gram0, u.gram1, u.cross, 0, u.opts.Mu, nil)
 	hprod := u.hprod.Clone()
-	d0 := mat.New(r, r)
-	d0.Scale(-(1 - u.opts.Mu), u.g0prod)
-	d0.Add(d0, d1)
+	d0 := u.d0.Clone()
 	tilde := u.tilde[0].Clone()
 
 	coords := []int32{2, 1, 0, 2, 3, 2}
@@ -220,6 +217,31 @@ func TestUpdaterGrowRejectsShrink(t *testing.T) {
 	}
 	if err := u.Grow([]int{5, 4}); err == nil {
 		t.Fatal("order-changing Grow did not error")
+	}
+}
+
+// TestUpdaterLargeReverseOrderedBatch feeds one batch of 1e5 events
+// whose mode-0 coordinates arrive strictly descending — the worst case
+// for the hand-rolled insertion sort Apply used to run under the
+// writer lock, which needed ~5e9 element moves here. Every distinct
+// row is still solved exactly once per mode, in ascending order.
+func TestUpdaterLargeReverseOrderedBatch(t *testing.T) {
+	const rows = 100000
+	dims := []int{rows, 3, 3}
+	u, _ := anchoredUpdater(t, dims, Options{Rank: 2, MaxIters: 2, Seed: 4})
+	coords := make([]int32, 0, 3*rows)
+	vals := make([]float64, rows)
+	for e := 0; e < rows; e++ {
+		coords = append(coords, int32(rows-1-e), int32(e%3), int32(e%2))
+		vals[e] = 1
+	}
+	u.Apply(coords, vals)
+	if got, want := u.RowsTouched(), int64(rows+3+2); got != want {
+		t.Fatalf("rows touched = %d, want %d", got, want)
+	}
+	// touched still holds the last mode's rows: sorted and deduplicated.
+	if len(u.touched) != 2 || u.touched[0] != 0 || u.touched[1] != 1 {
+		t.Fatalf("last mode's touched rows = %v, want [0 1]", u.touched)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"dismastd/internal/layout"
 	"dismastd/internal/onlinecp"
 	"dismastd/internal/partition"
+	"dismastd/internal/sample"
 )
 
 // layoutSweep is the acceptance sweep of the kernel-representation
@@ -77,6 +78,50 @@ func TestCoreGoldenEveryLayout(t *testing.T) {
 			checkHash(t, "core/"+tc.name, hashFactors(cur.Factors), tc.want)
 		}
 	})
+}
+
+// TestCoreOneWorkerIsDTD pins the "one sweep, two bindings" contract:
+// dtd.Step and a one-worker core.Step run the same engine, so factors
+// and the whole loss trace agree bit for bit under every partitioning
+// method, layout, thread count and solver — and under the exact solver
+// both sit on the DTD golden hash.
+func TestCoreOneWorkerIsDTD(t *testing.T) {
+	for _, solver := range []sample.Kind{sample.Exact, sample.Sampled} {
+		for _, method := range []partition.Method{partition.GTPMethod, partition.MTPMethod} {
+			for _, kind := range layoutSweep {
+				for _, threads := range []int{1, 3} {
+					t.Run(fmt.Sprintf("solver=%s/%v/layout=%s/threads=%d", solver, method, kind, threads), func(t *testing.T) {
+						prev, full, opts := dtdFixture(t)
+						opts.Threads, opts.Layout, opts.Solver = threads, kind, solver
+						want, wantStats, err := dtd.Step(prev, full, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, gotStats, err := core.Step(prev, full, core.Options{
+							Rank: opts.Rank, MaxIters: opts.MaxIters, Mu: opts.Mu, Seed: opts.Seed,
+							Workers: 1, Method: method, Threads: threads, Layout: kind, Solver: solver,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantHash := hashFactors(want.Factors)
+						if solver == sample.Exact {
+							checkHash(t, "dtd", wantHash, goldDTD)
+						}
+						checkHash(t, "core/workers=1", hashFactors(got.Factors), wantHash)
+						if len(gotStats.LossTrace) != len(wantStats.LossTrace) {
+							t.Fatalf("loss trace has %d sweeps, dtd %d", len(gotStats.LossTrace), len(wantStats.LossTrace))
+						}
+						for i, l := range wantStats.LossTrace {
+							if mathFloat64bits(gotStats.LossTrace[i]) != mathFloat64bits(l) {
+								t.Fatalf("sweep %d: loss %v vs dtd %v", i, gotStats.LossTrace[i], l)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
 }
 
 func TestDMSMGGoldenEveryLayout(t *testing.T) {

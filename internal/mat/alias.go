@@ -15,8 +15,8 @@ import "fmt"
 //     values, so it panics.
 //   - Gather/scatter kernels whose output cells mix many input cells
 //     (MulInto, GramInto, CrossGramInto, AccumulateCrossGram,
-//     KhatriRaoInto, TransposeInto, CholeskyInto, InverseInto): dst must
-//     not overlap any input at all.
+//     TransposeInto, CholeskyInto): dst must not overlap any input at
+//     all.
 //   - SolveSPDInto: dst may alias b (the right-hand side is copied into
 //     dst before the factorisation is applied), never a.
 //   - SolveRightRidgeInto: dst may alias m (m is transposed into

@@ -6,9 +6,9 @@ import (
 	"dismastd/internal/xrand"
 )
 
-// In-place kernel benchmarks, paired with their allocating counterparts
-// above (BenchmarkGram, BenchmarkSolveRightRidge) so `make bench` shows
-// the allocation story side by side.
+// In-place kernel benchmarks; BenchmarkGram in mat_test.go is the
+// allocating counterpart of BenchmarkGramInto, so -benchmem shows the
+// allocation story side by side.
 
 func BenchmarkGramInto(b *testing.B) {
 	a := RandomGaussian(10000, 10, xrand.New(1))
@@ -53,16 +53,5 @@ func BenchmarkSolveRightRidgeInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SolveRightRidgeInto(dst, m, d, ws)
-	}
-}
-
-func BenchmarkKhatriRaoInto(b *testing.B) {
-	src := xrand.New(5)
-	x := RandomGaussian(200, 10, src)
-	y := RandomGaussian(100, 10, src)
-	dst := New(200*100, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		KhatriRaoInto(dst, x, y)
 	}
 }

@@ -1,6 +1,6 @@
 // Package mat implements the dense matrix kernels that CP-ALS and the
-// DisMASTD update rules are built from: Gram products, Hadamard and
-// Khatri-Rao products, Frobenius reductions, and small SPD solves.
+// DisMASTD update rules are built from: Gram products, Hadamard
+// products, elementwise reductions, and small SPD solves.
 //
 // Everything is hand-rolled on float64 with row-major storage. The
 // matrices that flow through the hot paths are either factor blocks
@@ -38,13 +38,6 @@ func NewFrom(r, c int, data []float64) *Dense {
 		panic(fmt.Sprintf("mat: NewFrom(%d, %d) with %d elements", r, c, len(data)))
 	}
 	return &Dense{Rows: r, Cols: c, Data: data}
-}
-
-// Eye returns the n x n identity matrix.
-func Eye(n int) *Dense {
-	m := New(n, n)
-	m.SetIdentity()
-	return m
 }
 
 // SetIdentity overwrites the square matrix m with the identity.
@@ -86,13 +79,6 @@ func (m *Dense) CopyFrom(src *Dense) {
 func (m *Dense) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
-	}
-}
-
-// Fill sets every element of m to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.Data {
-		m.Data[i] = v
 	}
 }
 
@@ -141,13 +127,6 @@ func (m *Dense) AddScaled(s float64, a *Dense) {
 	for i := range m.Data {
 		m.Data[i] += s * a.Data[i]
 	}
-}
-
-// Mul computes a*b into a freshly allocated matrix.
-func Mul(a, b *Dense) *Dense {
-	out := New(a.Rows, b.Cols)
-	MulInto(out, a, b)
-	return out
 }
 
 // MulInto computes a*b into dst, which must be a.Rows x b.Cols and must
@@ -265,48 +244,6 @@ func HadamardAllInto(dst *Dense, ms ...*Dense) {
 	}
 }
 
-// KhatriRao computes the column-wise Khatri-Rao product A ⊙ B: the
-// result has a.Rows*b.Rows rows and the shared column count, with
-// out[i*b.Rows+j, c] = A[i,c]*B[j,c].
-func KhatriRao(a, b *Dense) *Dense {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: KhatriRao column mismatch %d vs %d", a.Cols, b.Cols))
-	}
-	out := New(a.Rows*b.Rows, a.Cols)
-	KhatriRaoInto(out, a, b)
-	return out
-}
-
-// KhatriRaoInto computes A ⊙ B into dst, which must be a.Rows*b.Rows by
-// the shared column count and must not alias a or b.
-func KhatriRaoInto(dst, a, b *Dense) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: KhatriRao column mismatch %d vs %d", a.Cols, b.Cols))
-	}
-	if dst.Rows != a.Rows*b.Rows || dst.Cols != a.Cols {
-		panic(fmt.Sprintf("mat: KhatriRaoInto destination %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows*b.Rows, a.Cols))
-	}
-	mustDisjoint("KhatriRaoInto", dst, a)
-	mustDisjoint("KhatriRaoInto", dst, b)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			orow := dst.Row(i*b.Rows + j)
-			for c := range orow {
-				orow[c] = arow[c] * brow[c]
-			}
-		}
-	}
-}
-
-// Transpose returns Aᵀ as a new matrix.
-func Transpose(a *Dense) *Dense {
-	out := New(a.Cols, a.Rows)
-	TransposeInto(out, a)
-	return out
-}
-
 // TransposeInto stores Aᵀ into dst, which must be a.Cols x a.Rows and
 // must not alias a.
 func TransposeInto(dst, a *Dense) {
@@ -320,15 +257,6 @@ func TransposeInto(dst, a *Dense) {
 			dst.Data[j*a.Rows+i] = v
 		}
 	}
-}
-
-// FrobeniusNorm returns ||A||_F.
-func FrobeniusNorm(a *Dense) float64 {
-	sum := 0.0
-	for _, v := range a.Data {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
 }
 
 // SumAll returns the sum of every element of A. Applied to a Hadamard

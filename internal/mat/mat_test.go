@@ -3,7 +3,6 @@ package mat
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"dismastd/internal/xrand"
 )
@@ -57,6 +56,20 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
+// mul and transpose are the tests' allocating conveniences over the
+// in-place kernels.
+func mul(a, b *Dense) *Dense {
+	out := New(a.Rows, b.Cols)
+	MulInto(out, a, b)
+	return out
+}
+
+func transpose(a *Dense) *Dense {
+	out := New(a.Cols, a.Rows)
+	TransposeInto(out, a)
+	return out
+}
+
 func TestAddSubScale(t *testing.T) {
 	a := NewFrom(2, 2, []float64{1, 2, 3, 4})
 	b := NewFrom(2, 2, []float64{5, 6, 7, 8})
@@ -84,7 +97,7 @@ func TestAddSubScale(t *testing.T) {
 func TestMulKnown(t *testing.T) {
 	a := NewFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := NewFrom(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	p := Mul(a, b)
+	p := mul(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, v := range want {
 		if p.Data[i] != v {
@@ -96,7 +109,9 @@ func TestMulKnown(t *testing.T) {
 func TestMulIdentity(t *testing.T) {
 	src := xrand.New(1)
 	a := RandomGaussian(4, 4, src)
-	p := Mul(a, Eye(4))
+	eye := New(4, 4)
+	eye.SetIdentity()
+	p := mul(a, eye)
 	if MaxAbsDiff(a, p) != 0 {
 		t.Fatal("A * I != A")
 	}
@@ -117,7 +132,7 @@ func TestGramSymmetricPSD(t *testing.T) {
 		}
 	}
 	// Matches Aᵀ·A computed the long way.
-	want := Mul(Transpose(a), a)
+	want := mul(transpose(a), a)
 	if MaxAbsDiff(g, want) > 1e-12 {
 		t.Fatal("Gram != AᵀA")
 	}
@@ -128,7 +143,7 @@ func TestCrossGramMatchesTransposeMul(t *testing.T) {
 	a := RandomGaussian(7, 3, src)
 	b := RandomGaussian(7, 5, src)
 	got := CrossGram(a, b)
-	want := Mul(Transpose(a), b)
+	want := mul(transpose(a), b)
 	if MaxAbsDiff(got, want) > 1e-12 {
 		t.Fatal("CrossGram != AᵀB")
 	}
@@ -167,48 +182,16 @@ func TestHadamard(t *testing.T) {
 	}
 }
 
-func TestKhatriRaoKnown(t *testing.T) {
-	a := NewFrom(2, 2, []float64{1, 2, 3, 4})
-	b := NewFrom(2, 2, []float64{5, 6, 7, 8})
-	kr := KhatriRao(a, b)
-	if kr.Rows != 4 || kr.Cols != 2 {
-		t.Fatalf("KhatriRao shape %dx%d", kr.Rows, kr.Cols)
-	}
-	want := []float64{5, 12, 7, 16, 15, 24, 21, 32}
-	for i := range want {
-		if kr.Data[i] != want[i] {
-			t.Fatalf("KhatriRao[%d] = %v, want %v", i, kr.Data[i], want[i])
-		}
-	}
-}
-
-func TestKhatriRaoGramIdentity(t *testing.T) {
-	// (A ⊙ B)ᵀ(A ⊙ B) = AᵀA .* BᵀB — the identity ALS exploits to
-	// avoid materialising the Khatri-Rao product.
-	src := xrand.New(5)
-	a := RandomGaussian(4, 3, src)
-	b := RandomGaussian(5, 3, src)
-	kr := KhatriRao(a, b)
-	left := Gram(kr)
-	right := HadamardAll(Gram(a), Gram(b))
-	if MaxAbsDiff(left, right) > 1e-10 {
-		t.Fatalf("Khatri-Rao Gram identity violated by %v", MaxAbsDiff(left, right))
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	src := xrand.New(6)
 	a := RandomGaussian(3, 5, src)
-	if MaxAbsDiff(a, Transpose(Transpose(a))) != 0 {
+	if MaxAbsDiff(a, transpose(transpose(a))) != 0 {
 		t.Fatal("transpose twice is not identity")
 	}
 }
 
 func TestNormsAndReductions(t *testing.T) {
 	a := NewFrom(2, 2, []float64{3, 4, 0, 0})
-	if FrobeniusNorm(a) != 5 {
-		t.Fatalf("FrobeniusNorm = %v", FrobeniusNorm(a))
-	}
 	if SumAll(a) != 7 {
 		t.Fatalf("SumAll = %v", SumAll(a))
 	}
@@ -242,11 +225,11 @@ func TestCholeskyReconstruction(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		a.Set(i, i, a.At(i, i)+0.1)
 	}
-	l, err := Cholesky(a)
-	if err != nil {
+	l := New(4, 4)
+	if err := CholeskyInto(l, a); err != nil {
 		t.Fatal(err)
 	}
-	recon := Mul(l, Transpose(l))
+	recon := mul(l, transpose(l))
 	if MaxAbsDiff(a, recon) > 1e-10 {
 		t.Fatalf("LLᵀ differs from A by %v", MaxAbsDiff(a, recon))
 	}
@@ -254,7 +237,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := NewFrom(2, 2, []float64{1, 2, 2, 1}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err != ErrNotSPD {
+	if err := CholeskyInto(New(2, 2), a); err != ErrNotSPD {
 		t.Fatalf("expected ErrNotSPD, got %v", err)
 	}
 }
@@ -267,12 +250,12 @@ func TestSolveSPD(t *testing.T) {
 		a.Set(i, i, a.At(i, i)+0.5)
 	}
 	rhs := RandomGaussian(5, 3, src)
-	x, err := SolveSPD(a, rhs)
-	if err != nil {
+	x := New(5, 3)
+	if err := SolveSPDInto(x, a, rhs, NewWorkspace()); err != nil {
 		t.Fatal(err)
 	}
-	if MaxAbsDiff(Mul(a, x), rhs) > 1e-9 {
-		t.Fatalf("A·X differs from B by %v", MaxAbsDiff(Mul(a, x), rhs))
+	if MaxAbsDiff(mul(a, x), rhs) > 1e-9 {
+		t.Fatalf("A·X differs from B by %v", MaxAbsDiff(mul(a, x), rhs))
 	}
 }
 
@@ -284,14 +267,11 @@ func TestSolveRightRidgeMatchesInverse(t *testing.T) {
 		d.Set(i, i, d.At(i, i)+1)
 	}
 	m := RandomGaussian(6, 4, src)
-	got := SolveRightRidge(m, d)
-	inv, err := Inverse(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Mul(m, inv)
-	if MaxAbsDiff(got, want) > 1e-9 {
-		t.Fatalf("SolveRightRidge differs from M·D⁻¹ by %v", MaxAbsDiff(got, want))
+	got := New(6, 4)
+	SolveRightRidgeInto(got, m, d, NewWorkspace())
+	// X = M·D⁻¹ exactly when X·D = M.
+	if diff := MaxAbsDiff(mul(got, d), m); diff > 1e-9 {
+		t.Fatalf("SolveRightRidgeInto differs from M·D⁻¹: X·D is off M by %v", diff)
 	}
 }
 
@@ -301,7 +281,8 @@ func TestSolveRightRidgeSingularFallback(t *testing.T) {
 	ones := NewFrom(3, 2, []float64{1, 1, 1, 1, 1, 1})
 	d := Gram(ones)
 	m := NewFrom(2, 2, []float64{1, 2, 3, 4})
-	got := SolveRightRidge(m, d)
+	got := New(2, 2)
+	SolveRightRidgeInto(got, m, d, NewWorkspace())
 	for _, v := range got.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("non-finite entry %v", v)
@@ -309,48 +290,13 @@ func TestSolveRightRidgeSingularFallback(t *testing.T) {
 	}
 }
 
-func TestInverseKnown(t *testing.T) {
-	a := NewFrom(2, 2, []float64{4, 7, 2, 6})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := NewFrom(2, 2, []float64{0.6, -0.7, -0.2, 0.4})
-	if MaxAbsDiff(inv, want) > 1e-12 {
-		t.Fatalf("Inverse wrong: %v", inv.Data)
-	}
-}
-
-func TestInverseSingular(t *testing.T) {
-	a := NewFrom(2, 2, []float64{1, 2, 2, 4})
-	if _, err := Inverse(a); err != ErrSingular {
-		t.Fatalf("expected ErrSingular, got %v", err)
-	}
-}
-
-func TestInversePropertyAAInvIsIdentity(t *testing.T) {
-	src := xrand.New(10)
-	if err := quick.Check(func(seed uint32) bool {
-		s := xrand.New(uint64(seed) | 1)
-		n := 1 + s.Intn(6)
-		a := RandomGaussian(n, n, src)
-		inv, err := Inverse(a)
-		if err != nil {
-			return true // singular random matrix: vanishingly rare, skip
-		}
-		return MaxAbsDiff(Mul(a, inv), Eye(n)) < 1e-8
-	}, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMulDimensionPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Mul with mismatched inner dims did not panic")
+			t.Fatal("MulInto with mismatched inner dims did not panic")
 		}
 	}()
-	Mul(New(2, 3), New(2, 3))
+	MulInto(New(2, 3), New(2, 3), New(2, 3))
 }
 
 func BenchmarkGram(b *testing.B) {
@@ -358,15 +304,5 @@ func BenchmarkGram(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Gram(a)
-	}
-}
-
-func BenchmarkSolveRightRidge(b *testing.B) {
-	src := xrand.New(2)
-	d := Gram(RandomGaussian(100, 10, src))
-	m := RandomGaussian(10000, 10, src)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = SolveRightRidge(m, d)
 	}
 }

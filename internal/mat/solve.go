@@ -10,23 +10,12 @@ import (
 // matrix is not (numerically) symmetric positive definite.
 var ErrNotSPD = errors.New("mat: matrix is not positive definite")
 
-// ErrSingular reports that Gauss-Jordan elimination met a zero pivot.
-var ErrSingular = errors.New("mat: matrix is singular")
-
-// Cholesky computes the lower-triangular L with A = LLᵀ for a symmetric
-// positive definite A. Only the lower triangle of A is read. It returns
-// ErrNotSPD when a pivot is not strictly positive.
-func Cholesky(a *Dense) (*Dense, error) {
-	l := New(a.Rows, a.Rows)
-	if err := CholeskyInto(l, a); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// CholeskyInto factorises A = LLᵀ into l, which must be a.Rows x a.Rows
-// and must not alias a (later pivots re-read earlier columns of a). l
-// is fully overwritten, upper triangle zeroed.
+// CholeskyInto computes the lower-triangular L with A = LLᵀ for a
+// symmetric positive definite A into l, which must be a.Rows x a.Rows
+// and must not alias a (later pivots re-read earlier columns of a).
+// Only the lower triangle of A is read; l is fully overwritten, upper
+// triangle zeroed. It returns ErrNotSPD when a pivot is not strictly
+// positive.
 func CholeskyInto(l, a *Dense) error {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("mat: Cholesky of non-square %dx%d", a.Rows, a.Cols))
@@ -101,19 +90,8 @@ func choleskySolveInPlace(l, b *Dense) {
 	}
 }
 
-// SolveSPD solves A X = B for X where A is symmetric positive definite,
-// using Cholesky. B is not modified.
-func SolveSPD(a, b *Dense) (*Dense, error) {
-	x := New(b.Rows, b.Cols)
-	ws := NewWorkspace()
-	if err := SolveSPDInto(x, a, b, ws); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveSPDInto solves A X = B into dst, taking the Cholesky factor from
-// ws. dst must be b.Rows x b.Cols; it may alias b exactly (B is copied
+// SolveSPDInto solves A X = B for symmetric positive definite A into
+// dst, taking the Cholesky factor from ws. B is not modified. dst must be b.Rows x b.Cols; it may alias b exactly (B is copied
 // into dst before the factor is applied) but must not alias a. ws is
 // released to its entry mark before returning.
 func SolveSPDInto(dst, a, b *Dense, ws *Workspace) error {
@@ -132,23 +110,14 @@ func SolveSPDInto(dst, a, b *Dense, ws *Workspace) error {
 	return nil
 }
 
-// SolveRightRidge computes M · D⁻¹, the ALS "numerator times inverse
-// denominator" step the paper applies row-wise. D must be symmetric
-// (the Hadamard product of Gram matrices is). When D is not positive
-// definite — a rank-deficient factor during early iterations — a small
-// ridge eps·trace(D)/R·I is added until the Cholesky succeeds, the
-// standard regularised-ALS fallback.
-func SolveRightRidge(m, d *Dense) *Dense {
-	out := New(m.Rows, m.Cols)
-	ws := NewWorkspace()
-	SolveRightRidgeInto(out, m, d, ws)
-	return out
-}
-
-// SolveRightRidgeInto computes M · D⁻¹ into dst with the same ridge
-// fallback as SolveRightRidge, taking all scratch (the regularised
-// copy of D, the Cholesky factor, and the transposed solve buffer) from
-// ws. dst must be m.Rows x m.Cols; it may alias m exactly (M is
+// SolveRightRidgeInto computes M · D⁻¹ into dst, the ALS "numerator
+// times inverse denominator" step the paper applies row-wise. D must be
+// symmetric (the Hadamard product of Gram matrices is). When D is not
+// positive definite — a rank-deficient factor during early iterations —
+// a small ridge eps·trace(D)/R·I is added until the Cholesky succeeds,
+// the standard regularised-ALS fallback. All scratch (the regularised
+// copy of D, the Cholesky factor, and the transposed solve buffer)
+// comes from ws. dst must be m.Rows x m.Cols; it may alias m exactly (M is
 // transposed into scratch before dst is written) but must not alias d.
 // ws is released to its entry mark before returning.
 func SolveRightRidgeInto(dst, m, d *Dense, ws *Workspace) {
@@ -168,7 +137,7 @@ func SolveRightRidgeInto(dst, m, d *Dense, ws *Workspace) {
 }
 
 // RidgeCholeskyInto factorises D (with the ridge fallback described on
-// SolveRightRidge) into the lower-triangular l, taking the regularised
+// SolveRightRidgeInto) into the lower-triangular l, taking the regularised
 // copy of D from ws. l must be d.Rows x d.Rows and must not alias d.
 // The factor is the shared input of SolveRightFactoredRange, letting
 // one factorisation serve many (possibly concurrent) row-range solves.
@@ -250,94 +219,5 @@ func SolveRightFactoredRange(dst, m, l *Dense, lo, hi int, ws *Workspace) {
 		for j := range drow {
 			drow[j] = xt.Data[j*w+(i-lo)]
 		}
-	}
-}
-
-// Inverse computes A⁻¹ by Gauss-Jordan elimination with partial
-// pivoting. It returns ErrSingular when no usable pivot exists. The
-// paper's complexity analysis counts an explicit O(R³) inverse of the
-// denominator term; SolveRightRidge is the numerically preferred path,
-// Inverse exists for parity and for tests.
-func Inverse(a *Dense) (*Dense, error) {
-	inv := New(a.Rows, a.Rows)
-	ws := NewWorkspace()
-	if err := InverseInto(inv, a, ws); err != nil {
-		return nil, err
-	}
-	return inv, nil
-}
-
-// InverseInto computes A⁻¹ into dst, taking the elimination scratch
-// from ws. dst must be a.Rows x a.Rows and must not alias a. ws is
-// released to its entry mark before returning.
-func InverseInto(dst, a *Dense, ws *Workspace) error {
-	if a.Rows != a.Cols {
-		panic(fmt.Sprintf("mat: Inverse of non-square %dx%d", a.Rows, a.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != a.Cols {
-		panic(fmt.Sprintf("mat: InverseInto destination %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, a.Cols))
-	}
-	mustDisjoint("InverseInto", dst, a)
-	n := a.Rows
-	mark := ws.Mark()
-	defer ws.Release(mark)
-	work := ws.Take(n, n)
-	work.CopyFrom(a)
-	inv := dst
-	inv.SetIdentity()
-	for col := 0; col < n; col++ {
-		// Partial pivot: largest |value| in this column at or below the
-		// diagonal.
-		pivot := col
-		best := math.Abs(work.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(work.At(r, col)); v > best {
-				best, pivot = v, r
-			}
-		}
-		if best == 0 || math.IsNaN(best) {
-			return ErrSingular
-		}
-		if pivot != col {
-			swapRows(work, pivot, col)
-			swapRows(inv, pivot, col)
-		}
-		p := work.At(col, col)
-		scaleRow(work, col, 1/p)
-		scaleRow(inv, col, 1/p)
-		for r := 0; r < n; r++ {
-			if r == col {
-				continue
-			}
-			f := work.At(r, col)
-			if f == 0 {
-				continue
-			}
-			axpyRow(work, r, col, -f)
-			axpyRow(inv, r, col, -f)
-		}
-	}
-	return nil
-}
-
-func swapRows(m *Dense, a, b int) {
-	ra, rb := m.Row(a), m.Row(b)
-	for i := range ra {
-		ra[i], rb[i] = rb[i], ra[i]
-	}
-}
-
-func scaleRow(m *Dense, r int, s float64) {
-	row := m.Row(r)
-	for i := range row {
-		row[i] *= s
-	}
-}
-
-// axpyRow adds s * row(src) to row(dst).
-func axpyRow(m *Dense, dst, src int, s float64) {
-	rd, rs := m.Row(dst), m.Row(src)
-	for i := range rd {
-		rd[i] += s * rs[i]
 	}
 }

@@ -123,16 +123,6 @@ func InnerProduct(t *tensor.Tensor, factors []*mat.Dense) float64 {
 	return innerProductScratch(t, factors, make([]float64, checkFactors(t, factors)))
 }
 
-// InnerProductWS is InnerProduct with the per-entry product buffer
-// checked out of ws. ws is released to its entry mark before returning.
-func InnerProductWS(t *tensor.Tensor, factors []*mat.Dense, ws *mat.Workspace) float64 {
-	r := checkFactors(t, factors)
-	mark := ws.Mark()
-	total := innerProductScratch(t, factors, ws.TakeVec(r))
-	ws.Release(mark)
-	return total
-}
-
 func innerProductScratch(t *tensor.Tensor, factors []*mat.Dense, tmp []float64) float64 {
 	n := t.Order()
 	total := 0.0
@@ -238,18 +228,10 @@ func (v *ModeView) Validate(dst *mat.Dense, factors []*mat.Dense) {
 	}
 }
 
-// AccumulateInto adds the mode MTTKRP into dst using the row-grouped
+// AccumulateIntoWS adds the mode MTTKRP into dst using the row-grouped
 // kernel: each slice's contributions accumulate in a local buffer and
-// are written back once.
-func (v *ModeView) AccumulateInto(dst *mat.Dense, factors []*mat.Dense) {
-	v.Validate(dst, factors)
-	r := dst.Cols
-	v.AccumulateGroups(dst, factors, 0, len(v.Rows), make([]float64, r), make([]float64, r))
-}
-
-// AccumulateIntoWS is AccumulateInto with the tmp/acc buffers checked
-// out of ws instead of allocated. ws is released to its entry mark
-// before returning.
+// are written back once. The tmp/acc buffers are checked out of ws,
+// which is released to its entry mark before returning.
 func (v *ModeView) AccumulateIntoWS(dst *mat.Dense, factors []*mat.Dense, ws *mat.Workspace) {
 	v.Validate(dst, factors)
 	r := dst.Cols

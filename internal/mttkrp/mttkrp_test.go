@@ -73,10 +73,27 @@ func naiveMTTKRP(t *tensor.Tensor, factors []*mat.Dense, mode int) *mat.Dense {
 		if kr == nil {
 			kr = factors[k].Clone()
 		} else {
-			kr = mat.KhatriRao(factors[k], kr)
+			kr = khatriRao(factors[k], kr)
 		}
 	}
-	return mat.Mul(unf, kr)
+	out := mat.New(unf.Rows, kr.Cols)
+	mat.MulInto(out, unf, kr)
+	return out
+}
+
+// khatriRao returns the column-wise Khatri-Rao product A ⊙ B:
+// out[i*b.Rows+j, c] = A[i,c]·B[j,c].
+func khatriRao(a, b *mat.Dense) *mat.Dense {
+	out := mat.New(a.Rows*b.Rows, a.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			orow := out.Row(i*b.Rows + j)
+			for c := range orow {
+				orow[c] = a.At(i, c) * b.At(j, c)
+			}
+		}
+	}
+	return out
 }
 
 func TestFlatKernelMatchesNaive(t *testing.T) {
@@ -112,7 +129,7 @@ func TestRowGroupedMatchesFlat(t *testing.T) {
 	for mode := 0; mode < 3; mode++ {
 		flat := Compute(x, factors, mode)
 		grouped := mat.New(dims[mode], 4)
-		NewModeView(x, mode).AccumulateInto(grouped, factors)
+		NewModeView(x, mode).AccumulateIntoWS(grouped, factors, mat.NewWorkspace())
 		if d := mat.MaxAbsDiff(flat, grouped); d > 1e-10 {
 			t.Fatalf("mode %d: grouped kernel differs by %v", mode, d)
 		}
@@ -273,10 +290,11 @@ func BenchmarkRowGroupedKernel(b *testing.B) {
 	x, factors := benchTensor()
 	v := NewModeView(x, 0)
 	dst := mat.New(x.Dims[0], 10)
+	ws := mat.NewWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst.Zero()
-		v.AccumulateInto(dst, factors)
+		v.AccumulateIntoWS(dst, factors, ws)
 	}
 }
 
@@ -303,9 +321,9 @@ func BenchmarkRowGroupedKernelWS(b *testing.B) {
 	}
 }
 
-// BenchmarkMTTKRP is the layout comparison grid for BENCH_kernels.json:
-// one sequential MTTKRP per (layout, mode) on the same tensor, so
-// benchjson can derive each mode's speedup_vs_coo column. Compile time
+// BenchmarkMTTKRP is the layout comparison grid: one sequential MTTKRP
+// per (layout, mode) on the same tensor, so each mode's compiled row
+// reads directly against its coo row. Compile time
 // is excluded — the compiled rows measure the steady state a snapshot's
 // sweeps run in.
 func BenchmarkMTTKRP(b *testing.B) {
@@ -338,7 +356,7 @@ func BenchmarkCompile(b *testing.B) {
 
 // BenchmarkChunkStarts is the regression guard for the per-(view,
 // thread-count) grid cache: a warm view serving two alternating chunk
-// counts must never rebuild a grid (0 B/op in BENCH_kernels.json).
+// counts must never rebuild a grid (0 B/op under -benchmem).
 func BenchmarkChunkStarts(b *testing.B) {
 	x, _ := benchTensor()
 	for _, tc := range []struct {

@@ -45,7 +45,7 @@ func TestSubsetViewMatchesFlat(t *testing.T) {
 		t.Fatalf("view covers %d entries, want %d", view.NNZ(), len(entries))
 	}
 	got := mat.New(x.Dims[1], 5)
-	view.AccumulateInto(got, factors)
+	view.AccumulateIntoWS(got, factors, mat.NewWorkspace())
 	bitsEqual(t, "subset view", got, want)
 }
 
@@ -58,7 +58,7 @@ func TestParAccumulateBitwiseAcrossThreads(t *testing.T) {
 	for mode := 0; mode < x.Order(); mode++ {
 		view := NewModeView(x, mode)
 		want := mat.New(x.Dims[mode], 6)
-		view.AccumulateInto(want, factors)
+		view.AccumulateIntoWS(want, factors, mat.NewWorkspace())
 		for _, threads := range []int{1, 2, 3, 8} {
 			pool := par.New(threads)
 			wss := mat.NewWorkspaceSet(pool.Threads())

@@ -10,9 +10,8 @@ import (
 
 // BenchmarkObsFence measures one fence round of the observability plane
 // — the overhead added to every stream step when the cluster plane is
-// on. `make bench-obs` runs BenchmarkObs* through cmd/benchjson into
-// BENCH_obs.json. maxrank-B/op reports the coordinator-bound gather
-// traffic per fence.
+// on. maxrank-B/op reports the coordinator-bound gather traffic per
+// fence.
 func BenchmarkObsFence(b *testing.B) {
 	for _, m := range []int{2, 4, 8} {
 		for _, spansPerStep := range []int{2, 16} {
