@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	mu := fs.Float64("mu", 0.8, "forgetting factor (paper: 0.8)")
 	workers := fs.Int("workers", 15, "cluster size (paper: 15 nodes)")
 	threads := fs.Int("threads", 1, "compute threads per worker (0 = GOMAXPROCS); results are identical at every value")
-	layoutFlag := fs.String("layout", "coo", "sparse kernel representation: coo or compiled; results are identical under either")
+	layoutFlag := layout.Flag(fs)
 	seed := fs.Uint64("seed", 42, "generator seed")
 	datasets := fs.String("datasets", "", "comma-separated subset (default all four)")
 	samples := fs.Int("samples", 0, "for -exp sampled: sketch size S per mode (0 = default)")

@@ -139,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	rank := fs.Int("rank", 10, "CP rank R")
 	iters := fs.Int("iters", 10, "maximum ALS sweeps")
 	threads := fs.Int("threads", 0, "compute threads for this rank's numeric kernels (0 = GOMAXPROCS); results are identical at every value")
-	layoutFlag := fs.String("layout", "coo", "sparse kernel representation: coo or compiled; results are identical under either")
+	layoutFlag := layout.Flag(fs)
 	solver := fs.String("solver", "exact", "least-squares strategy: exact (full MTTKRP) or sampled (leverage-score sketch, sublinear in nnz; forces broadcast row exchange)")
 	samples := fs.Int("samples", 0, "sketch size per mode for -solver sampled (0 = default 8192)")
 	mu := fs.Float64("mu", 0.8, "forgetting factor")

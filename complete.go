@@ -37,8 +37,8 @@ type CompletionOptions struct {
 	// Workers > 1, each worker) runs on. 0 or 1 means sequential;
 	// results are bitwise identical at every value.
 	Threads int
-	// Layout selects the sparse-kernel representation ("coo" or
-	// "compiled"; "" means "coo") — see Options.Layout. Results are
+	// Layout selects the sparse-kernel representation ("compiled" or
+	// "coo"; "" means "compiled") — see Options.Layout. Results are
 	// bitwise identical under either.
 	Layout string
 }

@@ -81,7 +81,7 @@ func SampledGap(cfg Config, samples int) ([]SampledPoint, error) {
 // so plan phases are matched by their aggregated names too.
 func sweepWall(phases []obs.PhaseStat, iters int) time.Duration {
 	planPhases := map[string]bool{
-		"sample-index": true, "complement": true, "partition": true,
+		"sample-index": true, "complement": true, "compile": true, "partition": true,
 	}
 	var tot time.Duration
 	for _, p := range phases {

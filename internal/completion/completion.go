@@ -51,7 +51,7 @@ type Options struct {
 	Threads int
 
 	// Layout selects the kernel representation the row sweeps enumerate
-	// (see internal/layout): COO (default) or Compiled. Each row's
+	// (see internal/layout): Compiled (the zero value) or COO. Each row's
 	// observations are visited in the same order under either, so the
 	// fit is bitwise identical.
 	Layout layout.Kind

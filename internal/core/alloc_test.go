@@ -106,6 +106,43 @@ func testEngineAllocFree(t *testing.T, workers, threads, ringThresh int, kind la
 	}
 }
 
+// TestBindDefaultsToCompiledUnderSpan pins what a rank's binding does
+// when Options never mentions a layout (the shape of the benchmark's
+// dist_tcp NewStepJob call): every rank compiles one layout per mode
+// into its cache — COO views bypass the cache, so a compile count is
+// proof of the kind — and records the construction as a plan/compile
+// span on its own tracer.
+func TestBindDefaultsToCompiledUnderSpan(t *testing.T) {
+	full := sparseRandom([]int{12, 10, 8}, 600, 5)
+	prev, _, err := dtd.Init(full.Prefix([]int{9, 8, 6}), dtd.Options{Rank: 3, MaxIters: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	job, err := NewStepJob(prev, full, Options{Rank: 3, MaxIters: 2, Seed: 11, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := cluster.NewLocal(workers).Run(job.RunWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank := 0; rank < workers; rank++ {
+		if got := job.caches[rank].Compiles(); got != full.Order() {
+			t.Errorf("rank %d compiled %d layouts, want %d", rank, got, full.Order())
+		}
+		var spans int64
+		for _, ps := range stats.Ranks[rank].Obs.Phases {
+			if ps.Name == "plan/compile" {
+				spans += ps.Count
+			}
+		}
+		if spans != 1 {
+			t.Errorf("rank %d recorded %d plan/compile spans, want 1", rank, spans)
+		}
+	}
+}
+
 // BenchmarkStepLocal measures one full distributed streaming step on
 // the in-process cluster — compute plus Local-transport collectives —
 // so -benchmem shows how much of the remaining allocation is transport.

@@ -61,10 +61,10 @@ type Options struct {
 	Threads int
 
 	// Layout selects the kernel representation each rank sweeps on (see
-	// internal/layout): COO (default) or Compiled, which compiles the
+	// internal/layout): Compiled (the zero value), which compiles the
 	// rank's slice of the complement once per step, cached per entry
 	// list — an elastic re-partition hands ranks new entry lists and so
-	// recompiles. Factors are bitwise identical under either.
+	// recompiles — or COO. Factors are bitwise identical under either.
 	Layout layout.Kind
 
 	// RankWeights optionally skews the partitioning by per-rank cost
@@ -410,10 +410,12 @@ func (j *StepJob) bind(w *cluster.Worker, factors []*mat.Dense) *dtd.Sweep {
 	n := comp.Order()
 	kernels := make([]mttkrp.Kernel, n)
 	owned := make([][]int32, n)
+	sp := w.Obs().Span("plan/compile")
 	for m := range kernels {
 		kernels[m] = mttkrp.CachedKernelOf(j.caches[me], comp, m, j.plan.EntryLists[me][m], j.opts.Layout)
 		owned[m] = j.plan.OwnedSlices[m][me]
 	}
+	sp.End()
 	var smp *sample.Sampler
 	if j.opts.Solver == sample.Sampled {
 		var err error

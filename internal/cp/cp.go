@@ -41,9 +41,9 @@ type Options struct {
 	Threads int
 
 	// Layout selects the kernel representation the sweeps run on:
-	// layout.COO (default) walks the coordinate arrays, layout.Compiled
-	// compiles the tensor once per run into fiber-grouped layouts.
-	// Factors are bitwise identical under either.
+	// layout.Compiled (the zero value) compiles the tensor once per run
+	// into fiber-grouped layouts, layout.COO walks the coordinate
+	// arrays. Factors are bitwise identical under either.
 	Layout layout.Kind
 
 	// Solver selects the per-mode least-squares strategy: sample.Exact

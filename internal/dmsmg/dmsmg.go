@@ -46,8 +46,8 @@ type Options struct {
 	Threads int
 
 	// Layout selects the kernel representation (see internal/layout):
-	// COO (default) or Compiled. Factors are bitwise identical under
-	// either.
+	// Compiled (the zero value) or COO. Factors are bitwise identical
+	// under either.
 	Layout layout.Kind
 }
 

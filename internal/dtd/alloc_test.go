@@ -51,3 +51,37 @@ func TestIterationAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestBindSoloDefaultsToCompiledUnderSpan pins what the world-of-one
+// binding does when Options never mentions a layout: every per-mode
+// kernel is a compiled *layout.ModeLayout, and building them is
+// recorded as one plan/compile span next to plan/complement.
+func TestBindSoloDefaultsToCompiledUnderSpan(t *testing.T) {
+	full := sparseRandom([]int{12, 10, 8}, 600, 5)
+	opts := Options{Rank: 3, MaxIters: 2, Seed: 11, Obs: obs.New()}
+	prev, _, err := Init(full.Prefix([]int{9, 8, 6}), Options{Rank: 3, MaxIters: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSweep(prev, full, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := s.bindSolo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for m, k := range e.kernels {
+		if _, ok := k.(*layout.ModeLayout); !ok {
+			t.Errorf("mode %d kernel is %T, want *layout.ModeLayout", m, k)
+		}
+	}
+	spans := map[string]int64{}
+	for _, ps := range opts.Obs.Trace.Phases() {
+		spans[ps.Name] = ps.Count
+	}
+	if spans["plan/complement"] != 1 || spans["plan/compile"] != 1 {
+		t.Errorf("plan spans %v, want one plan/complement and one plan/compile", spans)
+	}
+}

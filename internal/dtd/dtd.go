@@ -49,9 +49,9 @@ type Options struct {
 	Threads int
 
 	// Layout selects the kernel representation (see internal/layout):
-	// COO (default) or Compiled, which compiles each step's complement
-	// once and amortises it over the step's sweeps. Factors are bitwise
-	// identical under either.
+	// Compiled (the zero value), which compiles each step's complement
+	// once and amortises it over the step's sweeps, or COO. Factors are
+	// bitwise identical under either.
 	Layout layout.Kind
 
 	// Solver selects the per-mode least-squares strategy: sample.Exact

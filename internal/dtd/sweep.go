@@ -260,8 +260,12 @@ func (e *Sweep) bindSolo() (*Sweep, error) {
 	n := len(e.init)
 	kernels := make([]mttkrp.Kernel, n)
 	owned := make([][]int32, n)
+	sp := e.opts.Obs.Span("plan/compile")
 	for m := range kernels {
 		kernels[m] = mttkrp.NewKernel(e.comp, m, e.opts.Layout)
+	}
+	sp.End()
+	for m := range owned {
 		owned[m] = make([]int32, e.newDims[m])
 		for i := range owned[m] {
 			owned[m][i] = int32(i)
@@ -269,7 +273,7 @@ func (e *Sweep) bindSolo() (*Sweep, error) {
 	}
 	var smp *sample.Sampler
 	if e.opts.Solver == sample.Sampled {
-		sp := e.opts.Obs.Span("plan/sample-index")
+		sp = e.opts.Obs.Span("plan/sample-index")
 		var err error
 		smp, err = sample.New(e.comp, nil, e.opts.Rank, e.opts.Samples, e.opts.Seed, 0)
 		sp.End()

@@ -66,6 +66,16 @@ func Compile(t *tensor.Tensor, mode int, entries []int32) *ModeLayout {
 	for k := 0; k < n; k++ {
 		l.Coords[k] = t.GatherCoords(nil, k, order)
 	}
+	// Size the row and fiber arrays from the counting-sort histogram,
+	// then fill them: no append below ever grows a slice.
+	rows := 0
+	for i := 0; i < t.Dims[mode]; i++ {
+		if counts[i+1] > counts[i] {
+			rows++
+		}
+	}
+	l.Rows = make([]int32, 0, rows)
+	l.RowStarts = make([]int32, 0, rows+1)
 	for i := 0; i < t.Dims[mode]; i++ {
 		if counts[i+1] > counts[i] {
 			l.Rows = append(l.Rows, int32(i))
@@ -76,18 +86,31 @@ func Compile(t *tensor.Tensor, mode int, entries []int32) *ModeLayout {
 
 	// Fiber pointers: split each row's position range where the lead
 	// coordinate changes (order-1 tensors have no lead; each row is one
-	// fiber).
-	l.RowFibers = make([]int32, 0, len(l.Rows)+1)
-	for g := 0; g < len(l.Rows); g++ {
+	// fiber). Every row opens one fiber; each lead change inside a row
+	// opens another.
+	var lead []int32
+	fibers := rows
+	if l.Lead >= 0 {
+		lead = l.Coords[l.Lead]
+		for g := 0; g < rows; g++ {
+			for p := l.RowStarts[g] + 1; p < l.RowStarts[g+1]; p++ {
+				if lead[p] != lead[p-1] {
+					fibers++
+				}
+			}
+		}
+	}
+	l.RowFibers = make([]int32, 0, rows+1)
+	l.FiberStarts = make([]int32, 0, fibers+1)
+	for g := 0; g < rows; g++ {
 		l.RowFibers = append(l.RowFibers, int32(len(l.FiberStarts)))
 		p0, p1 := l.RowStarts[g], l.RowStarts[g+1]
-		if l.Lead < 0 {
-			l.FiberStarts = append(l.FiberStarts, p0)
+		l.FiberStarts = append(l.FiberStarts, p0)
+		if lead == nil {
 			continue
 		}
-		lead := l.Coords[l.Lead]
-		for p := p0; p < p1; p++ {
-			if p == p0 || lead[p] != lead[p-1] {
+		for p := p0 + 1; p < p1; p++ {
+			if lead[p] != lead[p-1] {
 				l.FiberStarts = append(l.FiberStarts, p)
 			}
 		}

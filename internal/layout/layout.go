@@ -16,39 +16,54 @@
 // on ModeLayout.AccumulateGroups).
 package layout
 
-import "fmt"
+import (
+	"flag"
+	"fmt"
+)
 
 // Kind selects a kernel representation for MTTKRP and row-wise sweeps.
+// The zero value is Compiled, so an Options struct that leaves its
+// Layout field unset runs the production layout.
 type Kind int
 
 const (
-	// COO walks the tensor's coordinate arrays through a row-grouped
-	// entry-order indirection (the default, internal/mttkrp.ModeView).
-	COO Kind = iota
 	// Compiled walks a ModeLayout: permuted, fiber-grouped copies of
-	// the region compiled once per snapshot.
-	Compiled
+	// the region compiled once per snapshot (the default).
+	Compiled Kind = iota
+	// COO walks the tensor's coordinate arrays through a row-grouped
+	// entry-order indirection (internal/mttkrp.ModeView) — the oracle
+	// the goldens hold the compiled layout to, bit for bit.
+	COO
 )
 
 // String returns the flag spelling of the kind.
 func (k Kind) String() string {
 	switch k {
-	case COO:
-		return "coo"
 	case Compiled:
 		return "compiled"
+	case COO:
+		return "coo"
 	}
 	return fmt.Sprintf("layout.Kind(%d)", int(k))
 }
 
 // ParseKind parses a -layout flag value. The empty string is the
-// default COO representation.
+// default, Compiled.
 func ParseKind(s string) (Kind, error) {
 	switch s {
-	case "", "coo":
-		return COO, nil
-	case "compiled":
+	case "", "compiled":
 		return Compiled, nil
+	case "coo":
+		return COO, nil
 	}
-	return COO, fmt.Errorf("layout: unknown layout %q (want coo or compiled)", s)
+	return Compiled, fmt.Errorf("layout: unknown layout %q (want compiled or coo)", s)
+}
+
+// Flag defines the -layout command-line flag on fs and returns its
+// value. Every binary registers the flag through here, so the printed
+// default and help text are the kind ParseKind("") returns and cannot
+// drift from it.
+func Flag(fs *flag.FlagSet) *string {
+	return fs.String("layout", Compiled.String(),
+		fmt.Sprintf("sparse kernel representation: %v or %v; results are identical under either", Compiled, COO))
 }

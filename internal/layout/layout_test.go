@@ -1,6 +1,7 @@
 package layout_test
 
 import (
+	"flag"
 	"math"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestParseKind(t *testing.T) {
 		want layout.Kind
 		ok   bool
 	}{
-		{"", layout.COO, true},
+		{"", layout.Compiled, true},
 		{"coo", layout.COO, true},
 		{"compiled", layout.Compiled, true},
 		{"csf", 0, false},
@@ -55,6 +56,29 @@ func TestParseKind(t *testing.T) {
 	}
 	if layout.COO.String() != "coo" || layout.Compiled.String() != "compiled" {
 		t.Errorf("Kind strings %q, %q", layout.COO, layout.Compiled)
+	}
+}
+
+// TestDefaultIsCompiled pins the three spellings of "no layout chosen"
+// to the same kind: the zero Kind, the empty string, and the -layout
+// flag's default.
+func TestDefaultIsCompiled(t *testing.T) {
+	if layout.Kind(0) != layout.Compiled {
+		t.Fatalf("layout.Kind(0) = %v, want compiled", layout.Kind(0))
+	}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	v := layout.Flag(fs)
+	def := fs.Lookup("layout").DefValue
+	if *v != def || def != layout.Compiled.String() {
+		t.Fatalf("-layout default %q (value %q), want %q", def, *v, layout.Compiled)
+	}
+	empty, err1 := layout.ParseKind("")
+	parsed, err2 := layout.ParseKind(def)
+	if err1 != nil || err2 != nil || empty != parsed || parsed != layout.Compiled {
+		t.Fatalf("ParseKind(\"\") = %v, %v; ParseKind(%q) = %v, %v", empty, err1, def, parsed, err2)
+	}
+	if err := fs.Parse([]string{"-layout", "coo"}); err != nil || *v != "coo" {
+		t.Fatalf("-layout coo: value %q, err %v", *v, err)
 	}
 }
 
@@ -140,6 +164,13 @@ func TestCompileStructure(t *testing.T) {
 		for e, ok := range seen {
 			if !ok {
 				t.Fatalf("mode %d: entry %d missing from Perm", mode, e)
+			}
+		}
+		// Sized from the counting-sort histogram, not grown by append:
+		// the row and fiber arrays hold exactly what they were given.
+		for name, a := range map[string][]int32{"Rows": l.Rows, "RowStarts": l.RowStarts, "RowFibers": l.RowFibers, "FiberStarts": l.FiberStarts} {
+			if cap(a) != len(a) {
+				t.Errorf("mode %d: %s has len %d, cap %d — not sized exactly", mode, name, len(a), cap(a))
 			}
 		}
 	}

@@ -9,10 +9,11 @@ import (
 // Kernel is a pluggable representation of one mode of a tensor region,
 // grouped by output row: the contract every sweep in the repository —
 // MTTKRP accumulation and completion's per-row normal equations — runs
-// against. Two implementations exist: *ModeView (the COO walk, the
-// default) and *layout.ModeLayout (the compiled fiber-grouped layout).
-// Both group entries in the same stable order, so a given engine
-// produces bitwise-identical factors under either.
+// against. Two implementations exist: *layout.ModeLayout (the compiled
+// fiber-grouped layout, the default) and *ModeView (the COO walk, the
+// oracle the compiled layout is held to). Both group entries in the
+// same stable order, so a given engine produces bitwise-identical
+// factors under either.
 //
 // Groups are indexed 0..NumRows()-1; group g owns output row
 // GroupRow(g) and the positions GroupRange(g). Positions address
@@ -73,8 +74,8 @@ func NewKernelOf(t *tensor.Tensor, mode int, entries []int32, kind layout.Kind) 
 // CachedKernelOf is NewKernelOf backed by a layout cache: compiled
 // layouts are memoised per (tensor, mode, entry-list identity) and
 // recompiled only when the region changes — stream growth replaces the
-// tensor, elastic migration replaces the entry lists. COO views are
-// cheap enough to rebuild and bypass the cache; a nil cache compiles
+// tensor, elastic migration replaces the entry lists. COO views hold
+// no copy of the region and bypass the cache; a nil cache compiles
 // directly.
 func CachedKernelOf(c *layout.Cache, t *tensor.Tensor, mode int, entries []int32, kind layout.Kind) Kernel {
 	if kind == layout.Compiled && c != nil {

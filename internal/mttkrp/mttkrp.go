@@ -9,15 +9,18 @@
 //
 // The sweep engines run against the Kernel interface (kernel.go), a
 // pluggable representation of one mode of a region with two
-// implementations: ModeView, the row-grouped COO walk that orders
-// entries by their mode-n index so each output row is accumulated
-// locally before a single write-back, and internal/layout.ModeLayout,
-// a compiled fiber-grouped copy of the region with unit-stride loads.
-// A flat kernel that scatters each entry straight into the output also
-// remains (AccumulateInto), both as the reference the grouped kernels
-// must reproduce bit for bit and for fold-ins that accumulate onto
-// live non-zero state, where regrouping would change rounding. The
-// ablation bench in the repository root compares them.
+// implementations: internal/layout.ModeLayout, a compiled
+// fiber-grouped copy of the region with unit-stride loads — the layout
+// every engine runs unless told otherwise — and ModeView, the
+// row-grouped COO walk that orders entries by their mode-n index
+// through an entry-order indirection, kept as the oracle the goldens
+// hold the compiled layout to bit for bit (the benchmark's
+// mttkrp.compiled_ns_per_nnz / mttkrp.coo_ns_per_nnz rows time the
+// two). Neither is the flat kernel: AccumulateIntoWS scatters each
+// entry straight into the output, which is what onlinecp's fold-ins
+// need — they accumulate onto live non-zero state, where regrouping
+// would change rounding — and what Compute and the grouped kernels'
+// bitwise reference tests run.
 package mttkrp
 
 import (

@@ -43,9 +43,9 @@ type Options struct {
 	Threads int
 
 	// Layout selects the kernel representation of the initial ALS (see
-	// internal/layout): COO (default) or Compiled. Absorb's P fold-in
-	// always stays on the flat kernel — it accumulates onto live
-	// non-zero state, where regrouping would change rounding — so
+	// internal/layout): Compiled (the zero value) or COO. Absorb's P
+	// fold-in always stays on the flat kernel — it accumulates onto
+	// live non-zero state, where regrouping would change rounding — so
 	// results are bitwise identical under either.
 	Layout layout.Kind
 }

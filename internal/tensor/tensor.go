@@ -12,6 +12,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -115,15 +116,7 @@ func (t *Tensor) SliceNNZ(mode int) []int64 {
 // tensor's own dims.
 func (t *Tensor) Prefix(dims []int) *Tensor {
 	t.checkPrefixDims(dims)
-	n := t.Order()
-	b := NewBuilder(dims)
-	buf := make([]int, n)
-	for e := 0; e < t.NNZ(); e++ {
-		if t.inPrefix(e, dims) {
-			b.Append(t.Coord(e, buf), t.Vals[e])
-		}
-	}
-	return b.Build()
+	return t.filter(dims, true, dims)
 }
 
 // Complement returns the relative complement X \ X~ with respect to the
@@ -132,15 +125,40 @@ func (t *Tensor) Prefix(dims []int) *Tensor {
 // tensor's dims; its region codes (see Region) are all non-zero.
 func (t *Tensor) Complement(oldDims []int) *Tensor {
 	t.checkPrefixDims(oldDims)
+	return t.filter(oldDims, false, t.Dims)
+}
+
+// filter copies the entries whose membership in the prefix box equals
+// inside into a new tensor of the given dims, in source order. The
+// source is canonical (sorted, deduplicated, no stored zeros) and an
+// order-preserving subset of a canonical tensor is canonical, so the
+// result needs no Builder: one predicate pass marks and counts the kept
+// entries, the result is allocated once at its final size, and the copy
+// pass visits the marked entries only.
+func (t *Tensor) filter(box []int, inside bool, dims []int) *Tensor {
 	n := t.Order()
-	b := NewBuilder(t.Dims)
-	buf := make([]int, n)
+	keep := make([]uint64, (t.NNZ()+63)/64) // bit e: entry e is kept
+	nnz := 0
 	for e := 0; e < t.NNZ(); e++ {
-		if !t.inPrefix(e, oldDims) {
-			b.Append(t.Coord(e, buf), t.Vals[e])
+		if t.inPrefix(e, box) == inside {
+			keep[e>>6] |= 1 << (e & 63)
+			nnz++
 		}
 	}
-	return b.Build()
+	out := &Tensor{Dims: append([]int(nil), dims...)}
+	if nnz == 0 {
+		return out
+	}
+	out.Coords = make([]int32, 0, nnz*n)
+	out.Vals = make([]float64, 0, nnz)
+	for w, word := range keep {
+		for ; word != 0; word &= word - 1 {
+			e := w<<6 + bits.TrailingZeros64(word)
+			out.Coords = append(out.Coords, t.Coords[e*n:e*n+n]...)
+			out.Vals = append(out.Vals, t.Vals[e])
+		}
+	}
+	return out
 }
 
 func (t *Tensor) checkPrefixDims(dims []int) {

@@ -49,11 +49,12 @@ type Options struct {
 	// value — parallelism never reorders a floating-point reduction.
 	Threads int
 
-	// Layout selects the sparse-kernel representation: "coo" (or "",
-	// the default) walks the tensor's coordinate arrays in place;
-	// "compiled" compiles each snapshot region once into a mode-sorted,
-	// fiber-grouped layout that every sweep then reuses. Factors are
-	// bitwise identical under either — the layout changes memory
+	// Layout selects the sparse-kernel representation: "compiled" (or
+	// "", the default) compiles each snapshot region once into a
+	// mode-sorted, fiber-grouped layout that every sweep then reuses;
+	// "coo" walks the tensor's coordinate arrays in place — slower, kept
+	// as the reference the compiled layout is tested against. Factors
+	// are bitwise identical under either — the layout changes memory
 	// traffic, never floating-point order.
 	Layout string
 
