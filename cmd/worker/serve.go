@@ -11,15 +11,23 @@
 //	curl 'http://127.0.0.1:8080/stats'
 //
 // Writes (ingest, flush) are serialized on the stream; queries never
-// touch it. Every boundary that changes the factors publishes a cloned,
-// read-only snapshot behind an atomic pointer — epoch-swapped, so any
-// number of concurrent readers score against a consistent model while
-// the next micro-batch lands. On SIGTERM the listener stops accepting,
-// in-flight requests drain, pending events are flushed, and the final
-// checkpoint is written to -state before the process exits.
+// touch it. Every write publishes a read-only snapshot behind an atomic
+// pointer — epoch-swapped, so any number of concurrent readers score
+// against a consistent model while the next micro-batch lands. A
+// snapshot holds each factor as an immutable spine of row blocks (see
+// snapshot.go): the snapshot after an event batch shares every block
+// with its predecessor except those holding a row the batch named, so
+// publishing costs O(batch · R) plus a spine copy, not O(model); a write
+// that ran a full sweep rebuilds every block. Queries cost what they
+// ask for: /predict reads one row per mode, /topk scores the target
+// mode once and heap-selects k rows instead of sorting all of them. On
+// SIGTERM the listener stops accepting, in-flight requests drain,
+// pending events are flushed, and the final checkpoint is written to
+// -state before the process exits.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -30,7 +38,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,7 +45,6 @@ import (
 	"time"
 
 	"dismastd"
-	"dismastd/internal/mat"
 	"dismastd/internal/obs"
 )
 
@@ -52,14 +58,16 @@ type serveConfig struct {
 	ready chan<- net.Addr // tests: receives the bound address once listening
 }
 
-// factorSnapshot is one epoch's published read-only model: deep clones
-// of the factors, swapped in atomically after every write that changes
-// them. Readers load the pointer once and score against a consistent
-// model for the whole request.
+// factorSnapshot is one epoch's published read-only model, swapped in
+// atomically after every write. Readers load the pointer once and score
+// against a consistent model for the whole request. Its row blocks are
+// shared with neighbouring epochs wherever the rows are equal and are
+// never written once published; only the writer, under serveServer.mu,
+// builds the next one.
 type factorSnapshot struct {
 	epoch   int64
 	dims    []int
-	factors []*mat.Dense
+	factors []*blockFactor
 	sweeps  int // full-sweep boundaries behind this model
 	pending int // events awaiting the next sweep when published
 }
@@ -71,6 +79,10 @@ type serveServer struct {
 	stream *dismastd.Stream
 	snap   atomic.Pointer[factorSnapshot]
 	epoch  atomic.Int64
+	// unpublished is set when a write failed after it may have changed
+	// factor rows; the next publish then rebuilds every block. Guarded
+	// by mu.
+	unpublished bool
 
 	events  atomic.Int64
 	queries atomic.Int64
@@ -79,27 +91,42 @@ type serveServer struct {
 
 func newServeServer(stream *dismastd.Stream, log *slog.Logger) *serveServer {
 	s := &serveServer{stream: stream, log: log}
-	s.publishLocked() // a resumed stream has a model to serve immediately
+	s.publishLocked(nil, true) // a resumed stream has a model to serve immediately
 	return s
 }
 
-// publishLocked clones the live factors into a fresh snapshot and swaps
-// it in. Callers must hold s.mu. Before the first data it is a no-op —
-// queries answer 503 until the first flush initialises the model.
-func (s *serveServer) publishLocked() {
+// publishLocked swaps in the snapshot of the live factors that follows
+// a write. batch is what the write applied since the previous publish:
+// an IngestEvents call that did not sweep changes only the rows its own
+// coordinates name (and appends growth rows), so only their blocks are
+// copied and the rest are shared with the previous snapshot. swept
+// marks a write that ran a full sweep, which moves every row: all
+// blocks are rebuilt. Callers must hold s.mu. Before the first data it
+// is a no-op — queries answer 503 until the first flush initialises the
+// model.
+func (s *serveServer) publishLocked(batch []dismastd.Event, swept bool) {
 	factors := s.stream.Factors()
 	if factors == nil {
 		return
 	}
+	prev := s.snap.Load()
+	if swept || s.unpublished {
+		prev = nil
+	}
+	s.unpublished = false
 	snap := &factorSnapshot{
 		epoch:   s.epoch.Add(1),
 		dims:    append([]int(nil), s.stream.Dims()...),
-		factors: make([]*mat.Dense, len(factors)),
+		factors: make([]*blockFactor, len(factors)),
 		sweeps:  s.stream.Snapshots(),
 		pending: s.stream.Pending(),
 	}
 	for m, f := range factors {
-		snap.factors[m] = f.Clone()
+		var old *blockFactor
+		if prev != nil {
+			old = prev.factors[m]
+		}
+		snap.factors[m], _ = publishFactor(old, f, batch, m)
 	}
 	s.snap.Store(snap)
 }
@@ -153,11 +180,12 @@ func (s *serveServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	rep, err := s.stream.IngestEvents(events)
 	if err != nil {
+		s.unpublished = true
 		s.mu.Unlock()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.publishLocked()
+	s.publishLocked(events, rep.Sweep != nil)
 	resp := ingestResponse{
 		Events:      rep.Events,
 		RowsUpdated: rep.RowsUpdated,
@@ -183,11 +211,12 @@ func (s *serveServer) handleFlush(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	rep, err := s.stream.Flush()
 	if err != nil {
+		s.unpublished = true
 		s.mu.Unlock()
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	s.publishLocked()
+	s.publishLocked(nil, rep != nil)
 	epoch := s.epoch.Load()
 	s.mu.Unlock()
 	out := map[string]any{"swept": rep != nil, "epoch": epoch}
@@ -240,13 +269,7 @@ func (s *serveServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.queries.Add(1)
-	writeJSON(w, map[string]any{"epoch": snap.epoch, "at": idx, "value": dismastd.Predict(snap.factors, idx)})
-}
-
-// topKResult is one scored row of the target mode.
-type topKResult struct {
-	Index int     `json:"index"`
-	Score float64 `json:"score"`
+	writeJSON(w, map[string]any{"epoch": snap.epoch, "at": idx, "value": snap.predict(idx)})
 }
 
 func (s *serveServer) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -272,43 +295,9 @@ func (s *serveServer) handleTopK(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Collapse the fixed modes into one rank-length weight vector, then
-	// score every row of the target mode with a single dot product.
-	rank := snap.factors[0].Cols
-	weights := make([]float64, rank)
-	for c := range weights {
-		weights[c] = 1
-	}
-	for m, f := range snap.factors {
-		if m == mode {
-			continue
-		}
-		row := f.Row(idx[m])
-		for c := range weights {
-			weights[c] *= row[c]
-		}
-	}
-	target := snap.factors[mode]
-	results := make([]topKResult, target.Rows)
-	for i := 0; i < target.Rows; i++ {
-		row := target.Row(i)
-		score := 0.0
-		for c, wc := range weights {
-			score += wc * row[c]
-		}
-		results[i] = topKResult{Index: i, Score: score}
-	}
-	sort.Slice(results, func(a, b int) bool {
-		if results[a].Score != results[b].Score {
-			return results[a].Score > results[b].Score
-		}
-		return results[a].Index < results[b].Index
-	})
-	if k > len(results) {
-		k = len(results)
-	}
+	results := selectTopK(snap.factors[mode], snap.topKWeights(mode, idx), k)
 	s.queries.Add(1)
-	writeJSON(w, map[string]any{"epoch": snap.epoch, "mode": mode, "results": results[:k]})
+	writeJSON(w, map[string]any{"epoch": snap.epoch, "mode": mode, "results": results})
 }
 
 func (s *serveServer) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -325,9 +314,18 @@ func (s *serveServer) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
+// writeJSON encodes v before it commits to a status: encoding/json
+// refuses NaN and ±Inf, and a model that holds one must answer 500, not
+// 200 with an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		http.Error(w, "response not encodable: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Write(buf.Bytes())
 }
 
 // saveStreamCheckpoint writes the stream's checkpoint with a temp-file

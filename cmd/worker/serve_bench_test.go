@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"dismastd"
-	"dismastd/internal/obs"
 )
 
 // BenchmarkServe measures the serving front end under concurrent load:
@@ -36,7 +34,7 @@ const benchBatch = 256
 
 func benchServe(b *testing.B, clients int) {
 	opts := dismastd.Options{Rank: 8, MaxIters: 3, Seed: 1, SweepEvery: 1 << 14}
-	srv := newServeServer(dismastd.NewStream(opts), obs.NewLogger(io.Discard, slog.LevelError))
+	srv := quietServer(dismastd.NewStream(opts))
 	ts := httptest.NewServer(srv.mux())
 	defer ts.Close()
 

@@ -246,11 +246,14 @@ func TestServeQueryErrors(t *testing.T) {
 		url  string
 		want int
 	}{
-		{"/predict?at=1,2", http.StatusBadRequest},         // wrong order
-		{"/predict?at=99,0,0", http.StatusBadRequest},      // out of range
-		{"/predict?at=a,0,0", http.StatusBadRequest},       // not a number
-		{"/topk?mode=7&at=0,_,0", http.StatusBadRequest},   // bad mode
+		{"/predict?at=1,2", http.StatusBadRequest},       // wrong order
+		{"/predict?at=99,0,0", http.StatusBadRequest},    // out of range
+		{"/predict?at=a,0,0", http.StatusBadRequest},     // not a number
+		{"/topk?mode=7&at=0,_,0", http.StatusBadRequest}, // bad mode
 		{"/topk?mode=1&at=0,_,0&k=0", http.StatusBadRequest},
+		{"/topk?mode=1&at=0,_,0&k=-3", http.StatusBadRequest},
+		{"/topk?mode=1&at=0,_,0&k=2.5", http.StatusBadRequest},
+		{"/topk?mode=1&at=0,_,0&k=2147483647", http.StatusOK}, // clamped to the mode's rows
 		{"/predict?at=0,0,0", http.StatusOK},
 	} {
 		if code := getJSON(t, base+tc.url, nil); code != tc.want {

@@ -29,8 +29,9 @@ import (
 // bulk path's bitwise-exact result and re-anchors the updater (Reset).
 //
 // All scratch is allocated in NewUpdater and retained across calls, so
-// a warmed Apply performs zero heap allocations (Grow allocates — mode
-// growth is not steady state). The row loop is deliberately sequential:
+// a warmed Apply performs zero heap allocations (Grow allocates, but
+// appends into spare row capacity so its cost is amortised O(new rows),
+// not O(factor)). The row loop is deliberately sequential:
 // rows are solved in ascending order and Gram maintenance folds each
 // row in as it lands, which keeps the result bitwise deterministic for
 // a given event sequence at any thread count upstream.
@@ -44,6 +45,12 @@ type Updater struct {
 	cross      []*mat.Dense // Ã_nᵀ A_n^(0), maintained per row
 	delta      *layout.Delta
 	src        *xrand.Source
+	// grown[m] is the live factor of mode m if Grow allocated it, with
+	// spare row capacity behind it, and it is still in place. Grow
+	// appends in place only into storage it allocated itself: a factor
+	// handed in by Reset may be a view whose capacity belongs to someone
+	// else.
+	grown []*mat.Dense
 
 	ws *mat.Workspace
 	denoms
@@ -72,6 +79,7 @@ func NewUpdater(st *State, o Options) (*Updater, error) {
 		gram0:  make([]*mat.Dense, n),
 		gram1:  make([]*mat.Dense, n),
 		cross:  make([]*mat.Dense, n),
+		grown:  make([]*mat.Dense, n),
 		src:    xrand.New(opts.Seed),
 		ws:     mat.NewWorkspace(),
 		denoms: newDenoms(r),
@@ -107,6 +115,9 @@ func (u *Updater) Reset(st *State) {
 		} else {
 			u.tilde[m] = f.Clone()
 		}
+		if f != u.grown[m] {
+			u.grown[m] = nil // replaced by the sweep: let the old storage go
+		}
 		mat.GramInto(u.gram0[m], f)
 		u.gram1[m].Zero()
 		u.cross[m].CopyFrom(u.gram0[m])
@@ -128,7 +139,10 @@ func (u *Updater) Reset(st *State) {
 // Grow extends the live mode sizes for out-of-range events — the
 // multi-aspect case. New rows join the growth block: they are
 // initialised like a sweep's growth rows (uniform random) and folded
-// into gram1 so the next Apply's denominators see them.
+// into gram1 so the next Apply's denominators see them. The first
+// growth of a factor reallocates it with room for an eighth more rows;
+// later ones append into that room, so a stream that grows a row at a
+// time does not copy the factor per event.
 func (u *Updater) Grow(dims []int) error {
 	if len(dims) != len(u.live.Dims) {
 		return fmt.Errorf("%w: order %d vs %d", ErrDimsMismatch, len(dims), len(u.live.Dims))
@@ -144,7 +158,8 @@ func (u *Updater) Grow(dims []int) error {
 			continue
 		}
 		growth := mat.RandomUniform(d-old, u.opts.Rank, u.src)
-		u.live.Factors[m] = mat.StackRows(u.live.Factors[m], growth)
+		u.grown[m] = appendRows(u.live.Factors[m], growth, u.live.Factors[m] == u.grown[m])
+		u.live.Factors[m] = u.grown[m]
 		for i := 0; i < growth.Rows; i++ {
 			row := growth.Row(i)
 			addOuter(u.gram1[m], row, row, 1)
@@ -153,6 +168,21 @@ func (u *Updater) Grow(dims []int) error {
 	}
 	u.delta.Grow(dims)
 	return nil
+}
+
+// appendRows returns [A; B] like mat.StackRows. With inPlace set — the
+// caller allocated a's storage here — rows that fit a's spare capacity
+// are appended without copying a; otherwise the result is a fresh
+// allocation with spare capacity for an eighth more rows, which bounds
+// the slack a growing factor can hold.
+func appendRows(a, b *mat.Dense, inPlace bool) *mat.Dense {
+	rows := a.Rows + b.Rows
+	data := a.Data
+	if !inPlace || cap(data) < rows*a.Cols {
+		data = make([]float64, len(a.Data), (rows+rows/8)*a.Cols)
+		copy(data, a.Data)
+	}
+	return mat.NewFrom(rows, a.Cols, append(data, b.Data...))
 }
 
 // Pending returns the number of entries accumulated since the last

@@ -220,6 +220,57 @@ func TestUpdaterGrowRejectsShrink(t *testing.T) {
 	}
 }
 
+// TestUpdaterGrowAppendsInPlace grows one mode a row at a time — the
+// serving workload's pattern. The factor must stay bitwise what
+// stacking the same random rows gives, be reallocated a handful of
+// times rather than once per row, and never hold more than an eighth
+// of its rows as slack.
+func TestUpdaterGrowAppendsInPlace(t *testing.T) {
+	opts := Options{Rank: 3, MaxIters: 2, Seed: 9}
+	u, st := anchoredUpdater(t, []int{400, 5, 4}, opts)
+	ref := st.Factors[0].Clone()
+	src := xrand.New(opts.Seed)
+	reallocs := 0
+	for step := 1; step <= 100; step++ {
+		before := &st.Factors[0].Data[0]
+		if err := u.Grow([]int{400 + step, 5, 4}); err != nil {
+			t.Fatal(err)
+		}
+		f := st.Factors[0]
+		if &f.Data[0] != before {
+			reallocs++
+		}
+		if spare := cap(f.Data)/f.Cols - f.Rows; spare > f.Rows/8 {
+			t.Fatalf("step %d: %d spare rows behind %d", step, spare, f.Rows)
+		}
+		ref = mat.StackRows(ref, mat.RandomUniform(1, opts.Rank, src))
+		if f.Rows != ref.Rows || mat.MaxAbsDiff(f, ref) != 0 {
+			t.Fatalf("step %d: grown factor differs from the stacked reference", step)
+		}
+	}
+	if reallocs > 3 {
+		t.Fatalf("100 one-row growths reallocated the factor %d times", reallocs)
+	}
+}
+
+// TestUpdaterGrowLeavesForeignCapacityAlone: a live factor that is a
+// view into a larger array has capacity Grow did not allocate; growth
+// must copy out of it, not append over the owner's data.
+func TestUpdaterGrowLeavesForeignCapacityAlone(t *testing.T) {
+	u, st := anchoredUpdater(t, []int{6, 5, 4}, Options{Rank: 2, MaxIters: 2, Seed: 3})
+	owner := mat.New(8, 2)
+	copy(owner.Data, st.Factors[0].Data)
+	owner.Row(6)[0], owner.Row(7)[1] = -1, -2
+	st.Factors[0] = owner.SliceRows(0, 6)
+	u.Reset(st)
+	if err := u.Grow([]int{7, 5, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if owner.Row(6)[0] != -1 || owner.Row(7)[1] != -2 {
+		t.Fatalf("Grow wrote into capacity it does not own: %v", owner.Data[12:])
+	}
+}
+
 // TestUpdaterLargeReverseOrderedBatch feeds one batch of 1e5 events
 // whose mode-0 coordinates arrive strictly descending — the worst case
 // for the hand-rolled insertion sort Apply used to run under the

@@ -209,6 +209,82 @@ func TestEventsGrowDims(t *testing.T) {
 	s.Predict([]int{9, 7, 4}) // must not panic on the grown region
 }
 
+// TestEventBatchChangesOnlyNamedRows pins the contract incremental
+// consumers of Factors (the serving front end's copy-on-write
+// snapshots) rely on: an IngestEvents call that did not sweep leaves
+// every factor row bitwise unchanged unless the batch names it in that
+// mode or the call appended it. Random batches, some growing one or
+// all modes, with sweeps firing in between.
+func TestEventBatchChangesOnlyNamedRows(t *testing.T) {
+	first, _ := growingRatings(t)
+	for _, workers := range []int{1, 3} {
+		s := dismastd.NewStream(dismastd.Options{Rank: 3, MaxIters: 4, Seed: 6, Workers: workers, SweepEvery: 40})
+		if _, err := s.Ingest(first); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(77))
+		var sweeps, growths, changed int
+		for step := 0; step < 150; step++ {
+			dims := append([]int(nil), s.Dims()...)
+			before := make([][]float64, len(dims))
+			for m, f := range s.Factors() {
+				before[m] = append([]float64(nil), f.Data...)
+			}
+			batch := make([]dismastd.Event, 1+rng.Intn(5))
+			for e := range batch {
+				coords := make([]int, len(dims))
+				for m, d := range dims {
+					coords[m] = rng.Intn(d)
+				}
+				batch[e] = dismastd.Event{Coords: coords, Value: 1 + 4*rng.Float64()}
+			}
+			switch rng.Intn(6) {
+			case 0: // grow one mode
+				m := rng.Intn(len(dims))
+				batch[len(batch)-1].Coords[m] = dims[m] + rng.Intn(2)
+			case 1: // grow every mode
+				for m, d := range dims {
+					batch[0].Coords[m] = d
+				}
+			}
+			rep, err := s.IngestEvents(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Sweep != nil {
+				sweeps++
+				continue
+			}
+			if rep.Grew {
+				growths++
+			}
+			for m, f := range s.Factors() {
+				if f.Rows < dims[m] {
+					t.Fatalf("step %d: mode %d shrank %d -> %d", step, m, dims[m], f.Rows)
+				}
+				named := map[int]bool{}
+				for _, ev := range batch {
+					named[ev.Coords[m]] = true
+				}
+				for i := 0; i < dims[m]; i++ {
+					for c, v := range f.Row(i) {
+						if math.Float64bits(v) == math.Float64bits(before[m][i*f.Cols+c]) {
+							continue
+						}
+						if !named[i] {
+							t.Fatalf("workers=%d step %d: mode %d row %d changed but the batch does not name it", workers, step, m, i)
+						}
+						changed++
+					}
+				}
+			}
+		}
+		if sweeps == 0 || growths == 0 || changed == 0 {
+			t.Fatalf("workers=%d: vacuous run: %d sweeps, %d growths, %d changed elements", workers, sweeps, growths, changed)
+		}
+	}
+}
+
 // TestSweepEveryAutoFlush: the drift backstop fires on its own once
 // the pending region reaches the threshold.
 func TestSweepEveryAutoFlush(t *testing.T) {
