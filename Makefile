@@ -40,7 +40,9 @@ check: vet test race
 # Go Benchmark* functions remain for ad-hoc `go test -bench` runs.
 
 # CPU and heap profiles of the distributed step on the in-process
-# cluster; inspect with `$(GO) tool pprof cpu.prof`.
+# cluster — a Book-shaped, dims-dominated growth step at MTP on two
+# workers, the regime of the dist_* workloads; inspect with
+# `$(GO) tool pprof cpu.prof`.
 profile:
 	$(GO) test -bench=BenchmarkStepLocal -benchtime=5x -run '^$$' \
 		-cpuprofile cpu.prof -memprofile mem.prof ./internal/core/

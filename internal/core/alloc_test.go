@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dismastd/internal/cluster"
+	"dismastd/internal/dataset"
 	"dismastd/internal/dtd"
 	"dismastd/internal/layout"
 	"dismastd/internal/partition"
@@ -146,17 +147,23 @@ func TestBindDefaultsToCompiledUnderSpan(t *testing.T) {
 // BenchmarkStepLocal measures one full distributed streaming step on
 // the in-process cluster — compute plus Local-transport collectives —
 // so -benchmem shows how much of the remaining allocation is transport.
+// The step is Book-shaped (the dims-dominated regime `make profile`
+// exists to show): a 75 % → 80 % growth step in which the complement
+// names a small minority of the owned rows, at MTP on two workers.
 func BenchmarkStepLocal(b *testing.B) {
-	full := sparseRandom([]int{40, 30, 20}, 5000, 5)
-	prevSnap := full.Prefix([]int{32, 24, 16})
-	opts := Options{Rank: 8, MaxIters: 3, Mu: 0.7, Seed: 11, Workers: 2, Method: partition.GTPMethod}
-	prev, _, err := dtd.Init(prevSnap, dtd.Options{Rank: opts.Rank, MaxIters: 5, Mu: opts.Mu, Seed: opts.Seed})
+	seq, err := dataset.Stream(dataset.Preset(dataset.Book, 100_000, 5).Generate(), []float64{0.75, 0.80, 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := seq.Snapshot(1)
+	opts := Options{Rank: 8, MaxIters: 10, Tol: 1e-300, Mu: 0.7, Seed: 11, Workers: 2, Method: partition.MTPMethod}
+	prev, _, err := dtd.Init(seq.Snapshot(0), dtd.Options{Rank: opts.Rank, MaxIters: 5, Mu: opts.Mu, Seed: opts.Seed})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Step(prev, full, opts); err != nil {
+		if _, _, err := Step(prev, snap, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -457,7 +457,9 @@ func (j *StepJob) RunWorker(w *cluster.Worker) error {
 	j.algo[me] = w.MetricsSnapshot()
 	j.mu.Unlock()
 
+	sp := w.Obs().Span("gather")
 	result, err := j.gatherFactors(w, eng.Factors())
+	sp.End()
 	if err != nil {
 		return err
 	}

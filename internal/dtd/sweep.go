@@ -70,11 +70,16 @@ type Sweep struct {
 
 	full    []*mat.Dense // this rank's factor replicas, updated in place
 	kernels []mttkrp.Kernel
-	owned   [][]int32 // per-mode owned rows, in the binder's order
-	// owned split at the old mode sizes: old rows take the A^(0) rule,
-	// growth rows the A^(1) rule.
-	ownedOld, ownedNew [][]int32
-	comm               Comm
+	// The rank's owned rows, split twice in Bind. live rows — the ones a
+	// complement entry names — are solved and Grammed every sweep, in the
+	// binder's order; liveOld/liveNew split them at the old mode sizes:
+	// old rows take the A^(0) rule, growth rows the A^(1) rule. The rest
+	// are quiet: Eq. (5) maps them without looking at them (see
+	// quietRows), so a sweep never walks them.
+	live             [][]int32
+	liveOld, liveNew [][]int32
+	quiet            []quietRows
+	comm             Comm
 
 	// Replicated R×R Gram state. Each mode's three blocks are views into
 	// one 3R² buffer, so the partials are computed, reduced and kept in
@@ -82,6 +87,7 @@ type Sweep struct {
 	gbuf                [][]float64
 	gram0, gram1, cross []*mat.Dense
 	gtask               gramPartialsTask
+	mtask               materializeTask
 
 	denoms
 	mbuf  []*mat.Dense // per-mode MTTKRP buffers
@@ -105,11 +111,40 @@ type Sweep struct {
 
 	// Instrumentation, resolved in Bind so sweeps never build strings.
 	// obs, and with it every handle, may be nil.
-	obs     *obs.Obs
-	names   []sweepNames
-	cMttkrp *obs.Counter // mttkrp.rows: entries accumulated
-	cSolve  *obs.Counter // solve.rows: factor rows updated
+	obs       *obs.Obs
+	names     []sweepNames
+	cMttkrp   *obs.Counter // mttkrp.rows: entries accumulated
+	cSolve    *obs.Counter // solve.rows: factor rows solved, live rows per sweep
+	cImplicit *obs.Counter // solve.rows.implicit: quiet rows written out, once per Run
 }
+
+// quietRows is one mode's owned rows no complement entry names. Their
+// MTTKRP rows are identically zero, which makes Eq. (5) a fixed map of
+// data the sweeps never change: an old row solves to
+//
+//	A⁽⁰⁾[i] = (μ·Ã[i]·H + 0)·D₀⁻¹ = Ã[i]·T,   T = μ·H·D₀⁻¹ (R×R),
+//
+// reading Ã and never the row's previous value, and a growth row solves
+// to exactly +0. So from a mode's first solve on the rows are implicit:
+// the solve produces T next to the live rows (same factor of D₀), the
+// rows' share of the mode's Gram batch follows from T and one
+// precomputed G̃q in O(R³), and full keeps whatever it held until
+// materialize writes Ã[i]·T out when Run returns. A mode whose
+// complement touches every row has no quietRows state at all.
+type quietRows struct {
+	old, grown []int32 // below / at or above the old mode size, in the binder's order
+
+	gq *mat.Dense // G̃q = Σ_old Ã[i]ᵀÃ[i]
+	t  *mat.Dense // T of the mode's last solve
+	// The rows' share of the mode's Gram batch, laid out like gbuf and
+	// added to it before every all-reduce: what full holds while the mode
+	// is explicit, T-derived (and no growth share) once it is implicit.
+	part          []float64
+	g0, g1, cross *mat.Dense
+	implicit      bool
+}
+
+func (q *quietRows) any() bool { return len(q.old)+len(q.grown) > 0 }
 
 // sweepNames are one mode's span names. The Comm names the third phase:
 // "gram" when the refresh is local, "allreduce" when it is a
@@ -145,6 +180,7 @@ func NewSweep(prev *State, snapshot *tensor.Tensor, o Options) (*Sweep, error) {
 	comp := snapshot.Complement(prev.Dims)
 	sp.End()
 
+	sp = opts.Obs.Span("plan/init")
 	n := snapshot.Order()
 	src := xrand.New(opts.Seed)
 	init := make([]*mat.Dense, n)
@@ -154,6 +190,7 @@ func NewSweep(prev *State, snapshot *tensor.Tensor, o Options) (*Sweep, error) {
 		init[m] = mat.StackRows(prev.Factors[m], growth)
 		gramsTilde[m] = mat.Gram(prev.Factors[m])
 	}
+	sp.End()
 	return &Sweep{step: step{
 		opts:       opts,
 		prev:       prev,
@@ -186,7 +223,27 @@ func (e *Sweep) InitialFactors() []*mat.Dense {
 // leverage-score sampler, nil under the exact solver. A nil comm is the
 // world of one. o receives the rank's spans and counters and may be
 // nil. Close the engine when done.
+//
+// The rows a sweep visits are the ones the kernels name: an owned row
+// in none of its mode's kernel groups is quiet (see quietRows). The
+// sampled solver names every row — its leverage scores read all of them
+// after every solve.
 func (e *Sweep) Bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]int32, smp *sample.Sampler, comm Comm, o *obs.Obs) *Sweep {
+	named := make([][]bool, len(kernels))
+	if smp == nil {
+		for m, k := range kernels {
+			named[m] = make([]bool, k.ModeSize())
+			for g := 0; g < k.NumRows(); g++ {
+				named[m][k.GroupRow(g)] = true
+			}
+		}
+	}
+	return e.bind(factors, kernels, owned, named, smp, comm, o)
+}
+
+// bind is Bind with the live rows as data: named[m][i] reports whether
+// row i of mode m is live, a nil named[m] that every row is.
+func (e *Sweep) bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]int32, named [][]bool, smp *sample.Sampler, comm Comm, o *obs.Obs) *Sweep {
 	n := len(e.init)
 	r := e.opts.Rank
 	gramPhase, exchangePhase := "mode%d/allreduce", "mode%d/exchange"
@@ -195,31 +252,34 @@ func (e *Sweep) Bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]in
 		gramPhase, exchangePhase = "mode%d/gram", ""
 	}
 	b := &Sweep{
-		step:     e.step,
-		full:     factors,
-		kernels:  kernels,
-		owned:    owned,
-		ownedOld: make([][]int32, n),
-		ownedNew: make([][]int32, n),
-		comm:     comm,
-		gbuf:     make([][]float64, n),
-		gram0:    make([]*mat.Dense, n),
-		gram1:    make([]*mat.Dense, n),
-		cross:    make([]*mat.Dense, n),
-		denoms:   newDenoms(r),
-		mbuf:     make([]*mat.Dense, n),
-		fullG:    make([]*mat.Dense, n),
-		h:        mat.New(r, r),
-		smp:      smp,
-		ws:       mat.NewWorkspace(),
-		pool:     par.New(e.opts.Threads),
-		trace:    make([]float64, 0, e.opts.MaxIters),
-		obs:      o,
-		names:    make([]sweepNames, n),
-		cMttkrp:  o.Counter("mttkrp.rows"),
-		cSolve:   o.Counter("solve.rows"),
+		step:      e.step,
+		full:      factors,
+		kernels:   kernels,
+		live:      make([][]int32, n),
+		liveOld:   make([][]int32, n),
+		liveNew:   make([][]int32, n),
+		quiet:     make([]quietRows, n),
+		comm:      comm,
+		gbuf:      make([][]float64, n),
+		gram0:     make([]*mat.Dense, n),
+		gram1:     make([]*mat.Dense, n),
+		cross:     make([]*mat.Dense, n),
+		denoms:    newDenoms(r),
+		mbuf:      make([]*mat.Dense, n),
+		fullG:     make([]*mat.Dense, n),
+		h:         mat.New(r, r),
+		smp:       smp,
+		ws:        mat.NewWorkspace(),
+		pool:      par.New(e.opts.Threads),
+		trace:     make([]float64, 0, e.opts.MaxIters),
+		obs:       o,
+		names:     make([]sweepNames, n),
+		cMttkrp:   o.Counter("mttkrp.rows"),
+		cSolve:    o.Counter("solve.rows"),
+		cImplicit: o.Counter("solve.rows.implicit"),
 	}
 	b.gtask.e = b
+	b.mtask.e = b
 	b.wss = mat.NewWorkspaceSet(b.pool.Threads())
 	b.pk = mat.NewParKernels(b.pool, b.wss)
 	b.pacc = mttkrp.NewParAccumulator(b.pool, b.wss, o)
@@ -227,18 +287,29 @@ func (e *Sweep) Bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]in
 		b.gs = mat.New(r, r)
 	}
 	for m := 0; m < n; m++ {
-		b.gbuf[m] = make([]float64, 3*r*r)
-		b.gram0[m] = mat.NewFrom(r, r, b.gbuf[m][:r*r])
-		b.gram1[m] = mat.NewFrom(r, r, b.gbuf[m][r*r:2*r*r])
-		b.cross[m] = mat.NewFrom(r, r, b.gbuf[m][2*r*r:])
+		b.gbuf[m], b.gram0[m], b.gram1[m], b.cross[m] = newGramBatch(r)
 		b.mbuf[m] = mat.New(factors[m].Rows, r)
 		b.fullG[m] = mat.New(r, r)
+		q := &b.quiet[m]
 		for _, row := range owned[m] {
-			if int(row) < e.prev.Dims[m] {
-				b.ownedOld[m] = append(b.ownedOld[m], row)
-			} else {
-				b.ownedNew[m] = append(b.ownedNew[m], row)
+			old := int(row) < e.prev.Dims[m]
+			quiet := named[m] != nil && !named[m][row]
+			switch {
+			case quiet && old:
+				q.old = append(q.old, row)
+			case quiet:
+				q.grown = append(q.grown, row)
+			case old:
+				b.live[m] = append(b.live[m], row)
+				b.liveOld[m] = append(b.liveOld[m], row)
+			default:
+				b.live[m] = append(b.live[m], row)
+				b.liveNew[m] = append(b.liveNew[m], row)
 			}
+		}
+		if q.any() {
+			q.gq, q.t = mat.New(r, r), mat.New(r, r)
+			q.part, q.g0, q.g1, q.cross = newGramBatch(r)
 		}
 		b.names[m] = sweepNames{
 			mttkrp: fmt.Sprintf("mode%d/mttkrp", m),
@@ -251,6 +322,13 @@ func (e *Sweep) Bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]in
 		}
 	}
 	return b
+}
+
+// newGramBatch returns one mode's 3R² Gram batch and its three R×R
+// blocks as views into it: A⁽⁰⁾ᵀA⁽⁰⁾, A⁽¹⁾ᵀA⁽¹⁾, ÃᵀA⁽⁰⁾.
+func newGramBatch(r int) (buf []float64, g0, g1, cross *mat.Dense) {
+	buf = make([]float64, 3*r*r)
+	return buf, mat.NewFrom(r, r, buf[:r*r]), mat.NewFrom(r, r, buf[r*r:2*r*r]), mat.NewFrom(r, r, buf[2*r*r:])
 }
 
 // bindSolo binds the world of one: every row owned, kernels over the
@@ -301,10 +379,19 @@ func (e *Sweep) Work() float64 { return e.work }
 // and then sweeps until MaxIters or until the relative loss change
 // falls below Tol. before, when non-nil, runs ahead of each sweep and
 // aborts the run by returning an error (the elastic driver's scripted
-// crashes). A Comm error aborts the run likewise, leaving the factors
+// crashes). A Comm error aborts the run likewise, leaving the live rows
 // at an arbitrary point of the sweep; a rebound engine restarts warm.
+//
+// Every mode starts explicit — the Gram state is taken from what the
+// factors hold, quiet rows included, which is what makes a warm start
+// from any factors correct — and turns implicit at its first solve.
+// However Run returns, the quiet rows of every implicit mode are
+// written out first, so Factors never shows a caller anything but
+// ordinary rows: Ã[i]·T of the mode's last completed solve.
 func (e *Sweep) Run(before func(sweep int) error) error {
+	defer e.materialize()
 	for m := range e.full {
+		e.quietPass(m)
 		if err := e.reduceGrams(m); err != nil {
 			return err
 		}
@@ -395,7 +482,9 @@ func (e *Sweep) sweep(iter int) (float64, error) {
 // mttkrp fills the mode's buffer with the MTTKRP of this rank's
 // entries, recording it as the loss's reusable lastM. (The grouped
 // kernels reproduce the flat scatter bit for bit: each output row
-// starts at +0 and its entries accumulate in entry-list order.) Under
+// starts at +0 and its entries accumulate in entry-list order — only
+// live rows are ever written, so only they are re-zeroed; quiet rows
+// stay +0 from allocation.) Under
 // the sampled solver the buffer holds the sketched M̂ instead and gs the
 // sketched Khatri-Rao Gram Ĝ, so the reuse-based loss — and the Tol
 // stop it drives — is an unbiased estimate; LossAgainst gives the exact
@@ -410,7 +499,9 @@ func (e *Sweep) mttkrp(mode int) {
 		e.work += float64(e.smp.Samples()+matched) * cost
 		e.cMttkrp.Add(int64(matched))
 	} else {
-		M.Zero()
+		for _, s := range e.live[mode] {
+			zeroRow(M.Row(int(s)))
+		}
 		e.pacc.Accumulate(M, e.kernels[mode], e.full, e.names[mode].chunk)
 		nnz := e.kernels[mode].NNZ()
 		e.work += float64(nnz) * cost
@@ -428,24 +519,35 @@ func (e *Sweep) refreshDist(m int) {
 	e.smp.Refresh(m, e.full[m], e.sum)
 }
 
-// updateOwnedRows applies the Eq. (5) row-wise updates to the rows this
-// rank owns in the given mode, in place, with all block scratch taken
-// from the workspace.
+// updateOwnedRows applies the Eq. (5) row-wise updates to the live rows
+// this rank owns in the given mode, in place, with all block scratch
+// taken from the workspace, and turns the mode's quiet rows implicit.
 func (e *Sweep) updateOwnedRows(mode int) {
 	factor := e.full[mode]
 	M := e.mbuf[mode]
 	tilde := e.prev.Factors[mode]
 	r := factor.Cols
-	oldRows, newRows := e.ownedOld[mode], e.ownedNew[mode]
+	oldRows, newRows := e.liveOld[mode], e.liveNew[mode]
+	q := &e.quiet[mode]
+	// T = μ·H·D₀⁻¹ rides the old block as R extra rows — identity rows
+	// of the Ã block, no MTTKRP row — so quiet and live rows are solved
+	// against one ridge-Cholesky factor of D₀ by construction.
+	nT := 0
+	if len(q.old) > 0 {
+		nT = r
+	}
 
 	mark := e.ws.Mark()
-	if len(oldRows) > 0 {
+	if nOld := len(oldRows); nOld+nT > 0 {
 		// Numerator block: μ·Ã[rows]·Hprod + M[rows], solved in place.
-		tblock := e.ws.Take(len(oldRows), r)
+		tblock := e.ws.Take(nOld+nT, r)
 		for i, s := range oldRows {
 			copy(tblock.Row(i), tilde.Row(int(s)))
 		}
-		num := e.ws.Take(len(oldRows), r)
+		for i := 0; i < nT; i++ {
+			tblock.Set(nOld+i, i, 1)
+		}
+		num := e.ws.Take(nOld+nT, r)
 		e.pk.MulInto(num, tblock, e.hprod)
 		num.Scale(e.opts.Mu, num)
 		for i, s := range oldRows {
@@ -459,6 +561,14 @@ func (e *Sweep) updateOwnedRows(mode int) {
 		for i, s := range oldRows {
 			copy(factor.Row(int(s)), num.Row(i))
 		}
+		if nT > 0 {
+			// The quiet rows' Gram share under the new T:
+			// ÃᵀA⁰ = G̃q·T and A⁰ᵀA⁰ = Tᵀ·G̃q·T.
+			copy(q.t.Data, num.Data[nOld*r:])
+			mat.MulRowsInto(q.cross, q.gq, q.t, 0, r)
+			q.g0.Zero()
+			mat.AccumulateCrossGramRows(q.g0, q.t, q.cross, 0, r)
+		}
 	}
 	if len(newRows) > 0 {
 		num := e.ws.Take(len(newRows), r)
@@ -471,49 +581,148 @@ func (e *Sweep) updateOwnedRows(mode int) {
 		}
 	}
 	e.ws.Release(mark)
+	if q.any() && !q.implicit {
+		// A growth row with no entry solves to exactly +0 (a zero
+		// numerator through a positive-diagonal factor): written once,
+		// after which it has no Gram share and is never visited again.
+		for _, s := range q.grown {
+			zeroRow(factor.Row(int(s)))
+		}
+		q.g1.Zero()
+		q.implicit = true
+	}
 	// Old rows pay the μ·Ã·Hprod product plus the solve (2R² each), new
 	// rows just the solve (R²); the two R×R factorisations are R³ each.
+	// T is R more old rows and its Gram share two R×R products.
 	rr := float64(r) * float64(r)
-	e.work += (2*float64(len(oldRows))+float64(len(newRows)))*rr + 2*float64(r)*rr
+	e.work += (2*float64(len(oldRows)+nT)+float64(len(newRows)))*rr + 2*float64(r)*rr + 2*float64(nT)*rr
 	e.cSolve.Add(int64(len(oldRows) + len(newRows)))
 }
 
+// quietPass is the once-per-Run walk over the mode's quiet rows: G̃q,
+// and the rows' Gram share from what full holds — Run's explicit
+// starting point. A mode with no quiet row skips it, span included.
+func (e *Sweep) quietPass(mode int) {
+	q := &e.quiet[mode]
+	if !q.any() {
+		return
+	}
+	sp := e.obs.Span("plan/quiet")
+	r := e.opts.Rank
+	e.gtask.mode, e.gtask.quiet = mode, true
+	e.pool.For(r, &e.gtask)
+	e.gtask.quiet = false
+	// Three outer products per old row (G̃q with the usual two), one per
+	// growth row.
+	e.work += (3*float64(len(q.old)) + float64(len(q.grown))) * float64(r) * float64(r)
+	sp.End()
+}
+
+// materialize writes out the quiet rows of every implicit mode,
+// A⁽⁰⁾[i] = Ã[i]·T, and returns the modes to explicit: once per Run, on
+// every way out of it.
+func (e *Sweep) materialize() {
+	for m := range e.quiet {
+		q := &e.quiet[m]
+		if !q.implicit {
+			continue
+		}
+		q.implicit = false
+		e.cImplicit.Add(int64(len(q.old) + len(q.grown)))
+		if len(q.old) == 0 {
+			continue
+		}
+		sp := e.obs.Span("materialize")
+		e.mtask.mode = m
+		e.pool.For(len(q.old), &e.mtask)
+		e.work += float64(len(q.old)) * float64(e.opts.Rank) * float64(e.opts.Rank)
+		sp.End()
+	}
+}
+
+// materializeTask writes quiet old rows [lo, hi) of the mode's list.
+// Each output row depends only on its own Ã row and T, so the bits do
+// not depend on the split.
+type materializeTask struct {
+	e    *Sweep
+	mode int
+}
+
+func (t *materializeTask) RunChunk(lo, hi, tid int) {
+	e := t.e
+	q := &e.quiet[t.mode]
+	factor := e.full[t.mode]
+	tilde := e.prev.Factors[t.mode]
+	for _, s := range q.old[lo:hi] {
+		out := factor.Row(int(s))
+		zeroRow(out)
+		for k, av := range tilde.Row(int(s)) {
+			if av == 0 {
+				continue
+			}
+			for c, bv := range q.t.Row(k) {
+				out[c] += av * bv
+			}
+		}
+	}
+}
+
 // reduceGrams recomputes this rank's partial ÃᵀA⁰, A⁰ᵀA⁰, A¹ᵀA¹ over
-// its owned rows straight into the mode's Gram buffer and all-reduces
-// the buffer in place, which leaves the replicated state refreshed. It
-// is the sweep's third phase and runs under that phase's span.
+// its live rows straight into the mode's Gram buffer, adds the quiet
+// rows' share, and all-reduces the buffer in place, which leaves the
+// replicated state refreshed. It is the sweep's third phase and runs
+// under that phase's span.
 func (e *Sweep) reduceGrams(mode int) error {
 	sp := e.obs.Span(e.names[mode].gram)
 	defer sp.End()
 	r := e.opts.Rank
 	e.gtask.mode = mode
 	e.pool.For(r, &e.gtask)
+	if q := &e.quiet[mode]; q.any() {
+		buf := e.gbuf[mode]
+		for i, v := range q.part {
+			buf[i] += v
+		}
+	}
 	// Old rows contribute two outer products (G⁰ and the cross term),
 	// new rows one.
-	e.work += (2*float64(len(e.ownedOld[mode])) + float64(len(e.ownedNew[mode]))) * float64(r) * float64(r)
+	e.work += (2*float64(len(e.liveOld[mode])) + float64(len(e.liveNew[mode]))) * float64(r) * float64(r)
 	return e.comm.AllReduceSumInPlace(e.gbuf[mode])
 }
 
 // gramPartialsTask evaluates rows [lo, hi) of the mode's three Gram
 // partials: the outer-product loop transposed so output rows, not input
-// rows, are the parallel axis. Every chunk scans the owned rows in
-// order, so each entry accumulates exactly the sequential sequence.
+// rows, are the parallel axis. Every chunk scans the rows in order, so
+// each entry accumulates exactly the sequential sequence. It walks the
+// live rows into the mode's Gram buffer, or — quiet set, by quietPass —
+// the quiet rows into their own share, with G̃q alongside.
 type gramPartialsTask struct {
-	e    *Sweep
-	mode int
+	e     *Sweep
+	mode  int
+	quiet bool
 }
 
 func (t *gramPartialsTask) RunChunk(lo, hi, tid int) {
 	e := t.e
 	factor := e.full[t.mode]
 	tilde := e.prev.Factors[t.mode]
+	oldRows, newRows := e.liveOld[t.mode], e.liveNew[t.mode]
 	g0, g1, cross := e.gram0[t.mode], e.gram1[t.mode], e.cross[t.mode]
+	var gq *mat.Dense
+	if t.quiet {
+		q := &e.quiet[t.mode]
+		oldRows, newRows = q.old, q.grown
+		g0, g1, cross, gq = q.g0, q.g1, q.cross, q.gq
+	}
 	for i := lo; i < hi; i++ {
 		zeroRow(g0.Row(i))
 		zeroRow(g1.Row(i))
 		zeroRow(cross.Row(i))
+		if gq != nil {
+			zeroRow(gq.Row(i))
+		}
 	}
-	for _, s := range e.ownedOld[t.mode] {
+	for _, s := range oldRows {
 		row := factor.Row(int(s))
 		trow := tilde.Row(int(s))
 		for i := lo; i < hi; i++ {
@@ -528,10 +737,16 @@ func (t *gramPartialsTask) RunChunk(lo, hi, tid int) {
 				for c, bv := range row {
 					drow[c] += tv * bv
 				}
+				if gq != nil {
+					drow = gq.Row(i)
+					for c, bv := range trow {
+						drow[c] += tv * bv
+					}
+				}
 			}
 		}
 	}
-	for _, s := range e.ownedNew[t.mode] {
+	for _, s := range newRows {
 		row := factor.Row(int(s))
 		for i := lo; i < hi; i++ {
 			av := row[i]
@@ -553,19 +768,20 @@ func zeroRow(row []float64) {
 }
 
 // lossLocalInner computes this rank's share of the tensor-model inner
-// product <X\X̃, [[A]]> by reusing the final mode's MTTKRP rows (owned
-// rows only) — no second pass over the tensor data.
+// product <X\X̃, [[A]]> by reusing the final mode's MTTKRP rows (live
+// rows only — a quiet row's is zero) — no second pass over the tensor
+// data.
 func (e *Sweep) lossLocalInner() float64 {
 	last := len(e.full) - 1
 	var inner float64
-	for _, s := range e.owned[last] {
+	for _, s := range e.live[last] {
 		mrow := e.lastM.Row(int(s))
 		arow := e.full[last].Row(int(s))
 		for c := range mrow {
 			inner += mrow[c] * arow[c]
 		}
 	}
-	e.work += float64(len(e.owned[last])) * float64(e.opts.Rank)
+	e.work += float64(len(e.live[last])) * float64(e.opts.Rank)
 	return inner
 }
 
