@@ -10,7 +10,7 @@ CLUSTER_PKGS = ./internal/cluster/... ./internal/core/... ./internal/dplan/... .
 # goroutines.
 NUMERIC_PKGS = ./internal/par/... ./internal/mat/... ./internal/mttkrp/... \
 	./internal/layout/... ./internal/cp/... ./internal/dtd/... \
-	./internal/dmsmg/... ./internal/completion/... ./internal/onlinecp/...
+	./internal/dmsmg/... ./internal/completion/...
 
 .PHONY: all build test vet race check profile clean
 
@@ -29,9 +29,10 @@ test: build
 # driver, the worker binary, and the workspace-threaded numeric stack —
 # the fault-tolerance tests (retry, reconnection, heartbeat, chaos,
 # kill-and-resume) and the in-place kernel/aliasing tests must all pass
-# with -race.
+# with -race. internal/goldens holds the cross-engine equivalences,
+# among them the three-rank DMS-MG binding over cluster.Local.
 race:
-	$(GO) test -race $(CLUSTER_PKGS) $(NUMERIC_PKGS) ./internal/obs/... ./internal/sample/...
+	$(GO) test -race $(CLUSTER_PKGS) $(NUMERIC_PKGS) ./internal/goldens/... ./internal/obs/... ./internal/sample/...
 
 check: vet test race
 

@@ -182,7 +182,11 @@ func (s *serveServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.unpublished = true
 		s.mu.Unlock()
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		if errors.Is(err, dismastd.ErrGrowthTooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	s.publishLocked(events, rep.Sweep != nil)

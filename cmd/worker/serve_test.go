@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -265,6 +267,19 @@ func TestServeQueryErrors(t *testing.T) {
 	}
 	if resp := postJSON(t, base+"/ingest", []eventJSON{{Coords: []int{1}, Value: 2}}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("order-changing ingest status %d, want 400", resp.StatusCode)
+	}
+
+	// One event asking for a two-billion-row factor is refused whole.
+	var before, after struct {
+		Dims []int `json:"dims"`
+	}
+	getJSON(t, base+"/stats", &before)
+	if resp := postJSON(t, base+"/ingest", []eventJSON{{Coords: []int{math.MaxInt32, 0, 0}, Value: 2}}, nil); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized-growth ingest status %d, want 413", resp.StatusCode)
+	}
+	getJSON(t, base+"/stats", &after)
+	if len(before.Dims) != 3 || !reflect.DeepEqual(before.Dims, after.Dims) {
+		t.Errorf("/stats dims %v -> %v across a refused ingest", before.Dims, after.Dims)
 	}
 }
 

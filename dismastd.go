@@ -35,6 +35,7 @@ import (
 
 	"dismastd/internal/cp"
 	"dismastd/internal/dataset"
+	"dismastd/internal/dtd"
 	"dismastd/internal/mat"
 	"dismastd/internal/partition"
 	"dismastd/internal/tensor"
@@ -115,14 +116,17 @@ type CPResult struct {
 	Fit     float64 // 1 − Loss/‖X‖_F
 }
 
-// Decompose runs static CP-ALS on x — the non-streaming baseline. Use
-// NewStream for streaming data.
+// Decompose runs static CP-ALS on x — the non-streaming baseline. A
+// maxIters <= 0 selects 50 sweeps. Use NewStream for streaming data.
 func Decompose(x *Tensor, rank int, maxIters int) (*CPResult, error) {
-	res, err := cp.Decompose(x, cp.Options{Rank: rank, MaxIters: maxIters})
+	if maxIters <= 0 {
+		maxIters = 50
+	}
+	st, stats, err := dtd.Init(x, dtd.Options{Rank: rank, MaxIters: maxIters})
 	if err != nil {
 		return nil, err
 	}
-	return &CPResult{Factors: res.Factors, Iters: res.Iters, Loss: res.Loss, Fit: res.Fit}, nil
+	return &CPResult{Factors: st.Factors, Iters: stats.Iters, Loss: stats.Loss, Fit: 1 - stats.Loss/x.Norm()}, nil
 }
 
 // Predict evaluates the Kruskal model at one coordinate:

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dismastd/internal/cp"
+	"dismastd/internal/dtd"
 	"dismastd/internal/obs"
 	"dismastd/internal/sample"
 	"dismastd/internal/tensor"
@@ -46,7 +47,7 @@ func SampledGap(cfg Config, samples int) ([]SampledPoint, error) {
 		var exactFit float64
 		for _, solver := range []sample.Kind{sample.Exact, sample.Sampled} {
 			o := obs.New()
-			res, err := cp.Decompose(t, cp.Options{
+			st, stats, err := dtd.Init(t, dtd.Options{
 				Rank: cfg.Rank, MaxIters: cfg.MaxIters, Tol: 1e-12, Seed: cfg.Seed,
 				Threads: cfg.Threads, Layout: cfg.Layout,
 				Solver: solver, Samples: samples, Obs: o,
@@ -54,11 +55,11 @@ func SampledGap(cfg Config, samples int) ([]SampledPoint, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sampled %s %v: %w", k, solver, err)
 			}
-			fit := 1 - cp.LossAgainst(t, res.Factors)/norm
+			fit := 1 - cp.LossAgainst(t, st.Factors)/norm
 			p := SampledPoint{
 				Dataset: k.String(), Solver: solver.String(),
-				NNZ: t.NNZ(), Iters: res.Iters,
-				Round: sweepWall(res.Phases, res.Iters), Fit: fit,
+				NNZ: t.NNZ(), Iters: stats.Iters,
+				Round: sweepWall(stats.Phases, stats.Iters), Fit: fit,
 			}
 			if solver == sample.Exact {
 				exactFit = fit
@@ -81,7 +82,7 @@ func SampledGap(cfg Config, samples int) ([]SampledPoint, error) {
 // so plan phases are matched by their aggregated names too.
 func sweepWall(phases []obs.PhaseStat, iters int) time.Duration {
 	planPhases := map[string]bool{
-		"sample-index": true, "complement": true, "compile": true, "partition": true,
+		"sample-index": true, "complement": true, "compile": true, "partition": true, "init": true, "quiet": true,
 	}
 	var tot time.Duration
 	for _, p := range phases {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dismastd/internal/cp"
+	"dismastd/internal/dtd"
 	"dismastd/internal/obs"
 	"dismastd/internal/sample"
 )
@@ -33,15 +34,15 @@ func BenchmarkSampledALS(b *testing.B) {
 			var round, fit float64
 			for i := 0; i < b.N; i++ {
 				o := obs.New()
-				res, err := cp.Decompose(t, cp.Options{
+				st, stats, err := dtd.Init(t, dtd.Options{
 					Rank: 10, MaxIters: 10, Tol: 1e-12, Seed: 42,
 					Solver: rn.solver, Samples: rn.samples, Obs: o,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				round = float64(sweepWall(res.Phases, res.Iters).Microseconds())
-				fit = 1 - cp.LossAgainst(t, res.Factors)/norm
+				round = float64(sweepWall(stats.Phases, stats.Iters).Microseconds())
+				fit = 1 - cp.LossAgainst(t, st.Factors)/norm
 			}
 			b.ReportMetric(round, "round_us")
 			b.ReportMetric(fit, "fit")

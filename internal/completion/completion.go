@@ -6,7 +6,7 @@
 // latent representations") and of MAST, the centralized multi-aspect
 // streaming predecessor DisMASTD builds on.
 //
-// Plain CP-ALS (internal/cp) minimises the error over the *full* dense
+// Plain CP-ALS (dtd.Init) minimises the error over the *full* dense
 // tensor, so unobserved cells act as hard zeros and drag predictions
 // toward zero. Completion minimises
 //

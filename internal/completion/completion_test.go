@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dismastd/internal/cp"
+	"dismastd/internal/dtd"
 	"dismastd/internal/mat"
 	"dismastd/internal/tensor"
 	"dismastd/internal/xrand"
@@ -54,7 +55,7 @@ func TestCompletionRecoversFromPartialObservations(t *testing.T) {
 	}
 	heldRMSE := RMSE(held, res.Factors)
 
-	cpRes, err := cp.Decompose(train, cp.Options{Rank: 2, MaxIters: 150, Tol: 1e-10, Seed: 3})
+	cpRes, _, err := dtd.Init(train, dtd.Options{Rank: 2, MaxIters: 150, Tol: 1e-10, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

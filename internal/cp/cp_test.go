@@ -1,9 +1,11 @@
 package cp
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"dismastd/internal/dtd"
 	"dismastd/internal/mat"
 	"dismastd/internal/tensor"
 	"dismastd/internal/xrand"
@@ -51,92 +53,69 @@ func denseLowRank(dims []int, r int, seed uint64) *tensor.Tensor {
 	return b.Build()
 }
 
+// The static decomposition below is dtd.Init — CP-ALS as the Eq. (5)
+// sweep from an empty prior — held to this package's model: Reconstruct
+// plants the tensors, LossAgainst is the definitional loss.
+
 func TestDecomposeRecoversDenseLowRank(t *testing.T) {
 	// A fully observed rank-2 tensor must be fit almost perfectly.
 	x := denseLowRank([]int{8, 7, 6}, 2, 1)
-	res, err := Decompose(x, Options{Rank: 3, MaxIters: 200, Tol: 1e-10, Seed: 5})
+	_, stats, err := dtd.Init(x, dtd.Options{Rank: 3, MaxIters: 200, Tol: 1e-10, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fit < 0.999 {
-		t.Fatalf("fit %v after %d iters, want ≥ 0.999", res.Fit, res.Iters)
+	if fit := 1 - stats.Loss/x.Norm(); fit < 0.999 {
+		t.Fatalf("fit %v after %d iters, want ≥ 0.999", fit, stats.Iters)
 	}
 }
 
 func TestLossDecreasesMonotonically(t *testing.T) {
 	x := denseLowRank([]int{6, 6, 6}, 3, 2)
-	res, err := Decompose(x, Options{Rank: 3, MaxIters: 30, Tol: 0.0, Seed: 7})
+	_, stats, err := dtd.Init(x, dtd.Options{Rank: 3, MaxIters: 30, Tol: 0.0, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(res.LossTrace); i++ {
-		if res.LossTrace[i] > res.LossTrace[i-1]+1e-8 {
-			t.Fatalf("loss increased at sweep %d: %v -> %v", i, res.LossTrace[i-1], res.LossTrace[i])
+	for i := 1; i < len(stats.LossTrace); i++ {
+		if stats.LossTrace[i] > stats.LossTrace[i-1]+1e-8 {
+			t.Fatalf("loss increased at sweep %d: %v -> %v", i, stats.LossTrace[i-1], stats.LossTrace[i])
 		}
 	}
 }
 
 func TestReportedLossMatchesDefinition(t *testing.T) {
 	x, _ := lowRankTensor([]int{10, 9, 8}, 3, 200, 3)
-	res, err := Decompose(x, Options{Rank: 3, MaxIters: 15, Seed: 9})
+	st, stats, err := dtd.Init(x, dtd.Options{Rank: 3, MaxIters: 15, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := LossAgainst(x, res.Factors)
-	if math.Abs(direct-res.Loss) > 1e-6*(1+direct) {
-		t.Fatalf("reuse loss %v != definitional loss %v", res.Loss, direct)
+	direct := LossAgainst(x, st.Factors)
+	if math.Abs(direct-stats.Loss) > 1e-6*(1+direct) {
+		t.Fatalf("reuse loss %v != definitional loss %v", stats.Loss, direct)
 	}
 }
 
 func TestFourthOrderDecomposition(t *testing.T) {
 	x := denseLowRank([]int{5, 4, 4, 3}, 2, 4)
-	res, err := Decompose(x, Options{Rank: 2, MaxIters: 300, Tol: 1e-12, Seed: 11})
+	_, stats, err := dtd.Init(x, dtd.Options{Rank: 2, MaxIters: 300, Tol: 1e-12, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fit < 0.99 {
-		t.Fatalf("4th-order fit %v, want ≥ 0.99", res.Fit)
-	}
-}
-
-func TestDecomposeFromWarmStart(t *testing.T) {
-	x := denseLowRank([]int{7, 7, 7}, 2, 6)
-	cold, err := Decompose(x, Options{Rank: 2, MaxIters: 40, Tol: 1e-12, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := make([]*mat.Dense, len(cold.Factors))
-	for i, f := range cold.Factors {
-		warm[i] = f.Clone()
-	}
-	res, err := DecomposeFrom(x, warm, Options{Rank: 2, MaxIters: 5, Tol: 1e-12, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Loss > cold.Loss+1e-6 {
-		t.Fatalf("warm start worsened loss: %v -> %v", cold.Loss, res.Loss)
+	if fit := 1 - stats.Loss/x.Norm(); fit < 0.99 {
+		t.Fatalf("4th-order fit %v, want ≥ 0.99", fit)
 	}
 }
 
 func TestOptionValidation(t *testing.T) {
 	x, _ := lowRankTensor([]int{4, 4, 4}, 2, 20, 15)
-	if _, err := Decompose(x, Options{Rank: 0}); err == nil {
+	if _, _, err := dtd.Init(x, dtd.Options{Rank: 0}); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
-	if _, err := Decompose(x, Options{Rank: 2, Tol: -1}); err == nil {
+	if _, _, err := dtd.Init(x, dtd.Options{Rank: 2, Tol: -1}); err == nil {
 		t.Fatal("negative tolerance accepted")
 	}
 	empty := tensor.NewBuilder([]int{3, 3}).Build()
-	if _, err := Decompose(empty, Options{Rank: 2}); err != ErrEmptyTensor {
+	if _, _, err := dtd.Init(empty, dtd.Options{Rank: 2}); !errors.Is(err, dtd.ErrEmptyTensor) {
 		t.Fatalf("empty tensor error = %v", err)
-	}
-	bad := []*mat.Dense{mat.New(4, 2), mat.New(4, 2)}
-	if _, err := DecomposeFrom(x, bad, Options{Rank: 2}); err == nil {
-		t.Fatal("wrong factor count accepted")
-	}
-	bad3 := []*mat.Dense{mat.New(4, 2), mat.New(4, 2), mat.New(5, 2)}
-	if _, err := DecomposeFrom(x, bad3, Options{Rank: 2}); err == nil {
-		t.Fatal("wrong factor shape accepted")
 	}
 }
 
@@ -160,11 +139,11 @@ func TestReconstructPanicsOnArity(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	x, _ := lowRankTensor([]int{9, 8, 7}, 3, 150, 17)
-	a, err := Decompose(x, Options{Rank: 3, MaxIters: 10, Seed: 21})
+	a, _, err := dtd.Init(x, dtd.Options{Rank: 3, MaxIters: 10, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Decompose(x, Options{Rank: 3, MaxIters: 10, Seed: 21})
+	b, _, err := dtd.Init(x, dtd.Options{Rank: 3, MaxIters: 10, Seed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +158,7 @@ func BenchmarkDecomposeSweep(b *testing.B) {
 	x, _ := lowRankTensor([]int{500, 500, 100}, 5, 50000, 19)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(x, Options{Rank: 10, MaxIters: 1, Tol: 1e-12}); err != nil {
+		if _, _, err := dtd.Init(x, dtd.Options{Rank: 10, MaxIters: 1, Tol: 1e-12}); err != nil {
 			b.Fatal(err)
 		}
 	}

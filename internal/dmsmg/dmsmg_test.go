@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dismastd/internal/cp"
+	"dismastd/internal/dtd"
 	"dismastd/internal/mat"
 	"dismastd/internal/partition"
 	"dismastd/internal/tensor"
@@ -40,15 +41,11 @@ func relDiff(a, b []*mat.Dense) float64 {
 }
 
 func TestMatchesCentralizedCP(t *testing.T) {
+	// The centralized static path is dtd.Init — the same engine bound as
+	// a world of one; internal/goldens holds both to an independent dense
+	// reference.
 	x := sparseRandom([]int{20, 18, 15}, 1000, 1)
-	// Same init as Decompose builds internally: uniform factors drawn
-	// mode by mode from the seed.
-	src := xrand.New(7)
-	init := make([]*mat.Dense, 3)
-	for m, d := range x.Dims {
-		init[m] = mat.RandomUniform(d, 4, src)
-	}
-	want, err := cp.DecomposeFrom(x, init, cp.Options{Rank: 4, MaxIters: 6, Tol: 0, Seed: 7})
+	want, wantStats, err := dtd.Init(x, dtd.Options{Rank: 4, MaxIters: 6, Tol: 0, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +58,11 @@ func TestMatchesCentralizedCP(t *testing.T) {
 			if d := relDiff(got, want.Factors); d > 1e-8 {
 				t.Fatalf("%v workers=%d: factors differ from CP by %v", method, workers, d)
 			}
-			if math.Abs(stats.Loss-want.Loss) > 1e-8*(1+want.Loss) {
-				t.Fatalf("%v workers=%d: loss %v vs CP %v", method, workers, stats.Loss, want.Loss)
+			if math.Abs(stats.Loss-wantStats.Loss) > 1e-8*(1+wantStats.Loss) {
+				t.Fatalf("%v workers=%d: loss %v vs CP %v", method, workers, stats.Loss, wantStats.Loss)
 			}
-			if stats.Iters != want.Iters {
-				t.Fatalf("%v workers=%d: %d iters vs CP %d", method, workers, stats.Iters, want.Iters)
+			if stats.Iters != wantStats.Iters {
+				t.Fatalf("%v workers=%d: %d iters vs CP %d", method, workers, stats.Iters, wantStats.Iters)
 			}
 		}
 	}

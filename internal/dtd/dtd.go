@@ -19,6 +19,8 @@
 // The sweep is written once, as the Sweep engine (sweep.go): Step binds
 // it as a world of one, internal/core binds it per rank of a cluster,
 // and Updater applies the same denominators row by row between sweeps.
+// Static CP-ALS is the same sweep from an empty prior (Init; the DMS-MG
+// baseline of internal/dmsmg distributes it).
 package dtd
 
 import (
@@ -26,7 +28,6 @@ import (
 	"fmt"
 	"math"
 
-	"dismastd/internal/cp"
 	"dismastd/internal/layout"
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
@@ -140,20 +141,22 @@ type Stats struct {
 // state (wrong order, or a mode that shrank).
 var ErrDimsMismatch = errors.New("dtd: snapshot dims incompatible with previous state")
 
-// Init decomposes the first snapshot with static CP-ALS and returns the
-// initial streaming state.
+// ErrEmptyTensor reports decomposition of a tensor without entries.
+var ErrEmptyTensor = errors.New("dtd: tensor has no non-zero entries")
+
+// Init decomposes the first snapshot and returns the initial streaming
+// state. Static CP-ALS is Eq. (5) with nothing to forget, so this is a
+// Step from the empty state: every entry in the complement, every row a
+// growth row, D₁ the plain Gram Hadamard product.
 func Init(x *tensor.Tensor, o Options) (*State, *Stats, error) {
 	opts, err := o.withDefaults()
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := cp.Decompose(x, cp.Options{Rank: opts.Rank, MaxIters: opts.MaxIters, Tol: opts.Tol, Seed: opts.Seed, Threads: opts.Threads, Layout: opts.Layout, Solver: opts.Solver, Samples: opts.Samples, Obs: opts.Obs})
-	if err != nil {
-		return nil, nil, err
+	if x.NNZ() == 0 {
+		return nil, nil, ErrEmptyTensor
 	}
-	st := &State{Dims: append([]int(nil), x.Dims...), Factors: res.Factors}
-	stats := &Stats{Iters: res.Iters, Loss: res.Loss, LossTrace: res.LossTrace, ComplementNNZ: x.NNZ()}
-	return st, stats, nil
+	return Step(EmptyState(x.Order(), opts.Rank), x, o)
 }
 
 // Step advances the decomposition from prev to the new snapshot,

@@ -277,30 +277,40 @@ func BenchmarkStep(b *testing.B) {
 }
 
 func TestEmptyStateStepEqualsStaticALS(t *testing.T) {
-	// A step from the empty state must reduce to plain CP-ALS: same
-	// factors as cp.DecomposeFrom with the same initial matrices.
+	// Static ALS is the step from the empty state and nothing else: Init
+	// hands back that step's factors and loss trace bit for bit, and the
+	// step sweeps the snapshot itself — every entry is complement, so
+	// there is nothing to copy out. (internal/goldens holds both to an
+	// independent dense reference.)
 	x := sparseRandom([]int{10, 9, 8}, 300, 101)
 	opts := Options{Rank: 3, MaxIters: 5, Tol: 0, Mu: 0.8, Seed: 103}
 	st, stats, err := Step(EmptyState(3, 3), x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := xrand.New(103)
-	init := make([]*mat.Dense, 3)
-	for m, d := range x.Dims {
-		init[m] = mat.RandomUniform(d, 3, src)
-	}
-	want, err := cp.DecomposeFrom(x, init, cp.Options{Rank: 3, MaxIters: 5, Tol: 0})
+	want, wantStats, err := Init(x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for m := range st.Factors {
-		if d := mat.MaxAbsDiff(st.Factors[m], want.Factors[m]); d > 1e-9 {
-			t.Fatalf("mode %d differs from static ALS by %v", m, d)
+		if d := mat.MaxAbsDiff(st.Factors[m], want.Factors[m]); d != 0 {
+			t.Fatalf("mode %d differs from Init by %v", m, d)
 		}
 	}
-	if math.Abs(stats.Loss-want.Loss) > 1e-8*(1+want.Loss) {
-		t.Fatalf("loss %v vs static %v", stats.Loss, want.Loss)
+	if len(stats.LossTrace) != len(wantStats.LossTrace) {
+		t.Fatalf("%d sweeps vs Init's %d", len(stats.LossTrace), len(wantStats.LossTrace))
+	}
+	for i, l := range wantStats.LossTrace {
+		if math.Float64bits(stats.LossTrace[i]) != math.Float64bits(l) {
+			t.Fatalf("sweep %d: loss %v vs Init's %v", i, stats.LossTrace[i], l)
+		}
+	}
+	sw, err := NewSweep(EmptyState(3, 3), x, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.Complement() != x {
+		t.Fatal("empty-prior sweep copied the snapshot instead of sweeping it")
 	}
 }
 

@@ -55,8 +55,9 @@ const (
 // stream before any data: zero-size modes and empty factors. A DTD (or
 // DisMASTD) step from the empty state reduces exactly to static CP-ALS
 // of the snapshot — the complement is the whole tensor and the
-// old-region terms vanish — which is how cmd/worker bootstraps a
-// distributed decomposition with no prior factors.
+// old-region terms vanish — which is what Init and the DMS-MG baseline
+// are, and how cmd/worker bootstraps a distributed decomposition with
+// no prior factors.
 func EmptyState(order, rank int) *State {
 	if order <= 0 || rank <= 0 {
 		panic(fmt.Sprintf("dtd: EmptyState(%d, %d)", order, rank))

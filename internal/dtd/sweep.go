@@ -19,7 +19,8 @@ import (
 // bound. Calls happen in the same order on every rank.
 type Comm interface {
 	// AllReduceSumInPlace replaces vec with its element-wise sum across
-	// ranks — one mode's 3R² batch of Gram partials (Section IV-B3).
+	// ranks — one mode's batch of Gram partials (Section IV-B3): 3R², or
+	// R² for a mode with no old row.
 	AllReduceSumInPlace(vec []float64) error
 	// ReduceScalarSum returns the sum of x across ranks — the loss's
 	// tensor-model inner product (Section IV-B4).
@@ -176,8 +177,13 @@ func NewSweep(prev *State, snapshot *tensor.Tensor, o Options) (*Sweep, error) {
 		}
 	}
 
+	// A prior with no row in some mode spans no cell: X \ X̃ is X, and the
+	// step sweeps the snapshot itself instead of a copy of it.
 	sp := opts.Obs.Span("plan/complement")
-	comp := snapshot.Complement(prev.Dims)
+	comp := snapshot
+	if !emptyBox(prev.Dims) {
+		comp = snapshot.Complement(prev.Dims)
+	}
 	sp.End()
 
 	sp = opts.Obs.Span("plan/init")
@@ -202,7 +208,19 @@ func NewSweep(prev *State, snapshot *tensor.Tensor, o Options) (*Sweep, error) {
 	}}, nil
 }
 
-// Complement returns X \ X̃, the only tensor data the step touches.
+// emptyBox reports whether the prefix box of the given mode sizes holds
+// no cell.
+func emptyBox(dims []int) bool {
+	for _, d := range dims {
+		if d == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Complement returns X \ X̃, the only tensor data the step touches — the
+// snapshot itself when the prior is empty.
 func (e *Sweep) Complement() *tensor.Tensor { return e.comp }
 
 // InitialFactors returns a fresh copy of the step's starting point: the
@@ -538,7 +556,9 @@ func (e *Sweep) updateOwnedRows(mode int) {
 	}
 
 	mark := e.ws.Mark()
+	factored := 0 // ridge factorisations this solve performs: D₀'s, D₁'s
 	if nOld := len(oldRows); nOld+nT > 0 {
+		factored++
 		// Numerator block: μ·Ã[rows]·Hprod + M[rows], solved in place.
 		tblock := e.ws.Take(nOld+nT, r)
 		for i, s := range oldRows {
@@ -571,6 +591,7 @@ func (e *Sweep) updateOwnedRows(mode int) {
 		}
 	}
 	if len(newRows) > 0 {
+		factored++
 		num := e.ws.Take(len(newRows), r)
 		for i, s := range newRows {
 			copy(num.Row(i), M.Row(int(s)))
@@ -592,10 +613,10 @@ func (e *Sweep) updateOwnedRows(mode int) {
 		q.implicit = true
 	}
 	// Old rows pay the μ·Ã·Hprod product plus the solve (2R² each), new
-	// rows just the solve (R²); the two R×R factorisations are R³ each.
+	// rows just the solve (R²); each R×R factorisation performed is R³.
 	// T is R more old rows and its Gram share two R×R products.
 	rr := float64(r) * float64(r)
-	e.work += (2*float64(len(oldRows)+nT)+float64(len(newRows)))*rr + 2*float64(r)*rr + 2*float64(nT)*rr
+	e.work += (2*float64(len(oldRows)+nT)+float64(len(newRows)))*rr + float64(factored)*float64(r)*rr + 2*float64(nT)*rr
 	e.cSolve.Add(int64(len(oldRows) + len(newRows)))
 }
 
@@ -670,8 +691,10 @@ func (t *materializeTask) RunChunk(lo, hi, tid int) {
 // reduceGrams recomputes this rank's partial ÃᵀA⁰, A⁰ᵀA⁰, A¹ᵀA¹ over
 // its live rows straight into the mode's Gram buffer, adds the quiet
 // rows' share, and all-reduces the buffer in place, which leaves the
-// replicated state refreshed. It is the sweep's third phase and runs
-// under that phase's span.
+// replicated state refreshed. A mode with no old row has nothing in its
+// A⁰ᵀA⁰ and ÃᵀA⁰ blocks on any rank, so its batch is the A¹ᵀA¹ block
+// alone: R², not 3R². It is the sweep's third phase and runs under that
+// phase's span.
 func (e *Sweep) reduceGrams(mode int) error {
 	sp := e.obs.Span(e.names[mode].gram)
 	defer sp.End()
@@ -687,7 +710,11 @@ func (e *Sweep) reduceGrams(mode int) error {
 	// Old rows contribute two outer products (G⁰ and the cross term),
 	// new rows one.
 	e.work += (2*float64(len(e.liveOld[mode])) + float64(len(e.liveNew[mode]))) * float64(r) * float64(r)
-	return e.comm.AllReduceSumInPlace(e.gbuf[mode])
+	batch := e.gbuf[mode]
+	if e.prev.Dims[mode] == 0 {
+		batch = e.gram1[mode].Data
+	}
+	return e.comm.AllReduceSumInPlace(batch)
 }
 
 // gramPartialsTask evaluates rows [lo, hi) of the mode's three Gram

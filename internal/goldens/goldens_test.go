@@ -16,11 +16,9 @@ import (
 
 	"dismastd/internal/completion"
 	"dismastd/internal/core"
-	"dismastd/internal/cp"
 	"dismastd/internal/dmsmg"
 	"dismastd/internal/dtd"
 	"dismastd/internal/mat"
-	"dismastd/internal/onlinecp"
 	"dismastd/internal/partition"
 	"dismastd/internal/tensor"
 	"dismastd/internal/xrand"
@@ -57,11 +55,11 @@ func sparseRandom(dims []int, nnz int, seed uint64) *tensor.Tensor {
 
 func TestCPDecomposeGolden(t *testing.T) {
 	x := sparseRandom([]int{12, 10, 8}, 500, 3)
-	res, err := cp.Decompose(x, cp.Options{Rank: 4, MaxIters: 6, Seed: 7})
+	st, _, err := dtd.Init(x, dtd.Options{Rank: 4, MaxIters: 6, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkHash(t, "cp", hashFactors(res.Factors), goldCP)
+	checkHash(t, "cp", hashFactors(st.Factors), goldCP)
 }
 
 func dtdFixture(t *testing.T) (*dtd.State, *tensor.Tensor, dtd.Options) {
@@ -132,50 +130,6 @@ func TestCompletionGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkHash(t, "completion/distributed", hashFactors(dres.Factors), goldCompletionDist)
-}
-
-func TestOnlineCPGolden(t *testing.T) {
-	full := sparseRandom([]int{10, 9, 12}, 700, 17)
-	init := full.Prefix([]int{10, 9, 6})
-	tr, err := onlinecp.Init(init, onlinecp.Options{Rank: 3, StreamMode: 2, InitIters: 5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, to := range []int{9, 12} {
-		batch := batchBetween(full, tr.Dims(), to)
-		if err := tr.Absorb(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkHash(t, "onlinecp", hashFactors(tr.Factors()), goldOnlineCP)
-}
-
-// batchBetween extracts the entries of full whose stream-mode (last
-// mode) coordinate lies in [cur[2], to), shaped as an OnlineCP batch.
-func batchBetween(full *tensor.Tensor, cur []int, to int) *tensor.Tensor {
-	dims := append([]int(nil), cur...)
-	dims[2] = to
-	b := tensor.NewBuilder(dims)
-	n := full.Order()
-	idx := make([]int, n)
-	for e := 0; e < full.NNZ(); e++ {
-		k := int(full.Coords[e*n+2])
-		if k < cur[2] || k >= to {
-			continue
-		}
-		ok := true
-		for m := 0; m < n; m++ {
-			idx[m] = int(full.Coords[e*n+m])
-			if m != 2 && idx[m] >= dims[m] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			b.Append(idx, full.Vals[e])
-		}
-	}
-	return b.Build()
 }
 
 func checkHash(t *testing.T, name string, got, want uint64) {

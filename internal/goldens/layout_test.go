@@ -6,11 +6,9 @@ import (
 
 	"dismastd/internal/completion"
 	"dismastd/internal/core"
-	"dismastd/internal/cp"
 	"dismastd/internal/dmsmg"
 	"dismastd/internal/dtd"
 	"dismastd/internal/layout"
-	"dismastd/internal/onlinecp"
 	"dismastd/internal/partition"
 	"dismastd/internal/sample"
 )
@@ -36,11 +34,11 @@ func sweepLayouts(t *testing.T, run func(t *testing.T, kind layout.Kind, threads
 func TestCPGoldenEveryLayout(t *testing.T) {
 	sweepLayouts(t, func(t *testing.T, kind layout.Kind, threads int) {
 		x := sparseRandom([]int{12, 10, 8}, 500, 3)
-		res, err := cp.Decompose(x, cp.Options{Rank: 4, MaxIters: 6, Seed: 7, Threads: threads, Layout: kind})
+		st, _, err := dtd.Init(x, dtd.Options{Rank: 4, MaxIters: 6, Seed: 7, Threads: threads, Layout: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkHash(t, "cp", hashFactors(res.Factors), goldCP)
+		checkHash(t, "cp", hashFactors(st.Factors), goldCP)
 	})
 }
 
@@ -152,24 +150,5 @@ func TestCompletionGoldenEveryLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkHash(t, "completion/distributed", hashFactors(dres.Factors), goldCompletionDist)
-	})
-}
-
-func TestOnlineCPGoldenEveryLayout(t *testing.T) {
-	sweepLayouts(t, func(t *testing.T, kind layout.Kind, threads int) {
-		full := sparseRandom([]int{10, 9, 12}, 700, 17)
-		init := full.Prefix([]int{10, 9, 6})
-		tr, err := onlinecp.Init(init, onlinecp.Options{Rank: 3, StreamMode: 2, InitIters: 5, Seed: 7, Threads: threads, Layout: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		for _, to := range []int{9, 12} {
-			batch := batchBetween(full, tr.Dims(), to)
-			if err := tr.Absorb(batch); err != nil {
-				t.Fatal(err)
-			}
-		}
-		checkHash(t, "onlinecp", hashFactors(tr.Factors()), goldOnlineCP)
 	})
 }

@@ -6,10 +6,8 @@ import (
 
 	"dismastd/internal/completion"
 	"dismastd/internal/core"
-	"dismastd/internal/cp"
 	"dismastd/internal/dmsmg"
 	"dismastd/internal/dtd"
-	"dismastd/internal/onlinecp"
 	"dismastd/internal/partition"
 )
 
@@ -23,11 +21,11 @@ func TestCPGoldenEveryThreadCount(t *testing.T) {
 	for _, threads := range threadSweep {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
 			x := sparseRandom([]int{12, 10, 8}, 500, 3)
-			res, err := cp.Decompose(x, cp.Options{Rank: 4, MaxIters: 6, Seed: 7, Threads: threads})
+			st, _, err := dtd.Init(x, dtd.Options{Rank: 4, MaxIters: 6, Seed: 7, Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkHash(t, "cp", hashFactors(res.Factors), goldCP)
+			checkHash(t, "cp", hashFactors(st.Factors), goldCP)
 		})
 	}
 }
@@ -102,27 +100,6 @@ func TestCompletionGoldenEveryThreadCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkHash(t, "completion/distributed", hashFactors(dres.Factors), goldCompletionDist)
-		})
-	}
-}
-
-func TestOnlineCPGoldenEveryThreadCount(t *testing.T) {
-	for _, threads := range threadSweep {
-		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
-			full := sparseRandom([]int{10, 9, 12}, 700, 17)
-			init := full.Prefix([]int{10, 9, 6})
-			tr, err := onlinecp.Init(init, onlinecp.Options{Rank: 3, StreamMode: 2, InitIters: 5, Seed: 7, Threads: threads})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tr.Close()
-			for _, to := range []int{9, 12} {
-				batch := batchBetween(full, tr.Dims(), to)
-				if err := tr.Absorb(batch); err != nil {
-					t.Fatal(err)
-				}
-			}
-			checkHash(t, "onlinecp", hashFactors(tr.Factors()), goldOnlineCP)
 		})
 	}
 }

@@ -15,5 +15,4 @@ const (
 	goldDMSMG          uint64 = 0x1e30f06d90a92a92
 	goldCompletion     uint64 = 0x07dd22def348810d
 	goldCompletionDist uint64 = 0x07dd22def348810d
-	goldOnlineCP       uint64 = 0x72e5973127d0b433
 )

@@ -16,11 +16,9 @@
 // through an entry-order indirection, kept as the oracle the goldens
 // hold the compiled layout to bit for bit (the benchmark's
 // mttkrp.compiled_ns_per_nnz / mttkrp.coo_ns_per_nnz rows time the
-// two). Neither is the flat kernel: AccumulateIntoWS scatters each
-// entry straight into the output, which is what onlinecp's fold-ins
-// need — they accumulate onto live non-zero state, where regrouping
-// would change rounding — and what Compute and the grouped kernels'
-// bitwise reference tests run.
+// two). Neither is the flat kernel: AccumulateInto scatters each entry
+// straight into the output, which is what Compute and the grouped
+// kernels' bitwise reference tests run.
 package mttkrp
 
 import (
@@ -65,17 +63,21 @@ func Compute(t *tensor.Tensor, factors []*mat.Dense, mode int) *mat.Dense {
 // runtime does.
 func AccumulateInto(dst *mat.Dense, t *tensor.Tensor, factors []*mat.Dense, mode int) {
 	r := checkFactors(t, factors)
-	accumulateScratch(dst, t, factors, mode, make([]float64, r))
-}
-
-// AccumulateIntoWS is AccumulateInto with the per-entry product buffer
-// checked out of ws instead of allocated, for allocation-free steady
-// state. ws is released to its entry mark before returning.
-func AccumulateIntoWS(dst *mat.Dense, t *tensor.Tensor, factors []*mat.Dense, mode int, ws *mat.Workspace) {
-	r := checkFactors(t, factors)
-	mark := ws.Mark()
-	accumulateScratch(dst, t, factors, mode, ws.TakeVec(r))
-	ws.Release(mark)
+	if mode < 0 || mode >= t.Order() {
+		panic(fmt.Sprintf("mttkrp: mode %d on order-%d tensor", mode, t.Order()))
+	}
+	if dst.Rows != t.Dims[mode] || dst.Cols != r {
+		panic(fmt.Sprintf("mttkrp: destination %dx%d, want %dx%d", dst.Rows, dst.Cols, t.Dims[mode], r))
+	}
+	tmp := make([]float64, r)
+	n := t.Order()
+	for e := 0; e < t.NNZ(); e++ {
+		entryProductInto(tmp, t, factors, mode, e)
+		out := dst.Row(int(t.Coords[e*n+mode]))
+		for c := range tmp {
+			out[c] += tmp[c]
+		}
+	}
 }
 
 // entryProductInto fills tmp with entry e's contribution to the mode-n
@@ -96,24 +98,6 @@ func entryProductInto(tmp []float64, t *tensor.Tensor, factors []*mat.Dense, mod
 		row := factors[k].Row(int(t.Coords[base+k]))
 		for c := range tmp {
 			tmp[c] *= row[c]
-		}
-	}
-}
-
-func accumulateScratch(dst *mat.Dense, t *tensor.Tensor, factors []*mat.Dense, mode int, tmp []float64) {
-	r := len(tmp)
-	if mode < 0 || mode >= t.Order() {
-		panic(fmt.Sprintf("mttkrp: mode %d on order-%d tensor", mode, t.Order()))
-	}
-	if dst.Rows != t.Dims[mode] || dst.Cols != r {
-		panic(fmt.Sprintf("mttkrp: destination %dx%d, want %dx%d", dst.Rows, dst.Cols, t.Dims[mode], r))
-	}
-	n := t.Order()
-	for e := 0; e < t.NNZ(); e++ {
-		entryProductInto(tmp, t, factors, mode, e)
-		out := dst.Row(int(t.Coords[e*n+mode]))
-		for c := range tmp {
-			out[c] += tmp[c]
 		}
 	}
 }

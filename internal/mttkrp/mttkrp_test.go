@@ -298,17 +298,6 @@ func BenchmarkRowGroupedKernel(b *testing.B) {
 	}
 }
 
-func BenchmarkFlatKernelWS(b *testing.B) {
-	x, factors := benchTensor()
-	dst := mat.New(x.Dims[0], 10)
-	ws := mat.NewWorkspace()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst.Zero()
-		AccumulateIntoWS(dst, x, factors, 0, ws)
-	}
-}
-
 func BenchmarkRowGroupedKernelWS(b *testing.B) {
 	x, factors := benchTensor()
 	v := NewModeView(x, 0)

@@ -5,6 +5,7 @@ import (
 
 	"dismastd"
 	"dismastd/internal/cp"
+	"dismastd/internal/dtd"
 	"dismastd/internal/mat"
 	"dismastd/internal/sample"
 	"dismastd/internal/tensor"
@@ -42,8 +43,8 @@ func denseCube(d, rk int, seed uint64) *tensor.Tensor {
 	return b.Build()
 }
 
-func sampledOpts(threads int) cp.Options {
-	return cp.Options{
+func sampledOpts(threads int) dtd.Options {
+	return dtd.Options{
 		Rank: 4, MaxIters: 8, Tol: 1e-12, Seed: 7, Threads: threads,
 		Solver: sample.Sampled, Samples: 2048,
 	}
@@ -75,15 +76,15 @@ func TestSampledBitwiseAcrossThreads(t *testing.T) {
 	x := denseCube(24, 4, 42)
 	var base []*mat.Dense
 	for _, threads := range []int{1, 2, 4} {
-		res, err := cp.Decompose(x, sampledOpts(threads))
+		st, _, err := dtd.Init(x, sampledOpts(threads))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if base == nil {
-			base = res.Factors
+			base = st.Factors
 			continue
 		}
-		factorsEqual(t, base, res.Factors, "threads")
+		factorsEqual(t, base, st.Factors, "threads")
 	}
 }
 
@@ -92,11 +93,11 @@ func TestSampledBitwiseAcrossThreads(t *testing.T) {
 // nondeterministic.
 func TestSampledRepeatableRuns(t *testing.T) {
 	x := denseCube(20, 4, 9)
-	a, err := cp.Decompose(x, sampledOpts(2))
+	a, _, err := dtd.Init(x, sampledOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cp.Decompose(x, sampledOpts(2))
+	b, _, err := dtd.Init(x, sampledOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +113,12 @@ func TestSampledFitNearExact(t *testing.T) {
 	norm := x.Norm()
 	opts := sampledOpts(2)
 	opts.Solver = sample.Exact
-	exact, err := cp.Decompose(x, opts)
+	exact, _, err := dtd.Init(x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Solver = sample.Sampled
-	smp, err := cp.Decompose(x, opts)
+	smp, _, err := dtd.Init(x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dismastd/internal/core"
-	"dismastd/internal/cp"
 	"dismastd/internal/dtd"
 	"dismastd/internal/layout"
 	"dismastd/internal/mttkrp"
@@ -38,7 +37,6 @@ func TestZeroValueOptionsBuildCompiledKernels(t *testing.T) {
 		{"dismastd.CompletionOptions", completion.Layout},
 		{"core.Options", core.Options{}.Layout},
 		{"dtd.Options", dtd.Options{}.Layout},
-		{"cp.Options", cp.Options{}.Layout},
 	} {
 		for ctor, k := range map[string]mttkrp.Kernel{
 			"NewKernel":      mttkrp.NewKernel(x, 0, tc.kind),

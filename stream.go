@@ -1,6 +1,7 @@
 package dismastd
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -390,9 +391,23 @@ func (s *Stream) advance(prev *dtd.State, snapshot *tensor.Tensor) (*StepReport,
 	return report, nil
 }
 
-// checkEvents validates a batch: consistent order, non-negative
-// coordinates, finite values.
+// maxBatchGrowth is the most rows one event batch may add to a mode:
+// factors are sized straight from the coordinates, so an unchecked one
+// is an allocation of the sender's choosing. Book's 1.5e7 reviewers, the
+// largest mode in the paper's Table III, still arrive in one batch.
+const maxBatchGrowth = 1 << 24
+
+// ErrGrowthTooLarge reports an event batch refused for its size: a
+// coordinate beyond the int32 range entries are stored in, or one that
+// would grow a mode by more than 1<<24 rows at once. Nothing of the
+// batch has been admitted.
+var ErrGrowthTooLarge = errors.New("dismastd: event batch grows a mode too far")
+
+// checkEvents validates a batch before anything of it is buffered or
+// sized: consistent order, non-negative coordinates within the growth
+// ceiling, finite values.
 func (s *Stream) checkEvents(events []Event) error {
+	dims := s.liveDims() // nil before the first pre-init batch: every mode is empty
 	order := 0
 	switch {
 	case s.state != nil:
@@ -414,6 +429,13 @@ func (s *Stream) checkEvents(events []Event) error {
 		for m, c := range ev.Coords {
 			if c < 0 {
 				return fmt.Errorf("dismastd: event %d has negative coordinate %d in mode %d", i, c, m)
+			}
+			size := 0
+			if dims != nil {
+				size = dims[m]
+			}
+			if c > math.MaxInt32 || c-size >= maxBatchGrowth {
+				return fmt.Errorf("%w: event %d has coordinate %d in mode %d of size %d", ErrGrowthTooLarge, i, c, m, size)
 			}
 		}
 		if math.IsNaN(ev.Value) || math.IsInf(ev.Value, 0) {

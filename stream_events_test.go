@@ -2,8 +2,10 @@ package dismastd_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dismastd"
@@ -455,6 +457,74 @@ func TestEventValidation(t *testing.T) {
 	}
 	if sr, err := s.Flush(); err != nil || sr != nil {
 		t.Fatalf("empty flush: %v %v", sr, err)
+	}
+}
+
+// TestEventGrowthCeiling: one event must not be able to size a factor.
+// A coordinate beyond int32 (which storage would truncate) or growth of
+// more than MaxBatchGrowth rows in one batch is refused with the typed
+// error before anything is buffered or sized — the whole batch, valid
+// events included — both while events still buffer toward the first
+// decomposition and on a live model.
+func TestEventGrowthCeiling(t *testing.T) {
+	first, _ := growingRatings(t)
+	i32 := math.MaxInt32 // a variable: the sums below are run-time ints
+	for _, live := range []bool{false, true} {
+		s := dismastd.NewStream(dismastd.Options{Rank: 2, MaxIters: 3, Seed: 3})
+		size := 1 // mode 0 as the next batch finds it
+		if live {
+			if _, err := s.Ingest(first); err != nil {
+				t.Fatal(err)
+			}
+			size = s.Dims()[0]
+		}
+		if _, err := s.IngestEvents([]dismastd.Event{{Coords: []int{0, 0, 0}, Value: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		dims, pending := append([]int(nil), s.Dims()...), s.Pending()
+		var factors [][]float64
+		for _, f := range s.Factors() {
+			factors = append(factors, append([]float64(nil), f.Data...))
+		}
+
+		for _, tc := range []struct {
+			name  string
+			coord int
+		}{
+			{"2^31-1", i32},
+			{"2^31", i32 + 1},
+			{"2^32+5", 2*(i32+1) + 5},
+			{"ceiling+1", size + dismastd.MaxBatchGrowth},
+		} {
+			batch := []dismastd.Event{{Coords: []int{1, 1, 1}, Value: 2}, {Coords: []int{tc.coord, 0, 0}, Value: 1}}
+			if _, err := s.IngestEvents(batch); !errors.Is(err, dismastd.ErrGrowthTooLarge) {
+				t.Fatalf("live=%v %s: error %v, want ErrGrowthTooLarge", live, tc.name, err)
+			}
+			if !reflect.DeepEqual(append([]int(nil), s.Dims()...), dims) || s.Pending() != pending {
+				t.Fatalf("live=%v %s: refusal moved dims %v -> %v, pending %d -> %d", live, tc.name, dims, s.Dims(), pending, s.Pending())
+			}
+			for m, f := range s.Factors() {
+				if !reflect.DeepEqual(f.Data, factors[m]) {
+					t.Fatalf("live=%v %s: refusal changed factor %d", live, tc.name, m)
+				}
+			}
+		}
+		atCeiling := []dismastd.Event{{Coords: []int{size + dismastd.MaxBatchGrowth - 1, 0, 0}, Value: 1}}
+		if err := s.CheckEvents(atCeiling); err != nil {
+			t.Fatalf("live=%v: growth of exactly the ceiling refused: %v", live, err)
+		}
+		// Nothing of a refused batch reached the pre-init buffer's dims
+		// either, which only the next report shows.
+		rep, err := s.IngestEvents([]dismastd.Event{{Coords: []int{1, 1, 1}, Value: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !live {
+			dims = []int{2, 2, 2}
+		}
+		if rep.Pending != pending+1 || !reflect.DeepEqual(rep.Dims, dims) {
+			t.Fatalf("live=%v: after refusals pending %d (want %d), dims %v (want %v)", live, rep.Pending, pending+1, rep.Dims, dims)
+		}
 	}
 }
 
