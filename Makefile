@@ -40,12 +40,14 @@ check: vet test race
 # benchmark/run.sh`, see benchmark/README.md — not by make targets. The
 # Go Benchmark* functions remain for ad-hoc `go test -bench` runs.
 
-# CPU and heap profiles of the distributed step on the in-process
-# cluster — a Book-shaped, dims-dominated growth step at MTP on two
-# workers, the regime of the dist_* workloads; inspect with
+# CPU and heap profiles of the distributed stream on the in-process
+# cluster — five Book-shaped, dims-dominated growth steps through one
+# core.Session at MTP on two workers, the way the dist_* workloads pay
+# for a pass, so the per-step fixed cost (plan, stack, quiet pass,
+# gather) shows next to the sweeps; inspect with
 # `$(GO) tool pprof cpu.prof`.
 profile:
-	$(GO) test -bench=BenchmarkStepLocal -benchtime=5x -run '^$$' \
+	$(GO) test -bench=BenchmarkSessionStream -benchtime=5x -run '^$$' \
 		-cpuprofile cpu.prof -memprofile mem.prof ./internal/core/
 
 clean:

@@ -18,6 +18,15 @@ import (
 // which exactly one side returns it with Worker.PutBuf — see the
 // "communication model" section of DESIGN.md for the per-transport
 // rules.
+//
+// Adoption rule: put keeps a buffer only when its capacity is exactly a
+// class size, 1<<c — which every buffer get hands out has, and a buffer
+// of foreign origin (a TCP receive payload decoded by gob, cap ≈ its
+// length) almost never. get(n) looks in class ⌈log₂ n⌉, so a buffer
+// filed anywhere else could never be handed back for the length it
+// arrived with; it would only be held. Foreign buffers are therefore
+// dropped to the garbage collector: PutBuf on them is allowed and does
+// nothing.
 type bufPool struct {
 	mu      sync.Mutex
 	classes [64][][]byte
@@ -25,11 +34,16 @@ type bufPool struct {
 	misses  int64
 }
 
-// maxFree bounds each size class's free list; buffers released beyond
-// it are left to the garbage collector. Steady state needs only a
-// handful of buffers in flight per rank, so the bound exists purely to
-// cap pathological retention after a burst.
-const maxFree = 256
+// Each size class's free list is bounded twice: by maxClassBytes, so
+// that what a burst of large messages leaves behind is a few buffers
+// and not 256 of them, and by maxFree, so that the small classes do not
+// keep an unbounded number of slice headers. Steady state needs only a
+// handful of buffers in flight per rank; buffers released beyond either
+// bound are left to the garbage collector.
+const (
+	maxFree       = 256
+	maxClassBytes = 16 << 20
+)
 
 func newBufPool() *bufPool { return &bufPool{} }
 
@@ -57,18 +71,16 @@ func (p *bufPool) get(n int) ([]byte, bool) {
 	return make([]byte, n, 1<<c), true
 }
 
-// put returns a buffer to its size class. The class is derived from the
-// capacity rounded down, so a recycled buffer always satisfies the
-// lengths get hands out for that class. Buffers of foreign origin (for
-// example TCP receive payloads decoded by gob) are adopted the same
-// way.
+// put returns a buffer to its size class, under the adoption rule and
+// the per-class bounds above.
 func (p *bufPool) put(b []byte) {
-	if cap(b) == 0 {
+	n := cap(b)
+	if n == 0 || n&(n-1) != 0 {
 		return
 	}
-	c := bits.Len(uint(cap(b))) - 1
+	c := bits.Len(uint(n)) - 1
 	p.mu.Lock()
-	if len(p.classes[c]) < maxFree {
+	if held := len(p.classes[c]); held < maxFree && (held+1)<<c <= maxClassBytes {
 		p.classes[c] = append(p.classes[c], b[:0])
 	}
 	p.mu.Unlock()
@@ -80,4 +92,16 @@ func (p *bufPool) stats() (gets, misses int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.gets, p.misses
+}
+
+// retained reports what the free lists hold right now (tests assert it
+// stays bounded and flat).
+func (p *bufPool) retained() (bufs int, bytes int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for c, s := range p.classes {
+		bufs += len(s)
+		bytes += int64(len(s)) << c
+	}
+	return bufs, bytes
 }

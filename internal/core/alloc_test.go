@@ -9,6 +9,7 @@ import (
 	"dismastd/internal/dtd"
 	"dismastd/internal/layout"
 	"dismastd/internal/partition"
+	"dismastd/internal/tensor"
 )
 
 // TestWorkerComputePathAllocFree pins the workspace property on the
@@ -75,7 +76,7 @@ func testEngineAllocFree(t *testing.T, workers, threads, ringThresh int, kind la
 	}
 	perRank := make([]float64, workers)
 	if _, err := cl.Run(func(w *cluster.Worker) error {
-		eng := job.bind(w, job.sweep.InitialFactors())
+		eng := job.bind(w, nil)
 		defer eng.Close()
 		// One rank's steady-state run, fully instrumented — pre-resolved
 		// counters and spans included — collectives and exchange included.
@@ -144,27 +145,88 @@ func TestBindDefaultsToCompiledUnderSpan(t *testing.T) {
 	}
 }
 
-// BenchmarkStepLocal measures one full distributed streaming step on
-// the in-process cluster — compute plus Local-transport collectives —
-// so -benchmem shows how much of the remaining allocation is transport.
-// The step is Book-shaped (the dims-dominated regime `make profile`
-// exists to show): a 75 % → 80 % growth step in which the complement
-// names a small minority of the owned rows, at MTP on two workers.
-func BenchmarkStepLocal(b *testing.B) {
-	seq, err := dataset.Stream(dataset.Preset(dataset.Book, 100_000, 5).Generate(), []float64{0.75, 0.80, 1})
+// TestRankTraceShowsStackGatherAndSort pins what this package adds to a
+// rank's own trace around its sweeps: one plan/stack span (the rank
+// stacking its starting factors in Bind), one gather span, and the
+// plan.slices.sorted counter — the slices the partitioner actually
+// sorted, which under MTP is the slices the complement names and not the
+// mode lengths.
+func TestRankTraceShowsStackGatherAndSort(t *testing.T) {
+	full := sparseRandom([]int{60, 50, 8}, 300, 5)
+	prev, _, err := dtd.Init(full.Prefix([]int{45, 40, 6}), dtd.Options{Rank: 3, MaxIters: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	job, err := NewStepJob(prev, full, Options{Rank: 3, MaxIters: 2, Seed: 11, Workers: workers, Method: partition.MTPMethod})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var named, slices int64
+	for m := range full.Dims {
+		for _, a := range job.plan.Tensor.SliceNNZ(m) {
+			slices++
+			if a > 0 {
+				named++
+			}
+		}
+	}
+	if named == 0 || named >= slices {
+		t.Fatalf("fixture: %d of %d slices named; want some and not all", named, slices)
+	}
+	stats, err := cluster.NewLocal(workers).Run(job.RunWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank := 0; rank < workers; rank++ {
+		snap := stats.Ranks[rank].Obs
+		for _, name := range []string{"plan/stack", "gather"} {
+			var spans int64
+			for _, ps := range snap.Phases {
+				if ps.Name == name {
+					spans += ps.Count
+				}
+			}
+			if spans != 1 {
+				t.Errorf("rank %d recorded %d %s spans, want 1", rank, spans, name)
+			}
+		}
+		if got := snap.Metrics.Counters["plan.slices.sorted"]; got != named {
+			t.Errorf("rank %d: plan.slices.sorted %d, want the %d slices the complement names (of %d)", rank, got, named, slices)
+		}
+	}
+}
+
+// BenchmarkSessionStream measures what the dist_* benchmark workloads
+// pay per pass: five growth steps (75 % → 100 % in 5 % cuts) through one
+// Session on the in-process cluster, each step planned, bound, swept and
+// gathered from the state the last one left. The stream is Book-shaped
+// (the dims-dominated regime `make profile` exists to show): every
+// step's complement names a small minority of the owned rows, at MTP on
+// two workers, so the profile is of a step's fixed cost around its
+// sweeps as much as of the sweeps.
+func BenchmarkSessionStream(b *testing.B) {
+	seq, err := dataset.Stream(dataset.Preset(dataset.Book, 100_000, 5).Generate(), []float64{0.75, 0.80, 0.85, 0.90, 0.95, 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap := seq.Snapshot(1)
 	opts := Options{Rank: 8, MaxIters: 10, Tol: 1e-300, Mu: 0.7, Seed: 11, Workers: 2, Method: partition.MTPMethod}
-	prev, _, err := dtd.Init(seq.Snapshot(0), dtd.Options{Rank: opts.Rank, MaxIters: 5, Mu: opts.Mu, Seed: opts.Seed})
+	first, _, err := dtd.Init(seq.Snapshot(0), dtd.Options{Rank: opts.Rank, MaxIters: 5, Mu: opts.Mu, Seed: opts.Seed})
 	if err != nil {
 		b.Fatal(err)
 	}
+	snaps := make([]*tensor.Tensor, 0, seq.Len()-1)
+	for step := 1; step < seq.Len(); step++ {
+		snaps = append(snaps, seq.Snapshot(step))
+	}
+	s := NewSession(opts.Workers)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Step(prev, snap, opts); err != nil {
-			b.Fatal(err)
+		st := first
+		for _, snap := range snaps {
+			if st, _, err = s.Step(st, snap, opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

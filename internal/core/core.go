@@ -401,8 +401,9 @@ func (l *naiveLoss) inner() float64 {
 // bind derives rank w's engine from the plan: kernels over the rank's
 // entry lists (compiled layouts memoised in the rank's cache), the rows
 // it owns, and its collectives. factors are the rank's replicas, adopted
-// — the step's initial stack, or the warm factors the elastic driver
-// carries across a view change. The sampled solver forces the broadcast
+// — the warm factors the elastic driver carries across a view change —
+// or nil for the step's starting point, which the engine stacks for the
+// rank (dtd.Sweep.Bind). The sampled solver forces the broadcast
 // row exchange (see Options.Solver). Close the engine when done.
 func (j *StepJob) bind(w *cluster.Worker, factors []*mat.Dense) *dtd.Sweep {
 	me := w.Rank()
@@ -410,12 +411,15 @@ func (j *StepJob) bind(w *cluster.Worker, factors []*mat.Dense) *dtd.Sweep {
 	n := comp.Order()
 	kernels := make([]mttkrp.Kernel, n)
 	owned := make([][]int32, n)
+	sorted := 0
 	sp := w.Obs().Span("plan/compile")
 	for m := range kernels {
 		kernels[m] = mttkrp.CachedKernelOf(j.caches[me], comp, m, j.plan.EntryLists[me][m], j.opts.Layout)
 		owned[m] = j.plan.OwnedSlices[m][me]
+		sorted += j.plan.ModePlans[m].Sorted
 	}
 	sp.End()
+	w.Obs().Counter("plan.slices.sorted").Add(int64(sorted))
 	var smp *sample.Sampler
 	if j.opts.Solver == sample.Sampled {
 		var err error
@@ -431,16 +435,17 @@ func (j *StepJob) bind(w *cluster.Worker, factors []*mat.Dense) *dtd.Sweep {
 		broadcast: j.opts.BroadcastRows || smp != nil,
 		cBytes:    w.Obs().Counter("allreduce.bytes"),
 	}
+	eng := j.sweep.Bind(factors, kernels, owned, smp, comm, w.Obs())
 	if j.opts.NaiveLoss {
-		comm.naive = &naiveLoss{entries: j.plan.EntryLists[me][n-1], comp: comp, factors: factors, tmp: make([]float64, j.opts.Rank)}
+		comm.naive = &naiveLoss{entries: j.plan.EntryLists[me][n-1], comp: comp, factors: eng.Factors(), tmp: make([]float64, j.opts.Rank)}
 	}
-	return j.sweep.Bind(factors, kernels, owned, smp, comm, w.Obs())
+	return eng
 }
 
 // RunWorker is the SPMD body executed by every rank. It must be called
 // exactly once per rank of a cluster of Workers() size.
 func (j *StepJob) RunWorker(w *cluster.Worker) error {
-	eng := j.bind(w, j.sweep.InitialFactors())
+	eng := j.bind(w, nil)
 	defer eng.Close()
 	me := w.Rank()
 
@@ -472,52 +477,64 @@ func (j *StepJob) RunWorker(w *cluster.Worker) error {
 	return nil
 }
 
-// gatherFactors collects every rank's owned rows at rank 0 and
-// assembles the full factors there; other ranks get nil.
+// gatherFactors completes rank 0's replicas into the full factors and
+// returns them there; other ranks get nil. Rank 0's replica already
+// holds rank 0's owned rows in final form — live rows solved, quiet rows
+// written out, because Run never returns with an implicit mode — so it
+// is adopted as the result and only the other ranks' owned rows travel:
+// one message per (mode, rank with rows in it), scattered into the
+// replica straight from the payload in arrival order (each peer's block
+// covers a disjoint row set, so the landing order cannot change a
+// value). The payloads are one-shot and as large as a factor; they stay
+// out of the transport's pool.
 func (j *StepJob) gatherFactors(w *cluster.Worker, full []*mat.Dense) ([]*mat.Dense, error) {
-	n := len(full)
 	r := j.opts.Rank
-	var result []*mat.Dense
-	if w.Rank() == 0 {
-		result = make([]*mat.Dense, n)
+	me := w.Rank()
+	if me != 0 {
+		for m := range full {
+			owned := j.plan.OwnedSlices[m][me]
+			if len(owned) == 0 {
+				continue
+			}
+			buf := make([]byte, 8*len(owned)*r)
+			for i, s := range owned {
+				cluster.PutFloat64s(buf[8*i*r:8*(i+1)*r], full[m].Row(int(s)))
+			}
+			if err := w.Send(0, w.StreamTagIndexed("gather", m), buf); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
 	}
-	maxOwned := 0
-	for m := 0; m < n; m++ {
-		if len(j.plan.OwnedSlices[m][w.Rank()]) > maxOwned {
-			maxOwned = len(j.plan.OwnedSlices[m][w.Rank()])
+	gathered := w.Obs().Counter("gather.rows")
+	pending := make([]int, 0, w.Size())
+	for m := range full {
+		tag := w.StreamTagIndexed("gather", m)
+		pending = pending[:0]
+		for rank := 1; rank < w.Size(); rank++ {
+			if len(j.plan.OwnedSlices[m][rank]) > 0 {
+				pending = append(pending, rank)
+			}
 		}
-	}
-	buf := make([]float64, 0, maxOwned*r)
-	for m := 0; m < n; m++ {
-		owned := j.plan.OwnedSlices[m][w.Rank()]
-		buf = buf[:0]
-		for _, s := range owned {
-			buf = append(buf, full[m].Row(int(s))...)
-		}
-		parts, err := w.GatherBytes(0, cluster.EncodeFloat64s(buf))
-		if err != nil {
-			return nil, err
-		}
-		if w.Rank() != 0 {
-			continue
-		}
-		out := mat.New(full[m].Rows, r)
-		for rank, payload := range parts {
-			vals, err := cluster.DecodeFloat64s(payload)
+		for len(pending) > 0 {
+			i, payload, err := w.RecvAny(tag, pending)
 			if err != nil {
 				return nil, err
 			}
+			rank := pending[i]
+			pending[i] = pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
 			rows := j.plan.OwnedSlices[m][rank]
-			if len(vals) != len(rows)*r {
-				return nil, fmt.Errorf("core: gather mode %d rank %d: %d values for %d rows", m, rank, len(vals), len(rows))
+			if len(payload) != 8*len(rows)*r {
+				return nil, fmt.Errorf("core: gather mode %d rank %d: %d bytes for %d rows", m, rank, len(payload), len(rows))
 			}
 			for i, s := range rows {
-				copy(out.Row(int(s)), vals[i*r:(i+1)*r])
+				cluster.CopyFloat64s(full[m].Row(int(s)), payload[8*i*r:8*(i+1)*r])
 			}
+			gathered.Add(int64(len(rows)))
 		}
-		result[m] = out
 	}
-	return result, nil
+	return full, nil
 }
 
 // ErrNoResult is returned when a run completes without rank 0

@@ -533,7 +533,7 @@ func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	if err != nil {
 		return nil, v, vw, err
 	}
-	eng := job.bind(vw, job.sweep.InitialFactors())
+	eng := job.bind(vw, nil)
 	defer func() { eng.Close() }()
 	scriptedCrash := func(sweep int) error {
 		if r, ok := j.opts.KillAtStep[s]; ok && r == w.Rank() && sweep == j.opts.KillSweep {

@@ -18,7 +18,7 @@ package dplan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dismastd/internal/cluster"
 	"dismastd/internal/mat"
@@ -135,22 +135,43 @@ func (p *Plan) RankLoads() []float64 {
 
 // assemble derives everything downstream of the mode plans: ownership,
 // entry lists, owned-slice lists, and the row subscriptions. Build and
-// the elastic rebalanced rebuild (delta.go) share it.
+// the elastic rebalanced rebuild (delta.go) share it. The entry and
+// owned-slice lists — the ones as long as the data — are sized by a
+// counting pass before they are filled; a list nothing lands in stays
+// nil.
 func (p *Plan) assemble() {
 	n := len(p.Dims)
 	t := p.Tensor
 	p.Owner = make([][]int32, n)
+	p.OwnedSlices = make([][][]int32, n)
+	counts := make([]int, p.Workers)
 	for m := 0; m < n; m++ {
 		owner := make([]int32, p.Dims[m])
+		clear(counts)
 		for i, part := range p.ModePlans[m].Assign {
 			owner[i] = part % int32(p.Workers) // round-robin partitions onto workers
+			counts[owner[i]]++
 		}
 		p.Owner[m] = owner
+		p.OwnedSlices[m] = sizedLists(counts)
+		for i, w := range owner {
+			p.OwnedSlices[m][w] = append(p.OwnedSlices[m][w], int32(i))
+		}
 	}
 
+	entries := make([][]int, p.Workers) // entries[w][m]: length of worker w's mode-m list
+	for w := range entries {
+		entries[w] = make([]int, n)
+	}
+	for e := 0; e < t.NNZ(); e++ {
+		base := e * n
+		for m := 0; m < n; m++ {
+			entries[p.Owner[m][t.Coords[base+m]]][m]++
+		}
+	}
 	p.EntryLists = make([][][]int32, p.Workers)
 	for w := range p.EntryLists {
-		p.EntryLists[w] = make([][]int32, n)
+		p.EntryLists[w] = sizedLists(entries[w])
 	}
 	for e := 0; e < t.NNZ(); e++ {
 		base := e * n
@@ -160,30 +181,39 @@ func (p *Plan) assemble() {
 		}
 	}
 
-	p.OwnedSlices = make([][][]int32, n)
-	for m := 0; m < n; m++ {
-		p.OwnedSlices[m] = make([][]int32, p.Workers)
-		for i, w := range p.Owner[m] {
-			p.OwnedSlices[m][w] = append(p.OwnedSlices[m][w], int32(i))
+	p.buildSubscriptions()
+}
+
+// sizedLists returns one empty list per count with exactly that
+// capacity, nil where the count is zero.
+func sizedLists(counts []int) [][]int32 {
+	out := make([][]int32, len(counts))
+	for i, c := range counts {
+		if c > 0 {
+			out[i] = make([]int32, 0, c)
 		}
 	}
-
-	p.buildSubscriptions()
+	return out
 }
 
 func (p *Plan) buildSubscriptions() {
 	n := len(p.Dims)
 	t := p.Tensor
 	p.Needs = make([][][]int32, n)
+	// seen[m][row] == w+1 once worker w's walk has met the row: one stamp
+	// array per mode serves every worker in turn, never cleared.
+	seen := make([][]int32, n)
+	found := make([][]int32, n) // the rows worker w reads and does not own, in the order met
 	for m := 0; m < n; m++ {
 		p.Needs[m] = make([][]int32, p.Workers)
+		seen[m] = make([]int32, p.Dims[m])
 	}
 	// For each worker, union the mode-m coordinates appearing in its
 	// entry lists of modes k ≠ m.
 	for w := 0; w < p.Workers; w++ {
-		needed := make([]map[int32]struct{}, n)
-		for m := range needed {
-			needed[m] = make(map[int32]struct{})
+		stamp := int32(w + 1)
+		for m := range found {
+			found[m] = found[m][:0]
 		}
 		for k := 0; k < n; k++ {
 			for _, e := range p.EntryLists[w][k] {
@@ -192,18 +222,20 @@ func (p *Plan) buildSubscriptions() {
 					if m == k {
 						continue
 					}
-					needed[m][t.Coords[base+m]] = struct{}{}
+					row := t.Coords[base+m]
+					if seen[m][row] == stamp {
+						continue
+					}
+					seen[m][row] = stamp
+					if p.Owner[m][row] != int32(w) { // owned rows are locally fresh
+						found[m] = append(found[m], row)
+					}
 				}
 			}
 		}
 		for m := 0; m < n; m++ {
-			rows := make([]int32, 0, len(needed[m]))
-			for r := range needed[m] {
-				if p.Owner[m][r] != int32(w) { // owned rows are locally fresh
-					rows = append(rows, r)
-				}
-			}
-			sort.Slice(rows, func(a, b int) bool { return rows[a] < rows[b] })
+			rows := append(make([]int32, 0, len(found[m])), found[m]...)
+			slices.Sort(rows)
 			p.Needs[m][w] = rows
 		}
 	}

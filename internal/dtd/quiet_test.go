@@ -28,6 +28,12 @@ import (
 // the complement names a small minority of the old rows.
 func bookStep(t *testing.T, order int) (*State, *tensor.Tensor) {
 	t.Helper()
+	return bookStepRank(t, order, 4)
+}
+
+// bookStepRank is bookStep with a prior of the given rank.
+func bookStepRank(t *testing.T, order, rank int) (*State, *tensor.Tensor) {
+	t.Helper()
 	spec := dataset.Spec{Name: "book", Dims: []int{1200, 300, 24}, NNZ: 3000, Skew: []float64{1.1, 1.05, 0.6}, Rating: true, Seed: 7}
 	if order == 4 {
 		spec.Dims = []int{1000, 250, 16, 6}
@@ -38,7 +44,7 @@ func bookStep(t *testing.T, order int) (*State, *tensor.Tensor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev, _, err := Init(seq.Snapshot(0), Options{Rank: 4, MaxIters: 5, Seed: 3})
+	prev, _, err := Init(seq.Snapshot(0), Options{Rank: rank, MaxIters: 5, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +84,10 @@ type boundRun struct {
 // allLive is the oracle's binding: no mode names any row quiet.
 func allLive(n int) [][]bool { return make([][]bool, n) }
 
-// bindRank binds rank w of the plan the way internal/core does; with
-// oracle set every owned row is declared live.
-func bindRank(s *Sweep, plan *dplan.Plan, w *cluster.Worker, factors []*mat.Dense, oracle bool, o *obs.Obs) *Sweep {
+// bindRank binds rank w of the plan the way internal/core does — from
+// nil factors, so the engine is cold; with oracle set every owned row is
+// declared live.
+func bindRank(s *Sweep, plan *dplan.Plan, w *cluster.Worker, oracle bool, o *obs.Obs) *Sweep {
 	n := plan.Tensor.Order()
 	me := w.Rank()
 	kernels := make([]mttkrp.Kernel, n)
@@ -91,9 +98,9 @@ func bindRank(s *Sweep, plan *dplan.Plan, w *cluster.Worker, factors []*mat.Dens
 	}
 	comm := clusterComm{w: w, exch: dplan.NewExchanger(w, plan)}
 	if oracle {
-		return s.bind(factors, kernels, owned, allLive(n), nil, comm, o)
+		return s.bind(nil, kernels, owned, allLive(n), nil, comm, o)
 	}
-	return s.Bind(factors, kernels, owned, nil, comm, o)
+	return s.Bind(nil, kernels, owned, nil, comm, o)
 }
 
 // runStep runs the step once per rank on a fresh in-process cluster.
@@ -105,7 +112,7 @@ func runStep(t *testing.T, s *Sweep, workers int, method partition.Method, oracl
 	bundles := make([]*obs.Obs, workers)
 	if _, err := cluster.NewLocal(workers).Run(func(w *cluster.Worker) error {
 		o := obs.New()
-		eng := bindRank(s, plan, w, s.InitialFactors(), oracle, o)
+		eng := bindRank(s, plan, w, oracle, o)
 		defer eng.Close()
 		engines[w.Rank()], bundles[w.Rank()] = eng, o
 		return eng.Run(nil)
@@ -263,9 +270,9 @@ func (c *flakyComm) ReduceScalarSum(x float64) (float64, error) {
 	return x, c.tick()
 }
 
-// bindWorld binds every row to one rank over comm, quiet rows split out
-// or — oracle — all live.
-func bindWorld(s *Sweep, comm Comm, oracle bool) *Sweep {
+// worldBinding returns what binds every row of the step to one rank:
+// whole-complement kernels and every row owned.
+func worldBinding(s *Sweep) ([]mttkrp.Kernel, [][]int32) {
 	n := len(s.newDims)
 	kernels := make([]mttkrp.Kernel, n)
 	owned := make([][]int32, n)
@@ -276,10 +283,17 @@ func bindWorld(s *Sweep, comm Comm, oracle bool) *Sweep {
 			owned[m][i] = int32(i)
 		}
 	}
+	return kernels, owned
+}
+
+// bindWorld binds every row to one rank over comm — from factors, or
+// cold from nil — quiet rows split out or, oracle, all live.
+func bindWorld(s *Sweep, factors []*mat.Dense, comm Comm, oracle bool) *Sweep {
+	kernels, owned := worldBinding(s)
 	if oracle {
-		return s.bind(s.InitialFactors(), kernels, owned, allLive(n), nil, comm, nil)
+		return s.bind(factors, kernels, owned, allLive(len(owned)), nil, comm, nil)
 	}
-	return s.Bind(s.InitialFactors(), kernels, owned, nil, comm, nil)
+	return s.Bind(factors, kernels, owned, nil, comm, nil)
 }
 
 // TestAbortedRunLeavesOrdinaryFactors pins the write-out contract: a
@@ -320,7 +334,7 @@ func TestAbortedRunLeavesOrdinaryFactors(t *testing.T) {
 			}
 			var engines [2]*Sweep
 			for i, oracle := range []bool{false, true} {
-				eng := bindWorld(s, &flakyComm{failAt: tc.failAt}, oracle)
+				eng := bindWorld(s, nil, &flakyComm{failAt: tc.failAt}, oracle)
 				defer eng.Close()
 				if err := eng.Run(before); !errors.Is(err, tc.want) {
 					t.Fatalf("oracle=%v: Run returned %v, want %v", oracle, err, tc.want)
@@ -433,7 +447,7 @@ func TestQuietRowsDegenerateInputs(t *testing.T) {
 		}
 		var engines [2]*Sweep
 		for i, oracle := range []bool{false, true} {
-			eng := bindWorld(s, nil, oracle)
+			eng := bindWorld(s, nil, nil, oracle)
 			defer eng.Close()
 			if err := eng.Run(nil); err != nil {
 				t.Fatal(err)

@@ -45,7 +45,7 @@ type step struct {
 	prev    *State         // Ã_n and the old mode sizes
 	comp    *tensor.Tensor // X \ X̃
 	newDims []int
-	init    []*mat.Dense // Ã_n stacked over seeded random growth blocks
+	growth  []*mat.Dense // the seeded random growth blocks a binding stacks under Ã_n
 
 	cTilde     float64 // Σ_{r,s} ∗_k (Ã_kᵀÃ_k)
 	compNormSq float64 // ‖X\X̃‖²
@@ -81,6 +81,9 @@ type Sweep struct {
 	liveOld, liveNew [][]int32
 	quiet            []quietRows
 	comm             Comm
+	// cold: bound from nil factors and not yet Run, so every old row of
+	// full still holds Ã's bits (see quietPass).
+	cold bool
 
 	// Replicated R×R Gram state. Each mode's three blocks are views into
 	// one 3R² buffer, so the partials are computed, reduced and kept in
@@ -156,8 +159,7 @@ type sweepNames struct {
 
 // NewSweep validates one streaming step from prev to snapshot and
 // prepares what all of its bindings share: the relative complement,
-// the stacked initial factors and the loss constants. prev is not
-// modified.
+// the seeded growth blocks and the loss constants. prev is not modified.
 func NewSweep(prev *State, snapshot *tensor.Tensor, o Options) (*Sweep, error) {
 	opts, err := o.withDefaults()
 	if err != nil {
@@ -189,11 +191,10 @@ func NewSweep(prev *State, snapshot *tensor.Tensor, o Options) (*Sweep, error) {
 	sp = opts.Obs.Span("plan/init")
 	n := snapshot.Order()
 	src := xrand.New(opts.Seed)
-	init := make([]*mat.Dense, n)
+	growth := make([]*mat.Dense, n)
 	gramsTilde := make([]*mat.Dense, n)
 	for m := 0; m < n; m++ {
-		growth := mat.RandomUniform(snapshot.Dims[m]-prev.Dims[m], opts.Rank, src)
-		init[m] = mat.StackRows(prev.Factors[m], growth)
+		growth[m] = mat.RandomUniform(snapshot.Dims[m]-prev.Dims[m], opts.Rank, src)
 		gramsTilde[m] = mat.Gram(prev.Factors[m])
 	}
 	sp.End()
@@ -202,7 +203,7 @@ func NewSweep(prev *State, snapshot *tensor.Tensor, o Options) (*Sweep, error) {
 		prev:       prev,
 		comp:       comp,
 		newDims:    append([]int(nil), snapshot.Dims...),
-		init:       init,
+		growth:     growth,
 		cTilde:     mat.SumAll(mat.HadamardAll(gramsTilde...)),
 		compNormSq: comp.NormSq(),
 	}}, nil
@@ -223,19 +224,24 @@ func emptyBox(dims []int) bool {
 // snapshot itself when the prior is empty.
 func (e *Sweep) Complement() *tensor.Tensor { return e.comp }
 
-// InitialFactors returns a fresh copy of the step's starting point: the
-// previous factors stacked over the seeded growth blocks. Every rank
-// starts from the same matrices.
-func (e *Sweep) InitialFactors() []*mat.Dense {
-	out := make([]*mat.Dense, len(e.init))
-	for m, f := range e.init {
-		out[m] = f.Clone()
+// stack returns a fresh copy of the step's starting point: the previous
+// factors over the seeded growth blocks. Every rank starts from the same
+// bits.
+func (e *Sweep) stack() []*mat.Dense {
+	out := make([]*mat.Dense, len(e.growth))
+	for m, g := range e.growth {
+		out[m] = mat.StackRows(e.prev.Factors[m], g)
 	}
 	return out
 }
 
 // Bind returns the engine for one rank of the step. factors are the
-// rank's replicas of the stacked factors, adopted and updated in place;
+// rank's replicas of the stacked factors, adopted and updated in place —
+// the warm factors a driver carries across a view change — or nil for
+// the step's starting point, which the binding then stacks itself (span
+// plan/stack), each rank its own copy. An engine bound from nil is cold
+// until its first Run returns: Run may assume the old rows still hold
+// Ã's bits, so nothing may write them in between.
 // kernels[m] covers the rank's share of the complement for mode m;
 // owned[m] lists the rows of mode m the rank solves. smp is the rank's
 // leverage-score sampler, nil under the exact solver. A nil comm is the
@@ -262,8 +268,14 @@ func (e *Sweep) Bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]in
 // bind is Bind with the live rows as data: named[m][i] reports whether
 // row i of mode m is live, a nil named[m] that every row is.
 func (e *Sweep) bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]int32, named [][]bool, smp *sample.Sampler, comm Comm, o *obs.Obs) *Sweep {
-	n := len(e.init)
+	n := len(e.newDims)
 	r := e.opts.Rank
+	cold := factors == nil
+	if cold {
+		sp := o.Span("plan/stack")
+		factors = e.stack()
+		sp.End()
+	}
 	gramPhase, exchangePhase := "mode%d/allreduce", "mode%d/exchange"
 	if comm == nil {
 		comm = solo{}
@@ -278,6 +290,7 @@ func (e *Sweep) bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]in
 		liveNew:   make([][]int32, n),
 		quiet:     make([]quietRows, n),
 		comm:      comm,
+		cold:      cold,
 		gbuf:      make([][]float64, n),
 		gram0:     make([]*mat.Dense, n),
 		gram1:     make([]*mat.Dense, n),
@@ -350,10 +363,9 @@ func newGramBatch(r int) (buf []float64, g0, g1, cross *mat.Dense) {
 }
 
 // bindSolo binds the world of one: every row owned, kernels over the
-// whole complement, the step's initial factors adopted as they are, no
-// Comm.
+// whole complement, the step's starting point, no Comm.
 func (e *Sweep) bindSolo() (*Sweep, error) {
-	n := len(e.init)
+	n := len(e.newDims)
 	kernels := make([]mttkrp.Kernel, n)
 	owned := make([][]int32, n)
 	sp := e.opts.Obs.Span("plan/compile")
@@ -377,7 +389,7 @@ func (e *Sweep) bindSolo() (*Sweep, error) {
 			return nil, err
 		}
 	}
-	return e.Bind(e.init, kernels, owned, smp, nil, e.opts.Obs), nil
+	return e.Bind(nil, kernels, owned, smp, nil, e.opts.Obs), nil
 }
 
 // Close releases the engine's pool goroutines.
@@ -405,9 +417,14 @@ func (e *Sweep) Work() float64 { return e.work }
 // from any factors correct — and turns implicit at its first solve.
 // However Run returns, the quiet rows of every implicit mode are
 // written out first, so Factors never shows a caller anything but
-// ordinary rows: Ã[i]·T of the mode's last completed solve.
+// ordinary rows: Ã[i]·T of the mode's last completed solve. (The
+// distributed gather adopts a rank's replica as the result on the
+// strength of that: Run never returns with an implicit mode.)
 func (e *Sweep) Run(before func(sweep int) error) error {
-	defer e.materialize()
+	defer func() {
+		e.materialize()
+		e.cold = false
+	}()
 	for m := range e.full {
 		e.quietPass(m)
 		if err := e.reduceGrams(m); err != nil {
@@ -623,6 +640,11 @@ func (e *Sweep) updateOwnedRows(mode int) {
 // quietPass is the once-per-Run walk over the mode's quiet rows: G̃q,
 // and the rows' Gram share from what full holds — Run's explicit
 // starting point. A mode with no quiet row skips it, span included.
+//
+// On a cold engine every quiet old row of full is Ã's row bit for bit,
+// so G̃q, the rows' A⁰ᵀA⁰ share and their ÃᵀA⁰ share are one and the
+// same sum — same terms, same order, same zero-skips: the walk
+// accumulates G̃q alone and the other two are copies.
 func (e *Sweep) quietPass(mode int) {
 	q := &e.quiet[mode]
 	if !q.any() {
@@ -633,8 +655,17 @@ func (e *Sweep) quietPass(mode int) {
 	e.gtask.mode, e.gtask.quiet = mode, true
 	e.pool.For(r, &e.gtask)
 	e.gtask.quiet = false
+	mat.MirrorUpper(q.gq)
+	mat.MirrorUpper(q.g1)
+	if e.cold {
+		q.g0.CopyFrom(q.gq)
+		q.cross.CopyFrom(q.gq)
+	} else {
+		mat.MirrorUpper(q.g0)
+	}
 	// Three outer products per old row (G̃q with the usual two), one per
-	// growth row.
+	// growth row: Work is the abstract flop model, charged the same
+	// whichever way the sums were obtained.
 	e.work += (3*float64(len(q.old)) + float64(len(q.grown))) * float64(r) * float64(r)
 	sp.End()
 }
@@ -701,6 +732,8 @@ func (e *Sweep) reduceGrams(mode int) error {
 	r := e.opts.Rank
 	e.gtask.mode = mode
 	e.pool.For(r, &e.gtask)
+	mat.MirrorUpper(e.gram0[mode])
+	mat.MirrorUpper(e.gram1[mode])
 	if q := &e.quiet[mode]; q.any() {
 		buf := e.gbuf[mode]
 		for i, v := range q.part {
@@ -723,6 +756,13 @@ func (e *Sweep) reduceGrams(mode int) error {
 // each entry accumulates exactly the sequential sequence. It walks the
 // live rows into the mode's Gram buffer, or — quiet set, by quietPass —
 // the quiet rows into their own share, with G̃q alongside.
+//
+// The symmetric blocks (A⁰ᵀA⁰, A¹ᵀA¹, G̃q) get their upper triangle
+// only; the caller mirrors them once pool.For has returned — never a
+// chunk, whose rows' lower halves belong to other chunks' uppers. Bit
+// for bit the full product, by mat.GramInto's argument. ÃᵀA⁰ is not
+// symmetric and is computed whole, except on a cold quiet walk, which
+// computes G̃q alone (see quietPass).
 type gramPartialsTask struct {
 	e     *Sweep
 	mode  int
@@ -749,25 +789,39 @@ func (t *gramPartialsTask) RunChunk(lo, hi, tid int) {
 			zeroRow(gq.Row(i))
 		}
 	}
-	for _, s := range oldRows {
-		row := factor.Row(int(s))
-		trow := tilde.Row(int(s))
-		for i := lo; i < hi; i++ {
-			if av := row[i]; av != 0 {
-				drow := g0.Row(i)
-				for c, bv := range row {
-					drow[c] += av * bv
+	if t.quiet && e.cold {
+		for _, s := range oldRows {
+			trow := tilde.Row(int(s))
+			for i := lo; i < hi; i++ {
+				if tv := trow[i]; tv != 0 {
+					drow := gq.Row(i)[i:]
+					for c, bv := range trow[i:] {
+						drow[c] += tv * bv
+					}
 				}
 			}
-			if tv := trow[i]; tv != 0 {
-				drow := cross.Row(i)
-				for c, bv := range row {
-					drow[c] += tv * bv
+		}
+	} else {
+		for _, s := range oldRows {
+			row := factor.Row(int(s))
+			trow := tilde.Row(int(s))
+			for i := lo; i < hi; i++ {
+				if av := row[i]; av != 0 {
+					drow := g0.Row(i)[i:]
+					for c, bv := range row[i:] {
+						drow[c] += av * bv
+					}
 				}
-				if gq != nil {
-					drow = gq.Row(i)
-					for c, bv := range trow {
+				if tv := trow[i]; tv != 0 {
+					drow := cross.Row(i)
+					for c, bv := range row {
 						drow[c] += tv * bv
+					}
+					if gq != nil {
+						drow = gq.Row(i)[i:]
+						for c, bv := range trow[i:] {
+							drow[c] += tv * bv
+						}
 					}
 				}
 			}
@@ -780,8 +834,8 @@ func (t *gramPartialsTask) RunChunk(lo, hi, tid int) {
 			if av == 0 {
 				continue
 			}
-			drow := g1.Row(i)
-			for c, bv := range row {
+			drow := g1.Row(i)[i:]
+			for c, bv := range row[i:] {
 				drow[c] += av * bv
 			}
 		}

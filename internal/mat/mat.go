@@ -157,11 +157,53 @@ func MulInto(dst, a, b *Dense) {
 }
 
 // Gram computes AᵀA, an a.Cols x a.Cols symmetric matrix.
-func Gram(a *Dense) *Dense { return CrossGram(a, a) }
+func Gram(a *Dense) *Dense {
+	out := New(a.Cols, a.Cols)
+	GramInto(out, a)
+	return out
+}
 
 // GramInto computes AᵀA into dst, which must be a.Cols x a.Cols and
-// must not alias a.
-func GramInto(dst, a *Dense) { CrossGramInto(dst, a, a) }
+// must not alias a. It accumulates the upper triangle and mirrors it,
+// and is bit for bit CrossGramInto(dst, a, a): a·b is b·a, every entry
+// still sums its rows in ascending order, and the terms the two
+// triangles skip differently (a zero on one side of the product, not
+// the other) are ±0, which an accumulator that started at +0 absorbs
+// without changing.
+func GramInto(dst, a *Dense) {
+	if dst.Rows != a.Cols || dst.Cols != a.Cols {
+		panic("mat: GramInto destination shape mismatch")
+	}
+	mustDisjoint("GramInto", dst, a)
+	dst.Zero()
+	for i := 0; i < a.Rows; i++ {
+		row := a.Row(i)
+		for r, av := range row {
+			if av == 0 {
+				continue
+			}
+			drow := dst.Row(r)[r:]
+			for c, bv := range row[r:] {
+				drow[c] += av * bv
+			}
+		}
+	}
+	MirrorUpper(dst)
+}
+
+// MirrorUpper copies the strict upper triangle of the square matrix m
+// onto its lower triangle.
+func MirrorUpper(m *Dense) {
+	if m.Rows != m.Cols {
+		panic(fmt.Sprintf("mat: MirrorUpper on non-square %dx%d", m.Rows, m.Cols))
+	}
+	n := m.Cols
+	for r := 0; r < n; r++ {
+		for c := r + 1; c < n; c++ {
+			m.Data[c*n+r] = m.Data[r*n+c]
+		}
+	}
+}
 
 // CrossGram computes AᵀB. A and B must have the same number of rows;
 // the result is a.Cols x b.Cols. This is the row-wise product the paper

@@ -138,6 +138,47 @@ func TestGramSymmetricPSD(t *testing.T) {
 	}
 }
 
+// TestGramIntoBitEqualsCrossGramOfItself pins the upper-triangle-and-
+// mirror GramInto to the full product it replaced, bit for bit, on
+// inputs that exercise the zero-skip: exact zeros and negative zeros
+// scattered through signed values, columns that are entirely zero.
+func TestGramIntoBitEqualsCrossGramOfItself(t *testing.T) {
+	src := xrand.New(31)
+	for _, r := range []int{1, 3, 10, 16} {
+		for trial := 0; trial < 50; trial++ {
+			a := RandomGaussian(src.Intn(40), r, src)
+			for i := range a.Data {
+				switch src.Intn(6) {
+				case 0:
+					a.Data[i] = 0
+				case 1:
+					a.Data[i] = math.Copysign(0, -1)
+				}
+			}
+			if r > 1 && trial%5 == 0 {
+				for i := 0; i < a.Rows; i++ {
+					a.Set(i, r/2, 0)
+				}
+			}
+			got, want := New(r, r), New(r, r)
+			for i := range got.Data {
+				got.Data[i] = math.NaN() // GramInto must overwrite, not accumulate
+			}
+			GramInto(got, a)
+			CrossGramInto(want, a, a)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("R=%d trial %d: entry (%d,%d) is %x, CrossGramInto(a, a) gives %x",
+						r, trial, i/r, i%r, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+				}
+			}
+			if g := Gram(a); MaxAbsDiff(g, got) != 0 {
+				t.Fatalf("R=%d trial %d: Gram and GramInto disagree", r, trial)
+			}
+		}
+	}
+}
+
 func TestCrossGramMatchesTransposeMul(t *testing.T) {
 	src := xrand.New(3)
 	a := RandomGaussian(7, 3, src)

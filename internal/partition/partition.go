@@ -13,10 +13,11 @@
 package partition
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"dismastd/internal/obs"
 )
@@ -50,6 +51,7 @@ type ModePlan struct {
 	Parts  int
 	Assign []int32 // Assign[i] is the partition owning slice i
 	Loads  []int64 // Loads[p] is the total nnz assigned to partition p
+	Sorted int     // slices the heuristic sorted: the non-empty ones under MTP and WeightedLPT, none under GTP
 }
 
 // loadsFromAssign recomputes the per-partition loads of an assignment.
@@ -147,48 +149,71 @@ func GTPNoBackoff(slices []int64, p int) *ModePlan {
 // resulting partitions are generally non-contiguous.
 func MTP(slices []int64, p int) *ModePlan {
 	checkParts(len(slices), p)
-	order := make([]int, len(slices))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		if slices[order[x]] != slices[order[y]] {
-			return slices[order[x]] > slices[order[y]]
-		}
-		return order[x] < order[y] // deterministic tie-break
-	})
+	order, loaded := heaviestFirst(slices)
 	h := make(loadHeap, p)
 	for i := range h {
 		h[i] = partLoad{part: i}
 	}
 	heap.Init(&h)
 	assign := make([]int32, len(slices))
-	zeroFrom := len(order)
-	for pos, i := range order {
-		if slices[i] == 0 {
-			// order is descending, so the zero-nnz tail starts here.
-			zeroFrom = pos
-			break
-		}
+	for _, i := range order[:loaded] {
 		min := &h[0]
 		assign[i] = int32(min.part)
 		min.load += slices[i]
 		min.count++
 		heap.Fix(&h, 0)
 	}
-	// Empty slices carry no MTTKRP load, so any assignment satisfies
-	// Algorithm 3's max-min objective; spread them round-robin by slice
-	// count. Sending them all to the single lightest partition (what a
-	// literal "assign to min load" does) would concentrate the
-	// factor-row update work — proportional to row count, invisible to
-	// the nnz statistic — on one worker.
 	counts := make([]int, p)
 	for _, pl := range h {
 		counts[pl.part] = pl.count
 	}
-	for _, i := range order[zeroFrom:] {
+	spreadEmpty(order[loaded:], assign, counts)
+	return &ModePlan{Parts: p, Assign: assign, Loads: loadsFromAssign(slices, assign, p), Sorted: loaded}
+}
+
+// heaviestFirst returns the slice indices in the order MTP and
+// WeightedLPT place them — descending nnz, ties by ascending index — and
+// how many of them carry load. Only those are sorted: under that order
+// the empty slices are a tail in ascending index order, which is the
+// order a single pass meets them in, so a mode whose complement names a
+// few thousand of its slices pays for those and not for its length.
+func heaviestFirst(nnz []int64) (order []int, loaded int) {
+	for _, a := range nnz {
+		if a > 0 {
+			loaded++
+		}
+	}
+	order = make([]int, len(nnz))
+	lo, hi := 0, loaded
+	for i, a := range nnz {
+		if a > 0 {
+			order[lo] = i
+			lo++
+		} else {
+			order[hi] = i
+			hi++
+		}
+	}
+	slices.SortFunc(order[:loaded], func(x, y int) int {
+		if nnz[x] != nnz[y] {
+			return cmp.Compare(nnz[y], nnz[x])
+		}
+		return cmp.Compare(x, y) // deterministic tie-break
+	})
+	return order, loaded
+}
+
+// spreadEmpty assigns the empty slices. They carry no MTTKRP load, so
+// any assignment satisfies Algorithm 3's max-min objective; spread them
+// round-robin by slice count. Sending them all to the single lightest
+// partition (what a literal "assign to min load" does) would concentrate
+// the factor-row update work — proportional to row count, invisible to
+// the nnz statistic — on one worker. counts[q] is the number of slices
+// partition q holds so far.
+func spreadEmpty(empty []int, assign []int32, counts []int) {
+	for _, i := range empty {
 		min := 0
-		for q := 1; q < p; q++ {
+		for q := 1; q < len(counts); q++ {
 			if counts[q] < counts[min] {
 				min = q
 			}
@@ -196,7 +221,6 @@ func MTP(slices []int64, p int) *ModePlan {
 		assign[i] = int32(min)
 		counts[min]++
 	}
-	return &ModePlan{Parts: p, Assign: assign, Loads: loadsFromAssign(slices, assign, p)}
 }
 
 // Partition dispatches to the heuristic selected by method.
@@ -347,26 +371,12 @@ func WeightedLPT(slices []int64, weights []float64, p int) *ModePlan {
 			panic(fmt.Sprintf("partition: weight[%d] = %v, want positive finite", q, w))
 		}
 	}
-	order := make([]int, len(slices))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		if slices[order[x]] != slices[order[y]] {
-			return slices[order[x]] > slices[order[y]]
-		}
-		return order[x] < order[y] // deterministic tie-break
-	})
+	order, loaded := heaviestFirst(slices)
 	assign := make([]int32, len(slices))
 	loads := make([]int64, p)
 	counts := make([]int, p)
-	zeroFrom := len(order)
-	for pos, i := range order {
+	for _, i := range order[:loaded] {
 		a := slices[i]
-		if a == 0 {
-			zeroFrom = pos
-			break
-		}
 		best := 0
 		bestCost := weights[0] * float64(loads[0]+a)
 		for q := 1; q < p; q++ {
@@ -379,15 +389,6 @@ func WeightedLPT(slices []int64, weights []float64, p int) *ModePlan {
 		loads[best] += a
 		counts[best]++
 	}
-	for _, i := range order[zeroFrom:] {
-		min := 0
-		for q := 1; q < p; q++ {
-			if counts[q] < counts[min] {
-				min = q
-			}
-		}
-		assign[i] = int32(min)
-		counts[min]++
-	}
-	return &ModePlan{Parts: p, Assign: assign, Loads: loads}
+	spreadEmpty(order[loaded:], assign, counts)
+	return &ModePlan{Parts: p, Assign: assign, Loads: loads, Sorted: loaded}
 }
