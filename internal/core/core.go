@@ -359,8 +359,12 @@ func (c *rankComm) AllReduceSumInPlace(vec []float64) error {
 	return c.w.AllReduceSumInPlace(vec)
 }
 
-func (c *rankComm) ExchangeRows(mode int, factor *mat.Dense) error {
-	return c.exch.Exchange(mode, factor, c.broadcast)
+func (c *rankComm) PostRows(mode int, factor *mat.Dense) error {
+	return c.exch.Post(mode, factor, c.broadcast)
+}
+
+func (c *rankComm) CollectRows(mode int, factor *mat.Dense) error {
+	return c.exch.Collect(mode, factor, c.broadcast)
 }
 
 // ReduceScalarSum sums the ranks' shares of the loss's tensor-model

@@ -301,32 +301,36 @@ func NewExchanger(w *cluster.Worker, p *Plan) *Exchanger {
 
 // Exchange pushes the freshly updated owned rows of factor (which is
 // the full mode-m matrix, locally replicated) to every subscriber and
-// pulls the rows this worker subscribes to. All workers must call it in
-// lockstep after updating mode m. When broadcast is true the full owned
-// row set goes to every other worker regardless of need — the
-// row-subscription ablation baseline.
-//
-// Rows are packed directly into pooled transport buffers, and incoming
-// blocks are scattered in arrival order (RecvAny), which is safe
-// bitwise: each peer's block covers a disjoint row set, so the landing
-// order cannot change any value.
+// pulls the rows this worker subscribes to: Post, then Collect. All
+// workers must call it in lockstep after updating mode m. When broadcast
+// is true the full owned row set goes to every other worker regardless
+// of need — the row-subscription ablation baseline.
 func (e *Exchanger) Exchange(mode int, factor *mat.Dense, broadcast bool) error {
-	w, p := e.w, e.p
+	if err := e.Post(mode, factor, broadcast); err != nil {
+		return err
+	}
+	return e.Collect(mode, factor, broadcast)
+}
+
+// rowsFor lists the mode's rows that travel from one worker to another.
+func (e *Exchanger) rowsFor(mode, from, to int, broadcast bool) []int32 {
+	if broadcast {
+		return e.p.OwnedSlices[mode][from]
+	}
+	return e.p.SendLists[mode][from][to]
+}
+
+// Post is the send half of Exchange: rows are packed directly into
+// pooled transport buffers, and unbounded mailboxes make the sends
+// non-blocking, so a worker may do other work — other collectives
+// included, their tags are their own — before it collects.
+func (e *Exchanger) Post(mode int, factor *mat.Dense, broadcast bool) error {
+	w := e.w
 	me := w.Rank()
 	tag := w.StreamTagIndexed("rows", mode)
 	r := factor.Cols
-
-	rowsFor := func(from, to int) []int32 {
-		if broadcast {
-			return p.OwnedSlices[mode][from]
-		}
-		return p.SendLists[mode][from][to]
-	}
-
-	// Send phase: unbounded mailboxes make sends non-blocking, so all
-	// sends complete before any receive.
 	for s := 0; s < w.Size(); s++ {
-		rows := rowsFor(me, s)
+		rows := e.rowsFor(mode, me, s, broadcast)
 		if s == me || len(rows) == 0 {
 			continue
 		}
@@ -341,11 +345,21 @@ func (e *Exchanger) Exchange(mode int, factor *mat.Dense, broadcast bool) error 
 			return err
 		}
 	}
-	// Receive phase: scatter incoming rows into the local replica as
-	// the blocks arrive, whatever the peer order.
+	return nil
+}
+
+// Collect is the receive half of Exchange: incoming blocks are scattered
+// into the local replica in arrival order (RecvAny), whatever the peer
+// order — safe bitwise, because each peer's block covers a disjoint row
+// set, so the landing order cannot change any value.
+func (e *Exchanger) Collect(mode int, factor *mat.Dense, broadcast bool) error {
+	w := e.w
+	me := w.Rank()
+	tag := w.StreamTagIndexed("rows", mode)
+	r := factor.Cols
 	e.pending = e.pending[:0]
 	for o := 0; o < w.Size(); o++ {
-		if o != me && len(rowsFor(o, me)) > 0 {
+		if o != me && len(e.rowsFor(mode, o, me, broadcast)) > 0 {
 			e.pending = append(e.pending, o)
 		}
 	}
@@ -357,7 +371,7 @@ func (e *Exchanger) Exchange(mode int, factor *mat.Dense, broadcast bool) error 
 		o := e.pending[i]
 		e.pending[i] = e.pending[len(e.pending)-1]
 		e.pending = e.pending[:len(e.pending)-1]
-		rows := rowsFor(o, me)
+		rows := e.rowsFor(mode, o, me, broadcast)
 		if len(payload) != 8*len(rows)*r {
 			return fmt.Errorf("dplan: row exchange from %d mode %d: %d bytes for %d rows", o, mode, len(payload), len(rows))
 		}

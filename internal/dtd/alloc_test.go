@@ -85,3 +85,55 @@ func TestBindSoloDefaultsToCompiledUnderSpan(t *testing.T) {
 		t.Errorf("plan spans %v, want one plan/complement and one plan/compile", spans)
 	}
 }
+
+// TestLiveBlockSizedByLiveRows holds the memory Bind spends on the live
+// blocks to its formula — per mode R·(2·(live old rows + T's R) + live
+// new rows) floats, never more than 3·R·(live rows + R) — so only a
+// binding in which every row is live (a first snapshot, the sampled
+// solver's) holds a model-sized block; and the five row lists are carved
+// at final size from the one allocation that sized them.
+func TestLiveBlockSizedByLiveRows(t *testing.T) {
+	const rank = 4
+	prev, snap := bookStep(t, 3)
+	s, err := NewSweep(prev, snap, Options{Rank: rank, MaxIters: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockFloats := func(e *Sweep) (total int) {
+		for m := range e.blocks {
+			b := &e.blocks[m]
+			got := len(b.tildeT) + len(b.oldT) + len(b.newT)
+			if want := rank * (2*(b.nOld+b.nT) + b.nNew); got != want {
+				t.Fatalf("mode %d: block holds %d floats, want %d", m, got, want)
+			}
+			if b.nOld != len(e.liveOld[m]) || b.nNew != len(e.liveNew[m]) || (b.nT != 0) != (len(e.quiet[m].old) > 0) {
+				t.Fatalf("mode %d: block %+v does not match the row lists", m, []int{b.nOld, b.nT, b.nNew})
+			}
+			if bound := 3 * rank * (len(e.live[m]) + rank); got > bound {
+				t.Fatalf("mode %d: block holds %d floats for %d live rows, bound %d", m, got, len(e.live[m]), bound)
+			}
+			q := &e.quiet[m]
+			for _, list := range [][]int32{e.live[m], e.liveOld[m], e.liveNew[m], q.old, q.grown} {
+				if len(list) != cap(list) {
+					t.Fatalf("mode %d: a row list of %d rows has capacity %d", m, len(list), cap(list))
+				}
+			}
+			total += got
+		}
+		return total
+	}
+	model := 0
+	for _, d := range snap.Dims {
+		model += d * rank
+	}
+	split := bindWorld(s, nil, nil, false)
+	defer split.Close()
+	if got := blockFloats(split); 2*got > model {
+		t.Fatalf("live blocks hold %d floats on a step whose model is %d: the input's quiet rows should keep them under half", got, model)
+	}
+	every := bindWorld(s, nil, nil, true)
+	defer every.Close()
+	if got := blockFloats(every); got < model || got > 2*model {
+		t.Fatalf("all-live blocks hold %d floats, want between one and two models (%d)", got, model)
+	}
+}

@@ -62,8 +62,11 @@ func (c clusterComm) AllReduceSumInPlace(vec []float64) error { return c.w.AllRe
 func (c clusterComm) ReduceScalarSum(x float64) (float64, error) {
 	return c.w.ReduceScalarSum(x)
 }
-func (c clusterComm) ExchangeRows(mode int, factor *mat.Dense) error {
-	return c.exch.Exchange(mode, factor, false)
+func (c clusterComm) PostRows(mode int, factor *mat.Dense) error {
+	return c.exch.Post(mode, factor, false)
+}
+func (c clusterComm) CollectRows(mode int, factor *mat.Dense) error {
+	return c.exch.Collect(mode, factor, false)
 }
 
 // boundRun is what one run of a step on an in-process cluster leaves:
@@ -247,8 +250,10 @@ func TestQuietRowsMatchExplicitOracle(t *testing.T) {
 	}
 }
 
-// flakyComm is the world of one with one scripted failure: collective
-// number failAt (counted over all three calls) returns errInjected.
+// flakyComm is the world of one with one scripted failure: blocking call
+// number failAt (counted over the all-reduce, the row collect and the
+// scalar reduce; a post waits for no one and cannot fail here) returns
+// errInjected.
 type flakyComm struct {
 	solo
 	calls, failAt int
@@ -265,7 +270,8 @@ func (c *flakyComm) tick() error {
 }
 
 func (c *flakyComm) AllReduceSumInPlace([]float64) error { return c.tick() }
-func (c *flakyComm) ExchangeRows(int, *mat.Dense) error  { return c.tick() }
+func (c *flakyComm) PostRows(int, *mat.Dense) error      { return nil }
+func (c *flakyComm) CollectRows(int, *mat.Dense) error   { return c.tick() }
 func (c *flakyComm) ReduceScalarSum(x float64) (float64, error) {
 	return x, c.tick()
 }

@@ -25,18 +25,23 @@ type Comm interface {
 	// ReduceScalarSum returns the sum of x across ranks — the loss's
 	// tensor-model inner product (Section IV-B4).
 	ReduceScalarSum(x float64) (float64, error)
-	// ExchangeRows makes the mode's freshly solved owned rows visible in
-	// every replica that reads them.
-	ExchangeRows(mode int, factor *mat.Dense) error
+	// PostRows sends the mode's freshly solved owned rows to every replica
+	// that reads them, without waiting for anyone; CollectRows, called once
+	// the mode's Gram batch is reduced, lands the rows this rank reads from
+	// their owners. Between the two a rank is inside the all-reduce, so by
+	// the time it collects every peer has posted.
+	PostRows(mode int, factor *mat.Dense) error
+	CollectRows(mode int, factor *mat.Dense) error
 }
 
 // solo is the world-of-one Comm: a rank that owns every row already
 // holds the global sums and has no replica to refresh.
 type solo struct{}
 
-func (solo) AllReduceSumInPlace([]float64) error            { return nil }
-func (solo) ReduceScalarSum(x float64) (float64, error)     { return x, nil }
-func (solo) ExchangeRows(mode int, factor *mat.Dense) error { return nil }
+func (solo) AllReduceSumInPlace([]float64) error        { return nil }
+func (solo) ReduceScalarSum(x float64) (float64, error) { return x, nil }
+func (solo) PostRows(int, *mat.Dense) error             { return nil }
+func (solo) CollectRows(int, *mat.Dense) error          { return nil }
 
 // step is what one streaming step fixes before anyone sweeps: read-only
 // once NewSweep returns, and shared by every binding of the step.
@@ -52,8 +57,8 @@ type step struct {
 }
 
 // Sweep is the one implementation of the Eq. (5) update: the per-mode
-// phase sequence (MTTKRP → denominators → owned-row solve → Gram
-// refresh → row exchange), the Eq. (4) loss that reuses their
+// phase sequence (MTTKRP → denominators → owned-row solve → rows posted
+// → Gram refresh → rows collected), the Eq. (4) loss that reuses their
 // intermediates, and the MaxIters/Tol loop around them.
 //
 // NewSweep validates a step and prepares what every rank shares; Bind
@@ -76,9 +81,11 @@ type Sweep struct {
 	// binder's order; liveOld/liveNew split them at the old mode sizes:
 	// old rows take the A^(0) rule, growth rows the A^(1) rule. The rest
 	// are quiet: Eq. (5) maps them without looking at them (see
-	// quietRows), so a sweep never walks them.
+	// quietRows), so a sweep never walks them. blocks holds the live rows'
+	// values column-major, which is what the dense phases compute on.
 	live             [][]int32
 	liveOld, liveNew [][]int32
+	blocks           []liveBlock
 	quiet            []quietRows
 	comm             Comm
 	// cold: bound from nil factors and not yet Run, so every old row of
@@ -90,10 +97,14 @@ type Sweep struct {
 	// place: gram0 = A^(0)ᵀA^(0), gram1 = A^(1)ᵀA^(1), cross = ÃᵀA^(0).
 	gbuf                [][]float64
 	gram0, gram1, cross []*mat.Dense
-	gtask               gramPartialsTask
+	stask               solveTask
+	gtask               gramTask
+	qtask               quietGramTask
 	mtask               materializeTask
 
 	denoms
+	hT    *mat.Dense   // hprodᵀ: column c of hprod as one contiguous row
+	chol  *mat.Dense   // ridge-Cholesky factor of the denominator being solved against
 	mbuf  []*mat.Dense // per-mode MTTKRP buffers
 	lastM *mat.Dense   // final mode's MTTKRP, reused by the loss
 	fullG []*mat.Dense // per-mode gram0+gram1, rebuilt by the loss
@@ -104,10 +115,9 @@ type Sweep struct {
 	smp *sample.Sampler
 	gs  *mat.Dense
 
-	ws   *mat.Workspace
 	pool *par.Pool // nil when Threads <= 1
 	wss  *mat.WorkspaceSet
-	pk   *mat.ParKernels
+	pk   *mat.ParKernels // the sampler's Gram; the exact sweep runs on blocks
 	pacc *mttkrp.ParAccumulator
 
 	trace []float64
@@ -149,6 +159,25 @@ type quietRows struct {
 }
 
 func (q *quietRows) any() bool { return len(q.old)+len(q.grown) > 0 }
+
+// liveBlock is one mode's live rows as R contiguous columns — column c
+// lists entry c of every row, in liveOld / liveNew order — which makes
+// the sweep's dense half long-vector work (internal/mat/block.go): the
+// numerator R axpys per column, the substitutions on the block as it
+// lies, every Gram entry one dot product with a register accumulator.
+// MTTKRP and the row exchange keep reading the row-major replicas in
+// full, so a solve scatters its rows back; between solves block and
+// replica hold the same bits.
+//
+// tildeT (Ã's rows, fixed for the step) and oldT (A⁽⁰⁾'s) cover the live
+// old rows plus, when the mode has quiet old rows, nT = R more entries
+// per column — the identity in tildeT — so the quiet rows' T (see
+// quietRows) comes out of the live rows' numerator and factorisation.
+// newT is A⁽¹⁾'s live rows. Model-sized only when every row is live.
+type liveBlock struct {
+	nOld, nT, nNew     int
+	tildeT, oldT, newT []float64 // strides nOld+nT, nOld+nT, nNew
+}
 
 // sweepNames are one mode's span names. The Comm names the third phase:
 // "gram" when the refresh is local, "allreduce" when it is a
@@ -288,6 +317,7 @@ func (e *Sweep) bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]in
 		live:      make([][]int32, n),
 		liveOld:   make([][]int32, n),
 		liveNew:   make([][]int32, n),
+		blocks:    make([]liveBlock, n),
 		quiet:     make([]quietRows, n),
 		comm:      comm,
 		cold:      cold,
@@ -296,11 +326,12 @@ func (e *Sweep) bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]in
 		gram1:     make([]*mat.Dense, n),
 		cross:     make([]*mat.Dense, n),
 		denoms:    newDenoms(r),
+		hT:        mat.New(r, r),
+		chol:      mat.New(r, r),
 		mbuf:      make([]*mat.Dense, n),
 		fullG:     make([]*mat.Dense, n),
 		h:         mat.New(r, r),
 		smp:       smp,
-		ws:        mat.NewWorkspace(),
 		pool:      par.New(e.opts.Threads),
 		trace:     make([]float64, 0, e.opts.MaxIters),
 		obs:       o,
@@ -309,10 +340,9 @@ func (e *Sweep) bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]in
 		cSolve:    o.Counter("solve.rows"),
 		cImplicit: o.Counter("solve.rows.implicit"),
 	}
-	b.gtask.e = b
-	b.mtask.e = b
+	b.stask.e, b.gtask.e, b.qtask.e, b.mtask.e = b, b, b, b
 	b.wss = mat.NewWorkspaceSet(b.pool.Threads())
-	b.pk = mat.NewParKernels(b.pool, b.wss)
+	b.pk = mat.NewParKernels(b.pool)
 	b.pacc = mttkrp.NewParAccumulator(b.pool, b.wss, o)
 	if smp != nil {
 		b.gs = mat.New(r, r)
@@ -321,24 +351,8 @@ func (e *Sweep) bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]in
 		b.gbuf[m], b.gram0[m], b.gram1[m], b.cross[m] = newGramBatch(r)
 		b.mbuf[m] = mat.New(factors[m].Rows, r)
 		b.fullG[m] = mat.New(r, r)
-		q := &b.quiet[m]
-		for _, row := range owned[m] {
-			old := int(row) < e.prev.Dims[m]
-			quiet := named[m] != nil && !named[m][row]
-			switch {
-			case quiet && old:
-				q.old = append(q.old, row)
-			case quiet:
-				q.grown = append(q.grown, row)
-			case old:
-				b.live[m] = append(b.live[m], row)
-				b.liveOld[m] = append(b.liveOld[m], row)
-			default:
-				b.live[m] = append(b.live[m], row)
-				b.liveNew[m] = append(b.liveNew[m], row)
-			}
-		}
-		if q.any() {
+		b.splitRows(m, owned[m], named[m])
+		if q := &b.quiet[m]; q.any() {
 			q.gq, q.t = mat.New(r, r), mat.New(r, r)
 			q.part, q.g0, q.g1, q.cross = newGramBatch(r)
 		}
@@ -353,6 +367,67 @@ func (e *Sweep) bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]in
 		}
 	}
 	return b
+}
+
+// splitRows sorts the rank's owned rows of one mode into the live and
+// quiet lists — counted first, so each list is carved at its final size
+// from one allocation — and builds the mode's live block from the bound
+// factors. named is bind's.
+func (e *Sweep) splitRows(mode int, owned []int32, named []bool) {
+	const liveOld, liveNew, quietOld, quietGrown, live = 0, 1, 2, 3, 4
+	kind := func(row int32) int {
+		k := liveOld
+		if int(row) >= e.prev.Dims[mode] {
+			k = liveNew
+		}
+		if named != nil && !named[row] {
+			k += quietOld
+		}
+		return k
+	}
+	var n [5]int
+	for _, row := range owned {
+		n[kind(row)]++
+	}
+	n[live] = n[liveOld] + n[liveNew]
+	slab := make([]int32, len(owned)+n[live])
+	var lists [5][]int32
+	for k, c := range n {
+		lists[k], slab = slab[:0:c], slab[c:]
+	}
+	for _, row := range owned {
+		k := kind(row)
+		lists[k] = append(lists[k], row)
+		if k <= liveNew {
+			lists[live] = append(lists[live], row)
+		}
+	}
+	e.live[mode], e.liveOld[mode], e.liveNew[mode] = lists[live], lists[liveOld], lists[liveNew]
+	e.quiet[mode].old, e.quiet[mode].grown = lists[quietOld], lists[quietGrown]
+
+	r := e.opts.Rank
+	b := &e.blocks[mode]
+	b.nOld, b.nNew = n[liveOld], n[liveNew]
+	if n[quietOld] > 0 {
+		b.nT = r
+	}
+	so := b.nOld + b.nT
+	blk := make([]float64, r*(2*so+b.nNew))
+	b.tildeT, b.oldT, b.newT = blk[:r*so], blk[r*so:2*r*so], blk[2*r*so:]
+	factor, tilde := e.full[mode], e.prev.Factors[mode]
+	for i, row := range lists[liveOld] {
+		for c, v := range tilde.Row(int(row)) {
+			b.tildeT[c*so+i], b.oldT[c*so+i] = v, factor.At(int(row), c)
+		}
+	}
+	for k := 0; k < b.nT; k++ {
+		b.tildeT[k*so+b.nOld+k] = 1
+	}
+	for i, row := range lists[liveNew] {
+		for c, v := range factor.Row(int(row)) {
+			b.newT[c*b.nNew+i] = v
+		}
+	}
 }
 
 // newGramBatch returns one mode's 3R² Gram batch and its three R×R
@@ -484,20 +559,20 @@ func (e *Sweep) sweep(iter int) (float64, error) {
 		e.updateOwnedRows(m)
 		sp.End()
 
-		// 3. Refresh the mode's Gram blocks from the new rows.
+		// 3. Post the new rows to the replicas that read them — a phase
+		// only a bound Comm has — so they travel while the Grams reduce.
+		if err := e.exchange(m, false); err != nil {
+			return 0, err
+		}
+
+		// 4. Refresh the mode's Gram blocks from the new rows.
 		if err := e.reduceGrams(m); err != nil {
 			return 0, err
 		}
 
-		// 4. Push the new rows to the replicas that read them — a phase
-		// only a bound Comm has.
-		sp = obs.Span{}
-		if nm.exchange != "" {
-			sp = e.obs.Span(nm.exchange)
-		}
-		err := e.comm.ExchangeRows(m, e.full[m])
-		sp.End()
-		if err != nil {
+		// 5. Land the rows this rank reads: every peer posted before it
+		// entered the all-reduce that just returned.
+		if err := e.exchange(m, true); err != nil {
 			return 0, err
 		}
 		if e.smp != nil {
@@ -512,6 +587,19 @@ func (e *Sweep) sweep(iter int) (float64, error) {
 		return 0, err
 	}
 	return e.lossFinish(inner), nil
+}
+
+// exchange runs one half of the mode's row exchange under its span.
+func (e *Sweep) exchange(mode int, collect bool) error {
+	sp := obs.Span{}
+	if name := e.names[mode].exchange; name != "" {
+		sp = e.obs.Span(name)
+	}
+	defer sp.End()
+	if collect {
+		return e.comm.CollectRows(mode, e.full[mode])
+	}
+	return e.comm.PostRows(mode, e.full[mode])
 }
 
 // mttkrp fills the mode's buffer with the MTTKRP of this rank's
@@ -555,76 +643,47 @@ func (e *Sweep) refreshDist(m int) {
 }
 
 // updateOwnedRows applies the Eq. (5) row-wise updates to the live rows
-// this rank owns in the given mode, in place, with all block scratch
-// taken from the workspace, and turns the mode's quiet rows implicit.
+// this rank owns in the given mode — on the mode's live block, scattered
+// back to the replica — and turns the mode's quiet rows implicit.
 func (e *Sweep) updateOwnedRows(mode int) {
-	factor := e.full[mode]
-	M := e.mbuf[mode]
-	tilde := e.prev.Factors[mode]
-	r := factor.Cols
-	oldRows, newRows := e.liveOld[mode], e.liveNew[mode]
+	r := e.opts.Rank
+	b := &e.blocks[mode]
 	q := &e.quiet[mode]
-	// T = μ·H·D₀⁻¹ rides the old block as R extra rows — identity rows
-	// of the Ã block, no MTTKRP row — so quiet and live rows are solved
-	// against one ridge-Cholesky factor of D₀ by construction.
-	nT := 0
-	if len(q.old) > 0 {
-		nT = r
-	}
-
-	mark := e.ws.Mark()
+	e.stask.mode = mode
 	factored := 0 // ridge factorisations this solve performs: D₀'s, D₁'s
-	if nOld := len(oldRows); nOld+nT > 0 {
+	if so := b.nOld + b.nT; so > 0 {
 		factored++
-		// Numerator block: μ·Ã[rows]·Hprod + M[rows], solved in place.
-		tblock := e.ws.Take(nOld+nT, r)
-		for i, s := range oldRows {
-			copy(tblock.Row(i), tilde.Row(int(s)))
-		}
-		for i := 0; i < nT; i++ {
-			tblock.Set(nOld+i, i, 1)
-		}
-		num := e.ws.Take(nOld+nT, r)
-		e.pk.MulInto(num, tblock, e.hprod)
-		num.Scale(e.opts.Mu, num)
-		for i, s := range oldRows {
-			row := num.Row(i)
-			src := M.Row(int(s))
-			for c := range row {
-				row[c] += src[c]
+		mat.TransposeInto(e.hT, e.hprod)
+		mat.RidgeCholeskyInto(e.chol, e.d0, e.wss.At(0))
+		e.stask.old = true
+		e.pool.For(so, &e.stask)
+		if b.nT > 0 {
+			// T rode the old block as R extra rows — identity rows of the Ã
+			// block, no MTTKRP row — so quiet and live rows were solved
+			// against one ridge-Cholesky factor of D₀ by construction. The
+			// quiet rows' Gram share under it: ÃᵀA⁰ = G̃q·T, A⁰ᵀA⁰ = Tᵀ·G̃q·T.
+			for c := 0; c < r; c++ {
+				for i, v := range b.oldT[c*so+b.nOld:][:r] {
+					q.t.Set(i, c, v)
+				}
 			}
-		}
-		e.pk.SolveRightRidgeInto(num, num, e.d0)
-		for i, s := range oldRows {
-			copy(factor.Row(int(s)), num.Row(i))
-		}
-		if nT > 0 {
-			// The quiet rows' Gram share under the new T:
-			// ÃᵀA⁰ = G̃q·T and A⁰ᵀA⁰ = Tᵀ·G̃q·T.
-			copy(q.t.Data, num.Data[nOld*r:])
 			mat.MulRowsInto(q.cross, q.gq, q.t, 0, r)
 			q.g0.Zero()
 			mat.AccumulateCrossGramRows(q.g0, q.t, q.cross, 0, r)
 		}
 	}
-	if len(newRows) > 0 {
+	if b.nNew > 0 {
 		factored++
-		num := e.ws.Take(len(newRows), r)
-		for i, s := range newRows {
-			copy(num.Row(i), M.Row(int(s)))
-		}
-		e.pk.SolveRightRidgeInto(num, num, e.d1)
-		for i, s := range newRows {
-			copy(factor.Row(int(s)), num.Row(i))
-		}
+		mat.RidgeCholeskyInto(e.chol, e.d1, e.wss.At(0))
+		e.stask.old = false
+		e.pool.For(b.nNew, &e.stask)
 	}
-	e.ws.Release(mark)
 	if q.any() && !q.implicit {
 		// A growth row with no entry solves to exactly +0 (a zero
 		// numerator through a positive-diagonal factor): written once,
 		// after which it has no Gram share and is never visited again.
 		for _, s := range q.grown {
-			zeroRow(factor.Row(int(s)))
+			zeroRow(e.full[mode].Row(int(s)))
 		}
 		q.g1.Zero()
 		q.implicit = true
@@ -633,8 +692,59 @@ func (e *Sweep) updateOwnedRows(mode int) {
 	// rows just the solve (R²); each R×R factorisation performed is R³.
 	// T is R more old rows and its Gram share two R×R products.
 	rr := float64(r) * float64(r)
-	e.work += (2*float64(len(oldRows)+nT)+float64(len(newRows)))*rr + float64(factored)*float64(r)*rr + 2*float64(nT)*rr
-	e.cSolve.Add(int64(len(oldRows) + len(newRows)))
+	e.work += (2*float64(b.nOld+b.nT)+float64(b.nNew))*rr + float64(factored)*float64(r)*rr + 2*float64(b.nT)*rr
+	e.cSolve.Add(int64(b.nOld + b.nNew))
+}
+
+// solveTask solves entries [lo, hi) of every column of the mode's old or
+// new block against e.chol: the numerator built in place (old rows:
+// μ·Ã·Hprod + M, column by column; new rows: M), the substitutions on
+// the block as it lies, the solved rows scattered to the replica. Each
+// live row's values depend only on its own Ã and MTTKRP rows and the
+// shared factor, so the bits do not depend on the split.
+type solveTask struct {
+	e    *Sweep
+	mode int
+	old  bool
+}
+
+func (t *solveTask) RunChunk(lo, hi, tid int) {
+	e := t.e
+	r := e.opts.Rank
+	b := &e.blocks[t.mode]
+	factor, M := e.full[t.mode], e.mbuf[t.mode]
+	rows, blk, stride := e.liveNew[t.mode], b.newT, b.nNew
+	if t.old {
+		rows, blk, stride = e.liveOld[t.mode], b.oldT, b.nOld+b.nT
+		for c := 0; c < r; c++ {
+			mat.MulColumnsInto(blk[c*stride+lo:c*stride+hi], b.tildeT[lo:], stride, e.hT.Row(c))
+		}
+	}
+	// Entries past the list are T's: scaled, but no MTTKRP row to add and
+	// no replica row to write. (The conversion keeps μ·x a rounded product
+	// of its own, as the row-major code's separate scaling pass had it.)
+	live := min(hi, len(rows))
+	mu := e.opts.Mu
+	for i := lo; i < live; i++ {
+		for c, mv := range M.Row(int(rows[i])) {
+			if t.old {
+				mv += float64(mu * blk[c*stride+i])
+			}
+			blk[c*stride+i] = mv
+		}
+	}
+	for i := max(lo, live); i < hi; i++ {
+		for c := 0; c < r; c++ {
+			blk[c*stride+i] *= mu
+		}
+	}
+	mat.CholeskySolveColumns(e.chol, blk, stride, lo, hi)
+	for i := lo; i < live; i++ {
+		out := factor.Row(int(rows[i]))
+		for c := range out {
+			out[c] = blk[c*stride+i]
+		}
+	}
 }
 
 // quietPass is the once-per-Run walk over the mode's quiet rows: G̃q,
@@ -652,9 +762,8 @@ func (e *Sweep) quietPass(mode int) {
 	}
 	sp := e.obs.Span("plan/quiet")
 	r := e.opts.Rank
-	e.gtask.mode, e.gtask.quiet = mode, true
-	e.pool.For(r, &e.gtask)
-	e.gtask.quiet = false
+	e.qtask.mode = mode
+	e.pool.For(r, &e.qtask)
 	mat.MirrorUpper(q.gq)
 	mat.MirrorUpper(q.g1)
 	if e.cold {
@@ -724,8 +833,7 @@ func (t *materializeTask) RunChunk(lo, hi, tid int) {
 // rows' share, and all-reduces the buffer in place, which leaves the
 // replicated state refreshed. A mode with no old row has nothing in its
 // A⁰ᵀA⁰ and ÃᵀA⁰ blocks on any rank, so its batch is the A¹ᵀA¹ block
-// alone: R², not 3R². It is the sweep's third phase and runs under that
-// phase's span.
+// alone: R², not 3R². It runs under the Gram phase's span.
 func (e *Sweep) reduceGrams(mode int) error {
 	sp := e.obs.Span(e.names[mode].gram)
 	defer sp.End()
@@ -750,51 +858,62 @@ func (e *Sweep) reduceGrams(mode int) error {
 	return e.comm.AllReduceSumInPlace(batch)
 }
 
-// gramPartialsTask evaluates rows [lo, hi) of the mode's three Gram
-// partials: the outer-product loop transposed so output rows, not input
-// rows, are the parallel axis. Every chunk scans the rows in order, so
-// each entry accumulates exactly the sequential sequence. It walks the
-// live rows into the mode's Gram buffer, or — quiet set, by quietPass —
-// the quiet rows into their own share, with G̃q alongside.
-//
-// The symmetric blocks (A⁰ᵀA⁰, A¹ᵀA¹, G̃q) get their upper triangle
-// only; the caller mirrors them once pool.For has returned — never a
-// chunk, whose rows' lower halves belong to other chunks' uppers. Bit
-// for bit the full product, by mat.GramInto's argument. ÃᵀA⁰ is not
-// symmetric and is computed whole, except on a cold quiet walk, which
-// computes G̃q alone (see quietPass).
-type gramPartialsTask struct {
-	e     *Sweep
-	mode  int
-	quiet bool
+// gramTask evaluates rows [lo, hi) of the mode's three Gram partials
+// from its live block: entry (i, c) is the dot product of columns i and
+// c over the live rows in list order from +0 — the row-major
+// outer-product loop's sequence for that entry minus its zero-skips,
+// which only ever kept a ±0 out of such a sum. A⁰ᵀA⁰ and A¹ᵀA¹ get
+// their upper triangle and the caller mirrors them after the barrier; a
+// bottom row's pass reaches left of the diagonal to stay four wide,
+// inside its own chunk, and the mirror rewrites those entries with the
+// same bits. ÃᵀA⁰ is not symmetric and is computed whole.
+type gramTask struct {
+	e    *Sweep
+	mode int
 }
 
-func (t *gramPartialsTask) RunChunk(lo, hi, tid int) {
+func (t *gramTask) RunChunk(lo, hi, tid int) {
+	e := t.e
+	r := e.opts.Rank
+	b := &e.blocks[t.mode]
+	g0, g1, cross := e.gram0[t.mode], e.gram1[t.mode], e.cross[t.mode]
+	so := b.nOld + b.nT
+	for i := lo; i < hi; i++ {
+		c0 := min(i, max(r-4, 0))
+		mat.DotColumnsInto(g0.Row(i)[c0:], b.oldT[i*so:][:b.nOld], b.oldT[c0*so:], so)
+		mat.DotColumnsInto(cross.Row(i), b.tildeT[i*so:][:b.nOld], b.oldT, so)
+		mat.DotColumnsInto(g1.Row(i)[c0:], b.newT[i*b.nNew:][:b.nNew], b.newT[c0*b.nNew:], b.nNew)
+	}
+}
+
+// quietGramTask evaluates rows [lo, hi) of the quiet rows' Gram share,
+// G̃q alongside, by the row-major outer-product loop with output rows as
+// the parallel axis — once per Run, over rows that are in no block.
+// Every chunk scans the rows in order, so each entry accumulates the
+// sequential sequence; symmetric blocks get upper triangles, mirrored by
+// quietPass. A cold walk computes G̃q alone (see quietPass).
+type quietGramTask struct {
+	e    *Sweep
+	mode int
+}
+
+func (t *quietGramTask) RunChunk(lo, hi, tid int) {
 	e := t.e
 	factor := e.full[t.mode]
 	tilde := e.prev.Factors[t.mode]
-	oldRows, newRows := e.liveOld[t.mode], e.liveNew[t.mode]
-	g0, g1, cross := e.gram0[t.mode], e.gram1[t.mode], e.cross[t.mode]
-	var gq *mat.Dense
-	if t.quiet {
-		q := &e.quiet[t.mode]
-		oldRows, newRows = q.old, q.grown
-		g0, g1, cross, gq = q.g0, q.g1, q.cross, q.gq
-	}
+	q := &e.quiet[t.mode]
 	for i := lo; i < hi; i++ {
-		zeroRow(g0.Row(i))
-		zeroRow(g1.Row(i))
-		zeroRow(cross.Row(i))
-		if gq != nil {
-			zeroRow(gq.Row(i))
-		}
+		zeroRow(q.g0.Row(i))
+		zeroRow(q.g1.Row(i))
+		zeroRow(q.cross.Row(i))
+		zeroRow(q.gq.Row(i))
 	}
-	if t.quiet && e.cold {
-		for _, s := range oldRows {
+	if e.cold {
+		for _, s := range q.old {
 			trow := tilde.Row(int(s))
 			for i := lo; i < hi; i++ {
 				if tv := trow[i]; tv != 0 {
-					drow := gq.Row(i)[i:]
+					drow := q.gq.Row(i)[i:]
 					for c, bv := range trow[i:] {
 						drow[c] += tv * bv
 					}
@@ -802,39 +921,37 @@ func (t *gramPartialsTask) RunChunk(lo, hi, tid int) {
 			}
 		}
 	} else {
-		for _, s := range oldRows {
+		for _, s := range q.old {
 			row := factor.Row(int(s))
 			trow := tilde.Row(int(s))
 			for i := lo; i < hi; i++ {
 				if av := row[i]; av != 0 {
-					drow := g0.Row(i)[i:]
+					drow := q.g0.Row(i)[i:]
 					for c, bv := range row[i:] {
 						drow[c] += av * bv
 					}
 				}
 				if tv := trow[i]; tv != 0 {
-					drow := cross.Row(i)
+					drow := q.cross.Row(i)
 					for c, bv := range row {
 						drow[c] += tv * bv
 					}
-					if gq != nil {
-						drow = gq.Row(i)[i:]
-						for c, bv := range trow[i:] {
-							drow[c] += tv * bv
-						}
+					drow = q.gq.Row(i)[i:]
+					for c, bv := range trow[i:] {
+						drow[c] += tv * bv
 					}
 				}
 			}
 		}
 	}
-	for _, s := range newRows {
+	for _, s := range q.grown {
 		row := factor.Row(int(s))
 		for i := lo; i < hi; i++ {
 			av := row[i]
 			if av == 0 {
 				continue
 			}
-			drow := g1.Row(i)[i:]
+			drow := q.g1.Row(i)[i:]
 			for c, bv := range row[i:] {
 				drow[c] += av * bv
 			}

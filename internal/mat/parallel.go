@@ -111,30 +111,20 @@ func MulRowsInto(dst, a, b *Dense, lo, hi int) {
 	}
 }
 
-// ParKernels bundles the pooled variants of the dense kernels the ALS
-// drivers run per sweep: Gram/CrossGram refreshes, the numerator
-// matmul, and the Eq. (5) right-solve. One ParKernels is owned by one
-// driver (one goroutine); the task structs live on it so steady-state
-// dispatch allocates nothing. With a nil pool every method degrades to
-// the sequential kernel, bit-for-bit.
+// ParKernels bundles the pooled variants of the dense kernels a driver
+// runs per sweep over row-major matrices: the Gram/CrossGram refreshes.
+// (The Eq. (5) numerator and right-solve run on the sweep's column-major
+// live block — see block.go.) One ParKernels is owned by one driver (one
+// goroutine); the task struct lives on it so steady-state dispatch
+// allocates nothing. With a nil pool every method degrades to the
+// sequential kernel, bit-for-bit.
 type ParKernels struct {
 	pool *par.Pool
-	wss  *WorkspaceSet
-	l    *Dense // cached ridge-Cholesky factor, reused across solves
-
-	gram  crossGramRowsTask
-	mul   mulRowsTask
-	solve solveRangeTask
+	gram crossGramRowsTask
 }
 
-// NewParKernels binds the kernels to a pool and its per-thread
-// workspaces. wss must have at least pool.Threads() workspaces.
-func NewParKernels(pool *par.Pool, wss *WorkspaceSet) *ParKernels {
-	if wss.Len() < pool.Threads() {
-		panic(fmt.Sprintf("mat: ParKernels with %d workspaces for %d threads", wss.Len(), pool.Threads()))
-	}
-	return &ParKernels{pool: pool, wss: wss}
-}
+// NewParKernels binds the kernels to a pool.
+func NewParKernels(pool *par.Pool) *ParKernels { return &ParKernels{pool: pool} }
 
 // crossGramRowsTask evaluates a row range of AᵀB (zero + accumulate).
 type crossGramRowsTask struct {
@@ -161,51 +151,3 @@ func (k *ParKernels) CrossGramInto(dst, a, b *Dense) {
 // GramInto computes AᵀA into dst with output rows chunked across the
 // pool.
 func (k *ParKernels) GramInto(dst, a *Dense) { k.CrossGramInto(dst, a, a) }
-
-// mulRowsTask evaluates a row range of A·B.
-type mulRowsTask struct {
-	dst, a, b *Dense
-}
-
-func (t *mulRowsTask) RunChunk(lo, hi, tid int) { MulRowsInto(t.dst, t.a, t.b, lo, hi) }
-
-// MulInto computes A·B into dst with output rows chunked across the
-// pool.
-func (k *ParKernels) MulInto(dst, a, b *Dense) {
-	k.mul = mulRowsTask{dst: dst, a: a, b: b}
-	k.pool.For(a.Rows, &k.mul)
-}
-
-// solveRangeTask applies a shared Cholesky factor to a row range, each
-// chunk staging through its own thread's workspace.
-type solveRangeTask struct {
-	dst, m, l *Dense
-	wss       *WorkspaceSet
-}
-
-func (t *solveRangeTask) RunChunk(lo, hi, tid int) {
-	SolveRightFactoredRange(t.dst, t.m, t.l, lo, hi, t.wss.At(tid))
-}
-
-// SolveRightRidgeInto computes M · D⁻¹ into dst with the same ridge
-// fallback and aliasing contract as mat.SolveRightRidgeInto: the
-// factorisation runs once on the caller, then the row solves are
-// chunked across the pool. Each result row's bits depend only on its
-// row of M and the shared factor, so the output is identical at every
-// thread count.
-func (k *ParKernels) SolveRightRidgeInto(dst, m, d *Dense) {
-	if d.Rows != d.Cols || m.Cols != d.Rows {
-		panic(fmt.Sprintf("mat: SolveRightRidge dimension mismatch %dx%d · inv(%dx%d)", m.Rows, m.Cols, d.Rows, d.Cols))
-	}
-	if dst.Rows != m.Rows || dst.Cols != m.Cols {
-		panic(fmt.Sprintf("mat: SolveRightRidgeInto destination %dx%d, want %dx%d", dst.Rows, dst.Cols, m.Rows, m.Cols))
-	}
-	mustDisjoint("SolveRightRidgeInto", dst, d)
-	mustElementwiseAlias("SolveRightRidgeInto", dst, m)
-	if k.l == nil || k.l.Rows != d.Rows {
-		k.l = New(d.Rows, d.Rows)
-	}
-	RidgeCholeskyInto(k.l, d, k.wss.At(0))
-	k.solve = solveRangeTask{dst: dst, m: m, l: k.l, wss: k.wss}
-	k.pool.For(m.Rows, &k.solve)
-}

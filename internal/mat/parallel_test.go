@@ -31,45 +31,26 @@ func sameBits(t *testing.T, name string, got, want *Dense) {
 }
 
 // TestParKernelsBitwiseAcrossThreads pins the deterministic-reduction
-// rule: every pooled kernel must reproduce the sequential kernel's
-// bits exactly, at every thread count, because each partitions output
-// rows without changing any accumulation order.
+// rule: the pooled kernel must reproduce the sequential kernel's bits
+// exactly, at every thread count, because it partitions output rows
+// without changing any accumulation order.
 func TestParKernelsBitwiseAcrossThreads(t *testing.T) {
 	a := randomDense(37, 5, 1)
 	b := randomDense(37, 5, 2)
-	m := randomDense(41, 5, 3)
-	sq := randomDense(5, 5, 4)
-	d := Gram(randomDense(9, 5, 5)) // SPD-ish denominator
-
-	ws := NewWorkspace()
 	wantGram := CrossGram(a, b)
-	wantMul := New(m.Rows, sq.Cols)
-	MulInto(wantMul, m, sq)
-	wantSolve := New(m.Rows, m.Cols)
-	SolveRightRidgeInto(wantSolve, m, d, ws)
+	wantSelf := Gram(a)
 
 	for _, threads := range []int{1, 2, 3, 8} {
 		pool := par.New(threads)
-		wss := NewWorkspaceSet(pool.Threads())
-		pk := NewParKernels(pool, wss)
+		pk := NewParKernels(pool)
 
 		gotGram := New(a.Cols, b.Cols)
 		pk.CrossGramInto(gotGram, a, b)
 		sameBits(t, "CrossGramInto", gotGram, wantGram)
 
-		gotMul := New(m.Rows, sq.Cols)
-		pk.MulInto(gotMul, m, sq)
-		sameBits(t, "MulInto", gotMul, wantMul)
-
-		gotSolve := New(m.Rows, m.Cols)
-		pk.SolveRightRidgeInto(gotSolve, m, d)
-		sameBits(t, "SolveRightRidgeInto", gotSolve, wantSolve)
-
-		// In-place solve aliasing (dst == m) must match too.
-		alias := New(m.Rows, m.Cols)
-		alias.CopyFrom(m)
-		pk.SolveRightRidgeInto(alias, alias, d)
-		sameBits(t, "SolveRightRidgeInto aliased", alias, wantSolve)
+		gotSelf := New(a.Cols, a.Cols)
+		pk.GramInto(gotSelf, a)
+		sameBits(t, "GramInto", gotSelf, wantSelf)
 
 		pool.Close()
 	}
@@ -94,22 +75,19 @@ func TestSolveRightFactoredRangeMatchesFull(t *testing.T) {
 	sameBits(t, "ranged solve", got, want)
 }
 
-// TestParKernelsSteadyStateAllocFree pins the one-workspace-per-thread
-// contract: once every thread's arena is warm, the pooled sweep
-// kernels allocate nothing.
+// TestParKernelsSteadyStateAllocFree pins that dispatching the pooled
+// kernels allocates nothing: the task struct lives on the ParKernels.
 func TestParKernelsSteadyStateAllocFree(t *testing.T) {
 	pool := par.New(4)
 	defer pool.Close()
-	wss := NewWorkspaceSet(pool.Threads())
-	pk := NewParKernels(pool, wss)
+	pk := NewParKernels(pool)
 
 	a := randomDense(64, 6, 11)
-	d := Gram(randomDense(10, 6, 12))
-	gram := New(6, 6)
-	sol := New(64, 6)
+	b := randomDense(64, 6, 12)
+	gram, cross := New(6, 6), New(6, 6)
 	pass := func() {
 		pk.GramInto(gram, a)
-		pk.SolveRightRidgeInto(sol, a, d)
+		pk.CrossGramInto(cross, a, b)
 	}
 	pass()
 	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {

@@ -48,19 +48,26 @@ func CholeskyInto(l, a *Dense) error {
 	return nil
 }
 
-// choleskySolveInPlace solves LLᵀ x = b for each column of b, writing
-// the solution over b.
-func choleskySolveInPlace(l, b *Dense) {
+// CholeskySolveColumns solves LLᵀ x = y in place for right-hand sides
+// [lo, hi) of a column-major block: unknown i of every system lies in
+// blk[i*stride+lo : i*stride+hi] — a row-major n×stride matrix of
+// right-hand-side columns, or Xᵀ for X·D = M, in which case no transpose
+// stands between the caller's layout and the substitutions.
+// Each right-hand side is solved independently of its neighbours, so
+// disjoint ranges may run concurrently and the bits do not depend on the
+// split.
+func CholeskySolveColumns(l *Dense, blk []float64, stride, lo, hi int) {
 	n := l.Rows
+	row := func(i int) []float64 { return blk[i*stride+lo : i*stride+hi] }
 	// Forward substitution L y = b.
 	for i := 0; i < n; i++ {
-		brow := b.Row(i)
+		brow := row(i)
 		for k := 0; k < i; k++ {
 			lik := l.At(i, k)
 			if lik == 0 {
 				continue
 			}
-			krow := b.Row(k)
+			krow := row(k)[:len(brow)]
 			for c := range brow {
 				brow[c] -= lik * krow[c]
 			}
@@ -72,13 +79,13 @@ func choleskySolveInPlace(l, b *Dense) {
 	}
 	// Backward substitution Lᵀ x = y.
 	for i := n - 1; i >= 0; i-- {
-		brow := b.Row(i)
+		brow := row(i)
 		for k := i + 1; k < n; k++ {
 			lki := l.At(k, i)
 			if lki == 0 {
 				continue
 			}
-			krow := b.Row(k)
+			krow := row(k)[:len(brow)]
 			for c := range brow {
 				brow[c] -= lki * krow[c]
 			}
@@ -106,7 +113,7 @@ func SolveSPDInto(dst, a, b *Dense, ws *Workspace) error {
 		return err
 	}
 	dst.CopyFrom(b)
-	choleskySolveInPlace(l, dst)
+	CholeskySolveColumns(l, dst.Data, dst.Cols, 0, dst.Cols)
 	return nil
 }
 
@@ -213,7 +220,7 @@ func SolveRightFactoredRange(dst, m, l *Dense, lo, hi int, ws *Workspace) {
 			xt.Data[j*w+(i-lo)] = v
 		}
 	}
-	choleskySolveInPlace(l, xt)
+	CholeskySolveColumns(l, xt.Data, w, 0, w)
 	for i := lo; i < hi; i++ {
 		drow := dst.Row(i)
 		for j := range drow {

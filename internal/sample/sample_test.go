@@ -209,7 +209,7 @@ func TestSampleMatchesKernelContract(t *testing.T) {
 	pool := par.New(2)
 	defer pool.Close()
 	wss := mat.NewWorkspaceSet(pool.Threads())
-	pk := mat.NewParKernels(pool, wss)
+	pk := mat.NewParKernels(pool)
 	pacc := mttkrp.NewParAccumulator(pool, wss, nil)
 
 	for m := range dims {
@@ -273,7 +273,7 @@ func TestZeroAllocWarmRound(t *testing.T) {
 	pool := par.New(4)
 	defer pool.Close()
 	wss := mat.NewWorkspaceSet(pool.Threads())
-	pk := mat.NewParKernels(pool, wss)
+	pk := mat.NewParKernels(pool)
 	pacc := mttkrp.NewParAccumulator(pool, wss, nil)
 	gram := mat.New(rank, rank)
 	dst := make([]*mat.Dense, len(dims))
