@@ -18,7 +18,6 @@ import (
 
 	"dismastd/internal/bench"
 	"dismastd/internal/dataset"
-	"dismastd/internal/layout"
 )
 
 var kinds = map[string]dataset.Kind{
@@ -46,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	mu := fs.Float64("mu", 0.8, "forgetting factor (paper: 0.8)")
 	workers := fs.Int("workers", 15, "cluster size (paper: 15 nodes)")
 	threads := fs.Int("threads", 1, "compute threads per worker (0 = GOMAXPROCS); results are identical at every value")
-	layoutFlag := layout.Flag(fs)
 	seed := fs.Uint64("seed", 42, "generator seed")
 	datasets := fs.String("datasets", "", "comma-separated subset (default all four)")
 	samples := fs.Int("samples", 0, "for -exp sampled: sketch size S per mode (0 = default)")
@@ -75,13 +73,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if nthreads == 0 {
 		nthreads = runtime.GOMAXPROCS(0)
 	}
-	lk, err := layout.ParseKind(*layoutFlag)
-	if err != nil {
-		return err
-	}
 	cfg := bench.Config{
 		TargetNNZ: *nnz, Rank: *rank, MaxIters: *iters, Mu: *mu,
-		Workers: *workers, Threads: nthreads, Layout: lk, Seed: *seed,
+		Workers: *workers, Threads: nthreads, Seed: *seed,
 	}
 	if *datasets != "" {
 		for _, name := range strings.Split(*datasets, ",") {

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"dismastd"
-	"dismastd/internal/layout"
 )
 
 func main() {
@@ -50,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	mu := fs.Float64("mu", 0.8, "forgetting factor in (0, 1]")
 	workers := fs.Int("workers", 1, "worker count (1 = centralized DTD, >1 = distributed DisMASTD)")
 	threads := fs.Int("threads", 0, "compute threads per worker (0 = GOMAXPROCS); results are identical at every value")
-	layoutFlag := layout.Flag(fs)
 	solver := fs.String("solver", "exact", "least-squares strategy: exact (full MTTKRP) or sampled (leverage-score sketch, sublinear in nnz)")
 	samples := fs.Int("samples", 0, "sketch size per mode for -solver sampled (0 = default 8192)")
 	parts := fs.Int("parts", 0, "tensor partitions per mode (default = workers)")
@@ -81,8 +79,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	opts := dismastd.Options{
 		Rank: *rank, MaxIters: *iters, ForgettingFactor: *mu, Seed: *seed,
 		Workers: *workers, Parts: *parts, Partitioner: partitioner,
-		Threads: nthreads, Layout: *layoutFlag,
-		Solver: *solver, Samples: *samples,
+		Threads: nthreads, Solver: *solver, Samples: *samples,
 	}
 	stream := dismastd.NewStream(opts)
 	if *resume != "" {

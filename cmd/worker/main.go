@@ -11,14 +11,18 @@
 //	worker -join 127.0.0.1:9000 -tensor snap.tsv -rank 10 -out state.gob   # x3
 //
 // -tensor accepts a comma-separated snapshot sequence; each snapshot is
-// one incremental streaming step, with the new state broadcast to every
-// rank between steps. For crash recovery, -checkpoint writes the state
-// after every completed step (rank 0, atomic rename) and -resume skips
-// the steps a previous run already checkpointed, so a restarted cluster
-// continues from the last checkpoint instead of recomputing from
-// scratch. -heartbeat enables peer failure detection: a dead rank
-// surfaces as a typed peer-down error within a few intervals instead of
-// stalling until the receive timeout.
+// one incremental streaming step, and the whole sequence runs through
+// one core.ElasticJob in a single cluster run, every member holding the
+// synced state between steps. -heartbeat enables peer failure
+// detection: a dead rank surfaces as a typed peer-down error within a
+// few intervals instead of stalling until the receive timeout. What the
+// survivors then do is the one policy choice: by default they stop with
+// that error, and since -checkpoint writes the state after every
+// completed step (view rank 0, atomic rename) a restarted cluster with
+// -resume continues from the last checkpoint and reproduces the
+// uninterrupted run bit for bit; with -elastic they absorb the dead
+// rank and finish the stream (results within reordering tolerance),
+// and scripted joins and drains are admitted at step fences.
 //
 // A second invocation can still pass -prev state.gob and the next
 // snapshot to perform an incremental streaming step across processes.
@@ -29,7 +33,6 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -51,7 +54,6 @@ import (
 	"dismastd/internal/cluster"
 	"dismastd/internal/core"
 	"dismastd/internal/dtd"
-	"dismastd/internal/layout"
 	"dismastd/internal/obs"
 	obscluster "dismastd/internal/obs/cluster"
 	"dismastd/internal/partition"
@@ -68,27 +70,24 @@ func main() {
 
 // workerConfig carries the parsed worker-mode flags.
 type workerConfig struct {
-	join, listen  string
-	tensors       []string
-	prevPath      string
-	outPath       string
-	checkpoint    string
-	resume        bool
-	rank, iters   int
-	threads       int
-	layout        layout.Kind
-	solver        sample.Kind
-	samples       int
-	mu            float64
-	method        partition.Method
-	seed          uint64
-	timeout       time.Duration
-	heartbeat     time.Duration
-	chaosKillStep int
-	debugAddr     string
-	ringThreshold int
+	join, listen string
+	tensors      []string
+	prevPath     string
+	outPath      string
+	checkpoint   string
+	resume       bool
+	rank, iters  int
+	threads      int
+	solver       sample.Kind
+	samples      int
+	mu           float64
+	method       partition.Method
+	seed         uint64
+	timeout      time.Duration
+	heartbeat    time.Duration
+	debugAddr    string
 
-	elastic bool
+	elastic bool // absorb rank deaths and continue, instead of failing for -resume
 	members int
 	joinAt  map[int]int // step -> joining world rank
 	drainAt map[int]int // step -> draining world rank
@@ -139,7 +138,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	rank := fs.Int("rank", 10, "CP rank R")
 	iters := fs.Int("iters", 10, "maximum ALS sweeps")
 	threads := fs.Int("threads", 0, "compute threads for this rank's numeric kernels (0 = GOMAXPROCS); results are identical at every value")
-	layoutFlag := layout.Flag(fs)
 	solver := fs.String("solver", "exact", "least-squares strategy: exact (full MTTKRP) or sampled (leverage-score sketch, sublinear in nnz; forces broadcast row exchange)")
 	samples := fs.Int("samples", 0, "sketch size per mode for -solver sampled (0 = default 8192)")
 	mu := fs.Float64("mu", 0.8, "forgetting factor")
@@ -147,14 +145,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 1, "initialisation seed")
 	timeout := fs.Duration("timeout", 2*time.Minute, "join and receive timeout")
 	heartbeat := fs.Duration("heartbeat", 0, "peer failure-detection probe interval (0 = off)")
-	chaosKill := fs.Int("chaos-kill-step", -1, "chaos testing: close the node and exit right before this step")
-	ringThreshold := fs.Int("ring-threshold", cluster.DefaultRingThreshold, "payload bytes at which collectives switch from the tree to the ring path (<= 0 disables the ring; must match on every rank)")
 	debugAddr := fs.String("debug-addr", "", "worker mode: serve pprof, metrics, and trace debug endpoints on this address (no auth — bind loopback only; empty = off)")
-	elastic := fs.Bool("elastic", false, "worker mode: run the elastic membership driver (survive rank deaths, admit joins and drains at step fences)")
+	elastic := fs.Bool("elastic", false, "worker mode: absorb rank deaths and finish the stream (results within reordering tolerance) instead of failing so -resume reproduces the run bitwise; enables scripted joins and drains at step fences")
 	members := fs.Int("members", 0, "elastic mode: initial members, world ranks 0..N-1 (0 = every rank; the rest start as spares)")
 	joinAt := fs.String("join-at", "", "elastic mode: scripted joins as rank:step,... — identical on every rank")
 	drainAt := fs.String("drain-at", "", "elastic mode: scripted drains as rank:step,... — identical on every rank")
-	killAt := fs.String("kill-at", "", "elastic mode: chaos-kill script as rank:step,... — the named rank crashes mid-step; identical on every rank")
+	killAt := fs.String("kill-at", "", "chaos testing: kill script as rank:step,... — the named rank crashes mid-step; identical on every rank")
 	plane := fs.Bool("plane", false, "worker mode: run the cluster observability plane — per-step fences gather every rank's metric deltas, spans, and runtime gauges to rank 0, served on -debug-addr's /debug/cluster")
 	rebalance := fs.Bool("rebalance-on-imbalance", false, "elastic mode: arm the plane's imbalance detector — sustained per-rank compute skew re-partitions the stream live at the next fence (implies -plane)")
 	threshold := fs.Float64("imbalance-threshold", 0, "detector: load/compute coefficient of variation that counts as imbalanced (0 = default 0.3)")
@@ -173,7 +169,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			statePath: *statePath,
 			opts: dismastd.Options{
 				Rank: *rank, MaxIters: *iters, ForgettingFactor: *mu, Seed: *seed,
-				Workers: *workers, Threads: resolveThreads(*threads), Layout: *layoutFlag,
+				Workers: *workers, Threads: resolveThreads(*threads),
 				Solver: *solver, Samples: *samples,
 				SweepEvery: *sweepEvery,
 			},
@@ -226,15 +222,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("-kill-at: %w", err)
 		}
-		if !*elastic && (len(joins)+len(drains)+len(kills) > 0 || *members != 0) {
-			return fmt.Errorf("-members/-join-at/-drain-at/-kill-at require -elastic")
+		if !*elastic && (len(joins)+len(drains) > 0 || *members != 0) {
+			return fmt.Errorf("-members/-join-at/-drain-at require -elastic")
 		}
 		if *rebalance && !*elastic {
-			return fmt.Errorf("-rebalance-on-imbalance requires -elastic (only the elastic driver can re-partition a live stream)")
-		}
-		lk, err := layout.ParseKind(*layoutFlag)
-		if err != nil {
-			return err
+			return fmt.Errorf("-rebalance-on-imbalance requires -elastic (a rebalance is a view change)")
 		}
 		sk, err := sample.ParseKind(*solver)
 		if err != nil {
@@ -245,10 +237,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			tensors:  strings.Split(*tensorPath, ","),
 			prevPath: *prevPath, outPath: *outPath,
 			checkpoint: *checkpoint, resume: *resume,
-			rank: *rank, iters: *iters, threads: resolveThreads(*threads), layout: lk, mu: *mu, method: pm, seed: *seed,
+			rank: *rank, iters: *iters, threads: resolveThreads(*threads), mu: *mu, method: pm, seed: *seed,
 			solver: sk, samples: *samples,
-			timeout: *timeout, heartbeat: *heartbeat, chaosKillStep: *chaosKill,
-			debugAddr: *debugAddr, ringThreshold: *ringThreshold,
+			timeout: *timeout, heartbeat: *heartbeat, debugAddr: *debugAddr,
 			elastic: *elastic, members: *members,
 			joinAt: joins, drainAt: drains, killAt: kills,
 			plane: *plane || *rebalance, rebalance: *rebalance,
@@ -299,7 +290,6 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 	}
 	defer node.Close()
 	node.SetRecvTimeout(cfg.timeout)
-	node.SetRingThreshold(cfg.ringThreshold)
 	node.SetLogger(logger)
 	log := logger.With("rank", node.Rank(), "size", node.Size())
 	if cfg.heartbeat > 0 {
@@ -307,8 +297,8 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 			return err
 		}
 	}
-	// The cluster plane comes up lazily (the elastic driver builds it
-	// per stream); the debug endpoints hold a pointer they resolve per
+	// The cluster plane comes up lazily (the driver builds it per
+	// stream); the debug endpoints hold a pointer they resolve per
 	// scrape, serving 503 until the first fence can run.
 	var planeHolder atomic.Pointer[obscluster.Plane]
 	if cfg.debugAddr != "" {
@@ -319,115 +309,15 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 		defer srv.Close()
 		log.Info("debug endpoints serving", "addr", addr.String())
 	}
-	if cfg.elastic {
-		return runElasticWorker(stdout, log, node, cfg, snaps, prev, start, &planeHolder)
-	}
 
-	var plane *obscluster.Plane
-	var planeMembers []int
-	if cfg.plane {
-		plane = obscluster.NewPlane(cfg.planeConfig(), node.Obs(), node.Size())
-		planeHolder.Store(plane)
-		planeMembers = make([]int, node.Size())
-		for i := range planeMembers {
-			planeMembers[i] = i
+	if start == len(snaps) {
+		// -resume found the last step's checkpoint: nothing is left to run.
+		if node.Rank() == 0 && cfg.outPath != "" {
+			return writeOut(log, cfg.outPath, prev)
 		}
-	}
-
-	for step := start; step < len(snaps); step++ {
-		node.Obs().Trace.SetSnapshot(step)
-		if step == cfg.chaosKillStep {
-			node.Close()
-			return fmt.Errorf("chaos: rank %d killed before step %d", node.Rank(), step)
-		}
-		job, err := core.NewStepJob(prev, snaps[step], core.Options{
-			Rank: cfg.rank, MaxIters: cfg.iters, Mu: cfg.mu, Seed: cfg.seed,
-			Workers: node.Size(), Method: cfg.method, Threads: cfg.threads,
-			Layout: cfg.layout, Solver: cfg.solver, Samples: cfg.samples, Obs: node.Obs(),
-		})
-		if err != nil {
-			return err
-		}
-		stats, err := node.Run(job.RunWorker)
-		if err != nil {
-			return fmt.Errorf("rank %d step %d: %w", node.Rank(), step, err)
-		}
-		var payload []byte
-		if node.Rank() == 0 {
-			st, sum, err := job.Result()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "rank 0: iters=%d loss=%.6g complement_nnz=%d\n", sum.Iters, sum.Loss, sum.ComplementNNZ)
-			var buf bytes.Buffer
-			if err := dtd.WriteState(&buf, st); err != nil {
-				return err
-			}
-			payload = buf.Bytes()
-		}
-		// Every rank needs the new state to plan the next step: rank 0
-		// broadcasts the serialized factors, and all ranks (rank 0
-		// included) adopt the decoded copy so the replicas stay bitwise
-		// identical with a resumed-from-checkpoint run.
-		var next *dtd.State
-		if _, err := node.Run(func(w *cluster.Worker) error {
-			b, err := w.BroadcastBytes(0, payload)
-			if err != nil {
-				return err
-			}
-			next, err = dtd.ReadState(bytes.NewReader(b))
-			return err
-		}); err != nil {
-			return fmt.Errorf("rank %d step %d state broadcast: %w", node.Rank(), step, err)
-		}
-		prev = next
-		// The static loop's fence: the membership never changes, so the
-		// plane runs purely as observation — epoch 0, identity members —
-		// aggregating the step's spans and metric deltas on rank 0.
-		if plane != nil {
-			if _, err := node.Run(func(w *cluster.Worker) error {
-				_, ferr := plane.Fence(w, planeMembers, 0, step, job.PlannedLoads())
-				return ferr
-			}); err != nil {
-				return fmt.Errorf("rank %d step %d plane fence: %w", node.Rank(), step, err)
-			}
-		}
-		if node.Rank() == 0 && cfg.checkpoint != "" {
-			if err := writeCheckpoint(cfg.checkpoint, step, prev); err != nil {
-				return fmt.Errorf("checkpoint step %d: %w", step, err)
-			}
-			log.Info("checkpoint written", "step", step, "path", checkpointPath(cfg.checkpoint, step))
-		}
-		log.Info("step done", "step", step,
-			"bytes_sent", stats.Ranks[0].BytesSent, "msgs_sent", stats.Ranks[0].MsgsSent,
-			"wall", stats.Wall.Round(time.Millisecond))
-	}
-
-	if node.Rank() != 0 {
 		return nil
 	}
-	if cfg.outPath != "" {
-		f, err := os.Create(cfg.outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := dtd.WriteState(f, prev); err != nil {
-			return err
-		}
-		log.Info("state written", "path", cfg.outPath)
-	}
-	return nil
-}
 
-// runElasticWorker drives the whole snapshot stream through the
-// elastic membership driver in a single cluster run: scripted joins
-// and drains are admitted at step fences, real (or -kill-at scripted)
-// rank deaths are recovered mid-step by the survivors, and whichever
-// rank ends as the final view's rank 0 writes the result. Crash
-// recovery needs -heartbeat so deaths surface as typed peer-down
-// errors instead of receive timeouts.
-func runElasticWorker(stdout io.Writer, log *slog.Logger, node *cluster.TCPNode, cfg workerConfig, snaps []*tensor.Tensor, prev *dtd.State, start int, planeHolder *atomic.Pointer[obscluster.Plane]) error {
 	members := cfg.members
 	if members == 0 {
 		members = node.Size()
@@ -443,36 +333,40 @@ func runElasticWorker(stdout io.Writer, log *slog.Logger, node *cluster.TCPNode,
 		}
 		return out
 	}
+	stepStart := time.Now()
 	o := core.ElasticOptions{
 		Options: core.Options{
 			Rank: cfg.rank, MaxIters: cfg.iters, Mu: cfg.mu, Seed: cfg.seed,
-			Method: cfg.method, Threads: cfg.threads, Layout: cfg.layout,
+			Method: cfg.method, Threads: cfg.threads,
 			Solver: cfg.solver, Samples: cfg.samples, Obs: node.Obs(),
 		},
-		World:       node.Size(),
-		Members:     members,
-		KillAtStep:  shift(cfg.killAt),
-		JoinAtStep:  shift(cfg.joinAt),
-		DrainAtStep: shift(cfg.drainAt),
+		World:          node.Size(),
+		Members:        members,
+		KillAtStep:     shift(cfg.killAt),
+		JoinAtStep:     shift(cfg.joinAt),
+		DrainAtStep:    shift(cfg.drainAt),
+		FailOnPeerDown: !cfg.elastic,
+		// Runs on whichever rank is the view's rank 0 when the step ends
+		// (this node's rank 0 unless -elastic outlived it).
+		Checkpoint: func(step int, st *dtd.State, stats *core.StepStats) error {
+			abs := start + step
+			fmt.Fprintf(stdout, "rank %d: iters=%d loss=%.6g complement_nnz=%d\n", node.Rank(), stats.Iters, stats.Loss, stats.ComplementNNZ)
+			if cfg.checkpoint != "" {
+				if err := writeCheckpoint(cfg.checkpoint, abs, st); err != nil {
+					return fmt.Errorf("checkpoint step %d: %w", abs, err)
+				}
+				log.Info("checkpoint written", "step", abs, "path", checkpointPath(cfg.checkpoint, abs))
+			}
+			log.Info("step done", "step", abs, "wall", time.Since(stepStart).Round(time.Millisecond))
+			stepStart = time.Now()
+			return nil
+		},
 	}
 	if cfg.plane {
 		pc := cfg.planeConfig()
 		o.Plane = &pc
 		o.RebalanceOnImbalance = cfg.rebalance
 		o.PlaneReady = func(_ int, p *obscluster.Plane) { planeHolder.Store(p) }
-	}
-	if cfg.checkpoint != "" {
-		o.Checkpoint = func(step int, st *dtd.State) error {
-			if step == 0 {
-				return nil // the state entering step 0 is the run's input, already on disk
-			}
-			abs := start + step - 1
-			if err := writeCheckpoint(cfg.checkpoint, abs, st); err != nil {
-				return err
-			}
-			log.Info("checkpoint written", "step", abs, "path", checkpointPath(cfg.checkpoint, abs))
-			return nil
-		}
 	}
 	job, err := core.NewElasticJob(prev, snaps[start:], o)
 	if err != nil {
@@ -483,24 +377,34 @@ func runElasticWorker(stdout io.Writer, log *slog.Logger, node *cluster.TCPNode,
 		// This rank ended as the final view's rank 0 and holds the state.
 		fmt.Fprintf(stdout, "rank %d: final loss=%.6g transitions=%d\n", node.Rank(), loss, len(transitions))
 		if cfg.outPath != "" {
-			f, err := os.Create(cfg.outPath)
-			if err != nil {
+			if err := writeOut(log, cfg.outPath, st); err != nil {
 				return err
 			}
-			if err := dtd.WriteState(f, st); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			log.Info("state written", "path", cfg.outPath)
 		}
 	}
 	if runErr != nil {
-		return fmt.Errorf("rank %d elastic run: %w", node.Rank(), runErr)
+		return fmt.Errorf("rank %d: %w", node.Rank(), runErr)
 	}
-	log.Info("elastic run done", "wall", stats.Wall.Round(time.Millisecond))
+	log.Info("run done",
+		"bytes_sent", stats.Ranks[0].BytesSent, "msgs_sent", stats.Ranks[0].MsgsSent,
+		"wall", stats.Wall.Round(time.Millisecond))
+	return nil
+}
+
+// writeOut writes the run's final state to the -out path.
+func writeOut(log *slog.Logger, path string, st *dtd.State) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := dtd.WriteState(f, st); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	log.Info("state written", "path", path)
 	return nil
 }
 

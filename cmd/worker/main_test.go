@@ -61,7 +61,7 @@ func TestTwoStepTCPCluster(t *testing.T) {
 					"-join", rv.Addr(), "-tensor", snaps[step],
 					"-rank", "3", "-iters", "3", "-seed", "5",
 					"-out", state, "-timeout", "30s",
-					"-plane", // static-loop observability fences ride along
+					"-plane", // observability fences ride along
 				}
 				if step > 0 {
 					args = append(args, "-prev", state)
@@ -97,6 +97,8 @@ func TestWorkerArgErrors(t *testing.T) {
 		"bad method":                {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-method", "zzz"},
 		"resume without checkpoint": {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-resume"},
 		"rebalance without elastic": {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-rebalance-on-imbalance"},
+		"members without elastic":   {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-members", "2"},
+		"drain without elastic":     {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-drain-at", "1:1"},
 	} {
 		if err := run(args, &stdout, &stderr); err == nil {
 			t.Fatalf("%s accepted", name)
@@ -108,12 +110,18 @@ func TestWorkerArgErrors(t *testing.T) {
 // snapshot files and returns their paths.
 func writeSnapshots(t *testing.T, dir string) []string {
 	t.Helper()
+	return writeSchedule(t, dir, []float64{0.85, 1.0})
+}
+
+// writeSchedule materialises one snapshot file per growth fraction.
+func writeSchedule(t *testing.T, dir string, fracs []float64) []string {
+	t.Helper()
 	full := dismastd.GenerateDataset(dismastd.DatasetBook, 2000, 17)
-	seq, err := dismastd.GrowthSchedule(full, []float64{0.85, 1.0})
+	seq, err := dismastd.GrowthSchedule(full, fracs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps := make([]string, 2)
+	snaps := make([]string, len(fracs))
 	for i := range snaps {
 		snaps[i] = filepath.Join(dir, "snap"+string(rune('0'+i))+".bin")
 		f, err := os.Create(snaps[i])
@@ -160,11 +168,12 @@ func runCluster(t *testing.T, base []string, extra [][]string) ([]error, string)
 	return errs, combined
 }
 
-// TestKillAndResume exercises the crash-recovery path end to end: one
-// rank is chaos-killed between the two streaming steps, the survivors
-// surface a typed peer-down failure, and a resumed cluster picks up
-// from the step-0 checkpoint and reproduces the uninterrupted run's
-// factors exactly.
+// TestKillAndResume exercises the crash-recovery path end to end under
+// the default failure policy: one rank is chaos-killed in the middle of
+// the second streaming step, the survivors surface a typed peer-down
+// failure instead of absorbing it, and a resumed cluster picks up from
+// the step-0 checkpoint and reproduces the uninterrupted run's factors
+// exactly.
 func TestKillAndResume(t *testing.T) {
 	dir := t.TempDir()
 	snaps := writeSnapshots(t, dir)
@@ -176,26 +185,33 @@ func TestKillAndResume(t *testing.T) {
 		"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s",
 	}
 
-	// Run A: one worker dies right before step 1. Step 0 completes on
-	// all ranks first (the kill happens after its checkpoint), so the
-	// survivors fail inside step 1's collectives.
+	// Run A: node rank 1 dies mid-step 1. Step 0 completed and was
+	// checkpointed first, so the survivors fail inside step 1's
+	// collectives. Ranks follow rendezvous arrival order, so the victim
+	// is an arbitrary goroutine: exactly one scripted crash, every other
+	// worker a typed peer-down.
 	errsA, outA := runCluster(t,
-		append([]string{"-checkpoint", ckpt, "-heartbeat", "150ms"}, base...),
-		[][]string{{"-chaos-kill-step", "1"}, nil, nil})
-	if errsA[0] == nil || !strings.Contains(errsA[0].Error(), "chaos") {
-		t.Fatalf("killed worker error = %v", errsA[0])
-	}
-	for w := 1; w < 3; w++ {
-		pd, ok := cluster.AsPeerDown(errsA[w])
+		append([]string{"-checkpoint", ckpt, "-heartbeat", "150ms", "-kill-at", "1:1"}, base...),
+		[][]string{nil, nil, nil})
+	crashes := 0
+	for w, err := range errsA {
+		if err != nil && strings.Contains(err.Error(), "scripted crash") {
+			crashes++
+			continue
+		}
+		pd, ok := cluster.AsPeerDown(err)
 		if !ok {
-			t.Fatalf("survivor %d error = %v, want ErrPeerDown", w, errsA[w])
+			t.Fatalf("survivor %d error = %v, want ErrPeerDown", w, err)
 		}
 		if pd.Rank < 0 || pd.Rank > 2 {
 			t.Fatalf("survivor %d blamed rank %d", w, pd.Rank)
 		}
 	}
-	if !strings.Contains(outA, "rank 0: iters=") {
-		t.Fatalf("step 0 never completed: %q", outA)
+	if crashes != 1 {
+		t.Fatalf("%d scripted crashes, want exactly 1: %v", crashes, errsA)
+	}
+	if n := strings.Count(outA, "rank 0: iters="); n != 1 {
+		t.Fatalf("%d steps completed, want only step 0: %q", n, outA)
 	}
 	if _, err := os.Stat(ckpt + ".step0.gob"); err != nil {
 		t.Fatalf("step-0 checkpoint missing: %v", err)
@@ -233,6 +249,77 @@ func TestKillAndResume(t *testing.T) {
 	for m := range b.Factors {
 		if d := mat.MaxAbsDiff(b.Factors[m], c.Factors[m]); d != 0 {
 			t.Fatalf("mode %d: resumed factors diverge from reference by %g", m, d)
+		}
+	}
+}
+
+// TestOneDriverBothPolicies: with no membership event the two failure
+// policies are the same run. A three-snapshot stream with -checkpoint
+// writes the same -out bytes and the same checkpoint for every step —
+// the last one included — with and without -elastic, prints one rank-0
+// summary line per step, and resuming the finished run recomputes
+// nothing.
+func TestOneDriverBothPolicies(t *testing.T) {
+	dir := t.TempDir()
+	snaps := writeSchedule(t, dir, []float64{0.7, 0.85, 1.0})
+	base := []string{
+		"-tensor", strings.Join(snaps, ","),
+		"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s",
+	}
+	files := map[string][][]byte{} // policy -> out, step0, step1, step2
+	for _, tc := range []struct {
+		name  string
+		extra []string
+	}{
+		{"fail", nil},
+		{"absorb", []string{"-elastic"}},
+	} {
+		ckpt := filepath.Join(dir, tc.name)
+		out := filepath.Join(dir, tc.name+".out.gob")
+		args := append(append([]string{"-checkpoint", ckpt, "-out", out}, tc.extra...), base...)
+		errs, stdout := runCluster(t, args, [][]string{nil, nil})
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("%s worker %d: %v", tc.name, w, err)
+			}
+		}
+		if n := strings.Count(stdout, "rank 0: iters="); n != len(snaps) {
+			t.Fatalf("%s: %d rank-0 step lines, want %d: %q", tc.name, n, len(snaps), stdout)
+		}
+		paths := []string{out}
+		for step := range snaps {
+			paths = append(paths, checkpointPath(ckpt, step))
+		}
+		for _, p := range paths {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			files[tc.name] = append(files[tc.name], b)
+		}
+		if !bytes.Equal(files[tc.name][0], files[tc.name][len(snaps)]) {
+			t.Fatalf("%s: -out differs from the last step's checkpoint", tc.name)
+		}
+
+		// Every step is checkpointed, so a resume has nothing left to run
+		// and hands back the last checkpoint.
+		again := filepath.Join(dir, tc.name+".again.gob")
+		errs, stdout = runCluster(t, append(append([]string{"-checkpoint", ckpt, "-resume", "-out", again}, tc.extra...), base...), [][]string{nil, nil})
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("%s resumed worker %d: %v", tc.name, w, err)
+			}
+		}
+		if strings.Contains(stdout, "iters=") {
+			t.Fatalf("%s: resuming a finished run recomputed a step: %q", tc.name, stdout)
+		}
+		if b, err := os.ReadFile(again); err != nil || !bytes.Equal(b, files[tc.name][0]) {
+			t.Fatalf("%s: resumed -out differs from the finished run's (err %v)", tc.name, err)
+		}
+	}
+	for i := range files["fail"] {
+		if !bytes.Equal(files["fail"][i], files["absorb"][i]) {
+			t.Fatalf("file %d (0 = -out, then step checkpoints) differs between the policies", i)
 		}
 	}
 }

@@ -1,10 +1,7 @@
 package dismastd
 
 import (
-	"fmt"
-
 	"dismastd/internal/completion"
-	"dismastd/internal/layout"
 	"dismastd/internal/partition"
 )
 
@@ -37,18 +34,10 @@ type CompletionOptions struct {
 	// Workers > 1, each worker) runs on. 0 or 1 means sequential;
 	// results are bitwise identical at every value.
 	Threads int
-	// Layout selects the sparse-kernel representation ("compiled" or
-	// "coo"; "" means "compiled") — see Options.Layout. Results are
-	// bitwise identical under either.
-	Layout string
 }
 
-func (o CompletionOptions) internal() (completion.Options, error) {
-	kind, err := layout.ParseKind(o.Layout)
-	if err != nil {
-		return completion.Options{}, fmt.Errorf("dismastd: %v", err)
-	}
-	return completion.Options{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Lambda: o.Lambda, Seed: o.Seed, Threads: o.Threads, Layout: kind}, nil
+func (o CompletionOptions) internal() completion.Options {
+	return completion.Options{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Lambda: o.Lambda, Seed: o.Seed, Threads: o.Threads}
 }
 
 // CompletionResult reports a completion fit.
@@ -64,10 +53,7 @@ type CompletionResult struct {
 // Decompose, unobserved cells do not pull predictions toward zero.
 // With Workers > 1 the fit runs on an in-process worker cluster.
 func Complete(x *Tensor, opts CompletionOptions) (*CompletionResult, error) {
-	iopts, err := opts.internal()
-	if err != nil {
-		return nil, err
-	}
+	iopts := opts.internal()
 	if opts.Workers > 1 {
 		res, err := completion.DecomposeDistributed(x, completion.DistributedOptions{
 			Options: iopts, Workers: opts.Workers, Parts: opts.Parts,
@@ -90,11 +76,7 @@ func Complete(x *Tensor, opts CompletionOptions) (*CompletionResult, error) {
 // (grown) dims and refined by warm-started sweeps over its
 // observations. prev is not modified.
 func CompleteNext(prev *CompletionResult, snapshot *Tensor, opts CompletionOptions) (*CompletionResult, error) {
-	iopts, err := opts.internal()
-	if err != nil {
-		return nil, err
-	}
-	res, err := completion.StreamStep(prev.Factors, snapshot, iopts)
+	res, err := completion.StreamStep(prev.Factors, snapshot, opts.internal())
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,6 @@ import (
 	"dismastd/internal/dataset"
 	"dismastd/internal/dmsmg"
 	"dismastd/internal/dtd"
-	"dismastd/internal/layout"
 	"dismastd/internal/partition"
 	"dismastd/internal/simtime"
 	"dismastd/internal/tensor"
@@ -30,13 +29,12 @@ import (
 
 // Config scales and parameterises the experiment suite.
 type Config struct {
-	TargetNNZ int         // entries per generated dataset; default 100000
-	Rank      int         // R; the paper uses 10
-	Mu        float64     // forgetting factor; the paper uses 0.8
-	MaxIters  int         // sweeps per decomposition; the paper uses 10
-	Workers   int         // cluster size; the paper's testbed has 15 nodes
-	Threads   int         // compute threads per worker; 0/1 = sequential
-	Layout    layout.Kind // sparse kernel representation; results are identical under either
+	TargetNNZ int     // entries per generated dataset; default 100000
+	Rank      int     // R; the paper uses 10
+	Mu        float64 // forgetting factor; the paper uses 0.8
+	MaxIters  int     // sweeps per decomposition; the paper uses 10
+	Workers   int     // cluster size; the paper's testbed has 15 nodes
+	Threads   int     // compute threads per worker; 0/1 = sequential
 	Seed      uint64
 	Model     simtime.Model
 	Datasets  []dataset.Kind
@@ -252,7 +250,7 @@ type Measurement struct {
 func (c Config) runDisMASTD(model simtime.Model, prev *dtd.State, snap *tensor.Tensor, method partition.Method, workers, parts int) (*dtd.State, Measurement, error) {
 	st, stats, err := core.Step(prev, snap, core.Options{
 		Rank: c.Rank, MaxIters: c.MaxIters, Tol: 1e-9, Mu: c.Mu, Seed: c.Seed,
-		Workers: workers, Parts: parts, Method: method, Threads: c.Threads, Layout: c.Layout,
+		Workers: workers, Parts: parts, Method: method, Threads: c.Threads,
 	})
 	if err != nil {
 		return nil, Measurement{}, err
@@ -273,7 +271,7 @@ func (c Config) runDisMASTD(model simtime.Model, prev *dtd.State, snap *tensor.T
 func (c Config) runDMSMG(model simtime.Model, snap *tensor.Tensor, method partition.Method, workers, parts int) (Measurement, error) {
 	_, stats, err := dmsmg.Decompose(snap, dmsmg.Options{
 		Rank: c.Rank, MaxIters: c.MaxIters, Tol: 1e-9, Seed: c.Seed,
-		Workers: workers, Parts: parts, Method: method, Threads: c.Threads, Layout: c.Layout,
+		Workers: workers, Parts: parts, Method: method, Threads: c.Threads,
 	})
 	if err != nil {
 		return Measurement{}, err
@@ -318,7 +316,7 @@ func Fig5(cfg Config) ([]Fig5Point, error) {
 		}
 		for _, method := range Methods {
 			if method.Streaming {
-				st, _, err := dtd.Init(snaps[0], dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads, Layout: cfg.Layout})
+				st, _, err := dtd.Init(snaps[0], dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads})
 				if err != nil {
 					return nil, fmt.Errorf("fig5 %s %s init: %w", k, method.Name, err)
 				}
@@ -378,7 +376,7 @@ func Fig6(cfg Config) ([]Fig6Point, error) {
 			return nil, err
 		}
 		prevSnap := seq.Snapshot(seq.Len() - 2)
-		st, _, err := dtd.Init(prevSnap, dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads, Layout: cfg.Layout})
+		st, _, err := dtd.Init(prevSnap, dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads})
 		if err != nil {
 			return nil, fmt.Errorf("fig6 %s init: %w", k, err)
 		}
@@ -431,7 +429,7 @@ func Fig7(cfg Config) ([]Fig7Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, _, err := dtd.Init(seq.Snapshot(seq.Len()-2), dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads, Layout: cfg.Layout})
+		st, _, err := dtd.Init(seq.Snapshot(seq.Len()-2), dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads})
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %s init: %w", k, err)
 		}

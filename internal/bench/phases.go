@@ -52,7 +52,6 @@ type PhasesReport struct {
 	Dataset    string        `json:"dataset"`
 	Workers    int           `json:"workers"`
 	Threads    int           `json:"threads"`    // compute threads per worker (1 = sequential)
-	Layout     string        `json:"layout"`     // sparse kernel representation: coo or compiled
 	GOMAXPROCS int           `json:"gomaxprocs"` // scheduler parallelism of the measuring process
 	Steps      []PhaseStep   `json:"steps"`
 	Medians    []PhaseMedian `json:"medians"`
@@ -68,7 +67,7 @@ func StreamPhases(cfg Config, k dataset.Kind) (*PhasesReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, _, err := dtd.Init(seq.Snapshot(0), dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads, Layout: cfg.Layout})
+	st, _, err := dtd.Init(seq.Snapshot(0), dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads})
 	if err != nil {
 		return nil, fmt.Errorf("phases %s init: %w", k, err)
 	}
@@ -76,12 +75,12 @@ func StreamPhases(cfg Config, k dataset.Kind) (*PhasesReport, error) {
 	if threads <= 0 {
 		threads = 1
 	}
-	report := &PhasesReport{Dataset: k.String(), Workers: cfg.Workers, Threads: threads, Layout: cfg.Layout.String(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	report := &PhasesReport{Dataset: k.String(), Workers: cfg.Workers, Threads: threads, GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	durs := map[string][]time.Duration{}
 	for i := 1; i < seq.Len(); i++ {
 		next, stats, err := core.Step(st, seq.Snapshot(i), core.Options{
 			Rank: cfg.Rank, MaxIters: cfg.MaxIters, Tol: 1e-9, Mu: cfg.Mu, Seed: cfg.Seed,
-			Workers: cfg.Workers, Method: partition.MTPMethod, Threads: cfg.Threads, Layout: cfg.Layout,
+			Workers: cfg.Workers, Method: partition.MTPMethod, Threads: cfg.Threads,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("phases %s step %d: %w", k, i, err)

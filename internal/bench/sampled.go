@@ -49,8 +49,7 @@ func SampledGap(cfg Config, samples int) ([]SampledPoint, error) {
 			o := obs.New()
 			st, stats, err := dtd.Init(t, dtd.Options{
 				Rank: cfg.Rank, MaxIters: cfg.MaxIters, Tol: 1e-12, Seed: cfg.Seed,
-				Threads: cfg.Threads, Layout: cfg.Layout,
-				Solver: solver, Samples: samples, Obs: o,
+				Threads: cfg.Threads, Solver: solver, Samples: samples, Obs: o,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("sampled %s %v: %w", k, solver, err)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -33,11 +34,10 @@ func expectedTraffic(groups []msgGroup) (bytes, msgs int64) {
 func TestCollectiveByteAccounting(t *testing.T) {
 	const (
 		n = 25 // floats per all-reduce; odd and > M, so ring segments are uneven
-		p = 40 // bytes per all-gather contribution
+		p = 40 // bytes per gather contribution
 	)
 	for _, m := range []int{3, 4} {
 		m64 := int64(m)
-		framed := int64(4 + m*(4+p)) // funnel rebroadcast: count header + per-rank frames
 		cases := []struct {
 			name   string
 			thresh int
@@ -70,25 +70,20 @@ func TestCollectiveByteAccounting(t *testing.T) {
 				},
 			},
 			{
+				// A funnel all-gather composed from the two collectives
+				// left that carry bytes: gather to rank 0, broadcast back.
 				name:   "allgather/funnel",
 				thresh: ringOff,
 				groups: []msgGroup{
 					{"gather", m64 - 1, (m64 - 1) * p},
-					{"bcast#0", m64 - 1, (m64 - 1) * framed},
+					{"bcast#0", m64 - 1, (m64 - 1) * m64 * p},
 				},
 				run: func(w *Worker) error {
-					_, err := w.AllGatherBytes(make([]byte, p))
-					return err
-				},
-			},
-			{
-				name:   "allgather/ring",
-				thresh: ringOn,
-				groups: []msgGroup{
-					{"gather/ring", m64 * (m64 - 1), m64 * (m64 - 1) * p},
-				},
-				run: func(w *Worker) error {
-					_, err := w.AllGatherBytes(make([]byte, p))
+					parts, err := w.GatherBytes(0, make([]byte, p))
+					if err != nil {
+						return err
+					}
+					_, err = w.BroadcastBytes(0, bytes.Join(parts, nil))
 					return err
 				},
 			},

@@ -61,30 +61,6 @@ func BenchmarkCommAllReduce(b *testing.B) {
 	}
 }
 
-func BenchmarkCommAllGather(b *testing.B) {
-	for _, m := range []int{4, 8} {
-		for _, kb := range []int{4, 64, 1024} {
-			size := kb * 1024
-			for _, path := range []struct {
-				name   string
-				thresh int
-			}{{"funnel", ringOff}, {"ring", ringOn}} {
-				b.Run(fmt.Sprintf("path=%s/M=%d/KB=%d", path.name, m, kb), func(b *testing.B) {
-					b.SetBytes(int64(size))
-					blocks := make([][]byte, m)
-					for r := range blocks {
-						blocks[r] = make([]byte, size)
-					}
-					benchComm(b, m, path.thresh, func(w *Worker) error {
-						_, err := w.AllGatherBytes(blocks[w.Rank()])
-						return err
-					})
-				})
-			}
-		}
-	}
-}
-
 func BenchmarkCommScalarReduce(b *testing.B) {
 	for _, m := range []int{4, 8} {
 		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {

@@ -107,8 +107,8 @@ func (s *RunStats) TotalWork() float64 {
 type SendHook func(from, to int, tag string) error
 
 // DefaultRingThreshold is the payload size, in bytes, at which
-// AllReduceSumInPlace and AllGatherBytes switch from the binomial tree
-// to the bandwidth-optimal ring. The default keeps every R×R Gram batch
+// AllReduceSumInPlace switches from the binomial tree to the
+// bandwidth-optimal ring. The default keeps every R×R Gram batch
 // up to R=13 on the tree path (3R²·8 bytes < 4096), preserving the
 // bitwise goldens, while the large factor-row payloads of a real
 // multi-node run take the ring.
@@ -191,22 +191,18 @@ func newWorker(cfg workerConfig) *Worker {
 // bumps on its hot path (resolving by name per call would cost a map
 // lookup per collective).
 type commCounters struct {
-	treeReduce   *obs.Counter // comm.allreduce.tree — tree-path all-reduces
-	ringReduce   *obs.Counter // comm.allreduce.ring — ring-path all-reduces
-	funnelGather *obs.Counter // comm.allgather.funnel — funnel-path all-gathers
-	ringGather   *obs.Counter // comm.allgather.ring — ring-path all-gathers
-	poolGets     *obs.Counter // comm.pool.gets — pooled buffer requests
-	poolMisses   *obs.Counter // comm.pool.misses — requests that had to allocate
+	treeReduce *obs.Counter // comm.allreduce.tree — tree-path all-reduces
+	ringReduce *obs.Counter // comm.allreduce.ring — ring-path all-reduces
+	poolGets   *obs.Counter // comm.pool.gets — pooled buffer requests
+	poolMisses *obs.Counter // comm.pool.misses — requests that had to allocate
 }
 
 func newCommCounters(o *obs.Obs) commCounters {
 	return commCounters{
-		treeReduce:   o.Counter("comm.allreduce.tree"),
-		ringReduce:   o.Counter("comm.allreduce.ring"),
-		funnelGather: o.Counter("comm.allgather.funnel"),
-		ringGather:   o.Counter("comm.allgather.ring"),
-		poolGets:     o.Counter("comm.pool.gets"),
-		poolMisses:   o.Counter("comm.pool.misses"),
+		treeReduce: o.Counter("comm.allreduce.tree"),
+		ringReduce: o.Counter("comm.allreduce.ring"),
+		poolGets:   o.Counter("comm.pool.gets"),
+		poolMisses: o.Counter("comm.pool.misses"),
 	}
 }
 
@@ -445,8 +441,8 @@ func NewLocal(size int) *Local {
 func (c *Local) SetRecvTimeout(d time.Duration) { c.recvTimeout = d }
 
 // SetRingThreshold overrides the payload size, in bytes, at which the
-// all-reduce and all-gather collectives leave the binomial tree for the
-// bandwidth-optimal ring. Values <= 0 disable the ring path entirely.
+// all-reduce leaves the binomial tree for the bandwidth-optimal
+// ring. Values <= 0 disable the ring path entirely.
 // Must be called before Run; every rank of a cluster shares one value,
 // which keeps path selection identical across ranks.
 func (c *Local) SetRingThreshold(bytes int) { c.ringThresh = bytes }

@@ -38,22 +38,6 @@ func TestCodecRoundtrips(t *testing.T) {
 	}
 }
 
-func TestFrames(t *testing.T) {
-	parts := [][]byte{nil, []byte("a"), []byte("hello world")}
-	got, err := decodeFrames(encodeFrames(parts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || string(got[2]) != "hello world" || len(got[0]) != 0 {
-		t.Fatalf("frames roundtrip: %q", got)
-	}
-	for _, bad := range [][]byte{nil, {1, 0, 0, 0}, append(encodeFrames(parts), 0)} {
-		if _, err := decodeFrames(bad); err == nil {
-			t.Fatalf("bad frame payload %v accepted", bad)
-		}
-	}
-}
-
 func TestPointToPoint(t *testing.T) {
 	c := NewLocal(4)
 	_, err := c.Run(func(w *Worker) error {
@@ -222,6 +206,8 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
+// TestGatherAndAllGather keeps its name from when AllGatherBytes
+// existed; GatherBytes is what is left to check.
 func TestGatherAndAllGather(t *testing.T) {
 	c := NewLocal(4)
 	_, err := c.Run(func(w *Worker) error {
@@ -239,15 +225,6 @@ func TestGatherAndAllGather(t *testing.T) {
 		} else if parts != nil {
 			return errors.New("non-root received gather result")
 		}
-		all, err := w.AllGatherBytes(mine)
-		if err != nil {
-			return err
-		}
-		for r, p := range all {
-			if int(p[0]) != r*10 {
-				return fmt.Errorf("allgather[%d] = %d", r, p[0])
-			}
-		}
 		return nil
 	})
 	if err != nil {
@@ -259,9 +236,8 @@ func TestAllReduceSum(t *testing.T) {
 	const size = 6
 	c := NewLocal(size)
 	_, err := c.Run(func(w *Worker) error {
-		vec := []float64{float64(w.Rank()), 1, float64(w.Rank() * w.Rank())}
-		got, err := w.AllReduceSum(vec)
-		if err != nil {
+		got := []float64{float64(w.Rank()), 1, float64(w.Rank() * w.Rank())}
+		if err := w.AllReduceSumInPlace(got); err != nil {
 			return err
 		}
 		// Σr = 15, Σ1 = 6, Σr² = 55 for ranks 0..5.
@@ -293,9 +269,8 @@ func TestAllReduceDeterministic(t *testing.T) {
 		var out []float64
 		var mu sync.Mutex
 		_, err := c.Run(func(w *Worker) error {
-			vec := []float64{1e16 * float64(w.Rank()%2), 1.0 / (float64(w.Rank()) + 3)}
-			got, err := w.AllReduceSum(vec)
-			if err != nil {
+			got := []float64{1e16 * float64(w.Rank()%2), 1.0 / (float64(w.Rank()) + 3)}
+			if err := w.AllReduceSumInPlace(got); err != nil {
 				return err
 			}
 			if w.Rank() == 0 {
@@ -453,12 +428,10 @@ func TestNewLocalPanics(t *testing.T) {
 
 func BenchmarkAllReduceSum(b *testing.B) {
 	c := NewLocal(8)
-	vec := make([]float64, 100) // R=10 Gram matrix
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Run(func(w *Worker) error {
-			_, err := w.AllReduceSum(vec)
-			return err
+			return w.AllReduceSumInPlace(make([]float64, 100)) // R=10 Gram matrix
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -475,8 +448,8 @@ func TestCollectivesStress(t *testing.T) {
 		for round := 0; round < 150; round++ {
 			switch round % 4 {
 			case 0:
-				got, err := w.AllReduceSum([]float64{float64(w.Rank() + round)})
-				if err != nil {
+				got := []float64{float64(w.Rank() + round)}
+				if err := w.AllReduceSumInPlace(got); err != nil {
 					return err
 				}
 				want := float64(size*round) + float64(size*(size-1))/2
@@ -501,13 +474,13 @@ func TestCollectivesStress(t *testing.T) {
 					return fmt.Errorf("round %d: broadcast %v", round, got)
 				}
 			case 3:
-				all, err := w.AllGatherBytes([]byte{byte(w.Rank())})
+				parts, err := w.GatherBytes(round%size, []byte{byte(w.Rank())})
 				if err != nil {
 					return err
 				}
-				for r, p := range all {
+				for r, p := range parts {
 					if int(p[0]) != r {
-						return fmt.Errorf("round %d: allgather[%d] = %d", round, r, p[0])
+						return fmt.Errorf("round %d: gather[%d] = %d", round, r, p[0])
 					}
 				}
 			}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strconv"
 )
@@ -195,52 +194,6 @@ func (w *Worker) GatherBytes(root int, data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// AllGatherBytes collects every rank's data everywhere. Small payloads
-// funnel through rank 0 (gather, frame, broadcast); payloads at or
-// above the ring threshold circulate the ring instead, cutting the
-// per-rank traffic from O(M·n·log M) at the root to ~2·(M−1)/M·M·n
-// spread evenly. All ranks must present payloads on the same side of
-// the threshold (the lockstep contract already requires matched calls;
-// the decomposition's payloads are equal-sized by construction).
-func (w *Worker) AllGatherBytes(data []byte) ([][]byte, error) {
-	if w.useRing(len(data)) {
-		w.cc.ringGather.Inc()
-		return w.ringAllGather(data)
-	}
-	w.cc.funnelGather.Inc()
-	parts, err := w.GatherBytes(0, data)
-	if err != nil {
-		return nil, err
-	}
-	var framed []byte
-	if w.rank == 0 {
-		framed = encodeFrames(parts)
-	}
-	framed, err = w.BroadcastBytes(0, framed)
-	if err != nil {
-		return nil, err
-	}
-	out, err := decodeFrames(framed)
-	if err != nil {
-		return nil, err
-	}
-	if len(out) != w.size {
-		return nil, fmt.Errorf("cluster: allgather returned %d frames for %d ranks", len(out), w.size)
-	}
-	return out, nil
-}
-
-// AllReduceSum sums the per-rank vectors elementwise and returns the
-// total to every rank, leaving vec untouched. Hot paths should prefer
-// AllReduceSumInPlace, which this wraps.
-func (w *Worker) AllReduceSum(vec []float64) ([]float64, error) {
-	out := append([]float64(nil), vec...)
-	if err := w.AllReduceSumInPlace(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // AllReduceSumInPlace overwrites vec on every rank with the elementwise
 // sum across ranks. Small vectors take a binomial-tree reduction to
 // rank 0 followed by a tree broadcast of the canonical sum; vectors at
@@ -293,7 +246,7 @@ func (w *Worker) treeAllReduceSum(vec []float64) error {
 	return w.bcastFloat64s(vec, w.StreamTag("reduce/bc"))
 }
 
-// ReduceScalarSum is AllReduceSum for a single value, through the
+// ReduceScalarSum is AllReduceSumInPlace for a single value, through the
 // worker's persistent one-element scratch.
 func (w *Worker) ReduceScalarSum(x float64) (float64, error) {
 	w.scalar[0] = x
@@ -301,54 +254,4 @@ func (w *Worker) ReduceScalarSum(x float64) (float64, error) {
 		return 0, err
 	}
 	return w.scalar[0], nil
-}
-
-// encodeFrames packs a list of byte slices with uint32 length prefixes.
-func encodeFrames(parts [][]byte) []byte {
-	size := 4
-	for _, p := range parts {
-		size += 4 + len(p)
-	}
-	out := make([]byte, 0, size)
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(parts)))
-	out = append(out, hdr[:]...)
-	for _, p := range parts {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(p)))
-		out = append(out, hdr[:]...)
-		out = append(out, p...)
-	}
-	return out
-}
-
-// decodeFrames unpacks encodeFrames output.
-func decodeFrames(b []byte) ([][]byte, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("cluster: framed payload too short (%d bytes)", len(b))
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	// Every frame costs at least a 4-byte header, which bounds any
-	// honest count; a corrupt header cannot force a huge preallocation.
-	capHint := n
-	if max := uint32(len(b)/4) + 1; capHint > max {
-		capHint = max
-	}
-	out := make([][]byte, 0, capHint)
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("cluster: truncated frame header at %d", i)
-		}
-		l := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < l {
-			return nil, fmt.Errorf("cluster: truncated frame %d (%d of %d bytes)", i, len(b), l)
-		}
-		out = append(out, b[:l:l])
-		b = b[l:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after frames", len(b))
-	}
-	return out, nil
 }

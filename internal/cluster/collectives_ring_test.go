@@ -10,7 +10,7 @@ import (
 )
 
 // ringOn forces every collective onto the ring path; ringOff pins the
-// tree/funnel path regardless of payload size.
+// tree path regardless of payload size.
 const (
 	ringOn  = 1
 	ringOff = -1
@@ -100,46 +100,9 @@ func TestAllReduceRingDeterministic(t *testing.T) {
 	}
 }
 
-// TestAllGatherRingMatchesFunnel checks both all-gather paths deliver
-// identical content at odd sizes.
-func TestAllGatherRingMatchesFunnel(t *testing.T) {
-	for _, m := range []int{3, 5, 7} {
-		t.Run(fmt.Sprintf("M=%d", m), func(t *testing.T) {
-			gather := func(thresh int) [][][]byte {
-				out := make([][][]byte, m)
-				runLocalAt(t, m, thresh, func(w *Worker) error {
-					data := bytes.Repeat([]byte{byte('A' + w.Rank())}, 64+w.Rank())
-					parts, err := w.AllGatherBytes(data)
-					if err != nil {
-						return err
-					}
-					cp := make([][]byte, len(parts))
-					for i, p := range parts {
-						cp[i] = append([]byte(nil), p...)
-					}
-					out[w.Rank()] = cp
-					return nil
-				})
-				return out
-			}
-			ring, funnel := gather(ringOn), gather(ringOff)
-			for r := 0; r < m; r++ {
-				if len(ring[r]) != m || len(funnel[r]) != m {
-					t.Fatalf("rank %d: %d ring / %d funnel parts, want %d", r, len(ring[r]), len(funnel[r]), m)
-				}
-				for b := 0; b < m; b++ {
-					if !bytes.Equal(ring[r][b], funnel[r][b]) {
-						t.Errorf("rank %d block %d: ring %q != funnel %q", r, b, ring[r][b], funnel[r][b])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestCollectivesMixedAtOddSizesTCP drives the tree and ring paths over
-// the TCP transport at non-power-of-two sizes: an all-reduce, an
-// all-gather, a scalar reduction, and a barrier per round.
+// the TCP transport at non-power-of-two sizes: an all-reduce, a
+// gather, a scalar reduction, and a barrier per round.
 func TestCollectivesMixedAtOddSizesTCP(t *testing.T) {
 	for _, m := range []int{3, 5} {
 		for _, thresh := range []int{ringOn, ringOff} {
@@ -164,7 +127,7 @@ func TestCollectivesMixedAtOddSizesTCP(t *testing.T) {
 								return fmt.Errorf("round %d elem %d: got %v want %v", round, i, vec[i], want)
 							}
 						}
-						parts, err := w.AllGatherBytes([]byte{byte(w.Rank()), byte(round)})
+						parts, err := w.GatherBytes(round%m, []byte{byte(w.Rank()), byte(round)})
 						if err != nil {
 							return err
 						}
@@ -177,7 +140,7 @@ func TestCollectivesMixedAtOddSizesTCP(t *testing.T) {
 						if err != nil {
 							return err
 						}
-						if want := float64(m*(m+1) / 2); total != want {
+						if want := float64(m * (m + 1) / 2); total != want {
 							return fmt.Errorf("round %d: scalar sum %v, want %v", round, total, want)
 						}
 						if err := w.Barrier(); err != nil {
@@ -192,7 +155,7 @@ func TestCollectivesMixedAtOddSizesTCP(t *testing.T) {
 }
 
 // TestCollectivePathSelection pins the threshold logic: small payloads
-// keep the tree/funnel (preserving the existing goldens), large ones
+// keep the tree (preserving the existing goldens), large ones
 // take the ring, and the selection counters record which fired.
 func TestCollectivePathSelection(t *testing.T) {
 	const m = 4
@@ -202,22 +165,13 @@ func TestCollectivePathSelection(t *testing.T) {
 		if err := w.AllReduceSumInPlace(small); err != nil {
 			return err
 		}
-		if err := w.AllReduceSumInPlace(large); err != nil {
-			return err
-		}
-		if _, err := w.AllGatherBytes(make([]byte, 16)); err != nil {
-			return err
-		}
-		_, err := w.AllGatherBytes(make([]byte, 8192))
-		return err
+		return w.AllReduceSumInPlace(large)
 	})
 	for r, rk := range stats.Ranks {
 		c := rk.Obs.Metrics.Counters
 		for name, want := range map[string]int64{
-			"comm.allreduce.tree":   1,
-			"comm.allreduce.ring":   1,
-			"comm.allgather.funnel": 1,
-			"comm.allgather.ring":   1,
+			"comm.allreduce.tree": 1,
+			"comm.allreduce.ring": 1,
 		} {
 			if c[name] != want {
 				t.Errorf("rank %d: %s = %d, want %d", r, name, c[name], want)

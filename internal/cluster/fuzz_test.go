@@ -2,57 +2,22 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"testing"
 )
 
-// The two wire codecs — the frame container used by the funnel
-// all-gather and the float64 payload codec used everywhere — must be
-// total on arbitrary input: any byte string either decodes cleanly or
-// returns an error, never panics or over-allocates, and every
-// successful decode re-encodes to the identical bytes (the formats
-// carry no redundancy, so decode is a bijection on valid input).
-
-func FuzzDecodeFrames(f *testing.F) {
-	// Valid encodings.
-	f.Add(encodeFrames(nil))
-	f.Add(encodeFrames([][]byte{nil}))                       // one zero-length frame
-	f.Add(encodeFrames([][]byte{{}, {1}, {}, {2, 3}}))       // empty frames interleaved
-	f.Add(encodeFrames([][]byte{{0xde, 0xad}, {0xbe, 0xef}}))
-	// Corrupt encodings.
-	f.Add([]byte{})                         // shorter than the count header
-	f.Add([]byte{1, 0, 0})                  // truncated count header
-	f.Add([]byte{1, 0, 0, 0})               // count 1, missing frame header
-	f.Add([]byte{1, 0, 0, 0, 5, 0, 0, 0})   // frame claims 5 bytes, has 0
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})   // absurd count, no body
-	f.Add(append(encodeFrames([][]byte{{1}}), 0)) // trailing byte
-	f.Fuzz(func(t *testing.T, b []byte) {
-		parts, err := decodeFrames(b)
-		if err != nil {
-			return
-		}
-		// Round-trip: a successful decode must re-encode to b exactly.
-		if re := encodeFrames(parts); !bytes.Equal(re, b) {
-			t.Fatalf("re-encode mismatch:\n in  %x\n out %x", b, re)
-		}
-		// Every frame must alias the input without exceeding it.
-		total := 4
-		for _, p := range parts {
-			total += 4 + len(p)
-		}
-		if total != len(b) {
-			t.Fatalf("frames account for %d bytes, input has %d", total, len(b))
-		}
-	})
-}
+// The float64 payload codec used everywhere must be total on arbitrary
+// input: any byte string either decodes cleanly or returns an error,
+// never panics, and every successful decode re-encodes to the identical
+// bytes (the format carries no redundancy, so decode is a bijection on
+// valid input).
 
 func FuzzDecodeFloat64s(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeFloat64s([]float64{0, 1, -1, math.Pi}))
 	f.Add(EncodeFloat64s([]float64{math.Inf(1), math.NaN()}))
-	f.Add([]byte{1, 2, 3})       // not a multiple of 8
-	f.Add(make([]byte, 15))      // one value plus a truncated tail
+	f.Add([]byte{1, 2, 3})  // not a multiple of 8
+	f.Add(make([]byte, 15)) // one value plus a truncated tail
 	f.Fuzz(func(t *testing.T, b []byte) {
 		vals, err := DecodeFloat64s(b)
 		if len(b)%8 != 0 {
@@ -81,24 +46,4 @@ func FuzzDecodeFloat64s(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestDecodeFramesCorruptCountNoOverAlloc pins the capHint guard: a
-// frame-count header far beyond what the body could hold must fail
-// fast without attempting a giant preallocation.
-func TestDecodeFramesCorruptCountNoOverAlloc(t *testing.T) {
-	b := make([]byte, 12)
-	binary.LittleEndian.PutUint32(b, math.MaxUint32)
-	if _, err := decodeFrames(b); err == nil {
-		t.Fatal("absurd frame count decoded without error")
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		_, _ = decodeFrames(b)
-	})
-	// The only allocations permitted are the small slice header backing
-	// array (bounded by the body size, not the claimed count) and the
-	// error value.
-	if allocs > 4 {
-		t.Fatalf("corrupt header caused %v allocations per decode", allocs)
-	}
 }

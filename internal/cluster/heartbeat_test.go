@@ -90,10 +90,13 @@ func TestHeartbeatSendToDeadPeerFailsTyped(t *testing.T) {
 
 func TestHeartbeatQuietClusterStaysUp(t *testing.T) {
 	// Probes alone must keep an idle cluster alive: no false positives
-	// while no payload traffic flows.
+	// while no payload traffic flows. The detection window (interval ×
+	// misses) is wide enough that a prober descheduled for a couple of
+	// hundred milliseconds on a loaded two-core machine is not a miss.
 	nodes := startTCPCluster(t, 3)
-	startHeartbeats(t, nodes, 20*time.Millisecond, 2)
-	time.Sleep(400 * time.Millisecond) // many detection windows
+	const interval, misses = 100 * time.Millisecond, 3
+	startHeartbeats(t, nodes, interval, misses)
+	time.Sleep(5 * misses * interval) // five detection windows
 	// All pairs still communicate after the idle period.
 	runTCP(t, nodes, func(w *Worker) error {
 		if err := w.Barrier(); err != nil {

@@ -62,8 +62,8 @@ func TestAgreeViewKillAndJoin(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		got, err := vw.AllReduceSum([]float64{float64(w.Rank())})
-		if err != nil {
+		got := []float64{float64(w.Rank())}
+		if err := vw.AllReduceSumInPlace(got); err != nil {
 			return err
 		}
 		mu.Lock()
@@ -105,8 +105,8 @@ func TestAgreeViewDrain(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		got, err := vw.AllReduceSum([]float64{1})
-		if err != nil {
+		got := []float64{1}
+		if err := vw.AllReduceSumInPlace(got); err != nil {
 			return err
 		}
 		if got[0] != 2 {

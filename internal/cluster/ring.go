@@ -95,30 +95,3 @@ func (w *Worker) ringAllReduceSum(vec []float64) error {
 	}
 	return nil
 }
-
-// ringAllGather is AllGatherBytes' ring path: every rank's block takes
-// M−1 hops around the cycle, each rank forwarding the block it just
-// received. On the in-process transport the blocks are passed by
-// reference (no funnel re-framing, no copies), so the returned slices —
-// like the funnel path's decoded frames — must be treated as read-only.
-func (w *Worker) ringAllGather(data []byte) ([][]byte, error) {
-	m := w.size
-	out := make([][]byte, m)
-	out[w.rank] = data
-	next := (w.rank + 1) % m
-	prev := (w.rank - 1 + m) % m
-	tag := w.StreamTag("gather/ring")
-	carry := data
-	for t := 0; t < m-1; t++ {
-		if err := w.Send(next, tag, carry); err != nil {
-			return nil, err
-		}
-		payload, err := w.Recv(prev, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[((w.rank-t-1)%m+m)%m] = payload
-		carry = payload
-	}
-	return out, nil
-}

@@ -407,8 +407,8 @@ func (n *TCPNode) Size() int { return n.size }
 func (n *TCPNode) SetRecvTimeout(d time.Duration) { n.recvTimeout = d }
 
 // SetRingThreshold overrides the payload size, in bytes, at which the
-// all-reduce and all-gather collectives leave the binomial tree for the
-// bandwidth-optimal ring (values <= 0 disable the ring path). Every
+// all-reduce leaves the binomial tree for the bandwidth-optimal
+// ring (values <= 0 disable the ring path). Every
 // node of a cluster must use the same value — path selection must
 // agree across ranks. Must be called before Run.
 func (n *TCPNode) SetRingThreshold(bytes int) { n.ringThresh = bytes }

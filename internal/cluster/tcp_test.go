@@ -109,13 +109,13 @@ func TestTCPPointToPointAndCollectives(t *testing.T) {
 		if err := w.Barrier(); err != nil {
 			return err
 		}
-		all, err := w.AllGatherBytes([]byte{byte(w.Rank() + 1)})
+		parts, err := w.GatherBytes(0, []byte{byte(w.Rank() + 1)})
 		if err != nil {
 			return err
 		}
-		for r, p := range all {
+		for r, p := range parts {
 			if int(p[0]) != r+1 {
-				return fmt.Errorf("allgather[%d] = %d", r, p[0])
+				return fmt.Errorf("gather[%d] = %d", r, p[0])
 			}
 		}
 		return nil

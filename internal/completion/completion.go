@@ -49,12 +49,6 @@ type Options struct {
 	// system is built and solved by exactly one chunk, so results are
 	// bitwise identical at every value.
 	Threads int
-
-	// Layout selects the kernel representation the row sweeps enumerate
-	// (see internal/layout): Compiled (the zero value) or COO. Each row's
-	// observations are visited in the same order under either, so the
-	// fit is bitwise identical.
-	Layout layout.Kind
 }
 
 func (o *Options) withDefaults() (Options, error) {
@@ -137,7 +131,7 @@ func DecomposeFrom(x *tensor.Tensor, factors []*mat.Dense, o Options) (*Result, 
 	r := opts.Rank
 	kernels := make([]mttkrp.Kernel, n)
 	for m := 0; m < n; m++ {
-		kernels[m] = mttkrp.NewKernel(x, m, opts.Layout)
+		kernels[m] = mttkrp.NewKernel(x, m, layout.Compiled)
 	}
 
 	// All sweep scratch lives in per-thread workspaces: each chunk of

@@ -7,6 +7,7 @@ import (
 
 	"dismastd/internal/cluster"
 	"dismastd/internal/dplan"
+	"dismastd/internal/layout"
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
 	"dismastd/internal/par"
@@ -107,7 +108,7 @@ func (j *distJob) runWorker(w *cluster.Worker) error {
 	// the kernel's groups are exactly the rank's observed owned rows.
 	kernels := make([]mttkrp.Kernel, n)
 	for m := 0; m < n; m++ {
-		kernels[m] = mttkrp.NewKernelOf(x, m, j.plan.EntryLists[me][m], j.opts.Layout)
+		kernels[m] = mttkrp.NewKernelOf(x, m, j.plan.EntryLists[me][m], layout.Compiled)
 	}
 
 	// Per-worker sweep scratch, allocated once. Each worker runs its
@@ -176,46 +177,9 @@ func (j *distJob) runWorker(w *cluster.Worker) error {
 		}
 	}
 
-	// Gather owned rows at rank 0.
-	var result []*mat.Dense
-	if me == 0 {
-		result = make([]*mat.Dense, n)
-	}
-	maxOwned := 0
-	for m := 0; m < n; m++ {
-		if len(j.plan.OwnedSlices[m][me]) > maxOwned {
-			maxOwned = len(j.plan.OwnedSlices[m][me])
-		}
-	}
-	buf := make([]float64, 0, maxOwned*r)
-	for m := 0; m < n; m++ {
-		owned := j.plan.OwnedSlices[m][me]
-		buf = buf[:0]
-		for _, s := range owned {
-			buf = append(buf, full[m].Row(int(s))...)
-		}
-		parts, err := w.GatherBytes(0, cluster.EncodeFloat64s(buf))
-		if err != nil {
-			return err
-		}
-		if me != 0 {
-			continue
-		}
-		out := mat.New(full[m].Rows, r)
-		for rank, payload := range parts {
-			vals, err := cluster.DecodeFloat64s(payload)
-			if err != nil {
-				return err
-			}
-			rows := j.plan.OwnedSlices[m][rank]
-			if len(vals) != len(rows)*r {
-				return fmt.Errorf("completion: gather mode %d rank %d: %d values for %d rows", m, rank, len(vals), len(rows))
-			}
-			for i, s := range rows {
-				copy(out.Row(int(s)), vals[i*r:(i+1)*r])
-			}
-		}
-		result[m] = out
+	result, err := dplan.GatherOwnedRows(w, j.plan.OwnedSlices, full)
+	if err != nil {
+		return err
 	}
 	if me == 0 {
 		j.mu.Lock()

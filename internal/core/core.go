@@ -60,13 +60,6 @@ type Options struct {
 	// value (see internal/par).
 	Threads int
 
-	// Layout selects the kernel representation each rank sweeps on (see
-	// internal/layout): Compiled (the zero value), which compiles the
-	// rank's slice of the complement once per step, cached per entry
-	// list — an elastic re-partition hands ranks new entry lists and so
-	// recompiles — or COO. Factors are bitwise identical under either.
-	Layout layout.Kind
-
 	// RankWeights optionally skews the partitioning by per-rank cost
 	// weights (index = rank, length = Workers): the planner minimises
 	// weighted completion time, so a rank with weight 2 — twice the
@@ -227,9 +220,9 @@ func (j *StepJob) OverrideAlgoMetrics(stats *cluster.RunStats) {
 // without running it: the complement is extracted, partitioned, and the
 // initial stacked factors built. The caller then drives RunWorker once
 // per rank on a cluster of its choosing — Step uses an in-process
-// cluster; cmd/worker drives the same job across TCP processes, each
-// process constructing an identical job from the same inputs
-// (deterministic planning makes the SPMD replicas agree).
+// cluster; examples/multiprocess drives the same job across TCP
+// processes, each process constructing an identical job from the same
+// inputs (deterministic planning makes the SPMD replicas agree).
 func NewStepJob(prev *dtd.State, snapshot *tensor.Tensor, o Options) (*StepJob, error) {
 	opts, err := o.withDefaults()
 	if err != nil {
@@ -237,7 +230,7 @@ func NewStepJob(prev *dtd.State, snapshot *tensor.Tensor, o Options) (*StepJob, 
 	}
 	sweep, err := dtd.NewSweep(prev, snapshot, dtd.Options{
 		Rank: opts.Rank, MaxIters: opts.MaxIters, Tol: opts.Tol, Mu: opts.Mu, Seed: opts.Seed,
-		Threads: opts.Threads, Layout: opts.Layout, Solver: opts.Solver, Samples: opts.Samples, Obs: opts.Obs,
+		Threads: opts.Threads, Solver: opts.Solver, Samples: opts.Samples, Obs: opts.Obs,
 	})
 	if err != nil {
 		return nil, err
@@ -287,11 +280,6 @@ func newCaches(workers int) []*layout.Cache {
 // Workers returns the cluster size the job was planned for.
 func (j *StepJob) Workers() int { return j.opts.Workers }
 
-// PlannedLoads returns the per-rank planned load of the step's plan —
-// the modelled cost the observability plane's fence feeds its
-// imbalance detector.
-func (j *StepJob) PlannedLoads() []float64 { return j.plan.RankLoads() }
-
 // Result assembles the new state and summary statistics after every
 // rank's RunWorker has returned. The Cluster field of the stats is left
 // nil for the caller to fill with its runtime's measurements.
@@ -301,15 +289,20 @@ func (j *StepJob) Result() (*dtd.State, *StepStats, error) {
 	if j.result == nil {
 		return nil, nil, ErrNoResult
 	}
-	stats := &StepStats{
-		Iters:         len(j.lossTrace),
-		Loss:          j.lossTrace[len(j.lossTrace)-1],
-		LossTrace:     j.lossTrace,
+	return stateOf(j.result), j.statsOf(j.lossTrace), nil
+}
+
+// statsOf summarises a finished step of this job's plan from the loss
+// trace its sweeps left.
+func (j *StepJob) statsOf(trace []float64) *StepStats {
+	return &StepStats{
+		Iters:         len(trace),
+		Loss:          trace[len(trace)-1],
+		LossTrace:     trace,
 		ComplementNNZ: j.plan.Tensor.NNZ(),
 		Imbalance:     j.plan.Imbalance(),
 		SetupBytes:    j.plan.SetupBytes(j.opts.Rank),
 	}
-	return stateOf(j.result), stats, nil
 }
 
 // StepJob carries the read-only shared inputs and the coordinator-side
@@ -418,7 +411,7 @@ func (j *StepJob) bind(w *cluster.Worker, factors []*mat.Dense) *dtd.Sweep {
 	sorted := 0
 	sp := w.Obs().Span("plan/compile")
 	for m := range kernels {
-		kernels[m] = mttkrp.CachedKernelOf(j.caches[me], comp, m, j.plan.EntryLists[me][m], j.opts.Layout)
+		kernels[m] = mttkrp.CachedKernelOf(j.caches[me], comp, m, j.plan.EntryLists[me][m], layout.Compiled)
 		owned[m] = j.plan.OwnedSlices[m][me]
 		sorted += j.plan.ModePlans[m].Sorted
 	}
@@ -467,7 +460,7 @@ func (j *StepJob) RunWorker(w *cluster.Worker) error {
 	j.mu.Unlock()
 
 	sp := w.Obs().Span("gather")
-	result, err := j.gatherFactors(w, eng.Factors())
+	result, err := dplan.GatherOwnedRows(w, j.plan.OwnedSlices, eng.Factors())
 	sp.End()
 	if err != nil {
 		return err
@@ -479,66 +472,6 @@ func (j *StepJob) RunWorker(w *cluster.Worker) error {
 		j.mu.Unlock()
 	}
 	return nil
-}
-
-// gatherFactors completes rank 0's replicas into the full factors and
-// returns them there; other ranks get nil. Rank 0's replica already
-// holds rank 0's owned rows in final form — live rows solved, quiet rows
-// written out, because Run never returns with an implicit mode — so it
-// is adopted as the result and only the other ranks' owned rows travel:
-// one message per (mode, rank with rows in it), scattered into the
-// replica straight from the payload in arrival order (each peer's block
-// covers a disjoint row set, so the landing order cannot change a
-// value). The payloads are one-shot and as large as a factor; they stay
-// out of the transport's pool.
-func (j *StepJob) gatherFactors(w *cluster.Worker, full []*mat.Dense) ([]*mat.Dense, error) {
-	r := j.opts.Rank
-	me := w.Rank()
-	if me != 0 {
-		for m := range full {
-			owned := j.plan.OwnedSlices[m][me]
-			if len(owned) == 0 {
-				continue
-			}
-			buf := make([]byte, 8*len(owned)*r)
-			for i, s := range owned {
-				cluster.PutFloat64s(buf[8*i*r:8*(i+1)*r], full[m].Row(int(s)))
-			}
-			if err := w.Send(0, w.StreamTagIndexed("gather", m), buf); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	}
-	gathered := w.Obs().Counter("gather.rows")
-	pending := make([]int, 0, w.Size())
-	for m := range full {
-		tag := w.StreamTagIndexed("gather", m)
-		pending = pending[:0]
-		for rank := 1; rank < w.Size(); rank++ {
-			if len(j.plan.OwnedSlices[m][rank]) > 0 {
-				pending = append(pending, rank)
-			}
-		}
-		for len(pending) > 0 {
-			i, payload, err := w.RecvAny(tag, pending)
-			if err != nil {
-				return nil, err
-			}
-			rank := pending[i]
-			pending[i] = pending[len(pending)-1]
-			pending = pending[:len(pending)-1]
-			rows := j.plan.OwnedSlices[m][rank]
-			if len(payload) != 8*len(rows)*r {
-				return nil, fmt.Errorf("core: gather mode %d rank %d: %d bytes for %d rows", m, rank, len(payload), len(rows))
-			}
-			for i, s := range rows {
-				cluster.CopyFloat64s(full[m].Row(int(s)), payload[8*i*r:8*(i+1)*r])
-			}
-			gathered.Add(int64(len(rows)))
-		}
-	}
-	return full, nil
 }
 
 // ErrNoResult is returned when a run completes without rank 0

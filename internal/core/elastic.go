@@ -1,8 +1,9 @@
-// Elastic multi-step driver: DisMASTD streaming across view changes.
+// Multi-step cluster driver: DisMASTD streaming across view changes.
 //
-// The static Step/StepJob path assumes a fixed worker set for the whole
-// run. ElasticJob drives a sequence of snapshot steps over an elastic
-// cluster whose membership may change while the stream is running:
+// Step/StepJob run one step on a fixed worker set. ElasticJob drives a
+// sequence of snapshot steps in one cluster run — the driver cmd/worker
+// runs every stream through — over a cluster whose membership may
+// change while the stream is running:
 //
 //   - A rank crashing mid-step surfaces as a rank-attributed
 //     ErrPeerDown on every survivor (drain-then-fail mailboxes plus
@@ -14,7 +15,9 @@
 //     stale — migrate the few rows whose surviving owner changed,
 //     refresh the row subscriptions, re-establish the Gram state, and
 //     restart the step's ALS sweeps warm. No wire bytes are spent on
-//     rows that did not change owner.
+//     rows that did not change owner. (FailOnPeerDown selects the other
+//     policy: the survivors stop with the ErrPeerDown, and a restarted
+//     cluster resumes from the last step's checkpoint, bitwise.)
 //
 //   - Joins and drains are admitted at step fences, where every member
 //     holds the full synced state: a joiner warm-starts from a single
@@ -24,9 +27,9 @@
 //     nothing to hand off.
 //
 // Membership never changes the maths: every epoch runs the same
-// dtd.Sweep engine as the static path, only bound to a different plan.
-// A run with no membership events reproduces the static per-step
-// results bitwise.
+// dtd.Sweep engine as a chain of Step calls, only bound to a different
+// plan. A run with no membership events reproduces that chain's
+// per-step results bitwise.
 
 package core
 
@@ -78,9 +81,19 @@ type ElasticOptions struct {
 	// deterministically.
 	SlowRanks map[int]float64
 
-	// Checkpoint, when set, is called by view rank 0 at every step fence
-	// with the fully synced pre-step state.
-	Checkpoint func(step int, st *dtd.State) error
+	// FailOnPeerDown makes a mid-step rank death fatal: every survivor's
+	// RunWorker returns the rank-attributed ErrPeerDown instead of
+	// absorbing the dead rank and continuing. Absorbing keeps the stream
+	// alive at a result within reordering tolerance of the uninterrupted
+	// run; failing keeps every completed step's state exactly what a
+	// restart from its checkpoint reproduces.
+	FailOnPeerDown bool
+
+	// Checkpoint, when set, is called by view rank 0 after every step's
+	// state sync (and observability fence) with the synced post-step
+	// state and the step's statistics (Cluster left nil). An error stops
+	// that rank's run.
+	Checkpoint func(step int, st *dtd.State, stats *StepStats) error
 
 	// Plane, when set, turns on the cluster observability plane: every
 	// member gathers its metric deltas, runtime gauges, and fresh spans
@@ -366,6 +379,7 @@ func (j *ElasticJob) RunWorker(w *cluster.Worker) error {
 // marks a joiner entering after its admission fence already ran.
 func (j *ElasticJob) stream(w *cluster.Worker, v cluster.View, vw *cluster.Worker, prev *dtd.State, start int, adopted bool, rs *rankStream) error {
 	for s := start; s < len(j.snapshots); s++ {
+		w.Obs().SetSnapshot(s)
 		if !adopted || s > start {
 			var cont bool
 			var err error
@@ -375,11 +389,6 @@ func (j *ElasticJob) stream(w *cluster.Worker, v cluster.View, vw *cluster.Worke
 			}
 			if !cont {
 				return nil // drained
-			}
-		}
-		if vw.Rank() == 0 && j.opts.Checkpoint != nil {
-			if err := j.opts.Checkpoint(s, prev); err != nil {
-				return err
 			}
 		}
 		var err error
@@ -524,10 +533,11 @@ func (j *ElasticJob) recvBoot(vw *cluster.Worker, s int, rs *rankStream) (*dtd.S
 	return &dtd.State{Dims: append([]int(nil), dims...), Factors: factors}, nil
 }
 
-// runStep advances one snapshot step, recovering from mid-step rank
-// deaths: on ErrPeerDown the survivors re-partition, migrate, and
-// restart the sweeps warm on the shrunken view. Returns the synced
-// post-step state and the (possibly changed) view.
+// runStep advances one snapshot step. On a mid-step rank death the
+// survivors either stop with the ErrPeerDown (FailOnPeerDown) or
+// re-partition, migrate, and restart the sweeps warm on the shrunken
+// view. Returns the synced post-step state and the (possibly changed)
+// view.
 func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Worker, prev *dtd.State, s int, rs *rankStream) (*dtd.State, cluster.View, *cluster.Worker, error) {
 	job, err := NewStepJob(prev, j.snapshots[s], j.stepOpts(v, rs))
 	if err != nil {
@@ -545,30 +555,45 @@ func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	for {
 		err := eng.Run(scriptedCrash)
 		vw.AddWork(eng.Work())
+		var synced *dtd.State
 		if err == nil {
 			j.chaosSlow(w, vw, job)
-			var synced *dtd.State
 			synced, err = j.syncState(vw, job, eng.Factors())
-			if err == nil && rs.plane != nil {
-				// Observability fence: lockstep with the state sync, so
-				// every member contributes and receives the decision.
-				err = j.obsFence(vw, v, rs, job, s)
-			}
-			if err == nil {
-				if vw.Rank() == 0 && s == len(j.snapshots)-1 {
-					trace := eng.LossTrace()
-					j.mu.Lock()
-					j.finalLoss = trace[len(trace)-1]
-					j.mu.Unlock()
-				}
-				return synced, v, vw, nil
-			}
+		}
+		if err == nil && rs.plane != nil {
+			// Observability fence: lockstep with the state sync, so
+			// every member contributes and receives the decision.
+			err = j.obsFence(vw, v, rs, job, s)
+		}
+		if err == nil {
+			return synced, v, vw, j.stepDone(vw, job, eng.LossTrace(), synced, s)
+		}
+		if j.opts.FailOnPeerDown {
+			return nil, v, vw, err
 		}
 		v, vw, job, eng, err = j.recover(w, v, vw, job, eng, err, s)
 		if err != nil {
 			return nil, v, vw, err
 		}
 	}
+}
+
+// stepDone is view rank 0's end of a step: the stream's last loss is
+// recorded for Result and the Checkpoint hook sees the synced state.
+func (j *ElasticJob) stepDone(vw *cluster.Worker, job *StepJob, trace []float64, synced *dtd.State, s int) error {
+	if vw.Rank() != 0 {
+		return nil
+	}
+	stats := job.statsOf(trace)
+	if s == len(j.snapshots)-1 {
+		j.mu.Lock()
+		j.finalLoss = stats.Loss
+		j.mu.Unlock()
+	}
+	if j.opts.Checkpoint == nil {
+		return nil
+	}
+	return j.opts.Checkpoint(s, synced, stats)
 }
 
 // chaosSlow burns this rank's scripted compute handicap — extra
@@ -696,7 +721,7 @@ func (j *StepJob) withPlan(plan *dplan.Plan, workers int) *StepJob {
 // replication is what makes fences cheap: drains hand off nothing and
 // failures absorb from local replicas.
 func (j *ElasticJob) syncState(vw *cluster.Worker, job *StepJob, full []*mat.Dense) (*dtd.State, error) {
-	assembled, err := job.gatherFactors(vw, full)
+	assembled, err := dplan.GatherOwnedRows(vw, job.plan.OwnedSlices, full)
 	if err != nil {
 		return nil, err
 	}

@@ -221,10 +221,108 @@ func TestElasticKillAndJoinMidStream(t *testing.T) {
 	}
 }
 
+// TestElasticFailPolicyStopsOnPeerDown: under FailOnPeerDown the same
+// scripted kill is fatal instead of absorbed — every survivor returns a
+// typed peer-down error, no transition is recorded, and the checkpoint
+// hook has seen exactly the completed step, whose state a resumed run
+// carries to the uninterrupted result bit for bit.
+func TestElasticFailPolicyStopsOnPeerDown(t *testing.T) {
+	prev, snaps := elasticSeq(t, 3)
+	o := elasticBase(3, 3)
+	ref, _ := referenceRun(t, prev, snaps, 3, o.Options)
+
+	o.KillAtStep = map[int]int{1: 1}
+	o.FailOnPeerDown = true
+	var saved []*dtd.State // view rank 0 only: no lock needed
+	o.Checkpoint = func(step int, st *dtd.State, _ *StepStats) error {
+		saved = append(saved, st)
+		return nil
+	}
+	job, err := NewElasticJob(prev, snaps, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, 3)
+	c := cluster.NewLocal(3)
+	c.SetElastic(true)
+	c.SetRecvTimeout(60 * time.Second)
+	c.Run(func(w *cluster.Worker) error {
+		errs[w.Rank()] = job.RunWorker(w)
+		return errs[w.Rank()]
+	})
+	if !errors.Is(errs[1], ErrScriptedCrash) {
+		t.Fatalf("victim error = %v, want the scripted crash", errs[1])
+	}
+	for _, world := range []int{0, 2} {
+		if _, ok := cluster.AsPeerDown(errs[world]); !ok {
+			t.Fatalf("survivor %d error = %v, want ErrPeerDown", world, errs[world])
+		}
+	}
+	if _, _, _, err := job.Result(); !errors.Is(err, ErrNoResult) {
+		t.Fatalf("failed run has a result (err %v)", err)
+	}
+	if len(job.transitions) != 0 {
+		t.Fatalf("failed run recorded %d transitions", len(job.transitions))
+	}
+	if len(saved) != 1 {
+		t.Fatalf("checkpoint hook saw %d steps, want only the completed step 0", len(saved))
+	}
+
+	o.KillAtStep, o.Checkpoint = nil, nil
+	resumed, err := NewElasticJob(saved[0], snaps[1:], o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runElastic(t, resumed, 3); err != nil {
+		t.Fatal(err)
+	}
+	got, _, _, err := resumed.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for m := range got.Factors {
+		if d := mat.MaxAbsDiff(got.Factors[m], ref.Factors[m]); d != 0 {
+			t.Fatalf("mode %d: resumed run diverges from the uninterrupted one by %g", m, d)
+		}
+	}
+}
+
+// TestElasticStampsSpansWithStep: every member's spans carry the step
+// they were recorded in, so /debug/trace and the plane timeline can be
+// cut by step.
+func TestElasticStampsSpansWithStep(t *testing.T) {
+	prev, snaps := elasticSeq(t, 3)
+	o := elasticBase(2, 2)
+	o.MaxIters = 2
+	job, err := NewElasticJob(prev, snaps, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := runElastic(t, job, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank, rk := range stats.Ranks {
+		seen := map[int]bool{}
+		for _, ev := range rk.Obs.Spans {
+			seen[ev.Snapshot] = true
+		}
+		for step := range snaps {
+			if !seen[step] {
+				t.Errorf("rank %d recorded no span stamped with step %d (saw %v)", rank, step, seen)
+			}
+		}
+		if len(seen) != len(snaps) {
+			t.Errorf("rank %d stamped steps %v, want exactly 0..%d", rank, seen, len(snaps)-1)
+		}
+	}
+}
+
 // TestElasticDrainMidStream: a member retires at a step fence; the
 // remaining pair finishes the stream and still converges to the
 // uninterrupted fit. The fence itself is free of factor traffic, and
-// the checkpoint hook observes every fence with the synced state.
+// the checkpoint hook observes every step's synced post-step state and
+// statistics.
 func TestElasticDrainMidStream(t *testing.T) {
 	prev, snaps := elasticSeq(t, 3)
 	o := elasticBase(3, 3)
@@ -233,12 +331,17 @@ func TestElasticDrainMidStream(t *testing.T) {
 	var mu sync.Mutex
 	var ckSteps []int
 	var ckDims []int
+	var ckLoss []float64
 	o.DrainAtStep = map[int]int{1: 2}
-	o.Checkpoint = func(step int, st *dtd.State) error {
+	o.Checkpoint = func(step int, st *dtd.State, stats *StepStats) error {
 		mu.Lock()
 		defer mu.Unlock()
 		ckSteps = append(ckSteps, step)
 		ckDims = append(ckDims, st.Dims[0])
+		ckLoss = append(ckLoss, stats.Loss)
+		if stats.Iters != len(stats.LossTrace) || stats.Iters == 0 || stats.ComplementNNZ == 0 {
+			t.Errorf("step %d stats = %+v", step, stats)
+		}
 		return nil
 	}
 	job, err := NewElasticJob(prev, snaps, o)
@@ -274,12 +377,11 @@ func TestElasticDrainMidStream(t *testing.T) {
 		if s != i {
 			t.Fatalf("checkpoint steps %v out of order", ckSteps)
 		}
-		wantDim := prev.Dims[0]
-		if i > 0 {
-			wantDim = snaps[i-1].Dims[0]
+		if ckDims[i] != snaps[i].Dims[0] {
+			t.Fatalf("checkpoint %d saw dim %d, want the post-step %d", i, ckDims[i], snaps[i].Dims[0])
 		}
-		if ckDims[i] != wantDim {
-			t.Fatalf("checkpoint %d saw dim %d, want %d", i, ckDims[i], wantDim)
-		}
+	}
+	if last := ckLoss[len(ckLoss)-1]; last != gotLoss {
+		t.Fatalf("last checkpoint saw loss %v, Result %v", last, gotLoss)
 	}
 }

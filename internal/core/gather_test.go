@@ -8,6 +8,7 @@ import (
 
 	"dismastd/internal/cluster"
 	"dismastd/internal/dataset"
+	"dismastd/internal/dplan"
 	"dismastd/internal/dtd"
 	"dismastd/internal/mat"
 	"dismastd/internal/partition"
@@ -44,7 +45,7 @@ func runAndGather(t *testing.T, job *StepJob) (got, want, replica []*mat.Dense, 
 		if err := w.Barrier(); err != nil {
 			return err
 		}
-		out, err := job.gatherFactors(w, eng.Factors())
+		out, err := dplan.GatherOwnedRows(w, job.plan.OwnedSlices, eng.Factors())
 		if me == 0 {
 			got, replica = out, eng.Factors()
 		} else if out != nil {
@@ -170,7 +171,7 @@ func TestGatherAllocatesNoFactorOnRankZero(t *testing.T) {
 		if w.Rank() == 0 {
 			runtime.ReadMemStats(&before)
 		}
-		if _, err := job.gatherFactors(w, eng.Factors()); err != nil {
+		if _, err := dplan.GatherOwnedRows(w, job.plan.OwnedSlices, eng.Factors()); err != nil {
 			return err
 		}
 		// Rank 0 returns from the gather only after every payload has

@@ -16,10 +16,6 @@ import (
 // step), which makes the end of every micro-batch a step fence exactly
 // like the bulk path's: the elastic driver and the cluster
 // observability plane key off that fence and keep working unchanged.
-// The optional Fence hook runs on every rank after the step body and
-// before the run completes — the point cmd/worker calls Plane.Fence —
-// receiving the session's step index and the job whose PlannedLoads the
-// plane's imbalance detector consumes.
 //
 // Factors are bitwise identical to calling Step once per snapshot:
 // every run constructs fresh per-rank mailboxes and workers, so no
@@ -28,9 +24,6 @@ type Session struct {
 	cl      *cluster.Local
 	workers int
 	steps   int
-
-	// Fence, when non-nil, runs on every rank at each step's fence.
-	Fence func(w *cluster.Worker, step int, job *StepJob) error
 }
 
 // NewSession returns a session over a fresh in-process cluster of the
@@ -59,16 +52,7 @@ func (s *Session) Step(prev *dtd.State, snapshot *tensor.Tensor, o Options) (*dt
 	if err != nil {
 		return nil, nil, err
 	}
-	step := s.steps
-	runStats, err := s.cl.Run(func(w *cluster.Worker) error {
-		if err := job.RunWorker(w); err != nil {
-			return err
-		}
-		if s.Fence != nil {
-			return s.Fence(w, step, job)
-		}
-		return nil
-	})
+	runStats, err := s.cl.Run(job.RunWorker)
 	if err != nil {
 		return nil, nil, err
 	}

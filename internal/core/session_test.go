@@ -1,12 +1,8 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
-	"dismastd/internal/cluster"
-	"dismastd/internal/obs"
-	obscluster "dismastd/internal/obs/cluster"
 	"dismastd/internal/partition"
 	"dismastd/internal/tensor"
 )
@@ -42,75 +38,6 @@ func TestSessionMatchesStepBitwise(t *testing.T) {
 	}
 	if sess.Steps() != seq.Len()-1 {
 		t.Fatalf("session counted %d steps, want %d", sess.Steps(), seq.Len()-1)
-	}
-}
-
-// TestSessionFenceRunsPerStep checks the fence hook fires once per
-// rank per step, sees the session's step index, and can run a
-// collective — the shape the observability plane's fence needs.
-func TestSessionFenceRunsPerStep(t *testing.T) {
-	full := sparseRandom([]int{15, 12, 10}, 500, 9)
-	seq, err := tensor.NewSequence(full, [][]int{{12, 10, 8}, {15, 12, 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := initState(t, seq.Snapshot(0), 2, 1)
-	sess := NewSession(2)
-	var mu sync.Mutex
-	calls := map[int]int{}
-	sess.Fence = func(w *cluster.Worker, step int, job *StepJob) error {
-		if len(job.PlannedLoads()) != 2 {
-			t.Errorf("fence sees %d planned loads", len(job.PlannedLoads()))
-		}
-		buf := []float64{1}
-		if err := w.AllReduceSumInPlace(buf); err != nil {
-			return err
-		}
-		if buf[0] != 2 {
-			t.Errorf("fence collective summed to %v", buf[0])
-		}
-		mu.Lock()
-		calls[step]++
-		mu.Unlock()
-		return nil
-	}
-	st := prev
-	for i := 0; i < 2; i++ {
-		st, _, err = sess.Step(st, seq.Snapshot(1), Options{Rank: 2, MaxIters: 2, Tol: 0, Workers: 2, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(calls) != 2 || calls[0] != 2 || calls[1] != 2 {
-		t.Fatalf("fence calls per step = %v, want 2 ranks at steps 0 and 1", calls)
-	}
-}
-
-// TestSessionFenceDrivesPlane runs the cluster observability plane's
-// fence from the session hook — the integration the micro-batch path
-// relies on: plane epochs advance with session steps, unchanged.
-func TestSessionFenceDrivesPlane(t *testing.T) {
-	full := sparseRandom([]int{15, 12, 10}, 500, 21)
-	seq, err := tensor.NewSequence(full, [][]int{{12, 10, 8}, {15, 12, 10}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := initState(t, seq.Snapshot(0), 2, 1)
-	sess := NewSession(2)
-	planes := make([]*obscluster.Plane, 2)
-	for i := range planes {
-		planes[i] = obscluster.NewPlane(obscluster.Config{}, obs.New(), 2)
-	}
-	members := []int{0, 1}
-	sess.Fence = func(w *cluster.Worker, step int, job *StepJob) error {
-		_, ferr := planes[w.Rank()].Fence(w, members, 0, step, job.PlannedLoads())
-		return ferr
-	}
-	if _, _, err := sess.Step(prev, seq.Snapshot(1), Options{Rank: 2, MaxIters: 2, Tol: 0, Workers: 2, Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if agg := planes[0].Aggregator(); agg == nil {
-		t.Fatal("rank-0 plane has no aggregator after a fence")
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"dismastd/internal/cluster"
 	"dismastd/internal/core"
 	"dismastd/internal/dtd"
-	"dismastd/internal/layout"
 	"dismastd/internal/mat"
 	"dismastd/internal/partition"
 	"dismastd/internal/tensor"
@@ -40,11 +39,6 @@ type Options struct {
 	// 0 or 1 means sequential; results are bitwise identical at every
 	// value.
 	Threads int
-
-	// Layout selects the kernel representation (see internal/layout):
-	// Compiled (the zero value) or COO. Factors are bitwise identical
-	// under either.
-	Layout layout.Kind
 }
 
 // Stats reports one distributed static decomposition.
@@ -77,7 +71,7 @@ func Decompose(x *tensor.Tensor, o Options) ([]*mat.Dense, *Stats, error) {
 	st, stats, err := core.Step(dtd.EmptyState(x.Order(), o.Rank), x, core.Options{
 		Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Seed: o.Seed,
 		Workers: o.Workers, Parts: o.Parts, Method: o.Method,
-		Threads: o.Threads, Layout: o.Layout,
+		Threads: o.Threads,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("dmsmg: %w", err)

@@ -390,3 +390,64 @@ func (e *Exchanger) Collect(mode int, factor *mat.Dense, broadcast bool) error {
 func ExchangeRows(w *cluster.Worker, p *Plan, mode int, factor *mat.Dense, broadcast bool) error {
 	return NewExchanger(w, p).Exchange(mode, factor, broadcast)
 }
+
+// GatherOwnedRows completes rank 0's replicas into the full factors and
+// returns them there; other ranks get nil. owned[m][rank] lists the
+// mode-m rows that rank owns (a plan's OwnedSlices); full are the
+// caller's replicas. Rank 0's replica already holds rank 0's owned rows
+// in final form, so it is adopted as the result and only the other
+// ranks' owned rows travel: one message per (mode, rank with rows in
+// it), scattered into the replica straight from the payload in arrival
+// order (each peer's block covers a disjoint row set, so the landing
+// order cannot change a value). The payloads are one-shot and as large
+// as a factor; they stay out of the transport's pool.
+func GatherOwnedRows(w *cluster.Worker, owned [][][]int32, full []*mat.Dense) ([]*mat.Dense, error) {
+	me := w.Rank()
+	if me != 0 {
+		for m, f := range full {
+			rows := owned[m][me]
+			if len(rows) == 0 {
+				continue
+			}
+			r := f.Cols
+			buf := make([]byte, 8*len(rows)*r)
+			for i, s := range rows {
+				cluster.PutFloat64s(buf[8*i*r:8*(i+1)*r], f.Row(int(s)))
+			}
+			if err := w.Send(0, w.StreamTagIndexed("gather", m), buf); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	}
+	gathered := w.Obs().Counter("gather.rows")
+	pending := make([]int, 0, w.Size())
+	for m, f := range full {
+		r := f.Cols
+		tag := w.StreamTagIndexed("gather", m)
+		pending = pending[:0]
+		for rank := 1; rank < w.Size(); rank++ {
+			if len(owned[m][rank]) > 0 {
+				pending = append(pending, rank)
+			}
+		}
+		for len(pending) > 0 {
+			i, payload, err := w.RecvAny(tag, pending)
+			if err != nil {
+				return nil, err
+			}
+			rank := pending[i]
+			pending[i] = pending[len(pending)-1]
+			pending = pending[:len(pending)-1]
+			rows := owned[m][rank]
+			if len(payload) != 8*len(rows)*r {
+				return nil, fmt.Errorf("dplan: gather mode %d rank %d: %d bytes for %d rows", m, rank, len(payload), len(rows))
+			}
+			for i, s := range rows {
+				cluster.CopyFloat64s(f.Row(int(s)), payload[8*i*r:8*(i+1)*r])
+			}
+			gathered.Add(int64(len(rows)))
+		}
+	}
+	return full, nil
+}

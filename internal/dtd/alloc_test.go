@@ -23,7 +23,7 @@ func TestIterationAllocFree(t *testing.T) {
 			t.Run(fmt.Sprintf("layout=%s/threads=%d", kind, threads), func(t *testing.T) {
 				full := sparseRandom([]int{12, 10, 8}, 600, 5)
 				prevSnap := full.Prefix([]int{9, 8, 6})
-				opts := Options{Rank: 3, MaxIters: 5, Mu: 0.7, Seed: 11, Threads: threads, Layout: kind, Obs: obs.New()}
+				opts := Options{Rank: 3, MaxIters: 5, Mu: 0.7, Seed: 11, Threads: threads, Obs: obs.New()}
 				prev, _, err := Init(prevSnap, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -32,10 +32,9 @@ func TestIterationAllocFree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e, err := s.bindSolo()
-				if err != nil {
-					t.Fatal(err)
-				}
+				// bindSolo's binding, over the COO oracle too.
+				kernels, owned := worldBindingOf(s, kind)
+				e := s.Bind(nil, kernels, owned, nil, nil, opts.Obs)
 				defer e.Close()
 
 				pass := func() {
@@ -53,9 +52,9 @@ func TestIterationAllocFree(t *testing.T) {
 }
 
 // TestBindSoloDefaultsToCompiledUnderSpan pins what the world-of-one
-// binding does when Options never mentions a layout: every per-mode
-// kernel is a compiled *layout.ModeLayout, and building them is
-// recorded as one plan/compile span next to plan/complement.
+// binding builds: every per-mode kernel is a compiled
+// *layout.ModeLayout, and building them is recorded as one plan/compile
+// span next to plan/complement.
 func TestBindSoloDefaultsToCompiledUnderSpan(t *testing.T) {
 	full := sparseRandom([]int{12, 10, 8}, 600, 5)
 	opts := Options{Rank: 3, MaxIters: 2, Seed: 11, Obs: obs.New()}

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 
-	"dismastd/internal/layout"
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
 	"dismastd/internal/obs"
@@ -48,12 +47,6 @@ type Options struct {
 	// 0 or 1 means sequential. Results are bitwise identical at every
 	// value (see internal/par).
 	Threads int
-
-	// Layout selects the kernel representation (see internal/layout):
-	// Compiled (the zero value), which compiles each step's complement
-	// once and amortises it over the step's sweeps, or COO. Factors are
-	// bitwise identical under either.
-	Layout layout.Kind
 
 	// Solver selects the per-mode least-squares strategy: sample.Exact
 	// (default) runs the full complement MTTKRP and the exact Gram

@@ -9,6 +9,7 @@ import (
 	"dismastd/internal/cluster"
 	"dismastd/internal/dataset"
 	"dismastd/internal/dplan"
+	"dismastd/internal/layout"
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
 	"dismastd/internal/obs"
@@ -96,7 +97,7 @@ func bindRank(s *Sweep, plan *dplan.Plan, w *cluster.Worker, oracle bool, o *obs
 	kernels := make([]mttkrp.Kernel, n)
 	owned := make([][]int32, n)
 	for m := range kernels {
-		kernels[m] = mttkrp.NewKernelOf(plan.Tensor, m, plan.EntryLists[me][m], s.opts.Layout)
+		kernels[m] = mttkrp.NewKernelOf(plan.Tensor, m, plan.EntryLists[me][m], layout.Compiled)
 		owned[m] = plan.OwnedSlices[m][me]
 	}
 	comm := clusterComm{w: w, exch: dplan.NewExchanger(w, plan)}
@@ -279,11 +280,16 @@ func (c *flakyComm) ReduceScalarSum(x float64) (float64, error) {
 // worldBinding returns what binds every row of the step to one rank:
 // whole-complement kernels and every row owned.
 func worldBinding(s *Sweep) ([]mttkrp.Kernel, [][]int32) {
+	return worldBindingOf(s, layout.Compiled)
+}
+
+// worldBindingOf is worldBinding over the given kernel representation.
+func worldBindingOf(s *Sweep, kind layout.Kind) ([]mttkrp.Kernel, [][]int32) {
 	n := len(s.newDims)
 	kernels := make([]mttkrp.Kernel, n)
 	owned := make([][]int32, n)
 	for m := range kernels {
-		kernels[m] = mttkrp.NewKernel(s.comp, m, s.opts.Layout)
+		kernels[m] = mttkrp.NewKernel(s.comp, m, kind)
 		owned[m] = make([]int32, s.newDims[m])
 		for i := range owned[m] {
 			owned[m][i] = int32(i)

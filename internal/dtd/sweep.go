@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"dismastd/internal/layout"
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
 	"dismastd/internal/obs"
@@ -445,7 +446,7 @@ func (e *Sweep) bindSolo() (*Sweep, error) {
 	owned := make([][]int32, n)
 	sp := e.opts.Obs.Span("plan/compile")
 	for m := range kernels {
-		kernels[m] = mttkrp.NewKernel(e.comp, m, e.opts.Layout)
+		kernels[m] = mttkrp.NewKernel(e.comp, m, layout.Compiled)
 	}
 	sp.End()
 	for m := range owned {

@@ -16,14 +16,11 @@
 // on ModeLayout.AccumulateGroups).
 package layout
 
-import (
-	"flag"
-	"fmt"
-)
+import "fmt"
 
 // Kind selects a kernel representation for MTTKRP and row-wise sweeps.
-// The zero value is Compiled, so an Options struct that leaves its
-// Layout field unset runs the production layout.
+// The zero value is Compiled, the layout every engine runs; COO is what
+// tests and the benchmark's per-layer rows build as the oracle.
 type Kind int
 
 const (
@@ -36,7 +33,7 @@ const (
 	COO
 )
 
-// String returns the flag spelling of the kind.
+// String returns the kind's name, the spelling ParseKind reads.
 func (k Kind) String() string {
 	switch k {
 	case Compiled:
@@ -47,8 +44,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("layout.Kind(%d)", int(k))
 }
 
-// ParseKind parses a -layout flag value. The empty string is the
-// default, Compiled.
+// ParseKind parses a layout name. The empty string is the default,
+// Compiled.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "", "compiled":
@@ -57,13 +54,4 @@ func ParseKind(s string) (Kind, error) {
 		return COO, nil
 	}
 	return Compiled, fmt.Errorf("layout: unknown layout %q (want compiled or coo)", s)
-}
-
-// Flag defines the -layout command-line flag on fs and returns its
-// value. Every binary registers the flag through here, so the printed
-// default and help text are the kind ParseKind("") returns and cannot
-// drift from it.
-func Flag(fs *flag.FlagSet) *string {
-	return fs.String("layout", Compiled.String(),
-		fmt.Sprintf("sparse kernel representation: %v or %v; results are identical under either", Compiled, COO))
 }

@@ -1,7 +1,6 @@
 package layout_test
 
 import (
-	"flag"
 	"math"
 	"testing"
 
@@ -59,26 +58,17 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
-// TestDefaultIsCompiled pins the three spellings of "no layout chosen"
-// to the same kind: the zero Kind, the empty string, and the -layout
-// flag's default.
+// TestDefaultIsCompiled pins the spellings of "no layout chosen" to the
+// same kind: the zero Kind, the empty string, and the kind's own name.
 func TestDefaultIsCompiled(t *testing.T) {
 	if layout.Kind(0) != layout.Compiled {
 		t.Fatalf("layout.Kind(0) = %v, want compiled", layout.Kind(0))
 	}
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	v := layout.Flag(fs)
-	def := fs.Lookup("layout").DefValue
-	if *v != def || def != layout.Compiled.String() {
-		t.Fatalf("-layout default %q (value %q), want %q", def, *v, layout.Compiled)
-	}
+	name := layout.Compiled.String()
 	empty, err1 := layout.ParseKind("")
-	parsed, err2 := layout.ParseKind(def)
+	parsed, err2 := layout.ParseKind(name)
 	if err1 != nil || err2 != nil || empty != parsed || parsed != layout.Compiled {
-		t.Fatalf("ParseKind(\"\") = %v, %v; ParseKind(%q) = %v, %v", empty, err1, def, parsed, err2)
-	}
-	if err := fs.Parse([]string{"-layout", "coo"}); err != nil || *v != "coo" {
-		t.Fatalf("-layout coo: value %q, err %v", *v, err)
+		t.Fatalf("ParseKind(\"\") = %v, %v; ParseKind(%q) = %v, %v", empty, err1, name, parsed, err2)
 	}
 }
 

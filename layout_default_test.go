@@ -3,25 +3,19 @@ package dismastd
 import (
 	"testing"
 
-	"dismastd/internal/core"
-	"dismastd/internal/dtd"
 	"dismastd/internal/layout"
 	"dismastd/internal/mttkrp"
 	"dismastd/internal/tensor"
 )
 
-// TestZeroValueOptionsBuildCompiledKernels pins the zero-value rule
-// (layout.Kind(0) == layout.Compiled, see internal/layout's
-// TestDefaultIsCompiled) where it matters: an options struct that never
-// mentions a layout — public or internal — hands the kernel
-// constructors the compiled kind, so what they build is a
-// *layout.ModeLayout. The engines pass Options.Layout to
-// mttkrp.NewKernel / NewKernelOf / CachedKernelOf unchanged.
+// TestZeroValueOptionsBuildCompiledKernels pins what is left of the
+// layout choice. The engines hand the kernel constructors
+// layout.Compiled — the zero Kind (internal/layout's
+// TestDefaultIsCompiled) — so what they build is a *layout.ModeLayout;
+// and Options.Layout, the one field still naming a layout, is validated
+// and ignored: every known spelling runs the same engine, an unknown one
+// is still an error.
 func TestZeroValueOptionsBuildCompiledKernels(t *testing.T) {
-	completion, err := CompletionOptions{}.internal()
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := tensor.NewBuilder([]int{3, 4, 2})
 	b.Append([]int{0, 1, 0}, 1)
 	b.Append([]int{2, 3, 1}, 2)
@@ -29,23 +23,37 @@ func TestZeroValueOptionsBuildCompiledKernels(t *testing.T) {
 	x := b.Build()
 	entries := []int32{0, 2}
 
-	for _, tc := range []struct {
-		name string
-		kind layout.Kind
-	}{
-		{"dismastd.Options", Options{}.layoutKind()},
-		{"dismastd.CompletionOptions", completion.Layout},
-		{"core.Options", core.Options{}.Layout},
-		{"dtd.Options", dtd.Options{}.Layout},
+	var kind layout.Kind
+	for ctor, k := range map[string]mttkrp.Kernel{
+		"NewKernel":      mttkrp.NewKernel(x, 0, kind),
+		"NewKernelOf":    mttkrp.NewKernelOf(x, 0, entries, kind),
+		"CachedKernelOf": mttkrp.CachedKernelOf(&layout.Cache{}, x, 0, entries, kind),
 	} {
-		for ctor, k := range map[string]mttkrp.Kernel{
-			"NewKernel":      mttkrp.NewKernel(x, 0, tc.kind),
-			"NewKernelOf":    mttkrp.NewKernelOf(x, 0, entries, tc.kind),
-			"CachedKernelOf": mttkrp.CachedKernelOf(&layout.Cache{}, x, 0, entries, tc.kind),
-		} {
-			if _, ok := k.(*layout.ModeLayout); !ok {
-				t.Errorf("zero-value %s: %s built %T, want *layout.ModeLayout", tc.name, ctor, k)
+		if _, ok := k.(*layout.ModeLayout); !ok {
+			t.Errorf("zero-value kind: %s built %T, want *layout.ModeLayout", ctor, k)
+		}
+	}
+
+	var want []*Dense
+	for _, name := range []string{"", "compiled", "coo"} {
+		s := NewStream(Options{Rank: 2, MaxIters: 3, Seed: 5, Layout: name})
+		if _, err := s.Ingest(x); err != nil {
+			t.Fatalf("Layout %q: %v", name, err)
+		}
+		got := s.Factors()
+		if want == nil {
+			want = got
+			continue
+		}
+		for m := range want {
+			for i, v := range want[m].Data {
+				if got[m].Data[i] != v {
+					t.Fatalf("Layout %q: mode %d differs from the default's factors", name, m)
+				}
 			}
 		}
+	}
+	if _, err := NewStream(Options{Rank: 2, Layout: "csf"}).Ingest(x); err == nil {
+		t.Error(`Layout "csf" accepted, want an error`)
 	}
 }

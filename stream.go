@@ -50,13 +50,11 @@ type Options struct {
 	// value — parallelism never reorders a floating-point reduction.
 	Threads int
 
-	// Layout selects the sparse-kernel representation: "compiled" (or
-	// "", the default) compiles each snapshot region once into a
-	// mode-sorted, fiber-grouped layout that every sweep then reuses;
-	// "coo" walks the tensor's coordinate arrays in place — slower, kept
-	// as the reference the compiled layout is tested against. Factors
-	// are bitwise identical under either — the layout changes memory
-	// traffic, never floating-point order.
+	// Layout is accepted and ignored: "compiled", "coo" and "" all run
+	// the compiled sparse layout, the one representation the engines
+	// sweep on (the COO walk survives as the tests' oracle; factors were
+	// bitwise identical under either). Any other value is still an
+	// error. The field stays until the benchmark harness stops naming it.
 	Layout string
 
 	// Solver selects the per-sweep least-squares strategy: "exact" (or
@@ -106,12 +104,6 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("dismastd: Samples must be non-negative, got %d", o.Samples)
 	}
 	return o, nil
-}
-
-// layoutKind returns the parsed Layout; call after withDefaults.
-func (o Options) layoutKind() layout.Kind {
-	k, _ := layout.ParseKind(o.Layout)
-	return k
 }
 
 // solverKind returns the parsed Solver; call after withDefaults.
@@ -176,7 +168,6 @@ type EventReport struct {
 type Stream struct {
 	opts     Options
 	vopts    Options     // resolved once by ensureOpts (never re-validated per call)
-	lk       layout.Kind // parsed once alongside vopts
 	sk       sample.Kind // parsed once alongside vopts
 	optsErr  error
 	optsDone bool
@@ -213,7 +204,6 @@ func (s *Stream) ensureOpts() error {
 	if !s.optsDone {
 		s.vopts, s.optsErr = s.opts.withDefaults()
 		if s.optsErr == nil {
-			s.lk = s.vopts.layoutKind()
 			s.sk = s.vopts.solverKind()
 		}
 		s.optsDone = true
@@ -225,8 +215,8 @@ func (s *Stream) dtdOptions(seed uint64) dtd.Options {
 	return dtd.Options{
 		Rank: s.vopts.Rank, MaxIters: s.vopts.MaxIters, Tol: s.vopts.Tol,
 		Mu: s.vopts.ForgettingFactor, Seed: seed,
-		Threads: s.vopts.Threads, Layout: s.lk,
-		Solver: s.sk, Samples: s.vopts.Samples,
+		Threads: s.vopts.Threads,
+		Solver:  s.sk, Samples: s.vopts.Samples,
 	}
 }
 
@@ -236,8 +226,8 @@ func (s *Stream) coreOptions(seed uint64) core.Options {
 		Mu: s.vopts.ForgettingFactor, Seed: seed,
 		Workers: s.vopts.Workers, Parts: s.vopts.Parts,
 		Method:  partition.Method(s.vopts.Partitioner),
-		Threads: s.vopts.Threads, Layout: s.lk,
-		Solver: s.sk, Samples: s.vopts.Samples,
+		Threads: s.vopts.Threads,
+		Solver:  s.sk, Samples: s.vopts.Samples,
 	}
 }
 
