@@ -12,7 +12,7 @@ NUMERIC_PKGS = ./internal/par/... ./internal/mat/... ./internal/mttkrp/... \
 	./internal/layout/... ./internal/cp/... ./internal/dtd/... \
 	./internal/dmsmg/... ./internal/completion/...
 
-.PHONY: all build test vet race check profile clean
+.PHONY: all build test vet race check fuzz profile clean
 
 all: check
 
@@ -35,6 +35,20 @@ race:
 	$(GO) test -race $(CLUSTER_PKGS) $(NUMERIC_PKGS) ./internal/goldens/... ./internal/obs/... ./internal/sample/...
 
 check: vet test race
+
+# Every Fuzz* in the module, FUZZTIME each, one after another. The list
+# comes from `go test -list`, so a new fuzzer needs no edit here. New
+# corpus entries are minimized for at most a second each: the default
+# minute per entry can eat a short FUZZTIME whole.
+FUZZTIME ?= 10s
+
+fuzz:
+	@$(GO) test -list '^Fuzz' ./... | \
+	awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' | \
+	while read pkg fz; do \
+		echo "== $$pkg $$fz"; \
+		$(GO) test -run '^$$' -fuzz "^$$fz\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s $$pkg || exit 1; \
+	done
 
 # Performance is measured by the one outside-in benchmark — `bash
 # benchmark/run.sh`, see benchmark/README.md — not by make targets. The

@@ -160,11 +160,11 @@ func TestTensorIORoundtrip(t *testing.T) {
 	if err := dismastd.WriteTensorBinary(&bin, x); err != nil {
 		t.Fatal(err)
 	}
-	xt, err := dismastd.ReadTensorText(&txt)
+	xt, err := dismastd.ReadTensor(&txt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xb, err := dismastd.ReadTensorBinary(&bin)
+	xb, err := dismastd.ReadTensor(&bin)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	nnz := fs.Int("nnz", 100000, "target number of non-zero entries")
 	seed := fs.Uint64("seed", 42, "generator seed")
 	out := fs.String("o", "", "output path (default stdout)")
-	format := fs.String("format", "", "text or binary (default from extension: .bin/.gob = binary)")
+	format := fs.String("format", "", "text or binary (default from extension: .bin = binary)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -68,8 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		w = f
 	}
 
-	binary := *format == "binary" ||
-		(*format == "" && (strings.HasSuffix(*out, ".bin") || strings.HasSuffix(*out, ".gob")))
+	binary := *format == "binary" || (*format == "" && strings.HasSuffix(*out, ".bin"))
 	var err error
 	if binary {
 		err = dismastd.WriteTensorBinary(w, t)

@@ -22,7 +22,7 @@ func TestGenerateTextToFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	x, err := dismastd.ReadTensorText(f)
+	x, err := dismastd.ReadTensor(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,22 @@ func TestGenerateBinaryByExtension(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := dismastd.ReadTensorBinary(f); err != nil {
+	if _, err := dismastd.ReadTensor(f); err != nil {
 		t.Fatalf("binary read: %v", err)
+	}
+	// Only .bin means binary; a .gob name gets the default, text.
+	gobOut := filepath.Join(dir, "net.gob")
+	if err := run([]string{"-dataset", "netflix", "-nnz", "100", "-o", gobOut}, &stdout, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]string{out: "DMTN", gobOut: "dims"} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(b), want) {
+			t.Fatalf("%s does not start with %q", path, want)
+		}
 	}
 }
 
@@ -56,7 +70,7 @@ func TestGenerateToStdout(t *testing.T) {
 	if err := run([]string{"-dataset", "synthetic", "-nnz", "500"}, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	x, err := dismastd.ReadTensorText(&stdout)
+	x, err := dismastd.ReadTensor(&stdout)
 	if err != nil {
 		t.Fatal(err)
 	}

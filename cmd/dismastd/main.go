@@ -35,10 +35,7 @@ func loadTensor(path string) (*dismastd.Tensor, error) {
 		return nil, err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".bin") || strings.HasSuffix(path, ".gob") {
-		return dismastd.ReadTensorBinary(f)
-	}
-	return dismastd.ReadTensorText(f)
+	return dismastd.ReadTensor(f)
 }
 
 func run(args []string, stdout, stderr io.Writer) error {

@@ -526,8 +526,5 @@ func loadTensor(path string) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".bin") || strings.HasSuffix(path, ".gob") {
-		return tensor.ReadBinary(f)
-	}
-	return tensor.ReadText(f)
+	return tensor.Read(f)
 }

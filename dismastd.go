@@ -42,7 +42,7 @@ import (
 )
 
 // Tensor is a sparse tensor of arbitrary order in sorted coordinate
-// format. Build one with NewBuilder, ReadTensorText, or ReadTensorBinary.
+// format. Build one with NewBuilder or read one with ReadTensor.
 type Tensor = tensor.Tensor
 
 // Builder accumulates coordinate/value entries and produces a canonical
@@ -67,17 +67,17 @@ func NewSequence(full *Tensor, steps [][]int) (*Sequence, error) {
 	return tensor.NewSequence(full, steps)
 }
 
-// ReadTensorText parses the TSV tensor format ("dims\td1...\tdN" header
-// followed by "i1\t...\tiN\tvalue" lines).
-func ReadTensorText(r io.Reader) (*Tensor, error) { return tensor.ReadText(r) }
+// ReadTensor reads a tensor in either format, told apart by its first
+// bytes: the binary format WriteTensorBinary writes, or the TSV text
+// format WriteTensorText writes.
+func ReadTensor(r io.Reader) (*Tensor, error) { return tensor.Read(r) }
 
-// ReadTensorBinary decodes the compact gob tensor format.
-func ReadTensorBinary(r io.Reader) (*Tensor, error) { return tensor.ReadBinary(r) }
-
-// WriteTensorText writes the TSV tensor format.
+// WriteTensorText writes the TSV tensor format: a "dims\td1...\tdN"
+// header followed by one "i1\t...\tiN\tvalue" line per entry.
 func WriteTensorText(w io.Writer, t *Tensor) error { return t.WriteText(w) }
 
-// WriteTensorBinary writes the compact gob tensor format.
+// WriteTensorBinary writes the binary tensor format: a checksummed
+// envelope around fixed-width dims, coordinates and values.
 func WriteTensorBinary(w io.Writer, t *Tensor) error { return t.WriteBinary(w) }
 
 // Partitioner selects a load-balancing heuristic for distributing

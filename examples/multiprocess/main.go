@@ -122,7 +122,7 @@ func workerMain() error {
 			return nil, err
 		}
 		defer f.Close()
-		return tensor.ReadBinary(f)
+		return tensor.Read(f)
 	}
 	snap, err := load(fmt.Sprintf("snap%d.bin", *stepNo))
 	if err != nil {

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// The transport metrics charge every message len(payload)+len(tag)+8
-// on both the sending and receiving side. This file pins that contract
+// The transport metrics charge every message its frame — wireSize,
+// len(payload)+len(tag)+8 — on both the sending and receiving side. This file pins that contract
 // per collective: for each operation the cluster-wide counters must
 // equal the byte totals computed from the operation's exact message
 // pattern — message counts from the tree/ring structure, payload sizes
@@ -70,8 +70,8 @@ func TestCollectiveByteAccounting(t *testing.T) {
 				},
 			},
 			{
-				// A funnel all-gather composed from the two collectives
-				// left that carry bytes: gather to rank 0, broadcast back.
+				// A funnel all-gather: point-to-point sends to rank 0,
+				// then a broadcast of the concatenation back.
 				name:   "allgather/funnel",
 				thresh: ringOff,
 				groups: []msgGroup{
@@ -79,11 +79,21 @@ func TestCollectiveByteAccounting(t *testing.T) {
 					{"bcast#0", m64 - 1, (m64 - 1) * m64 * p},
 				},
 				run: func(w *Worker) error {
-					parts, err := w.GatherBytes(0, make([]byte, p))
-					if err != nil {
-						return err
+					parts := [][]byte{make([]byte, p)}
+					for r := 1; r < w.Size(); r++ {
+						if w.Rank() == r {
+							if err := w.Send(0, w.StreamTag("gather"), parts[0]); err != nil {
+								return err
+							}
+						} else if w.Rank() == 0 {
+							b, err := w.Recv(r, w.StreamTag("gather"))
+							if err != nil {
+								return err
+							}
+							parts = append(parts, b)
+						}
 					}
-					_, err = w.BroadcastBytes(0, bytes.Join(parts, nil))
+					_, err := w.BroadcastBytes(0, bytes.Join(parts, nil))
 					return err
 				},
 			},

@@ -20,13 +20,13 @@ import (
 // rules.
 //
 // Adoption rule: put keeps a buffer only when its capacity is exactly a
-// class size, 1<<c — which every buffer get hands out has, and a buffer
-// of foreign origin (a TCP receive payload decoded by gob, cap ≈ its
-// length) almost never. get(n) looks in class ⌈log₂ n⌉, so a buffer
-// filed anywhere else could never be handed back for the length it
-// arrived with; it would only be held. Foreign buffers are therefore
-// dropped to the garbage collector: PutBuf on them is allowed and does
-// nothing.
+// class size, 1<<c — which every buffer get hands out has, the payloads
+// the TCP frame reader receives into included, and a buffer of foreign
+// origin (a caller's own Send payload, cap ≈ its length) almost never.
+// get(n) looks in class ⌈log₂ n⌉, so a buffer filed anywhere else could
+// never be handed back for the length it arrived with; it would only be
+// held. Foreign buffers are therefore dropped to the garbage collector:
+// PutBuf on them is allowed and does nothing.
 type bufPool struct {
 	mu      sync.Mutex
 	classes [64][][]byte

@@ -102,10 +102,6 @@ func (s *RunStats) TotalWork() float64 {
 	return t
 }
 
-// SendHook intercepts outgoing messages; returning an error makes the
-// send fail. Used for fault injection in tests.
-type SendHook func(from, to int, tag string) error
-
 // DefaultRingThreshold is the payload size, in bytes, at which
 // AllReduceSumInPlace switches from the binomial tree to the
 // bandwidth-optimal ring. The default keeps every R×R Gram batch
@@ -218,11 +214,6 @@ func (w *Worker) Size() int { return w.size }
 // whole run's work whatever the membership history.
 func (w *Worker) AddWork(units float64) { *w.work += units }
 
-// UniqueTag returns a tag namespaced by the worker's collective
-// counter. Like the collectives, calls must happen in the same order on
-// every worker so matching sides derive the same tag.
-func (w *Worker) UniqueTag(prefix string) string { return w.nextTag(prefix) }
-
 // MetricsSnapshot returns the worker's traffic counters accumulated
 // since its Run began (a delta for long-lived TCP nodes). Jobs use it
 // to separate algorithm traffic from one-time result collection.
@@ -252,7 +243,7 @@ func (w *Worker) Send(to int, tag string, payload []byte) error {
 	if err := w.sendFn(w.worldOf(to), msg); err != nil {
 		return fmt.Errorf("cluster: rank %d send to %d tag %q: %w", w.rank, to, tag, err)
 	}
-	w.metrics.addSent(msg.wireSize())
+	w.metrics.addSent(wireSize(tag, payload))
 	return nil
 }
 
@@ -266,7 +257,7 @@ func (w *Worker) Recv(from int, tag string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: rank %d recv from %d tag %q: %w", w.rank, from, tag, err)
 	}
-	w.metrics.addRecvd(int64(len(payload)) + int64(len(tag)) + 8)
+	w.metrics.addRecvd(wireSize(tag, payload))
 	return payload, nil
 }
 
@@ -300,7 +291,7 @@ func (w *Worker) recvAny(tag string, from []int, failDown bool) (int, []byte, er
 	if err != nil {
 		return -1, nil, fmt.Errorf("cluster: rank %d recv-any tag %q: %w", w.rank, tag, err)
 	}
-	w.metrics.addRecvd(int64(len(payload)) + int64(len(tag)) + 8)
+	w.metrics.addRecvd(wireSize(tag, payload))
 	return i, payload, nil
 }
 
@@ -315,7 +306,7 @@ func (w *Worker) TryRecvAny(tag string, from []int) (int, []byte, bool) {
 	}
 	i, payload, ok := w.mbox.poll(tag, cand)
 	if ok {
-		w.metrics.addRecvd(int64(len(payload)) + int64(len(tag)) + 8)
+		w.metrics.addRecvd(wireSize(tag, payload))
 	}
 	return i, payload, ok
 }
@@ -354,16 +345,18 @@ func (w *Worker) GetBuf(n int) []byte {
 	return b
 }
 
-// PutBuf returns a payload buffer to the transport's pool. Receivers of
-// pooled sends call it once they have decoded the payload; passing a
-// buffer of foreign origin (e.g. a TCP receive) simply adopts it.
+// PutBuf returns a payload buffer to the transport's pool. Receivers
+// call it once they have decoded a payload — a TCP receive is a pooled
+// buffer too; a buffer of foreign origin is left to the garbage
+// collector.
 func (w *Worker) PutBuf(b []byte) { w.bufs.put(b) }
 
 // SendPooled sends a buffer obtained from GetBuf and transfers its
 // ownership to the message: on the in-process transport the payload is
 // delivered by reference and the receiving rank recycles it (the pool
-// is shared across ranks), while on TCP the wire encoder copies the
-// bytes synchronously, so the buffer is recycled here at once.
+// is shared across ranks), while on TCP the frame writer copies the
+// bytes to the socket synchronously, so the buffer is recycled here at
+// once.
 // Self-sends loop through the local mailbox on both transports and are
 // recycled by the receiving code path. Either way the caller must not
 // touch buf after the call.
@@ -383,7 +376,6 @@ func (w *Worker) SendPooled(to int, tag string, buf []byte) error {
 type Local struct {
 	size        int
 	recvTimeout time.Duration
-	sendHook    SendHook
 	fault       *FaultPlan
 	obs         *obs.Obs // cluster-level transport instruments (fault counters)
 	fc          faultCounters
@@ -447,9 +439,6 @@ func (c *Local) SetRecvTimeout(d time.Duration) { c.recvTimeout = d }
 // which keeps path selection identical across ranks.
 func (c *Local) SetRingThreshold(bytes int) { c.ringThresh = bytes }
 
-// SetSendHook installs a fault-injection hook applied to every send.
-func (c *Local) SetSendHook(h SendHook) { c.sendHook = h }
-
 // Obs returns the cluster-level observability bundle: transport events
 // that belong to the cluster rather than one rank (fault injections).
 // Per-rank instruments live on each run's Workers and surface through
@@ -461,8 +450,8 @@ func (c *Local) Obs() *obs.Obs { return c.obs }
 func (c *Local) SetLogger(l *slog.Logger) { c.logger = l }
 
 // SetFaultPlan installs a deterministic fault schedule applied to every
-// send (after the hook, if both are set). FaultCut has no connection to
-// break in-process; like a recovered TCP cut, the message is delivered.
+// send. FaultCut has no connection to break in-process; like a
+// recovered TCP cut, the message is delivered.
 func (c *Local) SetFaultPlan(p *FaultPlan) { c.fault = p }
 
 // SetElastic switches Run to elastic failure semantics, matching what a
@@ -519,11 +508,6 @@ func (c *Local) Run(fn func(*Worker) error) (*RunStats, error) {
 					}
 					mboxes[to].peerDown(dead, &ErrPeerDown{Rank: dead}, true)
 					return nil
-				}
-				if c.sendHook != nil {
-					if err := c.sendHook(msg.From, to, msg.Tag); err != nil {
-						return err
-					}
 				}
 				if c.fault != nil {
 					if inj := c.fault.decide(msg.From, to, msg.Tag); inj != nil {

@@ -13,7 +13,7 @@ import (
 //   - Counter tags (nextTag): each call consumes one slot of the
 //     per-worker collective counter, which namespaces its message tags
 //     so consecutive collectives never cross-match. Used by the cold
-//     operations (Barrier, BroadcastBytes, UniqueTag callers).
+//     operations (Barrier, BroadcastBytes).
 //
 //   - Stream tags (StreamTag): one fixed tag per logical message
 //     stream, reused across calls. Matching is still exact because the
@@ -46,8 +46,8 @@ type streamKey struct {
 }
 
 // StreamTag returns the worker's stable tag for a named logical message
-// stream ("reduce", "gather", ...). Unlike UniqueTag the same string is
-// returned on every call, so steady-state collectives generate no tag
+// stream ("reduce", "rows", ...). Unlike a counter tag the same string
+// is returned on every call, so steady-state collectives generate no tag
 // garbage; correctness relies on per-(sender, tag) FIFO delivery plus
 // the collectives contract above. The TCP Run epoch prefix is included,
 // like counter tags.
@@ -163,35 +163,6 @@ func (w *Worker) bcastFloat64s(vec []float64, tag string) error {
 		}
 	}
 	return nil
-}
-
-// GatherBytes collects every rank's data at root. At root the result
-// has one element per rank (root's own included, in rank order); other
-// ranks get nil. Contributions are consumed in arrival order — one slow
-// peer no longer blocks the root from draining the fast ones.
-func (w *Worker) GatherBytes(root int, data []byte) ([][]byte, error) {
-	tag := w.StreamTag("gather")
-	if w.rank != root {
-		return nil, w.Send(root, tag, data)
-	}
-	out := make([][]byte, w.size)
-	out[root] = data
-	pending := make([]int, 0, w.size-1)
-	for r := 0; r < w.size; r++ {
-		if r != root {
-			pending = append(pending, r)
-		}
-	}
-	for len(pending) > 0 {
-		i, b, err := w.RecvAny(tag, pending)
-		if err != nil {
-			return nil, err
-		}
-		out[pending[i]] = b
-		pending[i] = pending[len(pending)-1]
-		pending = pending[:len(pending)-1]
-	}
-	return out, nil
 }
 
 // AllReduceSumInPlace overwrites vec on every rank with the elementwise

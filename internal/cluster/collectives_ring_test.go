@@ -102,7 +102,8 @@ func TestAllReduceRingDeterministic(t *testing.T) {
 
 // TestCollectivesMixedAtOddSizesTCP drives the tree and ring paths over
 // the TCP transport at non-power-of-two sizes: an all-reduce, a
-// gather, a scalar reduction, and a barrier per round.
+// broadcast from a rotating root, a scalar reduction, and a barrier per
+// round.
 func TestCollectivesMixedAtOddSizesTCP(t *testing.T) {
 	for _, m := range []int{3, 5} {
 		for _, thresh := range []int{ringOn, ringOff} {
@@ -127,14 +128,13 @@ func TestCollectivesMixedAtOddSizesTCP(t *testing.T) {
 								return fmt.Errorf("round %d elem %d: got %v want %v", round, i, vec[i], want)
 							}
 						}
-						parts, err := w.GatherBytes(round%m, []byte{byte(w.Rank()), byte(round)})
+						root := round % m
+						got, err := w.BroadcastBytes(root, []byte{byte(w.Rank()), byte(round)})
 						if err != nil {
 							return err
 						}
-						for r, p := range parts {
-							if len(p) != 2 || p[0] != byte(r) || p[1] != byte(round) {
-								return fmt.Errorf("round %d: bad block %d: %v", round, r, p)
-							}
+						if len(got) != 2 || got[0] != byte(root) || got[1] != byte(round) {
+							return fmt.Errorf("round %d: broadcast from %d delivered %v", round, root, got)
 						}
 						total, err := w.ReduceScalarSum(float64(w.Rank() + 1))
 						if err != nil {

@@ -158,7 +158,8 @@ func (n *TCPNode) heartbeatLoop(hb *heartbeat) {
 			if r == n.rank || hb.isDown(r) {
 				continue
 			}
-			n.sendProbe(r, &probe)
+			n.tc.hbProbes.Inc()
+			_ = n.writeTo(r, &probe, 1) // detection watches inbound silence, not probe errors
 		}
 	}
 }

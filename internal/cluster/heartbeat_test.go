@@ -129,7 +129,7 @@ func TestPeerDownErrorFormat(t *testing.T) {
 	if !errors.As(err, &pd) || pd.Rank != 7 {
 		t.Fatalf("errors.As failed on %v", err)
 	}
-	if IsClosed(err) {
-		t.Fatal("ErrPeerDown must not satisfy IsClosed")
+	if errors.Is(err, ErrClosed) {
+		t.Fatal("ErrPeerDown must not match ErrClosed")
 	}
 }

@@ -227,11 +227,23 @@ func AgreeView(w *Worker, cur View, vc ViewChange) (View, error) {
 // application cookie (the elastic driver sends the snapshot step the
 // joiner enters at). Coordinator-side counterpart of AwaitAdopt.
 func SendAdopt(w *Worker, to int, v View, cookie int64) error {
-	payload := encodeView(nil, v)
-	var c [8]byte
-	binary.LittleEndian.PutUint64(c[:], uint64(cookie))
-	payload = append(payload, c[:]...)
-	return w.Send(to, adoptTag, payload)
+	return w.Send(to, adoptTag, encodeAdopt(v, cookie))
+}
+
+// encodeAdopt is the adopt payload: the view, then the cookie as a u64.
+func encodeAdopt(v View, cookie int64) []byte {
+	return binary.LittleEndian.AppendUint64(encodeView(nil, v), uint64(cookie))
+}
+
+func decodeAdopt(b []byte) (View, int64, error) {
+	v, rest, err := decodeView(b)
+	if err != nil {
+		return View{}, 0, err
+	}
+	if len(rest) != 8 {
+		return View{}, 0, fmt.Errorf("cluster: adopt payload with %d bytes after the view, want 8", len(rest))
+	}
+	return v, int64(binary.LittleEndian.Uint64(rest)), nil
 }
 
 // AwaitAdopt blocks until a coordinator admits this rank to a view,
@@ -256,12 +268,9 @@ func AwaitAdopt(w *Worker) (View, int64, error) {
 			}
 			return View{}, 0, err
 		}
-		v, rest, err := decodeView(payload)
+		v, cookie, err := decodeAdopt(payload)
 		if err != nil {
 			return View{}, 0, err
-		}
-		if len(rest) != 8 {
-			return View{}, 0, fmt.Errorf("cluster: adopt payload with %d trailing bytes", len(rest))
 		}
 		// A revocation may have poisoned the mailbox while the adopt sat
 		// queued behind it (receives drain the queue before reporting
@@ -271,7 +280,7 @@ func AwaitAdopt(w *Worker) (View, int64, error) {
 		// all landed — clear them rather than fail the first new-epoch
 		// receive on stale poison.
 		w.ClearFault()
-		return v, int64(binary.LittleEndian.Uint64(rest)), nil
+		return v, cookie, nil
 	}
 }
 

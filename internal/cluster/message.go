@@ -8,15 +8,17 @@
 //
 // Two transports are provided: an in-process transport that delivers
 // through shared memory (used by the experiment harness — the paper's
-// cluster is simulated as goroutine workers), and a TCP transport using
-// net + encoding/gob that runs the same worker code across OS processes
-// (cmd/worker, examples/multiprocess).
+// cluster is simulated as goroutine workers), and a TCP transport that
+// runs the same worker code across OS processes (cmd/worker,
+// examples/multiprocess), each message one fixed-layout frame.
 package cluster
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
+	"net"
 )
 
 // Message is one tagged point-to-point payload. Tags namespace the
@@ -28,9 +30,117 @@ type Message struct {
 	Payload []byte
 }
 
-// wireSize is the accounting size of a message: payload plus a fixed
-// per-message envelope estimate (from/tag framing).
-func (m *Message) wireSize() int64 { return int64(len(m.Payload)) + int64(len(m.Tag)) + 8 }
+// A Message crosses a process boundary as one little-endian frame,
+//
+//	u16 from · u16 tag length · u32 payload length · tag · payload
+//
+// whose 8-byte header is exactly what wireSize charges on top of tag and
+// payload, so the byte counters report what the socket carries.
+const frameHeader = 8
+
+// maxFramePayload is the largest payload a frame may carry — far above
+// any message the algorithms send (a whole-state broadcast of a
+// million-row, rank-10, three-mode model is 240 MB). Readers check each
+// header against their ceiling before allocating anything.
+const maxFramePayload = 1 << 30
+
+// wireSize is the size of a message's frame.
+func wireSize(tag string, payload []byte) int64 {
+	return frameHeader + int64(len(tag)) + int64(len(payload))
+}
+
+// checkFrame reports a message the frame layout cannot carry.
+func checkFrame(m *Message) error {
+	if m.From < 0 || m.From > math.MaxUint16 || len(m.Tag) > math.MaxUint16 || len(m.Payload) > maxFramePayload {
+		return fmt.Errorf("cluster: message from %d with a %d-byte tag and a %d-byte payload does not fit a frame", m.From, len(m.Tag), len(m.Payload))
+	}
+	return nil
+}
+
+// frameWriter sends the frames of one connection: header and tag are
+// staged in a reused buffer and go out with the payload in one vectored
+// write, so nothing is copied and a warm writer allocates nothing.
+type frameWriter struct {
+	head []byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
+// write sends m, which must pass checkFrame, as one frame.
+func (fw *frameWriter) write(w io.Writer, m *Message) error {
+	h := binary.LittleEndian.AppendUint16(fw.head[:0], uint16(m.From))
+	h = binary.LittleEndian.AppendUint16(h, uint16(len(m.Tag)))
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(m.Payload)))
+	fw.head = append(h, m.Tag...)
+	fw.vec = [2][]byte{fw.head, m.Payload}
+	fw.bufs = fw.vec[:]
+	_, err := fw.bufs.WriteTo(w)
+	fw.vec[1] = nil // the payload belongs to the sender again
+	return err
+}
+
+// maxInternedTags bounds a connection's tag table: stream tags recur,
+// but one-shot counter tags would grow it forever.
+const maxInternedTags = 1024
+
+// frameReader decodes the frames of one connection into class-sized
+// buffers from the pool, which the receiver's PutBuf recycles, with tags
+// interned, so a warm connection allocates nothing per message.
+type frameReader struct {
+	r     io.Reader
+	pool  *bufPool
+	limit int // payload ceiling
+	head  [frameHeader]byte
+	tag   []byte
+	tags  map[string]string
+}
+
+func newFrameReader(r io.Reader, pool *bufPool, limit int) *frameReader {
+	return &frameReader{r: r, pool: pool, limit: limit, tags: make(map[string]string)}
+}
+
+// read decodes the next frame, refusing a payload over the limit
+// before anything is allocated.
+func (fr *frameReader) read() (Message, error) {
+	if _, err := io.ReadFull(fr.r, fr.head[:]); err != nil {
+		return Message{}, err
+	}
+	from := int(binary.LittleEndian.Uint16(fr.head[0:]))
+	tl := int(binary.LittleEndian.Uint16(fr.head[2:]))
+	n := int64(binary.LittleEndian.Uint32(fr.head[4:]))
+	if n > int64(fr.limit) {
+		return Message{}, fmt.Errorf("cluster: frame payload of %d bytes over the %d-byte ceiling", n, fr.limit)
+	}
+	if cap(fr.tag) < tl {
+		fr.tag = make([]byte, tl)
+	}
+	if _, err := io.ReadFull(fr.r, fr.tag[:tl]); err != nil {
+		return Message{}, err
+	}
+	msg := Message{From: from, Tag: fr.intern(fr.tag[:tl])}
+	if n > 0 {
+		msg.Payload, _ = fr.pool.get(int(n))
+		if _, err := io.ReadFull(fr.r, msg.Payload); err != nil {
+			fr.pool.put(msg.Payload)
+			return Message{}, err
+		}
+	}
+	return msg, nil
+}
+
+// intern returns the table's copy of tag; the lookup keyed by
+// string(tag) does not allocate.
+func (fr *frameReader) intern(tag []byte) string {
+	if s, ok := fr.tags[string(tag)]; ok {
+		return s
+	}
+	if len(fr.tags) >= maxInternedTags {
+		clear(fr.tags)
+	}
+	s := string(tag)
+	fr.tags[s] = s
+	return s
+}
 
 // EncodeFloat64s packs a float64 slice little-endian. It is the payload
 // codec for Gram matrices, factor rows, and scalar reductions.
@@ -80,27 +190,6 @@ func DecodeFloat64s(b []byte) ([]float64, error) {
 	out := make([]float64, len(b)/8)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out, nil
-}
-
-// EncodeInt32s packs an int32 slice little-endian (row-index lists).
-func EncodeInt32s(vals []int32) []byte {
-	out := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(out[i*4:], uint32(v))
-	}
-	return out
-}
-
-// DecodeInt32s unpacks a payload written by EncodeInt32s.
-func DecodeInt32s(b []byte) ([]int32, error) {
-	if len(b)%4 != 0 {
-		return nil, fmt.Errorf("cluster: int32 payload of %d bytes", len(b))
-	}
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
 	}
 	return out, nil
 }

@@ -1,12 +1,18 @@
 package cluster
 
 import (
-	"encoding/gob"
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log/slog"
+	"math"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,9 +23,10 @@ import (
 
 // TCP transport: the same Worker API running across OS processes. A
 // rendezvous service assigns ranks and distributes the address table;
-// each node then exchanges gob-encoded Messages over lazily dialed
-// point-to-point connections. cmd/worker and examples/multiprocess use
-// this to run DisMASTD as a real multi-process cluster.
+// each node then exchanges Messages as frames (message.go) over lazily
+// dialed point-to-point connections. cmd/worker and
+// examples/multiprocess use this to run DisMASTD as a real
+// multi-process cluster.
 //
 // The transport tolerates transient network faults: dials retry with
 // exponential backoff and jitter under per-attempt deadlines, a broken
@@ -30,45 +37,53 @@ import (
 // into a typed ErrPeerDown within a bounded window. fault.go's
 // FaultPlan drives all of these paths deterministically in tests.
 
-type joinRequest struct {
-	ListenAddr string
+// rendezvousTag is the protocol tag of the join handshake, one frame
+// each way: the request carries the joiner's listen address, the reply
+// a u16 rank and then the address table, one address per line. A peer
+// that speaks anything else fails the first frame check and is rejected.
+const rendezvousTag = "\x00rendezvous/1"
+
+// maxAddrLen bounds the listen address a join request may carry.
+const maxAddrLen = 1 << 10
+
+func writeHandshake(w io.Writer, payload []byte) error {
+	var fw frameWriter
+	return fw.write(w, &Message{Tag: rendezvousTag, Payload: payload})
 }
 
-type joinReply struct {
-	Rank  int
-	Addrs []string
+func readHandshake(r io.Reader, limit int) ([]byte, error) {
+	msg, err := newFrameReader(r, newBufPool(), limit).read()
+	if err == nil && msg.Tag != rendezvousTag {
+		err = fmt.Errorf("not a join handshake (tag %q)", msg.Tag)
+	}
+	return msg.Payload, err
 }
 
-// RetryPolicy shapes the transport's fault handling: dial attempts with
-// exponential backoff plus deterministic jitter, a per-attempt dial
-// deadline, and the number of reconnect-and-resend cycles a send may
-// consume before giving up. The zero value means defaults.
-type RetryPolicy struct {
-	Attempts    int           // dial attempts per connection (default 5)
-	BaseDelay   time.Duration // backoff before the second attempt (default 50ms)
-	MaxDelay    time.Duration // backoff cap (default 2s)
-	DialTimeout time.Duration // per-attempt dial deadline (default 3s)
-	Resends     int           // reconnect+resend cycles per send (default 2)
+func encodeJoinReply(rank int, addrs []string) []byte {
+	return append(binary.LittleEndian.AppendUint16(nil, uint16(rank)), strings.Join(addrs, "\n")...)
 }
 
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = 5
+func decodeJoinReply(b []byte) (int, []string, error) {
+	if len(b) < 3 {
+		return 0, nil, fmt.Errorf("join reply of %d bytes", len(b))
 	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 50 * time.Millisecond
+	rank, addrs := int(binary.LittleEndian.Uint16(b)), strings.Split(string(b[2:]), "\n")
+	if rank >= len(addrs) || slices.Contains(addrs, "") {
+		return 0, nil, fmt.Errorf("join reply assigns rank %d in a table of %d, or lists an empty address", rank, len(addrs))
 	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 2 * time.Second
-	}
-	if p.DialTimeout <= 0 {
-		p.DialTimeout = 3 * time.Second
-	}
-	if p.Resends <= 0 {
-		p.Resends = 2
-	}
-	return p
+	return rank, addrs, nil
 }
+
+// Fault handling: dials back off exponentially between attempts, half of
+// each pause jittered, under a per-attempt deadline, and a send survives
+// sendResends reconnect-and-resend cycles.
+const (
+	dialAttempts = 5
+	dialBackoff  = 50 * time.Millisecond // before the second attempt
+	maxBackoff   = 2 * time.Second
+	dialTimeout  = 3 * time.Second
+	sendResends  = 2
+)
 
 // jitterSource is a mutex-guarded deterministic generator for backoff
 // jitter; seeding it per rank decorrelates simultaneous redials without
@@ -80,20 +95,14 @@ type jitterSource struct {
 
 // backoff returns the pause before retry attempt (0-based): half the
 // exponential delay deterministic, half jittered.
-func (j *jitterSource) backoff(p RetryPolicy, attempt int) time.Duration {
-	d := p.BaseDelay
-	for i := 0; i < attempt && d < p.MaxDelay; i++ {
+func (j *jitterSource) backoff(attempt int) time.Duration {
+	d := dialBackoff
+	for i := 0; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	half := d / 2
+	half := min(d, maxBackoff) / 2
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.src == nil {
-		j.src = xrand.New(1)
-	}
 	return half + time.Duration(j.src.Int63n(int64(half)+1))
 }
 
@@ -119,8 +128,9 @@ const defaultJoinIOTimeout = 10 * time.Second
 
 // Rendezvous is the rank-assignment service: it accepts exactly size
 // joins, assigns ranks in join order, and sends every member the full
-// address table. Joiners that stall or send a malformed request are
-// rejected (counted, optionally logged) instead of blocking formation.
+// address table. Joiners that stall or send anything but a join request
+// frame are rejected (counted, optionally logged) instead of blocking
+// formation.
 type Rendezvous struct {
 	ln       net.Listener
 	size     int
@@ -138,7 +148,7 @@ func NewRendezvous(addr string, size int) (*Rendezvous, error) {
 // NewRendezvousConfigured is NewRendezvous with explicit join deadlines
 // and rejected-join logging.
 func NewRendezvousConfigured(addr string, size int, cfg RendezvousConfig) (*Rendezvous, error) {
-	if size <= 0 {
+	if size <= 0 || size > math.MaxUint16 {
 		return nil, fmt.Errorf("cluster: rendezvous size %d", size)
 	}
 	if cfg.JoinIOTimeout <= 0 {
@@ -209,20 +219,17 @@ func (r *Rendezvous) serve() {
 		// Per-join handshake deadline: a stalled or malformed joiner is
 		// rejected instead of blocking cluster formation forever.
 		conn.SetDeadline(time.Now().Add(r.cfg.JoinIOTimeout))
-		var req joinRequest
-		if err := gob.NewDecoder(conn).Decode(&req); err != nil {
+		addr, err := readHandshake(conn, maxAddrLen)
+		if err == nil && (len(addr) == 0 || bytes.IndexByte(addr, '\n') >= 0) {
+			err = fmt.Errorf("listen address %q", addr)
+		}
+		if err != nil {
 			conn.Close()
 			r.rejected.Add(1)
 			r.logf("cluster: rendezvous rejected joiner %s: %v", conn.RemoteAddr(), err)
 			continue
 		}
-		if req.ListenAddr == "" {
-			conn.Close()
-			r.rejected.Add(1)
-			r.logf("cluster: rendezvous rejected joiner %s: empty listen address", conn.RemoteAddr())
-			continue
-		}
-		members = append(members, member{conn: conn, addr: req.ListenAddr})
+		members = append(members, member{conn: conn, addr: string(addr)})
 	}
 	addrs := make([]string, len(members))
 	for i, m := range members {
@@ -233,7 +240,7 @@ func (r *Rendezvous) serve() {
 		// Fresh write deadline: the accept-time deadline may have lapsed
 		// while later joiners trickled in.
 		m.conn.SetDeadline(time.Now().Add(r.cfg.JoinIOTimeout))
-		if err := gob.NewEncoder(m.conn).Encode(joinReply{Rank: rank, Addrs: addrs}); err != nil && firstErr == nil {
+		if err := writeHandshake(m.conn, encodeJoinReply(rank, addrs)); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("cluster: rendezvous reply to rank %d: %w", rank, err)
 		}
 		m.conn.Close()
@@ -251,17 +258,15 @@ type TCPNode struct {
 	obs         *obs.Obs          // node-lifetime instruments (debug endpoint reads these live)
 	tc          transportCounters // pre-resolved handles for the send/dial/heartbeat paths
 	recvTimeout time.Duration
-	retry       RetryPolicy
 	jitter      jitterSource
 	runs        atomic.Int64
 	hb          atomic.Pointer[heartbeat]
 	pool        *bufPool
 	ringThresh  int
 
-	// sendHook and fault must be installed before any sends (Run,
-	// StartHeartbeat); they are read without locks on the send path.
-	sendHook SendHook
-	fault    *FaultPlan
+	// fault must be installed before any sends (Run, StartHeartbeat); it
+	// is read without locks on the send path.
+	fault *FaultPlan
 
 	mu    sync.Mutex
 	conns map[int]*peerConn
@@ -277,7 +282,7 @@ type TCPNode struct {
 type peerConn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *gob.Encoder
+	fw   frameWriter
 	ever bool
 }
 
@@ -313,88 +318,97 @@ func newTransportCounters(o *obs.Obs) transportCounters {
 // whole join; within it, dial attempts retry with backoff and jitter,
 // so workers may start before the rendezvous is listening.
 func JoinTCP(coordAddr, listenAddr string, timeout time.Duration) (*TCPNode, error) {
-	return JoinTCPRetry(coordAddr, listenAddr, timeout, RetryPolicy{})
-}
-
-// JoinTCPRetry is JoinTCP with an explicit retry policy, which the node
-// also adopts for its peer connections.
-func JoinTCPRetry(coordAddr, listenAddr string, timeout time.Duration, policy RetryPolicy) (*TCPNode, error) {
-	policy = policy.withDefaults()
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node listen: %w", err)
 	}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	jit := &jitterSource{src: xrand.New(seedFromString(ln.Addr().String()))}
-	var conn net.Conn
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			// With an overall budget the joiner keeps retrying until the
-			// deadline (the rendezvous may simply not be up yet);
-			// without one, the policy's attempt cap bounds the retry.
-			if deadline.IsZero() && attempt >= policy.Attempts {
-				ln.Close()
-				return nil, fmt.Errorf("cluster: dial rendezvous %s: %d attempts: %w", coordAddr, policy.Attempts, lastErr)
-			}
-			time.Sleep(jit.backoff(policy, attempt-1))
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			ln.Close()
-			if lastErr == nil {
-				lastErr = errors.New("timed out")
-			}
-			return nil, fmt.Errorf("cluster: dial rendezvous %s: join timeout %s: %w", coordAddr, timeout, lastErr)
-		}
-		d := policy.DialTimeout
-		if !deadline.IsZero() {
-			if rem := time.Until(deadline); rem < d {
-				d = rem
-			}
-		}
-		c, err := net.DialTimeout("tcp", coordAddr, d)
-		if err == nil {
-			conn = c
-			break
-		}
-		lastErr = err
-	}
-	defer conn.Close()
-	if !deadline.IsZero() {
-		conn.SetDeadline(deadline)
-	}
-	if err := gob.NewEncoder(conn).Encode(joinRequest{ListenAddr: ln.Addr().String()}); err != nil {
+	rank, addrs, err := register(coordAddr, ln.Addr().String(), timeout)
+	if err != nil {
 		ln.Close()
-		return nil, fmt.Errorf("cluster: send join: %w", err)
-	}
-	var reply joinReply
-	if err := gob.NewDecoder(conn).Decode(&reply); err != nil {
-		ln.Close()
-		return nil, fmt.Errorf("cluster: read join reply: %w", err)
+		return nil, err
 	}
 	n := &TCPNode{
-		rank:        reply.Rank,
-		size:        len(reply.Addrs),
-		addrs:       reply.Addrs,
+		rank:        rank,
+		size:        len(addrs),
+		addrs:       addrs,
 		ln:          ln,
 		mbox:        newMailbox(),
 		metrics:     &Metrics{},
 		obs:         obs.New(),
 		recvTimeout: 60 * time.Second,
-		retry:       policy,
 		conns:       make(map[int]*peerConn),
 		closed:      make(chan struct{}),
 		pool:        newBufPool(),
 		ringThresh:  DefaultRingThreshold,
 	}
-	n.obs.Trace.SetRank(reply.Rank)
+	n.obs.Trace.SetRank(rank)
 	n.tc = newTransportCounters(n.obs)
-	n.jitter.src = xrand.New(seedFromString(ln.Addr().String()) + uint64(reply.Rank))
+	n.jitter.src = xrand.New(seedFromString(ln.Addr().String()) + uint64(rank))
 	go n.acceptLoop()
 	return n, nil
+}
+
+// register sends the rendezvous this node's listen address and returns
+// the rank and address table it answers with. With a timeout the dial
+// retries until it lapses (the rendezvous may simply not be up yet);
+// without one, the attempt cap bounds it.
+func register(coordAddr, self string, timeout time.Duration) (int, []string, error) {
+	var deadline time.Time
+	attempts := dialAttempts
+	if timeout > 0 {
+		deadline, attempts = time.Now().Add(timeout), math.MaxInt
+	}
+	jit := &jitterSource{src: xrand.New(seedFromString(self))}
+	conn, err := dial(coordAddr, attempts, deadline, jit, nil, transportCounters{})
+	if err != nil {
+		return 0, nil, fmt.Errorf("cluster: rendezvous: %w", err)
+	}
+	defer conn.Close()
+	if !deadline.IsZero() {
+		conn.SetDeadline(deadline)
+	}
+	if err := writeHandshake(conn, []byte(self)); err != nil {
+		return 0, nil, fmt.Errorf("cluster: send join: %w", err)
+	}
+	reply, err := readHandshake(conn, maxFramePayload)
+	rank, addrs := 0, []string(nil)
+	if err == nil {
+		rank, addrs, err = decodeJoinReply(reply)
+	}
+	if err != nil {
+		return 0, nil, fmt.Errorf("cluster: read join reply: %w", err)
+	}
+	return rank, addrs, nil
+}
+
+// dial connects to addr in at most attempts dials, backing off between
+// them, never past deadline (when set); closing stop abandons it.
+func dial(addr string, attempts int, deadline time.Time, jit *jitterSource, stop <-chan struct{}, tc transportCounters) (net.Conn, error) {
+	err := errors.New("timed out")
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			tc.dialRetries.Inc()
+			t := time.NewTimer(jit.backoff(attempt - 1))
+			select {
+			case <-t.C:
+			case <-stop:
+				t.Stop()
+				return nil, ErrClosed
+			}
+		}
+		d := dialTimeout
+		if !deadline.IsZero() {
+			if d = min(d, time.Until(deadline)); d <= 0 {
+				break
+			}
+		}
+		tc.dialAttempts.Inc()
+		var conn net.Conn
+		if conn, err = net.DialTimeout("tcp", addr, d); err == nil {
+			return conn, nil
+		}
+	}
+	return nil, fmt.Errorf("dial %s: %w", addr, err)
 }
 
 // Rank returns this node's rank.
@@ -412,14 +426,6 @@ func (n *TCPNode) SetRecvTimeout(d time.Duration) { n.recvTimeout = d }
 // node of a cluster must use the same value — path selection must
 // agree across ranks. Must be called before Run.
 func (n *TCPNode) SetRingThreshold(bytes int) { n.ringThresh = bytes }
-
-// SetRetryPolicy overrides the dial/reconnect policy. Must be called
-// before Run or StartHeartbeat.
-func (n *TCPNode) SetRetryPolicy(p RetryPolicy) { n.retry = p.withDefaults() }
-
-// SetSendHook installs a fault-injection hook applied to every send,
-// mirroring Local.SetSendHook. Must be called before Run.
-func (n *TCPNode) SetSendHook(h SendHook) { n.sendHook = h }
 
 // SetFaultPlan installs a deterministic fault schedule applied to every
 // send. Must be called before Run.
@@ -454,14 +460,15 @@ func (n *TCPNode) acceptLoop() {
 }
 
 func (n *TCPNode) readLoop(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
+	fr := newFrameReader(bufio.NewReader(conn), n.pool, maxFramePayload)
 	for {
-		var msg Message
-		if err := dec.Decode(&msg); err != nil {
+		msg, err := fr.read()
+		if err != nil {
 			conn.Close()
-			return // peer closed; pending receives fail via timeout, heartbeat, or node close
+			return // peer closed or spoke garbage; pending receives fail via timeout, heartbeat, or node close
 		}
-		if msg.From < 0 || msg.From >= n.size {
+		if msg.From >= n.size {
+			n.pool.put(msg.Payload)
 			continue // malformed peer; never index by it
 		}
 		if hb := n.hb.Load(); hb != nil {
@@ -485,6 +492,7 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 				}
 				n.mbox.peerDown(dead, &ErrPeerDown{Rank: dead}, true)
 			}
+			n.pool.put(msg.Payload)
 			continue
 		}
 		// Receive metrics are counted once, in Worker.Recv, exactly as
@@ -505,51 +513,30 @@ func (n *TCPNode) slot(to int) *peerConn {
 	return pc
 }
 
-// dialPeer establishes a connection to rank to under the retry policy.
-func (n *TCPNode) dialPeer(to int) (net.Conn, error) {
-	var lastErr error
-	for attempt := 0; attempt < n.retry.Attempts; attempt++ {
-		if attempt > 0 {
-			n.tc.dialRetries.Inc()
-			t := time.NewTimer(n.jitter.backoff(n.retry, attempt-1))
-			select {
-			case <-t.C:
-			case <-n.closed:
-				t.Stop()
-				return nil, ErrClosed
-			}
-		}
-		n.tc.dialAttempts.Inc()
-		conn, err := net.DialTimeout("tcp", n.addrs[to], n.retry.DialTimeout)
-		if err == nil {
-			return conn, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("dial rank %d at %s: %d attempts: %w", to, n.addrs[to], n.retry.Attempts, lastErr)
-}
-
-// encodeTo writes msg on the (dialing if needed) connection to rank to.
-// A failed write tears the connection down so the next attempt redials.
-func (n *TCPNode) encodeTo(to int, msg *Message) error {
+// writeTo writes msg on the connection to rank to, dialing it in at
+// most attempts dials if there is none. A failed write tears the
+// connection down so the next attempt redials. Heartbeat probes make
+// one attempt and ignore the error: detection is driven by inbound
+// silence, not by probe send errors.
+func (n *TCPNode) writeTo(to int, msg *Message, attempts int) error {
 	pc := n.slot(to)
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.conn == nil {
-		conn, err := n.dialPeer(to)
+		conn, err := dial(n.addrs[to], attempts, time.Time{}, &n.jitter, n.closed, n.tc)
 		if err != nil {
 			return err
 		}
-		pc.conn, pc.enc = conn, gob.NewEncoder(conn)
+		pc.conn = conn
 		if pc.ever {
 			n.tc.reconnects.Inc()
 			n.obs.Logger().Info("reconnected to peer", "peer", to)
 		}
 		pc.ever = true
 	}
-	if err := pc.enc.Encode(msg); err != nil {
+	if err := pc.fw.write(pc.conn, msg); err != nil {
 		pc.conn.Close()
-		pc.conn, pc.enc = nil, nil
+		pc.conn = nil
 		n.tc.evictions.Inc()
 		n.obs.Logger().Warn("peer connection broken, evicting", "peer", to, "err", err)
 		return err
@@ -558,7 +545,7 @@ func (n *TCPNode) encodeTo(to int, msg *Message) error {
 }
 
 // cutConn force-closes the live connection to rank to (fault
-// injection). The dead encoder is left in place so the next send
+// injection). The dead connection is left in place so the next send
 // observes the break and exercises the reconnect path.
 func (n *TCPNode) cutConn(to int) {
 	pc := n.slot(to)
@@ -569,39 +556,11 @@ func (n *TCPNode) cutConn(to int) {
 	pc.mu.Unlock()
 }
 
-// sendProbe best-effort-delivers a heartbeat: one dial attempt, no
-// reconnect cycles — detection is driven by inbound silence, not by
-// probe send errors.
-func (n *TCPNode) sendProbe(to int, msg *Message) {
-	n.tc.hbProbes.Inc()
-	pc := n.slot(to)
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if pc.conn == nil {
-		conn, err := net.DialTimeout("tcp", n.addrs[to], n.retry.DialTimeout)
-		if err != nil {
-			return
-		}
-		pc.conn, pc.enc = conn, gob.NewEncoder(conn)
-		if pc.ever {
-			n.tc.reconnects.Inc()
-		}
-		pc.ever = true
-	}
-	if err := pc.enc.Encode(msg); err != nil {
-		pc.conn.Close()
-		pc.conn, pc.enc = nil, nil
-		n.tc.evictions.Inc()
-	}
-}
-
 // send is the Worker-level transport: fault injection, self-delivery,
 // and reconnect-and-resend over broken connections.
 func (n *TCPNode) send(to int, msg Message) error {
-	if h := n.sendHook; h != nil {
-		if err := h(msg.From, to, msg.Tag); err != nil {
-			return err
-		}
+	if err := checkFrame(&msg); err != nil {
+		return err
 	}
 	if n.fault != nil {
 		if inj := n.fault.decide(msg.From, to, msg.Tag); inj != nil {
@@ -626,7 +585,7 @@ func (n *TCPNode) send(to int, msg Message) error {
 		return nil
 	}
 	var lastErr error
-	for attempt := 0; attempt <= n.retry.Resends; attempt++ {
+	for attempt := 0; attempt <= sendResends; attempt++ {
 		select {
 		case <-n.closed:
 			return ErrClosed
@@ -635,13 +594,13 @@ func (n *TCPNode) send(to int, msg Message) error {
 		if hb := n.hb.Load(); hb != nil && hb.isDown(to) {
 			return &ErrPeerDown{Rank: to}
 		}
-		if err := n.encodeTo(to, &msg); err == nil {
+		if err := n.writeTo(to, &msg, dialAttempts); err == nil {
 			return nil
 		} else {
 			lastErr = err
 		}
 	}
-	return fmt.Errorf("send to rank %d failed after %d reconnect attempts: %w", to, n.retry.Resends, lastErr)
+	return fmt.Errorf("send to rank %d failed after %d reconnect attempts: %w", to, sendResends, lastErr)
 }
 
 // Run executes fn as this node's worker function and returns its stats.
@@ -667,7 +626,7 @@ func (n *TCPNode) Run(fn func(*Worker) error) (*RunStats, error) {
 		recvTimeout: n.recvTimeout,
 		sendFn:      n.send,
 		bufs:        n.pool,
-		poolShared:  false, // gob copies payloads at the wire; senders recycle
+		poolShared:  false, // the frame writer copies payloads to the socket; senders recycle
 		ringThresh:  n.ringThresh,
 	}
 	if epoch > 0 {
@@ -707,6 +666,3 @@ func (n *TCPNode) Close() error {
 	})
 	return err
 }
-
-// IsClosed reports whether err stems from a closed or failed cluster.
-func IsClosed(err error) bool { return errors.Is(err, ErrClosed) }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -109,14 +110,12 @@ func TestTCPPointToPointAndCollectives(t *testing.T) {
 		if err := w.Barrier(); err != nil {
 			return err
 		}
-		parts, err := w.GatherBytes(0, []byte{byte(w.Rank() + 1)})
+		got, err = w.BroadcastBytes(2, []byte{byte(w.Rank() + 1)})
 		if err != nil {
 			return err
 		}
-		for r, p := range parts {
-			if int(p[0]) != r+1 {
-				return fmt.Errorf("gather[%d] = %d", r, p[0])
-			}
+		if len(got) != 1 || got[0] != 3 {
+			return fmt.Errorf("broadcast from rank 2 delivered %v", got)
 		}
 		return nil
 	})
@@ -279,19 +278,13 @@ func TestTCPRunMetricsAreDeltas(t *testing.T) {
 	}
 }
 
+// TestTCPSendHook keeps its name from the send hook a FaultPlan rule
+// now stands in for: a tag-scoped injected error fails exactly the send
+// it matches, on the TCP path as on the in-process transport.
 func TestTCPSendHook(t *testing.T) {
-	// The fault-injection hook applies on the TCP path exactly as on the
-	// in-process transport.
 	nodes := startTCPCluster(t, 2)
 	boom := errors.New("hooked")
-	for _, n := range nodes {
-		n.SetSendHook(func(from, to int, tag string) error {
-			if tag == "poisoned" {
-				return boom
-			}
-			return nil
-		})
-	}
+	nodes[0].SetFaultPlan(NewFaultPlan().Add(FaultRule{From: AnyRank, To: AnyRank, TagPrefix: "poisoned", LastSeq: -1, Op: FaultError, Err: boom}))
 	_, err := nodes[0].Run(func(w *Worker) error {
 		if err := w.Send(1-w.Rank(), "clean", nil); err != nil {
 			return err
@@ -424,19 +417,42 @@ func TestRendezvousRejectsMalformedJoiner(t *testing.T) {
 	}
 	defer rv.Close()
 
-	// A garbage joiner and a stalled joiner must both be rejected
-	// without blocking cluster formation.
-	bad, err := net.Dial("tcp", rv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	// Garbage, a join request as an older gob-speaking binary sends it,
+	// a well-formed frame under another tag, a join frame with no
+	// address, and a stalled joiner must all be rejected without
+	// blocking cluster formation.
+	var data, empty bytes.Buffer
+	var fw frameWriter
+	fw.write(&data, &Message{Tag: "rows/0", Payload: []byte("127.0.0.1:7")})
+	fw.write(&empty, &Message{Tag: rendezvousTag})
+	bad := []string{
+		"this is not a frame",
+		"'\x7f\x03\x01\x01\vjoinRequest\x01\xff\x80\x00\x01\x01\x01\nListenAddr\x01\f\x00\x00\x00\x10\xff\x80\x01\v127.0.0.1:7\x00",
+		data.String(),
+		empty.String(),
 	}
-	bad.Write([]byte("this is not a gob stream"))
+	for _, b := range bad {
+		conn, err := net.Dial("tcp", rv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Write([]byte(b))
+		defer conn.Close()
+	}
 	stalled, err := net.Dial("tcp", rv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stalled.Close() // sends nothing: handshake deadline rejects it
-	bad.Close()
+	// The rendezvous handles joiners in accept order; wait until it has
+	// turned the bad ones away so the legitimate join is accepted after
+	// them.
+	for deadline := time.Now().Add(5 * time.Second); rv.Rejected() < int64(len(bad)); {
+		if time.Now().After(deadline) {
+			t.Fatalf("rejected %d of %d malformed joiners", rv.Rejected(), len(bad))
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	node, err := JoinTCP(rv.Addr(), "127.0.0.1:0", 5*time.Second)
 	if err != nil {
@@ -446,11 +462,11 @@ func TestRendezvousRejectsMalformedJoiner(t *testing.T) {
 	if err := rv.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if rv.Rejected() < 1 {
-		t.Fatalf("rejected = %d, want >= 1", rv.Rejected())
+	if rv.Rejected() < int64(len(bad)) {
+		t.Fatalf("rejected = %d, want >= %d", rv.Rejected(), len(bad))
 	}
-	if logged < 1 {
-		t.Fatalf("logged = %d, want >= 1", logged)
+	if logged < len(bad) {
+		t.Fatalf("logged = %d, want >= %d", logged, len(bad))
 	}
 }
 

@@ -114,8 +114,7 @@ func (v View) String() string {
 }
 
 // encodeView appends a view's wire form: epoch, member count, members
-// (little-endian, fixed width — the membership codec is hand-rolled so
-// the control plane has no gob dependency or allocation surprises).
+// (little-endian, fixed width, like every frame the transport carries).
 func encodeView(b []byte, v View) []byte {
 	var w [8]byte
 	binary.LittleEndian.PutUint64(w[:], uint64(v.Epoch))
@@ -228,10 +227,6 @@ func (w *Worker) WorldSize() int {
 // transport. Per-sender down marks persist: receives from dead ranks
 // keep failing fast after the clear.
 func (w *Worker) ClearFault() { w.mbox.clearPoison() }
-
-// Revive clears a world rank's down mark after it demonstrably came
-// back (a restarted peer re-admitted to a view).
-func (w *Worker) Revive(world int) { w.mbox.revive(world) }
 
 // revokeTag is the reserved control tag epoch revocations travel
 // under; like heartbeats it starts with a NUL byte no user tag can.

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -301,17 +299,7 @@ func TestStepJobFaultInjection(t *testing.T) {
 	}
 	cl := cluster.NewLocal(job.Workers())
 	cl.SetRecvTimeout(5 * time.Second)
-	var sends int64
-	var mu sync.Mutex
-	cl.SetSendHook(func(from, to int, tag string) error {
-		mu.Lock()
-		defer mu.Unlock()
-		sends++
-		if sends == 40 {
-			return errors.New("injected link failure")
-		}
-		return nil
-	})
+	cl.SetFaultPlan(cluster.NewFaultPlan().Add(cluster.FaultRule{From: 1, To: 0, FirstSeq: 10, Op: cluster.FaultError}))
 	done := make(chan struct{})
 	var runErr error
 	go func() {

@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
 	"dismastd/internal/mat"
+	"dismastd/internal/tensor"
 )
 
 // ErrCorruptState marks a state file (or byte stream) that is damaged:
@@ -17,38 +17,24 @@ import (
 // errors.Is and fall back instead of aborting the run.
 var ErrCorruptState = errors.New("dtd: corrupt state")
 
-// State files carry a fixed envelope ahead of a canonical payload so a
-// damaged checkpoint is detected as such rather than decoding into
-// nonsense:
-//
-//	4 bytes  magic "DMST"
-//	4 bytes  format version, little-endian (1 or 2)
-//	8 bytes  payload length, little-endian
-//	4 bytes  CRC-32 (IEEE) of the payload, little-endian
-//	N bytes  payload: u32 order, then per mode u32 rows, u32 cols,
-//	         rows*cols float64 bit patterns — all little-endian
+// State files carry the envelope binary tensor files carry
+// (tensor.WriteEnvelope: magic "DMST", version, length, CRC-32) around a
+// canonical payload: u32 order, then per mode u32 rows, u32 cols,
+// rows*cols float64 bit patterns — all little-endian.
 //
 // Version 2 prefixes the version-1 payload with one u64: the stream's
 // step counter, so a resumed stream keeps reporting snapshot indices
-// where it left off (WriteStateSteps/ReadStateSteps). Both readers
-// accept both versions — a version-1 file reads back with step count
-// zero — but WriteState keeps emitting version-1 bytes: equal states
-// must keep producing equal files regardless of how far the writer had
-// streamed, which is what the crash-recovery byte comparisons check.
+// where it left off (WriteStateSteps/ReadStateSteps). Every writer emits
+// version 2 — WriteState with a zero counter — and the readers accept
+// both, a version-1 file reading back with step count zero.
 //
-// The payload layout is deliberately not gob: gob numbers type
-// descriptors from a process-global counter, so two processes with
-// different encode histories (a worker that has pushed messages
-// through its gob-based transport versus one that has not) serialize
-// the same state to different bytes. The fixed layout is canonical —
-// equal states always produce equal files — which is what lets the
+// The layout is canonical — equal states always produce equal files,
+// whatever the writing process did before — which is what lets the
 // crash-recovery tests compare resumed and uninterrupted runs with a
 // plain byte comparison, and float64 bit patterns round-trip exactly.
 const (
 	stateMagic        = "DMST"
-	stateVersion      = 1
 	stateVersionSteps = 2
-	stateHdrLen       = 20
 )
 
 // EmptyState returns the degenerate previous state of an order-N
@@ -70,67 +56,33 @@ func EmptyState(order, rank int) *State {
 }
 
 // WriteState encodes a state as a checksummed, versioned envelope
-// around the canonical payload (format version 1 — no step counter).
-func WriteState(w io.Writer, s *State) error {
-	payload, err := encodeStatePayload(nil, s)
-	if err != nil {
-		return err
-	}
-	return writeStateEnvelope(w, stateVersion, payload)
-}
+// around the canonical payload, with a zero step counter.
+func WriteState(w io.Writer, s *State) error { return WriteStateSteps(w, s, 0) }
 
 // WriteStateSteps encodes a state together with the stream's step
-// counter as a version-2 envelope.
+// counter.
 func WriteStateSteps(w io.Writer, s *State, steps uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], steps)
-	payload, err := encodeStatePayload(b[:], s)
-	if err != nil {
-		return err
-	}
-	return writeStateEnvelope(w, stateVersionSteps, payload)
-}
-
-// encodeStatePayload appends the canonical factor payload to prefix.
-func encodeStatePayload(prefix []byte, s *State) ([]byte, error) {
 	if len(s.Factors) != len(s.Dims) {
-		return nil, fmt.Errorf("dtd: state has %d dims, %d factors", len(s.Dims), len(s.Factors))
+		return fmt.Errorf("dtd: state has %d dims, %d factors", len(s.Dims), len(s.Factors))
 	}
-	n := len(prefix) + 4
+	n := 12
 	for _, f := range s.Factors {
 		n += 8 + 8*len(f.Data)
 	}
-	payload := make([]byte, 0, n)
-	payload = append(payload, prefix...)
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(s.Factors)))
-	payload = append(payload, b[:4]...)
+	p := make([]byte, 0, n)
+	p = binary.LittleEndian.AppendUint64(p, steps)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(s.Factors)))
 	for m, f := range s.Factors {
 		if f == nil || f.Rows != s.Dims[m] || len(f.Data) != f.Rows*f.Cols {
-			return nil, fmt.Errorf("dtd: factor %d inconsistent with dims %v", m, s.Dims)
+			return fmt.Errorf("dtd: factor %d inconsistent with dims %v", m, s.Dims)
 		}
-		binary.LittleEndian.PutUint32(b[:4], uint32(f.Rows))
-		binary.LittleEndian.PutUint32(b[4:8], uint32(f.Cols))
-		payload = append(payload, b[:8]...)
+		p = binary.LittleEndian.AppendUint32(p, uint32(f.Rows))
+		p = binary.LittleEndian.AppendUint32(p, uint32(f.Cols))
 		for _, v := range f.Data {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-			payload = append(payload, b[:]...)
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
 		}
 	}
-	return payload, nil
-}
-
-func writeStateEnvelope(w io.Writer, version uint32, payload []byte) error {
-	hdr := make([]byte, stateHdrLen)
-	copy(hdr, stateMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[16:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	return tensor.WriteEnvelope(w, stateMagic, stateVersionSteps, p)
 }
 
 // ReadState decodes a state written by WriteState (or
@@ -148,25 +100,9 @@ func ReadState(r io.Reader) (*State, error) {
 // returns the stream step counter it carries — zero for a version-1
 // file, which predates the counter.
 func ReadStateSteps(r io.Reader) (*State, uint64, error) {
-	hdr := make([]byte, stateHdrLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, 0, fmt.Errorf("%w: truncated header: %v", ErrCorruptState, err)
-	}
-	if string(hdr[:4]) != stateMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrCorruptState, hdr[:4])
-	}
-	version := binary.LittleEndian.Uint32(hdr[4:])
-	if version != stateVersion && version != stateVersionSteps {
-		return nil, 0, fmt.Errorf("dtd: state format version %d, this build reads %d and %d", version, stateVersion, stateVersionSteps)
-	}
-	n := binary.LittleEndian.Uint64(hdr[8:])
-	want := binary.LittleEndian.Uint32(hdr[16:])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, 0, fmt.Errorf("%w: truncated payload: %v", ErrCorruptState, err)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, 0, fmt.Errorf("%w: checksum %08x, header says %08x", ErrCorruptState, got, want)
+	version, payload, err := tensor.ReadEnvelope(r, stateMagic, stateVersionSteps, ErrCorruptState)
+	if err != nil {
+		return nil, 0, err
 	}
 	var steps uint64
 	if version == stateVersionSteps {
@@ -193,8 +129,8 @@ func decodeStatePayload(payload []byte) (*State, error) {
 	}
 	order := int(binary.LittleEndian.Uint32(payload))
 	payload = payload[4:]
-	if order <= 0 {
-		return nil, fmt.Errorf("%w: state of order %d", ErrCorruptState, order)
+	if order <= 0 || len(payload) < 8*order {
+		return nil, fmt.Errorf("%w: state of order %d in %d bytes", ErrCorruptState, order, len(payload))
 	}
 	s := &State{Dims: make([]int, order)}
 	for m := 0; m < order; m++ {
@@ -204,7 +140,7 @@ func decodeStatePayload(payload []byte) (*State, error) {
 		rows := int(binary.LittleEndian.Uint32(payload))
 		cols := int(binary.LittleEndian.Uint32(payload[4:]))
 		payload = payload[8:]
-		if rows < 0 || cols <= 0 || len(payload) < 8*rows*cols {
+		if cols <= 0 || rows > len(payload)/8/cols {
 			return nil, fmt.Errorf("%w: factor %d of %dx%d in %d bytes", ErrCorruptState, m, rows, cols, len(payload))
 		}
 		f := mat.New(rows, cols)

@@ -16,8 +16,8 @@ import (
 )
 
 // Dense is a row-major dense matrix. The zero value is an empty matrix;
-// use New or NewFrom to construct. Exported fields make the type
-// directly encodable by encoding/gob for cluster transport.
+// use New or NewFrom to construct. Data is what the cluster codecs and
+// the state file move, as raw float64 bit patterns.
 type Dense struct {
 	Rows, Cols int
 	Data       []float64 // len == Rows*Cols, row-major

@@ -1,11 +1,9 @@
 package obscluster
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -52,8 +50,9 @@ type Aggregator struct {
 	cfg   Config
 	alpha float64
 
-	names map[string]string // wire-name interning
-	ranks []rankAgg         // indexed by world rank
+	names   map[string]string // wire-name interning
+	scratch fenceRecord       // decode target for peers' records
+	ranks   []rankAgg         // indexed by world rank
 
 	timeline []obs.SpanEvent // merged ring, overwritten in place
 	tlTotal  uint64
@@ -78,32 +77,27 @@ func newAggregator(cfg Config, worldSize int) *Aggregator {
 	return a
 }
 
-// intern canonicalises a wire name. The comma-ok map lookup keyed by
-// string(b) does not allocate on the hit path, so the steady state
-// (every phase/span name seen before) is allocation-free.
-func (a *Aggregator) intern(b []byte) string {
-	if s, ok := a.names[string(b)]; ok {
-		return s
+// apply folds one member's record into the table.
+func (a *Aggregator) apply(rec *fenceRecord) error {
+	if rec.world < 0 || rec.world >= len(a.ranks) {
+		return fmt.Errorf("obscluster: fence record from world rank %d of %d", rec.world, len(a.ranks))
 	}
-	s := string(b)
-	a.names[s] = s
-	return s
-}
-
-func (a *Aggregator) beginRank(world int, epoch int64, step int, heap, gcPause, goroutines float64) (*rankAgg, error) {
-	if world < 0 || world >= len(a.ranks) {
-		return nil, fmt.Errorf("obscluster: fence record from world rank %d of %d", world, len(a.ranks))
-	}
-	ra := &a.ranks[world]
+	ra := &a.ranks[rec.world]
 	ra.seen = true
 	ra.fences++
-	ra.lastEpoch = epoch
-	ra.lastStep = step
-	ra.heapBytes = heap
-	ra.gcPauseNs = gcPause
-	ra.goroutines = goroutines
+	ra.lastEpoch = rec.epoch
+	ra.lastStep = rec.step
+	ra.heapBytes = rec.heap
+	ra.gcPauseNs = rec.gcPause
+	ra.goroutines = rec.goroutines
 	ra.computeNs = 0
-	return ra, nil
+	for _, ps := range rec.phases {
+		a.addPhase(ra, ps.Name, ps.Count, int64(ps.Total))
+	}
+	for _, ev := range rec.spans {
+		a.addSpan(rec.world, ev.Name, ev.Epoch, ev.Snapshot, ev.Iter, ev.Start, ev.Dur)
+	}
+	return nil
 }
 
 func (a *Aggregator) addPhase(ra *rankAgg, name string, count, totalNs int64) {
@@ -139,88 +133,29 @@ func (a *Aggregator) addSpan(world int, name string, epoch int64, snapshot, iter
 	a.tlTotal++
 }
 
-// absorb decodes one wire record into the table. Steady state (all
-// names interned, ring warm) allocates nothing.
+// absorb decodes one wire record and, once all of it has checked out,
+// folds it into the table. Steady state (all names interned, ring warm)
+// allocates nothing.
 func (a *Aggregator) absorb(payload []byte) error {
-	if len(payload) < recordHeaderSize {
-		return fmt.Errorf("obscluster: fence record %d bytes, want >= %d", len(payload), recordHeaderSize)
-	}
-	le := binary.LittleEndian
-	world := int(le.Uint32(payload[0:]))
-	epoch := int64(le.Uint64(payload[4:]))
-	step := int(le.Uint32(payload[12:]))
-	heap := math.Float64frombits(le.Uint64(payload[16:]))
-	gcPause := math.Float64frombits(le.Uint64(payload[24:]))
-	goroutines := math.Float64frombits(le.Uint64(payload[32:]))
-	nPhases := int(le.Uint32(payload[40:]))
-	nSpans := int(le.Uint32(payload[44:]))
-
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ra, err := a.beginRank(world, epoch, step, heap, gcPause, goroutines)
-	if err != nil {
+	if err := a.scratch.decode(payload, a.names); err != nil {
 		return err
 	}
-	off := recordHeaderSize
-	for i := 0; i < nPhases; i++ {
-		if len(payload) < off+2 {
-			return fmt.Errorf("obscluster: truncated phase header at %d", i)
-		}
-		l := int(le.Uint16(payload[off:]))
-		off += 2
-		if len(payload) < off+l+16 {
-			return fmt.Errorf("obscluster: truncated phase entry at %d", i)
-		}
-		name := a.intern(payload[off : off+l])
-		off += l
-		count := int64(le.Uint64(payload[off:]))
-		totalNs := int64(le.Uint64(payload[off+8:]))
-		off += 16
-		a.addPhase(ra, name, count, totalNs)
-	}
-	for i := 0; i < nSpans; i++ {
-		if len(payload) < off+2 {
-			return fmt.Errorf("obscluster: truncated span header at %d", i)
-		}
-		l := int(le.Uint16(payload[off:]))
-		off += 2
-		if len(payload) < off+l+30 {
-			return fmt.Errorf("obscluster: truncated span entry at %d", i)
-		}
-		name := a.intern(payload[off : off+l])
-		off += l
-		spanEpoch := int64(le.Uint64(payload[off:]))
-		snapshot := int(int32(le.Uint32(payload[off+8:])))
-		iter := int(int32(le.Uint32(payload[off+12:])))
-		start := time.Duration(le.Uint64(payload[off+16:]))
-		dur := time.Duration(le.Uint64(payload[off+24:]))
-		off += 32
-		a.addSpan(world, name, spanEpoch, snapshot, iter, start, dur)
-	}
-	if off != len(payload) {
-		return fmt.Errorf("obscluster: %d trailing bytes after fence record", len(payload)-off)
-	}
-	return nil
+	return a.apply(&a.scratch)
 }
 
-// absorbLocal feeds the coordinator's own scratch into the table
-// without a wire round-trip — the root's record costs zero bytes, like
-// GatherBytes' root contribution.
-func (a *Aggregator) absorbLocal(world int, epoch int64, step int, r *reporter) {
+// absorbLocal folds the coordinator's own record into the table without
+// a wire round-trip — the root's record costs zero bytes, like the root
+// contribution to a gather.
+func (a *Aggregator) absorbLocal(rec *fenceRecord) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ra, err := a.beginRank(world, epoch, step, r.heap.Value(), r.gcPause.Value(), r.goroutines.Value())
-	if err != nil {
+	if err := a.apply(rec); err != nil {
 		// The coordinator's own world rank is validated at construction
 		// time; reaching this means the plane was built with the wrong
 		// world size.
 		panic(err)
-	}
-	for _, ps := range r.deltas {
-		a.addPhase(ra, a.intern([]byte(ps.Name)), ps.Count, int64(ps.Total))
-	}
-	for _, ev := range r.spans {
-		a.addSpan(world, a.intern([]byte(ev.Name)), ev.Epoch, ev.Snapshot, ev.Iter, ev.Start, ev.Dur)
 	}
 }
 

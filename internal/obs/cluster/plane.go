@@ -138,11 +138,11 @@ func (p *Plane) Fence(w *cluster.Worker, members []int, epoch int64, step int, l
 	}
 	tag := w.StreamTag("obsfence")
 	dtag := w.StreamTag("obsfence/dec")
-	p.rep.collect(p.o.Trace)
+	rec := p.rep.collect(p.o.Trace, w.WorldRank(), epoch, step)
 
 	if w.Rank() != 0 {
-		buf := w.GetBuf(p.rep.encodedSize())
-		p.rep.encodeInto(buf, w.WorldRank(), epoch, step)
+		buf := w.GetBuf(rec.size())
+		rec.encode(buf)
 		if err := w.SendPooled(0, tag, buf); err != nil {
 			return Decision{}, err
 		}
@@ -162,7 +162,7 @@ func (p *Plane) Fence(w *cluster.Worker, members []int, epoch int64, step int, l
 	// Coordinator: absorb own record without touching the wire, drain
 	// the peers in arrival order, evaluate, broadcast the decision.
 	start := time.Now()
-	p.agg.absorbLocal(w.WorldRank(), epoch, step, p.rep)
+	p.agg.absorbLocal(rec)
 	pending := p.rep.pending[:0]
 	for r := 1; r < w.Size(); r++ {
 		pending = append(pending, r)

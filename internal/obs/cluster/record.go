@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"time"
 
 	"dismastd/internal/obs"
 )
@@ -40,10 +41,142 @@ func spanWireSize(name string) int { return spanEntryFixed + len(name) }
 // decisionSize returns the decision payload size for n weights.
 func decisionSize(n int) int { return decisionFixedSize + 8*n }
 
+// fenceRecord is one member's report for one fence, in wire order. A
+// rank fills its own from its tracer, the coordinator decodes peers'
+// into a reused one, and Aggregator.apply folds either into the table.
+type fenceRecord struct {
+	world                     int
+	epoch                     int64
+	step                      int
+	heap, gcPause, goroutines float64
+	phases                    []obs.PhaseStat
+	spans                     []obs.SpanEvent
+}
+
+// size returns the record's exact encoded size.
+func (rec *fenceRecord) size() int {
+	n := recordHeaderSize
+	for _, ps := range rec.phases {
+		n += phaseWireSize(ps.Name)
+	}
+	for _, ev := range rec.spans {
+		n += spanWireSize(ev.Name)
+	}
+	return n
+}
+
+// encode writes the record into buf, which must be exactly size()
+// long.
+func (rec *fenceRecord) encode(buf []byte) {
+	le := binary.LittleEndian
+	le.PutUint32(buf[0:], uint32(rec.world))
+	le.PutUint64(buf[4:], uint64(rec.epoch))
+	le.PutUint32(buf[12:], uint32(rec.step))
+	le.PutUint64(buf[16:], math.Float64bits(rec.heap))
+	le.PutUint64(buf[24:], math.Float64bits(rec.gcPause))
+	le.PutUint64(buf[32:], math.Float64bits(rec.goroutines))
+	le.PutUint32(buf[40:], uint32(len(rec.phases)))
+	le.PutUint32(buf[44:], uint32(len(rec.spans)))
+	off := recordHeaderSize
+	for _, ps := range rec.phases {
+		le.PutUint16(buf[off:], uint16(len(ps.Name)))
+		off += 2 + copy(buf[off+2:], ps.Name)
+		le.PutUint64(buf[off:], uint64(ps.Count))
+		le.PutUint64(buf[off+8:], uint64(ps.Total))
+		off += 16
+	}
+	for _, ev := range rec.spans {
+		le.PutUint16(buf[off:], uint16(len(ev.Name)))
+		off += 2 + copy(buf[off+2:], ev.Name)
+		le.PutUint64(buf[off:], uint64(ev.Epoch))
+		le.PutUint32(buf[off+8:], uint32(ev.Snapshot))
+		le.PutUint32(buf[off+12:], uint32(ev.Iter))
+		le.PutUint64(buf[off+16:], uint64(ev.Start))
+		le.PutUint64(buf[off+24:], uint64(ev.Dur))
+		off += 32
+	}
+	if off != len(buf) {
+		panic(fmt.Sprintf("obscluster: encoded %d bytes into a %d-byte record", off, len(buf)))
+	}
+}
+
+// decode parses a wire record into rec, reusing its slices and
+// interning names, so a warm decoder allocates nothing; entries grow
+// only as the payload holds them.
+func (rec *fenceRecord) decode(p []byte, names map[string]string) error {
+	if len(p) < recordHeaderSize {
+		return fmt.Errorf("obscluster: fence record %d bytes, want >= %d", len(p), recordHeaderSize)
+	}
+	le := binary.LittleEndian
+	rec.world = int(le.Uint32(p[0:]))
+	rec.epoch = int64(le.Uint64(p[4:]))
+	rec.step = int(le.Uint32(p[12:]))
+	rec.heap = math.Float64frombits(le.Uint64(p[16:]))
+	rec.gcPause = math.Float64frombits(le.Uint64(p[24:]))
+	rec.goroutines = math.Float64frombits(le.Uint64(p[32:]))
+	nPhases, nSpans := int(le.Uint32(p[40:])), int(le.Uint32(p[44:]))
+	rec.phases, rec.spans = rec.phases[:0], rec.spans[:0]
+	off := recordHeaderSize
+	for i := 0; i < nPhases; i++ {
+		name, next, ok := wireName(p, off, phaseEntryFixed)
+		if !ok {
+			return fmt.Errorf("obscluster: truncated phase entry %d", i)
+		}
+		rec.phases = append(rec.phases, obs.PhaseStat{
+			Name:  intern(names, name),
+			Count: int64(le.Uint64(p[next:])),
+			Total: time.Duration(le.Uint64(p[next+8:])),
+		})
+		off = next + 16
+	}
+	for i := 0; i < nSpans; i++ {
+		name, next, ok := wireName(p, off, spanEntryFixed)
+		if !ok {
+			return fmt.Errorf("obscluster: truncated span entry %d", i)
+		}
+		rec.spans = append(rec.spans, obs.SpanEvent{
+			Name:     intern(names, name),
+			Epoch:    int64(le.Uint64(p[next:])),
+			Snapshot: int(int32(le.Uint32(p[next+8:]))),
+			Iter:     int(int32(le.Uint32(p[next+12:]))),
+			Start:    time.Duration(le.Uint64(p[next+16:])),
+			Dur:      time.Duration(le.Uint64(p[next+24:])),
+		})
+		off = next + 32
+	}
+	if off != len(p) {
+		return fmt.Errorf("obscluster: %d trailing bytes after fence record", len(p)-off)
+	}
+	return nil
+}
+
+// wireName returns the length-prefixed name at off and the offset past
+// it, provided the whole fixed-size entry it starts fits in p.
+func wireName(p []byte, off, entry int) ([]byte, int, bool) {
+	if len(p) < off+2 {
+		return nil, 0, false
+	}
+	l := int(binary.LittleEndian.Uint16(p[off:]))
+	if len(p) < off+l+entry {
+		return nil, 0, false
+	}
+	return p[off+2 : off+2+l], off + 2 + l, true
+}
+
+// intern canonicalises a wire name; the lookup keyed by string(b) does
+// not allocate.
+func intern(names map[string]string, b []byte) string {
+	if s, ok := names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	names[s] = s
+	return s
+}
+
 // reporter is the rank-side half of the fence: it snapshots this rank's
-// tracer deltas, runtime gauges, and fresh spans into reusable scratch,
-// then encodes them into a pooled buffer. All fields are single-
-// goroutine (the rank's worker loop).
+// tracer deltas, runtime gauges, and fresh spans into a reused record.
+// All fields are single-goroutine (the rank's worker loop).
 type reporter struct {
 	sampler    *obs.RuntimeSampler
 	heap       *obs.Gauge
@@ -53,8 +186,7 @@ type reporter struct {
 	spanCap int
 	prev    map[string]obs.PhaseStat
 	cur     []obs.PhaseStat
-	deltas  []obs.PhaseStat
-	spans   []obs.SpanEvent
+	rec     fenceRecord
 	spanSeq uint64
 	pending []int
 }
@@ -74,74 +206,29 @@ func newReporter(o *obs.Obs, spanCap int) *reporter {
 	}
 }
 
-// collect samples the runtime gauges and refreshes the delta scratch
-// from the tracer. Steady state allocates nothing: the scratch slices
-// are reused and the prev map only grows on first sight of a phase.
-func (r *reporter) collect(tr *obs.Tracer) {
+// collect samples the runtime gauges and refills the record from the
+// tracer. Steady state allocates nothing: the record's slices are reused
+// and the prev map only grows on first sight of a phase.
+func (r *reporter) collect(tr *obs.Tracer, world int, epoch int64, step int) *fenceRecord {
 	r.sampler.Sample()
+	rec := &r.rec
+	rec.world, rec.epoch, rec.step = world, epoch, step
+	rec.heap, rec.gcPause, rec.goroutines = r.heap.Value(), r.gcPause.Value(), r.goroutines.Value()
 	r.cur = tr.AppendPhases(r.cur[:0])
-	r.deltas = r.deltas[:0]
+	rec.phases = rec.phases[:0]
 	for _, ps := range r.cur {
 		prev := r.prev[ps.Name]
 		d := obs.PhaseStat{Name: ps.Name, Count: ps.Count - prev.Count, Total: ps.Total - prev.Total}
 		if d.Count > 0 {
-			r.deltas = append(r.deltas, d)
+			rec.phases = append(rec.phases, d)
 		}
 		r.prev[ps.Name] = ps
 	}
-	r.spans, r.spanSeq = tr.AppendEventsSince(r.spanSeq, r.spans[:0])
-	if len(r.spans) > r.spanCap {
-		r.spans = r.spans[len(r.spans)-r.spanCap:]
+	rec.spans, r.spanSeq = tr.AppendEventsSince(r.spanSeq, rec.spans[:0])
+	if len(rec.spans) > r.spanCap {
+		rec.spans = rec.spans[len(rec.spans)-r.spanCap:]
 	}
-}
-
-// encodedSize returns the exact record size for the current scratch.
-func (r *reporter) encodedSize() int {
-	n := recordHeaderSize
-	for _, ps := range r.deltas {
-		n += phaseWireSize(ps.Name)
-	}
-	for _, ev := range r.spans {
-		n += spanWireSize(ev.Name)
-	}
-	return n
-}
-
-// encodeInto writes the record into buf, which must be exactly
-// encodedSize() long.
-func (r *reporter) encodeInto(buf []byte, world int, epoch int64, step int) {
-	le := binary.LittleEndian
-	le.PutUint32(buf[0:], uint32(world))
-	le.PutUint64(buf[4:], uint64(epoch))
-	le.PutUint32(buf[12:], uint32(step))
-	le.PutUint64(buf[16:], math.Float64bits(r.heap.Value()))
-	le.PutUint64(buf[24:], math.Float64bits(r.gcPause.Value()))
-	le.PutUint64(buf[32:], math.Float64bits(r.goroutines.Value()))
-	le.PutUint32(buf[40:], uint32(len(r.deltas)))
-	le.PutUint32(buf[44:], uint32(len(r.spans)))
-	off := recordHeaderSize
-	for _, ps := range r.deltas {
-		le.PutUint16(buf[off:], uint16(len(ps.Name)))
-		off += 2
-		off += copy(buf[off:], ps.Name)
-		le.PutUint64(buf[off:], uint64(ps.Count))
-		le.PutUint64(buf[off+8:], uint64(ps.Total))
-		off += 16
-	}
-	for _, ev := range r.spans {
-		le.PutUint16(buf[off:], uint16(len(ev.Name)))
-		off += 2
-		off += copy(buf[off:], ev.Name)
-		le.PutUint64(buf[off:], uint64(ev.Epoch))
-		le.PutUint32(buf[off+8:], uint32(ev.Snapshot))
-		le.PutUint32(buf[off+12:], uint32(ev.Iter))
-		le.PutUint64(buf[off+16:], uint64(ev.Start))
-		le.PutUint64(buf[off+24:], uint64(ev.Dur))
-		off += 32
-	}
-	if off != len(buf) {
-		panic(fmt.Sprintf("obscluster: encoded %d bytes into a %d-byte record", off, len(buf)))
-	}
+	return rec
 }
 
 // Decision is the coordinator's verdict for one fence, broadcast to
@@ -193,6 +280,9 @@ func encodeDecision(buf []byte, d Decision) {
 func decodeDecision(buf []byte, scratch *[]float64) (Decision, error) {
 	if len(buf) < decisionFixedSize {
 		return Decision{}, fmt.Errorf("obscluster: decision payload %d bytes, want >= %d", len(buf), decisionFixedSize)
+	}
+	if buf[0]&^3 != 0 {
+		return Decision{}, fmt.Errorf("obscluster: decision flags %#x", buf[0])
 	}
 	le := binary.LittleEndian
 	d := Decision{

@@ -2,47 +2,112 @@ package tensor
 
 import (
 	"bufio"
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// WriteBinary encodes the tensor in a compact gob stream.
+// Binary tensor files are an envelope (envelope.go) around a fixed
+// struct-of-arrays payload, little-endian:
+//
+//	u32 order N · N × u32 dims · u64 nnz · nnz·N × i32 coords · nnz × f64 values
+//
+// with the coordinates entry-major, as Tensor.Coords holds them.
+const (
+	tensorMagic   = "DMTN"
+	tensorVersion = 1
+)
+
+var errCorrupt = errors.New("tensor: corrupt binary tensor")
+
+// WriteBinary encodes the tensor in the binary format.
 func (t *Tensor) WriteBinary(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(t)
+	p := make([]byte, 0, 12+4*len(t.Dims)+4*len(t.Coords)+8*len(t.Vals))
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(t.Dims)))
+	for m, d := range t.Dims {
+		if d > math.MaxUint32 {
+			return fmt.Errorf("tensor: mode %d of size %d does not fit the binary format", m, d)
+		}
+		p = binary.LittleEndian.AppendUint32(p, uint32(d))
+	}
+	p = binary.LittleEndian.AppendUint64(p, uint64(len(t.Vals)))
+	for _, c := range t.Coords {
+		p = binary.LittleEndian.AppendUint32(p, uint32(c))
+	}
+	for _, v := range t.Vals {
+		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
+	}
+	return WriteEnvelope(w, tensorMagic, tensorVersion, p)
 }
 
-// ReadBinary decodes a tensor previously written by WriteBinary.
-func ReadBinary(r io.Reader) (*Tensor, error) {
-	var t Tensor
-	if err := gob.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("tensor: decode binary: %w", err)
+// Read parses a tensor in either format, told apart by its first bytes
+// rather than a file name: the binary magic or the text header. Anything
+// else — a binary file from a build that wrote another layout among
+// them — is refused.
+func Read(r io.Reader) (*Tensor, error) {
+	var head [len(tensorMagic)]byte
+	n, err := io.ReadFull(r, head[:])
+	if string(head[:n]) == tensorMagic {
+		_, p, err := readEnvelope(r, head[:], tensorMagic, tensorVersion, errCorrupt)
+		if err != nil {
+			return nil, err
+		}
+		return decodeBinary(p)
 	}
-	if err := t.validate(); err != nil {
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return nil, err
 	}
-	return &t, nil
+	if !strings.HasPrefix("dims", string(head[:n])) {
+		return nil, errors.New("tensor: neither the binary nor the text format (binary tensors written by older builds must be regenerated with datagen)")
+	}
+	return ReadText(io.MultiReader(bytes.NewReader(head[:n]), r))
 }
 
-func (t *Tensor) validate() error {
-	n := len(t.Dims)
-	if n == 0 {
-		return fmt.Errorf("tensor: decoded tensor has no modes")
+// decodeBinary decodes a binary payload, holding it to what a Tensor
+// promises: coordinates in range, entries strictly increasing (sorted,
+// no duplicates).
+func decodeBinary(p []byte) (*Tensor, error) {
+	le := binary.LittleEndian
+	if len(p) < 4 {
+		return nil, fmt.Errorf("%w: payload of %d bytes", errCorrupt, len(p))
 	}
-	if len(t.Coords) != len(t.Vals)*n {
-		return fmt.Errorf("tensor: decoded tensor has %d coords for %d values of order %d", len(t.Coords), len(t.Vals), n)
+	n := int(le.Uint32(p))
+	if p = p[4:]; n == 0 || len(p) < 4*n+8 {
+		return nil, fmt.Errorf("%w: order %d in %d bytes", errCorrupt, n, len(p))
 	}
-	for e := 0; e < len(t.Vals); e++ {
-		for m := 0; m < n; m++ {
-			c := int(t.Coords[e*n+m])
-			if c < 0 || c >= t.Dims[m] {
-				return fmt.Errorf("tensor: decoded coordinate %d out of range in mode %d", c, m)
-			}
+	t := &Tensor{Dims: make([]int, n)}
+	for m := range t.Dims {
+		t.Dims[m] = int(le.Uint32(p[4*m:]))
+	}
+	nnz, entry := le.Uint64(p[4*n:]), uint64(4*n+8)
+	if p = p[4*n+8:]; nnz > uint64(len(p))/entry || nnz*entry != uint64(len(p)) {
+		return nil, fmt.Errorf("%w: %d entries of order %d in %d bytes", errCorrupt, nnz, n, len(p))
+	}
+	if nnz > 0 {
+		t.Coords, t.Vals = make([]int32, int(nnz)*n), make([]float64, nnz)
+	}
+	for i := range t.Coords {
+		t.Coords[i] = int32(le.Uint32(p[4*i:]))
+		if t.Coords[i] < 0 || int(t.Coords[i]) >= t.Dims[i%n] {
+			return nil, fmt.Errorf("%w: coordinate %d out of range in mode %d", errCorrupt, t.Coords[i], i%n)
 		}
 	}
-	return nil
+	for e := 1; e < len(t.Vals); e++ {
+		if slices.Compare(t.Coords[(e-1)*n:e*n], t.Coords[e*n:(e+1)*n]) >= 0 {
+			return nil, fmt.Errorf("%w: entry %d out of order", errCorrupt, e)
+		}
+	}
+	p = p[4*len(t.Coords):]
+	for e := range t.Vals {
+		t.Vals[e] = math.Float64frombits(le.Uint64(p[8*e:]))
+	}
+	return t, nil
 }
 
 // WriteText emits a human-readable TSV representation: a header line
@@ -79,6 +144,9 @@ func ReadText(r io.Reader) (*Tensor, error) {
 	dims := make([]int, len(header)-1)
 	for i, f := range header[1:] {
 		d, err := strconv.Atoi(f)
+		if err == nil && (d < 0 || d > math.MaxInt32) {
+			err = errors.New("outside [0, 2^31)")
+		}
 		if err != nil {
 			return nil, fmt.Errorf("tensor: bad dim %q: %w", f, err)
 		}

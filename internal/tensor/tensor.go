@@ -18,7 +18,7 @@ import (
 
 // Tensor is an immutable sparse tensor in sorted coordinate format.
 // Entries are lexicographically sorted by coordinate and deduplicated.
-// Build one with a Builder. Exported fields support encoding/gob.
+// Build one with a Builder, or read one with Read.
 type Tensor struct {
 	Dims   []int     // size of each mode; len(Dims) is the order
 	Coords []int32   // flat coordinates, entry e mode m at Coords[e*N+m]
