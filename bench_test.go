@@ -174,32 +174,6 @@ func BenchmarkAblationMTTKRPKernels(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationLossReuse compares the Section IV-B4 reuse-based
-// loss with a naive second pass over the entries, reporting the total
-// work units each spends.
-func BenchmarkAblationLossReuse(b *testing.B) {
-	prev, last := benchStream(b, dataset.Netflix)
-	for _, naive := range []bool{false, true} {
-		name := "reuse"
-		if naive {
-			name = "naive"
-		}
-		b.Run(name, func(b *testing.B) {
-			var work float64
-			for i := 0; i < b.N; i++ {
-				_, stats, err := core.Step(prev, last, core.Options{
-					Rank: 10, MaxIters: 3, Tol: 0, Workers: 4, Method: partition.MTPMethod, Seed: 42, NaiveLoss: naive,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				work = stats.Cluster.TotalWork()
-			}
-			b.ReportMetric(work, "work-units")
-		})
-	}
-}
-
 // BenchmarkAblationGTPBackoff compares GTP with and without the
 // better-balance boundary choice (Algorithm 2 lines 10-12), reporting
 // the imbalance each achieves on skewed data.
@@ -219,31 +193,6 @@ func BenchmarkAblationGTPBackoff(b *testing.B) {
 		}
 		b.ReportMetric(plan.ImbalanceStdDev(), "imbalance")
 	})
-}
-
-// BenchmarkAblationRowExchange compares the subscription-based row
-// exchange with a full owner broadcast, reporting measured traffic.
-func BenchmarkAblationRowExchange(b *testing.B) {
-	prev, last := benchStream(b, dataset.Clothing)
-	for _, broadcast := range []bool{false, true} {
-		name := "subscriptions"
-		if broadcast {
-			name = "broadcast"
-		}
-		b.Run(name, func(b *testing.B) {
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				_, stats, err := core.Step(prev, last, core.Options{
-					Rank: 10, MaxIters: 3, Tol: 0, Workers: 8, Method: partition.MTPMethod, Seed: 42, BroadcastRows: broadcast,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				bytes = stats.Cluster.TotalBytes()
-			}
-			b.ReportMetric(float64(bytes), "bytes")
-		})
-	}
 }
 
 func newSrc() *xrand.Source { return xrand.New(42) }

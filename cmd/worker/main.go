@@ -33,6 +33,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,11 +42,13 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -93,19 +96,7 @@ type workerConfig struct {
 	drainAt map[int]int // step -> draining world rank
 	killAt  map[int]int // step -> chaos-killed world rank
 
-	plane     bool
 	rebalance bool
-	threshold float64
-	cooldown  int
-}
-
-// planeConfig maps the detector knobs onto the plane configuration;
-// zero values mean the plane's own defaults.
-func (cfg workerConfig) planeConfig() obscluster.Config {
-	return obscluster.Config{Detector: obscluster.DetectorConfig{
-		Threshold: cfg.threshold,
-		Cooldown:  cfg.cooldown,
-	}}
 }
 
 // resolveThreads maps the -threads flag to a pool size: 0 means one
@@ -130,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	joinWindow := fs.Duration("join-window", 0, "rendezvous mode: bound on total cluster formation time (0 = none)")
 	join := fs.String("join", "", "worker mode: rendezvous address to join")
 	listen := fs.String("listen", "127.0.0.1:0", "worker mode: this rank's listen address")
-	tensorPath := fs.String("tensor", "", "worker mode: comma-separated snapshot tensor files (text or .bin/.gob)")
+	tensorPath := fs.String("tensor", "", "worker mode: comma-separated snapshot tensor files, TSV text or datagen binary (told apart by their first bytes)")
 	prevPath := fs.String("prev", "", "worker mode: previous state file (empty = decompose from scratch)")
 	outPath := fs.String("out", "", "worker mode: where rank 0 writes the resulting state")
 	checkpoint := fs.String("checkpoint", "", "worker mode: prefix for per-step state checkpoints (rank 0 writes <prefix>.step<K>.gob)")
@@ -145,16 +136,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 1, "initialisation seed")
 	timeout := fs.Duration("timeout", 2*time.Minute, "join and receive timeout")
 	heartbeat := fs.Duration("heartbeat", 0, "peer failure-detection probe interval (0 = off)")
-	debugAddr := fs.String("debug-addr", "", "worker mode: serve pprof, metrics, and trace debug endpoints on this address (no auth — bind loopback only; empty = off)")
+	debugAddr := fs.String("debug-addr", "", "worker mode: serve /metrics, /debug/state, /debug/timeline and /debug/pprof/ on this address (no auth — bind loopback only; empty = off)")
 	elastic := fs.Bool("elastic", false, "worker mode: absorb rank deaths and finish the stream (results within reordering tolerance) instead of failing so -resume reproduces the run bitwise; enables scripted joins and drains at step fences")
 	members := fs.Int("members", 0, "elastic mode: initial members, world ranks 0..N-1 (0 = every rank; the rest start as spares)")
 	joinAt := fs.String("join-at", "", "elastic mode: scripted joins as rank:step,... — identical on every rank")
 	drainAt := fs.String("drain-at", "", "elastic mode: scripted drains as rank:step,... — identical on every rank")
 	killAt := fs.String("kill-at", "", "chaos testing: kill script as rank:step,... — the named rank crashes mid-step; identical on every rank")
-	plane := fs.Bool("plane", false, "worker mode: run the cluster observability plane — per-step fences gather every rank's metric deltas, spans, and runtime gauges to rank 0, served on -debug-addr's /debug/cluster")
-	rebalance := fs.Bool("rebalance-on-imbalance", false, "elastic mode: arm the plane's imbalance detector — sustained per-rank compute skew re-partitions the stream live at the next fence (implies -plane)")
-	threshold := fs.Float64("imbalance-threshold", 0, "detector: load/compute coefficient of variation that counts as imbalanced (0 = default 0.3)")
-	cooldown := fs.Int("imbalance-cooldown", 0, "detector: fences to hold fire after a rebalance (0 = default 2)")
+	rebalance := fs.Bool("rebalance-on-imbalance", false, "elastic mode: arm the observability plane's imbalance detector — sustained per-rank compute skew re-partitions the stream live at the next fence")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -242,8 +230,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			timeout: *timeout, heartbeat: *heartbeat, debugAddr: *debugAddr,
 			elastic: *elastic, members: *members,
 			joinAt: joins, drainAt: drains, killAt: kills,
-			plane: *plane || *rebalance, rebalance: *rebalance,
-			threshold: *threshold, cooldown: *cooldown,
+			rebalance: *rebalance,
 		}
 		return runWorker(stdout, stderr, cfg)
 	default:
@@ -297,9 +284,9 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 			return err
 		}
 	}
-	// The cluster plane comes up lazily (the driver builds it per
-	// stream); the debug endpoints hold a pointer they resolve per
-	// scrape, serving 503 until the first fence can run.
+	// The cluster plane comes up with the stream (the driver builds it);
+	// the debug endpoints hold a pointer they resolve per scrape and
+	// serve this rank's own view until the plane has something merged.
 	var planeHolder atomic.Pointer[obscluster.Plane]
 	if cfg.debugAddr != "" {
 		srv, addr, err := startDebugServer(cfg.debugAddr, node.Obs(), planeHolder.Load)
@@ -346,6 +333,13 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 		JoinAtStep:     shift(cfg.joinAt),
 		DrainAtStep:    shift(cfg.drainAt),
 		FailOnPeerDown: !cfg.elastic,
+		// The plane always runs: one gather per step fence, observation
+		// only unless -rebalance-on-imbalance arms its detector. Every
+		// rank must fence in lockstep, so it cannot follow -debug-addr,
+		// which is set per process.
+		Plane:                &obscluster.Config{},
+		RebalanceOnImbalance: cfg.rebalance,
+		PlaneReady:           func(_ int, p *obscluster.Plane) { planeHolder.Store(p) },
 		// Runs on whichever rank is the view's rank 0 when the step ends
 		// (this node's rank 0 unless -elastic outlived it).
 		Checkpoint: func(step int, st *dtd.State, stats *core.StepStats) error {
@@ -361,12 +355,6 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 			stepStart = time.Now()
 			return nil
 		},
-	}
-	if cfg.plane {
-		pc := cfg.planeConfig()
-		o.Plane = &pc
-		o.RebalanceOnImbalance = cfg.rebalance
-		o.PlaneReady = func(_ int, p *obscluster.Plane) { planeHolder.Store(p) }
 	}
 	job, err := core.NewElasticJob(prev, snaps[start:], o)
 	if err != nil {
@@ -433,17 +421,73 @@ func parseRankSteps(s string) (map[int]int, error) {
 	return out, nil
 }
 
-// startDebugServer serves the node's observability debug endpoints
-// (net/http/pprof, /metrics, /debug/metrics, /debug/phases,
-// /debug/trace) plus the cluster plane's /debug/cluster views on addr
-// until the returned server is closed. The endpoints carry no
-// authentication; addr should stay on loopback or a trusted network.
+// debugState is the /debug/state document: this rank's per-phase
+// timing aggregates, plus the cluster table and detector state once
+// this rank's plane has coordinated a fence.
+type debugState struct {
+	Phases  []obs.PhaseStat      `json:"phases"`
+	Cluster *obscluster.Snapshot `json:"cluster,omitempty"`
+}
+
+// startDebugServer serves the node's observability on addr until the
+// returned server is closed:
+//
+//	/metrics          the registry in Prometheus text, runtime.* gauges sampled per scrape
+//	/debug/state      debugState as JSON
+//	/debug/timeline   span JSONL: the plane's merged timeline once it holds
+//	                  spans, this rank's own span ring before that
+//	/debug/pprof/...  net/http/pprof
+//
+// getPlane is resolved per request, since the plane comes up with the
+// stream. The endpoints carry no authentication; addr should stay on
+// loopback or a trusted network.
 func startDebugServer(addr string, o *obs.Obs, getPlane func() *obscluster.Plane) (*http.Server, net.Addr, error) {
+	// A scrape samples into its own MemStats scratch, never the fence's;
+	// the lock serialises concurrent scrapes on it.
+	var sampleMu sync.Mutex
+	sampler := obs.NewRuntimeSampler(o.Reg)
 	mux := http.NewServeMux()
-	ch := obscluster.Handler(getPlane)
-	mux.Handle("/debug/cluster", ch)
-	mux.Handle("/debug/cluster/", ch)
-	mux.Handle("/", obs.Handler(o))
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		sampleMu.Lock()
+		sampler.Sample()
+		sampleMu.Unlock()
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := o.Reg.Snapshot().WritePrometheus(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.HandleFunc("/debug/state", func(w http.ResponseWriter, _ *http.Request) {
+		st := debugState{Phases: o.Trace.Phases()}
+		if p := getPlane(); p != nil {
+			if snap := p.Snapshot(); snap.Fences > 0 {
+				st.Cluster = &snap
+			}
+		}
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(st); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.HandleFunc("/debug/timeline", func(w http.ResponseWriter, _ *http.Request) {
+		var events []obs.SpanEvent
+		if p := getPlane(); p != nil {
+			events = p.Timeline()
+		}
+		if len(events) == 0 {
+			events = o.Trace.Events()
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		if err := obs.WriteJSONL(w, events); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return startHTTPServer(addr, mux)
 }
 

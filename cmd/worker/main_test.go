@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -61,7 +62,6 @@ func TestTwoStepTCPCluster(t *testing.T) {
 					"-join", rv.Addr(), "-tensor", snaps[step],
 					"-rank", "3", "-iters", "3", "-seed", "5",
 					"-out", state, "-timeout", "30s",
-					"-plane", // observability fences ride along
 				}
 				if step > 0 {
 					args = append(args, "-prev", state)
@@ -456,10 +456,12 @@ func readState(t *testing.T, path string) *dtd.State {
 	return st
 }
 
-// TestDebugServerServesProfilesAndMetrics pins the -debug-addr surface:
-// a live HTTP listener must serve the metrics registry as JSON, the
-// span ring as JSONL, and a working CPU profile from net/http/pprof —
-// the same endpoints a worker process exposes.
+// TestDebugServerServesProfilesAndMetrics pins the -debug-addr surface
+// a worker process exposes: exactly four families — /metrics (with
+// runtime gauges even without a plane), /debug/state, /debug/timeline
+// and /debug/pprof/ — where the state and the timeline show this rank's
+// own view until its plane has coordinated a fence and the cluster's
+// after. The paths this surface replaced answer 404.
 func TestDebugServerServesProfilesAndMetrics(t *testing.T) {
 	o := obs.New()
 	o.Counter("mttkrp.rows").Add(42)
@@ -474,7 +476,7 @@ func TestDebugServerServesProfilesAndMetrics(t *testing.T) {
 	defer srv.Close()
 	base := "http://" + addr.String()
 
-	get := func(path string) string {
+	fetch := func(path string) (int, string) {
 		t.Helper()
 		resp, err := http.Get(base + path)
 		if err != nil {
@@ -485,32 +487,94 @@ func TestDebugServerServesProfilesAndMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
+		return resp.StatusCode, string(body)
+	}
+	get := func(path string) string {
+		t.Helper()
+		code, body := fetch(path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: status %d: %s", path, code, body)
 		}
-		return string(body)
+		return body
+	}
+	state := func() debugState {
+		t.Helper()
+		var st debugState
+		if err := json.Unmarshal([]byte(get("/debug/state")), &st); err != nil {
+			t.Fatalf("/debug/state: %v", err)
+		}
+		return st
 	}
 
-	if body := get("/debug/metrics"); !strings.Contains(body, `"mttkrp.rows": 42`) {
-		t.Fatalf("metrics missing counter: %s", body)
+	for _, path := range []string{"/debug/metrics", "/debug/vars", "/debug/phases", "/debug/trace", "/debug/cluster", "/debug/cluster/timeline"} {
+		if code, _ := fetch(path); code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, code)
+		}
 	}
-	if body := get("/debug/trace"); !strings.Contains(body, `"mode0/mttkrp"`) {
-		t.Fatalf("trace missing span: %s", body)
-	}
-	if body := get("/metrics"); !strings.Contains(body, "mttkrp_rows 42") {
+	body := get("/metrics")
+	if !strings.Contains(body, "mttkrp_rows 42") {
 		t.Fatalf("/metrics missing Prometheus counter: %s", body)
 	}
-
-	// The cluster views 503 until a plane exists, then serve the
-	// aggregator snapshot — the holder is resolved per scrape.
-	if resp, err := http.Get(base + "/debug/cluster"); err != nil {
-		t.Fatal(err)
-	} else if resp.Body.Close(); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/debug/cluster before any plane: status %d, want 503", resp.StatusCode)
+	if !strings.Contains(body, "runtime_heap_bytes") {
+		t.Fatalf("/metrics without a plane lacks runtime gauges: %s", body)
 	}
-	planeHolder.Store(obscluster.NewPlane(obscluster.Config{}, o, 1))
-	if body := get("/debug/cluster"); !strings.Contains(body, `"detector"`) {
-		t.Fatalf("/debug/cluster missing detector snapshot: %s", body)
+	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
+		t.Fatalf("/debug/pprof/ = %q", body)
+	}
+
+	// Before the plane has coordinated a fence — with no plane, and with
+	// one that has not fenced yet — both views are this rank's own.
+	for _, stage := range []string{"no plane", "plane before its first fence"} {
+		st := state()
+		if st.Cluster != nil || len(st.Phases) != 1 || st.Phases[0].Name != "mode0/mttkrp" {
+			t.Fatalf("%s: /debug/state = %+v, want this rank's one phase and no cluster", stage, st)
+		}
+		if body := get("/debug/timeline"); !strings.Contains(body, `"mode0/mttkrp"`) {
+			t.Fatalf("%s: /debug/timeline missing the rank's span: %s", stage, body)
+		}
+		planeHolder.Store(obscluster.NewPlane(obscluster.Config{}, o, 1))
+	}
+
+	// One fence on a one-rank cluster: the plane merges the spans
+	// recorded before it. The fence's own span lands in the rank's ring
+	// only after the record was cut, so a timeline carrying it is the
+	// rank's, one without it the plane's. Concurrent scrapes meanwhile
+	// share the listener's runtime sampler (and race the fence's own).
+	var scrapers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		scrapers.Add(1)
+		go func() {
+			defer scrapers.Done()
+			for j := 0; j < 5; j++ {
+				resp, err := http.Get(base + "/metrics")
+				if err != nil {
+					t.Errorf("concurrent /metrics: %v", err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("concurrent /metrics: status %d", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	if _, err := cluster.NewLocal(1).Run(func(w *cluster.Worker) error {
+		_, err := planeHolder.Load().Fence(w, []int{0}, 0, 0, []float64{1})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	scrapers.Wait()
+	st := state()
+	if st.Cluster == nil || st.Cluster.Fences != 1 || len(st.Cluster.Ranks) != 1 {
+		t.Fatalf("/debug/state after a fence = %+v, want the one-fence cluster table", st.Cluster)
+	}
+	body = get("/debug/timeline")
+	if !strings.Contains(body, `"mode0/mttkrp"`) || strings.Contains(body, `"plane/fence"`) {
+		t.Fatalf("/debug/timeline after a fence is not the plane's merged timeline: %s", body)
+	}
+	if body := get("/metrics"); !strings.Contains(body, "plane_fences 1") {
+		t.Fatalf("/metrics missing the plane's fence counter: %s", body)
 	}
 
 	// A short CPU profile must come back as a valid (gzipped) pprof

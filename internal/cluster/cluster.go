@@ -295,22 +295,6 @@ func (w *Worker) recvAny(tag string, from []int, failDown bool) (int, []byte, er
 	return i, payload, nil
 }
 
-// TryRecvAny polls for a queued message with the tag from any of the
-// listed ranks without blocking; ok is false when none is queued.
-// Control-plane only — membership fences drain join/drain requests with
-// it between steps.
-func (w *Worker) TryRecvAny(tag string, from []int) (int, []byte, bool) {
-	cand, err := w.worldCandidates(from)
-	if err != nil {
-		return -1, nil, false
-	}
-	i, payload, ok := w.mbox.poll(tag, cand)
-	if ok {
-		w.metrics.addRecvd(wireSize(tag, payload))
-	}
-	return i, payload, ok
-}
-
 // worldCandidates validates a candidate rank list and maps it to world
 // ranks, reusing the worker's scratch slice on the view path so the
 // steady-state exchange stays allocation-free.

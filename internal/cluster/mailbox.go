@@ -289,19 +289,3 @@ func (m *mailbox) recvAny(tag string, from []int, timeout time.Duration, failDow
 		m.cond.Wait()
 	}
 }
-
-// poll is the non-blocking form of recvAny with failDown=false: it
-// returns the first queued message for the tag among the listed
-// senders, or ok=false if none is queued right now. Control-plane only
-// (membership fences); never errors and never blocks.
-func (m *mailbox) poll(tag string, from []int) (int, []byte, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, f := range from {
-		k := mailKey{f, tag}
-		if q := m.queues[k]; q != nil && !q.empty() {
-			return i, m.take(k, q), true
-		}
-	}
-	return -1, nil, false
-}

@@ -19,12 +19,10 @@ package cluster
 //     application cookie (the elastic driver uses it for the snapshot
 //     step the joiner must enter at).
 //
-// Join and drain are asynchronous requests: a spare broadcasts its
-// join wish to every world slot (it cannot know who coordinates), a
-// draining member likewise; only the actual coordinator reads them, at
-// fence points between snapshot steps, via PollMembershipRequests.
-// Requests queued at non-coordinators are bounded garbage — one tiny
-// message per request per slot — and are simply never read.
+// Which ranks join or drain, and when, is not negotiated here: every
+// rank derives the same ViewChange from a shared script (the elastic
+// driver's JoinAtStep/DrainAtStep), so a spare only waits in
+// AwaitAdopt and a drainer only takes part in the transition.
 //
 // Limitation (documented, by design): proposal agreement substitutes
 // for consensus. Survivors that disagree on the failure evidence —
@@ -43,11 +41,9 @@ import (
 // Reserved control tags (NUL-prefixed like heartbeats, so no user tag
 // can collide).
 const (
-	joinReqTag  = "\x00join"
-	drainReqTag = "\x00drain"
-	adoptTag    = "\x00adopt"
-	proposeTag  = "\x00vc"   // + "|<epoch>"
-	agreedTag   = "\x00view" // + "|<epoch>"
+	adoptTag   = "\x00adopt"
+	proposeTag = "\x00vc"   // + "|<epoch>"
+	agreedTag  = "\x00view" // + "|<epoch>"
 )
 
 // ViewChange is the membership delta one transition applies: ranks
@@ -282,56 +278,4 @@ func AwaitAdopt(w *Worker) (View, int64, error) {
 		w.ClearFault()
 		return v, cookie, nil
 	}
-}
-
-// RequestJoin broadcasts this spare's wish to join to every world slot
-// (best-effort; the spare cannot know the coordinator). The actual
-// coordinator reads it at its next fence via PollMembershipRequests.
-func RequestJoin(w *Worker) {
-	broadcastRequest(w, joinReqTag)
-}
-
-// RequestDrain broadcasts this member's wish to leave gracefully. The
-// coordinator excludes it at the next fence; the drainer participates
-// in that transition and then exits.
-func RequestDrain(w *Worker) {
-	broadcastRequest(w, drainReqTag)
-}
-
-func broadcastRequest(w *Worker, tag string) {
-	for r := 0; r < w.Size(); r++ {
-		if r != w.WorldRank() {
-			_ = w.Send(r, tag, nil) // best-effort; dead slots just fail
-		}
-	}
-}
-
-// PollMembershipRequests drains all queued join and drain requests
-// without blocking. Coordinator-side, at fence points.
-func PollMembershipRequests(w *Worker) (joins, drains []int) {
-	others := make([]int, 0, w.Size()-1)
-	for r := 0; r < w.Size(); r++ {
-		if r != w.WorldRank() {
-			others = append(others, r)
-		}
-	}
-	for {
-		i, _, ok := w.TryRecvAny(joinReqTag, others)
-		if !ok {
-			break
-		}
-		if !containsRank(joins, others[i]) {
-			joins = append(joins, others[i])
-		}
-	}
-	for {
-		i, _, ok := w.TryRecvAny(drainReqTag, others)
-		if !ok {
-			break
-		}
-		if !containsRank(drains, others[i]) {
-			drains = append(drains, others[i])
-		}
-	}
-	return joins, drains
 }

@@ -149,47 +149,3 @@ func TestAgreeViewProposalMismatch(t *testing.T) {
 		t.Fatalf("coordinator error = %v", coordErr)
 	}
 }
-
-// TestMembershipRequests checks the join/drain request plumbing: a
-// request broadcast by one rank is drained exactly once by the
-// coordinator's poll, deduplicated, and invisible to TryRecvAny once
-// consumed.
-func TestMembershipRequests(t *testing.T) {
-	c := NewLocal(3)
-	_, err := c.Run(func(w *Worker) error {
-		switch w.Rank() {
-		case 1:
-			RequestJoin(w)
-			RequestJoin(w) // duplicate request must dedupe
-			return w.Send(0, "done", nil)
-		case 2:
-			RequestDrain(w)
-			return w.Send(0, "done", nil)
-		default:
-			// In-process sends are delivered synchronously in program
-			// order, so after both "done" markers the requests are
-			// queued for sure.
-			if _, err := w.Recv(1, "done"); err != nil {
-				return err
-			}
-			if _, err := w.Recv(2, "done"); err != nil {
-				return err
-			}
-			joins, drains := PollMembershipRequests(w)
-			if len(joins) != 1 || joins[0] != 1 {
-				t.Errorf("joins = %v", joins)
-			}
-			if len(drains) != 1 || drains[0] != 2 {
-				t.Errorf("drains = %v", drains)
-			}
-			// A second poll finds nothing: requests are consumed.
-			if j, d := PollMembershipRequests(w); len(j)+len(d) != 0 {
-				t.Errorf("second poll: %v %v", j, d)
-			}
-			return nil
-		}
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-}

@@ -28,10 +28,9 @@ import (
 	"fmt"
 	"math"
 
-	"dismastd/internal/layout"
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
-	"dismastd/internal/par"
+	"dismastd/internal/partition"
 	"dismastd/internal/tensor"
 	"dismastd/internal/xrand"
 )
@@ -109,7 +108,9 @@ func Decompose(x *tensor.Tensor, o Options) (*Result, error) {
 }
 
 // DecomposeFrom fits the model starting from the given factors (updated
-// in place). Used for warm starts and by StreamStep.
+// in place). Used for warm starts and by StreamStep. It is the
+// distributed driver on a one-rank cluster, whose rank sweeps the
+// caller's factors directly.
 func DecomposeFrom(x *tensor.Tensor, factors []*mat.Dense, o Options) (*Result, error) {
 	opts, err := o.withDefaults()
 	if err != nil {
@@ -126,74 +127,17 @@ func DecomposeFrom(x *tensor.Tensor, factors []*mat.Dense, o Options) (*Result, 
 			return nil, fmt.Errorf("completion: factor %d is %dx%d, want %dx%d", m, f.Rows, f.Cols, x.Dims[m], opts.Rank)
 		}
 	}
-
-	n := x.Order()
-	r := opts.Rank
-	kernels := make([]mttkrp.Kernel, n)
-	for m := 0; m < n; m++ {
-		kernels[m] = mttkrp.NewKernel(x, m, layout.Compiled)
-	}
-
-	// All sweep scratch lives in per-thread workspaces: each chunk of
-	// row groups checks out its own normal system, solution, and
-	// Khatri-Rao row, so steady-state iterations allocate nothing and
-	// chunks never share a buffer. Groups are distributed nnz-balanced
-	// across the pool; a row's system is built and solved entirely by
-	// one chunk, so the fit is bitwise thread-count independent.
-	pool := par.New(opts.Threads)
-	defer pool.Close()
-	wss := mat.NewWorkspaceSet(pool.Threads())
-	task := &modeRowsTask{factors: factors, lambda: opts.Lambda, rank: r, wss: wss}
-	res := &Result{Factors: factors, RMSETrace: make([]float64, 0, opts.MaxIters)}
-	prev := math.Inf(1)
-	tmp := make([]float64, r)
-	for it := 0; it < opts.MaxIters; it++ {
-		for m := 0; m < n; m++ {
-			task.kernel, task.mode = kernels[m], m
-			pool.ForChunks(kernels[m].ChunkStarts(pool.Threads()), task)
-		}
-		res.Iters = it + 1
-		res.RMSE = rmseScratch(x, factors, tmp)
-		res.RMSETrace = append(res.RMSETrace, res.RMSE)
-		if relChange(prev, res.RMSE) < opts.Tol {
-			break
-		}
-		prev = res.RMSE
-	}
-	return res, nil
-}
-
-// modeRowsTask is the par.Body for one mode's sweep: row groups
-// [g0, g1) of the kernel, each solved with scratch checked out from
-// the running thread's workspace.
-type modeRowsTask struct {
-	kernel  mttkrp.Kernel
-	factors []*mat.Dense
-	mode    int
-	lambda  float64
-	rank    int
-	wss     *mat.WorkspaceSet
-}
-
-func (t *modeRowsTask) RunChunk(g0, g1, tid int) {
-	ws := t.wss.At(tid)
-	mark := ws.Mark()
-	h := ws.TakeVec(t.rank)
-	sys := ws.Take(t.rank, t.rank)
-	rhs := ws.Take(t.rank, 1)
-	sol := ws.Take(t.rank, 1)
-	solveGroups(t.kernel, t.factors, t.mode, t.lambda, g0, g1, h, sys, rhs, sol, ws)
-	ws.Release(mark)
+	res, _, err := decompose(x, factors, opts, 1, 1, partition.GTPMethod)
+	return res, err
 }
 
 // solveGroups solves the per-row regularised normal equations for the
 // kernel's row groups [g0, g1), reading observations through the
-// Kernel interface so both representations (and both the centralized
-// and distributed drivers) share one solver. h, sys, rhs, sol are
-// scratch buffers sized R, RxR, Rx1, Rx1; ws supplies the solver
-// scratch. Each group's observations are visited in position order —
-// the stable order both kernels preserve — so the fit is bitwise
-// identical across representations and thread counts.
+// Kernel interface so both representations share one solver. h, sys,
+// rhs, sol are scratch buffers sized R, RxR, Rx1, Rx1; ws supplies the
+// solver scratch. Each group's observations are visited in position
+// order — the stable order both kernels preserve — so the fit is
+// bitwise identical across representations, thread counts and ranks.
 func solveGroups(kern mttkrp.Kernel, factors []*mat.Dense, mode int, lambda float64, g0, g1 int, h []float64, sys, rhs, sol *mat.Dense, ws *mat.Workspace) {
 	n := len(factors)
 	r := len(h)
@@ -252,14 +196,11 @@ func solveGroups(kern mttkrp.Kernel, factors []*mat.Dense, mode int, lambda floa
 // RMSE returns the root mean squared prediction error over x's
 // observed entries.
 func RMSE(x *tensor.Tensor, factors []*mat.Dense) float64 {
-	return rmseScratch(x, factors, make([]float64, factors[0].Cols))
-}
-
-func rmseScratch(x *tensor.Tensor, factors []*mat.Dense, tmp []float64) float64 {
 	if x.NNZ() == 0 {
 		return 0
 	}
 	n := x.Order()
+	tmp := make([]float64, factors[0].Cols)
 	var sum float64
 	for e := 0; e < x.NNZ(); e++ {
 		base := e * n

@@ -16,7 +16,8 @@ import (
 	"dismastd/internal/xrand"
 )
 
-// Distributed completion: the same weighted ALS run on the cluster
+// Distributed completion — the only completion driver; Decompose and
+// StreamStep run it on one rank. The weighted ALS runs on the cluster
 // runtime, with the observations distributed per mode by GTP/MTP
 // exactly like DisMASTD distributes the complement. Completion
 // parallelises even more cleanly than decomposition — each factor row's
@@ -40,9 +41,9 @@ type DistributedResult struct {
 }
 
 // DecomposeDistributed fits x's observed entries on an in-process
-// cluster. The result matches the centralized Decompose bit for bit
-// (given the same options): no cross-row reductions enter the factor
-// math, so distribution does not even reorder floating-point sums.
+// cluster. The result matches the one-rank Decompose bit for bit (given
+// the same options): no cross-row reductions enter the factor math, so
+// distribution does not even reorder floating-point sums.
 func DecomposeDistributed(x *tensor.Tensor, o DistributedOptions) (*DistributedResult, error) {
 	opts, err := o.Options.withDefaults()
 	if err != nil {
@@ -59,33 +60,44 @@ func DecomposeDistributed(x *tensor.Tensor, o DistributedOptions) (*DistributedR
 	for m, d := range x.Dims {
 		init[m] = mat.RandomUniform(d, opts.Rank, src)
 	}
-	plan := dplan.Build(x, o.Workers, o.Parts, o.Method)
-
-	job := &distJob{opts: opts, plan: plan, init: init}
-	cl := cluster.NewLocal(o.Workers)
-	stats, err := cl.Run(job.runWorker)
+	res, stats, err := decompose(x, init, opts, o.Workers, o.Parts, o.Method)
 	if err != nil {
 		return nil, err
 	}
-	if job.result == nil {
-		return nil, fmt.Errorf("completion: run completed without a result")
+	return &DistributedResult{Result: *res, Cluster: stats}, nil
+}
+
+// decompose is the one completion driver: the SPMD sweep loop on an
+// in-process cluster of the given shape, starting from factors. Rank 0
+// sweeps factors itself, so they end as the result's, updated in place;
+// every other rank sweeps a private copy.
+func decompose(x *tensor.Tensor, factors []*mat.Dense, opts Options, workers, parts int, method partition.Method) (*Result, *cluster.RunStats, error) {
+	replicas := make([][]*mat.Dense, workers)
+	replicas[0] = factors
+	for r := 1; r < workers; r++ {
+		replicas[r] = make([]*mat.Dense, len(factors))
+		for m, f := range factors {
+			replicas[r][m] = f.Clone()
+		}
 	}
-	return &DistributedResult{
-		Result:  Result{Factors: job.result, Iters: job.iters, RMSE: job.rmse, RMSETrace: job.trace},
-		Cluster: stats,
-	}, nil
+	job := &distJob{opts: opts, plan: dplan.Build(x, workers, parts, method), replicas: replicas}
+	stats, err := cluster.NewLocal(workers).Run(job.runWorker)
+	if err != nil {
+		return nil, nil, err
+	}
+	if job.result == nil {
+		return nil, nil, fmt.Errorf("completion: run completed without a result")
+	}
+	return job.result, stats, nil
 }
 
 type distJob struct {
-	opts Options
-	plan *dplan.Plan
-	init []*mat.Dense
+	opts     Options
+	plan     *dplan.Plan
+	replicas [][]*mat.Dense // per rank: the factors it sweeps
 
 	mu     sync.Mutex
-	result []*mat.Dense
-	iters  int
-	rmse   float64
-	trace  []float64
+	result *Result
 }
 
 func (j *distJob) runWorker(w *cluster.Worker) error {
@@ -94,10 +106,7 @@ func (j *distJob) runWorker(w *cluster.Worker) error {
 	r := j.opts.Rank
 	me := w.Rank()
 
-	full := make([]*mat.Dense, n)
-	for m := range full {
-		full[m] = j.init[m].Clone()
-	}
+	full := j.replicas[me]
 
 	// Group this worker's per-mode entries by row once; the pattern is
 	// fixed across sweeps, so the kernel is compiled once and amortised
@@ -183,10 +192,7 @@ func (j *distJob) runWorker(w *cluster.Worker) error {
 	}
 	if me == 0 {
 		j.mu.Lock()
-		j.result = result
-		j.iters = iters
-		j.trace = trace
-		j.rmse = trace[len(trace)-1]
+		j.result = &Result{Factors: result, Iters: iters, RMSE: trace[len(trace)-1], RMSETrace: trace}
 		j.mu.Unlock()
 	}
 	return nil

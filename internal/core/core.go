@@ -82,20 +82,20 @@ type Options struct {
 	// sample.DefaultSamples.
 	Samples int
 
-	// BroadcastRows replaces the subscription-based row exchange with a
-	// full broadcast of every owner's rows (ablation baseline; implied
-	// by the sampled solver).
-	BroadcastRows bool
-	// NaiveLoss recomputes the tensor-model inner product with a second
-	// pass over the entries instead of reusing the MTTKRP result
-	// (ablation baseline for the Section IV-B4 reuse).
-	NaiveLoss bool
-
 	// Obs receives planning-time instrumentation (complement extraction
 	// and partitioning spans, partition balance gauges). Per-rank compute
 	// instruments come from each Worker's own bundle, not this one. May
 	// be nil.
 	Obs *obs.Obs
+
+	// Ablation baselines, set only by this package's tests and
+	// benchmarks. broadcastRows replaces the subscription-based row
+	// exchange with a full broadcast of every owner's rows (implied by
+	// the sampled solver); naiveLoss recomputes the tensor-model inner
+	// product with a second pass over the entries instead of reusing the
+	// MTTKRP result (the Section IV-B4 reuse).
+	broadcastRows bool
+	naiveLoss     bool
 }
 
 func (o *Options) withDefaults() (Options, error) {
@@ -335,10 +335,10 @@ type rankComm struct {
 	exch      *dplan.Exchanger
 	broadcast bool
 	cBytes    *obs.Counter // allreduce.bytes: batched Gram payload bytes sent
-	naive     *naiveLoss   // non-nil under the NaiveLoss ablation
+	naive     *naiveLoss   // non-nil under the naiveLoss ablation
 }
 
-// naiveLoss is what the NaiveLoss ablation's second pass over the
+// naiveLoss is what the naiveLoss ablation's second pass over the
 // tensor data reads: the rank's last-mode entries and factor replicas.
 type naiveLoss struct {
 	entries []int32
@@ -361,7 +361,7 @@ func (c *rankComm) CollectRows(mode int, factor *mat.Dense) error {
 }
 
 // ReduceScalarSum sums the ranks' shares of the loss's tensor-model
-// inner product. Under the NaiveLoss ablation the share the engine
+// inner product. Under the naiveLoss ablation the share the engine
 // reused from its MTTKRP is discarded for one recomputed entry by entry
 // (the baseline Section IV-B4 improves on).
 func (c *rankComm) ReduceScalarSum(x float64) (float64, error) {
@@ -429,11 +429,11 @@ func (j *StepJob) bind(w *cluster.Worker, factors []*mat.Dense) *dtd.Sweep {
 	comm := &rankComm{
 		w:         w,
 		exch:      dplan.NewExchanger(w, j.plan),
-		broadcast: j.opts.BroadcastRows || smp != nil,
+		broadcast: j.opts.broadcastRows || smp != nil,
 		cBytes:    w.Obs().Counter("allreduce.bytes"),
 	}
 	eng := j.sweep.Bind(factors, kernels, owned, smp, comm, w.Obs())
-	if j.opts.NaiveLoss {
+	if j.opts.naiveLoss {
 		comm.naive = &naiveLoss{entries: j.plan.EntryLists[me][n-1], comp: comp, factors: eng.Factors(), tmp: make([]float64, j.opts.Rank)}
 	}
 	return eng

@@ -94,8 +94,8 @@ func TestAblationVariantsMatchDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opts := range map[string]Options{
-		"broadcast rows": {Rank: 3, MaxIters: 5, Tol: 0, Workers: 3, Method: partition.MTPMethod, Seed: 11, BroadcastRows: true},
-		"naive loss":     {Rank: 3, MaxIters: 5, Tol: 0, Workers: 3, Method: partition.MTPMethod, Seed: 11, NaiveLoss: true},
+		"broadcast rows": {Rank: 3, MaxIters: 5, Tol: 0, Workers: 3, Method: partition.MTPMethod, Seed: 11, broadcastRows: true},
+		"naive loss":     {Rank: 3, MaxIters: 5, Tol: 0, Workers: 3, Method: partition.MTPMethod, Seed: 11, naiveLoss: true},
 	} {
 		got, gotStats, err := Step(prev, full, opts)
 		if err != nil {
@@ -114,7 +114,7 @@ func TestBroadcastRowsCostsMoreTraffic(t *testing.T) {
 	full := sparseRandom([]int{300, 250, 200}, 1500, 13)
 	prev := initState(t, full.Prefix([]int{220, 200, 150}), 5, 15)
 	run := func(broadcast bool) int64 {
-		_, stats, err := Step(prev, full, Options{Rank: 5, MaxIters: 3, Tol: 0, Workers: 4, Method: partition.MTPMethod, Seed: 17, BroadcastRows: broadcast})
+		_, stats, err := Step(prev, full, Options{Rank: 5, MaxIters: 3, Tol: 0, Workers: 4, Method: partition.MTPMethod, Seed: 17, broadcastRows: broadcast})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestLossReuseCheaperThanNaive(t *testing.T) {
 	full := sparseRandom([]int{60, 50, 40}, 5000, 19)
 	prev := initState(t, full.Prefix([]int{45, 40, 30}), 5, 21)
 	run := func(naive bool) float64 {
-		_, stats, err := Step(prev, full, Options{Rank: 5, MaxIters: 3, Tol: 0, Workers: 2, Method: partition.GTPMethod, Seed: 23, NaiveLoss: naive})
+		_, stats, err := Step(prev, full, Options{Rank: 5, MaxIters: 3, Tol: 0, Workers: 2, Method: partition.GTPMethod, Seed: 23, naiveLoss: naive})
 		if err != nil {
 			t.Fatal(err)
 		}

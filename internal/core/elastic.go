@@ -63,9 +63,8 @@ type ElasticOptions struct {
 	World   int // total ranks in the world cluster, members + spares
 	Members int // initial members, world ranks 0..Members-1
 
-	// Chaos script, known to every rank (deterministic admission; the
-	// join/drain request RPCs are still exercised and polled at fences).
-	// KillAtStep[s] crashes that world rank at the start of sweep
+	// Chaos script, known to every rank: admission is deterministic, no
+	// join or drain request crosses the wire. KillAtStep[s] crashes that world rank at the start of sweep
 	// KillSweep of step s. JoinAtStep[s] admits that spare world rank at
 	// step s's fence; DrainAtStep[s] retires that member there.
 	KillAtStep  map[int]int
@@ -110,7 +109,8 @@ type ElasticOptions struct {
 
 	// PlaneReady, when set, is called once per world rank with that
 	// rank's freshly built plane, before any fence runs — the hook
-	// cmd/worker uses to mount /debug/cluster.
+	// cmd/worker uses to serve the plane on /debug/state and
+	// /debug/timeline.
 	PlaneReady func(world int, p *obscluster.Plane)
 }
 
@@ -348,7 +348,6 @@ func (j *ElasticJob) RunWorker(w *cluster.Worker) error {
 		if s < 0 {
 			return nil
 		}
-		cluster.RequestJoin(w)
 		av, cookie, err := cluster.AwaitAdopt(w)
 		if err != nil {
 			return fmt.Errorf("core: spare %d awaiting adoption: %w", me, err)
@@ -414,19 +413,14 @@ func (j *ElasticJob) stream(w *cluster.Worker, v cluster.View, vw *cluster.Worke
 // returned bool is false when this rank drained. With an empty change
 // and no pending rebalance the fence costs nothing.
 func (j *ElasticJob) fence(w *cluster.Worker, v cluster.View, vw *cluster.Worker, s int, prev *dtd.State, rs *rankStream) (cluster.View, *cluster.Worker, bool, error) {
-	// Drain pending membership RPCs; admission itself follows the shared
-	// script so every member fences identically without consensus on the
-	// request arrival order.
-	cluster.PollMembershipRequests(w)
+	// Admission follows the shared script, so every member derives the
+	// same change without exchanging requests.
 	vc := cluster.ViewChange{}
 	if r, ok := j.opts.JoinAtStep[s]; ok {
 		vc.Join = []int{r}
 	}
 	if r, ok := j.opts.DrainAtStep[s]; ok {
 		vc.Leave = []int{r}
-		if r == w.Rank() {
-			cluster.RequestDrain(w)
-		}
 	}
 	// The staged fire is consumed either way: a membership change
 	// re-partitions (with the new weights) on its own epoch bump.

@@ -288,8 +288,8 @@ func TestElasticFailPolicyStopsOnPeerDown(t *testing.T) {
 }
 
 // TestElasticStampsSpansWithStep: every member's spans carry the step
-// they were recorded in, so /debug/trace and the plane timeline can be
-// cut by step.
+// they were recorded in, so a worker's /debug/timeline — its own spans
+// or the plane's merged ones — can be cut by step.
 func TestElasticStampsSpansWithStep(t *testing.T) {
 	prev, snaps := elasticSeq(t, 3)
 	o := elasticBase(2, 2)

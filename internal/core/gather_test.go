@@ -86,7 +86,7 @@ func TestGatherMatchesOwnedRowAssembly(t *testing.T) {
 				set  func(*Options)
 			}{
 				{"subscribed", func(*Options) {}},
-				{"broadcast", func(o *Options) { o.BroadcastRows = true }},
+				{"broadcast", func(o *Options) { o.broadcastRows = true }},
 				{"sampled", func(o *Options) { o.Solver = sample.Sampled; o.Samples = 64 }},
 				{"parts<workers", func(o *Options) { o.Parts = (workers + 1) / 2 }},
 			} {

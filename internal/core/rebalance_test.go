@@ -8,14 +8,11 @@ package core
 // same fit as an uninterrupted run.
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"sync"
 	"testing"
 
 	"dismastd/internal/dtd"
-	"dismastd/internal/obs"
 	obscluster "dismastd/internal/obs/cluster"
 	"dismastd/internal/tensor"
 )
@@ -149,18 +146,9 @@ func TestRebalanceOnImbalanceChaos(t *testing.T) {
 	// hold spans from both epochs, and the scripted handicap spans —
 	// recorded every step — must appear re-stamped with the new epoch
 	// after the rebalance.
-	var buf bytes.Buffer
-	if err := planes[0].WriteTimelineJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
 	perEpoch := map[int64]int{}
 	chaosEpochs := map[int64]int{}
-	dec := json.NewDecoder(&buf)
-	for dec.More() {
-		var ev obs.SpanEvent
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatal(err)
-		}
+	for _, ev := range planes[0].Timeline() {
 		perEpoch[ev.Epoch]++
 		if ev.Name == "chaos/mttkrp" {
 			chaosEpochs[ev.Epoch]++

@@ -138,7 +138,8 @@ func (p *Plan) RankLoads() []float64 {
 // the elastic rebalanced rebuild (delta.go) share it. The entry and
 // owned-slice lists — the ones as long as the data — are sized by a
 // counting pass before they are filled; a list nothing lands in stays
-// nil.
+// nil. A one-worker plan (the completion driver's single-rank run)
+// skips the entry walks altogether.
 func (p *Plan) assemble() {
 	n := len(p.Dims)
 	t := p.Tensor
@@ -157,6 +158,21 @@ func (p *Plan) assemble() {
 		for i, w := range owner {
 			p.OwnedSlices[m][w] = append(p.OwnedSlices[m][w], int32(i))
 		}
+	}
+
+	if p.Workers == 1 {
+		// A lone worker holds every entry, in entry order, in every mode:
+		// one read-only list serves all of them.
+		all := sizedLists([]int{t.NNZ()})[0]
+		for e := 0; e < t.NNZ(); e++ {
+			all = append(all, int32(e))
+		}
+		p.EntryLists = [][][]int32{make([][]int32, n)}
+		for m := range p.EntryLists[0] {
+			p.EntryLists[0][m] = all
+		}
+		p.buildSubscriptions()
+		return
 	}
 
 	entries := make([][]int, p.Workers) // entries[w][m]: length of worker w's mode-m list
@@ -215,7 +231,8 @@ func (p *Plan) buildSubscriptions() {
 		for m := range found {
 			found[m] = found[m][:0]
 		}
-		for k := 0; k < n; k++ {
+		// A lone worker owns every row it reads, so it needs none.
+		for k := 0; p.Workers > 1 && k < n; k++ {
 			for _, e := range p.EntryLists[w][k] {
 				base := int(e) * n
 				for m := 0; m < n; m++ {

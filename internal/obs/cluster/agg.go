@@ -1,9 +1,7 @@
 package obscluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -44,7 +42,7 @@ type rankAgg struct {
 
 // Aggregator is the coordinator-side half of the fence: it absorbs
 // per-rank records into the cluster table and the merged timeline.
-// Guarded by a mutex so the HTTP handlers can read while a fence runs.
+// Guarded by a mutex so debug scrapes can read while a fence runs.
 type Aggregator struct {
 	mu    sync.RWMutex
 	cfg   Config
@@ -160,7 +158,7 @@ func (a *Aggregator) absorbLocal(rec *fenceRecord) {
 }
 
 // evaluate runs the detector over the freshly absorbed fence and stores
-// the decision for the HTTP snapshot.
+// the decision for Snapshot.
 func (a *Aggregator) evaluate(det *Detector, members []int, loads []float64, epoch int64, step int) Decision {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -208,7 +206,7 @@ type DetectorSnapshot struct {
 	LastFireStep int     `json:"last_fire_step"` // -1 before any fire
 }
 
-// Snapshot is the /debug/cluster document.
+// Snapshot is the cluster part of cmd/worker's /debug/state document.
 type Snapshot struct {
 	Epoch         int64             `json:"epoch"`
 	Step          int               `json:"step"`
@@ -262,11 +260,12 @@ func (p *Plane) Snapshot() Snapshot {
 	return s
 }
 
-// WriteTimelineJSONL exports the merged cluster timeline — every rank's
-// retained spans, world-rank stamped, ordered by span start — as one
-// JSON object per line. Start times are relative to each process's
-// tracer creation; on the in-process cluster they share one clock.
-func (p *Plane) WriteTimelineJSONL(w io.Writer) error {
+// Timeline copies the merged cluster timeline — every rank's retained
+// spans, world-rank stamped, ordered by span start; empty until this
+// rank has coordinated a fence. Start times are relative to each
+// process's tracer creation; on the in-process cluster they share one
+// clock.
+func (p *Plane) Timeline() []obs.SpanEvent {
 	a := p.agg
 	a.mu.RLock()
 	n := a.tlTotal
@@ -281,11 +280,5 @@ func (p *Plane) WriteTimelineJSONL(w io.Writer) error {
 	}
 	a.mu.RUnlock()
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Start < events[j].Start })
-	enc := json.NewEncoder(w)
-	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return nil
+	return events
 }

@@ -70,8 +70,8 @@ func (c Config) withDefaults() Config {
 // member constructs one (the aggregator and detector are only exercised
 // on whichever rank is view rank 0, but membership can shift across
 // epochs, so each rank keeps the full state ready). Not safe for
-// concurrent Fence calls; Snapshot and WriteTimelineJSONL are safe to
-// call from other goroutines (the HTTP handlers) while Fence runs.
+// concurrent Fence calls; Snapshot and Timeline are safe to call from
+// other goroutines (debug scrapes) while Fence runs.
 type Plane struct {
 	cfg Config
 	o   *obs.Obs
@@ -116,9 +116,6 @@ func NewPlane(cfg Config, o *obs.Obs, worldSize int) *Plane {
 	}
 	return p
 }
-
-// Aggregator exposes the coordinator-side state for the HTTP handlers.
-func (p *Plane) Aggregator() *Aggregator { return p.agg }
 
 // Fence runs one fence round of the plane. Every current member must
 // call it in lockstep: members is the view's world-rank list (view-rank

@@ -3,7 +3,6 @@ package obscluster
 import (
 	"bytes"
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -213,7 +212,7 @@ func TestTimelineEpochStamped(t *testing.T) {
 			return err
 		}
 		if w.Rank() == 0 {
-			return p.WriteTimelineJSONL(&buf)
+			return obs.WriteJSONL(&buf, p.Timeline())
 		}
 		return nil
 	})
@@ -248,11 +247,12 @@ func TestTimelineEpochStamped(t *testing.T) {
 	}
 }
 
-// TestConcurrentScrape hammers /debug/cluster, the timeline, and the
-// Prometheus endpoint from a scraper goroutine while 3 ranks run fences
-// — the race detector checks the locking, the assertions check no
-// scrape observes a torn table (rank fence counts can differ by at most
-// one mid-gather).
+// TestConcurrentScrape hammers the plane's read paths — Snapshot and
+// Timeline, what a worker's /debug/state and /debug/timeline serve —
+// and the registry's Prometheus encoding from a scraper goroutine while
+// 3 ranks run fences. The race detector checks the locking, the
+// assertions check no scrape observes a torn table (rank fence counts
+// can differ by at most one mid-gather) or an unordered timeline.
 func TestConcurrentScrape(t *testing.T) {
 	const m, rounds = 3, 40
 	c := cluster.NewLocal(m)
@@ -273,20 +273,14 @@ func TestConcurrentScrape(t *testing.T) {
 	var scrapeErr error
 	go func() {
 		defer close(done)
-		h := Handler(getPlane)
 		deadline := time.Now().Add(10 * time.Second)
 		for scraped < 200 && time.Now().Before(deadline) {
-			if getPlane() == nil {
+			p := getPlane()
+			if p == nil {
 				time.Sleep(time.Millisecond)
 				continue
 			}
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/cluster", nil))
-			var snap Snapshot
-			if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-				scrapeErr = err
-				return
-			}
+			snap := p.Snapshot()
 			lo, hi := int64(1<<62), int64(0)
 			for _, row := range snap.Ranks {
 				if row.Fences < lo {
@@ -304,11 +298,12 @@ func TestConcurrentScrape(t *testing.T) {
 				scrapeErr = &tornSnapshotError{lo: snap.Detector.Fired, hi: snap.Detector.Suggested}
 				return
 			}
-			rec = httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/cluster/timeline", nil))
-			if rec.Code != 200 {
-				scrapeErr = &tornSnapshotError{lo: int64(rec.Code)}
-				return
+			tl := p.Timeline()
+			for i := 1; i < len(tl); i++ {
+				if tl[i].Start < tl[i-1].Start {
+					scrapeErr = &tornSnapshotError{lo: int64(tl[i-1].Start), hi: int64(tl[i].Start)}
+					return
+				}
 			}
 			var prom bytes.Buffer
 			if err := rootObs.Reg.Snapshot().WritePrometheus(&prom); err != nil {
@@ -354,16 +349,3 @@ func TestConcurrentScrape(t *testing.T) {
 type tornSnapshotError struct{ lo, hi int64 }
 
 func (e *tornSnapshotError) Error() string { return "torn snapshot" }
-
-// TestHandlerBeforePlane pins the lazy-construction contract: the
-// endpoints answer 503, not panic, until the plane exists.
-func TestHandlerBeforePlane(t *testing.T) {
-	h := Handler(func() *Plane { return nil })
-	for _, path := range []string{"/debug/cluster", "/debug/cluster/timeline"} {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != 503 {
-			t.Errorf("%s before plane: status %d, want 503", path, rec.Code)
-		}
-	}
-}

@@ -1,8 +1,9 @@
 // Package obs is the repo's zero-dependency observability layer: a
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
 // histograms), a lightweight span tracer with an in-memory ring buffer
-// (trace.go), structured logging helpers over log/slog (log.go), and an
-// HTTP debug handler exposing all of it plus net/http/pprof (debug.go).
+// (trace.go), structured logging helpers over log/slog (log.go), the
+// Prometheus text encoder (prometheus.go) and a runtime sampler
+// (runtime.go). cmd/worker's -debug-addr listener serves them.
 //
 // The design constraint is the same as the workspace arena's: the hot
 // path must not allocate. Callers resolve named instruments once (at
@@ -21,8 +22,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -295,11 +294,4 @@ func (s MetricsSnapshot) Sub(base MetricsSnapshot) MetricsSnapshot {
 		}
 	}
 	return out
-}
-
-// WriteJSON writes the snapshot as indented JSON (expvar-style).
-func (s MetricsSnapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

@@ -11,9 +11,10 @@ import "runtime"
 //	runtime.goroutines      current goroutine count
 //
 // Sampling calls runtime.ReadMemStats, which stops the world briefly —
-// callers invoke it at step fences (once per streaming step), not per
-// sweep. The MemStats scratch is part of the sampler, so steady-state
-// sampling allocates nothing.
+// callers invoke it at step fences (once per streaming step) and per
+// /metrics scrape, never per sweep. The MemStats scratch is part of the
+// sampler, so steady-state sampling allocates nothing; Sample is not
+// safe for concurrent use, so each caller owns its sampler.
 type RuntimeSampler struct {
 	heapBytes   *Gauge
 	heapObjects *Gauge

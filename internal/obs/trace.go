@@ -273,10 +273,12 @@ func (t *Tracer) Phases() []PhaseStat {
 	return out
 }
 
-// WriteJSONL writes the retained spans as one JSON object per line.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
+// WriteJSONL writes span events as one JSON object per line — the one
+// timeline encoding, for a rank's own ring (Tracer.Events) and for the
+// cluster plane's merged timeline alike.
+func WriteJSONL(w io.Writer, events []SpanEvent) error {
 	enc := json.NewEncoder(w)
-	for _, ev := range t.Events() {
+	for _, ev := range events {
 		if err := enc.Encode(ev); err != nil {
 			return err
 		}

@@ -8,7 +8,7 @@ import (
 // TestTracerEpochStamping is the regression test around an epoch
 // transition: spans recorded before and after SetEpoch carry the old
 // and new view epoch respectively, both in the ring and in the JSONL
-// export that /debug/trace serves.
+// export that /debug/timeline serves.
 func TestTracerEpochStamping(t *testing.T) {
 	tr := NewTracer(16)
 	tr.Start("mode0/mttkrp").End()
@@ -25,7 +25,7 @@ func TestTracerEpochStamping(t *testing.T) {
 	}
 
 	var b strings.Builder
-	if err := tr.WriteJSONL(&b); err != nil {
+	if err := WriteJSONL(&b, tr.Events()); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")

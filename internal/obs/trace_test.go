@@ -81,7 +81,7 @@ func TestWriteJSONL(t *testing.T) {
 	tr.Start("loss").End()
 	tr.Start("mode1/solve").End()
 	var b strings.Builder
-	if err := tr.WriteJSONL(&b); err != nil {
+	if err := WriteJSONL(&b, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
