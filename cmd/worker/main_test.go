@@ -456,83 +456,137 @@ func readState(t *testing.T, path string) *dtd.State {
 	return st
 }
 
-// TestDebugServerServesProfilesAndMetrics pins the -debug-addr surface
-// a worker process exposes: exactly four families — /metrics (with
-// runtime gauges even without a plane), /debug/state, /debug/timeline
-// and /debug/pprof/ — where the state and the timeline show this rank's
-// own view until its plane has coordinated a fence and the cluster's
-// after. The paths this surface replaced answer 404.
-func TestDebugServerServesProfilesAndMetrics(t *testing.T) {
-	o := obs.New()
-	o.Counter("mttkrp.rows").Add(42)
-	sp := o.Span("mode0/mttkrp")
-	sp.End()
+// debugClient fetches from a debug server started on a free loopback
+// port; the server closes when the test ends.
+type debugClient struct {
+	t    *testing.T
+	base string
+}
 
-	var planeHolder atomic.Pointer[obscluster.Plane]
-	srv, addr, err := startDebugServer("127.0.0.1:0", o, planeHolder.Load)
+func newDebugClient(t *testing.T, o *obs.Obs, getPlane func() *obscluster.Plane) *debugClient {
+	t.Helper()
+	srv, addr, err := startDebugServer("127.0.0.1:0", o, getPlane)
 	if err != nil {
 		t.Skipf("loopback networking unavailable: %v", err)
 	}
-	defer srv.Close()
-	base := "http://" + addr.String()
+	t.Cleanup(func() { srv.Close() })
+	return &debugClient{t: t, base: "http://" + addr.String()}
+}
 
-	fetch := func(path string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		return resp.StatusCode, string(body)
+// fetch returns the status, body and content type of GET path.
+func (c *debugClient) fetch(path string) (int, string, string) {
+	c.t.Helper()
+	resp, err := http.Get(c.base + path)
+	if err != nil {
+		c.t.Fatalf("GET %s: %v", path, err)
 	}
-	get := func(path string) string {
-		t.Helper()
-		code, body := fetch(path)
-		if code != http.StatusOK {
-			t.Fatalf("GET %s: status %d: %s", path, code, body)
-		}
-		return body
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		c.t.Fatalf("GET %s: %v", path, err)
 	}
-	state := func() debugState {
-		t.Helper()
-		var st debugState
-		if err := json.Unmarshal([]byte(get("/debug/state")), &st); err != nil {
-			t.Fatalf("/debug/state: %v", err)
-		}
-		return st
+	return resp.StatusCode, string(body), resp.Header.Get("Content-Type")
+}
+
+// get is fetch for a path that must answer 200; it returns the body.
+func (c *debugClient) get(path string) string {
+	c.t.Helper()
+	code, body, _ := c.fetch(path)
+	if code != http.StatusOK {
+		c.t.Fatalf("GET %s: status %d: %s", path, code, body)
 	}
+	return body
+}
+
+func (c *debugClient) state() debugState {
+	c.t.Helper()
+	var st debugState
+	if err := json.Unmarshal([]byte(c.get("/debug/state")), &st); err != nil {
+		c.t.Fatalf("/debug/state: %v", err)
+	}
+	return st
+}
+
+// TestDebugServerEndpoints pins the -debug-addr surface a worker process
+// exposes: exactly four families — /metrics, /debug/state,
+// /debug/timeline and /debug/pprof/ — each with its content type. The
+// paths this surface replaced answer 404.
+func TestDebugServerEndpoints(t *testing.T) {
+	o := obs.New()
+	o.Counter("transport.reconnects").Add(3)
+	o.Trace.SetRank(1)
+	o.Span("mode0/mttkrp").End()
+	o.Span("loss").End()
+	c := newDebugClient(t, o, func() *obscluster.Plane { return nil })
 
 	for _, path := range []string{"/debug/metrics", "/debug/vars", "/debug/phases", "/debug/trace", "/debug/cluster", "/debug/cluster/timeline"} {
-		if code, _ := fetch(path); code != http.StatusNotFound {
+		if code, _, _ := c.fetch(path); code != http.StatusNotFound {
 			t.Errorf("GET %s: status %d, want 404", path, code)
 		}
 	}
-	body := get("/metrics")
+	if code, body, ct := c.fetch("/metrics"); code != http.StatusOK || !strings.Contains(body, "transport_reconnects 3") || !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("/metrics = %d %q (%s)", code, body, ct)
+	}
+	if code, body, ct := c.fetch("/debug/state"); code != http.StatusOK || !strings.Contains(body, `"loss"`) || ct != "application/json" {
+		t.Fatalf("/debug/state = %d %q (%s)", code, body, ct)
+	}
+	code, body, ct := c.fetch("/debug/timeline")
+	if code != http.StatusOK || ct != "application/x-ndjson" {
+		t.Fatalf("/debug/timeline = %d (%s)", code, ct)
+	}
+	lines := strings.Split(strings.TrimSpace(body), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], "mode0/mttkrp") || !strings.Contains(lines[1], `"loss"`) {
+		t.Fatalf("/debug/timeline = %q", body)
+	}
+	// The pprof index and a cheap profile; the CPU profile is fetched in
+	// TestDebugServerServesProfilesAndMetrics.
+	if body := c.get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
+		t.Fatalf("/debug/pprof/ = %q", body)
+	}
+	if body := c.get("/debug/pprof/heap?debug=1"); !strings.Contains(body, "heap profile") {
+		t.Fatalf("/debug/pprof/heap = %q", body)
+	}
+}
+
+// TestDebugServerBeforePlane checks that the state and the timeline
+// answer before the plane has coordinated a fence — with no plane, and
+// with one that has not fenced yet — and show this rank's own view.
+func TestDebugServerBeforePlane(t *testing.T) {
+	o := obs.New()
+	o.Span("mode0/mttkrp").End()
+	var planeHolder atomic.Pointer[obscluster.Plane]
+	c := newDebugClient(t, o, planeHolder.Load)
+
+	for _, stage := range []string{"no plane", "plane before its first fence"} {
+		st := c.state()
+		if st.Cluster != nil || len(st.Phases) != 1 || st.Phases[0].Name != "mode0/mttkrp" {
+			t.Fatalf("%s: /debug/state = %+v, want this rank's one phase and no cluster", stage, st)
+		}
+		if body := c.get("/debug/timeline"); !strings.Contains(body, `"mode0/mttkrp"`) {
+			t.Fatalf("%s: /debug/timeline missing the rank's span: %s", stage, body)
+		}
+		planeHolder.Store(obscluster.NewPlane(obscluster.Config{}, o, 1))
+	}
+}
+
+// TestDebugServerServesProfilesAndMetrics checks the debug server over a
+// plane's first fence: /metrics carries runtime gauges even without a
+// plane and the plane's counters after, concurrent scrapes are safe, the
+// state and the timeline become the cluster's once the plane has fenced,
+// and a CPU profile comes back as pprof.
+func TestDebugServerServesProfilesAndMetrics(t *testing.T) {
+	o := obs.New()
+	o.Counter("mttkrp.rows").Add(42)
+	o.Span("mode0/mttkrp").End()
+	var planeHolder atomic.Pointer[obscluster.Plane]
+	c := newDebugClient(t, o, planeHolder.Load)
+
+	body := c.get("/metrics")
 	if !strings.Contains(body, "mttkrp_rows 42") {
 		t.Fatalf("/metrics missing Prometheus counter: %s", body)
 	}
 	if !strings.Contains(body, "runtime_heap_bytes") {
 		t.Fatalf("/metrics without a plane lacks runtime gauges: %s", body)
-	}
-	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
-		t.Fatalf("/debug/pprof/ = %q", body)
-	}
-
-	// Before the plane has coordinated a fence — with no plane, and with
-	// one that has not fenced yet — both views are this rank's own.
-	for _, stage := range []string{"no plane", "plane before its first fence"} {
-		st := state()
-		if st.Cluster != nil || len(st.Phases) != 1 || st.Phases[0].Name != "mode0/mttkrp" {
-			t.Fatalf("%s: /debug/state = %+v, want this rank's one phase and no cluster", stage, st)
-		}
-		if body := get("/debug/timeline"); !strings.Contains(body, `"mode0/mttkrp"`) {
-			t.Fatalf("%s: /debug/timeline missing the rank's span: %s", stage, body)
-		}
-		planeHolder.Store(obscluster.NewPlane(obscluster.Config{}, o, 1))
 	}
 
 	// One fence on a one-rank cluster: the plane merges the spans
@@ -540,13 +594,14 @@ func TestDebugServerServesProfilesAndMetrics(t *testing.T) {
 	// only after the record was cut, so a timeline carrying it is the
 	// rank's, one without it the plane's. Concurrent scrapes meanwhile
 	// share the listener's runtime sampler (and race the fence's own).
+	planeHolder.Store(obscluster.NewPlane(obscluster.Config{}, o, 1))
 	var scrapers sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		scrapers.Add(1)
 		go func() {
 			defer scrapers.Done()
 			for j := 0; j < 5; j++ {
-				resp, err := http.Get(base + "/metrics")
+				resp, err := http.Get(c.base + "/metrics")
 				if err != nil {
 					t.Errorf("concurrent /metrics: %v", err)
 					return
@@ -565,21 +620,21 @@ func TestDebugServerServesProfilesAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	scrapers.Wait()
-	st := state()
+	st := c.state()
 	if st.Cluster == nil || st.Cluster.Fences != 1 || len(st.Cluster.Ranks) != 1 {
 		t.Fatalf("/debug/state after a fence = %+v, want the one-fence cluster table", st.Cluster)
 	}
-	body = get("/debug/timeline")
+	body = c.get("/debug/timeline")
 	if !strings.Contains(body, `"mode0/mttkrp"`) || strings.Contains(body, `"plane/fence"`) {
 		t.Fatalf("/debug/timeline after a fence is not the plane's merged timeline: %s", body)
 	}
-	if body := get("/metrics"); !strings.Contains(body, "plane_fences 1") {
+	if body := c.get("/metrics"); !strings.Contains(body, "plane_fences 1") {
 		t.Fatalf("/metrics missing the plane's fence counter: %s", body)
 	}
 
 	// A short CPU profile must come back as a valid (gzipped) pprof
 	// payload — the acceptance check `go tool pprof <addr>` depends on.
-	prof := get("/debug/pprof/profile?seconds=1")
+	prof := c.get("/debug/pprof/profile?seconds=1")
 	if len(prof) == 0 || prof[0] != 0x1f {
 		t.Fatalf("profile response does not look like gzipped pprof (%d bytes)", len(prof))
 	}
