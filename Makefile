@@ -1,8 +1,9 @@
 GO ?= go
 
 # Packages exercising the distributed machinery; these are the ones the
-# race detector must stay clean on.
-CLUSTER_PKGS = ./internal/cluster/... ./internal/core/... ./internal/dplan/... ./cmd/worker/...
+# race detector must stay clean on. The root package is one of them:
+# every Stream boundary and every Complete runs on a cluster.Local.
+CLUSTER_PKGS = . ./internal/cluster/... ./internal/core/... ./internal/dplan/... ./cmd/worker/...
 
 # The workspace-threaded numeric stack. Workspaces are per-worker by
 # contract (see DESIGN.md, "Memory model"); the race detector over these

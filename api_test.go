@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dismastd"
+	"dismastd/internal/dtd"
+	"dismastd/internal/xrand"
 )
 
 // growingRatings builds a small nested pair of rating snapshots through
@@ -25,11 +27,20 @@ func growingRatings(t *testing.T) (*dismastd.Tensor, *dismastd.Tensor) {
 	return x.Prefix([]int{5, 5, 3}), x
 }
 
+// TestStreamCentralizedAndDistributedAgree pins the one engine behind
+// every Workers value: at one worker the stream is the dtd.Init →
+// dtd.Step chain bit for bit, at three it agrees to reordering
+// tolerance, and every boundary — the first one included — runs on the
+// cluster and reports its traffic and partition balance.
 func TestStreamCentralizedAndDistributedAgree(t *testing.T) {
 	first, second := growingRatings(t)
-	run := func(workers int) []*dismastd.Dense {
-		s := dismastd.NewStream(dismastd.Options{Rank: 2, MaxIters: 8, Seed: 3, Workers: workers, Partitioner: dismastd.MTP})
-		if _, err := s.Ingest(first); err != nil {
+	opts := dismastd.Options{Rank: 2, MaxIters: 8, Seed: 3, Partitioner: dismastd.MTP}
+	run := func(workers int) ([]*dismastd.Dense, *dismastd.StepReport) {
+		o := opts
+		o.Workers = workers
+		s := dismastd.NewStream(o)
+		initRep, err := s.Ingest(first)
+		if err != nil {
 			t.Fatal(err)
 		}
 		rep, err := s.Ingest(second)
@@ -42,10 +53,31 @@ func TestStreamCentralizedAndDistributedAgree(t *testing.T) {
 		if s.Snapshots() != 2 {
 			t.Fatalf("Snapshots = %d", s.Snapshots())
 		}
-		return s.Factors()
+		return s.Factors(), initRep
 	}
-	central := run(1)
-	distributed := run(3)
+	central, _ := run(1)
+	distributed, initRep := run(3)
+
+	dopts := dtd.Options{Rank: opts.Rank, MaxIters: opts.MaxIters, Seed: opts.Seed}
+	st, _, err := dtd.Init(first, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dopts.Seed = xrand.Derive(opts.Seed, 1)
+	if st, _, err = dtd.Step(st, second, dopts); err != nil {
+		t.Fatal(err)
+	}
+	for m := range central {
+		for i, v := range central[m].Data {
+			if math.Float64bits(v) != math.Float64bits(st.Factors[m].Data[i]) {
+				t.Fatalf("Workers 1: mode %d element %d is %v, dtd chain %v", m, i, v, st.Factors[m].Data[i])
+			}
+		}
+	}
+
+	if initRep.BytesOnWire <= 0 || len(initRep.Imbalance) != first.Order() {
+		t.Fatalf("Workers 3 first boundary: BytesOnWire %d, Imbalance %v — not run on the cluster", initRep.BytesOnWire, initRep.Imbalance)
+	}
 	for m := range central {
 		for i := range central[m].Data {
 			if d := math.Abs(central[m].Data[i] - distributed[m].Data[i]); d > 1e-7 {

@@ -44,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	rank := fs.Int("rank", 10, "number of CP components R")
 	iters := fs.Int("iters", 10, "maximum ALS sweeps per snapshot")
 	mu := fs.Float64("mu", 0.8, "forgetting factor in (0, 1]")
-	workers := fs.Int("workers", 1, "worker count (1 = centralized DTD, >1 = distributed DisMASTD)")
+	workers := fs.Int("workers", 1, "in-process cluster size every snapshot runs DisMASTD on (1 = centralized DTD, bit for bit)")
 	threads := fs.Int("threads", 0, "compute threads per worker (0 = GOMAXPROCS); results are identical at every value")
 	solver := fs.String("solver", "exact", "least-squares strategy: exact (full MTTKRP) or sampled (leverage-score sketch, sublinear in nnz)")
 	samples := fs.Int("samples", 0, "sketch size per mode for -solver sampled (0 = default 8192)")

@@ -115,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	serveHTTP := fs.String("serve-http", "", "serve mode: run the online ingest/query front end on this address (e.g. 127.0.0.1:8080)")
 	statePath := fs.String("state", "", "serve mode: model checkpoint path — resumed at start if present, written on shutdown")
 	sweepEvery := fs.Int("sweep-every", 4096, "serve mode: run the drift-backstop full ALS sweep once this many events are pending (0 = only on /flush and shutdown)")
-	workers := fs.Int("workers", 1, "serve mode: decomposition engine workers (1 = centralized DTD, >1 = in-process distributed DisMASTD)")
+	workers := fs.Int("workers", 1, "serve mode: in-process cluster size every sweep runs DisMASTD on (1 = centralized DTD, bit for bit)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "serve mode: bound on draining in-flight requests at shutdown")
 	size := fs.Int("size", 0, "rendezvous mode: cluster size")
 	joinWindow := fs.Duration("join-window", 0, "rendezvous mode: bound on total cluster formation time (0 = none)")

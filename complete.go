@@ -20,19 +20,17 @@ type CompletionOptions struct {
 	Lambda float64
 	// Seed makes runs reproducible. Default 1.
 	Seed uint64
-	// Workers selects the engine: 0 or 1 (default) runs centralized
-	// weighted ALS; >1 distributes the fit across an in-process cluster
-	// (the result is identical bit for bit — completion has no
-	// cross-row reductions to reorder).
+	// Workers is the size of the in-process cluster the fit runs on;
+	// 0 or 1 (default) is one rank. The result is identical bit for bit
+	// at every size — completion has no cross-row reductions to reorder.
 	Workers int
-	// Parts is the number of tensor partitions per mode for the
-	// distributed engine; defaults to Workers.
+	// Parts is the number of tensor partitions per mode; defaults to
+	// Workers.
 	Parts int
-	// Partitioner chooses GTP or MTP for the distributed engine.
+	// Partitioner chooses GTP or MTP.
 	Partitioner Partitioner
-	// Threads sizes the shared-memory pool the sweep (or, with
-	// Workers > 1, each worker) runs on. 0 or 1 means sequential;
-	// results are bitwise identical at every value.
+	// Threads sizes the shared-memory pool each worker runs on. 0 or 1
+	// means sequential; results are bitwise identical at every value.
 	Threads int
 }
 
@@ -51,20 +49,12 @@ type CompletionResult struct {
 // recommendation setting of the paper's introduction, where missing
 // ratings are predicted from the latent factors with Predict. Unlike
 // Decompose, unobserved cells do not pull predictions toward zero.
-// With Workers > 1 the fit runs on an in-process worker cluster.
+// The fit runs on an in-process cluster of Workers ranks.
 func Complete(x *Tensor, opts CompletionOptions) (*CompletionResult, error) {
-	iopts := opts.internal()
-	if opts.Workers > 1 {
-		res, err := completion.DecomposeDistributed(x, completion.DistributedOptions{
-			Options: iopts, Workers: opts.Workers, Parts: opts.Parts,
-			Method: partition.Method(opts.Partitioner),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &CompletionResult{Factors: res.Factors, Iters: res.Iters, RMSE: res.RMSE}, nil
-	}
-	res, err := completion.Decompose(x, iopts)
+	res, err := completion.DecomposeDistributed(x, completion.DistributedOptions{
+		Options: opts.internal(), Workers: max(opts.Workers, 1), Parts: opts.Parts,
+		Method: partition.Method(opts.Partitioner),
+	})
 	if err != nil {
 		return nil, err
 	}

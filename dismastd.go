@@ -18,10 +18,10 @@
 //	score := stream.Predict([]int{u, p, t})    // reconstruct any cell
 //
 // Snapshots must nest: each one contains the previous as a prefix
-// sub-tensor (the multi-aspect streaming model). Set Workers to 1 for
-// the centralized dynamic algorithm (DTD), or higher to run the
-// distributed algorithm on an in-process worker cluster with GTP or MTP
-// partitioning.
+// sub-tensor (the multi-aspect streaming model). Every snapshot runs
+// the distributed algorithm on an in-process cluster of Workers ranks
+// with GTP or MTP partitioning; at 1 (the default) that is the
+// centralized dynamic algorithm (DTD) bit for bit.
 //
 // The building blocks are exported too: static CP-ALS (Decompose), the
 // partitioning heuristics (PartitionSlices), paper-shaped dataset

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,13 +13,18 @@ import (
 	"testing"
 )
 
-// TestDocsNameOnlyWhatShips holds the prose to the binaries: every
+// TestDocsNameOnlyWhatShips holds the prose to the code: every
 // standalone backticked `-flag` in the user-facing documents must be
 // registered by some cmd/*/main.go (as fs.String("name", …) and the
-// other typed variants), and every backticked `/metrics` or
-// `/debug/...` path must be served by a pattern cmd/worker registers on
-// a mux. Both sides are read with go/parser, so renaming or deleting a
-// flag or an endpoint without its documentation fails here.
+// other typed variants), every backticked `/metrics` or `/debug/...`
+// path must be served by a pattern cmd/worker registers on a mux, and
+// every backticked `pkg.Ident` whose pkg names a package of this module
+// must name a top-level declaration of that package (a `Type.Member`
+// after it is not checked). A name the code spells in a string — a
+// metric, span or benchmark row such as `mttkrp.rows` — is not an
+// identifier and passes. All sides are read with go/parser, so
+// renaming or deleting a flag, an endpoint or a declaration without its
+// documentation fails here.
 func TestDocsNameOnlyWhatShips(t *testing.T) {
 	flags := map[string]bool{}
 	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
@@ -66,7 +72,15 @@ func TestDocsNameOnlyWhatShips(t *testing.T) {
 		t.Fatalf("parsing found %d flags and mux patterns %v, missing -debug-addr or /metrics", len(flags), patterns)
 	}
 
+	decls, spelled := moduleNames(t)
+	if !decls["dismastd"]["NewStream"] || !decls["obscluster"]["NewPlane"] {
+		t.Fatalf("parsing found %d packages, missing dismastd.NewStream or obscluster.NewPlane", len(decls))
+	}
+
 	flagSpan := regexp.MustCompile(`^-([a-z][a-z0-9-]*)(=|\s|$)`)
+	// A qualified identifier not itself qualified or inside a path: the
+	// `/` keeps file names like internal/mat/mat.go out.
+	qualified := regexp.MustCompile(`(^|[^\w./])` + qualifiedName)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", filepath.Join(".claude", "skills", "verify", "SKILL.md")} {
 		for _, c := range codeSpans(t, doc) {
 			if m := flagSpan.FindStringSubmatch(c.text); m != nil && !flags[m[1]] {
@@ -78,8 +92,98 @@ func TestDocsNameOnlyWhatShips(t *testing.T) {
 					t.Errorf("%s:%d: `%s` names endpoint %s, which the worker's debug listener does not serve", doc, c.line, c.text, path)
 				}
 			}
+			for _, m := range qualified.FindAllStringSubmatch(c.text, -1) {
+				pkg, ident := m[2], m[3]
+				if names, ok := decls[pkg]; ok && !names[ident] && !spelled[pkg+"."+ident] {
+					t.Errorf("%s:%d: `%s` names %s.%s, which package %s does not declare", doc, c.line, c.text, pkg, ident, pkg)
+				}
+			}
 		}
 	}
+}
+
+// qualifiedName matches pkg.Ident, capturing both parts.
+const qualifiedName = `([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`
+
+// moduleNames parses every Go file of this module. decls holds the
+// top-level declarations — functions, types, variables and constants,
+// test files included — of every importable package, keyed by the name
+// the documents qualify it with: dismastd for the root, obscluster for
+// internal/obs/cluster, the directory's name otherwise. spelled holds
+// the leading pkg.Ident of every string literal, main packages
+// included.
+func moduleNames(t *testing.T) (decls map[string]map[string]bool, spelled map[string]bool) {
+	t.Helper()
+	decls, spelled = map[string]map[string]bool{}, map[string]bool{}
+	leading := regexp.MustCompile(`^` + qualifiedName)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		pkgs, err := parser.ParseDir(fset, dir, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for name, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						if v, err := strconv.Unquote(lit.Value); err == nil {
+							if m := leading.FindString(v); m != "" {
+								spelled[m] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+			if name == "main" || strings.HasSuffix(name, "_test") {
+				continue
+			}
+			key := filepath.Base(dir)
+			switch filepath.ToSlash(dir) {
+			case ".":
+				key = "dismastd"
+			case "internal/obs/cluster":
+				key = "obscluster"
+			}
+			if decls[key] != nil {
+				t.Fatalf("two packages are qualified as %s", key)
+			}
+			names := map[string]bool{}
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					switch decl := decl.(type) {
+					case *ast.FuncDecl:
+						if decl.Recv == nil {
+							names[decl.Name.Name] = true
+						}
+					case *ast.GenDecl:
+						for _, spec := range decl.Specs {
+							switch spec := spec.(type) {
+							case *ast.TypeSpec:
+								names[spec.Name.Name] = true
+							case *ast.ValueSpec:
+								for _, n := range spec.Names {
+									names[n.Name] = true
+								}
+							}
+						}
+					}
+				}
+			}
+			decls[key] = names
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decls, spelled
 }
 
 // eachCall parses one Go file and calls fn for every call of a method

@@ -60,15 +60,6 @@ type Options struct {
 	// value (see internal/par).
 	Threads int
 
-	// RankWeights optionally skews the partitioning by per-rank cost
-	// weights (index = rank, length = Workers): the planner minimises
-	// weighted completion time, so a rank with weight 2 — twice the
-	// measured cost per entry — receives roughly half the entries. Nil
-	// means uniform and reproduces the unweighted plan bitwise. The
-	// elastic driver's imbalance detector feeds EWMA-derived weights in
-	// here when a fence-time rebalance fires.
-	RankWeights []float64
-
 	// Solver selects each rank's least-squares strategy: sample.Exact
 	// (default) sweeps the rank's full entry lists; sample.Sampled runs
 	// the leverage-score sketch of internal/sample over the rank's
@@ -87,6 +78,15 @@ type Options struct {
 	// instruments come from each Worker's own bundle, not this one. May
 	// be nil.
 	Obs *obs.Obs
+
+	// rankWeights optionally skews the partitioning by per-rank cost
+	// weights (index = rank, length = Workers): the planner minimises
+	// weighted completion time, so a rank with weight 2 — twice the
+	// measured cost per entry — receives roughly half the entries. Nil
+	// means uniform and reproduces the unweighted plan bitwise. Only the
+	// elastic driver sets it: its imbalance detector feeds EWMA-derived
+	// weights in here when a fence-time rebalance fires.
+	rankWeights []float64
 
 	// Ablation baselines, set only by this package's tests and
 	// benchmarks. broadcastRows replaces the subscription-based row
@@ -130,8 +130,8 @@ func (o *Options) withDefaults() (Options, error) {
 	if opts.Threads < 0 {
 		return opts, fmt.Errorf("core: negative thread count %d", opts.Threads)
 	}
-	if opts.RankWeights != nil && len(opts.RankWeights) != opts.Workers {
-		return opts, fmt.Errorf("core: %d rank weights for %d workers", len(opts.RankWeights), opts.Workers)
+	if opts.rankWeights != nil && len(opts.rankWeights) != opts.Workers {
+		return opts, fmt.Errorf("core: %d rank weights for %d workers", len(opts.rankWeights), opts.Workers)
 	}
 	if opts.Threads == 0 {
 		opts.Threads = 1
@@ -243,7 +243,7 @@ func NewStepJob(prev *dtd.State, snapshot *tensor.Tensor, o Options) (*StepJob, 
 		}
 	}
 	sp := opts.Obs.Span("plan/partition")
-	plan := dplan.BuildWeighted(sweep.Complement(), opts.Workers, opts.Parts, opts.Method, opts.RankWeights)
+	plan := dplan.BuildWeighted(sweep.Complement(), opts.Workers, opts.Parts, opts.Method, opts.rankWeights)
 	sp.End()
 	if opts.Obs != nil {
 		for _, mp := range plan.ModePlans {

@@ -64,21 +64,13 @@ type ElasticOptions struct {
 	Members int // initial members, world ranks 0..Members-1
 
 	// Chaos script, known to every rank: admission is deterministic, no
-	// join or drain request crosses the wire. KillAtStep[s] crashes that world rank at the start of sweep
-	// KillSweep of step s. JoinAtStep[s] admits that spare world rank at
-	// step s's fence; DrainAtStep[s] retires that member there.
+	// join or drain request crosses the wire. KillAtStep[s] crashes that
+	// world rank mid-step s, at the start of its second sweep.
+	// JoinAtStep[s] admits that spare world rank at step s's fence;
+	// DrainAtStep[s] retires that member there.
 	KillAtStep  map[int]int
-	KillSweep   int // default 1
 	JoinAtStep  map[int]int
 	DrainAtStep map[int]int
-
-	// SlowRanks scripts heterogeneous hardware: world rank → extra
-	// compute nanoseconds per unit of planned load, burned inside a
-	// compute-phase span every step. The observability plane sees the
-	// padding exactly as it would a member with slower cores, which is
-	// what the rebalance chaos tests use to provoke the detector
-	// deterministically.
-	SlowRanks map[int]float64
 
 	// FailOnPeerDown makes a mid-step rank death fatal: every survivor's
 	// RunWorker returns the rank-attributed ErrPeerDown instead of
@@ -112,7 +104,19 @@ type ElasticOptions struct {
 	// cmd/worker uses to serve the plane on /debug/state and
 	// /debug/timeline.
 	PlaneReady func(world int, p *obscluster.Plane)
+
+	// slowRanks, set only by this package's tests, scripts heterogeneous
+	// hardware: world rank → extra compute nanoseconds per unit of
+	// planned load, burned inside a compute-phase span every step. The
+	// observability plane sees the padding exactly as it would a member
+	// with slower cores, which is what the rebalance chaos test uses to
+	// provoke the detector deterministically.
+	slowRanks map[int]float64
 }
+
+// killSweep is the 0-based sweep at whose start a KillAtStep victim
+// crashes: one completed sweep into its step.
+const killSweep = 1
 
 // TransitionStats records one membership transition (a fence-admitted
 // join/drain or a mid-step failure recovery).
@@ -160,9 +164,6 @@ func NewElasticJob(prev *dtd.State, snapshots []*tensor.Tensor, o ElasticOptions
 	if o.Members <= 0 || o.World < o.Members {
 		return nil, fmt.Errorf("core: world %d with %d initial members", o.World, o.Members)
 	}
-	if o.KillSweep <= 0 {
-		o.KillSweep = 1
-	}
 	probe := o.Options
 	probe.Workers = o.Members
 	if _, err := probe.withDefaults(); err != nil {
@@ -191,7 +192,7 @@ func NewElasticJob(prev *dtd.State, snapshots []*tensor.Tensor, o ElasticOptions
 			return nil, fmt.Errorf("core: drain of rank %d scripted at step %d", r, s)
 		}
 	}
-	for r, h := range o.SlowRanks {
+	for r, h := range o.slowRanks {
 		if r < 0 || r >= o.World || h < 0 || math.IsNaN(h) {
 			return nil, fmt.Errorf("core: scripted handicap %v on rank %d of world %d", h, r, o.World)
 		}
@@ -236,7 +237,7 @@ func (j *ElasticJob) stepOpts(v cluster.View, rs *rankStream) Options {
 		for i, world := range v.Members {
 			rw[i] = rs.weightByWorld[world]
 		}
-		opts.RankWeights = rw
+		opts.rankWeights = rw
 	}
 	return opts
 }
@@ -277,7 +278,7 @@ func (j *ElasticJob) newRankStream(w *cluster.Worker) *rankStream {
 // fence and folds the broadcast weights into the world-keyed table.
 func (j *ElasticJob) obsFence(vw *cluster.Worker, v cluster.View, rs *rankStream, job *StepJob, s int) error {
 	loads := job.plan.RankLoads()
-	for i, rw := range job.opts.RankWeights {
+	for i, rw := range job.opts.rankWeights {
 		loads[i] *= rw
 	}
 	dec, err := rs.plane.Fence(vw, v.Members, v.Epoch, s, loads)
@@ -540,7 +541,7 @@ func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	eng := job.bind(vw, nil)
 	defer func() { eng.Close() }()
 	scriptedCrash := func(sweep int) error {
-		if r, ok := j.opts.KillAtStep[s]; ok && r == w.Rank() && sweep == j.opts.KillSweep {
+		if r, ok := j.opts.KillAtStep[s]; ok && r == w.Rank() && sweep == killSweep {
 			return fmt.Errorf("%w: rank %d at step %d sweep %d", ErrScriptedCrash, r, s, sweep)
 		}
 		return nil
@@ -594,11 +595,11 @@ func (j *ElasticJob) stepDone(vw *cluster.Worker, job *StepJob, trace []float64,
 // nanoseconds proportional to the planned load it was assigned —
 // inside a compute-phase span, so the plane's detector observes it as
 // genuinely slower hardware. A no-op unless the rank is scripted in
-// SlowRanks. The "/mttkrp" suffix is what routes the padding into the
+// slowRanks. The "/mttkrp" suffix is what routes the padding into the
 // detector's compute-time statistic (obs.PhaseOf); the "chaos/" prefix
 // keeps it distinguishable from real kernels in timelines.
 func (j *ElasticJob) chaosSlow(w, vw *cluster.Worker, job *StepJob) {
-	h := j.opts.SlowRanks[w.Rank()]
+	h := j.opts.slowRanks[w.Rank()]
 	if h <= 0 {
 		return
 	}
@@ -699,7 +700,7 @@ func (j *StepJob) withPlan(plan *dplan.Plan, workers int) *StepJob {
 	// (partition.Rebalance), ignoring cost weights — and the old weights
 	// are sized for the old view anyway. The next step's fresh plan
 	// re-applies the detector's world-keyed weights via stepOpts.
-	opts.RankWeights = nil
+	opts.rankWeights = nil
 	return &StepJob{
 		opts:   opts,
 		sweep:  j.sweep,

@@ -58,7 +58,7 @@ func TestRebalanceOnImbalanceChaos(t *testing.T) {
 	// padding dwarfs the real per-sweep kernels, so the duration CV the
 	// detector sees is ≈ the CV of {1,1,3} ≈ 0.57, comfortably over the
 	// threshold, and the derived cost weights are ≈ {0.6, 0.6, 1.8}.
-	o.SlowRanks = map[int]float64{0: 12e3, 1: 12e3, 2: 36e3}
+	o.slowRanks = map[int]float64{0: 12e3, 1: 12e3, 2: 36e3}
 	o.Plane = &obscluster.Config{
 		Detector:    obscluster.DetectorConfig{Threshold: threshold, Cooldown: 100},
 		TimelineCap: 1 << 16, // keep every pre-transition span for the epoch checks

@@ -207,8 +207,11 @@ func TestCoreGoldenEveryLayout(t *testing.T) {
 // dtd.Step and a one-worker core.Step run the same engine, so factors
 // and the whole loss trace agree bit for bit under every partitioning
 // method, thread count and solver — and under the exact solver both sit
-// on the DTD golden hash. The layout=coo arms hold the one-worker core
-// step (compiled) to the same sweep run over the COO oracle.
+// on the DTD golden hash. The same holds from the empty state, where
+// the one-worker step is dtd.Init: that is what lets a one-worker
+// dismastd.Stream run its first snapshot on the session too. The
+// layout=coo arms hold the one-worker core step (compiled) to the same
+// sweep run over the COO oracle.
 func TestCoreOneWorkerIsDTD(t *testing.T) {
 	for _, solver := range []sample.Kind{sample.Exact, sample.Sampled} {
 		for _, method := range []partition.Method{partition.GTPMethod, partition.MTPMethod} {
@@ -217,35 +220,44 @@ func TestCoreOneWorkerIsDTD(t *testing.T) {
 					t.Run(fmt.Sprintf("solver=%s/%v/layout=%s/threads=%d", solver, method, kind, threads), func(t *testing.T) {
 						prev, full, opts := dtdFixture(t)
 						opts.Threads, opts.Solver = threads, solver
-						var want []*mat.Dense
-						var wantTrace []float64
-						if kind == layout.COO {
-							want, wantTrace = oracleStep(t, prev, full, opts, 1, method)
-						} else {
-							st, stats, err := dtd.Step(prev, full, opts)
+						for _, start := range []struct {
+							name   string
+							from   *dtd.State
+							oracle func() (*dtd.State, *dtd.Stats, error)
+						}{
+							{"prev", prev, func() (*dtd.State, *dtd.Stats, error) { return dtd.Step(prev, full, opts) }},
+							{"empty", dtd.EmptyState(full.Order(), opts.Rank), func() (*dtd.State, *dtd.Stats, error) { return dtd.Init(full, opts) }},
+						} {
+							var want []*mat.Dense
+							var wantTrace []float64
+							if kind == layout.COO {
+								want, wantTrace = oracleStep(t, start.from, full, opts, 1, method)
+							} else {
+								st, stats, err := start.oracle()
+								if err != nil {
+									t.Fatal(err)
+								}
+								want, wantTrace = st.Factors, stats.LossTrace
+							}
+							got, gotStats, err := core.Step(start.from, full, core.Options{
+								Rank: opts.Rank, MaxIters: opts.MaxIters, Mu: opts.Mu, Seed: opts.Seed,
+								Workers: 1, Method: method, Threads: threads, Solver: solver,
+							})
 							if err != nil {
 								t.Fatal(err)
 							}
-							want, wantTrace = st.Factors, stats.LossTrace
-						}
-						got, gotStats, err := core.Step(prev, full, core.Options{
-							Rank: opts.Rank, MaxIters: opts.MaxIters, Mu: opts.Mu, Seed: opts.Seed,
-							Workers: 1, Method: method, Threads: threads, Solver: solver,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantHash := hashFactors(want)
-						if solver == sample.Exact {
-							checkHash(t, "dtd", wantHash, goldDTD)
-						}
-						checkHash(t, "core/workers=1", hashFactors(got.Factors), wantHash)
-						if len(gotStats.LossTrace) != len(wantTrace) {
-							t.Fatalf("loss trace has %d sweeps, dtd %d", len(gotStats.LossTrace), len(wantTrace))
-						}
-						for i, l := range wantTrace {
-							if mathFloat64bits(gotStats.LossTrace[i]) != mathFloat64bits(l) {
-								t.Fatalf("sweep %d: loss %v vs dtd %v", i, gotStats.LossTrace[i], l)
+							wantHash := hashFactors(want)
+							if solver == sample.Exact && start.name == "prev" {
+								checkHash(t, "dtd", wantHash, goldDTD)
+							}
+							checkHash(t, "core/workers=1/from="+start.name, hashFactors(got.Factors), wantHash)
+							if len(gotStats.LossTrace) != len(wantTrace) {
+								t.Fatalf("from %s: loss trace has %d sweeps, dtd %d", start.name, len(gotStats.LossTrace), len(wantTrace))
+							}
+							for i, l := range wantTrace {
+								if mathFloat64bits(gotStats.LossTrace[i]) != mathFloat64bits(l) {
+									t.Fatalf("from %s: sweep %d: loss %v vs dtd %v", start.name, i, gotStats.LossTrace[i], l)
+								}
 							}
 						}
 					})

@@ -32,22 +32,22 @@ type Options struct {
 	// Seed makes runs reproducible. Default 1.
 	Seed uint64
 
-	// Workers selects the engine: 1 (default) runs the centralized
-	// dynamic algorithm (DTD); >1 runs distributed DisMASTD on an
-	// in-process cluster of that many workers.
+	// Workers is the size of the in-process cluster every boundary runs
+	// DisMASTD on. Default 1, where the result is the centralized
+	// dynamic algorithm (DTD) bit for bit; more workers change only the
+	// reduction order of the Gram partials.
 	Workers int
-	// Parts is the number of tensor partitions per mode for the
-	// distributed engine; it defaults to Workers (the paper's
-	// recommended setting).
+	// Parts is the number of tensor partitions per mode; it defaults to
+	// Workers (the paper's recommended setting).
 	Parts int
-	// Partitioner chooses GTP or MTP for the distributed engine.
-	// Default GTP; MTP balances better on skewed data.
+	// Partitioner chooses GTP or MTP. Default GTP; MTP balances better
+	// on skewed data.
 	Partitioner Partitioner
 
-	// Threads sizes the shared-memory pool each engine (and, for the
-	// distributed engine, each worker) runs its numeric kernels on.
-	// 0 or 1 means sequential. Factors are bitwise identical at every
-	// value — parallelism never reorders a floating-point reduction.
+	// Threads sizes the shared-memory pool each worker runs its numeric
+	// kernels on. 0 or 1 means sequential. Factors are bitwise identical
+	// at every value — parallelism never reorders a floating-point
+	// reduction.
 	Threads int
 
 	// Layout is accepted and ignored: "compiled", "coo" and "" all run
@@ -128,8 +128,8 @@ type StepReport struct {
 	Loss           float64       // √L — the paper's Eq. (4) objective (Eq. 1 for the first snapshot)
 	EntriesTouched int           // non-zeros processed: the whole first snapshot, then only each delta
 	Wall           time.Duration // processing time of this call
-	BytesOnWire    int64         // distributed engine only: measured traffic
-	Imbalance      []float64     // distributed engine only: per-mode partition load CV
+	BytesOnWire    int64         // measured cluster traffic (0 on one worker)
+	Imbalance      []float64     // per-mode partition load CV
 }
 
 // EventReport summarises one IngestEvents call. It is returned by
@@ -175,7 +175,7 @@ type Stream struct {
 	state   *dtd.State // live factors: bulk results plus event-path row updates
 	step    int        // full-sweep boundaries completed (snapshot index)
 	updater *dtd.Updater
-	session *core.Session // persistent cluster for Workers > 1, created on first use
+	session *core.Session // the Workers-rank cluster every boundary steps on, created on first use
 
 	// Pre-Init event accumulation: before any data has been decomposed
 	// there are no factors to update, so events buffer here and the
@@ -333,45 +333,33 @@ func (s *Stream) Flush() (*StepReport, error) {
 }
 
 // advance runs one full-sweep boundary — the shared core of Ingest and
-// Flush: CP-ALS init for the first data, then DTD or distributed
-// DisMASTD steps seeded by the boundary index, with the event updater
+// Flush — as one step of the stream's session: the first data steps from
+// the empty state (CP-ALS), every later boundary from prev over its
+// complement, seeded by the boundary index. The event updater is
 // re-anchored on the result.
 func (s *Stream) advance(prev *dtd.State, snapshot *tensor.Tensor) (*StepReport, error) {
 	start := time.Now()
-	report := &StepReport{Snapshot: s.step}
-
+	seed := s.vopts.Seed
 	if prev == nil {
-		st, stats, err := dtd.Init(snapshot, s.dtdOptions(s.vopts.Seed))
-		if err != nil {
-			return nil, err
-		}
-		s.state = st
-		report.Iters = stats.Iters
-		report.Loss = stats.Loss
-		report.EntriesTouched = snapshot.NNZ()
-	} else if s.vopts.Workers <= 1 {
-		st, stats, err := dtd.Step(prev, snapshot, s.dtdOptions(xrand.Derive(s.vopts.Seed, uint64(s.step))))
-		if err != nil {
-			return nil, err
-		}
-		s.state = st
-		report.Iters = stats.Iters
-		report.Loss = stats.Loss
-		report.EntriesTouched = stats.ComplementNNZ
+		prev = dtd.EmptyState(snapshot.Order(), s.vopts.Rank)
 	} else {
-		if s.session == nil {
-			s.session = core.NewSession(s.vopts.Workers)
-		}
-		st, stats, err := s.session.Step(prev, snapshot, s.coreOptions(xrand.Derive(s.vopts.Seed, uint64(s.step))))
-		if err != nil {
-			return nil, err
-		}
-		s.state = st
-		report.Iters = stats.Iters
-		report.Loss = stats.Loss
-		report.EntriesTouched = stats.ComplementNNZ
-		report.BytesOnWire = stats.Cluster.TotalBytes()
-		report.Imbalance = stats.Imbalance
+		seed = xrand.Derive(seed, uint64(s.step))
+	}
+	if s.session == nil {
+		s.session = core.NewSession(s.vopts.Workers)
+	}
+	st, stats, err := s.session.Step(prev, snapshot, s.coreOptions(seed))
+	if err != nil {
+		return nil, err
+	}
+	s.state = st
+	report := &StepReport{
+		Snapshot:       s.step,
+		Iters:          stats.Iters,
+		Loss:           stats.Loss,
+		EntriesTouched: stats.ComplementNNZ,
+		BytesOnWire:    stats.Cluster.TotalBytes(),
+		Imbalance:      stats.Imbalance,
 	}
 	if s.updater != nil {
 		s.updater.Reset(s.state)
