@@ -11,7 +11,7 @@ CLUSTER_PKGS = . ./internal/cluster/... ./internal/core/... ./internal/dplan/...
 # goroutines.
 NUMERIC_PKGS = ./internal/par/... ./internal/mat/... ./internal/mttkrp/... \
 	./internal/layout/... ./internal/cp/... ./internal/dtd/... \
-	./internal/dmsmg/... ./internal/completion/...
+	./internal/completion/...
 
 .PHONY: all build test vet race check fuzz profile clean
 

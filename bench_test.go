@@ -16,7 +16,6 @@ import (
 
 	"dismastd/internal/core"
 	"dismastd/internal/dataset"
-	"dismastd/internal/dmsmg"
 	"dismastd/internal/dtd"
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
@@ -88,7 +87,7 @@ func BenchmarkFig5StreamingStep(b *testing.B) {
 		})
 		b.Run(k.String()+"/DMS-MG-MTP", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := dmsmg.Decompose(last, dmsmg.Options{
+				if _, _, err := core.Step(dtd.EmptyState(last.Order(), 10), last, core.Options{
 					Rank: 10, MaxIters: 3, Tol: 0, Workers: 8, Method: partition.MTPMethod, Seed: 42,
 				}); err != nil {
 					b.Fatal(err)

@@ -22,9 +22,10 @@ import (
 // must name a top-level declaration of that package (a `Type.Member`
 // after it is not checked). A name the code spells in a string — a
 // metric, span or benchmark row such as `mttkrp.rows` — is not an
-// identifier and passes. All sides are read with go/parser, so
-// renaming or deleting a flag, an endpoint or a declaration without its
-// documentation fails here.
+// identifier and passes. Every backticked repository path must exist
+// in the tree (see repoPath). All sides are read with go/parser or from
+// the tree itself, so renaming or deleting a flag, an endpoint, a
+// declaration or a file without its documentation fails here.
 func TestDocsNameOnlyWhatShips(t *testing.T) {
 	flags := map[string]bool{}
 	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
@@ -77,6 +78,8 @@ func TestDocsNameOnlyWhatShips(t *testing.T) {
 		t.Fatalf("parsing found %d packages, missing dismastd.NewStream or obscluster.NewPlane", len(decls))
 	}
 
+	tree := treePaths(t)
+
 	flagSpan := regexp.MustCompile(`^-([a-z][a-z0-9-]*)(=|\s|$)`)
 	// A qualified identifier not itself qualified or inside a path: the
 	// `/` keeps file names like internal/mat/mat.go out.
@@ -92,6 +95,9 @@ func TestDocsNameOnlyWhatShips(t *testing.T) {
 					t.Errorf("%s:%d: `%s` names endpoint %s, which the worker's debug listener does not serve", doc, c.line, c.text, path)
 				}
 			}
+			if p, ok := repoPath(c.text); ok && !tree.has(p) {
+				t.Errorf("%s:%d: `%s` names %s, which is not in the tree", doc, c.line, c.text, p)
+			}
 			for _, m := range qualified.FindAllStringSubmatch(c.text, -1) {
 				pkg, ident := m[2], m[3]
 				if names, ok := decls[pkg]; ok && !names[ident] && !spelled[pkg+"."+ident] {
@@ -100,6 +106,76 @@ func TestDocsNameOnlyWhatShips(t *testing.T) {
 			}
 		}
 	}
+}
+
+// repoPath reports whether a code span is one repository path and
+// returns it cleaned: a single token naming a file ending in .go, .md,
+// .sh or .json, or starting with internal/, cmd/, examples/, benchmark/
+// or results/, with any leading "./", trailing "/..." or "/" and ":line"
+// suffix dropped. Tokens with a placeholder or glob (<K>, *, {a,b}) are
+// templates, not paths; span names such as plan/stack and import paths
+// such as log/slog match neither rule.
+func repoPath(text string) (string, bool) {
+	if strings.ContainsAny(text, " \t<>*{}$") {
+		return "", false
+	}
+	p := strings.TrimPrefix(text, "./")
+	if i := strings.IndexByte(p, ':'); i >= 0 {
+		p = p[:i]
+	}
+	p = strings.TrimSuffix(strings.TrimSuffix(p, "/..."), "/")
+	for _, ext := range []string{".go", ".md", ".sh", ".json"} {
+		if len(p) > len(ext) && strings.HasSuffix(p, ext) {
+			return p, true
+		}
+	}
+	for _, dir := range []string{"internal/", "cmd/", "examples/", "benchmark/", "results/"} {
+		if strings.HasPrefix(p, dir) {
+			return p, true
+		}
+	}
+	return "", false
+}
+
+// pathSet is every file and directory of the tree, slash-separated and
+// relative to the module root.
+type pathSet map[string]bool
+
+// has reports whether p is a path of the tree, or — for a name written
+// relative to its package, like sweep.go or obs/debug.go — the tail of
+// one.
+func (s pathSet) has(p string) bool {
+	if s[p] {
+		return true
+	}
+	for q := range s {
+		if strings.HasSuffix(q, "/"+p) {
+			return true
+		}
+	}
+	return false
+}
+
+// treePaths walks the module, skipping .git and what building and
+// benchmarking leave behind.
+func treePaths(t *testing.T) pathSet {
+	t.Helper()
+	s := pathSet{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == "." {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if d.IsDir() && (path == ".git" || path == ".bench_build" || path == "benchmark/out") {
+			return filepath.SkipDir
+		}
+		s[path] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // qualifiedName matches pkg.Ident, capturing both parts.

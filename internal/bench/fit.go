@@ -7,7 +7,6 @@ import (
 	"dismastd/internal/core"
 	"dismastd/internal/cp"
 	"dismastd/internal/dataset"
-	"dismastd/internal/dmsmg"
 	"dismastd/internal/dtd"
 	"dismastd/internal/partition"
 )
@@ -54,7 +53,7 @@ func Fit(cfg Config) ([]FitPoint, error) {
 			}
 			streaming := 1 - cp.LossAgainst(snap, st.Factors)/snap.Norm()
 
-			_, mgStats, err := dmsmg.Decompose(snap, dmsmg.Options{
+			_, mgStats, err := core.Step(dtd.EmptyState(snap.Order(), cfg.Rank), snap, core.Options{
 				Rank: cfg.Rank, MaxIters: cfg.MaxIters, Tol: 1e-9, Seed: cfg.Seed,
 				Workers: cfg.Workers, Method: partition.MTPMethod, Threads: cfg.Threads,
 			})
@@ -63,7 +62,7 @@ func Fit(cfg Config) ([]FitPoint, error) {
 			}
 			points = append(points, FitPoint{
 				Dataset: k.String(), Frac: dataset.PaperFractions[i],
-				Streaming: streaming, Recompute: mgStats.Fit,
+				Streaming: streaming, Recompute: 1 - mgStats.Loss/snap.Norm(),
 			})
 		}
 	}

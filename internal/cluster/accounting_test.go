@@ -8,12 +8,13 @@ import (
 )
 
 // The transport metrics charge every message its frame — wireSize,
-// len(payload)+len(tag)+8 — on both the sending and receiving side. This file pins that contract
-// per collective: for each operation the cluster-wide counters must
-// equal the byte totals computed from the operation's exact message
-// pattern — message counts from the tree/ring structure, payload sizes
-// from the wire codec. Any double-count (the PR-1 recv bug), dropped
-// message, or unaccounted self-send breaks the equality exactly.
+// len(payload)+len(tag)+8 — on both the sending and receiving side. This
+// file pins that contract per collective: for each operation the
+// cluster-wide counters must equal the byte totals computed from the
+// operation's exact message pattern — message counts from the tree
+// structure, payload sizes from the wire codec. Any double count on the
+// receive side, dropped message, or unaccounted self-send breaks the
+// equality exactly.
 
 // msgGroup describes one tag's traffic within a collective: how many
 // messages flow cluster-wide and their summed payload bytes.
@@ -33,20 +34,18 @@ func expectedTraffic(groups []msgGroup) (bytes, msgs int64) {
 
 func TestCollectiveByteAccounting(t *testing.T) {
 	const (
-		n = 25 // floats per all-reduce; odd and > M, so ring segments are uneven
+		n = 25 // floats per all-reduce
 		p = 40 // bytes per gather contribution
 	)
 	for _, m := range []int{3, 4} {
 		m64 := int64(m)
 		cases := []struct {
 			name   string
-			thresh int
 			groups []msgGroup
 			run    func(w *Worker) error
 		}{
 			{
-				name:   "allreduce/tree",
-				thresh: ringOff,
+				name: "allreduce/tree",
 				groups: []msgGroup{
 					{"reduce", m64 - 1, (m64 - 1) * 8 * n},    // binomial up-phase: every non-root sends once
 					{"reduce/bc", m64 - 1, (m64 - 1) * 8 * n}, // binomial down-phase: every non-root receives once
@@ -56,24 +55,9 @@ func TestCollectiveByteAccounting(t *testing.T) {
 				},
 			},
 			{
-				name:   "allreduce/ring",
-				thresh: ringOn,
-				groups: []msgGroup{
-					// Each of the M−1 steps moves every segment exactly once,
-					// so a phase's payload is (M−1)·8n spread over M(M−1)
-					// messages.
-					{"reduce/rs", m64 * (m64 - 1), (m64 - 1) * 8 * n},
-					{"reduce/ag", m64 * (m64 - 1), (m64 - 1) * 8 * n},
-				},
-				run: func(w *Worker) error {
-					return w.AllReduceSumInPlace(make([]float64, n))
-				},
-			},
-			{
 				// A funnel all-gather: point-to-point sends to rank 0,
 				// then a broadcast of the concatenation back.
-				name:   "allgather/funnel",
-				thresh: ringOff,
+				name: "allgather/funnel",
 				groups: []msgGroup{
 					{"gather", m64 - 1, (m64 - 1) * p},
 					{"bcast#0", m64 - 1, (m64 - 1) * m64 * p},
@@ -98,8 +82,7 @@ func TestCollectiveByteAccounting(t *testing.T) {
 				},
 			},
 			{
-				name:   "scalar",
-				thresh: ringOff,
+				name: "scalar",
 				groups: []msgGroup{
 					{"reduce", m64 - 1, (m64 - 1) * 8},
 					{"reduce/bc", m64 - 1, (m64 - 1) * 8},
@@ -110,8 +93,7 @@ func TestCollectiveByteAccounting(t *testing.T) {
 				},
 			},
 			{
-				name:   "barrier",
-				thresh: ringOff,
+				name: "barrier",
 				groups: []msgGroup{
 					{"barrier#0", m64 - 1, 0},
 					{"barrier#0/ack", m64 - 1, 0},
@@ -125,7 +107,6 @@ func TestCollectiveByteAccounting(t *testing.T) {
 			t.Run(fmt.Sprintf("M=%d/%s", m, tc.name), func(t *testing.T) {
 				c := NewLocal(m)
 				c.SetRecvTimeout(5 * time.Second)
-				c.SetRingThreshold(tc.thresh)
 				stats, err := c.Run(tc.run)
 				if err != nil {
 					t.Fatal(err)

@@ -102,16 +102,8 @@ func (s *RunStats) TotalWork() float64 {
 	return t
 }
 
-// DefaultRingThreshold is the payload size, in bytes, at which
-// AllReduceSumInPlace switches from the binomial tree to the
-// bandwidth-optimal ring. The default keeps every R×R Gram batch
-// up to R=13 on the tree path (3R²·8 bytes < 4096), preserving the
-// bitwise goldens, while the large factor-row payloads of a real
-// multi-node run take the ring.
-const DefaultRingThreshold = 4096
-
 // Worker is one rank's handle inside a running cluster: point-to-point
-// messaging, collectives (collectives.go, ring.go), pooled payload
+// messaging, collectives (collectives.go), pooled payload
 // buffers, and work accounting. A Worker is used only by the goroutine
 // executing its worker function.
 type Worker struct {
@@ -128,7 +120,6 @@ type Worker struct {
 	streams     map[streamKey]string
 	bufs        *bufPool
 	poolShared  bool // receiver returns pooled sends (Local); else sender recycles (TCP)
-	ringThresh  int  // bytes; <= 0 disables the ring collectives
 	scalar      [1]float64
 	cc          commCounters
 	work        *float64 // shared with derived view workers (view.go)
@@ -159,7 +150,6 @@ type workerConfig struct {
 	tagEpoch    string
 	bufs        *bufPool
 	poolShared  bool
-	ringThresh  int
 }
 
 func newWorker(cfg workerConfig) *Worker {
@@ -176,7 +166,6 @@ func newWorker(cfg workerConfig) *Worker {
 		streams:     make(map[streamKey]string),
 		bufs:        cfg.bufs,
 		poolShared:  cfg.poolShared,
-		ringThresh:  cfg.ringThresh,
 		cc:          newCommCounters(cfg.obs),
 		work:        new(float64),
 		worldSelf:   cfg.rank,
@@ -187,16 +176,12 @@ func newWorker(cfg workerConfig) *Worker {
 // bumps on its hot path (resolving by name per call would cost a map
 // lookup per collective).
 type commCounters struct {
-	treeReduce *obs.Counter // comm.allreduce.tree — tree-path all-reduces
-	ringReduce *obs.Counter // comm.allreduce.ring — ring-path all-reduces
 	poolGets   *obs.Counter // comm.pool.gets — pooled buffer requests
 	poolMisses *obs.Counter // comm.pool.misses — requests that had to allocate
 }
 
 func newCommCounters(o *obs.Obs) commCounters {
 	return commCounters{
-		treeReduce: o.Counter("comm.allreduce.tree"),
-		ringReduce: o.Counter("comm.allreduce.ring"),
 		poolGets:   o.Counter("comm.pool.gets"),
 		poolMisses: o.Counter("comm.pool.misses"),
 	}
@@ -365,7 +350,6 @@ type Local struct {
 	fc          faultCounters
 	logger      *slog.Logger
 	pool        *bufPool
-	ringThresh  int
 	elastic     bool
 }
 
@@ -407,7 +391,6 @@ func NewLocal(size int) *Local {
 		recvTimeout: 30 * time.Second,
 		obs:         obs.New(),
 		pool:        newBufPool(),
-		ringThresh:  DefaultRingThreshold,
 	}
 	c.fc = newFaultCounters(c.obs)
 	return c
@@ -415,13 +398,6 @@ func NewLocal(size int) *Local {
 
 // SetRecvTimeout overrides the receive timeout (zero disables it).
 func (c *Local) SetRecvTimeout(d time.Duration) { c.recvTimeout = d }
-
-// SetRingThreshold overrides the payload size, in bytes, at which the
-// all-reduce leaves the binomial tree for the bandwidth-optimal
-// ring. Values <= 0 disable the ring path entirely.
-// Must be called before Run; every rank of a cluster shares one value,
-// which keeps path selection identical across ranks.
-func (c *Local) SetRingThreshold(bytes int) { c.ringThresh = bytes }
 
 // Obs returns the cluster-level observability bundle: transport events
 // that belong to the cluster rather than one rank (fault injections).
@@ -480,7 +456,6 @@ func (c *Local) Run(fn func(*Worker) error) (*RunStats, error) {
 			recvTimeout: c.recvTimeout,
 			bufs:        c.pool,
 			poolShared:  true,
-			ringThresh:  c.ringThresh,
 			sendFn: func(to int, msg Message) error {
 				if msg.Tag == revokeTag {
 					// Epoch revocation is control-plane: it bypasses

@@ -428,8 +428,8 @@ func TestCollectivesStress(t *testing.T) {
 					return fmt.Errorf("round %d: broadcast %v", round, got)
 				}
 			case 3:
-				// Large enough for the ring path.
-				vec := make([]float64, DefaultRingThreshold/8)
+				// A 4 KiB vector, about a Gram batch at R = 13.
+				vec := make([]float64, 512)
 				for i := range vec {
 					vec[i] = float64(w.Rank() * i)
 				}
@@ -438,7 +438,7 @@ func TestCollectivesStress(t *testing.T) {
 				}
 				for i, v := range vec {
 					if want := float64(i * size * (size - 1) / 2); v != want {
-						return fmt.Errorf("round %d: ring sum[%d] = %v, want %v", round, i, v, want)
+						return fmt.Errorf("round %d: sum[%d] = %v, want %v", round, i, v, want)
 					}
 				}
 			}

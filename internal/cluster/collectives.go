@@ -74,14 +74,6 @@ func (w *Worker) streamTagIdx(name string, idx int) string {
 	return t
 }
 
-// useRing reports whether a collective over payloadBytes takes the ring
-// path. The decision is a pure function of the payload size and cluster
-// shape, so every rank selects the same path for the same lockstep
-// call.
-func (w *Worker) useRing(payloadBytes int) bool {
-	return w.ringThresh > 0 && payloadBytes >= w.ringThresh && w.size > 1
-}
-
 // Barrier blocks until every worker has entered it: ranks report to
 // rank 0, which releases them.
 func (w *Worker) Barrier() error {
@@ -137,7 +129,7 @@ func (w *Worker) BroadcastBytes(root int, data []byte) ([]byte, error) {
 
 // bcastFloat64s overwrites vec on every rank with rank 0's values, down
 // a binomial tree of pooled buffers: the allocation-free broadcast leg
-// of the tree all-reduce.
+// of AllReduceSumInPlace.
 func (w *Worker) bcastFloat64s(vec []float64, tag string) error {
 	for bit := 1; bit < w.size; bit <<= 1 {
 		if w.rank < bit {
@@ -166,30 +158,17 @@ func (w *Worker) bcastFloat64s(vec []float64, tag string) error {
 }
 
 // AllReduceSumInPlace overwrites vec on every rank with the elementwise
-// sum across ranks. Small vectors take a binomial-tree reduction to
-// rank 0 followed by a tree broadcast of the canonical sum; vectors at
-// or above the ring threshold take a ring reduce-scatter plus ring
-// all-gather (ring.go), which is bandwidth-optimal. Both paths are
-// deterministic — a single summation order per element, identical bits
-// on every rank — though the two paths group the additions differently,
-// so results are reproducible per path, not across a threshold change.
+// sum across ranks: a binomial-tree reduction to rank 0 — in round
+// `bit`, ranks with that bit set push their accumulator one level up and
+// drop out — followed by a tree broadcast of the canonical sum. Every
+// element is added in one order, set by the cluster size alone, and the
+// broadcast copies rank 0's bits verbatim, so every rank observes
+// identical bits and repeated runs reproduce them. Payloads ride pooled
+// buffers, so the steady state allocates nothing.
 // This is the all-to-all reduction of the paper's Section IV-B3, used
 // to aggregate the partial Gram matrices ÃᵀA₀ and A₀ᵀA₀ across
 // partitions.
 func (w *Worker) AllReduceSumInPlace(vec []float64) error {
-	if w.useRing(8*len(vec)) && len(vec) >= w.size {
-		w.cc.ringReduce.Inc()
-		return w.ringAllReduceSum(vec)
-	}
-	w.cc.treeReduce.Inc()
-	return w.treeAllReduceSum(vec)
-}
-
-// treeAllReduceSum is the binomial-tree all-reduce: in round `bit`,
-// ranks with that bit set push their accumulator one level up and drop
-// out; rank 0 then broadcasts the canonical sum. Payloads ride pooled
-// buffers, so the steady state allocates nothing.
-func (w *Worker) treeAllReduceSum(vec []float64) error {
 	tag := w.StreamTag("reduce")
 	for bit := 1; bit < w.size; bit <<= 1 {
 		if w.rank&bit != 0 {

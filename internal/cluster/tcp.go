@@ -262,7 +262,6 @@ type TCPNode struct {
 	runs        atomic.Int64
 	hb          atomic.Pointer[heartbeat]
 	pool        *bufPool
-	ringThresh  int
 
 	// fault must be installed before any sends (Run, StartHeartbeat); it
 	// is read without locks on the send path.
@@ -339,7 +338,6 @@ func JoinTCP(coordAddr, listenAddr string, timeout time.Duration) (*TCPNode, err
 		conns:       make(map[int]*peerConn),
 		closed:      make(chan struct{}),
 		pool:        newBufPool(),
-		ringThresh:  DefaultRingThreshold,
 	}
 	n.obs.Trace.SetRank(rank)
 	n.tc = newTransportCounters(n.obs)
@@ -419,13 +417,6 @@ func (n *TCPNode) Size() int { return n.size }
 
 // SetRecvTimeout overrides the node's receive timeout (zero disables).
 func (n *TCPNode) SetRecvTimeout(d time.Duration) { n.recvTimeout = d }
-
-// SetRingThreshold overrides the payload size, in bytes, at which the
-// all-reduce leaves the binomial tree for the bandwidth-optimal
-// ring (values <= 0 disable the ring path). Every
-// node of a cluster must use the same value — path selection must
-// agree across ranks. Must be called before Run.
-func (n *TCPNode) SetRingThreshold(bytes int) { n.ringThresh = bytes }
 
 // SetFaultPlan installs a deterministic fault schedule applied to every
 // send. Must be called before Run.
@@ -627,7 +618,6 @@ func (n *TCPNode) Run(fn func(*Worker) error) (*RunStats, error) {
 		sendFn:      n.send,
 		bufs:        n.pool,
 		poolShared:  false, // the frame writer copies payloads to the socket; senders recycle
-		ringThresh:  n.ringThresh,
 	}
 	if epoch > 0 {
 		cfg.tagEpoch = fmt.Sprintf("e%d|", epoch)

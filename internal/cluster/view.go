@@ -8,7 +8,7 @@ package cluster
 // of the world — and ViewWorkers, derived workers whose rank/size
 // describe the view and whose message tags carry the view epoch. The
 // epoch prefix is the collective fence: a straggler still finishing a
-// ring collective of epoch e can never cross-match traffic of epoch
+// collective of epoch e can never cross-match traffic of epoch
 // e+1, because every tag (counter and stream alike) differs. This is
 // the communicator-shrink-and-spawn model of MPI's ULFM, restricted to
 // a fixed world so no transport-level address discovery is needed
@@ -191,7 +191,6 @@ func (w *Worker) ViewWorker(v View) (*Worker, error) {
 		streams:      make(map[streamKey]string),
 		bufs:         w.bufs,
 		poolShared:   w.poolShared,
-		ringThresh:   w.ringThresh,
 		cc:           w.cc,
 		work:         w.work,
 		world:        append([]int(nil), v.Members...),
@@ -243,7 +242,7 @@ func decodeRevoke(b []byte) (int, error) {
 // rank down locally (poisoning this mailbox once), then broadcasts a
 // revoke message every transport intercepts at delivery, poisoning
 // each recipient's mailbox once. Survivors blocked in a collective on
-// *live* peers of the doomed epoch — e.g. waiting on a ring neighbour
+// *live* peers of the doomed epoch — e.g. waiting on a tree parent
 // that itself waits on the dead rank — abort with the rank-attributed
 // ErrPeerDown instead of deadlocking, which is what makes recovery
 // reachable from any interleaving. Idempotent per dead rank; call on

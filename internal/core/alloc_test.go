@@ -23,7 +23,7 @@ import (
 func TestWorkerComputePathAllocFree(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
-			testEngineAllocFree(t, 1, threads, 0)
+			testEngineAllocFree(t, 1, threads)
 		})
 	}
 }
@@ -32,32 +32,29 @@ func TestWorkerComputePathAllocFree(t *testing.T) {
 // across the transport: a full multi-rank steady-state run — MTTKRP,
 // solves, the batched Gram all-reduce, the subscription row exchange,
 // and the scalar loss reduction — performs zero heap allocations on the
-// Local transport, on both the tree and ring collective paths. Every
-// rank measures concurrently, and AllocsPerRun counts process-global
+// Local transport. Every rank measures concurrently, and AllocsPerRun counts process-global
 // mallocs, so a zero here means no rank allocated anywhere in the
 // overlapping measurement windows.
 func TestDistributedSweepAllocFree(t *testing.T) {
-	const workers = 3 // odd: exercises the uneven tree and ring segment split
+	const workers = 3 // odd: exercises the uneven tree
 	for _, tc := range []struct {
-		name       string
-		threads    int
-		ringThresh int
+		name    string
+		threads int
 	}{
-		{"tree/threads=1", 1, 0}, // default threshold keeps the 3R² batch on the tree
-		{"tree/threads=4", 4, 0},
-		{"ring/threads=1", 1, 8}, // force the Gram batch onto the ring path
-		// The tree arms again: they ran the COO walk while a rank's layout
+		{"tree/threads=1", 1},
+		{"tree/threads=4", 4},
+		// The same arms again: they ran the COO walk while a rank's layout
 		// was an option; the names stay so the test IDs do.
-		{"compiled/threads=1", 1, 0},
-		{"compiled/threads=4", 4, 0},
+		{"compiled/threads=1", 1},
+		{"compiled/threads=4", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			testEngineAllocFree(t, workers, tc.threads, tc.ringThresh)
+			testEngineAllocFree(t, workers, tc.threads)
 		})
 	}
 }
 
-func testEngineAllocFree(t *testing.T, workers, threads, ringThresh int) {
+func testEngineAllocFree(t *testing.T, workers, threads int) {
 	full := sparseRandom([]int{12, 10, 8}, 600, 5)
 	prevSnap := full.Prefix([]int{9, 8, 6})
 	opts := Options{Rank: 3, MaxIters: 5, Mu: 0.7, Seed: 11, Workers: workers, Threads: threads, Method: partition.GTPMethod}
@@ -70,12 +67,8 @@ func testEngineAllocFree(t *testing.T, workers, threads, ringThresh int) {
 		t.Fatal(err)
 	}
 
-	cl := cluster.NewLocal(workers)
-	if ringThresh > 0 {
-		cl.SetRingThreshold(ringThresh)
-	}
 	perRank := make([]float64, workers)
-	if _, err := cl.Run(func(w *cluster.Worker) error {
+	if _, err := cluster.NewLocal(workers).Run(func(w *cluster.Worker) error {
 		eng := job.bind(w, nil)
 		defer eng.Close()
 		// One rank's steady-state run, fully instrumented — pre-resolved

@@ -253,6 +253,120 @@ func TestCommunicationScalesWithTheorem4(t *testing.T) {
 	}
 }
 
+// TestStaticStepFitsLowRankData: from the empty state a step is static
+// CP-ALS, so on a fully observed rank-2 tensor a rank-3 fit must be
+// near-perfect.
+func TestStaticStepFitsLowRankData(t *testing.T) {
+	src := xrand.New(3)
+	dims := []int{15, 12, 10}
+	factors := []*mat.Dense{
+		mat.RandomUniform(dims[0], 2, src),
+		mat.RandomUniform(dims[1], 2, src),
+		mat.RandomUniform(dims[2], 2, src),
+	}
+	b := tensor.NewBuilder(dims)
+	idx := make([]int, 3)
+	for i := 0; i < dims[0]; i++ {
+		for j := 0; j < dims[1]; j++ {
+			for k := 0; k < dims[2]; k++ {
+				idx[0], idx[1], idx[2] = i, j, k
+				b.Append(idx, cp.Reconstruct(factors, idx))
+			}
+		}
+	}
+	x := b.Build()
+	_, stats, err := Step(dtd.EmptyState(3, 3), x, Options{Rank: 3, MaxIters: 60, Tol: 1e-10, Workers: 3, Method: partition.MTPMethod, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fit := 1 - stats.Loss/x.Norm(); fit < 0.95 {
+		t.Fatalf("fit %v on rank-2 data", fit)
+	}
+}
+
+// TestStaticStepWorkScalesWithNNZ: a step from the empty state — the
+// DMS-MG baseline — does per-iteration work that tracks the full tensor
+// size, the property that makes it lose to DisMASTD in Fig. 5.
+func TestStaticStepWorkScalesWithNNZ(t *testing.T) {
+	dims := []int{40, 40, 40}
+	work := func(x *tensor.Tensor) float64 {
+		_, stats, err := Step(dtd.EmptyState(3, 4), x, Options{Rank: 4, MaxIters: 3, Tol: 0, Workers: 4, Method: partition.MTPMethod, Seed: 13})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats.Cluster.TotalWork()
+	}
+	ws, wb := work(sparseRandom(dims, 2000, 9)), work(sparseRandom(dims, 8000, 11))
+	if wb < 2.5*ws {
+		t.Fatalf("4x nnz grew work only %.2fx; static baseline must scale with nnz", wb/ws)
+	}
+}
+
+// TestStaticStepMatchesCentralizedCP: a step from the empty state is the
+// DMS-MG baseline, static CP-ALS. It must match the centralized static
+// path, dtd.Init, and sweep the whole tensor as its complement.
+func TestStaticStepMatchesCentralizedCP(t *testing.T) {
+	x := sparseRandom([]int{20, 18, 15}, 1000, 1)
+	want, wantStats, err := dtd.Init(x, dtd.Options{Rank: 4, MaxIters: 6, Tol: 0, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range []partition.Method{partition.GTPMethod, partition.MTPMethod} {
+		for _, workers := range []int{1, 3} {
+			got, stats, err := Step(dtd.EmptyState(x.Order(), 4), x, Options{Rank: 4, MaxIters: 6, Tol: 0, Seed: 7, Workers: workers, Method: method})
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", method, workers, err)
+			}
+			if d := relDiff(got.Factors, want.Factors); d > 1e-8 {
+				t.Fatalf("%v workers=%d: factors differ from CP by %v", method, workers, d)
+			}
+			if math.Abs(stats.Loss-wantStats.Loss) > 1e-8*(1+wantStats.Loss) {
+				t.Fatalf("%v workers=%d: loss %v vs CP %v", method, workers, stats.Loss, wantStats.Loss)
+			}
+			if stats.Iters != wantStats.Iters {
+				t.Fatalf("%v workers=%d: %d iters vs CP %d", method, workers, stats.Iters, wantStats.Iters)
+			}
+			if stats.ComplementNNZ != x.NNZ() {
+				t.Fatalf("%v workers=%d: static step swept %d of %d entries", method, workers, stats.ComplementNNZ, x.NNZ())
+			}
+		}
+	}
+}
+
+// TestStaticStepStatsPopulated: the stats the DMS-MG rows report are all
+// filled in by a step from the empty state.
+func TestStaticStepStatsPopulated(t *testing.T) {
+	x := sparseRandom([]int{25, 20, 15}, 900, 17)
+	_, stats, err := Step(dtd.EmptyState(3, 3), x, Options{Rank: 3, MaxIters: 2, Workers: 3, Method: partition.GTPMethod, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ComplementNNZ != x.NNZ() {
+		t.Fatalf("complement NNZ = %d of %d", stats.ComplementNNZ, x.NNZ())
+	}
+	if len(stats.Imbalance) != 3 || stats.SetupBytes <= 0 || stats.Cluster == nil {
+		t.Fatalf("stats incomplete: %+v", stats)
+	}
+	if len(stats.LossTrace) != stats.Iters {
+		t.Fatalf("%d trace entries for %d iters", len(stats.LossTrace), stats.Iters)
+	}
+}
+
+// TestStaticStepValidation: a step from the empty state rejects the same
+// bad options the DMS-MG baseline did.
+func TestStaticStepValidation(t *testing.T) {
+	x := sparseRandom([]int{5, 5, 5}, 30, 15)
+	for name, opts := range map[string]Options{
+		"rank 0":     {Rank: 0, Workers: 2},
+		"no workers": {Rank: 2, Workers: 0},
+		"bad tol":    {Rank: 2, Workers: 2, Tol: -1},
+	} {
+		if _, _, err := Step(dtd.EmptyState(3, 2), x, opts); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+	}
+}
+
 func TestOptionValidation(t *testing.T) {
 	full := sparseRandom([]int{6, 6, 6}, 50, 57)
 	prev := initState(t, full.Prefix([]int{5, 5, 5}), 2, 59)

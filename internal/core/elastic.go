@@ -710,35 +710,18 @@ func (j *StepJob) withPlan(plan *dplan.Plan, workers int) *StepJob {
 	}
 }
 
-// syncState assembles the step's result on view rank 0 (each owner
-// contributes its owned rows) and broadcasts it, so every member —
-// not just rank 0 — enters the next fence holding the full state. That
-// replication is what makes fences cheap: drains hand off nothing and
-// failures absorb from local replicas.
+// syncState has every owner broadcast its owned rows (the sampled
+// solver's owned-row exchange) and adopts the completed replicas as the
+// step's result, so every member — not just rank 0 — enters the next
+// fence holding the full state. That replication is what makes fences
+// cheap: drains hand off nothing and failures absorb from local
+// replicas. Every row comes verbatim from its owner, so all members hold
+// the same bits.
 func (j *ElasticJob) syncState(vw *cluster.Worker, job *StepJob, full []*mat.Dense) (*dtd.State, error) {
-	assembled, err := dplan.GatherOwnedRows(vw, job.plan.OwnedSlices, full)
-	if err != nil {
-		return nil, err
-	}
-	r := job.opts.Rank
-	factors := make([]*mat.Dense, len(full))
 	for m := range full {
-		var enc []byte
-		if vw.Rank() == 0 {
-			enc = cluster.EncodeFloat64s(assembled[m].Data)
-		}
-		got, err := vw.BroadcastBytes(0, enc)
-		if err != nil {
+		if err := dplan.ExchangeRows(vw, job.plan, m, full[m], true); err != nil {
 			return nil, err
 		}
-		vals, err := cluster.DecodeFloat64s(got)
-		if err != nil {
-			return nil, err
-		}
-		if len(vals) != full[m].Rows*r {
-			return nil, fmt.Errorf("core: state sync mode %d: %d values for %dx%d", m, len(vals), full[m].Rows, r)
-		}
-		factors[m] = mat.NewFrom(full[m].Rows, r, vals)
 	}
-	return stateOf(factors), nil
+	return stateOf(full), nil
 }

@@ -1,6 +1,6 @@
-// Package dplan builds the data-distribution plan shared by the
-// distributed decomposition algorithms (DisMASTD in internal/core and
-// the DMS-MG baseline in internal/dmsmg):
+// Package dplan builds the data-distribution plan of the distributed
+// decomposition (internal/core, which runs DisMASTD and, from the empty
+// state, the DMS-MG baseline) and of distributed completion:
 //
 //   - per-mode slice partitioning via GTP or MTP (Section IV-A2),
 //   - assignment of partitions to workers,

@@ -20,7 +20,7 @@
 // it as a world of one, internal/core binds it per rank of a cluster,
 // and Updater applies the same denominators row by row between sweeps.
 // Static CP-ALS is the same sweep from an empty prior (Init; the DMS-MG
-// baseline of internal/dmsmg distributes it).
+// baseline distributes it as a core.Step from EmptyState).
 package dtd
 
 import (

@@ -16,7 +16,6 @@ import (
 
 	"dismastd/internal/completion"
 	"dismastd/internal/core"
-	"dismastd/internal/dmsmg"
 	"dismastd/internal/dtd"
 	"dismastd/internal/mat"
 	"dismastd/internal/partition"
@@ -105,12 +104,20 @@ func TestCoreStepGolden(t *testing.T) {
 	}
 }
 
-func TestDMSMGGolden(t *testing.T) {
-	x := sparseRandom([]int{12, 10, 8}, 500, 3)
-	factors, _, err := dmsmg.Decompose(x, dmsmg.Options{Rank: 3, MaxIters: 5, Seed: 7, Workers: 3})
+// dmsmgStep runs the DMS-MG baseline of Section V — static CP-ALS of x
+// on an in-process cluster — which is a core.Step from the empty state.
+func dmsmgStep(t *testing.T, x *tensor.Tensor, o core.Options) ([]*mat.Dense, *core.StepStats) {
+	t.Helper()
+	st, stats, err := core.Step(dtd.EmptyState(x.Order(), o.Rank), x, o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st.Factors, stats
+}
+
+func TestDMSMGGolden(t *testing.T) {
+	x := sparseRandom([]int{12, 10, 8}, 500, 3)
+	factors, _ := dmsmgStep(t, x, core.Options{Rank: 3, MaxIters: 5, Seed: 7, Workers: 3})
 	checkHash(t, "dmsmg", hashFactors(factors), goldDMSMG)
 }
 

@@ -7,7 +7,6 @@ import (
 	"dismastd/internal/cluster"
 	"dismastd/internal/completion"
 	"dismastd/internal/core"
-	"dismastd/internal/dmsmg"
 	"dismastd/internal/dplan"
 	"dismastd/internal/dtd"
 	"dismastd/internal/layout"
@@ -271,16 +270,12 @@ func TestDMSMGGoldenEveryLayout(t *testing.T) {
 	sweepLayouts(t, func(t *testing.T, kind layout.Kind, threads int) {
 		x := sparseRandom([]int{12, 10, 8}, 500, 3)
 		if kind == layout.COO {
-			// dmsmg.Decompose is a core step from the empty state.
 			opts := dtd.Options{Rank: 3, MaxIters: 5, Seed: 7, Threads: threads}
 			factors, _ := oracleStep(t, dtd.EmptyState(x.Order(), opts.Rank), x, opts, 3, partition.GTPMethod)
 			checkHash(t, "dmsmg", hashFactors(factors), goldDMSMG)
 			return
 		}
-		factors, _, err := dmsmg.Decompose(x, dmsmg.Options{Rank: 3, MaxIters: 5, Seed: 7, Workers: 3, Threads: threads})
-		if err != nil {
-			t.Fatal(err)
-		}
+		factors, _ := dmsmgStep(t, x, core.Options{Rank: 3, MaxIters: 5, Seed: 7, Workers: 3, Threads: threads})
 		checkHash(t, "dmsmg", hashFactors(factors), goldDMSMG)
 	})
 }

@@ -6,7 +6,6 @@ import (
 
 	"dismastd/internal/completion"
 	"dismastd/internal/core"
-	"dismastd/internal/dmsmg"
 	"dismastd/internal/dtd"
 	"dismastd/internal/partition"
 )
@@ -73,10 +72,7 @@ func TestDMSMGGoldenEveryThreadCount(t *testing.T) {
 	for _, threads := range threadSweep {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
 			x := sparseRandom([]int{12, 10, 8}, 500, 3)
-			factors, _, err := dmsmg.Decompose(x, dmsmg.Options{Rank: 3, MaxIters: 5, Seed: 7, Workers: 3, Threads: threads})
-			if err != nil {
-				t.Fatal(err)
-			}
+			factors, _ := dmsmgStep(t, x, core.Options{Rank: 3, MaxIters: 5, Seed: 7, Workers: 3, Threads: threads})
 			checkHash(t, "dmsmg", hashFactors(factors), goldDMSMG)
 		})
 	}

@@ -5,8 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"dismastd/internal/core"
 	"dismastd/internal/cp"
-	"dismastd/internal/dmsmg"
 	"dismastd/internal/dtd"
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
@@ -42,7 +42,8 @@ func referenceALS(x *tensor.Tensor, rank, sweeps int, seed uint64) ([]*mat.Dense
 }
 
 // TestStaticBindingsMatchReference holds both static entry points —
-// dtd.Init (world of one) and dmsmg.Decompose (one rank of M) — to the
+// dtd.Init (world of one) and the DMS-MG core.Step from the empty state
+// (one rank of M) — to the
 // reference, on orders 3 and 4, with and without slices no entry names.
 // A row with no entry must come out exactly +0.
 func TestStaticBindingsMatchReference(t *testing.T) {
@@ -97,12 +98,9 @@ func TestStaticBindingsMatchReference(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			for _, method := range []partition.Method{partition.GTPMethod, partition.MTPMethod} {
 				t.Run(fmt.Sprintf("%s/dmsmg/workers=%d/%v", in.name, workers, method), func(t *testing.T) {
-					got, stats, err := dmsmg.Decompose(in.x, dmsmg.Options{
+					got, stats := dmsmgStep(t, in.x, core.Options{
 						Rank: in.rank, MaxIters: in.sweeps, Tol: tol, Seed: in.seed, Workers: workers, Method: method,
 					})
-					if err != nil {
-						t.Fatal(err)
-					}
 					check(t, 1e-8, got, stats.Loss, stats.Iters)
 				})
 			}
@@ -116,10 +114,7 @@ func TestStaticBindingsMatchReference(t *testing.T) {
 func TestDMSMGWireIsOneGramBlock(t *testing.T) {
 	const rank = 3
 	x := sparseRandom([]int{12, 10, 8}, 500, 3)
-	_, stats, err := dmsmg.Decompose(x, dmsmg.Options{Rank: rank, MaxIters: 5, Seed: 7, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, stats := dmsmgStep(t, x, core.Options{Rank: rank, MaxIters: 5, Seed: 7, Workers: 3})
 	if got := stats.Cluster.TotalBytes(); got != 15230 {
 		t.Errorf("wire bytes %d, want 15230", got)
 	}
@@ -146,14 +141,11 @@ func TestStaticBindingsShareOneStopRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mgStats, err := dmsmg.Decompose(x, dmsmg.Options{Rank: opts.Rank, MaxIters: opts.MaxIters, Tol: opts.Tol, Seed: opts.Seed, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, mgStats := dmsmgStep(t, x, core.Options{Rank: opts.Rank, MaxIters: opts.MaxIters, Tol: opts.Tol, Seed: opts.Seed, Workers: 1})
 	if initStats.Iters >= opts.MaxIters {
 		t.Fatalf("Tol %v never fired in %d sweeps; the fixture pins nothing", opts.Tol, opts.MaxIters)
 	}
-	for name, trace := range map[string][]float64{"dtd.Step(EmptyState)": stepStats.LossTrace, "dmsmg.Decompose": mgStats.LossTrace} {
+	for name, trace := range map[string][]float64{"dtd.Step(EmptyState)": stepStats.LossTrace, "core.Step(EmptyState)": mgStats.LossTrace} {
 		if len(trace) != initStats.Iters {
 			t.Fatalf("%s stopped after %d sweeps, dtd.Init after %d", name, len(trace), initStats.Iters)
 		}
