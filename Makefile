@@ -13,7 +13,7 @@ NUMERIC_PKGS = ./internal/par/... ./internal/mat/... ./internal/mttkrp/... \
 	./internal/layout/... ./internal/cp/... ./internal/dtd/... \
 	./internal/completion/...
 
-.PHONY: all build test vet race check fuzz profile clean
+.PHONY: all build test vet race chaos check fuzz profile clean
 
 all: check
 
@@ -34,6 +34,15 @@ test: build
 # among them the three-rank DMS-MG binding over cluster.Local.
 race:
 	$(GO) test -race $(CLUSTER_PKGS) $(NUMERIC_PKGS) ./internal/goldens/... ./internal/obs/... ./internal/sample/...
+
+# The recovery tests of the stream driver and the worker binary —
+# rank deaths, joins, drains, rebalances, kill-and-resume — three times
+# over with -race: which rank sees a death first, and where each
+# survivor is when it does, varies from run to run.
+CHAOS_TESTS = Elastic|Chaos|Rebalance|Kill|OneDriver
+
+chaos:
+	$(GO) test -race -count=3 -run '$(CHAOS_TESTS)' ./internal/core/ ./cmd/worker/
 
 check: vet test race
 

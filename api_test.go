@@ -313,9 +313,13 @@ func TestCompleteAPI(t *testing.T) {
 }
 
 func TestCompleteDistributedMatchesCentralized(t *testing.T) {
-	first, _ := growingRatings(t)
+	first, second := growingRatings(t)
 	opts := dismastd.CompletionOptions{Rank: 2, MaxIters: 10, Seed: 7}
 	central, err := dismastd.Complete(first, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	centralNext, err := dismastd.CompleteNext(central, second, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,10 +329,16 @@ func TestCompleteDistributedMatchesCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for m := range central.Factors {
-		for i := range central.Factors[m].Data {
-			if central.Factors[m].Data[i] != distributed.Factors[m].Data[i] {
-				t.Fatalf("mode %d elem %d differs", m, i)
+	distributedNext, err := dismastd.CompleteNext(distributed, second, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]*dismastd.CompletionResult{{central, distributed}, {centralNext, distributedNext}} {
+		for m := range pair[0].Factors {
+			for i := range pair[0].Factors[m].Data {
+				if pair[0].Factors[m].Data[i] != pair[1].Factors[m].Data[i] {
+					t.Fatalf("mode %d elem %d differs", m, i)
+				}
 			}
 		}
 	}

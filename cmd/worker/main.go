@@ -21,8 +21,10 @@
 // completed step (view rank 0, atomic rename) a restarted cluster with
 // -resume continues from the last checkpoint and reproduces the
 // uninterrupted run bit for bit; with -elastic they absorb the dead
-// rank and finish the stream (results within reordering tolerance),
-// and scripted joins and drains are admitted at step fences.
+// rank — re-run the interrupted step without it from the state they
+// hold, exactly as a static cluster of the survivors would — and
+// finish the stream, and scripted joins and drains are admitted at
+// step fences.
 //
 // A second invocation can still pass -prev state.gob and the next
 // snapshot to perform an incremental streaming step across processes.
@@ -137,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	timeout := fs.Duration("timeout", 2*time.Minute, "join and receive timeout")
 	heartbeat := fs.Duration("heartbeat", 0, "peer failure-detection probe interval (0 = off)")
 	debugAddr := fs.String("debug-addr", "", "worker mode: serve /metrics, /debug/state, /debug/timeline and /debug/pprof/ on this address (no auth — bind loopback only; empty = off)")
-	elastic := fs.Bool("elastic", false, "worker mode: absorb rank deaths and finish the stream (results within reordering tolerance) instead of failing so -resume reproduces the run bitwise; enables scripted joins and drains at step fences")
+	elastic := fs.Bool("elastic", false, "worker mode: absorb rank deaths — the survivors re-run the interrupted step without the dead rank and finish the stream — instead of failing for -resume; enables scripted joins and drains at step fences")
 	members := fs.Int("members", 0, "elastic mode: initial members, world ranks 0..N-1 (0 = every rank; the rest start as spares)")
 	joinAt := fs.String("join-at", "", "elastic mode: scripted joins as rank:step,... — identical on every rank")
 	drainAt := fs.String("drain-at", "", "elastic mode: scripted drains as rank:step,... — identical on every rank")

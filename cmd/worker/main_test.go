@@ -404,18 +404,21 @@ func TestElasticWorkerJoinAndDrain(t *testing.T) {
 
 // TestElasticWorkerKillRecovers is the distributed chaos test: rank 1
 // crashes mid-sweep during the last step, the survivors detect it by
-// heartbeat, agree the shrunken view, absorb its rows, and finish the
-// stream without it — same cluster run, no restart.
+// heartbeat, agree the shrunken view, re-run the step without it, and
+// finish the stream — same cluster run, no restart. Their -out must be
+// byte-identical to the static runs that switch to two ranks at that
+// step: three ranks over snapshot 0, then two from its checkpoint over
+// snapshot 1.
 func TestElasticWorkerKillRecovers(t *testing.T) {
 	dir := t.TempDir()
 	snaps := writeSnapshots(t, dir)
 	state := filepath.Join(dir, "state.gob")
-	base := []string{
+	opts := []string{"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s"}
+	base := append([]string{
 		"-tensor", snaps[0] + "," + snaps[1],
-		"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s",
 		"-elastic", "-kill-at", "1:1", "-heartbeat", "150ms",
 		"-out", state,
-	}
+	}, opts...)
 	errs, out := runCluster(t, base, [][]string{nil, nil, nil})
 	// Ranks are assigned by rendezvous arrival order, so the victim (node
 	// rank 1) is an arbitrary goroutine: exactly one scripted crash, no
@@ -436,9 +439,33 @@ func TestElasticWorkerKillRecovers(t *testing.T) {
 	if !strings.Contains(out, "final loss=") {
 		t.Fatalf("survivors produced no final summary: %q", out)
 	}
-	st := readState(t, state)
-	if len(st.Dims) == 0 || st.Dims[0] == 0 {
-		t.Fatalf("written state has dims %v", st.Dims)
+
+	ckpt := filepath.Join(dir, "ref")
+	ref := filepath.Join(dir, "ref.gob")
+	for _, run := range []struct {
+		args    []string
+		workers int
+	}{
+		{[]string{"-tensor", snaps[0], "-checkpoint", ckpt}, 3},
+		{[]string{"-tensor", snaps[1], "-prev", checkpointPath(ckpt, 0), "-out", ref}, 2},
+	} {
+		errs, _ := runCluster(t, append(run.args, opts...), make([][]string, run.workers))
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("reference worker %d of %d: %v", w, run.workers, err)
+			}
+		}
+	}
+	got, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("survivors' -out differs from the 3-rank then 2-rank static runs")
 	}
 }
 

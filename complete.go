@@ -34,8 +34,11 @@ type CompletionOptions struct {
 	Threads int
 }
 
-func (o CompletionOptions) internal() completion.Options {
-	return completion.Options{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Lambda: o.Lambda, Seed: o.Seed, Threads: o.Threads}
+func (o CompletionOptions) internal() completion.DistributedOptions {
+	return completion.DistributedOptions{
+		Options: completion.Options{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Lambda: o.Lambda, Seed: o.Seed, Threads: o.Threads},
+		Workers: max(o.Workers, 1), Parts: o.Parts, Method: partition.Method(o.Partitioner),
+	}
 }
 
 // CompletionResult reports a completion fit.
@@ -51,10 +54,7 @@ type CompletionResult struct {
 // Decompose, unobserved cells do not pull predictions toward zero.
 // The fit runs on an in-process cluster of Workers ranks.
 func Complete(x *Tensor, opts CompletionOptions) (*CompletionResult, error) {
-	res, err := completion.DecomposeDistributed(x, completion.DistributedOptions{
-		Options: opts.internal(), Workers: max(opts.Workers, 1), Parts: opts.Parts,
-		Method: partition.Method(opts.Partitioner),
-	})
+	res, err := completion.DecomposeDistributed(x, opts.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +64,8 @@ func Complete(x *Tensor, opts CompletionOptions) (*CompletionResult, error) {
 // CompleteNext advances a completion model along a multi-aspect stream:
 // the previous result's factors are extended to the new snapshot's
 // (grown) dims and refined by warm-started sweeps over its
-// observations. prev is not modified.
+// observations, on an in-process cluster of Workers ranks like
+// Complete. prev is not modified.
 func CompleteNext(prev *CompletionResult, snapshot *Tensor, opts CompletionOptions) (*CompletionResult, error) {
 	res, err := completion.StreamStep(prev.Factors, snapshot, opts.internal())
 	if err != nil {

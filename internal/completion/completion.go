@@ -108,9 +108,8 @@ func Decompose(x *tensor.Tensor, o Options) (*Result, error) {
 }
 
 // DecomposeFrom fits the model starting from the given factors (updated
-// in place). Used for warm starts and by StreamStep. It is the
-// distributed driver on a one-rank cluster, whose rank sweeps the
-// caller's factors directly.
+// in place). Used for warm starts. It is the distributed driver on a
+// one-rank cluster, whose rank sweeps the caller's factors directly.
 func DecomposeFrom(x *tensor.Tensor, factors []*mat.Dense, o Options) (*Result, error) {
 	opts, err := o.withDefaults()
 	if err != nil {
@@ -223,12 +222,13 @@ func RMSE(x *tensor.Tensor, factors []*mat.Dense) float64 {
 	return math.Sqrt(sum / float64(x.NNZ()))
 }
 
-// StreamStep advances a completion model along a multi-aspect stream:
-// the previous factors are extended with seeded random rows for the
-// growth ranges and refined over the new snapshot's observations by
-// warm-started weighted ALS. prevFactors is not modified.
-func StreamStep(prevFactors []*mat.Dense, snapshot *tensor.Tensor, o Options) (*Result, error) {
-	opts, err := o.withDefaults()
+// StreamStep advances a completion model along a multi-aspect stream on
+// an in-process cluster of o.Workers ranks: the previous factors are
+// extended with seeded random rows for the growth ranges and refined
+// over the new snapshot's observations by warm-started weighted ALS.
+// prevFactors is not modified.
+func StreamStep(prevFactors []*mat.Dense, snapshot *tensor.Tensor, o DistributedOptions) (*DistributedResult, error) {
+	opts, err := o.Options.withDefaults()
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +247,7 @@ func StreamStep(prevFactors []*mat.Dense, snapshot *tensor.Tensor, o Options) (*
 		}
 		factors[m] = mat.StackRows(f, mat.RandomUniform(grow, opts.Rank, src))
 	}
-	return DecomposeFrom(snapshot, factors, opts)
+	return o.fit(snapshot, factors, opts)
 }
 
 func relChange(prev, cur float64) float64 {

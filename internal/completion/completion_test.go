@@ -127,7 +127,7 @@ func TestStreamStepTracksGrowingTensor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := StreamStep(first.Factors, full, Options{Rank: 2, MaxIters: 100, Lambda: 1e-6, Seed: 21})
+	second, err := StreamStep(first.Factors, full, DistributedOptions{Options: Options{Rank: 2, MaxIters: 100, Lambda: 1e-6, Seed: 21}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +146,14 @@ func TestStreamStepValidation(t *testing.T) {
 	dims := []int{6, 6, 6}
 	_, full, _ := observedSplit(dims, 2, 60, 1, 23)
 	good := []*mat.Dense{mat.New(6, 2), mat.New(6, 2), mat.New(6, 2)}
-	if _, err := StreamStep(good[:2], full, Options{Rank: 2}); err == nil {
+	one := DistributedOptions{Options: Options{Rank: 2}, Workers: 1}
+	if _, err := StreamStep(good[:2], full, one); err == nil {
 		t.Fatal("wrong factor count accepted")
 	}
-	if _, err := StreamStep([]*mat.Dense{mat.New(7, 2), good[1], good[2]}, full, Options{Rank: 2}); err == nil {
+	if _, err := StreamStep([]*mat.Dense{mat.New(7, 2), good[1], good[2]}, full, one); err == nil {
 		t.Fatal("shrinking mode accepted")
 	}
-	if _, err := StreamStep([]*mat.Dense{mat.New(6, 3), good[1], good[2]}, full, Options{Rank: 2}); err == nil {
+	if _, err := StreamStep([]*mat.Dense{mat.New(6, 3), good[1], good[2]}, full, one); err == nil {
 		t.Fatal("rank mismatch accepted")
 	}
 }

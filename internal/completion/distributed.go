@@ -16,10 +16,10 @@ import (
 	"dismastd/internal/xrand"
 )
 
-// Distributed completion — the only completion driver; Decompose and
-// StreamStep run it on one rank. The weighted ALS runs on the cluster
-// runtime, with the observations distributed per mode by GTP/MTP
-// exactly like DisMASTD distributes the complement. Completion
+// Distributed completion — the only completion driver; Decompose runs
+// it on one rank. The weighted ALS runs on the cluster runtime, with
+// the observations distributed per mode by GTP/MTP exactly like
+// DisMASTD distributes the complement. Completion
 // parallelises even more cleanly than decomposition — each factor row's
 // R×R normal system is built solely from that row's own observations,
 // which live with the row's owner by construction — so the only
@@ -49,18 +49,24 @@ func DecomposeDistributed(x *tensor.Tensor, o DistributedOptions) (*DistributedR
 	if err != nil {
 		return nil, err
 	}
+	src := xrand.New(opts.Seed)
+	init := make([]*mat.Dense, x.Order())
+	for m, d := range x.Dims {
+		init[m] = mat.RandomUniform(d, opts.Rank, src)
+	}
+	return o.fit(x, init, opts)
+}
+
+// fit checks the cluster shape and fits x's observed entries from
+// factors on it; opts are o.Options with defaults applied.
+func (o DistributedOptions) fit(x *tensor.Tensor, factors []*mat.Dense, opts Options) (*DistributedResult, error) {
 	if o.Workers <= 0 {
 		return nil, fmt.Errorf("completion: workers must be positive, got %d", o.Workers)
 	}
 	if x.NNZ() == 0 {
 		return nil, ErrNoObservations
 	}
-	src := xrand.New(opts.Seed)
-	init := make([]*mat.Dense, x.Order())
-	for m, d := range x.Dims {
-		init[m] = mat.RandomUniform(d, opts.Rank, src)
-	}
-	res, stats, err := decompose(x, init, opts, o.Workers, o.Parts, o.Method)
+	res, stats, err := decompose(x, factors, opts, o.Workers, o.Parts, o.Method)
 	if err != nil {
 		return nil, err
 	}

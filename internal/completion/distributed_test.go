@@ -92,3 +92,37 @@ func TestDistributedValidation(t *testing.T) {
 		t.Fatal("empty tensor accepted")
 	}
 }
+
+// TestStreamStepRunsOnWorkers: a streaming step runs on the cluster
+// shape it is given — three ranks, each sending its updated rows — and,
+// with no cross-row reductions, reproduces the one-rank step bit for bit.
+func TestStreamStepRunsOnWorkers(t *testing.T) {
+	dims := []int{14, 12, 10}
+	_, full, _ := observedSplit(dims, 2, 900, 1, 43)
+	first, err := Decompose(full.Prefix([]int{10, 9, 8}), Options{Rank: 2, MaxIters: 5, Seed: 45})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Rank: 2, MaxIters: 5, Tol: 0, Seed: 47}
+	one, err := StreamStep(first.Factors, full, DistributedOptions{Options: opts, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	three, err := StreamStep(first.Factors, full, DistributedOptions{Options: opts, Workers: 3, Method: partition.MTPMethod})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(three.Cluster.Ranks); n != 3 {
+		t.Fatalf("step ran on %d ranks, want 3", n)
+	}
+	for r, rk := range three.Cluster.Ranks {
+		if rk.Metrics.BytesSent == 0 {
+			t.Fatalf("rank %d sent nothing", r)
+		}
+	}
+	for m := range one.Factors {
+		if d := mat.MaxAbsDiff(three.Factors[m], one.Factors[m]); d != 0 {
+			t.Fatalf("mode %d: three ranks differ from one by %v", m, d)
+		}
+	}
+}

@@ -69,7 +69,7 @@ func testEngineAllocFree(t *testing.T, workers, threads int) {
 
 	perRank := make([]float64, workers)
 	if _, err := cluster.NewLocal(workers).Run(func(w *cluster.Worker) error {
-		eng := job.bind(w, nil)
+		eng := job.bind(w)
 		defer eng.Close()
 		// One rank's steady-state run, fully instrumented — pre-resolved
 		// counters and spans included — collectives and exchange included.

@@ -317,9 +317,8 @@ type StepJob struct {
 	// caches holds one layout cache per rank (index = rank), created up
 	// front so concurrent RunWorker calls never share mutable state.
 	// Each rank's compiled kernels are memoised here keyed by the
-	// identity of its entry lists: rebinding an engine to the same plan
-	// reuses every layout, while an elastic re-partition (new plan,
-	// new entry lists) invalidates and recompiles.
+	// identity of its entry lists, so rebinding an engine to the same
+	// plan reuses every layout.
 	caches []*layout.Cache
 
 	mu        sync.Mutex
@@ -397,12 +396,11 @@ func (l *naiveLoss) inner() float64 {
 
 // bind derives rank w's engine from the plan: kernels over the rank's
 // entry lists (compiled layouts memoised in the rank's cache), the rows
-// it owns, and its collectives. factors are the rank's replicas, adopted
-// — the warm factors the elastic driver carries across a view change —
-// or nil for the step's starting point, which the engine stacks for the
-// rank (dtd.Sweep.Bind). The sampled solver forces the broadcast
-// row exchange (see Options.Solver). Close the engine when done.
-func (j *StepJob) bind(w *cluster.Worker, factors []*mat.Dense) *dtd.Sweep {
+// it owns, and its collectives; the engine stacks the step's starting
+// point for the rank (dtd.Sweep.Bind from nil factors). The sampled
+// solver forces the broadcast row exchange (see Options.Solver). Close
+// the engine when done.
+func (j *StepJob) bind(w *cluster.Worker) *dtd.Sweep {
 	me := w.Rank()
 	comp := j.plan.Tensor
 	n := comp.Order()
@@ -432,7 +430,7 @@ func (j *StepJob) bind(w *cluster.Worker, factors []*mat.Dense) *dtd.Sweep {
 		broadcast: j.opts.broadcastRows || smp != nil,
 		cBytes:    w.Obs().Counter("allreduce.bytes"),
 	}
-	eng := j.sweep.Bind(factors, kernels, owned, smp, comm, w.Obs())
+	eng := j.sweep.Bind(nil, kernels, owned, smp, comm, w.Obs())
 	if j.opts.naiveLoss {
 		comm.naive = &naiveLoss{entries: j.plan.EntryLists[me][n-1], comp: comp, factors: eng.Factors(), tmp: make([]float64, j.opts.Rank)}
 	}
@@ -442,7 +440,7 @@ func (j *StepJob) bind(w *cluster.Worker, factors []*mat.Dense) *dtd.Sweep {
 // RunWorker is the SPMD body executed by every rank. It must be called
 // exactly once per rank of a cluster of Workers() size.
 func (j *StepJob) RunWorker(w *cluster.Worker) error {
-	eng := j.bind(w, nil)
+	eng := j.bind(w)
 	defer eng.Close()
 	me := w.Rank()
 

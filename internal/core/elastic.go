@@ -8,16 +8,14 @@
 //   - A rank crashing mid-step surfaces as a rank-attributed
 //     ErrPeerDown on every survivor (drain-then-fail mailboxes plus
 //     epoch revocation break transitive collective blocks). Survivors
-//     agree on the shrunken view, rebalance the partitioning with
-//     minimal slice movement (partition.Rebalance), absorb the dead
-//     rank's factor rows from their local replicas — the degraded-mode
-//     policy: the freshest surviving copy, at worst one aborted sweep
-//     stale — migrate the few rows whose surviving owner changed,
-//     refresh the row subscriptions, re-establish the Gram state, and
-//     restart the step's ALS sweeps warm. No wire bytes are spent on
-//     rows that did not change owner. (FailOnPeerDown selects the other
-//     policy: the survivors stop with the ErrPeerDown, and a restarted
-//     cluster resumes from the last step's checkpoint, bitwise.)
+//     agree on the shrunken view and on the step to restart — the
+//     earliest step any of them is in — and re-run it from its fence
+//     state, which every member still holds: the step a static cluster
+//     of the survivors would run, from the same state, whenever the
+//     rank died. No factor row crosses the wire. (FailOnPeerDown
+//     selects the other policy: the survivors stop with the
+//     ErrPeerDown, and a restarted cluster resumes from the last step's
+//     checkpoint, bitwise.)
 //
 //   - Joins and drains are admitted at step fences, where every member
 //     holds the full synced state: a joiner warm-starts from a single
@@ -26,10 +24,11 @@
 //     grow anyway), and a drainer leaves after view agreement with
 //     nothing to hand off.
 //
-// Membership never changes the maths: every epoch runs the same
-// dtd.Sweep engine as a chain of Step calls, only bound to a different
-// plan. A run with no membership events reproduces that chain's
-// per-step results bitwise.
+// Membership never changes the maths: every step runs the same
+// dtd.Sweep engine as a Step call, bound to the plan for its view.
+// Without detector weights a run therefore reproduces, bitwise, the
+// chain of Step calls over the member counts its steps completed at —
+// with no membership events, the plain chain.
 
 package core
 
@@ -55,8 +54,8 @@ var ErrScriptedCrash = errors.New("core: scripted crash")
 
 // ElasticOptions configures a multi-step elastic run. The embedded
 // Options provide the per-step algorithm parameters; Workers and Parts
-// are ignored (each epoch plans for its view size, one partition per
-// member, which is what keeps live re-partitioning minimal).
+// are ignored (each step plans for its view size, one partition per
+// member).
 type ElasticOptions struct {
 	Options
 
@@ -75,9 +74,10 @@ type ElasticOptions struct {
 	// FailOnPeerDown makes a mid-step rank death fatal: every survivor's
 	// RunWorker returns the rank-attributed ErrPeerDown instead of
 	// absorbing the dead rank and continuing. Absorbing keeps the stream
-	// alive at a result within reordering tolerance of the uninterrupted
-	// run; failing keeps every completed step's state exactly what a
-	// restart from its checkpoint reproduces.
+	// alive: the survivors re-run the interrupted step from its fence
+	// state, so the result is the Step chain that switches to the
+	// survivors at that step; failing keeps every completed step's state
+	// exactly what a restart from its checkpoint reproduces.
 	FailOnPeerDown bool
 
 	// Checkpoint, when set, is called by view rank 0 after every step's
@@ -127,15 +127,16 @@ type TransitionStats struct {
 	Join  []int // world ranks admitted
 	Leave []int // world ranks drained
 
-	MovedRows    int   // factor rows shipped between surviving owners
-	AbsorbedRows int   // dead ranks' rows adopted from local replicas
-	BytesSent    int64 // wire bytes of the transition, summed over ranks
+	// BytesSent is the state the transition shipped, summed over ranks:
+	// a joiner's boot transfer. Recoveries, drains and rebalances ship
+	// none — every member already holds the fence state — and the view
+	// agreement's control messages are not counted.
+	BytesSent int64
 
 	// Rebalance marks an epoch bump triggered by the imbalance detector
 	// rather than a membership change: same members, new plan weights.
-	// CV is the detector statistic that fired it. Rebalances cost zero
-	// migration bytes — at fences every member already holds the full
-	// synced state, so the next step simply plans differently.
+	// CV is the detector statistic that fired it; the next step simply
+	// plans differently.
 	Rebalance bool
 	CV        float64
 }
@@ -226,8 +227,8 @@ func (j *ElasticJob) Result() (*dtd.State, float64, []TransitionStats, error) {
 }
 
 // stepOpts derives the per-step Options for the view: one partition per
-// member, so re-partitioning stays a per-member diff, plus the current
-// detector cost weights mapped from world ranks into view-rank order.
+// member, plus the current detector cost weights mapped from world ranks
+// into view-rank order.
 func (j *ElasticJob) stepOpts(v cluster.View, rs *rankStream) Options {
 	opts := j.opts.Options
 	opts.Workers = v.Size()
@@ -376,11 +377,16 @@ func (j *ElasticJob) RunWorker(w *cluster.Worker) error {
 }
 
 // stream runs steps start..end on the member's current view. adopted
-// marks a joiner entering after its admission fence already ran.
+// marks a joiner entering after its admission fence already ran. Step s
+// runs from prev, the fence state entering it. before, the state that
+// entered step s-1, is kept until step s's sync completes: a survivor
+// that finished step s-1 can still be told to restart it (see recover).
 func (j *ElasticJob) stream(w *cluster.Worker, v cluster.View, vw *cluster.Worker, prev *dtd.State, start int, adopted bool, rs *rankStream) error {
-	for s := start; s < len(j.snapshots); s++ {
+	var before *dtd.State
+	fenced := adopted // step s's fence already ran: a joiner's first step, a restarted step
+	for s := start; s < len(j.snapshots); {
 		w.Obs().SetSnapshot(s)
-		if !adopted || s > start {
+		if !fenced {
 			var cont bool
 			var err error
 			v, vw, cont, err = j.fence(w, v, vw, s, prev, rs)
@@ -391,11 +397,27 @@ func (j *ElasticJob) stream(w *cluster.Worker, v cluster.View, vw *cluster.Worke
 				return nil // drained
 			}
 		}
-		var err error
-		prev, v, vw, err = j.runStep(w, v, vw, prev, s, rs)
-		if err != nil {
+		next, err := j.runStep(w, v, vw, prev, s, rs)
+		if err == nil {
+			before, prev, fenced = prev, next, false
+			s++
+			continue
+		}
+		if j.opts.FailOnPeerDown {
 			return err
 		}
+		var restart int
+		if v, vw, restart, err = j.recover(w, v, vw, err, s); err != nil {
+			return err
+		}
+		switch {
+		case restart == s:
+		case restart == s-1 && before != nil:
+			prev = before
+		default:
+			return fmt.Errorf("core: survivors agreed to restart step %d, this rank is in step %d", restart, s)
+		}
+		s, fenced = restart, true
 	}
 	if vw.Rank() == 0 {
 		j.mu.Lock()
@@ -528,49 +550,39 @@ func (j *ElasticJob) recvBoot(vw *cluster.Worker, s int, rs *rankStream) (*dtd.S
 	return &dtd.State{Dims: append([]int(nil), dims...), Factors: factors}, nil
 }
 
-// runStep advances one snapshot step. On a mid-step rank death the
-// survivors either stop with the ErrPeerDown (FailOnPeerDown) or
-// re-partition, migrate, and restart the sweeps warm on the shrunken
-// view. Returns the synced post-step state and the (possibly changed)
-// view.
-func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Worker, prev *dtd.State, s int, rs *rankStream) (*dtd.State, cluster.View, *cluster.Worker, error) {
+// runStep runs step s on the view from prev, the fence state every
+// member holds: the step a static cluster of the view's members runs.
+// Returns the synced post-step state.
+func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Worker, prev *dtd.State, s int, rs *rankStream) (*dtd.State, error) {
 	job, err := NewStepJob(prev, j.snapshots[s], j.stepOpts(v, rs))
 	if err != nil {
-		return nil, v, vw, err
+		return nil, err
 	}
-	eng := job.bind(vw, nil)
-	defer func() { eng.Close() }()
-	scriptedCrash := func(sweep int) error {
+	eng := job.bind(vw)
+	defer eng.Close()
+	err = eng.Run(func(sweep int) error {
 		if r, ok := j.opts.KillAtStep[s]; ok && r == w.Rank() && sweep == killSweep {
 			return fmt.Errorf("%w: rank %d at step %d sweep %d", ErrScriptedCrash, r, s, sweep)
 		}
 		return nil
+	})
+	vw.AddWork(eng.Work())
+	if err != nil {
+		return nil, err
 	}
-
-	for {
-		err := eng.Run(scriptedCrash)
-		vw.AddWork(eng.Work())
-		var synced *dtd.State
-		if err == nil {
-			j.chaosSlow(w, vw, job)
-			synced, err = j.syncState(vw, job, eng.Factors())
-		}
-		if err == nil && rs.plane != nil {
-			// Observability fence: lockstep with the state sync, so
-			// every member contributes and receives the decision.
-			err = j.obsFence(vw, v, rs, job, s)
-		}
-		if err == nil {
-			return synced, v, vw, j.stepDone(vw, job, eng.LossTrace(), synced, s)
-		}
-		if j.opts.FailOnPeerDown {
-			return nil, v, vw, err
-		}
-		v, vw, job, eng, err = j.recover(w, v, vw, job, eng, err, s)
-		if err != nil {
-			return nil, v, vw, err
+	j.chaosSlow(w, vw, job)
+	synced, err := j.syncState(vw, job, eng.Factors())
+	if err != nil {
+		return nil, err
+	}
+	if rs.plane != nil {
+		// Observability fence: lockstep with the state sync, so every
+		// member contributes and receives the decision.
+		if err := j.obsFence(vw, v, rs, job, s); err != nil {
+			return nil, err
 		}
 	}
+	return synced, j.stepDone(vw, job, eng.LossTrace(), synced, s)
 }
 
 // stepDone is view rank 0's end of a step: the stream's last loss is
@@ -608,17 +620,20 @@ func (j *ElasticJob) chaosSlow(w, vw *cluster.Worker, job *StepJob) {
 	time.Sleep(time.Duration(h * job.plan.RankLoads()[vw.Rank()]))
 }
 
-// recover handles one mid-step rank death: revoke the dead rank's
-// epoch (unblocking survivors stuck on live-but-blocked peers), agree
-// the shrunken view, rebalance the plan with minimal movement, migrate
-// the moved factor rows, absorb the dead rank's rows from local
-// replicas, refresh the row subscriptions, and rebind the engine to the
-// new epoch with warm factors. Any other cause — a scripted crash of
+// recover handles one mid-step rank death: revoke the dead rank's epoch
+// (unblocking survivors stuck on live-but-blocked peers), agree the
+// shrunken view and the step every survivor restarts, and record the
+// transition. Survivors need not be in the same step: one whose last
+// row exchange of step s completed before the death has gone on into
+// step s+1 while another fails inside step s. The step's all-reduces
+// keep them at most one step apart, so restarting from the earliest
+// step any survivor reports — from the fence state each still holds —
+// puts them back in lockstep. Any other cause — a scripted crash of
 // this rank included — is returned as it is.
-func (j *ElasticJob) recover(w *cluster.Worker, v cluster.View, vw *cluster.Worker, job *StepJob, eng *dtd.Sweep, cause error, s int) (cluster.View, *cluster.Worker, *StepJob, *dtd.Sweep, error) {
+func (j *ElasticJob) recover(w *cluster.Worker, v cluster.View, vw *cluster.Worker, cause error, s int) (cluster.View, *cluster.Worker, int, error) {
 	pd, ok := cluster.AsPeerDown(cause)
 	if !ok {
-		return v, vw, job, eng, cause
+		return v, vw, s, cause
 	}
 	dead := pd.Rank
 	sp := vw.Obs().Span("elastic/recover")
@@ -630,93 +645,49 @@ func (j *ElasticJob) recover(w *cluster.Worker, v cluster.View, vw *cluster.Work
 		// A non-member went dark: a drained rank or a finished spare,
 		// whose process exit a TCP failure detector reports exactly like
 		// a crash. Membership is unchanged, but the poison aborted this
-		// rank's sweep at an arbitrary point (and the revocation above
+		// rank's step at an arbitrary point (and the revocation above
 		// aborts everyone else), so the members still run a transition:
 		// the empty change bumps the epoch, fencing off the aborted
-		// sweep's in-flight messages before the warm restart.
+		// step's in-flight messages before the restart.
 		vc = cluster.ViewChange{}
 	}
 	next, err := cluster.AgreeView(w, v, vc)
 	if err != nil {
-		return v, vw, job, eng, fmt.Errorf("core: recovering from down rank %d: %w", dead, err)
-	}
-	newPlan, err := dplan.RebuildRebalanced(job.plan, v, next)
-	if err != nil {
-		return v, vw, job, eng, err
+		return v, vw, s, fmt.Errorf("core: recovering from down rank %d: %w", dead, err)
 	}
 	vw2, err := w.ViewWorker(next)
 	if err != nil {
-		return v, vw, job, eng, err
+		return v, vw, s, err
 	}
-	d := dplan.ComputeDelta(job.plan, v, newPlan, next)
-	full := eng.Factors()
-	eng.Close()
-
-	base := vw2.MetricsSnapshot()
-	if err := dplan.Migrate(vw2, d, full); err != nil {
-		return v, vw, job, eng, err
+	steps := make([]float64, next.Size())
+	steps[vw2.Rank()] = float64(s)
+	if err := vw2.AllReduceSumInPlace(steps); err != nil {
+		return v, vw, s, err
 	}
-	// Refresh every subscription under the new plan: the aborted sweep
-	// left replicas unevenly fresh across ranks, and the old epoch's
-	// in-flight rows are fenced off, so each subscriber re-pulls from
-	// the (warm) owners before the Gram state is re-established.
-	for m := range full {
-		if err := dplan.ExchangeRows(vw2, newPlan, m, full[m], false); err != nil {
-			return v, vw, job, eng, err
-		}
-	}
-	sent := vw2.MetricsSnapshot().BytesSent - base.BytesSent
-
-	absorbed := 0
-	for m := range d.Absorbed {
-		absorbed += len(d.Absorbed[m][vw2.Rank()])
+	restart := s
+	for _, x := range steps {
+		restart = min(restart, int(x))
 	}
 	o := vw2.Obs()
 	o.Counter("elastic.epochs").Add(1)
 	o.Counter("elastic.recoveries").Add(1)
-	o.Counter("elastic.absorbed.rows").Add(int64(absorbed))
-	fill := func(t *TransitionStats) {
-		t.Step = s
-		t.Dead = append([]int(nil), vc.Dead...)
-		t.MovedRows = d.MovedRows()
-		t.AbsorbedRows = d.AbsorbedRows()
+	if vw2.Rank() == 0 {
+		j.record(next.Epoch, 0, func(t *TransitionStats) {
+			t.Step = restart
+			t.Dead = append([]int(nil), vc.Dead...)
+		})
 	}
-	if vw2.Rank() != 0 {
-		fill = nil
-	}
-	j.record(next.Epoch, sent, fill)
-
-	job2 := job.withPlan(newPlan, next.Size())
-	return next, vw2, job2, job2.bind(vw2, full), nil
-}
-
-// withPlan rebinds a step job to a rebalanced plan for a different
-// member count; the step's shared sweep inputs carry over unchanged.
-func (j *StepJob) withPlan(plan *dplan.Plan, workers int) *StepJob {
-	opts := j.opts
-	opts.Workers = workers
-	opts.Parts = workers
-	// The recovery re-plan minimises movement from the old assignment
-	// (partition.Rebalance), ignoring cost weights — and the old weights
-	// are sized for the old view anyway. The next step's fresh plan
-	// re-applies the detector's world-keyed weights via stepOpts.
-	opts.rankWeights = nil
-	return &StepJob{
-		opts:   opts,
-		sweep:  j.sweep,
-		plan:   plan,
-		algo:   make([]cluster.Metrics, workers),
-		caches: newCaches(workers),
-	}
+	return next, vw2, restart, nil
 }
 
 // syncState has every owner broadcast its owned rows (the sampled
 // solver's owned-row exchange) and adopts the completed replicas as the
 // step's result, so every member — not just rank 0 — enters the next
 // fence holding the full state. That replication is what makes fences
-// cheap: drains hand off nothing and failures absorb from local
-// replicas. Every row comes verbatim from its owner, so all members hold
-// the same bits.
+// cheap and recovery local: drains hand off nothing, joiners boot from
+// one member, and survivors restart a step from the state they hold.
+// Every row comes verbatim from its owner, so all members hold the same
+// bits.
 func (j *ElasticJob) syncState(vw *cluster.Worker, job *StepJob, full []*mat.Dense) (*dtd.State, error) {
 	for m := range full {
 		if err := dplan.ExchangeRows(vw, job.plan, m, full[m], true); err != nil {

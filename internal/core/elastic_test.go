@@ -1,11 +1,11 @@
 package core
 
 // Chaos tests for the elastic multi-step driver: membership changes —
-// scripted crashes mid-step, joins and drains at fences — must leave
-// the decomposition's convergence intact (fit within 1e-6 relative of
-// an uninterrupted run), move only the factor rows that changed owner,
-// and cost nothing when membership is static (bitwise-identical to the
-// sequential Step driver).
+// rank deaths mid-step, joins and drains at fences — must leave the
+// decomposition's convergence intact (fit within 1e-6 relative of an
+// uninterrupted run), reproduce the Step chain over the member counts
+// the steps ran at bit for bit, and cost nothing when membership is
+// static (bitwise-identical to the sequential Step driver).
 
 import (
 	"errors"
@@ -50,10 +50,21 @@ func elasticBase(world, members int) ElasticOptions {
 // and returns the final state and final step loss.
 func referenceRun(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, workers int, o Options) (*dtd.State, float64) {
 	t.Helper()
+	counts := make([]int, len(snaps))
+	for i := range counts {
+		counts[i] = workers
+	}
+	return chainRun(t, prev, snaps, counts, o)
+}
+
+// chainRun is referenceRun with a worker count per step: the chain an
+// elastic run whose membership changed must reproduce bitwise.
+func chainRun(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, workers []int, o Options) (*dtd.State, float64) {
+	t.Helper()
 	var loss float64
 	for i, snap := range snaps {
-		o.Workers = workers
-		o.Parts = workers
+		o.Workers = workers[i]
+		o.Parts = workers[i]
 		st, stats, err := Step(prev, snap, o)
 		if err != nil {
 			t.Fatalf("reference step %d: %v", i, err)
@@ -65,10 +76,33 @@ func referenceRun(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, workers
 
 func runElastic(t *testing.T, j *ElasticJob, world int) (*cluster.RunStats, error) {
 	t.Helper()
+	return runElasticFaults(t, j, world, nil, 60*time.Second)
+}
+
+// runElasticFaults is runElastic under a fault plan (nil for none) and a
+// receive timeout.
+func runElasticFaults(t *testing.T, j *ElasticJob, world int, plan *cluster.FaultPlan, timeout time.Duration) (*cluster.RunStats, error) {
+	t.Helper()
 	c := cluster.NewLocal(world)
 	c.SetElastic(true)
-	c.SetRecvTimeout(60 * time.Second)
+	c.SetRecvTimeout(timeout)
+	if plan != nil {
+		c.SetFaultPlan(plan)
+	}
 	return c.Run(j.RunWorker)
+}
+
+// requireSameState fails unless got equals want bit for bit.
+func requireSameState(t *testing.T, got, want *dtd.State, what string) {
+	t.Helper()
+	if len(got.Factors) != len(want.Factors) {
+		t.Fatalf("%s: %d factors, want %d", what, len(got.Factors), len(want.Factors))
+	}
+	for m := range got.Factors {
+		if d := mat.MaxAbsDiff(got.Factors[m], want.Factors[m]); d != 0 {
+			t.Fatalf("%s: mode %d differs by %g", what, m, d)
+		}
+	}
 }
 
 // TestElasticStaticMatchesStepBitwise: with no membership events the
@@ -105,17 +139,18 @@ func TestElasticStaticMatchesStepBitwise(t *testing.T) {
 
 // TestElasticKillAndJoinMidStream is the headline chaos test: world of
 // 4 ranks streams 3 steps with 3 members; rank 1 crashes mid-sweep in
-// step 1, the survivors finish the step degraded, and spare rank 3 is
+// step 1, the survivors re-run the step without it, and spare rank 3 is
 // admitted at step 2's fence as a warm-started replacement. The final
+// state must be the Step chain at 3, 2 and 3 workers bit for bit, the
 // fit must track an uninterrupted run within 1e-6 relative, and the
-// recovery must ship zero factor rows (pure local absorption) — only
-// the subscription refresh and the joiner's boot state cross the wire,
-// byte-for-byte accounted.
+// recovery must ship nothing — only the joiner's boot state crosses the
+// wire, byte-for-byte accounted.
 func TestElasticKillAndJoinMidStream(t *testing.T) {
 	const r = 3
 	prev, snaps := elasticSeq(t, r)
 	o := elasticBase(4, 3)
 	_, refLoss := referenceRun(t, prev, snaps, 3, o.Options)
+	chain, chainLoss := chainRun(t, prev, snaps, []int{3, 2, 3}, o.Options)
 
 	o.KillAtStep = map[int]int{1: 1}
 	o.JoinAtStep = map[int]int{2: 3}
@@ -137,55 +172,24 @@ func TestElasticKillAndJoinMidStream(t *testing.T) {
 	if rel := math.Abs(gotLoss-refLoss) / refLoss; rel > 1e-6 {
 		t.Fatalf("elastic fit %v vs uninterrupted %v (relative %g)", gotLoss, refLoss, rel)
 	}
+	requireSameState(t, final, chain, "recovered run vs the 3-2-3 Step chain")
+	if gotLoss != chainLoss {
+		t.Fatalf("recovered loss %v, chain %v", gotLoss, chainLoss)
+	}
 
 	if len(transitions) != 2 {
 		t.Fatalf("recorded %d transitions, want 2 (recovery + join): %+v", len(transitions), transitions)
 	}
 	rec, join := transitions[0], transitions[1]
 
-	// Recovery transition: epoch 1, rank 1 dead during step 1, and the
-	// shrink moved nothing — every dead-owned row was absorbed from the
-	// survivors' local replicas at zero wire cost.
-	oldView := cluster.InitialView(3)
-	newView := cluster.ViewChange{Dead: []int{1}}.Apply(oldView)
-	comp := snaps[1].Complement(snaps[0].Dims)
-	oldPlan := dplan.Build(comp, 3, 3, o.Method)
-	newPlan, err := dplan.RebuildRebalanced(oldPlan, oldView, newView)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta := dplan.ComputeDelta(oldPlan, oldView, newPlan, newView)
-	wantAbsorbed := 0
-	for m := range oldPlan.Dims {
-		wantAbsorbed += len(oldPlan.OwnedSlices[m][1])
-	}
+	// Recovery transition: epoch 1, rank 1 dead during step 1, and no
+	// state on the wire — every survivor restarts from the fence state it
+	// holds.
 	if rec.Epoch != 1 || rec.Step != 1 || len(rec.Dead) != 1 || rec.Dead[0] != 1 {
 		t.Fatalf("recovery transition = %+v", rec)
 	}
-	if rec.MovedRows != 0 || delta.MovedRows() != 0 {
-		t.Fatalf("recovery moved %d rows (delta says %d), want 0", rec.MovedRows, delta.MovedRows())
-	}
-	if rec.AbsorbedRows != wantAbsorbed {
-		t.Fatalf("absorbed %d rows, dead rank owned %d", rec.AbsorbedRows, wantAbsorbed)
-	}
-	// Exact byte accounting: zero migration bytes, so the transition's
-	// traffic is exactly the post-recovery subscription refresh under
-	// the epoch-1 plan.
-	wantBytes := int64(0)
-	for m := range newPlan.Dims {
-		tag := int64(len("v1|rows/0")) // epoch-fenced stream tag, single-digit modes
-		for owner := 0; owner < newPlan.Workers; owner++ {
-			for sub := 0; sub < newPlan.Workers; sub++ {
-				rows := newPlan.SendLists[m][owner][sub]
-				if owner == sub || len(rows) == 0 {
-					continue
-				}
-				wantBytes += int64(8*r*len(rows)) + tag + 8
-			}
-		}
-	}
-	if rec.BytesSent != wantBytes {
-		t.Fatalf("recovery sent %d bytes, want %d (refresh only)", rec.BytesSent, wantBytes)
+	if rec.BytesSent != 0 {
+		t.Fatalf("recovery sent %d bytes, want 0", rec.BytesSent)
 	}
 
 	// Join transition: epoch 2 admits spare 3 at step 2's fence; the
@@ -205,15 +209,12 @@ func TestElasticKillAndJoinMidStream(t *testing.T) {
 		t.Fatalf("join sent %d bytes, want %d (boot state only)", join.BytesSent, wantBoot)
 	}
 
-	// Per-rank instrumentation: both survivors recovered exactly once
-	// and migrated nothing; the joiner adopted one epoch.
+	// Per-rank instrumentation: both survivors recovered exactly once;
+	// the joiner adopted one epoch.
 	for _, world := range []int{0, 2} {
 		c := stats.Ranks[world].Obs.Metrics.Counters
 		if c["elastic.recoveries"] != 1 {
 			t.Fatalf("rank %d recoveries = %d, want 1", world, c["elastic.recoveries"])
-		}
-		if c["elastic.migrate.rows"] != 0 {
-			t.Fatalf("rank %d migrated %d rows, want 0", world, c["elastic.migrate.rows"])
 		}
 	}
 	if c := stats.Ranks[3].Obs.Metrics.Counters; c["elastic.epochs"] != 1 {
@@ -365,8 +366,8 @@ func TestElasticDrainMidStream(t *testing.T) {
 	if d.Epoch != 1 || d.Step != 1 || len(d.Leave) != 1 || d.Leave[0] != 2 {
 		t.Fatalf("drain transition = %+v", d)
 	}
-	if d.BytesSent != 0 || d.MovedRows != 0 {
-		t.Fatalf("drain fence cost %d bytes / %d rows, want none", d.BytesSent, d.MovedRows)
+	if d.BytesSent != 0 {
+		t.Fatalf("drain fence cost %d bytes, want none", d.BytesSent)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -384,4 +385,128 @@ func TestElasticDrainMidStream(t *testing.T) {
 	if last := ckLoss[len(ckLoss)-1]; last != gotLoss {
 		t.Fatalf("last checkpoint saw loss %v, Result %v", last, gotLoss)
 	}
+}
+
+// linkSends counts the sends on the (from, to) link of an undisturbed
+// elastic run over the first steps snapshots: the ordinal a FaultRule
+// gives the link's next send in a longer run of the same stream. An
+// in-process FaultCut delivers its message, so a cut rule counts.
+func linkSends(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, o ElasticOptions, steps, from, to int) int {
+	t.Helper()
+	job, err := NewElasticJob(prev, snaps[:steps], o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := cluster.NewFaultPlan().Add(cluster.FaultRule{From: from, To: to, FirstSeq: 0, LastSeq: -1, Op: cluster.FaultCut})
+	if _, err := runElasticFaults(t, job, o.World, counter, 60*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return counter.FiredOp(cluster.FaultCut)
+}
+
+// killRank1InStep1 runs the three-member stream with rank 1 killed in
+// step 1 — by the fault plan, or by the script when plan is nil — and
+// returns the survivors' final state and the run's statistics after
+// checking the one recovery transition. The receive timeout is short
+// so a recovery that deadlocks fails instead of hanging.
+func killRank1InStep1(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, o ElasticOptions, plan *cluster.FaultPlan) (*dtd.State, *cluster.RunStats) {
+	t.Helper()
+	if plan == nil {
+		o.KillAtStep = map[int]int{1: 1}
+	}
+	job, err := NewElasticJob(prev, snaps, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := runElasticFaults(t, job, o.World, plan, 10*time.Second)
+	if plan == nil && !errors.Is(err, ErrScriptedCrash) {
+		t.Fatalf("run error = %v, want the scripted crash", err)
+	}
+	if plan != nil && plan.FiredOp(cluster.FaultError) != 1 {
+		t.Fatalf("fault plan fired %d errors, want 1 (run error %v)", plan.FiredOp(cluster.FaultError), err)
+	}
+	final, _, transitions, err := job.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(transitions) != 1 {
+		t.Fatalf("recorded %d transitions, want 1: %+v", len(transitions), transitions)
+	}
+	if tr := transitions[0]; tr.Step != 1 || len(tr.Dead) != 1 || tr.Dead[0] != 1 || tr.BytesSent != 0 {
+		t.Fatalf("recovery transition = %+v, want rank 1 dead in step 1 and nothing sent", tr)
+	}
+	return final, stats
+}
+
+// TestElasticRecoveryIndependentOfDeathPoint: wherever in step 1 rank 1
+// dies — its first sweep, the scripted crash at the start of its
+// second, or its last sweep (its state sync: see
+// TestElasticSurvivorsRestartTheSameStep) — the survivors re-run step 1
+// from the same fence state, so every run ends at the Step chain over
+// 3, 2 and 2 workers bit for bit.
+func TestElasticRecoveryIndependentOfDeathPoint(t *testing.T) {
+	prev, snaps := elasticSeq(t, 3)
+	o := elasticBase(3, 3)
+	chain, _ := chainRun(t, prev, snaps, []int{3, 2, 2}, o.Options)
+
+	// Step 1's plan: rank 1 owns rows in every mode, so the state sync
+	// sends exactly one message per mode to rank 0, and rank 0 subscribes
+	// to some of rank 1's mode-0 rows, so sweep 0's first row exchange
+	// crosses the link.
+	plan := dplan.Build(snaps[1].Complement(snaps[0].Dims), 3, 3, o.Method)
+	for m := range plan.Dims {
+		if len(plan.OwnedSlices[m][1]) == 0 {
+			t.Fatalf("rank 1 owns no mode-%d rows in step 1", m)
+		}
+	}
+	if len(plan.SendLists[0][1][0]) == 0 {
+		t.Fatal("rank 0 subscribes to none of rank 1's mode-0 rows in step 1")
+	}
+	afterStep0 := linkSends(t, prev, snaps, o, 1, 1, 0)
+	afterStep1 := linkSends(t, prev, snaps, o, 2, 1, 0)
+	fault := func(tag string, seq, last int) *cluster.FaultPlan {
+		return cluster.NewFaultPlan().Add(cluster.FaultRule{From: 1, To: 0, TagPrefix: tag, FirstSeq: seq, LastSeq: last, Op: cluster.FaultError})
+	}
+	for _, tc := range []struct {
+		name string
+		plan *cluster.FaultPlan
+	}{
+		// The first row message of step 1: sweep 0's mode-0 exchange.
+		{"first sweep", fault("v0|rows/0", afterStep0, -1)},
+		{"scripted crash", nil},
+		// The last send before the state sync's three: the last sweep's
+		// loss reduction.
+		{"last sweep", fault("", afterStep1-4, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			final, _ := killRank1InStep1(t, prev, snaps, o, tc.plan)
+			requireSameState(t, final, chain, "recovered run vs the 3-2-2 Step chain")
+		})
+	}
+}
+
+// TestElasticSurvivorsRestartTheSameStep: rank 1 dies between its two
+// sends of the last mode's state sync in step 1, so rank 0 has all of
+// step 1's rows and goes on into step 2 while rank 2 fails inside step
+// 1. Both then agree on the same shrunken view; they must also agree to
+// restart step 1 — rank 0 from the fence state it kept — and end at the
+// Step chain over 3, 2 and 2 workers bit for bit.
+func TestElasticSurvivorsRestartTheSameStep(t *testing.T) {
+	prev, snaps := elasticSeq(t, 3)
+	o := elasticBase(3, 3)
+	chain, _ := chainRun(t, prev, snaps, []int{3, 2, 2}, o.Options)
+
+	seq := linkSends(t, prev, snaps, o, 2, 1, 2) - 1
+	plan := cluster.NewFaultPlan().Add(cluster.FaultRule{From: 1, To: 2, TagPrefix: "v0|rows/2", FirstSeq: seq, Op: cluster.FaultError})
+	final, stats := killRank1InStep1(t, prev, snaps, o, plan)
+	// The split happened: rank 0 bound step 2's engine before the
+	// recovery epoch.
+	split := false
+	for _, ev := range stats.Ranks[0].Obs.Spans {
+		split = split || (ev.Snapshot == 2 && ev.Epoch == 0)
+	}
+	if !split {
+		t.Fatal("rank 0 never entered step 2 ahead of the recovery")
+	}
+	requireSameState(t, final, chain, "recovered run vs the 3-2-2 Step chain")
 }

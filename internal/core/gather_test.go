@@ -27,7 +27,7 @@ func runAndGather(t *testing.T, job *StepJob) (got, want, replica []*mat.Dense, 
 	r := job.opts.Rank
 	ownedRows := make([][]*mat.Dense, workers) // [rank][mode]: that rank's owned rows, in OwnedSlices order
 	stats, err := cluster.NewLocal(workers).Run(func(w *cluster.Worker) error {
-		eng := job.bind(w, nil)
+		eng := job.bind(w)
 		defer eng.Close()
 		if err := eng.Run(nil); err != nil {
 			return err
@@ -159,7 +159,7 @@ func TestGatherAllocatesNoFactorOnRankZero(t *testing.T) {
 	}
 	var allocated uint64
 	if _, err := cluster.NewLocal(workers).Run(func(w *cluster.Worker) error {
-		eng := job.bind(w, nil)
+		eng := job.bind(w)
 		defer eng.Close()
 		if err := eng.Run(nil); err != nil {
 			return err

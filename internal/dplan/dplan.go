@@ -134,9 +134,8 @@ func (p *Plan) RankLoads() []float64 {
 }
 
 // assemble derives everything downstream of the mode plans: ownership,
-// entry lists, owned-slice lists, and the row subscriptions. Build and
-// the elastic rebalanced rebuild (delta.go) share it. The entry and
-// owned-slice lists — the ones as long as the data — are sized by a
+// entry lists, owned-slice lists, and the row subscriptions. The entry
+// and owned-slice lists — the ones as long as the data — are sized by a
 // counting pass before they are filled; a list nothing lands in stays
 // nil. A one-worker plan (the completion driver's single-rank run)
 // skips the entry walks altogether.

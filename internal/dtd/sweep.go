@@ -267,11 +267,12 @@ func (e *Sweep) stack() []*mat.Dense {
 
 // Bind returns the engine for one rank of the step. factors are the
 // rank's replicas of the stacked factors, adopted and updated in place —
-// the warm factors a driver carries across a view change — or nil for
-// the step's starting point, which the binding then stacks itself (span
-// plan/stack), each rank its own copy. An engine bound from nil is cold
-// until its first Run returns: Run may assume the old rows still hold
-// Ã's bits, so nothing may write them in between.
+// warm factors, which cold_test.go binds as the cold quiet pass's
+// oracle — or nil for the step's starting point, which the binding then
+// stacks itself (span plan/stack), each rank its own copy. An engine
+// bound from nil is cold until its first Run returns: Run may assume
+// the old rows still hold Ã's bits, so nothing may write them in
+// between.
 // kernels[m] covers the rank's share of the complement for mode m;
 // owned[m] lists the rows of mode m the rank solves. smp is the rank's
 // leverage-score sampler, nil under the exact solver. A nil comm is the
@@ -486,7 +487,8 @@ func (e *Sweep) Work() float64 { return e.work }
 // falls below Tol. before, when non-nil, runs ahead of each sweep and
 // aborts the run by returning an error (the elastic driver's scripted
 // crashes). A Comm error aborts the run likewise, leaving the live rows
-// at an arbitrary point of the sweep; a rebound engine restarts warm.
+// at an arbitrary point of the sweep; the elastic driver then discards
+// the engine and re-runs the step from its starting point.
 //
 // Every mode starts explicit — the Gram state is taken from what the
 // factors hold, quiet rows included, which is what makes a warm start

@@ -15,7 +15,7 @@
 // round-trip — performs zero heap allocations (alloc_test.go pins it),
 // and the wire cost is exactly accountable from the record contents
 // (plane_test.go checks sent == received == the formula, the same
-// discipline dplan's migration path uses).
+// discipline the cluster collectives' byte accounting is held to).
 //
 // Trace identity: every span already carries (rank, epoch, snapshot,
 // iter) stamps from the obs tracer; the record header adds the world
