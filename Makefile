@@ -13,7 +13,7 @@ NUMERIC_PKGS = ./internal/par/... ./internal/mat/... ./internal/mttkrp/... \
 	./internal/layout/... ./internal/cp/... ./internal/dtd/... \
 	./internal/completion/...
 
-.PHONY: all build test vet race chaos check fuzz profile clean
+.PHONY: all build test vet race chaos check census fuzz profile clean
 
 all: check
 
@@ -45,6 +45,18 @@ chaos:
 	$(GO) test -race -count=3 -run '$(CHAOS_TESTS)' ./internal/core/ ./cmd/worker/
 
 check: vet test race
+
+# The counts ROADMAP.md's aim 2 ("fewer packages, fewer options, fewer
+# lines") is judged by: Go lines outside benchmark/, split into non-test
+# and test; packages under internal/; and each binary's flags as its -h
+# lists them. Report only — no count fails the target.
+census:
+	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -exec cat {} + | wc -l)"
+	@echo "test Go lines outside benchmark/: $$(find . -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -exec cat {} + | wc -l)"
+	@echo "packages under internal/: $$($(GO) list ./internal/... | wc -l)"
+	@for d in cmd/*; do \
+		echo "flags of $$(basename $$d): $$($(GO) run ./$$d -h 2>&1 | grep -c '^  -')"; \
+	done
 
 # Every Fuzz* in the module, FUZZTIME each, one after another. The list
 # comes from `go test -list`, so a new fuzzer needs no edit here. New

@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	threads := fs.Int("threads", 1, "compute threads per worker (0 = GOMAXPROCS); results are identical at every value")
 	seed := fs.Uint64("seed", 42, "generator seed")
 	datasets := fs.String("datasets", "", "comma-separated subset (default all four)")
-	samples := fs.Int("samples", 0, "for -exp sampled: sketch size S per mode (0 = default)")
 	fitTol := fs.Float64("fit-tol", 0, "for -exp sampled: fail when a sampled fit trails exact by more than this (0 = report only)")
 	svgDir := fs.String("svgdir", "", "also render the figures as SVG charts into this directory")
 	if err := fs.Parse(args); err != nil {
@@ -180,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if want("sampled") {
 		ran = true
 		fmt.Fprintln(stdout, "== Randomized solver: exact vs leverage-score sampled ALS (extension) ==")
-		points, err := bench.SampledGap(cfg, *samples)
+		points, err := bench.SampledGap(cfg)
 		if err != nil {
 			return err
 		}

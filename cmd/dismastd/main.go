@@ -45,9 +45,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	iters := fs.Int("iters", 10, "maximum ALS sweeps per snapshot")
 	mu := fs.Float64("mu", 0.8, "forgetting factor in (0, 1]")
 	workers := fs.Int("workers", 1, "in-process cluster size every snapshot runs DisMASTD on (1 = centralized DTD, bit for bit)")
-	threads := fs.Int("threads", 0, "compute threads per worker (0 = GOMAXPROCS); results are identical at every value")
 	solver := fs.String("solver", "exact", "least-squares strategy: exact (full MTTKRP) or sampled (leverage-score sketch, sublinear in nnz)")
-	samples := fs.Int("samples", 0, "sketch size per mode for -solver sampled (0 = default 8192)")
 	parts := fs.Int("parts", 0, "tensor partitions per mode (default = workers)")
 	method := fs.String("method", "gtp", "partitioning heuristic: gtp or mtp (both tensor-stationary: entries stay put, factor rows travel)")
 	seed := fs.Uint64("seed", 1, "initialisation seed")
@@ -69,14 +67,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown method %q (gtp or mtp)", *method)
 	}
 
-	nthreads := *threads
-	if nthreads == 0 {
-		nthreads = runtime.GOMAXPROCS(0)
-	}
+	// The in-process workers share GOMAXPROCS: each runs its numeric
+	// kernels on max(1, GOMAXPROCS/workers) threads. Results are
+	// identical at every thread count.
 	opts := dismastd.Options{
 		Rank: *rank, MaxIters: *iters, ForgettingFactor: *mu, Seed: *seed,
 		Workers: *workers, Parts: *parts, Partitioner: partitioner,
-		Threads: nthreads, Solver: *solver, Samples: *samples,
+		Threads: max(1, runtime.GOMAXPROCS(0)/max(1, *workers)), Solver: *solver,
 	}
 	stream := dismastd.NewStream(opts)
 	if *resume != "" {

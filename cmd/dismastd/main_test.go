@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,6 +57,36 @@ func TestStreamingRun(t *testing.T) {
 	}
 	if !strings.Contains(out, "final factors:") {
 		t.Fatalf("missing factor summary:\n%s", out)
+	}
+}
+
+// TestLossesIndependentOfGOMAXPROCS: each in-process worker computes on
+// max(1, GOMAXPROCS/workers) threads, and a run's numbers do not depend
+// on that count: at -workers 2 the printed losses and the checkpointed
+// state agree at GOMAXPROCS 1 (one thread per worker) and 4 (two).
+func TestLossesIndependentOfGOMAXPROCS(t *testing.T) {
+	dir := t.TempDir()
+	a, b := writeSnapshots(t, dir)
+	decompose := func(procs int) ([]string, []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		state := filepath.Join(dir, "state.gob")
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-rank", "3", "-iters", "4", "-workers", "2", "-method", "mtp", "-checkpoint", state, a, b}, &stdout, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.ReadFile(state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return regexp.MustCompile(`loss=\S+`).FindAllString(stdout.String(), -1), st
+	}
+	oneLoss, oneState := decompose(1)
+	fourLoss, fourState := decompose(4)
+	if len(oneLoss) != 2 || !slices.Equal(oneLoss, fourLoss) {
+		t.Fatalf("losses at GOMAXPROCS 1: %v, at 4: %v", oneLoss, fourLoss)
+	}
+	if !bytes.Equal(oneState, fourState) {
+		t.Fatal("checkpointed state differs between GOMAXPROCS 1 and 4")
 	}
 }
 

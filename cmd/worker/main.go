@@ -82,9 +82,7 @@ type workerConfig struct {
 	checkpoint   string
 	resume       bool
 	rank, iters  int
-	threads      int
 	solver       sample.Kind
-	samples      int
 	mu           float64
 	method       partition.Method
 	seed         uint64
@@ -101,13 +99,11 @@ type workerConfig struct {
 	rebalance bool
 }
 
-// resolveThreads maps the -threads flag to a pool size: 0 means one
-// compute thread per available CPU.
-func resolveThreads(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
+// threadsPerRank shares the process's GOMAXPROCS among the ranks it
+// runs: every rank's numeric kernels get max(1, GOMAXPROCS/workers)
+// compute threads. Results are identical at every thread count.
+func threadsPerRank(workers int) int {
+	return max(1, runtime.GOMAXPROCS(0)/max(1, workers))
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
@@ -130,9 +126,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	resume := fs.Bool("resume", false, "worker mode: continue from the latest -checkpoint instead of recomputing completed steps")
 	rank := fs.Int("rank", 10, "CP rank R")
 	iters := fs.Int("iters", 10, "maximum ALS sweeps")
-	threads := fs.Int("threads", 0, "compute threads for this rank's numeric kernels (0 = GOMAXPROCS); results are identical at every value")
 	solver := fs.String("solver", "exact", "least-squares strategy: exact (full MTTKRP) or sampled (leverage-score sketch, sublinear in nnz; forces broadcast row exchange)")
-	samples := fs.Int("samples", 0, "sketch size per mode for -solver sampled (0 = default 8192)")
 	mu := fs.Float64("mu", 0.8, "forgetting factor")
 	method := fs.String("method", "mtp", "partitioning heuristic: gtp or mtp (both tensor-stationary: entries stay put, factor rows travel)")
 	seed := fs.Uint64("seed", 1, "initialisation seed")
@@ -159,8 +153,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			statePath: *statePath,
 			opts: dismastd.Options{
 				Rank: *rank, MaxIters: *iters, ForgettingFactor: *mu, Seed: *seed,
-				Workers: *workers, Threads: resolveThreads(*threads),
-				Solver: *solver, Samples: *samples,
+				Workers: *workers, Threads: threadsPerRank(*workers),
+				Solver:     *solver,
 				SweepEvery: *sweepEvery,
 			},
 			drainTimeout: *drainTimeout,
@@ -227,8 +221,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			tensors:  strings.Split(*tensorPath, ","),
 			prevPath: *prevPath, outPath: *outPath,
 			checkpoint: *checkpoint, resume: *resume,
-			rank: *rank, iters: *iters, threads: resolveThreads(*threads), mu: *mu, method: pm, seed: *seed,
-			solver: sk, samples: *samples,
+			rank: *rank, iters: *iters, mu: *mu, method: pm, seed: *seed,
+			solver:  sk,
 			timeout: *timeout, heartbeat: *heartbeat, debugAddr: *debugAddr,
 			elastic: *elastic, members: *members,
 			joinAt: joins, drainAt: drains, killAt: kills,
@@ -326,8 +320,8 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 	o := core.ElasticOptions{
 		Options: core.Options{
 			Rank: cfg.rank, MaxIters: cfg.iters, Mu: cfg.mu, Seed: cfg.seed,
-			Method: cfg.method, Threads: cfg.threads,
-			Solver: cfg.solver, Samples: cfg.samples, Obs: node.Obs(),
+			Method: cfg.method, Threads: threadsPerRank(1),
+			Solver: cfg.solver, Obs: node.Obs(),
 		},
 		World:          node.Size(),
 		Members:        members,
@@ -335,11 +329,8 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 		JoinAtStep:     shift(cfg.joinAt),
 		DrainAtStep:    shift(cfg.drainAt),
 		FailOnPeerDown: !cfg.elastic,
-		// The plane always runs: one gather per step fence, observation
-		// only unless -rebalance-on-imbalance arms its detector. Every
-		// rank must fence in lockstep, so it cannot follow -debug-addr,
-		// which is set per process.
-		Plane:                &obscluster.Config{},
+		// The driver's plane gathers once per step fence, observation
+		// only unless -rebalance-on-imbalance arms its detector.
 		RebalanceOnImbalance: cfg.rebalance,
 		PlaneReady:           func(_ int, p *obscluster.Plane) { planeHolder.Store(p) },
 		// Runs on whichever rank is the view's rank 0 when the step ends

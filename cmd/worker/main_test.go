@@ -592,7 +592,7 @@ func TestDebugServerBeforePlane(t *testing.T) {
 		if body := c.get("/debug/timeline"); !strings.Contains(body, `"mode0/mttkrp"`) {
 			t.Fatalf("%s: /debug/timeline missing the rank's span: %s", stage, body)
 		}
-		planeHolder.Store(obscluster.NewPlane(obscluster.Config{}, o, 1))
+		planeHolder.Store(obscluster.NewPlane(false, o, 1))
 	}
 }
 
@@ -621,7 +621,7 @@ func TestDebugServerServesProfilesAndMetrics(t *testing.T) {
 	// only after the record was cut, so a timeline carrying it is the
 	// rank's, one without it the plane's. Concurrent scrapes meanwhile
 	// share the listener's runtime sampler (and race the fence's own).
-	planeHolder.Store(obscluster.NewPlane(obscluster.Config{}, o, 1))
+	planeHolder.Store(obscluster.NewPlane(false, o, 1))
 	var scrapers sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		scrapers.Add(1)

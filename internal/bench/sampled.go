@@ -33,13 +33,10 @@ type SampledPoint struct {
 }
 
 // SampledGap runs full CP-ALS on each dataset with both solvers and
-// reports their per-sweep times and exact reconstruction fits. samples
-// is the sketch size S (<= 0 selects sample.DefaultSamples).
-func SampledGap(cfg Config, samples int) ([]SampledPoint, error) {
+// reports their per-sweep times and exact reconstruction fits; the
+// sketch draws sample.DefaultSamples rows per mode.
+func SampledGap(cfg Config) ([]SampledPoint, error) {
 	cfg = cfg.withDefaults()
-	if samples <= 0 {
-		samples = sample.DefaultSamples
-	}
 	var points []SampledPoint
 	for _, k := range cfg.Datasets {
 		t := cfg.generate(k)
@@ -49,7 +46,7 @@ func SampledGap(cfg Config, samples int) ([]SampledPoint, error) {
 			o := obs.New()
 			st, stats, err := dtd.Init(t, dtd.Options{
 				Rank: cfg.Rank, MaxIters: cfg.MaxIters, Tol: 1e-12, Seed: cfg.Seed,
-				Threads: cfg.Threads, Solver: solver, Samples: samples, Obs: o,
+				Threads: cfg.Threads, Solver: solver, Obs: o,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("sampled %s %v: %w", k, solver, err)
@@ -63,7 +60,7 @@ func SampledGap(cfg Config, samples int) ([]SampledPoint, error) {
 			if solver == sample.Exact {
 				exactFit = fit
 			} else {
-				p.Samples = samples
+				p.Samples = sample.DefaultSamples
 				p.Gap = exactFit - fit
 			}
 			points = append(points, p)

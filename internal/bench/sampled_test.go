@@ -21,12 +21,11 @@ func BenchmarkSampledALS(b *testing.B) {
 	// d=110, order=3 → nnz = 110³ ≈ 1.33e6.
 	t := DenseLowRank(110, 3, 10, 0.01, 42)
 	runs := []struct {
-		name    string
-		solver  sample.Kind
-		samples int
+		name   string
+		solver sample.Kind
 	}{
-		{"solver=exact", sample.Exact, 0},
-		{fmt.Sprintf("solver=sampled/samples=%d", sample.DefaultSamples), sample.Sampled, sample.DefaultSamples},
+		{"solver=exact", sample.Exact},
+		{fmt.Sprintf("solver=sampled/samples=%d", sample.DefaultSamples), sample.Sampled},
 	}
 	norm := t.Norm()
 	for _, rn := range runs {
@@ -36,7 +35,7 @@ func BenchmarkSampledALS(b *testing.B) {
 				o := obs.New()
 				st, stats, err := dtd.Init(t, dtd.Options{
 					Rank: 10, MaxIters: 10, Tol: 1e-12, Seed: 42,
-					Solver: rn.solver, Samples: rn.samples, Obs: o,
+					Solver: rn.solver, Obs: o,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -58,7 +57,7 @@ func TestSampledGapHarness(t *testing.T) {
 		t.Skip("multi-dataset decomposition sweep")
 	}
 	cfg := Config{TargetNNZ: 20000, MaxIters: 6, Threads: 1}
-	points, err := SampledGap(cfg, 4096)
+	points, err := SampledGap(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

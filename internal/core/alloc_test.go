@@ -7,6 +7,7 @@ import (
 	"dismastd/internal/cluster"
 	"dismastd/internal/dataset"
 	"dismastd/internal/dtd"
+	"dismastd/internal/layout"
 	"dismastd/internal/partition"
 	"dismastd/internal/tensor"
 )
@@ -102,11 +103,9 @@ func testEngineAllocFree(t *testing.T, workers, threads int) {
 }
 
 // TestBindDefaultsToCompiledUnderSpan pins what a rank's binding builds
-// (the shape of the benchmark's dist_tcp NewStepJob call): every rank
-// compiles one layout per mode
-// into its cache — COO views bypass the cache, so a compile count is
-// proof of the kind — and records the construction as a plan/compile
-// span on its own tracer.
+// (the shape of the benchmark's dist_tcp NewStepJob call): every rank's
+// kernel is a compiled layout, one per mode, and the rank records the
+// construction as one plan/compile span on its own tracer.
 func TestBindDefaultsToCompiledUnderSpan(t *testing.T) {
 	full := sparseRandom([]int{12, 10, 8}, 600, 5)
 	prev, _, err := dtd.Init(full.Prefix([]int{9, 8, 6}), dtd.Options{Rank: 3, MaxIters: 2, Seed: 11})
@@ -123,8 +122,11 @@ func TestBindDefaultsToCompiledUnderSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank := 0; rank < workers; rank++ {
-		if got := job.caches[rank].Compiles(); got != full.Order() {
-			t.Errorf("rank %d compiled %d layouts, want %d", rank, got, full.Order())
+		for m := 0; m < full.Order(); m++ {
+			k := job.kernel(rank, m)
+			if _, ok := k.(*layout.ModeLayout); !ok {
+				t.Errorf("rank %d mode %d kernel is %T, want *layout.ModeLayout", rank, m, k)
+			}
 		}
 		var spans int64
 		for _, ps := range stats.Ranks[rank].Obs.Phases {

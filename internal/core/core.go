@@ -68,10 +68,8 @@ type Options struct {
 	// and a drawn tuple can land on any row, so the subscription sets of
 	// the exact plan no longer bound what a rank reads (the
 	// tensor-stationary layout's communication cost; see DESIGN.md).
+	// Each rank draws sample.DefaultSamples rows per mode.
 	Solver sample.Kind
-	// Samples is the per-mode sketch size S each rank draws; 0 selects
-	// sample.DefaultSamples.
-	Samples int
 
 	// Obs receives planning-time instrumentation (complement extraction
 	// and partitioning spans, partition balance gauges). Per-rank compute
@@ -138,12 +136,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if opts.Solver != sample.Exact && opts.Solver != sample.Sampled {
 		return opts, fmt.Errorf("core: unknown solver %v", opts.Solver)
-	}
-	if opts.Samples < 0 {
-		return opts, fmt.Errorf("core: negative sample count %d", opts.Samples)
-	}
-	if opts.Samples == 0 {
-		opts.Samples = sample.DefaultSamples
 	}
 	return opts, nil
 }
@@ -230,7 +222,7 @@ func NewStepJob(prev *dtd.State, snapshot *tensor.Tensor, o Options) (*StepJob, 
 	}
 	sweep, err := dtd.NewSweep(prev, snapshot, dtd.Options{
 		Rank: opts.Rank, MaxIters: opts.MaxIters, Tol: opts.Tol, Mu: opts.Mu, Seed: opts.Seed,
-		Threads: opts.Threads, Solver: opts.Solver, Samples: opts.Samples, Obs: opts.Obs,
+		Threads: opts.Threads, Solver: opts.Solver, Obs: opts.Obs,
 	})
 	if err != nil {
 		return nil, err
@@ -251,11 +243,10 @@ func NewStepJob(prev *dtd.State, snapshot *tensor.Tensor, o Options) (*StepJob, 
 		}
 	}
 	return &StepJob{
-		opts:   opts,
-		sweep:  sweep,
-		plan:   plan,
-		algo:   make([]cluster.Metrics, opts.Workers),
-		caches: newCaches(opts.Workers),
+		opts:  opts,
+		sweep: sweep,
+		plan:  plan,
+		algo:  make([]cluster.Metrics, opts.Workers),
 	}, nil
 }
 
@@ -267,14 +258,6 @@ func stateOf(factors []*mat.Dense) *dtd.State {
 		st.Dims[m] = f.Rows
 	}
 	return st
-}
-
-func newCaches(workers int) []*layout.Cache {
-	caches := make([]*layout.Cache, workers)
-	for i := range caches {
-		caches[i] = &layout.Cache{}
-	}
-	return caches
 }
 
 // Workers returns the cluster size the job was planned for.
@@ -313,13 +296,6 @@ type StepJob struct {
 	opts  Options
 	sweep *dtd.Sweep // the step's validated shared inputs; bind derives each rank's engine
 	plan  *dplan.Plan
-
-	// caches holds one layout cache per rank (index = rank), created up
-	// front so concurrent RunWorker calls never share mutable state.
-	// Each rank's compiled kernels are memoised here keyed by the
-	// identity of its entry lists, so rebinding an engine to the same
-	// plan reuses every layout.
-	caches []*layout.Cache
 
 	mu        sync.Mutex
 	result    []*mat.Dense
@@ -394,12 +370,17 @@ func (l *naiveLoss) inner() float64 {
 	return inner
 }
 
+// kernel builds rank me's mode-m kernel: the compiled layout of the
+// rank's entry list, fresh for each binding (a rank binds a plan once).
+func (j *StepJob) kernel(me, m int) mttkrp.Kernel {
+	return mttkrp.NewKernelOf(j.plan.Tensor, m, j.plan.EntryLists[me][m], layout.Compiled)
+}
+
 // bind derives rank w's engine from the plan: kernels over the rank's
-// entry lists (compiled layouts memoised in the rank's cache), the rows
-// it owns, and its collectives; the engine stacks the step's starting
-// point for the rank (dtd.Sweep.Bind from nil factors). The sampled
-// solver forces the broadcast row exchange (see Options.Solver). Close
-// the engine when done.
+// entry lists (see kernel), the rows it owns, and its collectives; the
+// engine stacks the step's starting point for the rank (dtd.Sweep.Bind
+// from nil factors). The sampled solver forces the broadcast row
+// exchange (see Options.Solver). Close the engine when done.
 func (j *StepJob) bind(w *cluster.Worker) *dtd.Sweep {
 	me := w.Rank()
 	comp := j.plan.Tensor
@@ -409,7 +390,7 @@ func (j *StepJob) bind(w *cluster.Worker) *dtd.Sweep {
 	sorted := 0
 	sp := w.Obs().Span("plan/compile")
 	for m := range kernels {
-		kernels[m] = mttkrp.CachedKernelOf(j.caches[me], comp, m, j.plan.EntryLists[me][m], layout.Compiled)
+		kernels[m] = j.kernel(me, m)
 		owned[m] = j.plan.OwnedSlices[m][me]
 		sorted += j.plan.ModePlans[m].Sorted
 	}
@@ -418,7 +399,7 @@ func (j *StepJob) bind(w *cluster.Worker) *dtd.Sweep {
 	var smp *sample.Sampler
 	if j.opts.Solver == sample.Sampled {
 		var err error
-		smp, err = sample.New(comp, j.plan.EntryLists[me], j.opts.Rank, j.opts.Samples, j.opts.Seed, me)
+		smp, err = sample.New(comp, j.plan.EntryLists[me], j.opts.Rank, sample.DefaultSamples, j.opts.Seed, me)
 		if err != nil {
 			// NewStepJob ran sample.CheckDims on these dims already.
 			panic(fmt.Sprintf("core: sampler construction failed after CheckDims: %v", err))

@@ -9,7 +9,9 @@
 //     ErrPeerDown on every survivor (drain-then-fail mailboxes plus
 //     epoch revocation break transitive collective blocks). Survivors
 //     agree on the shrunken view and on the step to restart — the
-//     earliest step any of them is in — and re-run it from its fence
+//     earliest step any of them is in; every step ends with the
+//     observability plane's fence gather, so no survivor has left a
+//     step another is still syncing — and re-run it from its fence
 //     state, which every member still holds: the step a static cluster
 //     of the survivors would run, from the same state, whenever the
 //     rank died. No factor row crosses the wire. (FailOnPeerDown
@@ -86,17 +88,14 @@ type ElasticOptions struct {
 	// that rank's run.
 	Checkpoint func(step int, st *dtd.State, stats *StepStats) error
 
-	// Plane, when set, turns on the cluster observability plane: every
-	// member gathers its metric deltas, runtime gauges, and fresh spans
-	// to the view coordinator after each step's state sync, and the
-	// coordinator's imbalance detector broadcasts its verdict back.
-	Plane *obscluster.Config
-
-	// RebalanceOnImbalance arms the plane's detector: when the smoothed
-	// per-rank imbalance CV crosses the threshold, the next membership
-	// fence bumps the view epoch (no membership change) and the stream
-	// re-partitions with the detector's cost weights — a live rebalance
-	// of a skewed stream. Requires Plane.
+	// RebalanceOnImbalance arms the cluster observability plane's
+	// imbalance detector. The plane always runs: after each step's state
+	// sync every member gathers its metric deltas, runtime gauges and
+	// fresh spans to the view coordinator, whose detector broadcasts its
+	// verdict back. Armed, a smoothed per-rank imbalance CV over the
+	// threshold makes the next membership fence bump the view epoch (no
+	// membership change) and the stream re-partition with the
+	// detector's cost weights — a live rebalance of a skewed stream.
 	RebalanceOnImbalance bool
 
 	// PlaneReady, when set, is called once per world rank with that
@@ -198,9 +197,6 @@ func NewElasticJob(prev *dtd.State, snapshots []*tensor.Tensor, o ElasticOptions
 			return nil, fmt.Errorf("core: scripted handicap %v on rank %d of world %d", h, r, o.World)
 		}
 	}
-	if o.RebalanceOnImbalance && o.Plane == nil {
-		return nil, errors.New("core: RebalanceOnImbalance requires a Plane config")
-	}
 	return &ElasticJob{
 		opts:      o,
 		prev:      prev,
@@ -259,14 +255,9 @@ type rankStream struct {
 // newRankStream builds the per-rank stream state; w is the root (world)
 // worker.
 func (j *ElasticJob) newRankStream(w *cluster.Worker) *rankStream {
-	rs := &rankStream{}
-	if j.opts.Plane != nil {
-		cfg := *j.opts.Plane
-		cfg.Detector.Arm = cfg.Detector.Arm || j.opts.RebalanceOnImbalance
-		rs.plane = obscluster.NewPlane(cfg, w.Obs(), w.Size())
-		if j.opts.PlaneReady != nil {
-			j.opts.PlaneReady(w.Rank(), rs.plane)
-		}
+	rs := &rankStream{plane: obscluster.NewPlane(j.opts.RebalanceOnImbalance, w.Obs(), w.Size())}
+	if j.opts.PlaneReady != nil {
+		j.opts.PlaneReady(w.Rank(), rs.plane)
 	}
 	return rs
 }
@@ -575,12 +566,11 @@ func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	if err != nil {
 		return nil, err
 	}
-	if rs.plane != nil {
-		// Observability fence: lockstep with the state sync, so every
-		// member contributes and receives the decision.
-		if err := j.obsFence(vw, v, rs, job, s); err != nil {
-			return nil, err
-		}
+	// Observability fence: lockstep with the state sync, so every member
+	// contributes and receives the decision — and no member leaves the
+	// step while another is still inside its sync.
+	if err := j.obsFence(vw, v, rs, job, s); err != nil {
+		return nil, err
 	}
 	return synced, j.stepDone(vw, job, eng.LossTrace(), synced, s)
 }
@@ -623,9 +613,9 @@ func (j *ElasticJob) chaosSlow(w, vw *cluster.Worker, job *StepJob) {
 // recover handles one mid-step rank death: revoke the dead rank's epoch
 // (unblocking survivors stuck on live-but-blocked peers), agree the
 // shrunken view and the step every survivor restarts, and record the
-// transition. Survivors need not be in the same step: one whose last
-// row exchange of step s completed before the death has gone on into
-// step s+1 while another fails inside step s. The step's all-reduces
+// transition. Survivors need not be in the same step: one that received
+// step s's fence decision before the coordinator died has gone on into
+// step s+1 while another fails inside step s. The step's collectives
 // keep them at most one step apart, so restarting from the earliest
 // step any survivor reports — from the fence state each still holds —
 // puts them back in lockstep. Any other cause — a scripted crash of

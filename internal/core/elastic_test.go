@@ -404,26 +404,42 @@ func linkSends(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, o ElasticO
 	return counter.FiredOp(cluster.FaultCut)
 }
 
-// killRank1InStep1 runs the three-member stream with rank 1 killed in
-// step 1 — by the fault plan, or by the script when plan is nil — and
-// returns the survivors' final state and the run's statistics after
-// checking the one recovery transition. The receive timeout is short
-// so a recovery that deadlocks fails instead of hanging.
-func killRank1InStep1(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, o ElasticOptions, plan *cluster.FaultPlan) (*dtd.State, *cluster.RunStats) {
+// killInStep runs the three-member stream with the victim rank killed
+// in the given step — by the fault plan, or by the script when plan is
+// nil — and returns the survivors' final state and the run's statistics
+// after checking that every survivor returned nil and that the run
+// recorded the one recovery transition. The receive timeout is short so
+// a recovery that deadlocks fails instead of hanging.
+func killInStep(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, o ElasticOptions, victim, step int, plan *cluster.FaultPlan) (*dtd.State, *cluster.RunStats) {
 	t.Helper()
 	if plan == nil {
-		o.KillAtStep = map[int]int{1: 1}
+		o.KillAtStep = map[int]int{step: victim}
 	}
 	job, err := NewElasticJob(prev, snaps, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := runElasticFaults(t, job, o.World, plan, 10*time.Second)
+	errs := make([]error, o.World)
+	c := cluster.NewLocal(o.World)
+	c.SetElastic(true)
+	c.SetRecvTimeout(10 * time.Second)
+	if plan != nil {
+		c.SetFaultPlan(plan)
+	}
+	stats, err := c.Run(func(w *cluster.Worker) error {
+		errs[w.Rank()] = job.RunWorker(w)
+		return errs[w.Rank()]
+	})
 	if plan == nil && !errors.Is(err, ErrScriptedCrash) {
 		t.Fatalf("run error = %v, want the scripted crash", err)
 	}
 	if plan != nil && plan.FiredOp(cluster.FaultError) != 1 {
 		t.Fatalf("fault plan fired %d errors, want 1 (run error %v)", plan.FiredOp(cluster.FaultError), err)
+	}
+	for r, err := range errs {
+		if r != victim && err != nil {
+			t.Fatalf("survivor %d returned %v", r, err)
+		}
 	}
 	final, _, transitions, err := job.Result()
 	if err != nil {
@@ -432,8 +448,8 @@ func killRank1InStep1(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, o E
 	if len(transitions) != 1 {
 		t.Fatalf("recorded %d transitions, want 1: %+v", len(transitions), transitions)
 	}
-	if tr := transitions[0]; tr.Step != 1 || len(tr.Dead) != 1 || tr.Dead[0] != 1 || tr.BytesSent != 0 {
-		t.Fatalf("recovery transition = %+v, want rank 1 dead in step 1 and nothing sent", tr)
+	if tr := transitions[0]; tr.Step != step || len(tr.Dead) != 1 || tr.Dead[0] != victim || tr.BytesSent != 0 {
+		t.Fatalf("recovery transition = %+v, want rank %d dead in step %d and nothing sent", tr, victim, step)
 	}
 	return final, stats
 }
@@ -441,7 +457,7 @@ func killRank1InStep1(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, o E
 // TestElasticRecoveryIndependentOfDeathPoint: wherever in step 1 rank 1
 // dies — its first sweep, the scripted crash at the start of its
 // second, or its last sweep (its state sync: see
-// TestElasticSurvivorsRestartTheSameStep) — the survivors re-run step 1
+// TestElasticDeathInLastSyncRecovers) — the survivors re-run step 1
 // from the same fence state, so every run ends at the Step chain over
 // 3, 2 and 2 workers bit for bit.
 func TestElasticRecoveryIndependentOfDeathPoint(t *testing.T) {
@@ -474,39 +490,57 @@ func TestElasticRecoveryIndependentOfDeathPoint(t *testing.T) {
 		// The first row message of step 1: sweep 0's mode-0 exchange.
 		{"first sweep", fault("v0|rows/0", afterStep0, -1)},
 		{"scripted crash", nil},
-		// The last send before the state sync's three: the last sweep's
-		// loss reduction.
-		{"last sweep", fault("", afterStep1-4, 0)},
+		// The last send before the state sync's three and the fence
+		// record: the last sweep's loss reduction.
+		{"last sweep", fault("", afterStep1-5, 0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			final, _ := killRank1InStep1(t, prev, snaps, o, tc.plan)
+			final, _ := killInStep(t, prev, snaps, o, 1, 1, tc.plan)
 			requireSameState(t, final, chain, "recovered run vs the 3-2-2 Step chain")
 		})
 	}
 }
 
-// TestElasticSurvivorsRestartTheSameStep: rank 1 dies between its two
-// sends of the last mode's state sync in step 1, so rank 0 has all of
-// step 1's rows and goes on into step 2 while rank 2 fails inside step
-// 1. Both then agree on the same shrunken view; they must also agree to
-// restart step 1 — rank 0 from the fence state it kept — and end at the
+// TestElasticSurvivorsRestartTheSameStep: the coordinator, rank 0, dies
+// between its two sends of step 1's fence decision, so rank 1 has the
+// decision and goes on into step 2 while rank 2 fails inside step 1.
+// Both then agree on the same shrunken view; they must also agree to
+// restart step 1 — rank 1 from the fence state it kept — and end at the
 // Step chain over 3, 2 and 2 workers bit for bit.
 func TestElasticSurvivorsRestartTheSameStep(t *testing.T) {
 	prev, snaps := elasticSeq(t, 3)
 	o := elasticBase(3, 3)
 	chain, _ := chainRun(t, prev, snaps, []int{3, 2, 2}, o.Options)
 
-	seq := linkSends(t, prev, snaps, o, 2, 1, 2) - 1
-	plan := cluster.NewFaultPlan().Add(cluster.FaultRule{From: 1, To: 2, TagPrefix: "v0|rows/2", FirstSeq: seq, Op: cluster.FaultError})
-	final, stats := killRank1InStep1(t, prev, snaps, o, plan)
-	// The split happened: rank 0 bound step 2's engine before the
+	seq := linkSends(t, prev, snaps, o, 2, 0, 2) - 1
+	plan := cluster.NewFaultPlan().Add(cluster.FaultRule{From: 0, To: 2, TagPrefix: "v0|obsfence/dec", FirstSeq: seq, Op: cluster.FaultError})
+	final, stats := killInStep(t, prev, snaps, o, 0, 1, plan)
+	// The split happened: rank 1 bound step 2's engine before the
 	// recovery epoch.
 	split := false
-	for _, ev := range stats.Ranks[0].Obs.Spans {
+	for _, ev := range stats.Ranks[1].Obs.Spans {
 		split = split || (ev.Snapshot == 2 && ev.Epoch == 0)
 	}
 	if !split {
-		t.Fatal("rank 0 never entered step 2 ahead of the recovery")
+		t.Fatal("rank 1 never entered step 2 ahead of the recovery")
 	}
 	requireSameState(t, final, chain, "recovered run vs the 3-2-2 Step chain")
+}
+
+// TestElasticDeathInLastSyncRecovers: rank 1 dies between its two sends
+// of the last mode's state sync in the final step, so rank 0 holds all
+// of that step's rows while rank 2 fails inside the sync. The fence
+// gather that follows every sync keeps rank 0 in the step too: both
+// survivors restart the final step and return nil, ending at the Step
+// chain over 3, 3 and 2 workers bit for bit.
+func TestElasticDeathInLastSyncRecovers(t *testing.T) {
+	prev, snaps := elasticSeq(t, 3)
+	o := elasticBase(3, 3)
+	chain, _ := chainRun(t, prev, snaps, []int{3, 3, 2}, o.Options)
+
+	last := len(snaps) - 1
+	seq := linkSends(t, prev, snaps, o, len(snaps), 1, 2) - 1
+	plan := cluster.NewFaultPlan().Add(cluster.FaultRule{From: 1, To: 2, TagPrefix: "v0|rows/2", FirstSeq: seq, Op: cluster.FaultError})
+	final, _ := killInStep(t, prev, snaps, o, 1, last, plan)
+	requireSameState(t, final, chain, "recovered run vs the 3-3-2 Step chain")
 }

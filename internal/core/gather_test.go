@@ -87,7 +87,7 @@ func TestGatherMatchesOwnedRowAssembly(t *testing.T) {
 			}{
 				{"subscribed", func(*Options) {}},
 				{"broadcast", func(o *Options) { o.broadcastRows = true }},
-				{"sampled", func(o *Options) { o.Solver = sample.Sampled; o.Samples = 64 }},
+				{"sampled", func(o *Options) { o.Solver = sample.Sampled }},
 				{"parts<workers", func(o *Options) { o.Parts = (workers + 1) / 2 }},
 			} {
 				name := fmt.Sprintf("workers=%d/%v/%s", workers, method, variant.name)

@@ -42,10 +42,11 @@ func rebalanceSeq(t *testing.T, rank int) (*dtd.State, []*tensor.Tensor) {
 // TestRebalanceOnImbalanceChaos: three members, one scripted to burn
 // 3x the compute nanoseconds per unit of assigned load. The detector's
 // CV must cross the threshold, exactly one rebalance must fire (the
-// long cool-down blocks refires), the post-rebalance imbalance must
-// fall back under the threshold, and the final fit must track a
-// uniform-speed reference run within 1e-6 relative — re-partitioning
-// only regroups floating-point reductions, it never changes the maths.
+// weighted plan leaves no skew to refire on), the post-rebalance
+// imbalance must fall back under the threshold, and the final fit must
+// track a uniform-speed reference run within 1e-6 relative —
+// re-partitioning only regroups floating-point reductions, it never
+// changes the maths.
 func TestRebalanceOnImbalanceChaos(t *testing.T) {
 	const r = 3
 	const threshold = 0.25
@@ -54,15 +55,12 @@ func TestRebalanceOnImbalanceChaos(t *testing.T) {
 	o.MaxIters = 10
 	_, refLoss := referenceRun(t, prev, snaps, 3, o.Options)
 
-	// Ranks 0 and 1 burn 12µs per load unit, rank 2 burns 36µs: the
+	// Ranks 0 and 1 burn 48µs per load unit, rank 2 burns 144µs: the
 	// padding dwarfs the real per-sweep kernels, so the duration CV the
-	// detector sees is ≈ the CV of {1,1,3} ≈ 0.57, comfortably over the
-	// threshold, and the derived cost weights are ≈ {0.6, 0.6, 1.8}.
-	o.slowRanks = map[int]float64{0: 12e3, 1: 12e3, 2: 36e3}
-	o.Plane = &obscluster.Config{
-		Detector:    obscluster.DetectorConfig{Threshold: threshold, Cooldown: 100},
-		TimelineCap: 1 << 16, // keep every pre-transition span for the epoch checks
-	}
+	// detector sees approaches the CV of {1,1,3} ≈ 0.57 — about 0.47
+	// under -race, whose slower kernels dilute it — comfortably over the
+	// detector's 0.3, and the derived cost weights are ≈ {0.6, 0.6, 1.8}.
+	o.slowRanks = map[int]float64{0: 48e3, 1: 48e3, 2: 144e3}
 	o.RebalanceOnImbalance = true
 	var mu sync.Mutex
 	planes := map[int]*obscluster.Plane{}
@@ -119,8 +117,8 @@ func TestRebalanceOnImbalanceChaos(t *testing.T) {
 		}
 	}
 
-	// The coordinator's detector fired once — the cool-down of 100
-	// fences blocks any refire — and by the final fence the smoothed CV
+	// The coordinator's detector fired once — the weighted plan left no
+	// skew to refire on — and by the final fence the smoothed CV
 	// has dropped back under the threshold: the weighted plan fixed the
 	// imbalance it was derived from.
 	det := planes[0].Snapshot().Detector
@@ -162,17 +160,6 @@ func TestRebalanceOnImbalanceChaos(t *testing.T) {
 	}
 }
 
-// TestRebalanceRequiresPlane: arming the detector without the plane
-// that hosts it is a configuration error, not a silent no-op.
-func TestRebalanceRequiresPlane(t *testing.T) {
-	prev, snaps := rebalanceSeq(t, 3)
-	o := elasticBase(3, 3)
-	o.RebalanceOnImbalance = true
-	if _, err := NewElasticJob(prev, snaps, o); err == nil {
-		t.Fatal("NewElasticJob accepted RebalanceOnImbalance without a Plane")
-	}
-}
-
 // TestElasticPlaneKeepsMathsBitwise: turning the plane on (detector
 // disarmed) must not change a single bit of the decomposition — the
 // fence is pure observation.
@@ -181,7 +168,6 @@ func TestElasticPlaneKeepsMathsBitwise(t *testing.T) {
 	o := elasticBase(3, 3)
 	_, refLoss := referenceRun(t, prev, snaps, 3, o.Options)
 
-	o.Plane = &obscluster.Config{}
 	job, err := NewElasticJob(prev, snaps, o)
 	if err != nil {
 		t.Fatal(err)

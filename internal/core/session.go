@@ -10,16 +10,14 @@ import (
 
 // Session runs successive distributed steps on one persistent
 // in-process cluster, so a long-lived stream — the event-granularity
-// ingestion path most of all — does not rebuild transport buffer pools
-// and observability state per micro-batch. Each Step is one collective
-// run of StepJob.RunWorker (the package-level Step is a session of one
-// step), which makes the end of every micro-batch a step fence exactly
-// like the bulk path's: the elastic driver and the cluster
-// observability plane key off that fence and keep working unchanged.
+// ingestion path most of all — does not rebuild the transport buffer
+// pool per micro-batch. Each Step is one collective run of
+// StepJob.RunWorker (the package-level Step is a session of one step).
 //
-// Factors are bitwise identical to calling Step once per snapshot:
-// every run constructs fresh per-rank mailboxes and workers, so no
-// ordering-relevant state leaks between steps.
+// Nothing else carries over: every run builds fresh per-rank workers,
+// mailboxes and observability bundles, so a step's spans and counters
+// are its own (StepStats.Phases) and factors are bitwise identical to
+// calling Step once per snapshot.
 type Session struct {
 	cl      *cluster.Local
 	workers int

@@ -91,7 +91,7 @@ func referenceAssemble(p *Plan) *Plan {
 // TestAssembleMatchesMapReference pins the plan tables to the map-based
 // assembly, nil-versus-empty included: reflect.DeepEqual tells a nil
 // list from an empty one, and callers do too (an Exchange skips a peer
-// by len, the layout cache keys on a list's identity).
+// by len).
 func TestAssembleMatchesMapReference(t *testing.T) {
 	src := xrand.New(77)
 	idle := 0 // plans in which some worker owns nothing in some mode

@@ -54,10 +54,8 @@ type Options struct {
 	// with the leverage-score sketch of internal/sample (the exact
 	// R×R chains still supply the μ-weighted history terms). Bitwise
 	// reproducible per seed at every thread count.
+	// The sketch draws sample.DefaultSamples rows per mode.
 	Solver sample.Kind
-	// Samples is the sketch size S per mode under the sampled solver;
-	// 0 selects sample.DefaultSamples.
-	Samples int
 
 	// Obs receives the step's phase spans and counters. May be nil; all
 	// handles are nil-safe, so instrumentation costs nothing when unset.
@@ -95,12 +93,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if opts.Solver != sample.Exact && opts.Solver != sample.Sampled {
 		return opts, fmt.Errorf("dtd: unknown solver %v", opts.Solver)
-	}
-	if opts.Samples < 0 {
-		return opts, fmt.Errorf("dtd: negative sample count %d", opts.Samples)
-	}
-	if opts.Samples == 0 {
-		opts.Samples = sample.DefaultSamples
 	}
 	return opts, nil
 }

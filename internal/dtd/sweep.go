@@ -460,7 +460,7 @@ func (e *Sweep) bindSolo() (*Sweep, error) {
 	if e.opts.Solver == sample.Sampled {
 		sp = e.opts.Obs.Span("plan/sample-index")
 		var err error
-		smp, err = sample.New(e.comp, nil, e.opts.Rank, e.opts.Samples, e.opts.Seed, 0)
+		smp, err = sample.New(e.comp, nil, e.opts.Rank, sample.DefaultSamples, e.opts.Seed, 0)
 		sp.End()
 		if err != nil {
 			return nil, err

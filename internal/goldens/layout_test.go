@@ -83,7 +83,7 @@ func oracleStep(t *testing.T, prev *dtd.State, x *tensor.Tensor, opts dtd.Option
 		var smp *sample.Sampler
 		if opts.Solver == sample.Sampled {
 			var err error
-			if smp, err = sample.New(plan.Tensor, plan.EntryLists[me], opts.Rank, opts.Samples, opts.Seed, me); err != nil {
+			if smp, err = sample.New(plan.Tensor, plan.EntryLists[me], opts.Rank, sample.DefaultSamples, opts.Seed, me); err != nil {
 				return err
 			}
 		}

@@ -10,7 +10,7 @@ import (
 // ModeLayout is one mode's compiled representation of a tensor region:
 // every per-entry array the sweep kernels touch, permuted into
 // mode-sorted order so the inner loops run over contiguous memory.
-// Build one with Compile (or through a Cache) once per snapshot region
+// Build one with Compile once per snapshot region
 // and reuse it across every sweep; the source tensor is only read at
 // compile time.
 type ModeLayout struct {

@@ -286,53 +286,6 @@ func TestChunkerCachesPerCount(t *testing.T) {
 	}
 }
 
-func TestCacheIdentityKeying(t *testing.T) {
-	x := randomTensor([]int{10, 8, 6}, 300, 2)
-	entries := []int32{0, 5, 9, 11, 40}
-	var c layout.Cache
-
-	l1 := c.Get(x, 0, entries)
-	if c.Get(x, 0, entries) != l1 {
-		t.Fatal("same (tensor, mode, entries) recompiled")
-	}
-	c.Get(x, 1, entries)
-	if c.Get(x, 0, entries) != l1 {
-		t.Fatal("adding a second mode evicted the first")
-	}
-	if got := c.Compiles(); got != 2 {
-		t.Fatalf("compiles = %d, want 2", got)
-	}
-
-	// Same contents, different slice identity: the planners hand fresh
-	// lists only when the region changed, so this must recompile.
-	clone := append([]int32(nil), entries...)
-	if c.Get(x, 0, clone) == l1 {
-		t.Fatal("identity keying matched a cloned entry list")
-	}
-	if got := c.Compiles(); got != 3 {
-		t.Fatalf("compiles = %d, want 3", got)
-	}
-
-	// A different tensor drops everything.
-	y := randomTensor([]int{10, 8, 6}, 300, 3)
-	c.Get(y, 0, entries)
-	if got := c.Compiles(); got != 4 {
-		t.Fatalf("compiles = %d, want 4", got)
-	}
-	if c.Get(y, 0, entries) == l1 {
-		t.Fatal("tensor change kept a stale layout")
-	}
-	if got := c.Compiles(); got != 4 {
-		t.Fatalf("compiles after re-Get = %d, want 4", got)
-	}
-
-	c.Invalidate()
-	c.Get(y, 0, entries)
-	if got := c.Compiles(); got != 5 {
-		t.Fatalf("compiles after Invalidate = %d, want 5", got)
-	}
-}
-
 // TestAccumulateGroupsAllocFree: the compiled kernel's inner sweep is
 // allocation-free once compiled — the 0-alloc steady-state contract.
 func TestAccumulateGroupsAllocFree(t *testing.T) {

@@ -70,19 +70,3 @@ func NewKernelOf(t *tensor.Tensor, mode int, entries []int32, kind layout.Kind) 
 	}
 	return NewModeViewOf(t, mode, entries)
 }
-
-// CachedKernelOf is NewKernelOf backed by a layout cache: compiled
-// layouts are memoised per (tensor, mode, entry-list identity) and
-// recompiled only when the region changes — stream growth replaces the
-// tensor, elastic migration replaces the entry lists. COO views hold
-// no copy of the region and bypass the cache; a nil cache compiles
-// directly.
-func CachedKernelOf(c *layout.Cache, t *tensor.Tensor, mode int, entries []int32, kind layout.Kind) Kernel {
-	if kind == layout.Compiled && c != nil {
-		if entries == nil {
-			entries = []int32{}
-		}
-		return c.Get(t, mode, entries)
-	}
-	return NewKernelOf(t, mode, entries, kind)
-}

@@ -44,9 +44,7 @@ type rankAgg struct {
 // per-rank records into the cluster table and the merged timeline.
 // Guarded by a mutex so debug scrapes can read while a fence runs.
 type Aggregator struct {
-	mu    sync.RWMutex
-	cfg   Config
-	alpha float64
+	mu sync.RWMutex
 
 	names   map[string]string // wire-name interning
 	scratch fenceRecord       // decode target for peers' records
@@ -61,13 +59,11 @@ type Aggregator struct {
 	last   Decision // weights cleared (alias-free copy of the scalars)
 }
 
-func newAggregator(cfg Config, worldSize int) *Aggregator {
+func newAggregator(worldSize int) *Aggregator {
 	a := &Aggregator{
-		cfg:      cfg,
-		alpha:    cfg.Detector.Alpha,
 		names:    make(map[string]string),
 		ranks:    make([]rankAgg, worldSize),
-		timeline: make([]obs.SpanEvent, cfg.TimelineCap),
+		timeline: make([]obs.SpanEvent, timelineCap),
 	}
 	for i := range a.ranks {
 		a.ranks[i].phases = make(map[string]*phaseAgg)
@@ -111,7 +107,7 @@ func (a *Aggregator) addPhase(ra *rankAgg, name string, count, totalNs int64) {
 	if pa.EWMANs == 0 {
 		pa.EWMANs = float64(totalNs)
 	} else {
-		pa.EWMANs = a.alpha*float64(totalNs) + (1-a.alpha)*pa.EWMANs
+		pa.EWMANs = alpha*float64(totalNs) + (1-alpha)*pa.EWMANs
 	}
 	switch obs.PhaseOf(name) {
 	case "mttkrp", "solve":

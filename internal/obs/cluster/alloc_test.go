@@ -22,7 +22,7 @@ func TestFenceAllocFree(t *testing.T) {
 	loads := []float64{60, 40}
 
 	_, err := c.Run(func(w *cluster.Worker) error {
-		p := NewPlane(Config{}, w.Obs(), w.Size())
+		p := NewPlane(false, w.Obs(), w.Size())
 		step := 0
 		var ferr error
 		pass := func() {

@@ -25,7 +25,7 @@ func BenchmarkObsFence(b *testing.B) {
 				}
 				b.ResetTimer()
 				stats, err := c.Run(func(w *cluster.Worker) error {
-					p := NewPlane(Config{}, w.Obs(), w.Size())
+					p := NewPlane(false, w.Obs(), w.Size())
 					for i := 0; i < b.N; i++ {
 						for s := 0; s < spansPerStep; s++ {
 							span(w.Obs(), "mode0/mttkrp")

@@ -6,54 +6,31 @@ import (
 	"dismastd/internal/partition"
 )
 
-// DetectorConfig tunes the fence-time imbalance detector.
-type DetectorConfig struct {
-	// Threshold is the coefficient-of-variation above which a rebalance
-	// is suggested (default 0.3 — the same statistic
-	// partition.ImbalanceStdDev reports for static plans).
-	Threshold float64
+// Detector settings.
+const (
+	// threshold is the coefficient of variation above which a rebalance
+	// is suggested — the same statistic partition.ImbalanceStdDev
+	// reports for static plans.
+	threshold = 0.3
 
-	// Cooldown is the minimum number of fences between fires (default
-	// 2). Suggestions keep streaming during the cooldown; only the fire
-	// bit is suppressed.
-	Cooldown int
+	// cooldown is the minimum number of fences between fires.
+	// Suggestions keep streaming during the cool-down; only the fire bit
+	// is suppressed.
+	cooldown = 2
 
-	// Alpha is the EWMA smoothing factor in (0, 1] (default 0.5).
-	// Higher reacts faster, lower rides out one-step noise.
-	Alpha float64
+	// alpha is the EWMA smoothing factor in (0, 1]: higher reacts
+	// faster, lower rides out one-step noise.
+	alpha = 0.5
 
-	// WeightSnap is the noise band for the derived rank weights: when
+	// weightSnap is the noise band for the derived rank weights: when
 	// max/min cost stays within it, the weights snap to uniform and a
-	// fired rebalance degrades to a plain re-partition (default 1.5).
-	WeightSnap float64
+	// fired rebalance degrades to a plain re-partition.
+	weightSnap = 1.5
 
-	// WeightClamp bounds each weight to [1/WeightClamp, WeightClamp]
-	// so one pathological measurement cannot starve a rank (default 4).
-	WeightClamp float64
-
-	// Arm allows the detector to fire. Disarmed (the default) it only
-	// suggests: counters and gauges move, the elastic driver does not.
-	Arm bool
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 0.3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.5
-	}
-	if c.WeightSnap < 1 {
-		c.WeightSnap = 1.5
-	}
-	if c.WeightClamp < 1 {
-		c.WeightClamp = 4
-	}
-	return c
-}
+	// weightClamp bounds each weight to [1/weightClamp, weightClamp] so
+	// one pathological measurement cannot starve a rank.
+	weightClamp float64 = 4
+)
 
 // Detector turns the aggregator's fence table into rebalance decisions.
 // It EWMAs two per-world-rank series — the planned nnz loads (exactly
@@ -65,7 +42,7 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 // worst. All state is guarded by the aggregator's mutex (evaluate and
 // snapshot only run under it).
 type Detector struct {
-	cfg DetectorConfig
+	armed bool // may fire; disarmed it only suggests
 
 	seen   []bool    // per world rank: EWMA initialised
 	loadEW []float64 // per world rank: EWMA of planned nnz load
@@ -83,9 +60,9 @@ type Detector struct {
 	fired        int64
 }
 
-func newDetector(cfg DetectorConfig, worldSize int) *Detector {
+func newDetector(armed bool, worldSize int) *Detector {
 	return &Detector{
-		cfg:      cfg,
+		armed:    armed,
 		seen:     make([]bool, worldSize),
 		loadEW:   make([]float64, worldSize),
 		durEW:    make([]float64, worldSize),
@@ -100,7 +77,6 @@ func newDetector(cfg DetectorConfig, worldSize int) *Detector {
 // view's world-rank list, loads the matching planned per-member nnz
 // loads. Called with the aggregator locked; allocation-free.
 func (d *Detector) evaluate(a *Aggregator, members []int, loads []float64, step int) Decision {
-	alpha := d.cfg.Alpha
 	d.fence++
 	d.loadVals = d.loadVals[:0]
 	d.durVals = d.durVals[:0]
@@ -123,10 +99,10 @@ func (d *Detector) evaluate(a *Aggregator, members []int, loads []float64, step 
 		DurCV:  partition.ImbalanceCV(d.durVals),
 	}
 	dec.CV = math.Max(dec.LoadCV, dec.DurCV)
-	dec.Suggested = dec.CV > d.cfg.Threshold
+	dec.Suggested = dec.CV > threshold
 	if dec.Suggested {
 		d.suggested++
-		if d.cfg.Arm && (d.lastFire < 0 || d.fence-d.lastFire > int64(d.cfg.Cooldown)) {
+		if d.armed && (d.lastFire < 0 || d.fence-d.lastFire > cooldown) {
 			dec.Fire = true
 			d.fired++
 			d.lastFire = d.fence
@@ -162,7 +138,7 @@ func (d *Detector) deriveWeights(members []int) []float64 {
 		lo = math.Min(lo, w[i])
 		hi = math.Max(hi, w[i])
 	}
-	if hi <= lo*d.cfg.WeightSnap {
+	if hi <= lo*weightSnap {
 		// Inside the noise band: a uniform-weight plan is a pure LPT
 		// re-partition, which keeps the post-rebalance plan independent
 		// of timing jitter.
@@ -170,9 +146,8 @@ func (d *Detector) deriveWeights(members []int) []float64 {
 			w[i] = 1
 		}
 	} else {
-		clamp := d.cfg.WeightClamp
 		for i := range w {
-			w[i] = math.Min(clamp, math.Max(1/clamp, w[i]))
+			w[i] = math.Min(weightClamp, math.Max(1/weightClamp, w[i]))
 		}
 	}
 	d.weights = w
@@ -187,9 +162,9 @@ func (d *Detector) snapshot(last Decision) DetectorSnapshot {
 		step = d.lastFireStep
 	}
 	return DetectorSnapshot{
-		Threshold:    d.cfg.Threshold,
-		Cooldown:     d.cfg.Cooldown,
-		Armed:        d.cfg.Arm,
+		Threshold:    threshold,
+		Cooldown:     cooldown,
+		Armed:        d.armed,
 		CV:           last.CV,
 		LoadCV:       last.LoadCV,
 		DurCV:        last.DurCV,

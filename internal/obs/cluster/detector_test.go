@@ -1,9 +1,6 @@
 package obscluster
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // harness builds an aggregator/detector pair and lets tests feed
 // per-rank compute measurements directly, bypassing the wire.
@@ -13,11 +10,10 @@ type detHarness struct {
 	mem []int
 }
 
-func newDetHarness(cfg DetectorConfig, m int) *detHarness {
-	full := Config{Detector: cfg}.withDefaults()
+func newDetHarness(armed bool, m int) *detHarness {
 	return &detHarness{
-		a:   newAggregator(full, m),
-		d:   newDetector(full.Detector, m),
+		a:   newAggregator(m),
+		d:   newDetector(armed, m),
 		mem: identityMembers(m),
 	}
 }
@@ -30,7 +26,7 @@ func (h *detHarness) fence(step int, loads, computeNs []float64) Decision {
 }
 
 func TestDetectorUniformIsQuiet(t *testing.T) {
-	h := newDetHarness(DetectorConfig{Arm: true}, 3)
+	h := newDetHarness(true, 3)
 	for step := 0; step < 5; step++ {
 		dec := h.fence(step, []float64{100, 100, 100}, []float64{1e6, 1e6, 1e6})
 		if dec.Suggested || dec.Fire || dec.CV != 0 {
@@ -40,7 +36,7 @@ func TestDetectorUniformIsQuiet(t *testing.T) {
 }
 
 func TestDetectorSuggestsWithoutArming(t *testing.T) {
-	h := newDetHarness(DetectorConfig{Threshold: 0.3}, 3)
+	h := newDetHarness(false, 3)
 	dec := h.fence(0, []float64{300, 100, 50}, []float64{1e6, 1e6, 1e6})
 	if !dec.Suggested {
 		t.Fatalf("skewed loads (CV %v) not suggested", dec.LoadCV)
@@ -54,7 +50,7 @@ func TestDetectorSuggestsWithoutArming(t *testing.T) {
 }
 
 func TestDetectorCooldown(t *testing.T) {
-	h := newDetHarness(DetectorConfig{Threshold: 0.3, Cooldown: 3, Arm: true}, 3)
+	h := newDetHarness(true, 3)
 	loads := []float64{300, 100, 50}
 	durs := []float64{1e6, 1e6, 1e6}
 	fires := []int{}
@@ -67,8 +63,8 @@ func TestDetectorCooldown(t *testing.T) {
 			fires = append(fires, step)
 		}
 	}
-	// Fires at the first crossing, then every Cooldown+1 fences.
-	want := []int{0, 4, 8}
+	// Fires at the first crossing, then every cooldown+1 fences.
+	want := []int{0, 3, 6, 9}
 	if len(fires) != len(want) {
 		t.Fatalf("fired at steps %v, want %v", fires, want)
 	}
@@ -78,13 +74,13 @@ func TestDetectorCooldown(t *testing.T) {
 		}
 	}
 	snap := h.d.snapshot(Decision{})
-	if snap.Suggested != 10 || snap.Fired != 3 || snap.LastFireStep != 8 {
-		t.Fatalf("snapshot %+v, want suggested=10 fired=3 lastFire=8", snap)
+	if snap.Suggested != 10 || snap.Fired != 4 || snap.LastFireStep != 9 {
+		t.Fatalf("snapshot %+v, want suggested=10 fired=4 lastFire=9", snap)
 	}
 }
 
 func TestDetectorWeightsSnapToUniform(t *testing.T) {
-	h := newDetHarness(DetectorConfig{Threshold: 0.3, Arm: true}, 3)
+	h := newDetHarness(true, 3)
 	// Compute time tracks planned load exactly: per-nnz cost is uniform,
 	// so the skew is a partitioning problem, not a heterogeneity problem
 	// — weights snap to 1 and the fired rebalance is a pure LPT re-plan.
@@ -100,27 +96,28 @@ func TestDetectorWeightsSnapToUniform(t *testing.T) {
 }
 
 func TestDetectorWeightsClamped(t *testing.T) {
-	h := newDetHarness(DetectorConfig{Threshold: 0.3, WeightClamp: 4, Arm: true}, 3)
+	h := newDetHarness(true, 3)
 	// Rank 2 is 100× slower per nnz: raw normalised weights would be
-	// ~[0.03, 0.03, 2.9]; the floor clamps the fast ranks to 1/4.
+	// ~[0.03, 0.03, 2.9]; the floor clamps the fast ranks to
+	// 1/weightClamp.
 	dec := h.fence(0, []float64{100, 100, 100}, []float64{1e4, 1e4, 1e6})
 	if !dec.Fire {
 		t.Fatalf("no fire: %+v", dec)
 	}
 	w := dec.Weights
-	if w[0] != 0.25 || w[1] != 0.25 {
-		t.Fatalf("fast-rank weights %v, want clamped to 0.25", w)
+	if w[0] != 1.0/weightClamp || w[1] != 1.0/weightClamp {
+		t.Fatalf("fast-rank weights %v, want clamped to %v", w, 1.0/weightClamp)
 	}
-	if w[2] <= 1 || w[2] > 4 {
-		t.Fatalf("slow-rank weight %v, want in (1, 4]", w[2])
+	if w[2] <= 1 || w[2] > weightClamp {
+		t.Fatalf("slow-rank weight %v, want in (1, %v]", w[2], weightClamp)
 	}
 }
 
 func TestDetectorEWMASmoothing(t *testing.T) {
-	h := newDetHarness(DetectorConfig{Threshold: 0.3, Alpha: 0.25, Arm: true}, 2)
-	// Steady uniform fences, then one transient duration spike: with
-	// alpha 0.25 a single spike moves the EWMA a quarter of the way, so
-	// the CV stays under threshold and nothing fires.
+	h := newDetHarness(true, 2)
+	// Steady uniform fences, then one transient duration spike: a single
+	// spike moves the EWMA only alpha of the way (1e6 → 1.6e6, CV 0.23),
+	// so the CV stays under threshold and nothing fires.
 	for step := 0; step < 4; step++ {
 		h.fence(step, []float64{100, 100}, []float64{1e6, 1e6})
 	}
@@ -142,7 +139,7 @@ func TestDetectorEWMASmoothing(t *testing.T) {
 }
 
 func TestDetectorZeroSignalWeight(t *testing.T) {
-	h := newDetHarness(DetectorConfig{Threshold: 0.3, Arm: true}, 3)
+	h := newDetHarness(true, 3)
 	// No measured compute at all (e.g. spans disabled): load skew still
 	// fires, and with no duration signal every weight defaults to 1.
 	dec := h.fence(0, []float64{300, 100, 50}, []float64{0, 0, 0})
@@ -157,7 +154,7 @@ func TestDetectorZeroSignalWeight(t *testing.T) {
 }
 
 func TestDetectorEvaluateAllocFree(t *testing.T) {
-	h := newDetHarness(DetectorConfig{Threshold: 0.3, Cooldown: 2, Arm: true}, 4)
+	h := newDetHarness(true, 4)
 	loads := []float64{400, 100, 80, 60}
 	durs := []float64{4e6, 1e6, 0.8e6, 0.6e6}
 	step := 0
@@ -171,19 +168,13 @@ func TestDetectorEvaluateAllocFree(t *testing.T) {
 	}
 }
 
-func TestDetectorConfigDefaults(t *testing.T) {
-	c := DetectorConfig{}.withDefaults()
-	if c.Threshold != 0.3 || c.Cooldown != 2 || c.Alpha != 0.5 || c.WeightSnap != 1.5 || c.WeightClamp != 4 || c.Arm {
-		t.Fatalf("zero-value defaults = %+v", c)
-	}
-	keep := DetectorConfig{Threshold: 0.1, Cooldown: 9, Alpha: 1, WeightSnap: 2, WeightClamp: 8, Arm: true}
-	if got := keep.withDefaults(); got != keep {
-		t.Fatalf("explicit config rewritten: %+v", got)
-	}
-	if bad := (DetectorConfig{Alpha: 1.5}).withDefaults(); bad.Alpha != 0.5 {
-		t.Fatalf("alpha > 1 kept: %v", bad.Alpha)
-	}
-	if math.IsNaN(keep.Threshold) {
-		t.Fatal("unreachable")
+// TestDetectorSnapshotReportsSettings: the state document reports the
+// detector's fixed threshold and cool-down, and whether it is armed.
+func TestDetectorSnapshotReportsSettings(t *testing.T) {
+	for _, armed := range []bool{false, true} {
+		snap := newDetector(armed, 3).snapshot(Decision{})
+		if snap.Threshold != 0.3 || snap.Cooldown != 2 || snap.Armed != armed || snap.LastFireStep != -1 {
+			t.Fatalf("armed=%v: snapshot %+v, want threshold 0.3, cooldown 2, no fire", armed, snap)
+		}
 	}
 }

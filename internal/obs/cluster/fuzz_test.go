@@ -30,7 +30,8 @@ func FuzzFenceRecord(f *testing.F) {
 	}
 	f.Add(buf[:recordHeaderSize])
 	f.Fuzz(func(t *testing.T, in []byte) {
-		a := newAggregator(Config{TimelineCap: 16}.withDefaults(), 4)
+		a := newAggregator(4)
+		a.timeline = make([]obs.SpanEvent, 16) // a short ring keeps each run cheap
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		var weights []float64

@@ -31,40 +31,14 @@ import (
 	"dismastd/internal/obs"
 )
 
-// Defaults for Config's knobs.
+// Plane capacities. The spans one rank ships per fence are capped at
+// spanCap: when a fence window recorded more, the most recent are kept
+// — the aggregates in the phase table are never truncated, only the raw
+// timeline. The merged span ring at the coordinator holds timelineCap.
 const (
-	DefaultSpanCap     = 1024 // spans shipped per rank per fence
-	DefaultTimelineCap = 8192 // merged spans retained at the coordinator
+	spanCap     = 1024
+	timelineCap = 8192
 )
-
-// Config parameterises a Plane. The zero value is usable: detector
-// defaults apply and the plane runs in suggest-only mode.
-type Config struct {
-	// Detector configures the imbalance detector the coordinator runs
-	// at every fence.
-	Detector DetectorConfig
-
-	// SpanCap bounds the span events one rank ships per fence (default
-	// DefaultSpanCap). When a fence window recorded more, the most
-	// recent SpanCap are kept — the aggregates in the phase table are
-	// never truncated, only the raw timeline.
-	SpanCap int
-
-	// TimelineCap bounds the merged span ring at the coordinator
-	// (default DefaultTimelineCap).
-	TimelineCap int
-}
-
-func (c Config) withDefaults() Config {
-	if c.SpanCap <= 0 {
-		c.SpanCap = DefaultSpanCap
-	}
-	if c.TimelineCap <= 0 {
-		c.TimelineCap = DefaultTimelineCap
-	}
-	c.Detector = c.Detector.withDefaults()
-	return c
-}
 
 // Plane is one rank's handle on the cluster observability plane. Every
 // member constructs one (the aggregator and detector are only exercised
@@ -73,7 +47,6 @@ func (c Config) withDefaults() Config {
 // concurrent Fence calls; Snapshot and Timeline are safe to call from
 // other goroutines (debug scrapes) while Fence runs.
 type Plane struct {
-	cfg Config
 	o   *obs.Obs
 	rep *reporter
 	agg *Aggregator
@@ -94,17 +67,16 @@ type Plane struct {
 // microseconds in-process and network-bound on TCP.
 var fenceGatherBuckets = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
 
-// NewPlane builds a plane over one rank's obs bundle. worldSize is the
+// NewPlane builds a plane over one rank's obs bundle. armed lets the
+// imbalance detector fire; disarmed it only suggests. worldSize is the
 // fixed world (rank-slot count) the cluster was launched with; fence
 // records are indexed by world rank so state survives view changes.
-func NewPlane(cfg Config, o *obs.Obs, worldSize int) *Plane {
-	cfg = cfg.withDefaults()
+func NewPlane(armed bool, o *obs.Obs, worldSize int) *Plane {
 	p := &Plane{
-		cfg:        cfg,
 		o:          o,
-		rep:        newReporter(o, cfg.SpanCap),
-		agg:        newAggregator(cfg, worldSize),
-		det:        newDetector(cfg.Detector, worldSize),
+		rep:        newReporter(o, spanCap),
+		agg:        newAggregator(worldSize),
+		det:        newDetector(armed, worldSize),
 		fences:     o.Counter("plane.fences"),
 		suggested:  o.Counter("elastic.rebalance.suggested"),
 		fired:      o.Counter("elastic.rebalance.fired"),

@@ -48,7 +48,7 @@ func TestFenceGatherByteAccounting(t *testing.T) {
 		dtagLen  int
 	)
 	stats, err := c.Run(func(w *cluster.Worker) error {
-		p := NewPlane(Config{}, w.Obs(), w.Size())
+		p := NewPlane(false, w.Obs(), w.Size())
 		// Rank r records r+1 mttkrp spans and one solve span before the
 		// fence — distinguishable payload sizes per rank.
 		for i := 0; i <= w.Rank(); i++ {
@@ -152,7 +152,7 @@ func TestFenceAccumulatesAcrossRounds(t *testing.T) {
 
 	var rootSnap Snapshot
 	_, err := c.Run(func(w *cluster.Worker) error {
-		p := NewPlane(Config{}, w.Obs(), w.Size())
+		p := NewPlane(false, w.Obs(), w.Size())
 		for step := 0; step < 3; step++ {
 			span(w.Obs(), "mode0/mttkrp")
 			span(w.Obs(), "mode0/mttkrp")
@@ -205,7 +205,7 @@ func TestTimelineEpochStamped(t *testing.T) {
 
 	var buf bytes.Buffer
 	_, err := c.Run(func(w *cluster.Worker) error {
-		p := NewPlane(Config{}, w.Obs(), w.Size())
+		p := NewPlane(false, w.Obs(), w.Size())
 		w.Obs().SetEpoch(epoch)
 		span(w.Obs(), "stream/mttkrp")
 		if _, err := p.Fence(w, members, epoch, 0, loads); err != nil {
@@ -319,7 +319,7 @@ func TestConcurrentScrape(t *testing.T) {
 	}()
 
 	_, err := c.Run(func(w *cluster.Worker) error {
-		p := NewPlane(Config{}, w.Obs(), w.Size())
+		p := NewPlane(false, w.Obs(), w.Size())
 		if w.Rank() == 0 {
 			planeMu.Lock()
 			rootPlane = p

@@ -46,7 +46,7 @@ func denseCube(d, rk int, seed uint64) *tensor.Tensor {
 func sampledOpts(threads int) dtd.Options {
 	return dtd.Options{
 		Rank: 4, MaxIters: 8, Tol: 1e-12, Seed: 7, Threads: threads,
-		Solver: sample.Sampled, Samples: 2048,
+		Solver: sample.Sampled,
 	}
 }
 
@@ -143,7 +143,7 @@ func TestSampledStreamDeterministicWorldSize(t *testing.T) {
 	run := func() []*dismastd.Dense {
 		s := dismastd.NewStream(dismastd.Options{
 			Rank: 4, MaxIters: 4, Seed: 3, Workers: 3, Threads: 2,
-			Solver: "sampled", Samples: 1024,
+			Solver: "sampled",
 		})
 		for _, x := range []*tensor.Tensor{first, grown} {
 			if _, err := s.Ingest(x); err != nil {

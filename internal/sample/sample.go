@@ -70,8 +70,8 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// DefaultSamples is the per-mode sample count S used when an engine's
-// Options.Samples is zero. At paper-scale tensors (nnz ≥ 10⁶) it keeps
+// DefaultSamples is the per-mode sample count S every engine's sampled
+// solver draws. At paper-scale tensors (nnz ≥ 10⁶) it keeps
 // a sampled round several times cheaper than the exact MTTKRP while
 // holding the final fit within ~1e-2 of exact on the fit-gap harness.
 const DefaultSamples = 8192

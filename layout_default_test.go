@@ -25,9 +25,8 @@ func TestZeroValueOptionsBuildCompiledKernels(t *testing.T) {
 
 	var kind layout.Kind
 	for ctor, k := range map[string]mttkrp.Kernel{
-		"NewKernel":      mttkrp.NewKernel(x, 0, kind),
-		"NewKernelOf":    mttkrp.NewKernelOf(x, 0, entries, kind),
-		"CachedKernelOf": mttkrp.CachedKernelOf(&layout.Cache{}, x, 0, entries, kind),
+		"NewKernel":   mttkrp.NewKernel(x, 0, kind),
+		"NewKernelOf": mttkrp.NewKernelOf(x, 0, entries, kind),
 	} {
 		if _, ok := k.(*layout.ModeLayout); !ok {
 			t.Errorf("zero-value kind: %s built %T, want *layout.ModeLayout", ctor, k)

@@ -60,16 +60,12 @@ type Options struct {
 	// Solver selects the per-sweep least-squares strategy: "exact" (or
 	// "", the default) runs the full MTTKRP over every entry of the
 	// snapshot region; "sampled" replaces it with a randomized
-	// leverage-score sketch of Samples rows per mode — sublinear in the
-	// region's non-zeros once they dwarf the sketch, at the cost of a
-	// small, Samples-controlled fit gap. Sampled runs are reproducible:
-	// the same seed gives bitwise-identical factors at every thread
-	// count and on repeated runs at the same Workers value.
+	// leverage-score sketch of sample.DefaultSamples (8192) rows per
+	// mode — sublinear in the region's non-zeros once they dwarf the
+	// sketch, at the cost of a small fit gap. Sampled runs are
+	// reproducible: the same seed gives bitwise-identical factors at
+	// every thread count and on repeated runs at the same Workers value.
 	Solver string
-	// Samples is the sketch size S per mode when Solver is "sampled";
-	// 0 selects the default (8192). Larger S tightens the fit gap and
-	// costs proportionally more per sweep.
-	Samples int
 
 	// SweepEvery fires the drift-backstop full ALS sweep automatically
 	// once that many events are pending. 0 (the default) sweeps only on
@@ -99,9 +95,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if _, err := sample.ParseKind(o.Solver); err != nil {
 		return o, fmt.Errorf("dismastd: %v", err)
-	}
-	if o.Samples < 0 {
-		return o, fmt.Errorf("dismastd: Samples must be non-negative, got %d", o.Samples)
 	}
 	return o, nil
 }
@@ -216,7 +209,7 @@ func (s *Stream) dtdOptions(seed uint64) dtd.Options {
 		Rank: s.vopts.Rank, MaxIters: s.vopts.MaxIters, Tol: s.vopts.Tol,
 		Mu: s.vopts.ForgettingFactor, Seed: seed,
 		Threads: s.vopts.Threads,
-		Solver:  s.sk, Samples: s.vopts.Samples,
+		Solver:  s.sk,
 	}
 }
 
@@ -227,7 +220,7 @@ func (s *Stream) coreOptions(seed uint64) core.Options {
 		Workers: s.vopts.Workers, Parts: s.vopts.Parts,
 		Method:  partition.Method(s.vopts.Partitioner),
 		Threads: s.vopts.Threads,
-		Solver:  s.sk, Samples: s.vopts.Samples,
+		Solver:  s.sk,
 	}
 }
 
