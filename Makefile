@@ -48,14 +48,20 @@ check: vet test race
 
 # The counts ROADMAP.md's aim 2 ("fewer packages, fewer options, fewer
 # lines") is judged by: Go lines outside benchmark/, split into non-test
-# and test; packages under internal/; and each binary's flags as its -h
-# lists them. Report only — no count fails the target.
+# and test; packages under internal/; each binary's flags as its -h
+# lists them; and each internal package's exported identifiers — a grep
+# of its non-test files for top-level `func Name`, `func (recv) Name`
+# and `type Name` lines with Name capitalised (no `type (` groups are
+# in use). Report only — no count fails the target.
 census:
 	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -exec cat {} + | wc -l)"
 	@echo "test Go lines outside benchmark/: $$(find . -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -exec cat {} + | wc -l)"
 	@echo "packages under internal/: $$($(GO) list ./internal/... | wc -l)"
 	@for d in cmd/*; do \
 		echo "flags of $$(basename $$d): $$($(GO) run ./$$d -h 2>&1 | grep -c '^  -')"; \
+	done
+	@for d in $$(find internal -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u); do \
+		echo "exported funcs, methods and types of $$d: $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -cE '^(func (\([^)]*\) )?|type )[A-Z]')"; \
 	done
 
 # Every Fuzz* in the module, FUZZTIME each, one after another. The list

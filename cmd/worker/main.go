@@ -18,10 +18,10 @@
 // few intervals instead of stalling until the receive timeout. What the
 // survivors then do is the one policy choice: by default they stop with
 // that error, and since -checkpoint writes the state after every
-// completed step (view rank 0, atomic rename) a restarted cluster with
-// -resume continues from the last checkpoint and reproduces the
-// uninterrupted run bit for bit; with -elastic they absorb the dead
-// rank — re-run the interrupted step without it from the state they
+// completed step (view rank 0, fsynced temp file renamed over the
+// target) a restarted cluster with -resume continues from the last
+// checkpoint and reproduces the uninterrupted run bit for bit; with
+// -elastic, which requires -heartbeat, they absorb the dead rank — re-run the interrupted step without it from the state they
 // hold, exactly as a static cluster of the survivors would — and
 // finish the stream, and scripted joins and drains are admitted at
 // step fences.
@@ -47,6 +47,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -133,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	timeout := fs.Duration("timeout", 2*time.Minute, "join and receive timeout")
 	heartbeat := fs.Duration("heartbeat", 0, "peer failure-detection probe interval (0 = off)")
 	debugAddr := fs.String("debug-addr", "", "worker mode: serve /metrics, /debug/state, /debug/timeline and /debug/pprof/ on this address (no auth — bind loopback only; empty = off)")
-	elastic := fs.Bool("elastic", false, "worker mode: absorb rank deaths — the survivors re-run the interrupted step without the dead rank and finish the stream — instead of failing for -resume; enables scripted joins and drains at step fences")
+	elastic := fs.Bool("elastic", false, "worker mode: absorb rank deaths — the survivors re-run the interrupted step without the dead rank and finish the stream — instead of failing for -resume; enables scripted joins and drains at step fences; requires -heartbeat")
 	members := fs.Int("members", 0, "elastic mode: initial members, world ranks 0..N-1 (0 = every rank; the rest start as spares)")
 	joinAt := fs.String("join-at", "", "elastic mode: scripted joins as rank:step,... — identical on every rank")
 	drainAt := fs.String("drain-at", "", "elastic mode: scripted drains as rank:step,... — identical on every rank")
@@ -208,6 +209,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if !*elastic && (len(joins)+len(drains) > 0 || *members != 0) {
 			return fmt.Errorf("-members/-join-at/-drain-at require -elastic")
+		}
+		if *elastic && *heartbeat <= 0 {
+			// Over TCP only heartbeats mark a dead peer down; without them
+			// a death stalls the survivors until -timeout, which no policy
+			// can absorb.
+			return fmt.Errorf("-elastic requires -heartbeat (a rank death is seen only through missed heartbeats)")
 		}
 		if *rebalance && !*elastic {
 			return fmt.Errorf("-rebalance-on-imbalance requires -elastic (a rebalance is a view change)")
@@ -374,19 +381,48 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 
 // writeOut writes the run's final state to the -out path.
 func writeOut(log *slog.Logger, path string, st *dtd.State) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := dtd.WriteState(f, st); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFileDurably(path, func(w io.Writer) error { return dtd.WriteState(w, st) }); err != nil {
 		return err
 	}
 	log.Info("state written", "path", path)
 	return nil
+}
+
+// writeFileDurably is the one way this command replaces a state file:
+// write feeds a temp file beside path, which is fsynced and renamed
+// over path, and then the directory is fsynced so the rename itself
+// survives a crash. Readers see the old file or the new one, never a
+// truncated mix; on any failure the old file stays as it was and the
+// temp file is removed.
+func writeFileDurably(path string, write func(io.Writer) error) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // parseRankSteps parses a "rank:step,rank:step" membership script with
@@ -502,25 +538,10 @@ func checkpointPath(prefix string, step int) string {
 	return fmt.Sprintf("%s.step%d.gob", prefix, step)
 }
 
-// writeCheckpoint persists the post-step state with a temp-file rename
-// so a crash mid-write never leaves a truncated checkpoint behind.
+// writeCheckpoint persists the post-step state (writeFileDurably), so
+// a crash mid-write never leaves a truncated checkpoint behind.
 func writeCheckpoint(prefix string, step int, st *dtd.State) error {
-	path := checkpointPath(prefix, step)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := dtd.WriteState(f, st); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return writeFileDurably(checkpointPath(prefix, step), func(w io.Writer) error { return dtd.WriteState(w, st) })
 }
 
 // latestCheckpoint finds the highest completed step's readable state,

@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -90,6 +93,9 @@ func TestTwoStepTCPCluster(t *testing.T) {
 
 func TestWorkerArgErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
+	// The flag a rejection must name, where the refusal is about that
+	// flag rather than about loading x.tsv.
+	mentions := map[string]string{"elastic without heartbeat": "-heartbeat"}
 	for name, args := range map[string][]string{
 		"neither mode":              {},
 		"serve without size":        {"-serve", "127.0.0.1:0"},
@@ -99,9 +105,42 @@ func TestWorkerArgErrors(t *testing.T) {
 		"rebalance without elastic": {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-rebalance-on-imbalance"},
 		"members without elastic":   {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-members", "2"},
 		"drain without elastic":     {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-drain-at", "1:1"},
+		"elastic without heartbeat": {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-elastic"},
 	} {
-		if err := run(args, &stdout, &stderr); err == nil {
+		err := run(args, &stdout, &stderr)
+		if err == nil {
 			t.Fatalf("%s accepted", name)
+		}
+		if want := mentions[name]; !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q does not name %s", name, err, want)
+		}
+	}
+}
+
+// TestStateWritersKeepPreviousFileOnFailure: when the encoder fails,
+// -out and a step checkpoint keep their previous bytes exactly, and no
+// temp file is left beside them.
+func TestStateWritersKeepPreviousFileOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	bad := &dtd.State{Dims: []int{3}} // a dim without its factor: WriteState refuses it
+	log := slog.New(slog.NewTextHandler(io.Discard, nil))
+	out, prefix := filepath.Join(dir, "out.gob"), filepath.Join(dir, "ckpt")
+	for path, write := range map[string]func() error{
+		out:                       func() error { return writeOut(log, out, bad) },
+		checkpointPath(prefix, 2): func() error { return writeCheckpoint(prefix, 2, bad) },
+	} {
+		previous := []byte("the previous state")
+		if err := os.WriteFile(path, previous, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := write(); err == nil {
+			t.Fatalf("%s: an unencodable state was written", path)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, previous) {
+			t.Fatalf("%s: after a failed write it holds %q (%v), want the previous %q", path, got, err, previous)
+		}
+		if _, err := os.Stat(path + ".tmp"); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("%s: temp file left behind (%v)", path, err)
 		}
 	}
 }
@@ -272,7 +311,7 @@ func TestOneDriverBothPolicies(t *testing.T) {
 		extra []string
 	}{
 		{"fail", nil},
-		{"absorb", []string{"-elastic"}},
+		{"absorb", []string{"-elastic", "-heartbeat", "150ms"}},
 	} {
 		ckpt := filepath.Join(dir, tc.name)
 		out := filepath.Join(dir, tc.name+".out.gob")
@@ -384,7 +423,7 @@ func TestElasticWorkerJoinAndDrain(t *testing.T) {
 	base := []string{
 		"-tensor", snaps[0] + "," + snaps[1],
 		"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s",
-		"-elastic", "-members", "3", "-join-at", "3:1", "-drain-at", "1:1",
+		"-elastic", "-heartbeat", "150ms", "-members", "3", "-join-at", "3:1", "-drain-at", "1:1",
 		"-out", state,
 	}
 	errs, out := runCluster(t, base, [][]string{nil, nil, nil, nil})

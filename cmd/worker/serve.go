@@ -332,28 +332,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	w.Write(buf.Bytes())
 }
 
-// saveStreamCheckpoint writes the stream's checkpoint with a temp-file
-// rename, like the worker's per-step checkpoints: a crash mid-write
-// never leaves a truncated model behind. Save flushes pending events
-// first, so the file always sits on a sweep boundary.
-func saveStreamCheckpoint(path string, stream *dismastd.Stream) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := stream.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // runServe runs the serving front end until sig delivers a shutdown
 // signal, then drains and checkpoints. The injectable channel is what
 // makes graceful shutdown testable in-process.
@@ -398,7 +376,9 @@ func runServe(cfg serveConfig, stdout, stderr io.Writer, sig <-chan os.Signal) e
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	if cfg.statePath != "" && (stream.Factors() != nil || stream.Pending() > 0) {
-		if err := saveStreamCheckpoint(cfg.statePath, stream); err != nil {
+		// Save flushes pending events first, so the file always sits on a
+		// sweep boundary.
+		if err := writeFileDurably(cfg.statePath, stream.Save); err != nil {
 			return fmt.Errorf("final checkpoint: %w", err)
 		}
 		logger.Info("final checkpoint written", "path", cfg.statePath, "sweeps", stream.Snapshots())

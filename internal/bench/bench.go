@@ -245,7 +245,10 @@ type Measurement struct {
 }
 
 // runDisMASTD performs one streaming step and returns the new state
-// plus its measurement.
+// plus its measurement. From dtd.EmptyState it is the DMS-MG baseline
+// of Section V — static CP-ALS of the whole snapshot, Θ(nnz(X)·R) per
+// iteration against DisMASTD's Θ(nnz(X \ X̃)·R): the gap Fig. 5
+// measures.
 func (c Config) runDisMASTD(model simtime.Model, prev *dtd.State, snap *tensor.Tensor, method partition.Method, workers, parts int) (*dtd.State, Measurement, error) {
 	st, stats, err := core.Step(prev, snap, core.Options{
 		Rank: c.Rank, MaxIters: c.MaxIters, Tol: 1e-9, Mu: c.Mu, Seed: c.Seed,
@@ -263,28 +266,6 @@ func (c Config) runDisMASTD(model simtime.Model, prev *dtd.State, snap *tensor.T
 		Stats:       stats.Cluster,
 	}
 	return st, m, nil
-}
-
-// runDMSMG decomposes the snapshot from scratch — the DMS-MG baseline
-// of Section V, static CP-ALS as a core.Step from the empty state — and
-// returns the measurement. Each step costs Θ(nnz(X)·R) per iteration,
-// against DisMASTD's Θ(nnz(X \ X̃)·R): the gap Fig. 5 measures.
-func (c Config) runDMSMG(model simtime.Model, snap *tensor.Tensor, method partition.Method, workers, parts int) (Measurement, error) {
-	_, stats, err := core.Step(dtd.EmptyState(snap.Order(), c.Rank), snap, core.Options{
-		Rank: c.Rank, MaxIters: c.MaxIters, Tol: 1e-9, Seed: c.Seed,
-		Workers: workers, Parts: parts, Method: method, Threads: c.Threads,
-	})
-	if err != nil {
-		return Measurement{}, err
-	}
-	waves := simtime.Waves(parts, workers)
-	return Measurement{
-		Iters:       stats.Iters,
-		NNZ:         stats.ComplementNNZ,
-		WallPerIter: stats.Cluster.Wall / time.Duration(stats.Iters),
-		SimPerIter:  model.PerIteration(stats.Cluster, stats.Iters, waves) + setupPerIter(model, stats.SetupBytes, stats.Iters),
-		Stats:       stats.Cluster,
-	}, nil
 }
 
 // ---- Fig. 5 --------------------------------------------------------------
@@ -316,27 +297,24 @@ func Fig5(cfg Config) ([]Fig5Point, error) {
 			snaps[i] = seq.Snapshot(i)
 		}
 		for _, method := range Methods {
+			var st *dtd.State
 			if method.Streaming {
-				st, _, err := dtd.Init(snaps[0], dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads})
+				st, _, err = dtd.Init(snaps[0], dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads})
 				if err != nil {
 					return nil, fmt.Errorf("fig5 %s %s init: %w", k, method.Name, err)
 				}
-				for i := 1; i < seq.Len(); i++ {
-					var m Measurement
-					st, m, err = cfg.runDisMASTD(model, st, snaps[i], method.Partitioner, cfg.Workers, cfg.Workers)
-					if err != nil {
-						return nil, fmt.Errorf("fig5 %s %s step %d: %w", k, method.Name, i, err)
-					}
-					points = append(points, Fig5Point{Dataset: k.String(), Method: method.Name, Frac: dataset.PaperFractions[i], Measurement: m})
+			}
+			for i := 1; i < seq.Len(); i++ {
+				if !method.Streaming {
+					// DMS-MG: the same step, from scratch every snapshot.
+					st = dtd.EmptyState(snaps[i].Order(), cfg.Rank)
 				}
-			} else {
-				for i := 1; i < seq.Len(); i++ {
-					m, err := cfg.runDMSMG(model, snaps[i], method.Partitioner, cfg.Workers, cfg.Workers)
-					if err != nil {
-						return nil, fmt.Errorf("fig5 %s %s step %d: %w", k, method.Name, i, err)
-					}
-					points = append(points, Fig5Point{Dataset: k.String(), Method: method.Name, Frac: dataset.PaperFractions[i], Measurement: m})
+				var m Measurement
+				st, m, err = cfg.runDisMASTD(model, st, snaps[i], method.Partitioner, cfg.Workers, cfg.Workers)
+				if err != nil {
+					return nil, fmt.Errorf("fig5 %s %s step %d: %w", k, method.Name, i, err)
 				}
+				points = append(points, Fig5Point{Dataset: k.String(), Method: method.Name, Frac: dataset.PaperFractions[i], Measurement: m})
 			}
 		}
 	}

@@ -171,7 +171,7 @@ func TestTCPExchangeAllocsFlatInRounds(t *testing.T) {
 
 // TestGatherAndAllGather keeps its name from when the cluster package
 // had a byte gather of its own; the gather the product uses,
-// dplan.GatherOwnedRows, is what is left to check. Rank 0 ends with
+// dplan.Exchanger.Gather, is what is left to check. Rank 0 ends with
 // every rank's owned rows, the others with nil.
 func TestGatherAndAllGather(t *testing.T) {
 	const size, rows, r = 4, 10, 3
@@ -188,7 +188,7 @@ func TestGatherAndAllGather(t *testing.T) {
 				f.Set(int(row), c, val(int(row), c))
 			}
 		}
-		full, err := dplan.GatherOwnedRows(w, owned, []*mat.Dense{f})
+		full, err := dplan.NewExchanger(w, &dplan.Plan{OwnedSlices: owned}).Gather([]*mat.Dense{f})
 		if err != nil {
 			return err
 		}

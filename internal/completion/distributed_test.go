@@ -14,7 +14,7 @@ func TestDistributedMatchesCentralizedExactly(t *testing.T) {
 	// must reproduce the centralized factors bit for bit.
 	_, train, _ := observedSplit([]int{18, 15, 12}, 3, 900, 1, 31)
 	opts := Options{Rank: 3, MaxIters: 6, Tol: 0, Lambda: 1e-4, Seed: 33}
-	want, err := Decompose(train, opts)
+	want, err := fitOneRank(train, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDistributedValidation(t *testing.T) {
 func TestStreamStepRunsOnWorkers(t *testing.T) {
 	dims := []int{14, 12, 10}
 	_, full, _ := observedSplit(dims, 2, 900, 1, 43)
-	first, err := Decompose(full.Prefix([]int{10, 9, 8}), Options{Rank: 2, MaxIters: 5, Seed: 45})
+	first, err := fitOneRank(full.Prefix([]int{10, 9, 8}), Options{Rank: 2, MaxIters: 5, Seed: 45})
 	if err != nil {
 		t.Fatal(err)
 	}

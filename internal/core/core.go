@@ -376,12 +376,15 @@ func (j *StepJob) kernel(me, m int) mttkrp.Kernel {
 	return mttkrp.NewKernelOf(j.plan.Tensor, m, j.plan.EntryLists[me][m], layout.Compiled)
 }
 
-// bind derives rank w's engine from the plan: kernels over the rank's
-// entry lists (see kernel), the rows it owns, and its collectives; the
-// engine stacks the step's starting point for the rank (dtd.Sweep.Bind
-// from nil factors). The sampled solver forces the broadcast row
-// exchange (see Options.Solver). Close the engine when done.
-func (j *StepJob) bind(w *cluster.Worker) *dtd.Sweep {
+// bindRank derives rank w's engine from the plan: kernels over the
+// rank's entry lists (see kernel), the rows it owns, and its
+// collectives; the engine stacks the step's starting point for the rank
+// (dtd.Sweep.Bind from nil factors). The sampled solver forces the
+// broadcast row exchange (see Options.Solver). It also returns the
+// rank's row Exchanger, which the engine's exchanges run on and the
+// step's end — the gather, or the elastic state sync — reuses. Close
+// the engine when done.
+func (j *StepJob) bindRank(w *cluster.Worker) (*dtd.Sweep, *dplan.Exchanger) {
 	me := w.Rank()
 	comp := j.plan.Tensor
 	n := comp.Order()
@@ -405,9 +408,10 @@ func (j *StepJob) bind(w *cluster.Worker) *dtd.Sweep {
 			panic(fmt.Sprintf("core: sampler construction failed after CheckDims: %v", err))
 		}
 	}
+	exch := dplan.NewExchanger(w, j.plan)
 	comm := &rankComm{
 		w:         w,
-		exch:      dplan.NewExchanger(w, j.plan),
+		exch:      exch,
 		broadcast: j.opts.broadcastRows || smp != nil,
 		cBytes:    w.Obs().Counter("allreduce.bytes"),
 	}
@@ -415,13 +419,13 @@ func (j *StepJob) bind(w *cluster.Worker) *dtd.Sweep {
 	if j.opts.naiveLoss {
 		comm.naive = &naiveLoss{entries: j.plan.EntryLists[me][n-1], comp: comp, factors: eng.Factors(), tmp: make([]float64, j.opts.Rank)}
 	}
-	return eng
+	return eng, exch
 }
 
 // RunWorker is the SPMD body executed by every rank. It must be called
 // exactly once per rank of a cluster of Workers() size.
 func (j *StepJob) RunWorker(w *cluster.Worker) error {
-	eng := j.bind(w)
+	eng, exch := j.bindRank(w)
 	defer eng.Close()
 	me := w.Rank()
 
@@ -439,7 +443,7 @@ func (j *StepJob) RunWorker(w *cluster.Worker) error {
 	j.mu.Unlock()
 
 	sp := w.Obs().Span("gather")
-	result, err := dplan.GatherOwnedRows(w, j.plan.OwnedSlices, eng.Factors())
+	result, err := exch.Gather(eng.Factors())
 	sp.End()
 	if err != nil {
 		return err

@@ -549,7 +549,7 @@ func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	if err != nil {
 		return nil, err
 	}
-	eng := job.bind(vw)
+	eng, exch := job.bindRank(vw)
 	defer eng.Close()
 	err = eng.Run(func(sweep int) error {
 		if r, ok := j.opts.KillAtStep[s]; ok && r == w.Rank() && sweep == killSweep {
@@ -562,7 +562,7 @@ func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Work
 		return nil, err
 	}
 	j.chaosSlow(w, vw, job)
-	synced, err := j.syncState(vw, job, eng.Factors())
+	synced, err := syncState(exch, eng.Factors())
 	if err != nil {
 		return nil, err
 	}
@@ -670,17 +670,17 @@ func (j *ElasticJob) recover(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	return next, vw2, restart, nil
 }
 
-// syncState has every owner broadcast its owned rows (the sampled
-// solver's owned-row exchange) and adopts the completed replicas as the
-// step's result, so every member — not just rank 0 — enters the next
-// fence holding the full state. That replication is what makes fences
+// syncState has every owner broadcast its owned rows through the
+// step's Exchanger (the sampled solver's owned-row exchange) and adopts
+// the completed replicas as the step's result, so every member — not
+// just rank 0 — enters the next fence holding the full state. That replication is what makes fences
 // cheap and recovery local: drains hand off nothing, joiners boot from
 // one member, and survivors restart a step from the state they hold.
 // Every row comes verbatim from its owner, so all members hold the same
 // bits.
-func (j *ElasticJob) syncState(vw *cluster.Worker, job *StepJob, full []*mat.Dense) (*dtd.State, error) {
+func syncState(exch *dplan.Exchanger, full []*mat.Dense) (*dtd.State, error) {
 	for m := range full {
-		if err := dplan.ExchangeRows(vw, job.plan, m, full[m], true); err != nil {
+		if err := exch.Exchange(m, full[m], true); err != nil {
 			return nil, err
 		}
 	}

@@ -8,12 +8,17 @@ import (
 
 	"dismastd/internal/cluster"
 	"dismastd/internal/dataset"
-	"dismastd/internal/dplan"
 	"dismastd/internal/dtd"
 	"dismastd/internal/mat"
 	"dismastd/internal/partition"
 	"dismastd/internal/sample"
 )
+
+// bind is bindRank for tests that drive the engine alone.
+func (j *StepJob) bind(w *cluster.Worker) *dtd.Sweep {
+	eng, _ := j.bindRank(w)
+	return eng
+}
 
 // runAndGather runs the job's sweeps on a fresh in-process cluster and
 // then its gather, and returns what rank 0 got next to the assembly the
@@ -27,7 +32,7 @@ func runAndGather(t *testing.T, job *StepJob) (got, want, replica []*mat.Dense, 
 	r := job.opts.Rank
 	ownedRows := make([][]*mat.Dense, workers) // [rank][mode]: that rank's owned rows, in OwnedSlices order
 	stats, err := cluster.NewLocal(workers).Run(func(w *cluster.Worker) error {
-		eng := job.bind(w)
+		eng, exch := job.bindRank(w)
 		defer eng.Close()
 		if err := eng.Run(nil); err != nil {
 			return err
@@ -45,7 +50,7 @@ func runAndGather(t *testing.T, job *StepJob) (got, want, replica []*mat.Dense, 
 		if err := w.Barrier(); err != nil {
 			return err
 		}
-		out, err := dplan.GatherOwnedRows(w, job.plan.OwnedSlices, eng.Factors())
+		out, err := exch.Gather(eng.Factors())
 		if me == 0 {
 			got, replica = out, eng.Factors()
 		} else if out != nil {
@@ -159,7 +164,7 @@ func TestGatherAllocatesNoFactorOnRankZero(t *testing.T) {
 	}
 	var allocated uint64
 	if _, err := cluster.NewLocal(workers).Run(func(w *cluster.Worker) error {
-		eng := job.bind(w)
+		eng, exch := job.bindRank(w)
 		defer eng.Close()
 		if err := eng.Run(nil); err != nil {
 			return err
@@ -171,7 +176,7 @@ func TestGatherAllocatesNoFactorOnRankZero(t *testing.T) {
 		if w.Rank() == 0 {
 			runtime.ReadMemStats(&before)
 		}
-		if _, err := dplan.GatherOwnedRows(w, job.plan.OwnedSlices, eng.Factors()); err != nil {
+		if _, err := exch.Gather(eng.Factors()); err != nil {
 			return err
 		}
 		// Rank 0 returns from the gather only after every payload has

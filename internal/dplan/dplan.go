@@ -293,11 +293,13 @@ func (p *Plan) SetupBytes(rank int) int64 {
 	return entryBytes + rowBytes
 }
 
-// Exchanger carries the per-worker reusable state of the row exchange:
-// the per-mode stream tags, the pending-peer scratch list, and the
-// pooled framed buffers rows are encoded into. One Exchanger per
-// (worker, plan), used by that worker's goroutine only; a steady-state
-// Exchange performs zero heap allocations on the in-process transport.
+// Exchanger carries the per-worker reusable state of every transfer of
+// owned factor rows between ranks — the per-mode exchange and the
+// result gather alike: the stream tags, the pending-peer scratch list,
+// and the pooled buffers exchanged rows are encoded into. One
+// Exchanger per (worker, plan), used by that worker's goroutine only; a
+// steady-state Exchange performs zero heap allocations on the
+// in-process transport.
 type Exchanger struct {
 	w       *cluster.Worker
 	p       *Plan
@@ -315,6 +317,59 @@ func NewExchanger(w *cluster.Worker, p *Plan) *Exchanger {
 	}
 }
 
+// A route is one way owned rows cross ranks (Section IV-B): which rows
+// of a mode travel from an owner to a peer. Every route runs through
+// the same post and collect code.
+type route int
+
+const (
+	// toSubscribers sends each rank the rows it reads and does not own
+	// (Plan.SendLists): the exchange after every mode solve.
+	toSubscribers route = iota
+	// toAll sends every owned row to every other rank: the
+	// row-subscription ablation baseline and the sampled solver's
+	// exchange, whose leverage scores read every row.
+	toAll
+	// toRankZero sends every owned row to rank 0 alone: the one-time
+	// result gather of Theorem 4's NIR term.
+	toRankZero
+)
+
+func exchangeRoute(broadcast bool) route {
+	if broadcast {
+		return toAll
+	}
+	return toSubscribers
+}
+
+// pooled reports whether the route's payloads ride the transport's
+// buffer pool. The gather's are one-shot and as large as a factor:
+// pooled, they would sit in the pool's largest classes between steps
+// and round each payload up to a power of two, so they are allocated
+// per message and left to the garbage collector.
+func (rt route) pooled() bool { return rt != toRankZero }
+
+// rowsFor lists the mode's rows that travel from one worker to another
+// on the route.
+func (e *Exchanger) rowsFor(rt route, mode, from, to int) []int32 {
+	switch {
+	case rt == toSubscribers:
+		return e.p.SendLists[mode][from][to]
+	case rt == toRankZero && to != 0:
+		return nil
+	}
+	return e.p.OwnedSlices[mode][from]
+}
+
+// tag is the route's stream tag for the mode: the gather keeps a
+// stream of its own, apart from the exchanges it follows.
+func (e *Exchanger) tag(rt route, mode int) string {
+	if rt == toRankZero {
+		return e.w.StreamTagIndexed("gather", mode)
+	}
+	return e.w.StreamTagIndexed("rows", mode)
+}
+
 // Exchange pushes the freshly updated owned rows of factor (which is
 // the full mode-m matrix, locally replicated) to every subscriber and
 // pulls the rows this worker subscribes to: Post, then Collect. All
@@ -328,142 +383,126 @@ func (e *Exchanger) Exchange(mode int, factor *mat.Dense, broadcast bool) error 
 	return e.Collect(mode, factor, broadcast)
 }
 
-// rowsFor lists the mode's rows that travel from one worker to another.
-func (e *Exchanger) rowsFor(mode, from, to int, broadcast bool) []int32 {
-	if broadcast {
-		return e.p.OwnedSlices[mode][from]
-	}
-	return e.p.SendLists[mode][from][to]
-}
-
 // Post is the send half of Exchange: rows are packed directly into
 // pooled transport buffers, and unbounded mailboxes make the sends
 // non-blocking, so a worker may do other work — other collectives
 // included, their tags are their own — before it collects.
 func (e *Exchanger) Post(mode int, factor *mat.Dense, broadcast bool) error {
+	sent, err := e.post(exchangeRoute(broadcast), mode, factor)
+	e.sent.Add(sent)
+	return err
+}
+
+// Collect is the receive half of Exchange.
+func (e *Exchanger) Collect(mode int, factor *mat.Dense, broadcast bool) error {
+	_, err := e.collect(exchangeRoute(broadcast), mode, factor)
+	return err
+}
+
+// Gather completes rank 0's replicas into the full factors and returns
+// them there; other ranks get nil. full are the caller's replicas, one
+// per mode. Rank 0's replica already holds rank 0's owned rows in final
+// form, so it is adopted as the result and only the other ranks' owned
+// rows travel: every rank posts its owned rows of every mode to rank 0,
+// one message per (mode, rank with rows in it), and rank 0 collects
+// them as an exchange collects. gather.rows counts the rows rank 0
+// received.
+func (e *Exchanger) Gather(full []*mat.Dense) ([]*mat.Dense, error) {
+	for m, f := range full {
+		if _, err := e.post(toRankZero, m, f); err != nil {
+			return nil, err
+		}
+	}
+	if e.w.Rank() != 0 {
+		return nil, nil
+	}
+	gathered := e.w.Obs().Counter("gather.rows")
+	for m, f := range full {
+		got, err := e.collect(toRankZero, m, f)
+		gathered.Add(got)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return full, nil
+}
+
+// post sends this worker's rows of the mode on the route and returns
+// how many rows it sent.
+func (e *Exchanger) post(rt route, mode int, factor *mat.Dense) (int64, error) {
 	w := e.w
 	me := w.Rank()
-	tag := w.StreamTagIndexed("rows", mode)
+	tag := e.tag(rt, mode)
 	r := factor.Cols
+	var sent int64
 	for s := 0; s < w.Size(); s++ {
-		rows := e.rowsFor(mode, me, s, broadcast)
+		rows := e.rowsFor(rt, mode, me, s)
 		if s == me || len(rows) == 0 {
 			continue
 		}
-		buf := w.GetBuf(8 * len(rows) * r)
+		var buf []byte
+		if rt.pooled() {
+			buf = w.GetBuf(8 * len(rows) * r)
+		} else {
+			buf = make([]byte, 8*len(rows)*r)
+		}
 		off := 0
 		for _, row := range rows {
 			cluster.PutFloat64s(buf[off:off+8*r], factor.Row(int(row)))
 			off += 8 * r
 		}
-		e.sent.Add(int64(len(rows)))
-		if err := w.SendPooled(s, tag, buf); err != nil {
-			return err
+		sent += int64(len(rows))
+		var err error
+		if rt.pooled() {
+			err = w.SendPooled(s, tag, buf)
+		} else {
+			err = w.Send(s, tag, buf)
+		}
+		if err != nil {
+			return sent, err
 		}
 	}
-	return nil
+	return sent, nil
 }
 
-// Collect is the receive half of Exchange: incoming blocks are scattered
-// into the local replica in arrival order (RecvAny), whatever the peer
-// order — safe bitwise, because each peer's block covers a disjoint row
-// set, so the landing order cannot change any value.
-func (e *Exchanger) Collect(mode int, factor *mat.Dense, broadcast bool) error {
+// collect receives the mode's rows that reach this worker on the route
+// and returns how many it received. Incoming blocks are scattered into
+// the local replica in arrival order (RecvAny), whatever the peer order
+// — safe bitwise, because each peer's block covers a disjoint row set,
+// so the landing order cannot change any value.
+func (e *Exchanger) collect(rt route, mode int, factor *mat.Dense) (int64, error) {
 	w := e.w
 	me := w.Rank()
-	tag := w.StreamTagIndexed("rows", mode)
+	tag := e.tag(rt, mode)
 	r := factor.Cols
 	e.pending = e.pending[:0]
 	for o := 0; o < w.Size(); o++ {
-		if o != me && len(e.rowsFor(mode, o, me, broadcast)) > 0 {
+		if o != me && len(e.rowsFor(rt, mode, o, me)) > 0 {
 			e.pending = append(e.pending, o)
 		}
 	}
+	var got int64
 	for len(e.pending) > 0 {
 		i, payload, err := w.RecvAny(tag, e.pending)
 		if err != nil {
-			return err
+			return got, err
 		}
 		o := e.pending[i]
 		e.pending[i] = e.pending[len(e.pending)-1]
 		e.pending = e.pending[:len(e.pending)-1]
-		rows := e.rowsFor(mode, o, me, broadcast)
+		rows := e.rowsFor(rt, mode, o, me)
 		if len(payload) != 8*len(rows)*r {
-			return fmt.Errorf("dplan: row exchange from %d mode %d: %d bytes for %d rows", o, mode, len(payload), len(rows))
+			return got, fmt.Errorf("dplan: row exchange from %d mode %d: %d bytes for %d rows", o, mode, len(payload), len(rows))
 		}
 		off := 0
 		for _, row := range rows {
 			cluster.CopyFloat64s(factor.Row(int(row)), payload[off:off+8*r])
 			off += 8 * r
 		}
-		w.PutBuf(payload)
-	}
-	return nil
-}
-
-// ExchangeRows is the one-shot form of Exchanger.Exchange, for callers
-// outside the steady-state sweep.
-func ExchangeRows(w *cluster.Worker, p *Plan, mode int, factor *mat.Dense, broadcast bool) error {
-	return NewExchanger(w, p).Exchange(mode, factor, broadcast)
-}
-
-// GatherOwnedRows completes rank 0's replicas into the full factors and
-// returns them there; other ranks get nil. owned[m][rank] lists the
-// mode-m rows that rank owns (a plan's OwnedSlices); full are the
-// caller's replicas. Rank 0's replica already holds rank 0's owned rows
-// in final form, so it is adopted as the result and only the other
-// ranks' owned rows travel: one message per (mode, rank with rows in
-// it), scattered into the replica straight from the payload in arrival
-// order (each peer's block covers a disjoint row set, so the landing
-// order cannot change a value). The payloads are one-shot and as large
-// as a factor; they stay out of the transport's pool.
-func GatherOwnedRows(w *cluster.Worker, owned [][][]int32, full []*mat.Dense) ([]*mat.Dense, error) {
-	me := w.Rank()
-	if me != 0 {
-		for m, f := range full {
-			rows := owned[m][me]
-			if len(rows) == 0 {
-				continue
-			}
-			r := f.Cols
-			buf := make([]byte, 8*len(rows)*r)
-			for i, s := range rows {
-				cluster.PutFloat64s(buf[8*i*r:8*(i+1)*r], f.Row(int(s)))
-			}
-			if err := w.Send(0, w.StreamTagIndexed("gather", m), buf); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	}
-	gathered := w.Obs().Counter("gather.rows")
-	pending := make([]int, 0, w.Size())
-	for m, f := range full {
-		r := f.Cols
-		tag := w.StreamTagIndexed("gather", m)
-		pending = pending[:0]
-		for rank := 1; rank < w.Size(); rank++ {
-			if len(owned[m][rank]) > 0 {
-				pending = append(pending, rank)
-			}
-		}
-		for len(pending) > 0 {
-			i, payload, err := w.RecvAny(tag, pending)
-			if err != nil {
-				return nil, err
-			}
-			rank := pending[i]
-			pending[i] = pending[len(pending)-1]
-			pending = pending[:len(pending)-1]
-			rows := owned[m][rank]
-			if len(payload) != 8*len(rows)*r {
-				return nil, fmt.Errorf("dplan: gather mode %d rank %d: %d bytes for %d rows", m, rank, len(payload), len(rows))
-			}
-			for i, s := range rows {
-				cluster.CopyFloat64s(f.Row(int(s)), payload[8*i*r:8*(i+1)*r])
-			}
-			gathered.Add(int64(len(rows)))
+		got += int64(len(rows))
+		if rt.pooled() {
+			w.PutBuf(payload)
 		}
 	}
-	return full, nil
+	return got, nil
 }

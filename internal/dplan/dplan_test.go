@@ -217,7 +217,7 @@ func TestExchangeRowsDelivers(t *testing.T) {
 					row[c] = float64(s+1) * float64(c+1)
 				}
 			}
-			if err := ExchangeRows(w, p, mode, f, broadcast); err != nil {
+			if err := NewExchanger(w, p).Exchange(mode, f, broadcast); err != nil {
 				return err
 			}
 			// After the exchange every needed row must hold the truth.
@@ -246,7 +246,7 @@ func TestExchangeRowsBroadcastCostsMore(t *testing.T) {
 		c := cluster.NewLocal(workers)
 		stats, err := c.Run(func(w *cluster.Worker) error {
 			f := mat.New(x.Dims[0], 5)
-			return ExchangeRows(w, p, 0, f, broadcast)
+			return NewExchanger(w, p).Exchange(0, f, broadcast)
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -123,7 +123,10 @@ func TestDMSMGGolden(t *testing.T) {
 
 func TestCompletionGolden(t *testing.T) {
 	x := sparseRandom([]int{12, 10, 8}, 400, 13)
-	res, err := completion.Decompose(x, completion.Options{Rank: 3, MaxIters: 5, Seed: 7})
+	res, err := completion.DecomposeDistributed(x, completion.DistributedOptions{
+		Options: completion.Options{Rank: 3, MaxIters: 5, Seed: 7},
+		Workers: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,12 +87,13 @@ func oracleStep(t *testing.T, prev *dtd.State, x *tensor.Tensor, opts dtd.Option
 				return err
 			}
 		}
-		eng := s.Bind(nil, kernels, owned, smp, oracleComm{w, dplan.NewExchanger(w, plan), smp != nil}, nil)
+		exch := dplan.NewExchanger(w, plan)
+		eng := s.Bind(nil, kernels, owned, smp, oracleComm{w, exch, smp != nil}, nil)
 		defer eng.Close()
 		if err := eng.Run(nil); err != nil {
 			return err
 		}
-		full, err := dplan.GatherOwnedRows(w, plan.OwnedSlices, eng.Factors())
+		full, err := exch.Gather(eng.Factors())
 		if me == 0 {
 			factors, trace = full, eng.LossTrace()
 		}
@@ -297,7 +298,10 @@ func TestCompletionGoldenEveryLayout(t *testing.T) {
 				}
 			}
 		}
-		res, err := completion.Decompose(x, completion.Options{Rank: 3, MaxIters: 5, Seed: 7, Threads: threads})
+		res, err := completion.DecomposeDistributed(x, completion.DistributedOptions{
+			Options: completion.Options{Rank: 3, MaxIters: 5, Seed: 7, Threads: threads},
+			Workers: 1,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
