@@ -16,18 +16,10 @@ import (
 type ModeLayout struct {
 	Mode int   // the target mode
 	Dims []int // mode sizes of the source tensor (copied)
-	Lead int   // lead mode fibers group on: smallest mode != Mode, or -1 for order-1
+	Lead int   // first factor of the product chain: smallest mode != Mode, or -1 for order-1
 
 	Rows      []int32 // distinct mode coordinates with entries, ascending
 	RowStarts []int32 // row g owns positions [RowStarts[g], RowStarts[g+1])
-
-	// Fibers are maximal runs of positions within one row that share
-	// the lead mode's coordinate; the kernel hoists one factor-row
-	// pointer per fiber. FiberStarts holds position boundaries
-	// (FiberStarts[len-1] == nnz) and row g owns fibers
-	// [RowFibers[g], RowFibers[g+1]).
-	FiberStarts []int32
-	RowFibers   []int32
 
 	Vals   []float64 // region values, permuted
 	Coords [][]int32 // Coords[k][p]: mode-k coordinate at position p, permuted
@@ -66,8 +58,8 @@ func Compile(t *tensor.Tensor, mode int, entries []int32) *ModeLayout {
 	for k := 0; k < n; k++ {
 		l.Coords[k] = t.GatherCoords(nil, k, order)
 	}
-	// Size the row and fiber arrays from the counting-sort histogram,
-	// then fill them: no append below ever grows a slice.
+	// Size the row arrays from the counting-sort histogram, then fill
+	// them: no append below ever grows a slice.
 	rows := 0
 	for i := 0; i < t.Dims[mode]; i++ {
 		if counts[i+1] > counts[i] {
@@ -83,40 +75,6 @@ func Compile(t *tensor.Tensor, mode int, entries []int32) *ModeLayout {
 		}
 	}
 	l.RowStarts = append(l.RowStarts, int32(nnz))
-
-	// Fiber pointers: split each row's position range where the lead
-	// coordinate changes (order-1 tensors have no lead; each row is one
-	// fiber). Every row opens one fiber; each lead change inside a row
-	// opens another.
-	var lead []int32
-	fibers := rows
-	if l.Lead >= 0 {
-		lead = l.Coords[l.Lead]
-		for g := 0; g < rows; g++ {
-			for p := l.RowStarts[g] + 1; p < l.RowStarts[g+1]; p++ {
-				if lead[p] != lead[p-1] {
-					fibers++
-				}
-			}
-		}
-	}
-	l.RowFibers = make([]int32, 0, rows+1)
-	l.FiberStarts = make([]int32, 0, fibers+1)
-	for g := 0; g < rows; g++ {
-		l.RowFibers = append(l.RowFibers, int32(len(l.FiberStarts)))
-		p0, p1 := l.RowStarts[g], l.RowStarts[g+1]
-		l.FiberStarts = append(l.FiberStarts, p0)
-		if lead == nil {
-			continue
-		}
-		for p := p0 + 1; p < p1; p++ {
-			if lead[p] != lead[p-1] {
-				l.FiberStarts = append(l.FiberStarts, p)
-			}
-		}
-	}
-	l.RowFibers = append(l.RowFibers, int32(len(l.FiberStarts)))
-	l.FiberStarts = append(l.FiberStarts, int32(nnz))
 	return l
 }
 
@@ -125,9 +83,6 @@ func (l *ModeLayout) NNZ() int { return len(l.Vals) }
 
 // NumRows returns the number of non-empty rows (groups) in the mode.
 func (l *ModeLayout) NumRows() int { return len(l.Rows) }
-
-// NumFibers returns the number of fibers across all rows.
-func (l *ModeLayout) NumFibers() int { return len(l.FiberStarts) - 1 }
 
 // ModeSize returns the mode's size — the row count of the sweep's
 // output matrix.
@@ -169,13 +124,14 @@ func (l *ModeLayout) Validate(dst *mat.Dense, factors []*mat.Dense) {
 	}
 }
 
-// ChunkStarts returns a fiber-balanced grid of at most c contiguous
+// ChunkStarts returns an nnz-balanced grid of at most c contiguous
 // group ranges: boundary i is the first group at or past i/c of the
-// layout's fibers. Chunk boundaries stay at row granularity — a row's
+// layout's entries — the rule the COO view uses, over the same row
+// starts. Chunk boundaries stay at row granularity — a row's
 // accumulator never crosses a chunk — so the grid feeds scheduling
 // only, never floating-point order. Grids are cached per c.
 func (l *ModeLayout) ChunkStarts(c int) []int32 {
-	return l.chunker.Grid(c, l.RowFibers)
+	return l.chunker.Grid(c, l.RowStarts)
 }
 
 // AccumulateGroups adds the mode MTTKRP contribution of groups
@@ -187,8 +143,7 @@ func (l *ModeLayout) ChunkStarts(c int) []int32 {
 // tmp = v, then tmp *= A_k[c_k] for k ascending, then acc += tmp, one
 // write-back per row — so its results are bitwise identical to the
 // row-grouped COO kernel and (because each accumulator starts at +0)
-// to the flat scatter. Fibers only hoist a factor-row *pointer*; they
-// never factor a multiplication out of the per-entry sequence.
+// to the flat scatter.
 func (l *ModeLayout) AccumulateGroups(dst *mat.Dense, factors []*mat.Dense, g0, g1 int, tmp, acc []float64) {
 	if len(l.Dims) == 3 {
 		l.accumulateGroups3(dst, factors, g0, g1, acc)
@@ -196,38 +151,30 @@ func (l *ModeLayout) AccumulateGroups(dst *mat.Dense, factors []*mat.Dense, g0, 
 	}
 	n := len(l.Dims)
 	for g := g0; g < g1; g++ {
-		for c := range acc {
-			acc[c] = 0
-		}
-		for fb := l.RowFibers[g]; fb < l.RowFibers[g+1]; fb++ {
-			p0, p1 := l.FiberStarts[fb], l.FiberStarts[fb+1]
-			var lead []float64
-			if l.Lead >= 0 {
-				lead = factors[l.Lead].Row(int(l.Coords[l.Lead][p0]))
+		clear(acc)
+		for p := l.RowStarts[g]; p < l.RowStarts[g+1]; p++ {
+			v := l.Vals[p]
+			if l.Lead < 0 {
+				for c := range tmp {
+					tmp[c] = v
+				}
+			} else {
+				lead := factors[l.Lead].Row(int(l.Coords[l.Lead][p]))
+				for c := range tmp {
+					tmp[c] = v * lead[c]
+				}
 			}
-			for p := p0; p < p1; p++ {
-				v := l.Vals[p]
-				if lead == nil {
-					for c := range tmp {
-						tmp[c] = v
-					}
-				} else {
-					for c := range tmp {
-						tmp[c] = v * lead[c]
-					}
+			for k := l.Lead + 1; k < n; k++ {
+				if k == l.Mode {
+					continue
 				}
-				for k := l.Lead + 1; k < n; k++ {
-					if k == l.Mode {
-						continue
-					}
-					row := factors[k].Row(int(l.Coords[k][p]))
-					for c := range tmp {
-						tmp[c] *= row[c]
-					}
+				row := factors[k].Row(int(l.Coords[k][p]))
+				for c := range tmp {
+					tmp[c] *= row[c]
 				}
-				for c := range acc {
-					acc[c] += tmp[c]
-				}
+			}
+			for c := range acc {
+				acc[c] += tmp[c]
 			}
 		}
 		out := dst.Row(int(l.Rows[g]))
@@ -239,26 +186,40 @@ func (l *ModeLayout) AccumulateGroups(dst *mat.Dense, factors []*mat.Dense, g0, 
 
 // accumulateGroups3 is the order-3 fast path: with exactly two
 // non-target modes a < b (a is the lead), each entry contributes
-// acc[c] += (v·A_a[c_a][c])·A_b[c_b][c] — the same left-associated
-// product chain as the generic path, fused into the accumulate.
+// (v·A_a[c_a][c])·A_b[c_b][c] — the same left-associated product chain
+// as the generic path, fused into the accumulate. The loop is bound by
+// the accumulator's own loads and stores, so it takes four entries per
+// pass over acc. Go evaluates acc[c] + t0 + t1 + t2 + t3 left to right
+// and, at the default GOAMD64=v1, fuses no multiply into an add, so
+// each cell still adds its entries one at a time in position order:
+// the bits equal four separate passes. A scalar loop takes the last
+// len % 4 positions of the row.
 func (l *ModeLayout) accumulateGroups3(dst *mat.Dense, factors []*mat.Dense, g0, g1 int, acc []float64) {
 	a := l.Lead
 	b := 3 - l.Mode - a
 	fa, fb := factors[a], factors[b]
-	cb := l.Coords[b]
+	ca, cb, vals := l.Coords[a], l.Coords[b], l.Vals
+	// Factor rows are resliced to len(acc) so the column loops below
+	// compile without bounds checks.
+	r := len(acc)
 	for g := g0; g < g1; g++ {
-		for c := range acc {
-			acc[c] = 0
+		clear(acc)
+		p, p1 := l.RowStarts[g], l.RowStarts[g+1]
+		for ; p+4 <= p1; p += 4 {
+			v0, v1, v2, v3 := vals[p], vals[p+1], vals[p+2], vals[p+3]
+			ra0, rb0 := fa.Row(int(ca[p]))[:r], fb.Row(int(cb[p]))[:r]
+			ra1, rb1 := fa.Row(int(ca[p+1]))[:r], fb.Row(int(cb[p+1]))[:r]
+			ra2, rb2 := fa.Row(int(ca[p+2]))[:r], fb.Row(int(cb[p+2]))[:r]
+			ra3, rb3 := fa.Row(int(ca[p+3]))[:r], fb.Row(int(cb[p+3]))[:r]
+			for c := range acc {
+				acc[c] = acc[c] + v0*ra0[c]*rb0[c] + v1*ra1[c]*rb1[c] + v2*ra2[c]*rb2[c] + v3*ra3[c]*rb3[c]
+			}
 		}
-		for f := l.RowFibers[g]; f < l.RowFibers[g+1]; f++ {
-			p0, p1 := l.FiberStarts[f], l.FiberStarts[f+1]
-			ra := fa.Row(int(l.Coords[a][p0]))
-			for p := p0; p < p1; p++ {
-				rb := fb.Row(int(cb[p]))
-				v := l.Vals[p]
-				for c := range acc {
-					acc[c] += v * ra[c] * rb[c]
-				}
+		for ; p < p1; p++ {
+			v := vals[p]
+			ra, rb := fa.Row(int(ca[p]))[:r], fb.Row(int(cb[p]))[:r]
+			for c := range acc {
+				acc[c] += v * ra[c] * rb[c]
 			}
 		}
 		out := dst.Row(int(l.Rows[g]))

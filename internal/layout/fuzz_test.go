@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"dismastd/internal/layout"
+	"dismastd/internal/mat"
+	"dismastd/internal/mttkrp"
 	"dismastd/internal/tensor"
 	"dismastd/internal/xrand"
 )
@@ -13,13 +15,17 @@ import (
 // the region: enumerating its positions reproduces the COO entry
 // multiset exactly (every listed entry once, coordinates and value
 // intact), positions are mode-sorted, the sort is stable within a row,
-// and the fiber structure tiles the positions.
+// and its kernel reproduces the COO view's MTTKRP bit for bit at a
+// fuzzed R in [1, 17].
 func FuzzCompileLayout(f *testing.F) {
-	f.Add(uint8(3), uint8(6), uint16(100), uint64(1), uint8(0), uint8(0))
-	f.Add(uint8(1), uint8(9), uint16(30), uint64(2), uint8(1), uint8(3))
-	f.Add(uint8(4), uint8(3), uint16(200), uint64(3), uint8(2), uint8(1))
-	f.Add(uint8(2), uint8(1), uint16(5), uint64(4), uint8(0), uint8(2))
-	f.Fuzz(func(t *testing.T, order, dimSpread uint8, nnz uint16, seed uint64, mode, subset uint8) {
+	f.Add(uint8(3), uint8(6), uint16(100), uint64(1), uint8(0), uint8(0), uint8(4))
+	f.Add(uint8(1), uint8(9), uint16(30), uint64(2), uint8(1), uint8(3), uint8(0))
+	f.Add(uint8(4), uint8(3), uint16(200), uint64(3), uint8(2), uint8(1), uint8(9))
+	f.Add(uint8(2), uint8(1), uint16(5), uint64(4), uint8(0), uint8(2), uint8(16))
+	// Order 3, dims 16×3×6, target mode 1: three rows of 60–63
+	// entries, so many four-entry blocks and every row a tail.
+	f.Add(uint8(2), uint8(15), uint16(300), uint64(5), uint8(1), uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, order, dimSpread uint8, nnz uint16, seed uint64, mode, subset, rank uint8) {
 		n := int(order)%4 + 1
 		src := xrand.New(seed)
 		dims := make([]int, n)
@@ -106,15 +112,20 @@ func FuzzCompileLayout(f *testing.F) {
 					t.Fatalf("entry %d value mismatch", e)
 				}
 			}
-			// Fibers tile the group's range.
-			f0, f1 := l.RowFibers[g], l.RowFibers[g+1]
-			if l.FiberStarts[f0] != p0 || l.FiberStarts[f1] != p1 {
-				t.Fatalf("group %d fibers do not tile [%d, %d)", g, p0, p1)
-			}
 			pos = p1
 		}
 		if int(pos) != len(want) {
 			t.Fatalf("groups cover %d positions, want %d", pos, len(want))
+		}
+
+		r := int(rank)%17 + 1
+		factors := randomFactors(dims, r, seed+1)
+		got := mat.New(dims[target], r)
+		accumulate(l, got, factors, r)
+		coo := mat.New(dims[target], r)
+		accumulate(mttkrp.NewKernelOf(x, target, want, layout.COO), coo, factors, r)
+		if !sameBits(got, coo) {
+			t.Fatalf("R=%d: compiled MTTKRP differs from the COO view bitwise", r)
 		}
 	})
 }

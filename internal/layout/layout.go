@@ -1,19 +1,16 @@
 // Package layout is the kernel-representation layer between
 // internal/tensor (COO) and internal/mttkrp: it compiles a snapshot
-// region once into a mode-sorted, fiber-grouped structure a sweep
-// kernel can walk with unit-stride loads, instead of chasing the COO
-// arrays through an entry-order indirection every iteration.
+// region once into a mode-sorted structure a sweep kernel can walk
+// with unit-stride loads, instead of chasing the COO arrays through an
+// entry-order indirection every iteration.
 //
 // A compiled ModeLayout holds, per mode, the region's values and all
 // coordinate arrays permuted into mode-sorted order (the value
-// permutation), the non-empty output rows with their position ranges,
-// and fiber pointers — maximal runs of entries that share both the
-// output row and the lead (smallest non-target) mode's coordinate — so
-// the kernel hoists one factor-row pointer per fiber. Compilation is
-// paid once per region and amortised over every sweep of a snapshot;
-// the structure never feeds floating-point order, so the compiled
-// kernel reproduces the COO walk bit for bit (see the determinism note
-// on ModeLayout.AccumulateGroups).
+// permutation) and the non-empty output rows with their position
+// ranges. Compilation is paid once per region and amortised over every
+// sweep of a snapshot; the structure never feeds floating-point order,
+// so the compiled kernel reproduces the COO walk bit for bit (see the
+// determinism note on ModeLayout.AccumulateGroups).
 package layout
 
 import "fmt"
@@ -24,8 +21,8 @@ import "fmt"
 type Kind int
 
 const (
-	// Compiled walks a ModeLayout: permuted, fiber-grouped copies of
-	// the region compiled once per snapshot (the default).
+	// Compiled walks a ModeLayout: permuted, mode-sorted copies of the
+	// region compiled once per snapshot (the default).
 	Compiled Kind = iota
 	// COO walks the tensor's coordinate arrays through a row-grouped
 	// entry-order indirection (internal/mttkrp.ModeView) — the oracle

@@ -2,6 +2,7 @@ package layout_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dismastd/internal/layout"
@@ -73,9 +74,9 @@ func TestDefaultIsCompiled(t *testing.T) {
 }
 
 // TestCompileStructure checks every invariant of a compiled layout:
-// rows ascending and non-empty, position ranges tiling [0, nnz), fibers
-// maximal constant-lead runs nested in rows, and Perm a permutation of
-// the compiled entry subset in mode-sorted stable order.
+// rows ascending and non-empty, position ranges tiling [0, nnz), and
+// Perm a permutation of the compiled entry subset in mode-sorted stable
+// order.
 func TestCompileStructure(t *testing.T) {
 	x := randomTensor([]int{9, 7, 5, 4}, 600, 3)
 	for mode := 0; mode < x.Order(); mode++ {
@@ -129,27 +130,6 @@ func TestCompileStructure(t *testing.T) {
 					t.Fatalf("mode %d: value mismatch at position %d", mode, p)
 				}
 			}
-			// Fibers: maximal constant-lead runs covering [p0, p1).
-			f0, f1 := l.RowFibers[g], l.RowFibers[g+1]
-			if l.FiberStarts[f0] != p0 || l.FiberStarts[f1] != p1 {
-				t.Fatalf("mode %d: fibers of group %d do not tile its range", mode, g)
-			}
-			for f := f0; f < f1; f++ {
-				q0, q1 := l.FiberStarts[f], l.FiberStarts[f+1]
-				if q1 <= q0 {
-					t.Fatalf("mode %d: empty fiber %d", mode, f)
-				}
-				lead := l.EntryCoord(q0, l.Lead)
-				for p := q0; p < q1; p++ {
-					if l.EntryCoord(p, l.Lead) != lead {
-						t.Fatalf("mode %d: fiber %d mixes lead coords", mode, f)
-					}
-				}
-				// Maximality: the next fiber starts with a different lead.
-				if q1 < p1 && l.EntryCoord(q1, l.Lead) == lead {
-					t.Fatalf("mode %d: fiber %d not maximal", mode, f)
-				}
-			}
 		}
 		for e, ok := range seen {
 			if !ok {
@@ -157,8 +137,8 @@ func TestCompileStructure(t *testing.T) {
 			}
 		}
 		// Sized from the counting-sort histogram, not grown by append:
-		// the row and fiber arrays hold exactly what they were given.
-		for name, a := range map[string][]int32{"Rows": l.Rows, "RowStarts": l.RowStarts, "RowFibers": l.RowFibers, "FiberStarts": l.FiberStarts} {
+		// the row arrays hold exactly what they were given.
+		for name, a := range map[string][]int32{"Rows": l.Rows, "RowStarts": l.RowStarts} {
 			if cap(a) != len(a) {
 				t.Errorf("mode %d: %s has len %d, cap %d — not sized exactly", mode, name, len(a), cap(a))
 			}
@@ -169,8 +149,8 @@ func TestCompileStructure(t *testing.T) {
 func TestCompileEmptySubset(t *testing.T) {
 	x := randomTensor([]int{6, 5}, 40, 1)
 	l := layout.Compile(x, 0, []int32{})
-	if l.NNZ() != 0 || l.NumRows() != 0 || l.NumFibers() != 0 {
-		t.Fatalf("empty subset: nnz=%d rows=%d fibers=%d, want all 0", l.NNZ(), l.NumRows(), l.NumFibers())
+	if l.NNZ() != 0 || l.NumRows() != 0 {
+		t.Fatalf("empty subset: nnz=%d rows=%d, want both 0", l.NNZ(), l.NumRows())
 	}
 	starts := l.ChunkStarts(4)
 	if len(starts) != 2 || starts[0] != 0 || starts[1] != 0 {
@@ -303,5 +283,117 @@ func TestAccumulateGroupsAllocFree(t *testing.T) {
 	pass()
 	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
 		t.Fatalf("compiled AccumulateGroups allocates %v times, want 0", allocs)
+	}
+}
+
+// rowsOfLengths builds an order-n tensor whose target-mode row i holds
+// exactly i+1 entries, i in 0..8: every row length 1–9, so the order-3
+// kernel meets every remainder mod 4 and up to two full blocks of four.
+// The first non-target mode walks i, i+1, …, which keeps a row's
+// coordinates distinct; the others are random.
+func rowsOfLengths(n, target int, seed uint64) *tensor.Tensor {
+	const rows = 9
+	dims := make([]int, n)
+	for m := range dims {
+		dims[m] = 2*rows + m
+	}
+	dims[target] = rows
+	first := 0
+	if target == 0 {
+		first = 1
+	}
+	src := xrand.New(seed)
+	b := tensor.NewBuilder(dims)
+	idx := make([]int, n)
+	for i := 0; i < rows; i++ {
+		for j := 0; j <= i; j++ {
+			for m, d := range dims {
+				idx[m] = src.Intn(d)
+			}
+			idx[target] = i
+			idx[first] = i + j
+			b.Append(idx, src.NormFloat64())
+		}
+	}
+	return b.Build()
+}
+
+// subsetTensor returns the entries of x listed in entries, in list
+// order, as a tensor of x's shape — the region the flat scatter sees.
+func subsetTensor(x *tensor.Tensor, entries []int32) *tensor.Tensor {
+	n := x.Order()
+	sub := &tensor.Tensor{Dims: x.Dims}
+	for _, e := range entries {
+		sub.Coords = append(sub.Coords, x.Coords[int(e)*n:int(e)*n+n]...)
+		sub.Vals = append(sub.Vals, x.Vals[e])
+	}
+	return sub
+}
+
+// TestCompiledRemaindersAndRanks holds the compiled kernel to the COO
+// view and the flat scatter, bit for bit, on rows of every length 1–9
+// (every remainder of the order-3 kernel's four-entry blocks), at
+// R in {1, 2, 3, 4, 5, 10, 17}, for orders 2, 3 and 4 (the generic path and the fast path) and for
+// all entries and a two-thirds subset. Dropping the kernel's tail loop,
+// or summing the four entries of a block before adding them to the
+// accumulator, fails it.
+func TestCompiledRemaindersAndRanks(t *testing.T) {
+	for _, n := range []int{2, 3, 4} {
+		for target := 0; target < n; target++ {
+			x := rowsOfLengths(n, target, uint64(10*n+target))
+			var twoThirds []int32
+			for e := 0; e < x.NNZ(); e++ {
+				if e%3 != 2 {
+					twoThirds = append(twoThirds, int32(e))
+				}
+			}
+			all := make([]int32, x.NNZ())
+			for e := range all {
+				all[e] = int32(e)
+			}
+			for _, entries := range [][]int32{all, twoThirds} {
+				region := subsetTensor(x, entries)
+				compiled := mttkrp.NewKernelOf(x, target, entries, layout.Compiled)
+				view := mttkrp.NewKernelOf(x, target, entries, layout.COO)
+				for _, r := range []int{1, 2, 3, 4, 5, 10, 17} {
+					factors := randomFactors(x.Dims, r, uint64(r))
+					got := mat.New(x.Dims[target], r)
+					accumulate(compiled, got, factors, r)
+					coo := mat.New(x.Dims[target], r)
+					accumulate(view, coo, factors, r)
+					flat := mat.New(x.Dims[target], r)
+					mttkrp.AccumulateInto(flat, region, factors, target)
+					if !sameBits(got, coo) || !sameBits(got, flat) {
+						t.Fatalf("order %d mode %d, %d of %d entries, R=%d: compiled differs from COO or flat bitwise",
+							n, target, len(entries), x.NNZ(), r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestChunkStartsMatchCOO: the compiled layout and the COO view balance
+// chunks by one rule — entries, over the same row starts — so on a
+// skewed tensor their grids agree for every chunk count.
+func TestChunkStartsMatchCOO(t *testing.T) {
+	dims := []int{60, 20, 10}
+	src := xrand.New(6)
+	b := tensor.NewBuilder(dims)
+	idx := make([]int, len(dims))
+	for e := 0; e < 3000; e++ {
+		// Row i is drawn with weight ~ 1/(i+1): a few heavy rows.
+		idx[0] = src.Intn(src.Intn(dims[0]) + 1)
+		idx[1], idx[2] = src.Intn(dims[1]), src.Intn(dims[2])
+		b.Append(idx, src.NormFloat64())
+	}
+	x := b.Build()
+	compiled := layout.Compile(x, 0, nil)
+	view := mttkrp.NewModeView(x, 0)
+	for c := 1; c <= 12; c++ {
+		got, want := compiled.ChunkStarts(c), view.ChunkStarts(c)
+		if !slices.Equal(got, want) {
+			t.Fatalf("c=%d: compiled grid %v, COO grid %v", c, got, want)
+		}
 	}
 }

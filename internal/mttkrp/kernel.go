@@ -10,7 +10,7 @@ import (
 // grouped by output row: the contract every sweep in the repository —
 // MTTKRP accumulation and completion's per-row normal equations — runs
 // against. Two implementations exist: *layout.ModeLayout (the compiled
-// fiber-grouped layout, the default) and *ModeView (the COO walk, the
+// mode-sorted layout, the default) and *ModeView (the COO walk, the
 // oracle the compiled layout is held to). Both group entries in the
 // same stable order, so a given engine produces bitwise-identical
 // factors under either.

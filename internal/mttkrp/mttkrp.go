@@ -9,9 +9,9 @@
 //
 // The sweep engines run against the Kernel interface (kernel.go), a
 // pluggable representation of one mode of a region with two
-// implementations: internal/layout.ModeLayout, a compiled
-// fiber-grouped copy of the region with unit-stride loads — the layout
-// every engine runs unless told otherwise — and ModeView, the
+// implementations: internal/layout.ModeLayout, a compiled mode-sorted
+// copy of the region with unit-stride loads — the layout every engine
+// runs unless told otherwise — and ModeView, the
 // row-grouped COO walk that orders entries by their mode-n index
 // through an entry-order indirection, kept as the oracle the goldens
 // hold the compiled layout to bit for bit (the benchmark's

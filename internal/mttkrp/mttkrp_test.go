@@ -298,18 +298,6 @@ func BenchmarkRowGroupedKernel(b *testing.B) {
 	}
 }
 
-func BenchmarkRowGroupedKernelWS(b *testing.B) {
-	x, factors := benchTensor()
-	v := NewModeView(x, 0)
-	dst := mat.New(x.Dims[0], 10)
-	ws := mat.NewWorkspace()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst.Zero()
-		v.AccumulateIntoWS(dst, factors, ws)
-	}
-}
-
 // BenchmarkMTTKRP is the layout comparison grid: one sequential MTTKRP
 // per (layout, mode) on the same tensor, so each mode's compiled row
 // reads directly against its coo row. Compile time

@@ -2,13 +2,12 @@ package mttkrp
 
 // Row-block-parallel MTTKRP over any Kernel. The grouped
 // representations already isolate each output row in its own group, so
-// parallelism is a partition of the group list: a work-balanced grid
-// of contiguous group ranges (nnz-balanced for the COO view,
-// fiber-balanced for the compiled layout), one chunk per pool thread,
-// each chunk accumulating with scratch from its thread's workspace. No
-// floating-point accumulator crosses a chunk boundary, so the result
-// is bitwise identical at every thread count (and to the sequential
-// grouped kernel, which is the 1-chunk case).
+// parallelism is a partition of the group list: an nnz-balanced grid
+// of contiguous group ranges (one rule for both representations), one
+// chunk per pool thread, each chunk accumulating with scratch from its
+// thread's workspace. No floating-point accumulator crosses a chunk
+// boundary, so the result is bitwise identical at every thread count
+// (and to the sequential grouped kernel, which is the 1-chunk case).
 
 import (
 	"fmt"
