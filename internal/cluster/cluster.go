@@ -123,6 +123,7 @@ type Worker struct {
 	scalar      [1]float64
 	cc          commCounters
 	work        *float64 // shared with derived view workers (view.go)
+	pending     []int    // Round's not-yet-heard peers (membership.go)
 
 	// Elastic view mapping (view.go). world is nil on a root worker
 	// (rank == world rank, the identity the static hot path takes with

@@ -164,14 +164,17 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzMembership: the membership decoders — view, rank list, adopt
-// payload — are total, allocate in proportion to their input, and
-// round-trip what they accept.
+// FuzzMembership: the membership decoders — view, rank list, view
+// proposal, adopt payload — are total, allocate in proportion to their
+// input, and round-trip what they accept; an accepted view's members are
+// strictly increasing.
 func FuzzMembership(f *testing.F) {
 	v := View{Epoch: 3, Members: []int{0, 2, 5}}
 	f.Add(encodeView(nil, v))
+	f.Add(encodeView(nil, View{Epoch: 3, Members: []int{5, 0, 2}}))
 	f.Add(encodeAdopt(v, 7))
-	f.Add(encodeViewChange(ViewChange{Dead: []int{1}, Join: []int{4, 6}}))
+	f.Add(encodeProposal(ViewChange{Dead: []int{1}, Join: []int{4, 6}}, 2))
+	f.Add(encodeProposal(ViewChange{}, -1))
 	f.Add(encodeRankList(nil, nil))
 	f.Add(encodeAdopt(v, -1)[:13])
 	f.Add([]byte{1, 2, 3})
@@ -181,14 +184,24 @@ func FuzzMembership(f *testing.F) {
 				if re := encodeView(nil, v); !bytes.Equal(re, in[:len(in)-len(rest)]) {
 					t.Fatalf("view re-encodes to %x, was %x", re, in[:len(in)-len(rest)])
 				}
+				for i := 1; i < len(v.Members); i++ {
+					if v.Members[i] <= v.Members[i-1] {
+						t.Fatalf("accepted view members %v", v.Members)
+					}
+				}
 			}
 			if list, rest, err := decodeRankList(in); err == nil {
 				if re := encodeRankList(nil, list); !bytes.Equal(re, in[:len(in)-len(rest)]) {
 					t.Fatalf("rank list re-encodes to %x, was %x", re, in[:len(in)-len(rest)])
 				}
 			}
-			if v, cookie, err := decodeAdopt(in); err == nil {
-				if re := encodeAdopt(v, cookie); !bytes.Equal(re, in) {
+			if vc, step, err := decodeProposal(in); err == nil {
+				if re := encodeProposal(vc, step); !bytes.Equal(re, in) {
+					t.Fatalf("proposal re-encodes to %x, was %x", re, in)
+				}
+			}
+			if v, step, err := decodeAdopt(in); err == nil {
+				if re := encodeAdopt(v, step); !bytes.Equal(re, in) {
 					t.Fatalf("adopt payload re-encodes to %x, was %x", re, in)
 				}
 			}

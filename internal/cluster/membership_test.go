@@ -44,14 +44,13 @@ func TestAgreeViewKillAndJoin(t *testing.T) {
 			}
 			w.Revoke(pd.Rank)
 			w.ClearFault()
-			next, err = AgreeView(w, cur, vc)
+			var step int
+			next, step, err = AgreeView(w, cur, vc, 7)
 			if err != nil {
 				return err
 			}
-			if w.Rank() == Coordinator(cur, next) {
-				if err := SendAdopt(w, 3, next, 7); err != nil {
-					return err
-				}
+			if step != 7 {
+				t.Errorf("rank %d agreed step %d", w.Rank(), step)
 			}
 		}
 		want := NewView(1, []int{0, 2, 3})
@@ -90,7 +89,7 @@ func TestAgreeViewDrain(t *testing.T) {
 	cur := NewView(0, []int{0, 1, 2})
 	vc := ViewChange{Leave: []int{2}}
 	_, err := c.Run(func(w *Worker) error {
-		next, err := AgreeView(w, cur, vc)
+		next, _, err := AgreeView(w, cur, vc, 0)
 		if err != nil {
 			return err
 		}
@@ -134,7 +133,7 @@ func TestAgreeViewProposalMismatch(t *testing.T) {
 		if w.Rank() == 1 {
 			vc = ViewChange{} // disagrees with the others
 		}
-		_, err := AgreeView(w, cur, vc)
+		_, _, err := AgreeView(w, cur, vc, 0)
 		if w.Rank() == 0 {
 			mu.Lock()
 			coordErr = err
@@ -147,5 +146,54 @@ func TestAgreeViewProposalMismatch(t *testing.T) {
 	}
 	if coordErr == nil || !strings.Contains(coordErr.Error(), "different view change") {
 		t.Fatalf("coordinator error = %v", coordErr)
+	}
+}
+
+// TestRoundDecidesOnEveryPayload: the coordinator decides only after
+// absorbing every peer's payload, each exactly once, and every
+// participant — the coordinator too — gets the same decision back.
+func TestRoundDecidesOnEveryPayload(t *testing.T) {
+	const m, coord = 4, 2
+	c := NewLocal(m)
+	c.SetRecvTimeout(5 * time.Second)
+	var mu sync.Mutex
+	got := map[int]byte{}
+	_, err := c.Run(func(w *Worker) error {
+		var peers []int
+		for r := 0; r < m; r++ {
+			if r != coord {
+				peers = append(peers, r)
+			}
+		}
+		var payload []byte
+		if w.Rank() != coord {
+			payload = w.GetBuf(1)
+			payload[0] = byte(1 << w.Rank())
+		}
+		var sum byte
+		absorb := func(from int, p []byte) error {
+			if p[0] != byte(1<<from) || sum&p[0] != 0 {
+				t.Errorf("payload %08b from rank %d after %08b", p[0], from, sum)
+			}
+			sum |= p[0]
+			return nil
+		}
+		out, err := Round(w, coord, peers, "round", "round/dec", payload, absorb, func() []byte { return []byte{sum} })
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		got[w.Rank()] = out[0]
+		mu.Unlock()
+		w.PutBuf(out)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < m; r++ {
+		if got[r] != 0b1011 {
+			t.Errorf("rank %d got decision %08b, want %08b", r, got[r], 0b1011)
+		}
 	}
 }

@@ -88,14 +88,6 @@ func (v View) RankOf(world int) int {
 	return -1
 }
 
-// WorldOf returns the world rank of a view rank.
-func (v View) WorldOf(rank int) int { return v.Members[rank] }
-
-// Clone returns a deep copy.
-func (v View) Clone() View {
-	return View{Epoch: v.Epoch, Members: append([]int(nil), v.Members...)}
-}
-
 // Equal reports whether two views have the same epoch and members.
 func (v View) Equal(o View) bool {
 	if v.Epoch != o.Epoch || len(v.Members) != len(o.Members) {
@@ -129,6 +121,8 @@ func encodeView(b []byte, v View) []byte {
 }
 
 // decodeView parses encodeView output, returning the remaining bytes.
+// The member list must be strictly increasing — RankOf binary-searches
+// it — so an unsorted or duplicated list is refused, not adopted.
 func decodeView(b []byte) (View, []byte, error) {
 	if len(b) < 12 {
 		return View{}, nil, fmt.Errorf("cluster: view payload too short (%d bytes)", len(b))
@@ -142,6 +136,9 @@ func decodeView(b []byte) (View, []byte, error) {
 	v.Members = make([]int, n)
 	for i := range v.Members {
 		v.Members[i] = int(binary.LittleEndian.Uint32(b[4*i:]))
+		if i > 0 && v.Members[i] <= v.Members[i-1] {
+			return View{}, nil, fmt.Errorf("cluster: view members %v not strictly increasing", v.Members[:i+1])
+		}
 	}
 	return v, b[4*n:], nil
 }

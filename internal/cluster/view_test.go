@@ -14,9 +14,6 @@ func TestViewRankMapping(t *testing.T) {
 	if v.RankOf(2) != 1 || v.RankOf(4) != 2 || v.RankOf(1) != -1 {
 		t.Fatalf("RankOf wrong: %d %d %d", v.RankOf(2), v.RankOf(4), v.RankOf(1))
 	}
-	if v.WorldOf(0) != 0 || v.WorldOf(2) != 4 {
-		t.Fatalf("WorldOf wrong")
-	}
 	if !v.Contains(4) || v.Contains(3) {
 		t.Fatalf("Contains wrong")
 	}
@@ -27,10 +24,26 @@ func TestViewRankMapping(t *testing.T) {
 	}
 }
 
+// TestDecodeViewRefusesUnsortedMembers: a view off the wire must have
+// strictly increasing members. RankOf binary-searches the list, so
+// [2 0 1] would hide a present member and [0 0 3] would map two view
+// ranks to world rank 0; both are errors, in a joiner's adopt too.
+func TestDecodeViewRefusesUnsortedMembers(t *testing.T) {
+	for _, members := range [][]int{{2, 0, 1}, {0, 0, 3}, {1, 1}} {
+		enc := encodeView(nil, View{Epoch: 4, Members: members})
+		if v, _, err := decodeView(enc); err == nil {
+			t.Errorf("members %v decoded to %v, want an error", members, v)
+		}
+		if v, _, err := decodeAdopt(encodeAdopt(View{Epoch: 4, Members: members}, 1)); err == nil {
+			t.Errorf("adopt of members %v decoded to %v, want an error", members, v)
+		}
+	}
+}
+
 func TestViewChangeApply(t *testing.T) {
 	cur := InitialView(4) // {0,1,2,3} epoch 0
 	vc := ViewChange{Dead: []int{1}, Join: []int{5}}
-	next := vc.Apply(cur)
+	next := vc.apply(cur)
 	if next.Epoch != 1 {
 		t.Fatalf("epoch = %d", next.Epoch)
 	}
@@ -40,12 +53,12 @@ func TestViewChangeApply(t *testing.T) {
 			t.Fatalf("members = %v, want %v", next.Members, want)
 		}
 	}
-	if c := Coordinator(cur, next); c != 0 {
+	if c := coordinator(cur, next); c != 0 {
 		t.Fatalf("coordinator = %d", c)
 	}
 	// Coordinator must be a continuing member even when 0 dies.
-	next2 := ViewChange{Dead: []int{0}}.Apply(cur)
-	if c := Coordinator(cur, next2); c != 1 {
+	next2 := ViewChange{Dead: []int{0}}.apply(cur)
+	if c := coordinator(cur, next2); c != 1 {
 		t.Fatalf("coordinator after 0 died = %d", c)
 	}
 }
@@ -77,7 +90,7 @@ func TestViewWorkerRoutesThroughWorldRanks(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if want := byte(v.WorldOf(prev)); got[0] != want {
+		if want := byte(v.Members[prev]); got[0] != want {
 			t.Errorf("view rank %d got %d from prev, want %d", me, got[0], want)
 		}
 		return nil

@@ -7,17 +7,17 @@
 //
 //   - A rank crashing mid-step surfaces as a rank-attributed
 //     ErrPeerDown on every survivor (drain-then-fail mailboxes plus
-//     epoch revocation break transitive collective blocks). Survivors
-//     agree on the shrunken view and on the step to restart — the
-//     earliest step any of them is in; every step ends with the
-//     observability plane's fence gather, so no survivor has left a
-//     step another is still syncing — and re-run it from its fence
-//     state, which every member still holds: the step a static cluster
-//     of the survivors would run, from the same state, whenever the
-//     rank died. No factor row crosses the wire. (FailOnPeerDown
-//     selects the other policy: the survivors stop with the
-//     ErrPeerDown, and a restarted cluster resumes from the last step's
-//     checkpoint, bitwise.)
+//     epoch revocation break transitive collective blocks). One view
+//     round agrees the shrunken view and the step to restart, the least
+//     any survivor proposes; every step ends with the observability
+//     plane's fence gather, so no survivor has left a step another is
+//     still syncing. They re-run it from its fence state, which every
+//     member still holds: the step a static cluster of the survivors
+//     would run, from the same state, whenever the rank died. No factor
+//     row crosses the wire, and the final fence decides nothing (the
+//     last-fence rule, see stream). (FailOnPeerDown selects the other
+//     policy: the survivors stop with the ErrPeerDown, and a restarted
+//     cluster resumes from the last step's checkpoint, bitwise.)
 //
 //   - Joins and drains are admitted at step fences, where every member
 //     holds the full synced state: a joiner warm-starts from a single
@@ -84,7 +84,8 @@ type ElasticOptions struct {
 
 	// Checkpoint, when set, is called by view rank 0 after every step's
 	// state sync (and observability fence) with the synced post-step
-	// state and the step's statistics (Cluster left nil). An error stops
+	// state and the step's statistics (Cluster left nil) — for the last
+	// step, by each survivor the last-fence rule ends. An error stops
 	// that rank's run.
 	Checkpoint func(step int, st *dtd.State, stats *StepStats) error
 
@@ -205,9 +206,9 @@ func NewElasticJob(prev *dtd.State, snapshots []*tensor.Tensor, o ElasticOptions
 	}, nil
 }
 
-// Result returns the final state (assembled on the final view's rank
-// 0), the last step's loss, and the membership transitions in epoch
-// order. Valid after every world rank's RunWorker has returned.
+// Result returns the final state (recorded with the last step's
+// Checkpoint), the last step's loss, and the membership transitions in
+// epoch order. Valid after every world rank's RunWorker has returned.
 func (j *ElasticJob) Result() (*dtd.State, float64, []TransitionStats, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -372,10 +373,17 @@ func (j *ElasticJob) RunWorker(w *cluster.Worker) error {
 // runs from prev, the fence state entering it. before, the state that
 // entered step s-1, is kept until step s's sync completes: a survivor
 // that finished step s-1 can still be told to restart it (see recover).
+//
+// The last-fence rule: the final fence decides nothing, so a member
+// whose final sync completed proposes the step after the last. If a peer
+// leaves that recovery round, it got the decision and finished: every
+// survivor holds the synced state, and this member ends the run with it,
+// recording Result and the last Checkpoint in place of view rank 0.
 func (j *ElasticJob) stream(w *cluster.Worker, v cluster.View, vw *cluster.Worker, prev *dtd.State, start int, adopted bool, rs *rankStream) error {
 	var before *dtd.State
+	last := len(j.snapshots) - 1
 	fenced := adopted // step s's fence already ran: a joiner's first step, a restarted step
-	for s := start; s < len(j.snapshots); {
+	for s := start; s <= last; {
 		w.Obs().SetSnapshot(s)
 		if !fenced {
 			var cont bool
@@ -388,32 +396,40 @@ func (j *ElasticJob) stream(w *cluster.Worker, v cluster.View, vw *cluster.Worke
 				return nil // drained
 			}
 		}
-		next, err := j.runStep(w, v, vw, prev, s, rs)
-		if err == nil {
-			before, prev, fenced = prev, next, false
-			s++
-			continue
-		}
-		if j.opts.FailOnPeerDown {
-			return err
-		}
-		var restart int
-		if v, vw, restart, err = j.recover(w, v, vw, err, s); err != nil {
-			return err
+		synced, stats, err := j.runStep(w, v, vw, prev, s, rs)
+		restart := s + 1
+		if err != nil {
+			if j.opts.FailOnPeerDown {
+				return err
+			}
+			propose := s // the last-fence rule
+			if s == last && synced != nil {
+				propose = s + 1
+			}
+			var rerr error
+			v, vw, restart, rerr = j.recover(w, v, vw, err, propose)
+			if _, down := cluster.AsPeerDown(rerr); down && propose > s {
+				return j.stepDone(s, synced, stats)
+			}
+			if rerr != nil {
+				return rerr
+			}
 		}
 		switch {
+		case restart == s+1:
+			if vw.Rank() == 0 {
+				if err := j.stepDone(s, synced, stats); err != nil {
+					return err
+				}
+			}
+			before, prev = prev, synced
 		case restart == s:
 		case restart == s-1 && before != nil:
 			prev = before
 		default:
 			return fmt.Errorf("core: survivors agreed to restart step %d, this rank is in step %d", restart, s)
 		}
-		s, fenced = restart, true
-	}
-	if vw.Rank() == 0 {
-		j.mu.Lock()
-		j.final = prev
-		j.mu.Unlock()
+		s, fenced = restart, restart <= s
 	}
 	return nil
 }
@@ -443,16 +459,9 @@ func (j *ElasticJob) fence(w *cluster.Worker, v cluster.View, vw *cluster.Worker
 	if vc.Empty() && !rebalance {
 		return v, vw, true, nil
 	}
-	next, err := cluster.AgreeView(w, v, vc)
+	next, _, err := cluster.AgreeView(w, v, vc, s)
 	if err != nil {
 		return v, vw, false, fmt.Errorf("core: fence at step %d: %w", s, err)
-	}
-	if w.Rank() == cluster.Coordinator(v, next) {
-		for _, r := range vc.Join {
-			if err := cluster.SendAdopt(w, r, next, int64(s)); err != nil {
-				return v, vw, false, err
-			}
-		}
 	}
 	for _, r := range vc.Leave {
 		if r == w.Rank() {
@@ -543,11 +552,12 @@ func (j *ElasticJob) recvBoot(vw *cluster.Worker, s int, rs *rankStream) (*dtd.S
 
 // runStep runs step s on the view from prev, the fence state every
 // member holds: the step a static cluster of the view's members runs.
-// Returns the synced post-step state.
-func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Worker, prev *dtd.State, s int, rs *rankStream) (*dtd.State, error) {
+// Returns the synced post-step state and the step's statistics — also
+// when only the fence after the sync failed.
+func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Worker, prev *dtd.State, s int, rs *rankStream) (*dtd.State, *StepStats, error) {
 	job, err := NewStepJob(prev, j.snapshots[s], j.stepOpts(v, rs))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	eng, exch := job.bindRank(vw)
 	defer eng.Close()
@@ -559,32 +569,28 @@ func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	})
 	vw.AddWork(eng.Work())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	j.chaosSlow(w, vw, job)
 	synced, err := syncState(exch, eng.Factors())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	stats := job.statsOf(eng.LossTrace())
 	// Observability fence: lockstep with the state sync, so every member
 	// contributes and receives the decision — and no member leaves the
 	// step while another is still inside its sync.
-	if err := j.obsFence(vw, v, rs, job, s); err != nil {
-		return nil, err
-	}
-	return synced, j.stepDone(vw, job, eng.LossTrace(), synced, s)
+	return synced, stats, j.obsFence(vw, v, rs, job, s)
 }
 
-// stepDone is view rank 0's end of a step: the stream's last loss is
-// recorded for Result and the Checkpoint hook sees the synced state.
-func (j *ElasticJob) stepDone(vw *cluster.Worker, job *StepJob, trace []float64, synced *dtd.State, s int) error {
-	if vw.Rank() != 0 {
-		return nil
-	}
-	stats := job.statsOf(trace)
+// stepDone is the recording end of a step — view rank 0's, and under
+// the last-fence rule that of every survivor that ended the run: the
+// Checkpoint hook sees the synced state, and after the last step Result
+// gets it with the step's loss.
+func (j *ElasticJob) stepDone(s int, synced *dtd.State, stats *StepStats) error {
 	if s == len(j.snapshots)-1 {
 		j.mu.Lock()
-		j.finalLoss = stats.Loss
+		j.final, j.finalLoss = synced, stats.Loss
 		j.mu.Unlock()
 	}
 	if j.opts.Checkpoint == nil {
@@ -611,19 +617,20 @@ func (j *ElasticJob) chaosSlow(w, vw *cluster.Worker, job *StepJob) {
 }
 
 // recover handles one mid-step rank death: revoke the dead rank's epoch
-// (unblocking survivors stuck on live-but-blocked peers), agree the
-// shrunken view and the step every survivor restarts, and record the
-// transition. Survivors need not be in the same step: one that received
-// step s's fence decision before the coordinator died has gone on into
-// step s+1 while another fails inside step s. The step's collectives
-// keep them at most one step apart, so restarting from the earliest
-// step any survivor reports — from the fence state each still holds —
-// puts them back in lockstep. Any other cause — a scripted crash of
-// this rank included — is returned as it is.
-func (j *ElasticJob) recover(w *cluster.Worker, v cluster.View, vw *cluster.Worker, cause error, s int) (cluster.View, *cluster.Worker, int, error) {
+// (unblocking survivors stuck on live-but-blocked peers), then agree in
+// one view round the shrunken view and the step every survivor
+// restarts, and record the transition. step is this rank's proposal.
+// Survivors need not be in the same step: one that received step s's
+// fence decision before the coordinator died has gone on into step s+1
+// while another fails inside step s. The step's collectives keep them at
+// most one step apart, so restarting from the least step any survivor
+// proposes — from the fence state each still holds — puts them back in
+// lockstep. Any other cause — a scripted crash of this rank included —
+// is returned as it is.
+func (j *ElasticJob) recover(w *cluster.Worker, v cluster.View, vw *cluster.Worker, cause error, step int) (cluster.View, *cluster.Worker, int, error) {
 	pd, ok := cluster.AsPeerDown(cause)
 	if !ok {
-		return v, vw, s, cause
+		return v, vw, step, cause
 	}
 	dead := pd.Rank
 	sp := vw.Obs().Span("elastic/recover")
@@ -641,22 +648,13 @@ func (j *ElasticJob) recover(w *cluster.Worker, v cluster.View, vw *cluster.Work
 		// step's in-flight messages before the restart.
 		vc = cluster.ViewChange{}
 	}
-	next, err := cluster.AgreeView(w, v, vc)
+	next, restart, err := cluster.AgreeView(w, v, vc, step)
 	if err != nil {
-		return v, vw, s, fmt.Errorf("core: recovering from down rank %d: %w", dead, err)
+		return v, vw, step, fmt.Errorf("core: recovering from down rank %d: %w", dead, err)
 	}
 	vw2, err := w.ViewWorker(next)
 	if err != nil {
-		return v, vw, s, err
-	}
-	steps := make([]float64, next.Size())
-	steps[vw2.Rank()] = float64(s)
-	if err := vw2.AllReduceSumInPlace(steps); err != nil {
-		return v, vw, s, err
-	}
-	restart := s
-	for _, x := range steps {
-		restart = min(restart, int(x))
+		return v, vw, step, err
 	}
 	o := vw2.Obs()
 	o.Counter("elastic.epochs").Add(1)

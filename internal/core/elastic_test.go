@@ -544,3 +544,72 @@ func TestElasticDeathInLastSyncRecovers(t *testing.T) {
 	final, _ := killInStep(t, prev, snaps, o, 1, last, plan)
 	requireSameState(t, final, chain, "recovered run vs the 3-3-2 Step chain")
 }
+
+// TestElasticCoordinatorDeathInLastFenceFinishes: the coordinator, rank
+// 0, dies between its two sends of the final step's fence decision, so
+// rank 1 has the decision and finishes while rank 2 fails inside the
+// fence. Every member's final sync completed before that fence, so the
+// last-fence rule ends the run there: both survivors return nil, rank 2
+// — which saw the death — records Result and calls the last step's
+// Checkpoint with the synced state, and that state is the Step chain
+// over 3, 3 and 3 workers bit for bit.
+func TestElasticCoordinatorDeathInLastFenceFinishes(t *testing.T) {
+	prev, snaps := elasticSeq(t, 3)
+	o := elasticBase(3, 3)
+	chain, chainLoss := chainRun(t, prev, snaps, []int{3, 3, 3}, o.Options)
+
+	last := len(snaps) - 1
+	var mu sync.Mutex
+	var ckSteps []int
+	var ckLast *dtd.State
+	o.Checkpoint = func(step int, st *dtd.State, _ *StepStats) error {
+		mu.Lock()
+		defer mu.Unlock()
+		ckSteps = append(ckSteps, step)
+		if step == last {
+			ckLast = st
+		}
+		return nil
+	}
+	seq := linkSends(t, prev, snaps, o, len(snaps), 0, 2) - 1
+	plan := cluster.NewFaultPlan().Add(cluster.FaultRule{From: 0, To: 2, TagPrefix: "v0|obsfence/dec", FirstSeq: seq, Op: cluster.FaultError})
+	ckSteps = nil // the counting run checkpointed too
+	job, err := NewElasticJob(prev, snaps, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, o.World)
+	c := cluster.NewLocal(o.World)
+	c.SetElastic(true)
+	c.SetRecvTimeout(10 * time.Second)
+	c.SetFaultPlan(plan)
+	c.Run(func(w *cluster.Worker) error {
+		errs[w.Rank()] = job.RunWorker(w)
+		return errs[w.Rank()]
+	})
+	if plan.FiredOp(cluster.FaultError) != 1 {
+		t.Fatalf("fault plan fired %d errors, want 1", plan.FiredOp(cluster.FaultError))
+	}
+	if errs[0] == nil {
+		t.Fatal("the coordinator survived its failed decision send")
+	}
+	for _, r := range []int{1, 2} {
+		if errs[r] != nil {
+			t.Fatalf("survivor %d returned %v", r, errs[r])
+		}
+	}
+	final, loss, _, err := job.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameState(t, final, chain, "run ended at the last fence vs the 3-3-3 Step chain")
+	if loss != chainLoss {
+		t.Fatalf("final loss %v, chain %v", loss, chainLoss)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ckSteps) != len(snaps) || ckSteps[last] != last || ckLast == nil {
+		t.Fatalf("checkpoint hook saw steps %v, want each of 0..%d once", ckSteps, last)
+	}
+	requireSameState(t, ckLast, chain, "last checkpoint vs the 3-3-3 Step chain")
+}

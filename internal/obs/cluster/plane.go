@@ -6,13 +6,14 @@
 // information — the closed loop that lets the elastic driver
 // re-partition a skewed stream without any membership change.
 //
-// The fence protocol mirrors the data-path collectives: each member
-// encodes a FenceRecord (phase-delta table, runtime gauges, spans since
-// the last fence) into a pooled transport buffer and sends it to view
-// rank 0; the coordinator absorbs records in arrival order, runs the
-// EWMA detector, and sends every member the Decision. All steady-state
-// work — encoding, interned decoding, EWMA updates, the decision
-// round-trip — performs zero heap allocations (alloc_test.go pins it),
+// A fence is one cluster.Round with view rank 0 as the coordinator:
+// each member encodes a FenceRecord (phase-delta table, runtime gauges,
+// spans since the last fence) into a pooled transport buffer as its
+// payload; the coordinator absorbs records in arrival order, runs the
+// EWMA detector, and the round broadcasts the encoded Decision, which
+// every member — the coordinator too — decodes. All steady-state work —
+// encoding, interned decoding, EWMA updates, the decision round-trip —
+// performs zero heap allocations (alloc_test.go pins it),
 // and the wire cost is exactly accountable from the record contents
 // (plane_test.go checks sent == received == the formula, the same
 // discipline the cluster collectives' byte accounting is held to).
@@ -25,6 +26,7 @@ package obscluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dismastd/internal/cluster"
@@ -60,7 +62,9 @@ type Plane struct {
 	durCV      *obs.Gauge
 	gatherHist *obs.Histogram
 
-	weights []float64 // non-root decision decode scratch
+	weights []float64 // decision decode scratch
+	peers   []int     // view ranks 1..size-1: the round's non-coordinators
+	decBuf  []byte    // the coordinator's encoded decision
 }
 
 // fenceGatherBuckets spans 1µs to 1s in decades — fence aggregation is
@@ -105,60 +109,36 @@ func (p *Plane) Fence(w *cluster.Worker, members []int, epoch int64, step int, l
 		return Decision{}, fmt.Errorf("obscluster: fence with %d members, %d loads for %d ranks",
 			len(members), len(loads), w.Size())
 	}
-	tag := w.StreamTag("obsfence")
-	dtag := w.StreamTag("obsfence/dec")
 	rec := p.rep.collect(p.o.Trace, w.WorldRank(), epoch, step)
-
-	if w.Rank() != 0 {
-		buf := w.GetBuf(rec.size())
-		rec.encode(buf)
-		if err := w.SendPooled(0, tag, buf); err != nil {
-			return Decision{}, err
-		}
-		payload, err := w.Recv(0, dtag)
-		if err != nil {
-			return Decision{}, err
-		}
-		dec, derr := decodeDecision(payload, &p.weights)
-		w.PutBuf(payload)
-		if derr != nil {
-			return Decision{}, derr
-		}
-		p.noteDecision(dec)
-		return dec, nil
-	}
-
-	// Coordinator: absorb own record without touching the wire, drain
-	// the peers in arrival order, evaluate, broadcast the decision.
+	var payload []byte
 	start := time.Now()
-	p.agg.absorbLocal(rec)
-	pending := p.rep.pending[:0]
-	for r := 1; r < w.Size(); r++ {
-		pending = append(pending, r)
+	if w.Rank() == 0 {
+		p.agg.absorbLocal(rec) // the coordinator's own record never touches the wire
+	} else {
+		payload = w.GetBuf(rec.size())
+		rec.encode(payload)
 	}
-	p.rep.pending = pending
-	for len(pending) > 0 {
-		i, payload, err := w.RecvAny(tag, pending)
-		if err != nil {
-			return Decision{}, err
-		}
-		pending[i] = pending[len(pending)-1]
-		pending = pending[:len(pending)-1]
-		aerr := p.agg.absorb(payload)
-		w.PutBuf(payload)
-		if aerr != nil {
-			return Decision{}, aerr
-		}
+	for len(p.peers) < w.Size()-1 {
+		p.peers = append(p.peers, len(p.peers)+1)
 	}
-	p.rep.pending = pending
-	dec := p.agg.evaluate(p.det, members, loads, epoch, step)
-	p.gatherHist.Observe(float64(time.Since(start).Nanoseconds()))
-	for r := 1; r < w.Size(); r++ {
-		buf := w.GetBuf(decisionSize(len(dec.Weights)))
-		encodeDecision(buf, dec)
-		if err := w.SendPooled(r, dtag, buf); err != nil {
-			return Decision{}, err
-		}
+	absorb := func(_ int, in []byte) error { return p.agg.absorb(in) }
+	decide := func() []byte {
+		dec := p.agg.evaluate(p.det, members, loads, epoch, step)
+		p.gatherHist.Observe(float64(time.Since(start).Nanoseconds()))
+		n := decisionSize(len(dec.Weights))
+		p.decBuf = slices.Grow(p.decBuf[:0], n)[:n]
+		encodeDecision(p.decBuf, dec)
+		return p.decBuf
+	}
+	out, err := cluster.Round(w, 0, p.peers[:w.Size()-1], w.StreamTag("obsfence"), w.StreamTag("obsfence/dec"),
+		payload, absorb, decide)
+	if err != nil {
+		return Decision{}, err
+	}
+	dec, err := decodeDecision(out, &p.weights)
+	w.PutBuf(out)
+	if err != nil {
+		return Decision{}, err
 	}
 	p.noteDecision(dec)
 	return dec, nil

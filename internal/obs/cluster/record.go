@@ -188,7 +188,6 @@ type reporter struct {
 	cur     []obs.PhaseStat
 	rec     fenceRecord
 	spanSeq uint64
-	pending []int
 }
 
 func newReporter(o *obs.Obs, spanCap int) *reporter {
