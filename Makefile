@@ -13,12 +13,16 @@ NUMERIC_PKGS = ./internal/par/... ./internal/mat/... ./internal/mttkrp/... \
 	./internal/layout/... ./internal/cp/... ./internal/dtd/... \
 	./internal/completion/...
 
-.PHONY: all build test vet race chaos check census fuzz profile clean
+.PHONY: all build fmt test vet race chaos check census fuzz profile clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Fails when any Go file in the tree is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -31,9 +35,12 @@ test: build
 # the fault-tolerance tests (retry, reconnection, heartbeat, chaos,
 # kill-and-resume) and the in-place kernel/aliasing tests must all pass
 # with -race. internal/goldens holds the cross-engine equivalences,
-# among them the three-rank DMS-MG binding over cluster.Local.
+# among them the three-rank DMS-MG binding over cluster.Local;
+# internal/bench and internal/complexity drive core steps on
+# cluster.Local.
 race:
-	$(GO) test -race $(CLUSTER_PKGS) $(NUMERIC_PKGS) ./internal/goldens/... ./internal/obs/... ./internal/sample/...
+	$(GO) test -race $(CLUSTER_PKGS) $(NUMERIC_PKGS) ./internal/goldens/... ./internal/obs/... ./internal/sample/... \
+		./internal/bench/... ./internal/complexity/...
 
 # The recovery tests of the stream driver and the worker binary —
 # rank deaths, joins, drains, rebalances, kill-and-resume — three times
@@ -44,7 +51,7 @@ CHAOS_TESTS = Elastic|Chaos|Rebalance|Kill|OneDriver
 chaos:
 	$(GO) test -race -count=3 -run '$(CHAOS_TESTS)' ./internal/core/ ./cmd/worker/
 
-check: vet test race
+check: fmt vet test race
 
 # The counts ROADMAP.md's aim 2 ("fewer packages, fewer options, fewer
 # lines") is judged by: Go lines outside benchmark/, split into non-test

@@ -306,6 +306,12 @@ func TestCompleteAPI(t *testing.T) {
 	if _, err := dismastd.Complete(first, dismastd.CompletionOptions{Rank: 0}); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
+	if _, err := dismastd.Complete(first, dismastd.CompletionOptions{Rank: 2, Workers: -3}); err == nil {
+		t.Fatal("Complete accepted Workers -3")
+	}
+	if _, err := dismastd.CompleteNext(res, second, dismastd.CompletionOptions{Rank: 2, Workers: -3}); err == nil {
+		t.Fatal("CompleteNext accepted Workers -3")
+	}
 	smaller := first
 	if _, err := dismastd.CompleteNext(next, smaller, dismastd.CompletionOptions{Rank: 2}); err == nil {
 		t.Fatal("shrinking snapshot accepted")

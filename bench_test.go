@@ -133,7 +133,10 @@ func BenchmarkFig7Nodes(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				maxWork = stats.Cluster.MaxWork()
+				maxWork = 0
+				for _, r := range stats.Cluster.Ranks {
+					maxWork = max(maxWork, r.Work)
+				}
 			}
 			b.ReportMetric(maxWork, "straggler-work")
 		})
@@ -165,32 +168,11 @@ func BenchmarkAblationMTTKRPKernels(b *testing.B) {
 	b.Run("row-grouped", func(b *testing.B) {
 		view := mttkrp.NewModeView(t, 0)
 		dst := mat.New(t.Dims[0], 10)
-		ws := mat.NewWorkspace()
+		tmp, acc := make([]float64, 10), make([]float64, 10)
 		for i := 0; i < b.N; i++ {
 			dst.Zero()
-			view.AccumulateIntoWS(dst, factors, ws)
+			view.AccumulateGroups(dst, factors, 0, view.NumRows(), tmp, acc)
 		}
-	})
-}
-
-// BenchmarkAblationGTPBackoff compares GTP with and without the
-// better-balance boundary choice (Algorithm 2 lines 10-12), reporting
-// the imbalance each achieves on skewed data.
-func BenchmarkAblationGTPBackoff(b *testing.B) {
-	hist := dataset.Preset(dataset.Book, benchNNZ, 42).Generate().SliceNNZ(0)
-	b.Run("with-backoff", func(b *testing.B) {
-		var plan *partition.ModePlan
-		for i := 0; i < b.N; i++ {
-			plan = partition.GTP(hist, 15)
-		}
-		b.ReportMetric(plan.ImbalanceStdDev(), "imbalance")
-	})
-	b.Run("no-backoff", func(b *testing.B) {
-		var plan *partition.ModePlan
-		for i := 0; i < b.N; i++ {
-			plan = partition.GTPNoBackoff(hist, 15)
-		}
-		b.ReportMetric(plan.ImbalanceStdDev(), "imbalance")
 	})
 }
 

@@ -1,6 +1,8 @@
 package dismastd
 
 import (
+	"fmt"
+
 	"dismastd/internal/completion"
 	"dismastd/internal/partition"
 )
@@ -21,8 +23,9 @@ type CompletionOptions struct {
 	// Seed makes runs reproducible. Default 1.
 	Seed uint64
 	// Workers is the size of the in-process cluster the fit runs on;
-	// 0 or 1 (default) is one rank. The result is identical bit for bit
-	// at every size — completion has no cross-row reductions to reorder.
+	// 0 or 1 (default) is one rank, and a negative value is an error.
+	// The result is identical bit for bit at every size — completion
+	// has no cross-row reductions to reorder.
 	Workers int
 	// Parts is the number of tensor partitions per mode; defaults to
 	// Workers.
@@ -34,11 +37,14 @@ type CompletionOptions struct {
 	Threads int
 }
 
-func (o CompletionOptions) internal() completion.DistributedOptions {
+func (o CompletionOptions) internal() (completion.DistributedOptions, error) {
+	if o.Workers < 0 {
+		return completion.DistributedOptions{}, fmt.Errorf("dismastd: Workers must be positive, got %d", o.Workers)
+	}
 	return completion.DistributedOptions{
 		Options: completion.Options{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Lambda: o.Lambda, Seed: o.Seed, Threads: o.Threads},
 		Workers: max(o.Workers, 1), Parts: o.Parts, Method: partition.Method(o.Partitioner),
-	}
+	}, nil
 }
 
 // CompletionResult reports a completion fit.
@@ -54,7 +60,11 @@ type CompletionResult struct {
 // Decompose, unobserved cells do not pull predictions toward zero.
 // The fit runs on an in-process cluster of Workers ranks.
 func Complete(x *Tensor, opts CompletionOptions) (*CompletionResult, error) {
-	res, err := completion.DecomposeDistributed(x, opts.internal())
+	o, err := opts.internal()
+	if err != nil {
+		return nil, err
+	}
+	res, err := completion.DecomposeDistributed(x, o)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +77,11 @@ func Complete(x *Tensor, opts CompletionOptions) (*CompletionResult, error) {
 // observations, on an in-process cluster of Workers ranks like
 // Complete. prev is not modified.
 func CompleteNext(prev *CompletionResult, snapshot *Tensor, opts CompletionOptions) (*CompletionResult, error) {
-	res, err := completion.StreamStep(prev.Factors, snapshot, opts.internal())
+	o, err := opts.internal()
+	if err != nil {
+		return nil, err
+	}
+	res, err := completion.StreamStep(prev.Factors, snapshot, o)
 	if err != nil {
 		return nil, err
 	}

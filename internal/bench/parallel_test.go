@@ -94,7 +94,7 @@ func TestParallelBenchFixturesAgree(t *testing.T) {
 	}
 	view := mttkrp.NewModeView(x, 0)
 	want := mat.New(x.Dims[0], cfg.Rank)
-	view.AccumulateIntoWS(want, factors, mat.NewWorkspace())
+	view.AccumulateGroups(want, factors, 0, view.NumRows(), make([]float64, cfg.Rank), make([]float64, cfg.Rank))
 	for _, threads := range benchThreadCounts {
 		pool := par.New(threads)
 		wss := mat.NewWorkspaceSet(pool.Threads())

@@ -8,6 +8,8 @@ import (
 	"dismastd/internal/dtd"
 	"dismastd/internal/obs"
 	"dismastd/internal/sample"
+	"dismastd/internal/tensor"
+	"dismastd/internal/xrand"
 )
 
 // BenchmarkSampledALS is the sampled-solver acceptance benchmark: full
@@ -74,4 +76,57 @@ func TestSampledGapHarness(t *testing.T) {
 		}
 	}
 	t.Logf("\n%s", FormatSampled(points))
+}
+
+// DenseLowRank builds the planted tensor the sampled-ALS acceptance
+// benchmark decomposes: a fully enumerated d×d×…×d cube of a random
+// rank-`rank` CP model plus Gaussian noise, so nnz = d^order and exact
+// CP-ALS at that rank reaches fit ≈ 1. Dense fibers are the sketch's
+// favourable regime — every drawn tuple resolves to a full fiber, so
+// all S draws contribute to every output row (low per-row variance)
+// while duplicate draws keep the matched entry count well below nnz.
+func DenseLowRank(d, order, rank int, noise float64, seed uint64) *tensor.Tensor {
+	src := xrand.New(seed)
+	dims := make([]int, order)
+	for m := range dims {
+		dims[m] = d
+	}
+	factors := make([][]float64, order)
+	for m := range factors {
+		factors[m] = make([]float64, d*rank)
+		for i := range factors[m] {
+			factors[m][i] = src.Float64()
+		}
+	}
+	b := tensor.NewBuilder(dims)
+	idx := make([]int, order)
+	prod := make([]float64, rank)
+	var rec func(m int)
+	rec = func(m int) {
+		if m == order {
+			v := 0.0
+			for _, p := range prod {
+				v += p
+			}
+			b.Append(idx, v+noise*src.NormFloat64())
+			return
+		}
+		outer := make([]float64, rank)
+		copy(outer, prod)
+		for i := 0; i < d; i++ {
+			idx[m] = i
+			row := factors[m][i*rank : (i+1)*rank]
+			if m == 0 {
+				copy(prod, row)
+			} else {
+				for r := range prod {
+					prod[r] = outer[r] * row[r]
+				}
+			}
+			rec(m + 1)
+		}
+		copy(prod, outer)
+	}
+	rec(0)
+	return b.Build()
 }

@@ -81,27 +81,6 @@ func (s *RunStats) TotalMessages() int64 {
 	return t
 }
 
-// MaxWork returns the heaviest rank's work units — the straggler that
-// bounds parallel compute time.
-func (s *RunStats) MaxWork() float64 {
-	var max float64
-	for _, r := range s.Ranks {
-		if r.Work > max {
-			max = r.Work
-		}
-	}
-	return max
-}
-
-// TotalWork returns the work units summed over ranks.
-func (s *RunStats) TotalWork() float64 {
-	var t float64
-	for _, r := range s.Ranks {
-		t += r.Work
-	}
-	return t
-}
-
 // Worker is one rank's handle inside a running cluster: point-to-point
 // messaging, collectives (collectives.go), pooled payload
 // buffers, and work accounting. A Worker is used only by the goroutine
@@ -259,15 +238,12 @@ func (w *Worker) RecvAny(tag string, from []int) (int, []byte, error) {
 	return w.recvAny(tag, from, true)
 }
 
-// RecvAnyAlive is RecvAny for control-plane receives that want *any
-// live* sender: candidates marked down are skipped instead of failing
-// the receive, which only errors once every candidate is down (or on a
-// timeout / mailbox poison). Joiners awaiting adoption use it because
-// they cannot know which world ranks have died while they idled.
-func (w *Worker) RecvAnyAlive(tag string, from []int) (int, []byte, error) {
-	return w.recvAny(tag, from, false)
-}
-
+// recvAny backs RecvAny. With failDown false it serves control-plane
+// receives that want *any live* sender: candidates marked down are
+// skipped instead of failing the receive, which only errors once every
+// candidate is down (or on a timeout / mailbox poison). Joiners
+// awaiting adoption receive so, because they cannot know which world
+// ranks have died while they idled.
 func (w *Worker) recvAny(tag string, from []int, failDown bool) (int, []byte, error) {
 	cand, err := w.worldCandidates(from)
 	if err != nil {

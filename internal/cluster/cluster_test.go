@@ -349,11 +349,10 @@ func TestWorkAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.TotalWork() != 303 {
-		t.Fatalf("TotalWork = %v", stats.TotalWork())
-	}
-	if stats.MaxWork() != 201 {
-		t.Fatalf("MaxWork = %v", stats.MaxWork())
+	for r, rs := range stats.Ranks {
+		if want := float64(r)*100 + 1; rs.Work != want {
+			t.Fatalf("rank %d Work = %v, want %v", r, rs.Work, want)
+		}
 	}
 }
 

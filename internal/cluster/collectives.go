@@ -190,7 +190,7 @@ func (w *Worker) AllReduceSumInPlace(vec []float64) error {
 		if len(payload) != 8*len(vec) {
 			return fmt.Errorf("cluster: allreduce rank %d contributed %d bytes, want %d", peer, len(payload), 8*len(vec))
 		}
-		AddFloat64s(vec, payload)
+		addFloat64s(vec, payload)
 		w.PutBuf(payload)
 	}
 	return w.bcastFloat64s(vec, w.StreamTag("reduce/bc"))

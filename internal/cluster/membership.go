@@ -114,7 +114,7 @@ func (vc ViewChange) apply(cur View) View {
 			members = append(members, m)
 		}
 	}
-	return NewView(cur.Epoch+1, members)
+	return newView(cur.Epoch+1, members)
 }
 
 func (vc ViewChange) equal(o ViewChange) bool {
@@ -282,7 +282,7 @@ func AwaitAdopt(w *Worker) (View, int64, error) {
 		}
 	}
 	for attempt := 0; ; attempt++ {
-		_, payload, err := w.RecvAnyAlive(adoptTag, others)
+		_, payload, err := w.recvAny(adoptTag, others, false)
 		if err != nil {
 			if _, down := AsPeerDown(err); down && attempt < w.Size() {
 				w.ClearFault()

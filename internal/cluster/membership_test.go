@@ -15,7 +15,7 @@ import (
 func TestAgreeViewKillAndJoin(t *testing.T) {
 	c := NewLocal(4)
 	c.SetElastic(true)
-	cur := NewView(0, []int{0, 1, 2})
+	cur := newView(0, []int{0, 1, 2})
 	vc := ViewChange{Dead: []int{1}, Join: []int{3}}
 	var mu sync.Mutex
 	sums := map[int]float64{}
@@ -53,7 +53,7 @@ func TestAgreeViewKillAndJoin(t *testing.T) {
 				t.Errorf("rank %d agreed step %d", w.Rank(), step)
 			}
 		}
-		want := NewView(1, []int{0, 2, 3})
+		want := newView(1, []int{0, 2, 3})
 		if !next.Equal(want) {
 			t.Errorf("rank %d agreed on %v, want %v", w.Rank(), next, want)
 		}
@@ -86,14 +86,14 @@ func TestAgreeViewKillAndJoin(t *testing.T) {
 func TestAgreeViewDrain(t *testing.T) {
 	c := NewLocal(3)
 	c.SetElastic(true)
-	cur := NewView(0, []int{0, 1, 2})
+	cur := newView(0, []int{0, 1, 2})
 	vc := ViewChange{Leave: []int{2}}
 	_, err := c.Run(func(w *Worker) error {
 		next, _, err := AgreeView(w, cur, vc, 0)
 		if err != nil {
 			return err
 		}
-		want := NewView(1, []int{0, 1})
+		want := newView(1, []int{0, 1})
 		if !next.Equal(want) {
 			t.Errorf("rank %d agreed on %v", w.Rank(), next)
 		}
@@ -125,7 +125,7 @@ func TestAgreeViewProposalMismatch(t *testing.T) {
 	c := NewLocal(3)
 	c.SetElastic(true)
 	c.SetRecvTimeout(2 * time.Second)
-	cur := NewView(0, []int{0, 1, 2})
+	cur := newView(0, []int{0, 1, 2})
 	var mu sync.Mutex
 	var coordErr error
 	_, err := c.Run(func(w *Worker) error {

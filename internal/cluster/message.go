@@ -172,10 +172,10 @@ func CopyFloat64s(dst []float64, b []byte) {
 	}
 }
 
-// AddFloat64s accumulates a float64 payload into dst elementwise — the
+// addFloat64s accumulates a float64 payload into dst elementwise — the
 // in-place reduction step of the collectives; the payload must hold at
 // least len(dst) values.
-func AddFloat64s(dst []float64, b []byte) {
+func addFloat64s(dst []float64, b []byte) {
 	_ = b[:8*len(dst)]
 	for i := range dst {
 		dst[i] += math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))

@@ -173,10 +173,6 @@ func (r *Rendezvous) Wait() error { return <-r.done }
 // Close stops the rendezvous listener.
 func (r *Rendezvous) Close() error { return r.ln.Close() }
 
-// Rejected returns how many joiners were turned away so far (malformed
-// requests or stalled handshakes).
-func (r *Rendezvous) Rejected() int64 { return r.rejected.Load() }
-
 func (r *Rendezvous) logf(format string, args ...any) {
 	if r.cfg.Logf != nil {
 		r.cfg.Logf(format, args...)
@@ -210,7 +206,7 @@ func (r *Rendezvous) serve() {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				fail(fmt.Errorf("cluster: rendezvous join window %s expired with %d of %d joined (%d rejected)",
-					r.cfg.JoinWindow, len(members), r.size, r.Rejected()))
+					r.cfg.JoinWindow, len(members), r.size, r.rejected.Load()))
 				return
 			}
 			fail(fmt.Errorf("cluster: rendezvous accept: %w", err))
@@ -417,10 +413,6 @@ func (n *TCPNode) Size() int { return n.size }
 
 // SetRecvTimeout overrides the node's receive timeout (zero disables).
 func (n *TCPNode) SetRecvTimeout(d time.Duration) { n.recvTimeout = d }
-
-// SetFaultPlan installs a deterministic fault schedule applied to every
-// send. Must be called before Run.
-func (n *TCPNode) SetFaultPlan(p *FaultPlan) { n.fault = p }
 
 // Obs returns the node's observability bundle. It lives for the node's
 // lifetime — cmd/worker's -debug-addr endpoint serves it live — while

@@ -447,9 +447,9 @@ func TestRendezvousRejectsMalformedJoiner(t *testing.T) {
 	// The rendezvous handles joiners in accept order; wait until it has
 	// turned the bad ones away so the legitimate join is accepted after
 	// them.
-	for deadline := time.Now().Add(5 * time.Second); rv.Rejected() < int64(len(bad)); {
+	for deadline := time.Now().Add(5 * time.Second); rv.rejected.Load() < int64(len(bad)); {
 		if time.Now().After(deadline) {
-			t.Fatalf("rejected %d of %d malformed joiners", rv.Rejected(), len(bad))
+			t.Fatalf("rejected %d of %d malformed joiners", rv.rejected.Load(), len(bad))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -462,8 +462,8 @@ func TestRendezvousRejectsMalformedJoiner(t *testing.T) {
 	if err := rv.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if rv.Rejected() < int64(len(bad)) {
-		t.Fatalf("rejected = %d, want >= %d", rv.Rejected(), len(bad))
+	if rv.rejected.Load() < int64(len(bad)) {
+		t.Fatalf("rejected = %d, want >= %d", rv.rejected.Load(), len(bad))
 	}
 	if logged < len(bad) {
 		t.Fatalf("logged = %d, want >= %d", logged, len(bad))

@@ -48,9 +48,9 @@ type View struct {
 	Members []int
 }
 
-// NewView builds a view from an arbitrary member list (sorted and
+// newView builds a view from an arbitrary member list (sorted and
 // de-duplicated; membership is a set).
-func NewView(epoch int64, members []int) View {
+func newView(epoch int64, members []int) View {
 	ms := append([]int(nil), members...)
 	sort.Ints(ms)
 	out := ms[:0]
@@ -201,9 +201,9 @@ func (w *Worker) ViewWorker(v View) (*Worker, error) {
 // and the membership protocol speak.
 func (w *Worker) WorldRank() int { return w.worldSelf }
 
-// WorldSize returns the world cluster's size (== Size on a root
+// worldSize returns the world cluster's size (== Size on a root
 // worker).
-func (w *Worker) WorldSize() int {
+func (w *Worker) worldSize() int {
 	if w.world == nil {
 		return w.size
 	}
@@ -248,7 +248,7 @@ func (w *Worker) Revoke(dead int) {
 	w.mbox.peerDown(dead, &ErrPeerDown{Rank: dead}, true)
 	var payload [4]byte
 	binary.LittleEndian.PutUint32(payload[:], uint32(dead))
-	for r := 0; r < w.WorldSize(); r++ {
+	for r := 0; r < w.worldSize(); r++ {
 		if r == w.worldSelf || r == dead {
 			continue
 		}

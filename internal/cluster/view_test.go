@@ -7,7 +7,7 @@ import (
 )
 
 func TestViewRankMapping(t *testing.T) {
-	v := NewView(3, []int{4, 0, 2, 4}) // unsorted, duplicated
+	v := newView(3, []int{4, 0, 2, 4}) // unsorted, duplicated
 	if got := v.Members; len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 4 {
 		t.Fatalf("members = %v", got)
 	}
@@ -67,7 +67,7 @@ func TestViewChangeApply(t *testing.T) {
 // and receives reach the right world slots under renumbered ranks.
 func TestViewWorkerRoutesThroughWorldRanks(t *testing.T) {
 	c := NewLocal(4)
-	v := NewView(1, []int{0, 2, 3}) // world 1 excluded; view ranks 0,1,2
+	v := newView(1, []int{0, 2, 3}) // world 1 excluded; view ranks 0,1,2
 	_, err := c.Run(func(w *Worker) error {
 		if w.Rank() == 1 {
 			return nil // not a member; idles
@@ -106,8 +106,8 @@ func TestViewWorkerRoutesThroughWorldRanks(t *testing.T) {
 // queued.
 func TestViewWorkerCollectivesFenced(t *testing.T) {
 	c := NewLocal(2)
-	v1 := NewView(1, []int{0, 1})
-	v2 := NewView(2, []int{0, 1})
+	v1 := newView(1, []int{0, 1})
+	v2 := newView(2, []int{0, 1})
 	_, err := c.Run(func(w *Worker) error {
 		w1, err := w.ViewWorker(v1)
 		if err != nil {
@@ -154,7 +154,7 @@ func TestViewWorkerStampsObsEpoch(t *testing.T) {
 	_, err := c.Run(func(w *Worker) error {
 		o := w.Obs()
 		o.Span("before").End()
-		if _, err := w.ViewWorker(NewView(7, []int{0, 1})); err != nil {
+		if _, err := w.ViewWorker(newView(7, []int{0, 1})); err != nil {
 			return err
 		}
 		o.Span("after").End()
@@ -188,7 +188,7 @@ func TestViewWorkerEpochMetricsNoBleed(t *testing.T) {
 	c := NewLocal(2)
 	payload := make([]byte, 100)
 	_, err := c.Run(func(w *Worker) error {
-		w1, err := w.ViewWorker(NewView(1, []int{0, 1}))
+		w1, err := w.ViewWorker(newView(1, []int{0, 1}))
 		if err != nil {
 			return err
 		}
@@ -205,7 +205,7 @@ func TestViewWorkerEpochMetricsNoBleed(t *testing.T) {
 			t.Errorf("epoch 1 snapshot: %+v", e1)
 		}
 
-		w2, err := w.ViewWorker(NewView(2, []int{0, 1}))
+		w2, err := w.ViewWorker(newView(2, []int{0, 1}))
 		if err != nil {
 			return err
 		}

@@ -13,13 +13,15 @@
 //
 // The implementation deviates from the theorems in two documented
 // ways. Memory: every worker holds a full replica of every factor
-// (ImplMemoryFloats, against Theorem 3). Time: the engine does less than
-// Theorem 2 — its IR² term sits inside the iteration loop, but a sweep
-// solves and Grams only the rows a complement entry names (I_live of
-// them) and carries the rest as Ã·T, so the per-iteration row cost is
-// I_live·R² + R³ and IR² is paid once per step (see DESIGN.md, "One
-// sweep, two bindings"). TimeOps remains the theorem's upper bound; the
-// work counters the tests measure charge what is done.
+// (against Theorem 3). Time: the engine does less than Theorem 2 — its
+// IR² term sits inside the iteration loop, but a sweep solves and Grams
+// only the rows a complement entry names (I_live of them) and carries
+// the rest as Ã·T, so the per-iteration row cost is I_live·R² + R³ and
+// IR² is paid once per step (see DESIGN.md, "One sweep, two bindings").
+// The theorem stays the upper bound; the work counters the tests
+// measure charge what is done. Only CommBytes ships: the bench harness
+// sets measured traffic against it. The time and memory formulas are
+// the tests' (complexity_test.go).
 package complexity
 
 // Params is the paper's parameter set for one streaming step.
@@ -31,59 +33,6 @@ type Params struct {
 	M   int  // worker count
 	NNZ int  // nnz(X \ X̃)
 	MTP bool // partitioner: MTP sorts (I log I), GTP scans (I)
-}
-
-// TimeOps evaluates Theorem 2:
-//
-//	O(N(nnz·R + R³ + IR² + dR² + IR + dR + R² + I))          with GTP
-//	O(N(nnz·R + R³ + IR² + dR² + IR + dR + R² + I·log I))    with MTP
-//
-// per iteration. The engine's IR² and dR² are over the rows the
-// complement names only (plus R³ for the rest, and IR² once per step —
-// the package comment's second deviation), so on a dims-dominated step
-// the measured work sits well under this bound; when the complement
-// touches every row the two coincide.
-func TimeOps(p Params) float64 {
-	n := float64(p.N)
-	i := float64(p.I)
-	d := float64(p.D)
-	r := float64(p.R)
-	nnz := float64(p.NNZ)
-	partition := i
-	if p.MTP {
-		partition = i * log2(i)
-	}
-	return n * (nnz*r + r*r*r + i*r*r + d*r*r + i*r + d*r + r*r + partition)
-}
-
-// MemoryFloats evaluates Theorem 3, in float64-equivalents:
-//
-//	O(nnz + MNR² + NIR + NdR)
-//
-// — the complement entries, the replicated R×R products on M workers,
-// and the factor matrices plus their MTTKRP buffers.
-func MemoryFloats(p Params) float64 {
-	n := float64(p.N)
-	i := float64(p.I)
-	d := float64(p.D)
-	r := float64(p.R)
-	m := float64(p.M)
-	return float64(p.NNZ) + m*n*r*r + n*i*r + n*d*r
-}
-
-// ImplMemoryFloats evaluates the memory of THIS implementation, which
-// deviates from Theorem 3 in one documented way: each worker holds a
-// full replica of every factor matrix (M·N·(I+d)·R instead of the
-// paper's collectively-owned N·(I+d)·R), trading memory for the simpler
-// subscription-based row exchange. The complement is additionally
-// indexed once per mode (N·nnz entry ids).
-func ImplMemoryFloats(p Params) float64 {
-	n := float64(p.N)
-	i := float64(p.I)
-	d := float64(p.D)
-	r := float64(p.R)
-	m := float64(p.M)
-	return float64(p.NNZ)*(1+n/2) + m*n*r*r + m*n*(i+d)*r
 }
 
 // CommBytes evaluates Theorem 4, in float64-equivalents transferred per
@@ -101,16 +50,4 @@ func CommBytes(p Params) float64 {
 	r := float64(p.R)
 	m := float64(p.M)
 	return float64(p.NNZ) + m*n*r*r + n*i*r + n*d*r
-}
-
-func log2(x float64) float64 {
-	if x < 2 {
-		return 1
-	}
-	l := 0.0
-	for x >= 2 {
-		x /= 2
-		l++
-	}
-	return l
 }

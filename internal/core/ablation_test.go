@@ -51,7 +51,7 @@ func BenchmarkAblationLossReuse(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				work = stats.Cluster.TotalWork()
+				work = totalWork(stats.Cluster)
 			}
 			b.ReportMetric(work, "work-units")
 		})

@@ -165,7 +165,7 @@ func Step(prev *dtd.State, snapshot *tensor.Tensor, o Options) (*dtd.State, *Ste
 // RankPhases returns each rank's per-phase wall-time aggregates from
 // the step's run (index = rank; empty when the run carried no
 // instrumentation) — the per-rank view the cluster observability plane
-// and the bench imbalance tables consume, where PhasesOf's cross-rank
+// and the bench imbalance tables consume, where phasesOf's cross-rank
 // merge would hide exactly the skew being measured.
 func (s *StepStats) RankPhases() [][]obs.PhaseStat {
 	if s.Cluster == nil {
@@ -180,9 +180,9 @@ func (s *StepStats) RankPhases() [][]obs.PhaseStat {
 	return out
 }
 
-// PhasesOf merges every rank's span aggregates into one per-phase
+// phasesOf merges every rank's span aggregates into one per-phase
 // wall-time breakdown (mttkrp, solve, allreduce, exchange, loss).
-func PhasesOf(stats *cluster.RunStats) []obs.PhaseStat {
+func phasesOf(stats *cluster.RunStats) []obs.PhaseStat {
 	if stats == nil {
 		return nil
 	}
@@ -195,10 +195,10 @@ func PhasesOf(stats *cluster.RunStats) []obs.PhaseStat {
 	return obs.AggregatePhases(all)
 }
 
-// OverrideAlgoMetrics replaces the run's traffic counters with the
+// overrideAlgoMetrics replaces the run's traffic counters with the
 // pre-collection snapshots recorded by each rank, so the reported
 // per-step traffic covers the algorithm's iterations only.
-func (j *StepJob) OverrideAlgoMetrics(stats *cluster.RunStats) {
+func (j *StepJob) overrideAlgoMetrics(stats *cluster.RunStats) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for i := range stats.Ranks {

@@ -59,8 +59,8 @@ func (s *Session) Step(prev *dtd.State, snapshot *tensor.Tensor, o Options) (*dt
 		return nil, nil, err
 	}
 	stats.Cluster = runStats
-	stats.Phases = PhasesOf(runStats)
-	job.OverrideAlgoMetrics(runStats)
+	stats.Phases = phasesOf(runStats)
+	job.overrideAlgoMetrics(runStats)
 	s.steps++
 	return st, stats, nil
 }

@@ -45,6 +45,3 @@ func (ch *Chunker) Grid(c int, cum []int32) []int32 {
 	ch.grids = append(ch.grids, starts)
 	return starts
 }
-
-// Cached reports how many distinct chunk counts have a memoised grid.
-func (ch *Chunker) Cached() int { return len(ch.cs) }

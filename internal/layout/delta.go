@@ -128,16 +128,6 @@ func (d *Delta) Reset() {
 	}
 }
 
-// RowNNZ returns the number of pending entries in one row of a mode —
-// the bounded work an event-path row refresh performs.
-func (d *Delta) RowNNZ(mode int, row int32) int {
-	c := 0
-	for e := d.head[mode][row]; e >= 0; e = d.next[mode][e] {
-		c++
-	}
-	return c
-}
-
 // Entry writes entry e's coordinates into buf (allocating when too
 // short) and returns them with the value.
 func (d *Delta) Entry(e int, buf []int) ([]int, float64) {

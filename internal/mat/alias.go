@@ -8,13 +8,13 @@ import "fmt"
 // may alias, and panics — rather than silently miscomputing — when the
 // contract is violated:
 //
-//   - Elementwise kernels (Add, Sub, Scale, AddScaled, Hadamard,
-//     CopyFrom, HadamardAllInto): dst may be exactly one of the inputs
+//   - Elementwise kernels (Add, Sub, Scale, Hadamard, CopyFrom,
+//     HadamardAllInto): dst may be exactly one of the inputs
 //     (same backing slice, same length). Partial overlap — e.g. shifted
 //     SliceRows views of the same array — would read just-written
 //     values, so it panics.
 //   - Gather/scatter kernels whose output cells mix many input cells
-//     (MulInto, GramInto, CrossGramInto, AccumulateCrossGram,
+//     (MulInto, GramInto, CrossGramInto, accumulateCrossGram,
 //     TransposeInto, CholeskyInto): dst must not overlap any input at
 //     all.
 //   - SolveSPDInto: dst may alias b (the right-hand side is copied into
@@ -46,10 +46,6 @@ func overlaps(a, b []float64) bool {
 func exactAlias(a, b []float64) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
-
-// Overlaps reports whether two matrices share any backing memory,
-// including partial overlap through SliceRows views.
-func Overlaps(a, b *Dense) bool { return overlaps(a.Data, b.Data) }
 
 // mustDisjoint panics when dst shares any memory with src — required by
 // kernels whose output cells mix many input cells.

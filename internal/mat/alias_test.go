@@ -39,6 +39,7 @@ func seqDense(r, c int) *Dense {
 }
 
 func TestOverlaps(t *testing.T) {
+	Overlaps := func(a, b *Dense) bool { return overlaps(a.Data, b.Data) }
 	m := seqDense(4, 3)
 	other := seqDense(4, 3)
 	if Overlaps(m, other) {
@@ -77,7 +78,6 @@ func TestElementwiseAliasContract(t *testing.T) {
 	mustPanicContaining(t, "Add on shifted views", "partially overlaps", func() { lo.Add(lo, hi) })
 	mustPanicContaining(t, "Hadamard on shifted views", "partially overlaps", func() { lo.Hadamard(hi, lo) })
 	mustPanicContaining(t, "CopyFrom on shifted views", "partially overlaps", func() { lo.CopyFrom(hi) })
-	mustPanicContaining(t, "AddScaled on shifted views", "partially overlaps", func() { lo.AddScaled(2, hi) })
 	mustPanicContaining(t, "Scale on shifted views", "partially overlaps", func() { lo.Scale(2, hi) })
 	sub := seqDense(3, 3)
 	mustPanicContaining(t, "Sub on shifted views", "partially overlaps", func() { lo.Sub(sub, hi) })
@@ -91,7 +91,7 @@ func TestGatherKernelsRejectAnyAlias(t *testing.T) {
 	mustPanicContaining(t, "MulInto dst==b", "aliases", func() { MulInto(b, a, b) })
 	mustPanicContaining(t, "GramInto dst==a", "aliases", func() { GramInto(a, a) })
 	mustPanicContaining(t, "CrossGramInto dst==b", "aliases", func() { CrossGramInto(b, a, b) })
-	mustPanicContaining(t, "AccumulateCrossGram dst==a", "aliases", func() { AccumulateCrossGram(a, a, b) })
+	mustPanicContaining(t, "AccumulateCrossGram dst==a", "aliases", func() { accumulateCrossGram(a, a, b) })
 	mustPanicContaining(t, "TransposeInto dst==a", "aliases", func() { TransposeInto(a, a) })
 	mustPanicContaining(t, "CholeskyInto dst==a", "aliases", func() { _ = CholeskyInto(a, a) })
 }

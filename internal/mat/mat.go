@@ -119,16 +119,6 @@ func (m *Dense) Scale(s float64, a *Dense) {
 	}
 }
 
-// AddScaled accumulates m += s*a. m may alias a exactly, never
-// partially.
-func (m *Dense) AddScaled(s float64, a *Dense) {
-	m.mustSameShape(a, "AddScaled")
-	mustElementwiseAlias("AddScaled", m, a)
-	for i := range m.Data {
-		m.Data[i] += s * a.Data[i]
-	}
-}
-
 // MulInto computes a*b into dst, which must be a.Rows x b.Cols and must
 // not alias a or b.
 func MulInto(dst, a, b *Dense) {
@@ -218,23 +208,23 @@ func CrossGram(a, b *Dense) *Dense {
 // and must not alias a or b.
 func CrossGramInto(dst, a, b *Dense) {
 	dst.Zero()
-	AccumulateCrossGram(dst, a, b)
+	accumulateCrossGram(dst, a, b)
 }
 
-// AccumulateCrossGram adds AᵀB into dst, which must be a.Cols x b.Cols
+// accumulateCrossGram adds AᵀB into dst, which must be a.Cols x b.Cols
 // and must not alias a or b (it scatters into dst rows while reading a
 // and b rows, so aliasing would fold partial results back into the
 // inputs). It is the building block for partial Gram aggregation across
 // workers.
-func AccumulateCrossGram(dst, a, b *Dense) {
+func accumulateCrossGram(dst, a, b *Dense) {
 	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("mat: AccumulateCrossGram row mismatch %d vs %d", a.Rows, b.Rows))
+		panic(fmt.Sprintf("mat: accumulateCrossGram row mismatch %d vs %d", a.Rows, b.Rows))
 	}
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic("mat: AccumulateCrossGram destination shape mismatch")
+		panic("mat: accumulateCrossGram destination shape mismatch")
 	}
-	mustDisjoint("AccumulateCrossGram", dst, a)
-	mustDisjoint("AccumulateCrossGram", dst, b)
+	mustDisjoint("accumulateCrossGram", dst, a)
+	mustDisjoint("accumulateCrossGram", dst, b)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		brow := b.Row(i)
@@ -308,16 +298,6 @@ func SumAll(a *Dense) float64 {
 	sum := 0.0
 	for _, v := range a.Data {
 		sum += v
-	}
-	return sum
-}
-
-// Dot returns the elementwise inner product <A, B> = Σ a_ij b_ij.
-func Dot(a, b *Dense) float64 {
-	a.mustSameShape(b, "Dot")
-	sum := 0.0
-	for i, v := range a.Data {
-		sum += v * b.Data[i]
 	}
 	return sum
 }

@@ -46,7 +46,7 @@ func (s *WorkspaceSet) Len() int { return len(s.ws) }
 
 // AccumulateCrossGramRows adds rows [lo, hi) of AᵀB into the same rows
 // of dst: dst[r][c] += Σ_i a[i][r]·b[i][c] for r in the range, scanning
-// input rows in ascending order exactly like AccumulateCrossGram — the
+// input rows in ascending order exactly like accumulateCrossGram — the
 // accumulation order per output entry is independent of the range
 // split, so chunked evaluation reproduces the sequential bits.
 func AccumulateCrossGramRows(dst, a, b *Dense, lo, hi int) {

@@ -75,17 +75,3 @@ func (w *Workspace) Release(mark int) {
 
 // Reset returns every checkout to the arena, keeping the slabs cached.
 func (w *Workspace) Reset() { w.n = 0 }
-
-// InUse reports the number of positions currently checked out.
-func (w *Workspace) InUse() int { return w.n }
-
-// Floats reports the total float64 capacity cached across all slabs —
-// the arena's steady-state memory footprint, exposed for tests and
-// diagnostics.
-func (w *Workspace) Floats() int {
-	total := 0
-	for _, s := range w.slabs {
-		total += cap(s)
-	}
-	return total
-}

@@ -2,6 +2,19 @@ package mat
 
 import "testing"
 
+// InUse reports the number of positions currently checked out.
+func (w *Workspace) InUse() int { return w.n }
+
+// Floats reports the total float64 capacity cached across all slabs —
+// the arena's steady-state memory footprint.
+func (w *Workspace) Floats() int {
+	total := 0
+	for _, s := range w.slabs {
+		total += cap(s)
+	}
+	return total
+}
+
 func TestWorkspaceTakeIsZeroedAndShaped(t *testing.T) {
 	ws := NewWorkspace()
 	m := ws.Take(3, 4)

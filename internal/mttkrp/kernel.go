@@ -59,8 +59,8 @@ func NewKernel(t *tensor.Tensor, mode int, kind layout.Kind) Kernel {
 }
 
 // NewKernelOf builds the selected representation over an explicit
-// entry subset. Like NewModeViewOf, a nil or empty list is an empty
-// kernel — what an idle distributed rank holds.
+// entry subset. A nil or empty list is an empty kernel — what an idle
+// distributed rank holds.
 func NewKernelOf(t *tensor.Tensor, mode int, entries []int32, kind layout.Kind) Kernel {
 	if entries == nil {
 		entries = []int32{}
@@ -68,5 +68,5 @@ func NewKernelOf(t *tensor.Tensor, mode int, entries []int32, kind layout.Kind) 
 	if kind == layout.Compiled {
 		return layout.Compile(t, mode, entries)
 	}
-	return NewModeViewOf(t, mode, entries)
+	return newModeView(t, mode, entries)
 }

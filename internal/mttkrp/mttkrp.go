@@ -156,19 +156,11 @@ func NewModeView(t *tensor.Tensor, mode int) *ModeView {
 	return newModeView(t, mode, nil)
 }
 
-// NewModeViewOf builds the view of an explicit entry subset. entries
-// lists tensor entry ids (a nil or empty list is an empty view — what
-// an idle distributed rank holds). The counting sort is stable —
-// entries of one slice keep their order from the input list — so the
-// grouped kernel accumulates each output row in exactly the order the
-// flat kernel would visit it.
-func NewModeViewOf(t *tensor.Tensor, mode int, entries []int32) *ModeView {
-	if entries == nil {
-		entries = []int32{}
-	}
-	return newModeView(t, mode, entries)
-}
-
+// newModeView builds the view of an explicit entry subset, or of every
+// entry when entries is nil. The counting sort is stable — entries of
+// one slice keep their order from the input list — so the grouped
+// kernel accumulates each output row in exactly the order the flat
+// kernel would visit it.
 func newModeView(t *tensor.Tensor, mode int, entries []int32) *ModeView {
 	if mode < 0 || mode >= t.Order() {
 		panic(fmt.Sprintf("mttkrp: NewModeView mode %d on order-%d tensor", mode, t.Order()))
@@ -213,18 +205,6 @@ func (v *ModeView) Validate(dst *mat.Dense, factors []*mat.Dense) {
 	if dst.Rows != v.t.Dims[v.Mode] || dst.Cols != r {
 		panic(fmt.Sprintf("mttkrp: destination %dx%d, want %dx%d", dst.Rows, dst.Cols, v.t.Dims[v.Mode], r))
 	}
-}
-
-// AccumulateIntoWS adds the mode MTTKRP into dst using the row-grouped
-// kernel: each slice's contributions accumulate in a local buffer and
-// are written back once. The tmp/acc buffers are checked out of ws,
-// which is released to its entry mark before returning.
-func (v *ModeView) AccumulateIntoWS(dst *mat.Dense, factors []*mat.Dense, ws *mat.Workspace) {
-	v.Validate(dst, factors)
-	r := dst.Cols
-	mark := ws.Mark()
-	v.AccumulateGroups(dst, factors, 0, len(v.Rows), ws.TakeVec(r), ws.TakeVec(r))
-	ws.Release(mark)
 }
 
 // AccumulateGroups runs the grouped kernel over groups [g0, g1). Each

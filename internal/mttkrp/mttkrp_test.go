@@ -122,6 +122,13 @@ func TestFourthOrderMatchesNaive(t *testing.T) {
 	}
 }
 
+// accumulateGrouped adds v's mode MTTKRP into dst with the row-grouped
+// kernel on one thread.
+func accumulateGrouped(v *ModeView, dst *mat.Dense, factors []*mat.Dense) {
+	v.Validate(dst, factors)
+	v.AccumulateGroups(dst, factors, 0, v.NumRows(), make([]float64, dst.Cols), make([]float64, dst.Cols))
+}
+
 func TestRowGroupedMatchesFlat(t *testing.T) {
 	dims := []int{30, 20, 10}
 	x := randomTensor(dims, 500, 5)
@@ -129,7 +136,7 @@ func TestRowGroupedMatchesFlat(t *testing.T) {
 	for mode := 0; mode < 3; mode++ {
 		flat := Compute(x, factors, mode)
 		grouped := mat.New(dims[mode], 4)
-		NewModeView(x, mode).AccumulateIntoWS(grouped, factors, mat.NewWorkspace())
+		accumulateGrouped(NewModeView(x, mode), grouped, factors)
 		if d := mat.MaxAbsDiff(flat, grouped); d > 1e-10 {
 			t.Fatalf("mode %d: grouped kernel differs by %v", mode, d)
 		}
@@ -213,7 +220,10 @@ func TestInnerProductMatchesMTTKRPReuse(t *testing.T) {
 	direct := InnerProduct(x, factors)
 	for mode := 0; mode < 3; mode++ {
 		m := Compute(x, factors, mode)
-		viaReuse := mat.Dot(m, factors[mode])
+		viaReuse := 0.0
+		for i, v := range m.Data {
+			viaReuse += v * factors[mode].Data[i]
+		}
 		if diff := direct - viaReuse; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("mode %d: reuse inner product differs by %v", mode, diff)
 		}
@@ -290,11 +300,11 @@ func BenchmarkRowGroupedKernel(b *testing.B) {
 	x, factors := benchTensor()
 	v := NewModeView(x, 0)
 	dst := mat.New(x.Dims[0], 10)
-	ws := mat.NewWorkspace()
+	tmp, acc := make([]float64, 10), make([]float64, 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst.Zero()
-		v.AccumulateIntoWS(dst, factors, ws)
+		v.AccumulateGroups(dst, factors, 0, v.NumRows(), tmp, acc)
 	}
 }
 

@@ -40,12 +40,12 @@ func TestSubsetViewMatchesFlat(t *testing.T) {
 			out[c] += tmp[c]
 		}
 	}
-	view := NewModeViewOf(x, 1, entries)
+	view := newModeView(x, 1, entries)
 	if view.NNZ() != len(entries) {
 		t.Fatalf("view covers %d entries, want %d", view.NNZ(), len(entries))
 	}
 	got := mat.New(x.Dims[1], 5)
-	view.AccumulateIntoWS(got, factors, mat.NewWorkspace())
+	accumulateGrouped(view, got, factors)
 	bitsEqual(t, "subset view", got, want)
 }
 
@@ -58,7 +58,7 @@ func TestParAccumulateBitwiseAcrossThreads(t *testing.T) {
 	for mode := 0; mode < x.Order(); mode++ {
 		view := NewModeView(x, mode)
 		want := mat.New(x.Dims[mode], 6)
-		view.AccumulateIntoWS(want, factors, mat.NewWorkspace())
+		accumulateGrouped(view, want, factors)
 		for _, threads := range []int{1, 2, 3, 8} {
 			pool := par.New(threads)
 			wss := mat.NewWorkspaceSet(pool.Threads())

@@ -18,7 +18,7 @@ type Obs struct {
 // New returns a live bundle: fresh registry, default-capacity tracer,
 // and a discarding logger (replace Log to enable output).
 func New() *Obs {
-	return &Obs{Reg: NewRegistry(), Trace: NewTracer(0), Log: Discard()}
+	return &Obs{Reg: newRegistry(), Trace: newTracer(0), Log: Discard()}
 }
 
 // Counter resolves a named counter handle. Nil-safe.
@@ -126,9 +126,10 @@ func (o *Obs) SnapshotSince(b Baseline) RankSnapshot {
 	if o == nil {
 		return RankSnapshot{}
 	}
+	spans, _ := o.Trace.AppendEventsSince(b.spanSeq, nil)
 	return RankSnapshot{
 		Metrics: o.Reg.Snapshot().Sub(b.metrics),
-		Phases:  SubPhases(o.Trace.Phases(), b.phases),
-		Spans:   o.Trace.EventsSince(b.spanSeq),
+		Phases:  subPhases(o.Trace.Phases(), b.phases),
+		Spans:   spans,
 	}
 }

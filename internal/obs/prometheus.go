@@ -102,7 +102,7 @@ func (s MetricsSnapshot) WritePrometheus(w io.Writer) error {
 			q      float64
 		}{{"_p50", 0.50}, {"_p95", 0.95}, {"_p99", 0.99}} {
 			bw.WriteString("# TYPE " + n + pq.suffix + " gauge\n")
-			bw.WriteString(n + pq.suffix + " " + promFloat(h.Quantile(pq.q)) + "\n")
+			bw.WriteString(n + pq.suffix + " " + promFloat(h.quantile(pq.q)) + "\n")
 		}
 	}
 	return bw.Flush()

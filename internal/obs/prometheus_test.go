@@ -64,7 +64,7 @@ func parsePromText(t *testing.T, text string) map[string]float64 {
 }
 
 func TestWritePrometheusMatchesRegistry(t *testing.T) {
-	reg := NewRegistry()
+	reg := newRegistry()
 	reg.Counter("elastic.rebalance.fired").Add(2)
 	reg.Gauge("elastic.imbalance.cv").Set(0.375)
 	h := reg.Histogram("plane.fence.gather.ns", []float64{100, 1000})

@@ -2,14 +2,14 @@ package obs
 
 import "time"
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the snapshot's
+// quantile estimates the q-quantile (0 ≤ q ≤ 1) of the snapshot's
 // observations by linear interpolation within the bucket that contains
 // the target rank — the same estimator Prometheus's histogram_quantile
 // uses. The first bucket interpolates from zero (observations here are
 // durations and byte counts, never negative). Ranks landing in the
 // overflow bucket clamp to the highest finite bound, since the bucket
 // is unbounded above. Returns 0 on an empty snapshot.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
+func (s HistogramSnapshot) quantile(q float64) float64 {
 	total := s.Count()
 	if total == 0 {
 		return 0

@@ -15,14 +15,14 @@ func TestHistogramQuantileInterpolates(t *testing.T) {
 	}
 	s := h.snapshot()
 	// p50 rank = 10 of 20, the boundary of the first bucket.
-	if got := s.Quantile(0.50); math.Abs(got-10) > 1e-9 {
+	if got := s.quantile(0.50); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("p50 = %v, want 10", got)
 	}
 	// p75 rank = 15 of 20: halfway through the (10,20] bucket.
-	if got := s.Quantile(0.75); math.Abs(got-15) > 1e-9 {
+	if got := s.quantile(0.75); math.Abs(got-15) > 1e-9 {
 		t.Fatalf("p75 = %v, want 15", got)
 	}
-	if got := s.Quantile(1.0); math.Abs(got-20) > 1e-9 {
+	if got := s.quantile(1.0); math.Abs(got-20) > 1e-9 {
 		t.Fatalf("p100 = %v, want 20 (upper bound of last occupied bucket)", got)
 	}
 }
@@ -32,14 +32,14 @@ func TestHistogramQuantileOverflowClamps(t *testing.T) {
 	h.Observe(5)
 	h.Observe(1e6) // overflow bucket
 	s := h.snapshot()
-	if got := s.Quantile(0.99); got != 10 {
+	if got := s.quantile(0.99); got != 10 {
 		t.Fatalf("p99 with overflow mass = %v, want clamp to highest bound 10", got)
 	}
 }
 
 func TestHistogramQuantileEmpty(t *testing.T) {
 	var s HistogramSnapshot
-	if got := s.Quantile(0.5); got != 0 {
+	if got := s.quantile(0.5); got != 0 {
 		t.Fatalf("empty snapshot quantile = %v, want 0", got)
 	}
 }

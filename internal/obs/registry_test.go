@@ -6,7 +6,7 @@ import (
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("mttkrp.rows")
 	c.Add(5)
 	c.Inc()
@@ -56,7 +56,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 // counts observations <= uppers[i]; anything above the last bound lands
 // in the overflow bucket.
 func TestHistogramBucketEdges(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	h := r.Histogram("lat", []float64{1, 10, 100})
 	for _, v := range []float64{0, 1, 1.0001, 10, 10.5, 100, 101, 1e9} {
 		h.Observe(v)
@@ -91,7 +91,7 @@ func TestHistogramBucketEdges(t *testing.T) {
 // proves the registry and instruments are data-race-free and that no
 // increments are lost.
 func TestRegistryConcurrency(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	const goroutines, perG = 16, 1000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -118,7 +118,7 @@ func TestRegistryConcurrency(t *testing.T) {
 }
 
 func TestSnapshotSub(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("n")
 	h := r.Histogram("h", []float64{10})
 	c.Add(3)

@@ -3,7 +3,7 @@ package obs
 import "testing"
 
 func TestRuntimeSamplerSetsGauges(t *testing.T) {
-	reg := NewRegistry()
+	reg := newRegistry()
 	s := NewRuntimeSampler(reg)
 	s.Sample()
 	snap := reg.Snapshot()
@@ -26,7 +26,7 @@ func TestRuntimeSamplerNilSafe(t *testing.T) {
 // TestRuntimeSamplerAllocFree: fence-time sampling must not feed the
 // very allocator pressure it reports.
 func TestRuntimeSamplerAllocFree(t *testing.T) {
-	s := NewRuntimeSampler(NewRegistry())
+	s := NewRuntimeSampler(newRegistry())
 	s.Sample()
 	if allocs := testing.AllocsPerRun(10, s.Sample); allocs != 0 {
 		t.Errorf("Sample allocates %v times, want 0", allocs)

@@ -34,14 +34,6 @@ type PhaseStat struct {
 	Total time.Duration `json:"total_ns"`
 }
 
-// Mean returns the average span duration (zero when empty).
-func (p PhaseStat) Mean() time.Duration {
-	if p.Count == 0 {
-		return 0
-	}
-	return p.Total / time.Duration(p.Count)
-}
-
 // Tracer records spans into a fixed ring buffer and keeps running
 // per-name aggregates. Recording takes a short mutex and never
 // allocates: the ring slots are value structs overwritten in place, and
@@ -61,9 +53,9 @@ type Tracer struct {
 	iter   int
 }
 
-// NewTracer returns a tracer with the given ring capacity (<= 0 means
+// newTracer returns a tracer with the given ring capacity (<= 0 means
 // DefaultTraceCapacity).
-func NewTracer(capacity int) *Tracer {
+func newTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
@@ -194,33 +186,14 @@ func (t *Tracer) eventsLocked() []SpanEvent {
 	return out
 }
 
-// EventsSince returns retained spans recorded at or after sequence
-// number seq (as returned by Count), oldest-first. Spans that have
-// already been overwritten are silently absent.
-func (t *Tracer) EventsSince(seq uint64) []SpanEvent {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	evs := t.eventsLocked()
-	retained := uint64(len(evs))
-	oldest := t.total - retained // sequence number of evs[0]
-	if seq <= oldest {
-		return evs
-	}
-	if seq >= t.total {
-		return nil
-	}
-	return evs[seq-oldest:]
-}
-
 // AppendEventsSince appends retained spans recorded at or after
-// sequence number seq into dst and returns the extended slice plus the
-// tracer's current sequence number (the seq to pass next time). Unlike
-// EventsSince it reuses the caller's backing array, so a steady-state
-// caller that hands back a slice of sufficient capacity allocates
-// nothing — the fence-time gather path depends on this.
+// sequence number seq (as returned by Count) into dst, oldest-first,
+// and returns the extended slice plus the tracer's current sequence
+// number (the seq to pass next time). Spans that have already been
+// overwritten are silently absent. It reuses the caller's backing
+// array, so a steady-state caller that hands back a slice of
+// sufficient capacity allocates nothing — the fence-time gather path
+// depends on this.
 func (t *Tracer) AppendEventsSince(seq uint64, dst []SpanEvent) ([]SpanEvent, uint64) {
 	if t == nil {
 		return dst, 0
@@ -320,10 +293,10 @@ func AggregatePhases(stats []PhaseStat) []PhaseStat {
 	return out
 }
 
-// SubPhases returns cur − base matched by name: phases whose counts
+// subPhases returns cur − base matched by name: phases whose counts
 // grew keep the difference, unchanged phases are dropped. Both inputs
 // are per-name stats as returned by Tracer.Phases.
-func SubPhases(cur, base []PhaseStat) []PhaseStat {
+func subPhases(cur, base []PhaseStat) []PhaseStat {
 	prev := make(map[string]PhaseStat, len(base))
 	for _, ps := range base {
 		prev[ps.Name] = ps

@@ -10,7 +10,7 @@ import (
 // and new view epoch respectively, both in the ring and in the JSONL
 // export that /debug/timeline serves.
 func TestTracerEpochStamping(t *testing.T) {
-	tr := NewTracer(16)
+	tr := newTracer(16)
 	tr.Start("mode0/mttkrp").End()
 	tr.SetEpoch(3)
 	tr.Start("elastic/recover").End()
@@ -35,7 +35,7 @@ func TestTracerEpochStamping(t *testing.T) {
 }
 
 func TestAppendEventsSinceIncremental(t *testing.T) {
-	tr := NewTracer(8)
+	tr := newTracer(8)
 	tr.Start("a").End()
 	tr.Start("b").End()
 	buf := make([]SpanEvent, 0, 8)
@@ -55,7 +55,7 @@ func TestAppendEventsSinceIncremental(t *testing.T) {
 }
 
 func TestAppendEventsSinceAfterWraparound(t *testing.T) {
-	tr := NewTracer(4)
+	tr := newTracer(4)
 	for i := 0; i < 10; i++ {
 		tr.SetIter(i)
 		tr.Start("x").End()
@@ -70,7 +70,7 @@ func TestAppendEventsSinceAfterWraparound(t *testing.T) {
 }
 
 func TestAppendHelpersAllocFree(t *testing.T) {
-	tr := NewTracer(64)
+	tr := newTracer(64)
 	names := [...]string{"mode0/mttkrp", "mode0/solve", "loss"}
 	for _, n := range names {
 		tr.Start(n).End()

@@ -7,7 +7,7 @@ import (
 )
 
 func TestTracerRecordsSpansWithContext(t *testing.T) {
-	tr := NewTracer(16)
+	tr := newTracer(16)
 	tr.SetRank(2)
 	tr.SetSnapshot(1)
 	tr.SetIter(4)
@@ -35,7 +35,7 @@ func TestTracerRecordsSpansWithContext(t *testing.T) {
 // aggregates still count everything.
 func TestTracerRingWraparound(t *testing.T) {
 	const capacity = 8
-	tr := NewTracer(capacity)
+	tr := newTracer(capacity)
 	names := []string{"a", "b", "c", "d"}
 	const total = 3*capacity + 5
 	for i := 0; i < total; i++ {
@@ -63,21 +63,21 @@ func TestTracerRingWraparound(t *testing.T) {
 		t.Fatalf("aggregate count = %d, want %d despite wraparound", aggCount, total)
 	}
 
-	// EventsSince: everything still retained from a recent mark, all
-	// retained events from an overwritten mark, nothing from the end.
-	if got := tr.EventsSince(total - 3); len(got) != 3 {
-		t.Fatalf("EventsSince(recent) = %d events, want 3", len(got))
+	// AppendEventsSince: everything still retained from a recent mark,
+	// all retained events from an overwritten mark, nothing from the end.
+	if got, _ := tr.AppendEventsSince(total-3, nil); len(got) != 3 {
+		t.Fatalf("AppendEventsSince(recent) = %d events, want 3", len(got))
 	}
-	if got := tr.EventsSince(0); len(got) != capacity {
-		t.Fatalf("EventsSince(0) = %d events, want %d", len(got), capacity)
+	if got, _ := tr.AppendEventsSince(0, nil); len(got) != capacity {
+		t.Fatalf("AppendEventsSince(0) = %d events, want %d", len(got), capacity)
 	}
-	if got := tr.EventsSince(total); len(got) != 0 {
-		t.Fatalf("EventsSince(now) = %d events, want 0", len(got))
+	if got, _ := tr.AppendEventsSince(total, nil); len(got) != 0 {
+		t.Fatalf("AppendEventsSince(now) = %d events, want 0", len(got))
 	}
 }
 
 func TestWriteJSONL(t *testing.T) {
-	tr := NewTracer(4)
+	tr := newTracer(4)
 	tr.Start("loss").End()
 	tr.Start("mode1/solve").End()
 	var b strings.Builder
@@ -117,7 +117,7 @@ func TestSubPhases(t *testing.T) {
 	base := []PhaseStat{{Name: "loss", Count: 2, Total: 10}}
 	cur := []PhaseStat{{Name: "loss", Count: 5, Total: 35}, {Name: "mode0/mttkrp", Count: 1, Total: 7}, {Name: "idle", Count: 2, Total: 10}}
 	// Pretend "idle" did not advance.
-	d := SubPhases(cur, append(base, PhaseStat{Name: "idle", Count: 2, Total: 10}))
+	d := subPhases(cur, append(base, PhaseStat{Name: "idle", Count: 2, Total: 10}))
 	if len(d) != 2 {
 		t.Fatalf("delta = %+v, want 2 advanced phases", d)
 	}

@@ -1,8 +1,6 @@
 // Package par is the shared-memory parallel runtime the numeric stack
-// runs on: a persistent goroutine pool sized by a Threads config, a
-// ParallelFor over statically chunked index ranges, and an ordered
-// fixed-grid reduction whose floating-point combine order is
-// deterministic and independent of scheduling.
+// runs on: a persistent goroutine pool sized by a Threads config and a
+// ParallelFor over statically chunked index ranges.
 //
 // Design rules (see DESIGN.md "Concurrency model"):
 //
@@ -16,10 +14,7 @@
 //     sequential seed bit-for-bit partition their OUTPUT elements
 //     (rows, matrix entries) across chunks and keep the per-element
 //     accumulation order unchanged; they never split one accumulator
-//     into per-chunk partials. Scalar reductions that are free to
-//     define their own bit pattern use ReduceFloat64, which evaluates
-//     a fixed chunk grid and combines the partials in ascending chunk
-//     order — the result is identical for every thread count.
+//     into per-chunk partials.
 //   - The steady state allocates nothing. Work is described by the
 //     Body interface rather than closures, dispatch passes value
 //     structs over pre-allocated 1-buffered channels, and the pool
@@ -31,15 +26,12 @@
 // nil, so single-threaded configurations pay no dispatch cost and
 // execute exactly the pre-refactor code path.
 //
-// A Pool is owned by one driving goroutine: For/ForChunks/ReduceFloat64
-// must not be called concurrently with each other. (Distinct pools are
+// A Pool is owned by one driving goroutine: For and ForChunks must not
+// be called concurrently with each other. (Distinct pools are
 // independent; each cluster worker owns its own.)
 package par
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Body is one parallel region's work. RunChunk processes indices
 // [lo, hi) as thread tid; tid is in [0, Threads()) and is stable for
@@ -49,14 +41,6 @@ import (
 type Body interface {
 	RunChunk(lo, hi, tid int)
 }
-
-// Func adapts an ordinary function to Body. The conversion allocates,
-// so hot paths that must stay allocation-free implement Body on a
-// persistent struct instead.
-type Func func(lo, hi, tid int)
-
-// RunChunk implements Body.
-func (f Func) RunChunk(lo, hi, tid int) { f(lo, hi, tid) }
 
 // call is one dispatched chunk. It is sent by value, so dispatch does
 // not allocate.
@@ -71,16 +55,9 @@ type call struct {
 // Close; each owns a 1-buffered lane channel so dispatching a region
 // never blocks on scheduling.
 type Pool struct {
-	threads    int
-	lanes      []chan call
-	wg         sync.WaitGroup
-	dispatched atomic.Int64
-
-	// reduce scratch (see ReduceFloat64).
-	slots   []float64
-	redBody ReduceBody
-	redN    int
-	redC    int
+	threads int
+	lanes   []chan call
+	wg      sync.WaitGroup
 }
 
 // New returns a pool that runs regions on `threads` OS-scheduled
@@ -115,16 +92,6 @@ func (p *Pool) Threads() int {
 	return p.threads
 }
 
-// Dispatched reports the cumulative number of chunks handed to pool
-// workers (chunk 0, run by the caller, is not counted). It is safe to
-// read concurrently and feeds the pool queue-depth metrics.
-func (p *Pool) Dispatched() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.dispatched.Load()
-}
-
 // Close shuts the worker goroutines down. The pool must be idle; a nil
 // pool is a no-op. Close must be called exactly once on a non-nil pool.
 func (p *Pool) Close() {
@@ -149,20 +116,17 @@ func (p *Pool) For(n int, body Body) {
 		body.RunChunk(0, n, 0)
 		return
 	}
-	sent := int64(0)
 	for i := t - 1; i >= 1; i-- {
 		lo, hi := i*n/t, (i+1)*n/t
 		if lo == hi {
 			continue
 		}
 		p.wg.Add(1)
-		sent++
 		p.lanes[i-1] <- call{body: body, lo: lo, hi: hi, tid: i}
 	}
 	if hi := n / t; hi > 0 {
 		body.RunChunk(0, hi, 0)
 	}
-	p.dispatched.Add(sent)
 	p.wg.Wait()
 }
 
@@ -186,80 +150,16 @@ func (p *Pool) ForChunks(starts []int32, body Body) {
 	if c > t {
 		panic("par: more chunks than pool threads")
 	}
-	sent := int64(0)
 	for i := c - 1; i >= 1; i-- {
 		lo, hi := int(starts[i]), int(starts[i+1])
 		if lo == hi {
 			continue
 		}
 		p.wg.Add(1)
-		sent++
 		p.lanes[i-1] <- call{body: body, lo: lo, hi: hi, tid: i}
 	}
 	if lo, hi := int(starts[0]), int(starts[1]); lo < hi {
 		body.RunChunk(lo, hi, 0)
 	}
-	p.dispatched.Add(sent)
 	p.wg.Wait()
-}
-
-// ReduceBody is the per-chunk evaluator of an ordered reduction.
-type ReduceBody interface {
-	// ReduceChunk returns the partial sum over indices [lo, hi); tid
-	// may index per-thread scratch.
-	ReduceChunk(lo, hi, tid int) float64
-}
-
-// reduceGrid is the fixed chunk count of ReduceFloat64. The grid —
-// and therefore which indices each partial covers — depends only on
-// n, never on the pool's thread count, so the combined result is
-// bitwise identical for every Threads() value.
-const reduceGrid = 64
-
-// ReduceFloat64 sums body's partials over [0, n) with a deterministic
-// reduction: the range is split into a fixed grid of min(reduceGrid, n)
-// chunks, each partial is written to its grid slot, and the slots are
-// combined sequentially in ascending order. Scheduling decides only
-// *when* a slot is computed, never what it contains or when it is
-// added, so the result is independent of the thread count.
-func (p *Pool) ReduceFloat64(n int, body ReduceBody) float64 {
-	if n <= 0 {
-		return 0
-	}
-	c := reduceGrid
-	if c > n {
-		c = n
-	}
-	var slots []float64
-	if p == nil {
-		slots = make([]float64, c)
-		for i := 0; i < c; i++ {
-			slots[i] = body.ReduceChunk(i*n/c, (i+1)*n/c, 0)
-		}
-	} else {
-		if cap(p.slots) < c {
-			p.slots = make([]float64, c)
-		}
-		slots = p.slots[:c]
-		p.redBody, p.redN, p.redC = body, n, c
-		p.For(c, (*reduceRunner)(p))
-		p.redBody = nil
-	}
-	sum := 0.0
-	for _, s := range slots {
-		sum += s
-	}
-	return sum
-}
-
-// reduceRunner adapts the reduce grid to For: each For-chunk evaluates
-// a contiguous run of grid slots with its own tid.
-type reduceRunner Pool
-
-// RunChunk implements Body over grid-slot indices.
-func (r *reduceRunner) RunChunk(lo, hi, tid int) {
-	p := (*Pool)(r)
-	for i := lo; i < hi; i++ {
-		p.slots[i] = p.redBody.ReduceChunk(i*p.redN/p.redC, (i+1)*p.redN/p.redC, tid)
-	}
 }

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"math/rand"
 	"sync/atomic"
 	"testing"
 )
@@ -58,8 +57,8 @@ func TestForChunksRespectsGrid(t *testing.T) {
 			t.Fatalf("index %d ran as tid %d, want %d (%v)", i, b.tids[i]-1, want[i]-1, b.tids)
 		}
 	}
-	if got := p.Dispatched(); got != 2 {
-		t.Fatalf("Dispatched = %d, want 2 (chunks 2 and 3)", got)
+	if got := b.count.Load(); got != 3 {
+		t.Fatalf("%d chunks ran, want 3 (the empty chunk 1 is skipped)", got)
 	}
 }
 
@@ -81,41 +80,6 @@ func TestNilPoolIsSequential(t *testing.T) {
 	p.Close() // no-op
 }
 
-// sumBody sums a slice range; used to check the ordered reduction.
-type sumBody struct{ xs []float64 }
-
-func (b *sumBody) ReduceChunk(lo, hi, tid int) float64 {
-	s := 0.0
-	for _, v := range b.xs[lo:hi] {
-		s += v
-	}
-	return s
-}
-
-func TestReduceFloat64DeterministicAcrossThreads(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{1, 2, 63, 64, 65, 1000} {
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * float64(1+i%13)
-		}
-		b := &sumBody{xs: xs}
-		var want float64
-		for ti, threads := range []int{1, 2, 3, 8} {
-			p := New(threads)
-			got := p.ReduceFloat64(n, b)
-			p.Close()
-			if ti == 0 {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("n=%d threads=%d: sum %x differs from threads=1 sum %x", n, threads, got, want)
-			}
-		}
-	}
-}
-
 // TestForSteadyStateAllocFree pins the runtime's zero-alloc dispatch:
 // once the pool and the Body are warm, a parallel region allocates
 // nothing — chunks travel as value structs over pre-allocated lanes.
@@ -123,20 +87,18 @@ func TestForSteadyStateAllocFree(t *testing.T) {
 	p := New(4)
 	defer p.Close()
 	b := &markBody{tids: make([]int32, 4096)}
-	red := &sumBody{xs: make([]float64, 4096)}
 	p.For(len(b.tids), b)
-	p.ReduceFloat64(len(red.xs), red)
 	if allocs := testing.AllocsPerRun(20, func() {
 		p.For(len(b.tids), b)
 	}); allocs != 0 {
 		t.Fatalf("steady-state For allocates %v times, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		p.ReduceFloat64(len(red.xs), red)
-	}); allocs != 0 {
-		t.Fatalf("steady-state ReduceFloat64 allocates %v times, want 0", allocs)
-	}
 }
+
+// Func adapts an ordinary function to Body.
+type Func func(lo, hi, tid int)
+
+func (f Func) RunChunk(lo, hi, tid int) { f(lo, hi, tid) }
 
 // TestForManyRegions stresses dispatch/join across many back-to-back
 // regions so `make race` exercises the lane handoff protocol.

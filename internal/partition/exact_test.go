@@ -2,11 +2,11 @@ package partition
 
 import "sort"
 
-// This file provides exact solvers for the optimal tensor partitioning
-// problem on small inputs. Theorem 1 proves the problem NP-hard by
-// reduction from the Partition problem, so these are exponential; they
-// exist to quantify how close GTP and MTP get to the true optimum and
-// to exercise the reduction in tests. CKK is the complete
+// The tests' reference solvers. Exact solvers for the optimal tensor
+// partitioning problem on small inputs: Theorem 1 proves the problem
+// NP-hard by reduction from the Partition problem, so these are
+// exponential; they quantify how close GTP and MTP get to the true
+// optimum and exercise the reduction. CKK is the complete
 // Karmarkar-Karp algorithm of Korf [47], the paper's citation for the
 // Partition problem.
 
@@ -93,7 +93,7 @@ func OptimalMaxLoad(slices []int64, p int) int64 {
 		total += v
 	}
 	// Start from the LPT greedy as an upper bound.
-	best := MTP(slices, p).MaxLoad()
+	best := MTP(slices, p).maxLoad()
 	// Lower bound: ceil(total/p) and the largest single slice.
 	lower := (total + int64(p) - 1) / int64(p)
 	if len(sorted) > 0 && sorted[0] > lower {
@@ -177,4 +177,34 @@ func OptimalContiguousMaxLoad(slices []int64, p int) int64 {
 		}
 	}
 	return lo
+}
+
+// GTPNoBackoff is GTP without the better-balance boundary choice of
+// Algorithm 2 lines 10–12: a boundary slice is always kept in the
+// current partition once the running sum reaches the target. It is
+// the ablation baseline for that design choice: on skewed data the
+// back-off measurably tightens the balance.
+func GTPNoBackoff(slices []int64, p int) *ModePlan {
+	checkParts(len(slices), p)
+	var total int64
+	for _, a := range slices {
+		total += a
+	}
+	target := float64(total) / float64(p)
+	assign := make([]int32, len(slices))
+	part := 0
+	sum := int64(0)
+	for i, a := range slices {
+		if part == p-1 {
+			assign[i] = int32(part)
+			continue
+		}
+		assign[i] = int32(part)
+		sum += a
+		if float64(sum) >= target {
+			part++
+			sum = 0
+		}
+	}
+	return &ModePlan{Parts: p, Assign: assign, Loads: loadsFromAssign(slices, assign, p)}
 }

@@ -113,36 +113,6 @@ func GTP(slices []int64, p int) *ModePlan {
 	return &ModePlan{Parts: p, Assign: assign, Loads: loadsFromAssign(slices, assign, p)}
 }
 
-// GTPNoBackoff is GTP without the better-balance boundary choice of
-// Algorithm 2 lines 10–12: a boundary slice is always kept in the
-// current partition once the running sum reaches the target. It exists
-// as the ablation baseline for that design choice (see DESIGN.md); on
-// skewed data the back-off measurably tightens the balance.
-func GTPNoBackoff(slices []int64, p int) *ModePlan {
-	checkParts(len(slices), p)
-	var total int64
-	for _, a := range slices {
-		total += a
-	}
-	target := float64(total) / float64(p)
-	assign := make([]int32, len(slices))
-	part := 0
-	sum := int64(0)
-	for i, a := range slices {
-		if part == p-1 {
-			assign[i] = int32(part)
-			continue
-		}
-		assign[i] = int32(part)
-		sum += a
-		if float64(sum) >= target {
-			part++
-			sum = 0
-		}
-	}
-	return &ModePlan{Parts: p, Assign: assign, Loads: loadsFromAssign(slices, assign, p)}
-}
-
 // MTP implements Algorithm 3: sort the slices by descending nnz, then
 // repeatedly give the heaviest unassigned slice to the partition with
 // the smallest current load (a max-min / LPT greedy). Unlike GTP the
@@ -272,9 +242,9 @@ func (h loadHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *loadHeap) Push(x any)   { *h = append(*h, x.(partLoad)) }
 func (h *loadHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
 
-// MaxLoad returns the heaviest partition's nnz — the makespan the
+// maxLoad returns the heaviest partition's nnz — the makespan the
 // optimal partitioning problem minimises.
-func (p *ModePlan) MaxLoad() int64 {
+func (p *ModePlan) maxLoad() int64 {
 	var max int64
 	for _, l := range p.Loads {
 		if l > max {
@@ -294,7 +264,7 @@ func (p *ModePlan) Observe(reg *obs.Registry) {
 	}
 	prefix := fmt.Sprintf("partition.mode%d.", p.Mode)
 	reg.Gauge(prefix + "cv").Set(p.ImbalanceStdDev())
-	reg.Gauge(prefix + "max_load").Set(float64(p.MaxLoad()))
+	reg.Gauge(prefix + "max_load").Set(float64(p.maxLoad()))
 	reg.Gauge(prefix + "parts").Set(float64(p.Parts))
 }
 

@@ -119,7 +119,7 @@ func TestMTPIsLPT(t *testing.T) {
 	if plan.Loads[0]+plan.Loads[1] != 31 {
 		t.Fatalf("loads %v", plan.Loads)
 	}
-	max := plan.MaxLoad()
+	max := plan.maxLoad()
 	if max != 17 && max != 16 {
 		// 16 is the optimum {9,7}/{6,5,4}; LPT yields 17 here.
 		t.Fatalf("MTP max load %d", max)
@@ -160,10 +160,10 @@ func TestUniformDataBothBalanced(t *testing.T) {
 
 func TestPartitionDispatch(t *testing.T) {
 	slices := randomSlices(50, 9)
-	if got := Partition(slices, 4, GTPMethod); got.MaxLoad() != GTP(slices, 4).MaxLoad() {
+	if got := Partition(slices, 4, GTPMethod); got.maxLoad() != GTP(slices, 4).maxLoad() {
 		t.Fatal("GTP dispatch mismatch")
 	}
-	if got := Partition(slices, 4, MTPMethod); got.MaxLoad() != MTP(slices, 4).MaxLoad() {
+	if got := Partition(slices, 4, MTPMethod); got.maxLoad() != MTP(slices, 4).maxLoad() {
 		t.Fatal("MTP dispatch mismatch")
 	}
 	if GTPMethod.String() != "GTP" || MTPMethod.String() != "MTP" {
@@ -292,13 +292,13 @@ func TestHeuristicsVersusOptimum(t *testing.T) {
 			vals[i] = int64(1 + src.Intn(60))
 		}
 		opt := OptimalMaxLoad(vals, p)
-		mtp := MTP(vals, p).MaxLoad()
+		mtp := MTP(vals, p).maxLoad()
 		bound := float64(opt) * (4.0/3.0 - 1.0/(3.0*float64(p)))
 		if float64(mtp) > bound+1e-9 {
 			t.Fatalf("MTP %d exceeds LPT bound %.2f (opt %d, vals %v, p %d)", mtp, bound, opt, vals, p)
 		}
 		contOpt := OptimalContiguousMaxLoad(vals, p)
-		gtp := GTP(vals, p).MaxLoad()
+		gtp := GTP(vals, p).maxLoad()
 		if gtp > 2*contOpt {
 			t.Fatalf("GTP %d more than 2x contiguous optimum %d (vals %v, p %d)", gtp, contOpt, vals, p)
 		}

@@ -10,8 +10,8 @@ func TestWeightedLPTUniformMatchesLPTBalance(t *testing.T) {
 	uniform := []float64{1, 1, 1}
 	wp := WeightedLPT(slices, uniform, 3)
 	mp := MTP(slices, 3)
-	if wp.MaxLoad() != mp.MaxLoad() {
-		t.Fatalf("uniform WeightedLPT makespan %d != MTP makespan %d", wp.MaxLoad(), mp.MaxLoad())
+	if wp.maxLoad() != mp.maxLoad() {
+		t.Fatalf("uniform WeightedLPT makespan %d != MTP makespan %d", wp.maxLoad(), mp.maxLoad())
 	}
 	var total int64
 	for _, l := range wp.Loads {

@@ -45,13 +45,13 @@ func Default() Model {
 	}
 }
 
-// Estimate maps a run's measured statistics to cluster seconds. iters
+// estimate maps a run's measured statistics to cluster seconds. iters
 // is the number of ALS sweeps the run performed. waves is the number of
 // scheduling waves per sweep: ceil(partitions/workers) — with more
 // partitions than workers, Spark schedules the excess tasks in
 // additional waves, each paying Startup again (the rising right side of
 // the Fig. 6 U-curve).
-func (m Model) Estimate(stats *cluster.RunStats, iters, waves int) time.Duration {
+func (m Model) estimate(stats *cluster.RunStats, iters, waves int) time.Duration {
 	if iters < 1 {
 		iters = 1
 	}
@@ -79,13 +79,13 @@ func (m Model) Estimate(stats *cluster.RunStats, iters, waves int) time.Duration
 	return startup + compute + network + latency
 }
 
-// PerIteration returns Estimate divided by the iteration count — the
+// PerIteration returns estimate divided by the iteration count — the
 // "running time per iteration" every figure in Section V reports.
 func (m Model) PerIteration(stats *cluster.RunStats, iters, waves int) time.Duration {
 	if iters < 1 {
 		iters = 1
 	}
-	return m.Estimate(stats, iters, waves) / time.Duration(iters)
+	return m.estimate(stats, iters, waves) / time.Duration(iters)
 }
 
 // Waves returns ceil(parts/workers), the scheduling waves per sweep.

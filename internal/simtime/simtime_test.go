@@ -21,7 +21,7 @@ func statsFor(works []float64, bytes []int64) *cluster.RunStats {
 func TestStragglerDominatesCompute(t *testing.T) {
 	m := Model{ComputeRate: 100, Bandwidth: 1e12, Latency: 0, Startup: 0}
 	// Work {100, 400}: the straggler takes 4s regardless of the total.
-	got := m.Estimate(statsFor([]float64{100, 400}, []int64{0, 0}), 1, 1)
+	got := m.estimate(statsFor([]float64{100, 400}, []int64{0, 0}), 1, 1)
 	if got != 4*time.Second {
 		t.Fatalf("estimate %v, want 4s", got)
 	}
@@ -29,8 +29,8 @@ func TestStragglerDominatesCompute(t *testing.T) {
 
 func TestStartupChargedPerIteration(t *testing.T) {
 	m := Model{ComputeRate: 1e12, Bandwidth: 1e12, Startup: 100 * time.Millisecond}
-	one := m.Estimate(statsFor([]float64{1}, []int64{0}), 1, 1)
-	ten := m.Estimate(statsFor([]float64{1}, []int64{0}), 10, 1)
+	one := m.estimate(statsFor([]float64{1}, []int64{0}), 1, 1)
+	ten := m.estimate(statsFor([]float64{1}, []int64{0}), 10, 1)
 	if ten-one < 890*time.Millisecond {
 		t.Fatalf("10 iters %v vs 1 iter %v: startup not charged per sweep", ten, one)
 	}
@@ -38,7 +38,7 @@ func TestStartupChargedPerIteration(t *testing.T) {
 
 func TestNetworkTerm(t *testing.T) {
 	m := Model{ComputeRate: 1e12, Bandwidth: 1000, Latency: 0, Startup: 0}
-	got := m.Estimate(statsFor([]float64{0}, []int64{5000}), 1, 1)
+	got := m.estimate(statsFor([]float64{0}, []int64{5000}), 1, 1)
 	if got != 5*time.Second {
 		t.Fatalf("network estimate %v, want 5s", got)
 	}
@@ -63,7 +63,7 @@ func TestMoreWorkersReduceEstimate(t *testing.T) {
 			works[i] = 4e9 / float64(workers)
 			bytes[i] = 1e6
 		}
-		return m.Estimate(statsFor(works, bytes), 10, 1)
+		return m.estimate(statsFor(works, bytes), 10, 1)
 	}
 	t3, t15 := est(3), est(15)
 	if t15 >= t3 {
@@ -78,10 +78,10 @@ func TestMoreWorkersReduceEstimate(t *testing.T) {
 func TestItersClamped(t *testing.T) {
 	m := Default()
 	st := statsFor([]float64{100}, []int64{100})
-	if m.Estimate(st, 0, 1) != m.Estimate(st, 1, 1) {
+	if m.estimate(st, 0, 1) != m.estimate(st, 1, 1) {
 		t.Fatal("iters=0 not clamped to 1")
 	}
-	if m.PerIteration(st, 0, 1) != m.Estimate(st, 1, 1) {
+	if m.PerIteration(st, 0, 1) != m.estimate(st, 1, 1) {
 		t.Fatal("PerIteration iters=0 not clamped")
 	}
 }
@@ -100,7 +100,7 @@ func TestWaves(t *testing.T) {
 func TestWavesIncreaseEstimate(t *testing.T) {
 	m := Default()
 	st := statsFor([]float64{100}, []int64{100})
-	if m.Estimate(st, 10, 3) <= m.Estimate(st, 10, 1) {
+	if m.estimate(st, 10, 3) <= m.estimate(st, 10, 1) {
 		t.Fatal("extra scheduling waves must cost time")
 	}
 }

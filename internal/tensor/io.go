@@ -66,7 +66,7 @@ func Read(r io.Reader) (*Tensor, error) {
 	if !strings.HasPrefix("dims", string(head[:n])) {
 		return nil, errors.New("tensor: neither the binary nor the text format (binary tensors written by older builds must be regenerated with datagen)")
 	}
-	return ReadText(io.MultiReader(bytes.NewReader(head[:n]), r))
+	return readText(io.MultiReader(bytes.NewReader(head[:n]), r))
 }
 
 // decodeBinary decodes a binary payload, holding it to what a Tensor
@@ -112,7 +112,7 @@ func decodeBinary(p []byte) (*Tensor, error) {
 
 // WriteText emits a human-readable TSV representation: a header line
 // "dims\td1\t...\tdN" followed by one "i1\t...\tiN\tvalue" line per
-// non-zero entry. The format round-trips through ReadText.
+// non-zero entry. The format round-trips through readText.
 func (t *Tensor) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprint(bw, "dims")
@@ -130,8 +130,8 @@ func (t *Tensor) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadText parses the TSV format written by WriteText.
-func ReadText(r io.Reader) (*Tensor, error) {
+// readText parses the TSV format written by WriteText.
+func readText(r io.Reader) (*Tensor, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	if !sc.Scan() {

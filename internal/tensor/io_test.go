@@ -86,7 +86,7 @@ func TestTextRoundtrip(t *testing.T) {
 	if err := x.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	y, err := ReadText(&buf)
+	y, err := readText(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTextErrors(t *testing.T) {
 		"out of range": "dims\t2\t2\n5\t1\t1\n",
 	}
 	for name, in := range cases {
-		if _, err := ReadText(strings.NewReader(in)); err == nil {
+		if _, err := readText(strings.NewReader(in)); err == nil {
 			t.Fatalf("%s: accepted %q", name, in)
 		}
 	}

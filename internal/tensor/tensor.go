@@ -121,8 +121,9 @@ func (t *Tensor) Prefix(dims []int) *Tensor {
 
 // Complement returns the relative complement X \ X~ with respect to the
 // prefix snapshot of the given old dims: every entry having at least
-// one coordinate at or beyond oldDims[m]. The result keeps the full
-// tensor's dims; its region codes (see Region) are all non-zero.
+// one coordinate at or beyond oldDims[m] — the union of the paper's
+// binary-tuple regions other than X^(0,…,0). The result keeps the full
+// tensor's dims.
 func (t *Tensor) Complement(oldDims []int) *Tensor {
 	t.checkPrefixDims(oldDims)
 	return t.filter(oldDims, false, t.Dims)
@@ -180,51 +181,6 @@ func (t *Tensor) inPrefix(e int, dims []int) bool {
 		}
 	}
 	return true
-}
-
-// Region returns the binary-tuple region code of entry e with respect
-// to oldDims: bit m is set when the entry's mode-m coordinate falls in
-// the growth range [oldDims[m], Dims[m]). Code 0 is the old snapshot
-// region X^(0,...,0); the paper's Θ\{0} are the codes 1..2^N-1.
-func (t *Tensor) Region(e int, oldDims []int) int {
-	base := e * t.Order()
-	code := 0
-	for m, d := range oldDims {
-		if int(t.Coords[base+m]) >= d {
-			code |= 1 << m
-		}
-	}
-	return code
-}
-
-// RegionTensor extracts the sub-tensor of one binary-tuple region
-// (Fig. 2): all entries whose region code equals code. The result keeps
-// the full tensor's dims. Code 0 is the old snapshot X^(0,…,0);
-// non-zero codes partition the relative complement.
-func (t *Tensor) RegionTensor(code int, oldDims []int) *Tensor {
-	t.checkPrefixDims(oldDims)
-	if code < 0 || code >= 1<<t.Order() {
-		panic(fmt.Sprintf("tensor: region code %d for order %d", code, t.Order()))
-	}
-	b := NewBuilder(t.Dims)
-	buf := make([]int, t.Order())
-	for e := 0; e < t.NNZ(); e++ {
-		if t.Region(e, oldDims) == code {
-			b.Append(t.Coord(e, buf), t.Vals[e])
-		}
-	}
-	return b.Build()
-}
-
-// RegionNNZ returns a histogram of entry counts per region code with
-// respect to oldDims. The slice has 2^N entries.
-func (t *Tensor) RegionNNZ(oldDims []int) []int64 {
-	t.checkPrefixDims(oldDims)
-	out := make([]int64, 1<<t.Order())
-	for e := 0; e < t.NNZ(); e++ {
-		out[t.Region(e, oldDims)]++
-	}
-	return out
 }
 
 // ToDense expands the tensor into a dense row-major array (last mode

@@ -162,40 +162,6 @@ func TestPrefixAndComplementPartition(t *testing.T) {
 	}
 }
 
-func TestRegionCodes(t *testing.T) {
-	x := randomTensor([]int{6, 6, 6}, 150, 2)
-	old := []int{4, 3, 5}
-	hist := x.RegionNNZ(old)
-	if len(hist) != 8 {
-		t.Fatalf("region histogram has %d buckets", len(hist))
-	}
-	var total int64
-	for _, h := range hist {
-		total += h
-	}
-	if total != int64(x.NNZ()) {
-		t.Fatalf("region histogram sums to %d", total)
-	}
-	// Region 0 must equal the prefix nnz.
-	if hist[0] != int64(x.Prefix(old).NNZ()) {
-		t.Fatalf("region 0 count %d != prefix nnz %d", hist[0], x.Prefix(old).NNZ())
-	}
-	// Spot-check codes against coordinates.
-	buf := make([]int, 3)
-	for e := 0; e < x.NNZ(); e++ {
-		c := x.Coord(e, buf)
-		want := 0
-		for m := range old {
-			if c[m] >= old[m] {
-				want |= 1 << m
-			}
-		}
-		if got := x.Region(e, old); got != want {
-			t.Fatalf("Region(%v) = %b, want %b", c, got, want)
-		}
-	}
-}
-
 func TestToDenseRoundtrip(t *testing.T) {
 	x := small3(t)
 	d := x.ToDense()
@@ -325,55 +291,4 @@ func BenchmarkComplement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = x.Complement(old)
 	}
-}
-
-func TestRegionTensorsPartitionEverything(t *testing.T) {
-	// The 2^N region sub-tensors of Fig. 2 partition the tensor: their
-	// nnz sums to the whole, region 0 equals the prefix, and the union
-	// of the non-zero codes equals the complement.
-	x := randomTensor([]int{8, 7, 6}, 200, 21)
-	old := []int{6, 5, 4}
-	total := 0
-	for code := 0; code < 8; code++ {
-		r := x.RegionTensor(code, old)
-		total += r.NNZ()
-		buf := make([]int, 3)
-		for e := 0; e < r.NNZ(); e++ {
-			c := r.Coord(e, buf)
-			want := 0
-			for m := range old {
-				if c[m] >= old[m] {
-					want |= 1 << m
-				}
-			}
-			if want != code {
-				t.Fatalf("entry %v in region %b, want %b", c, code, want)
-			}
-		}
-	}
-	if total != x.NNZ() {
-		t.Fatalf("regions cover %d of %d entries", total, x.NNZ())
-	}
-	if !Equal(x.RegionTensor(0, old), func() *Tensor {
-		// Region 0 has the full dims; rebuild the prefix with them.
-		b := NewBuilder(x.Dims)
-		p := x.Prefix(old)
-		buf := make([]int, 3)
-		for e := 0; e < p.NNZ(); e++ {
-			b.Append(p.Coord(e, buf), p.Val(e))
-		}
-		return b.Build()
-	}()) {
-		t.Fatal("region 0 differs from the prefix")
-	}
-}
-
-func TestRegionTensorPanicsOnBadCode(t *testing.T) {
-	x := randomTensor([]int{4, 4, 4}, 20, 23)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	x.RegionTensor(8, []int{2, 2, 2})
 }
