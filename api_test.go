@@ -113,6 +113,15 @@ func TestStreamValidation(t *testing.T) {
 	if _, err := s.Ingest(first); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
+	// 0 selects the default; a negative count is refused, not defaulted.
+	for _, o := range []dismastd.Options{
+		{Rank: 2, MaxIters: -3, Workers: 2},
+		{Rank: 2, Parts: -2, Workers: 2},
+	} {
+		if _, err := dismastd.NewStream(o).Ingest(first); err == nil {
+			t.Fatalf("%+v accepted", o)
+		}
+	}
 	s = dismastd.NewStream(dismastd.Options{Rank: 2})
 	if _, err := s.Ingest(dismastd.NewBuilder([]int{2, 2}).Build()); err == nil {
 		t.Fatal("empty snapshot accepted")
@@ -311,6 +320,14 @@ func TestCompleteAPI(t *testing.T) {
 	}
 	if _, err := dismastd.CompleteNext(res, second, dismastd.CompletionOptions{Rank: 2, Workers: -3}); err == nil {
 		t.Fatal("CompleteNext accepted Workers -3")
+	}
+	for _, o := range []dismastd.CompletionOptions{
+		{Rank: 2, MaxIters: -1, Workers: 2},
+		{Rank: 2, Parts: -4, Workers: 2},
+	} {
+		if _, err := dismastd.Complete(first, o); err == nil {
+			t.Fatalf("Complete accepted %+v", o)
+		}
 	}
 	smaller := first
 	if _, err := dismastd.CompleteNext(next, smaller, dismastd.CompletionOptions{Rank: 2}); err == nil {

@@ -1,37 +1,42 @@
-// Command worker runs one rank of a real multi-process DisMASTD
-// cluster over TCP. Every worker process reads the same snapshot files
-// (and optional previous-state file), deterministically builds the same
-// distribution plan, joins the rendezvous to get its rank, and executes
-// the SPMD steps; rank 0 writes the resulting state.
+// Command worker runs DisMASTD's streaming decomposition over a
+// sequence of nested snapshot files, on a cluster of ranks that each
+// build the same distribution plan deterministically and execute the
+// SPMD steps; rank 0 prints one line per step and writes the resulting
+// state. It has four modes:
 //
-// Start a rendezvous, then the workers (typically from a script or
-// examples/multiprocess):
+//	worker -tensor s0.tsv,s1.tsv -workers 3 -out state.gob       # in-process cluster
+//	worker -serve 127.0.0.1:9000 -size 3                          # rendezvous
+//	worker -join 127.0.0.1:9000 -tensor s0.tsv,s1.tsv -out state.gob   # x3: TCP cluster
+//	worker -serve-http 127.0.0.1:8080 -state model.gob            # online serving
 //
-//	worker -serve 127.0.0.1:9000 -size 3
-//	worker -join 127.0.0.1:9000 -tensor snap.tsv -rank 10 -out state.gob   # x3
+// -tensor accepts a comma-separated snapshot sequence; the first
+// snapshot is decomposed from scratch (or from -prev), each later one
+// is one incremental streaming step, and the whole sequence runs
+// through one core.ElasticJob in a single cluster run, every member
+// holding the synced state between steps. Without -join the ranks are
+// goroutines of this process (-workers of them, sharing GOMAXPROCS);
+// with -join each worker process is one rank of a TCP cluster formed at
+// a rendezvous (-serve). The two transports run the same driver and
+// write the same bits for the same cluster size.
 //
-// -tensor accepts a comma-separated snapshot sequence; each snapshot is
-// one incremental streaming step, and the whole sequence runs through
-// one core.ElasticJob in a single cluster run, every member holding the
-// synced state between steps. -heartbeat enables peer failure
-// detection: a dead rank surfaces as a typed peer-down error within a
-// few intervals instead of stalling until the receive timeout. What the
+// -checkpoint writes the state after every completed step (view rank 0,
+// fsynced temp file renamed over the target), and a rerun with -resume
+// continues from the last checkpoint and reproduces the uninterrupted
+// run bit for bit. Over TCP, -heartbeat enables peer failure detection:
+// a dead rank surfaces as a typed peer-down error within a few
+// intervals instead of stalling until the receive timeout. What the
 // survivors then do is the one policy choice: by default they stop with
-// that error, and since -checkpoint writes the state after every
-// completed step (view rank 0, fsynced temp file renamed over the
-// target) a restarted cluster with -resume continues from the last
-// checkpoint and reproduces the uninterrupted run bit for bit; with
-// -elastic, which requires -heartbeat, they absorb the dead rank — re-run the interrupted step without it from the state they
-// hold, exactly as a static cluster of the survivors would — and
-// finish the stream, and scripted joins and drains are admitted at
-// step fences.
+// that error, for -resume; with -elastic, which requires -heartbeat,
+// they absorb the dead rank — re-run the interrupted step without it
+// from the state they hold, exactly as a static cluster of the
+// survivors would — and finish the stream, and scripted joins and
+// drains are admitted at step fences. -listen, -heartbeat, -elastic and
+// the flags that require it, and -debug-addr need a TCP node and are
+// refused without -join.
 //
-// A second invocation can still pass -prev state.gob and the next
-// snapshot to perform an incremental streaming step across processes.
-//
-// A third mode, -serve-http, skips files and clusters entirely: one
-// process ingests events over HTTP and answers reconstruction and
-// top-K queries from epoch-swapped factor snapshots (see serve.go).
+// -serve-http skips files and clusters entirely: one process ingests
+// events over HTTP and answers reconstruction and top-K queries from
+// epoch-swapped factor snapshots (see serve.go).
 package main
 
 import (
@@ -77,6 +82,7 @@ func main() {
 // workerConfig carries the parsed worker-mode flags.
 type workerConfig struct {
 	join, listen string
+	workers      int // in-process cluster size, without join
 	tensors      []string
 	prevPath     string
 	outPath      string
@@ -114,11 +120,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	serveHTTP := fs.String("serve-http", "", "serve mode: run the online ingest/query front end on this address (e.g. 127.0.0.1:8080)")
 	statePath := fs.String("state", "", "serve mode: model checkpoint path — resumed at start if present, written on shutdown")
 	sweepEvery := fs.Int("sweep-every", 4096, "serve mode: run the drift-backstop full ALS sweep once this many events are pending (0 = only on /flush and shutdown)")
-	workers := fs.Int("workers", 1, "serve mode: in-process cluster size every sweep runs DisMASTD on (1 = centralized DTD, bit for bit)")
+	workers := fs.Int("workers", 1, "in-process cluster size every step (without -join) or serve-mode sweep runs DisMASTD on (1 = centralized DTD, bit for bit)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "serve mode: bound on draining in-flight requests at shutdown")
 	size := fs.Int("size", 0, "rendezvous mode: cluster size")
 	joinWindow := fs.Duration("join-window", 0, "rendezvous mode: bound on total cluster formation time (0 = none)")
-	join := fs.String("join", "", "worker mode: rendezvous address to join")
+	join := fs.String("join", "", "worker mode: rendezvous address to join (empty = run every rank in this process)")
 	listen := fs.String("listen", "127.0.0.1:0", "worker mode: this rank's listen address")
 	tensorPath := fs.String("tensor", "", "worker mode: comma-separated snapshot tensor files, TSV text or datagen binary (told apart by their first bytes)")
 	prevPath := fs.String("prev", "", "worker mode: previous state file (empty = decompose from scratch)")
@@ -143,6 +149,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	var pm partition.Method
+	switch strings.ToLower(*method) {
+	case "gtp":
+		pm = partition.GTPMethod
+	case "mtp":
+		pm = partition.MTPMethod
+	default:
+		return fmt.Errorf("unknown method %q", *method)
+	}
 
 	switch {
 	case *serveHTTP != "":
@@ -154,8 +169,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			statePath: *statePath,
 			opts: dismastd.Options{
 				Rank: *rank, MaxIters: *iters, ForgettingFactor: *mu, Seed: *seed,
-				Workers: *workers, Threads: threadsPerRank(*workers),
-				Solver:     *solver,
+				Workers: *workers, Partitioner: dismastd.Partitioner(pm),
+				Threads: threadsPerRank(*workers), Solver: *solver,
 				SweepEvery: *sweepEvery,
 			},
 			drainTimeout: *drainTimeout,
@@ -179,15 +194,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stderr, "worker: rendezvous on %s for %d ranks\n", rv.Addr(), *size)
 		return rv.Wait()
-	case *join != "":
-		var pm partition.Method
-		switch strings.ToLower(*method) {
-		case "gtp":
-			pm = partition.GTPMethod
-		case "mtp":
-			pm = partition.MTPMethod
-		default:
-			return fmt.Errorf("unknown method %q", *method)
+	case *join != "" || *tensorPath != "":
+		if *join == "" {
+			set := map[string]bool{}
+			fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+			for _, name := range []string{"listen", "heartbeat", "elastic", "members", "join-at", "drain-at", "rebalance-on-imbalance", "debug-addr"} {
+				if set[name] {
+					return fmt.Errorf("-%s needs a TCP node: give -join", name)
+				}
+			}
+			if *workers <= 0 {
+				return fmt.Errorf("-workers must be positive, got %d", *workers)
+			}
 		}
 		if *tensorPath == "" {
 			return fmt.Errorf("worker mode requires -tensor")
@@ -224,7 +242,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		cfg := workerConfig{
-			join: *join, listen: *listen,
+			join: *join, listen: *listen, workers: *workers,
 			tensors:  strings.Split(*tensorPath, ","),
 			prevPath: *prevPath, outPath: *outPath,
 			checkpoint: *checkpoint, resume: *resume,
@@ -237,8 +255,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return runWorker(stdout, stderr, cfg)
 	default:
-		return fmt.Errorf("need -serve or -join")
+		return fmt.Errorf("need -tensor, -serve or -serve-http")
 	}
+}
+
+// node is the transport a worker-mode run streams over: one rank of a
+// TCP cluster (cluster.TCPNode, with -join) or every rank of an
+// in-process one (cluster.Local).
+type node interface {
+	Run(fn func(*cluster.Worker) error) (*cluster.RunStats, error)
+	Size() int
+	Obs() *obs.Obs
+	SetRecvTimeout(d time.Duration)
+	SetLogger(l *slog.Logger)
 }
 
 func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
@@ -274,16 +303,26 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 		}
 	}
 
-	node, err := cluster.JoinTCP(cfg.join, cfg.listen, cfg.timeout)
-	if err != nil {
-		return fmt.Errorf("join cluster: %w", err)
+	// rank is this process's rank: its TCP node's, or 0 for the
+	// in-process cluster, whose rank 0 is one of its goroutines.
+	var n node
+	var tcp *cluster.TCPNode
+	rank, threads := 0, threadsPerRank(cfg.workers)
+	if cfg.join != "" {
+		var err error
+		if tcp, err = cluster.JoinTCP(cfg.join, cfg.listen, cfg.timeout); err != nil {
+			return fmt.Errorf("join cluster: %w", err)
+		}
+		defer tcp.Close()
+		n, rank, threads = tcp, tcp.Rank(), threadsPerRank(1)
+	} else {
+		n = cluster.NewLocal(cfg.workers)
 	}
-	defer node.Close()
-	node.SetRecvTimeout(cfg.timeout)
-	node.SetLogger(logger)
-	log := logger.With("rank", node.Rank(), "size", node.Size())
+	n.SetRecvTimeout(cfg.timeout)
+	n.SetLogger(logger)
+	log := logger.With("rank", rank, "size", n.Size())
 	if cfg.heartbeat > 0 {
-		if err := node.StartHeartbeat(cfg.heartbeat, 3); err != nil {
+		if err := tcp.StartHeartbeat(cfg.heartbeat, 3); err != nil {
 			return err
 		}
 	}
@@ -292,7 +331,7 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 	// serve this rank's own view until the plane has something merged.
 	var planeHolder atomic.Pointer[obscluster.Plane]
 	if cfg.debugAddr != "" {
-		srv, addr, err := startDebugServer(cfg.debugAddr, node.Obs(), planeHolder.Load)
+		srv, addr, err := startDebugServer(cfg.debugAddr, n.Obs(), planeHolder.Load)
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}
@@ -302,7 +341,7 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 
 	if start == len(snaps) {
 		// -resume found the last step's checkpoint: nothing is left to run.
-		if node.Rank() == 0 && cfg.outPath != "" {
+		if rank == 0 && cfg.outPath != "" {
 			return writeOut(log, cfg.outPath, prev)
 		}
 		return nil
@@ -310,7 +349,7 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 
 	members := cfg.members
 	if members == 0 {
-		members = node.Size()
+		members = n.Size()
 	}
 	// A resumed run re-indexes the script against the remaining
 	// snapshots; events for already-checkpointed steps are dropped.
@@ -327,10 +366,10 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 	o := core.ElasticOptions{
 		Options: core.Options{
 			Rank: cfg.rank, MaxIters: cfg.iters, Mu: cfg.mu, Seed: cfg.seed,
-			Method: cfg.method, Threads: threadsPerRank(1),
-			Solver: cfg.solver, Obs: node.Obs(),
+			Method: cfg.method, Threads: threads,
+			Solver: cfg.solver, Obs: n.Obs(),
 		},
-		World:          node.Size(),
+		World:          n.Size(),
 		Members:        members,
 		KillAtStep:     shift(cfg.killAt),
 		JoinAtStep:     shift(cfg.joinAt),
@@ -344,7 +383,7 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 		// (this node's rank 0 unless -elastic outlived it).
 		Checkpoint: func(step int, st *dtd.State, stats *core.StepStats) error {
 			abs := start + step
-			fmt.Fprintf(stdout, "rank %d: iters=%d loss=%.6g complement_nnz=%d\n", node.Rank(), stats.Iters, stats.Loss, stats.ComplementNNZ)
+			fmt.Fprintf(stdout, "rank %d: iters=%d loss=%.6g complement_nnz=%d\n", rank, stats.Iters, stats.Loss, stats.ComplementNNZ)
 			if cfg.checkpoint != "" {
 				if err := writeCheckpoint(cfg.checkpoint, abs, st); err != nil {
 					return fmt.Errorf("checkpoint step %d: %w", abs, err)
@@ -360,10 +399,10 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 	if err != nil {
 		return err
 	}
-	stats, runErr := node.Run(job.RunWorker)
+	stats, runErr := n.Run(job.RunWorker)
 	if st, loss, transitions, err := job.Result(); err == nil {
-		// This rank ended as the final view's rank 0 and holds the state.
-		fmt.Fprintf(stdout, "rank %d: final loss=%.6g transitions=%d\n", node.Rank(), loss, len(transitions))
+		// This process ran the final view's rank 0 and holds the state.
+		fmt.Fprintf(stdout, "rank %d: final loss=%.6g transitions=%d\n", rank, loss, len(transitions))
 		if cfg.outPath != "" {
 			if err := writeOut(log, cfg.outPath, st); err != nil {
 				return err
@@ -371,11 +410,18 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 		}
 	}
 	if runErr != nil {
-		return fmt.Errorf("rank %d: %w", node.Rank(), runErr)
+		if tcp == nil {
+			return runErr // cluster.Local names the failed rank
+		}
+		return fmt.Errorf("rank %d: %w", rank, runErr)
 	}
-	log.Info("run done",
-		"bytes_sent", stats.Ranks[0].BytesSent, "msgs_sent", stats.Ranks[0].MsgsSent,
-		"wall", stats.Wall.Round(time.Millisecond))
+	// stats.Ranks holds the ranks this process ran: its TCP node's one,
+	// or every in-process rank from 0.
+	for i, rs := range stats.Ranks {
+		logger.Info("run done", "rank", rank+i, "size", n.Size(),
+			"bytes_sent", rs.BytesSent, "msgs_sent", rs.MsgsSent,
+			"wall", stats.Wall.Round(time.Millisecond))
+	}
 	return nil
 }
 

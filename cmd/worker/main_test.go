@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,10 +94,17 @@ func TestTwoStepTCPCluster(t *testing.T) {
 }
 
 func TestWorkerArgErrors(t *testing.T) {
+	dir := t.TempDir()
+	snap := writeSnapshots(t, dir)[0]
 	var stdout, stderr bytes.Buffer
-	// The flag a rejection must name, where the refusal is about that
-	// flag rather than about loading x.tsv.
-	mentions := map[string]string{"elastic without heartbeat": "-heartbeat"}
+	// What a rejection must name, where the refusal is about that flag
+	// or file rather than about loading x.tsv.
+	mentions := map[string]string{
+		"elastic without heartbeat": "-heartbeat",
+		"no workers in process":     "-workers",
+		"missing snapshot":          "nope.tsv",
+		"missing prev":              "prev state",
+	}
 	for name, args := range map[string][]string{
 		"neither mode":              {},
 		"serve without size":        {"-serve", "127.0.0.1:0"},
@@ -106,6 +115,9 @@ func TestWorkerArgErrors(t *testing.T) {
 		"members without elastic":   {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-members", "2"},
 		"drain without elastic":     {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-drain-at", "1:1"},
 		"elastic without heartbeat": {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-elastic"},
+		"no workers in process":     {"-tensor", "x.tsv", "-workers", "0"},
+		"missing snapshot":          {"-tensor", filepath.Join(dir, "nope.tsv")},
+		"missing prev":              {"-tensor", snap, "-prev", filepath.Join(dir, "nope.gob")},
 	} {
 		err := run(args, &stdout, &stderr)
 		if err == nil {
@@ -113,6 +125,140 @@ func TestWorkerArgErrors(t *testing.T) {
 		}
 		if want := mentions[name]; !strings.Contains(err.Error(), want) {
 			t.Fatalf("%s: error %q does not name %s", name, err, want)
+		}
+	}
+	// Without -join the ranks run in this process, so every flag that
+	// configures a TCP node is refused by name.
+	for _, flagArgs := range [][]string{
+		{"-listen", "127.0.0.1:0"},
+		{"-heartbeat", "150ms"},
+		{"-elastic"},
+		{"-members", "2"},
+		{"-join-at", "2:1"},
+		{"-drain-at", "1:1"},
+		{"-rebalance-on-imbalance"},
+		{"-debug-addr", "127.0.0.1:0"},
+	} {
+		err := run(append([]string{"-tensor", "x.tsv"}, flagArgs...), &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), flagArgs[0]+" ") {
+			t.Fatalf("%v without -join: error %v, want one naming %s", flagArgs, err, flagArgs[0])
+		}
+	}
+}
+
+// runLocal runs worker mode on the in-process cluster at the given
+// GOMAXPROCS and returns its stdout and error.
+func runLocal(t *testing.T, procs int, args ...string) (string, error) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	var stdout, stderr bytes.Buffer
+	err := run(args, &stdout, &stderr)
+	return stdout.String(), err
+}
+
+// TestInProcessClusterMatchesTCP: without -join, worker mode runs the
+// same driver on an in-process cluster of -workers ranks. A three-step
+// stream on three ranks writes the -out of a three-process TCP cluster
+// byte for byte and prints the same rank-0 lines, at GOMAXPROCS 1 (one
+// thread per rank) and 4 alike.
+func TestInProcessClusterMatchesTCP(t *testing.T) {
+	dir := t.TempDir()
+	snaps := writeSchedule(t, dir, []float64{0.7, 0.85, 1.0})
+	base := []string{
+		"-tensor", strings.Join(snaps, ","),
+		"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s",
+	}
+	tcpOut := filepath.Join(dir, "tcp.gob")
+	errs, tcpStdout := runCluster(t, append([]string{"-out", tcpOut}, base...), [][]string{nil, nil, nil})
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("TCP worker %d: %v", w, err)
+		}
+	}
+	want, err := os.ReadFile(tcpOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(tcpStdout, "rank 0: iters="); n != len(snaps) {
+		t.Fatalf("TCP cluster printed %d step lines: %q", n, tcpStdout)
+	}
+	for _, procs := range []int{1, 4} {
+		out := filepath.Join(dir, fmt.Sprintf("local%d.gob", procs))
+		stdout, err := runLocal(t, procs, append([]string{"-workers", "3", "-out", out}, base...)...)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		if stdout != tcpStdout {
+			t.Fatalf("GOMAXPROCS %d: in-process lines\n%s\nTCP lines\n%s", procs, stdout, tcpStdout)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("GOMAXPROCS %d: in-process -out differs from the TCP cluster's (err %v)", procs, err)
+		}
+	}
+}
+
+// TestInProcessKillAndResume: on the in-process cluster a scripted kill
+// of rank 1 mid-step 1 fails the run after step 0's checkpoint, and a
+// -resume rerun writes the uninterrupted run's -out byte for byte.
+func TestInProcessKillAndResume(t *testing.T) {
+	dir := t.TempDir()
+	snaps := writeSnapshots(t, dir)
+	ckpt := filepath.Join(dir, "ckpt")
+	base := []string{
+		"-tensor", strings.Join(snaps, ","), "-workers", "3",
+		"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s",
+	}
+	stdout, err := runLocal(t, 2, append([]string{"-checkpoint", ckpt, "-kill-at", "1:1"}, base...)...)
+	if err == nil || !strings.Contains(err.Error(), "scripted crash") && !errors.Is(err, cluster.ErrClosed) {
+		t.Fatalf("killed run returned %v, want the crash or a closed cluster", err)
+	}
+	if n := strings.Count(stdout, "rank 0: iters="); n != 1 {
+		t.Fatalf("%d steps completed, want only step 0: %q", n, stdout)
+	}
+	if _, err := os.Stat(checkpointPath(ckpt, 1)); err == nil {
+		t.Fatal("step-1 checkpoint written despite the kill")
+	}
+	resumed, whole := filepath.Join(dir, "resumed.gob"), filepath.Join(dir, "whole.gob")
+	if _, err := runLocal(t, 2, append([]string{"-checkpoint", ckpt, "-resume", "-out", resumed}, base...)...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runLocal(t, 2, append([]string{"-out", whole}, base...)...); err != nil {
+		t.Fatal(err)
+	}
+	got, err1 := os.ReadFile(resumed)
+	want, err2 := os.ReadFile(whole)
+	if err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+		t.Fatalf("resumed -out differs from the uninterrupted run's (%v, %v)", err1, err2)
+	}
+}
+
+// TestOneSnapshotIsStaticDecomposition: one snapshot on one in-process
+// rank is the static CP-ALS decomposition dismastd.Stream's first
+// Ingest computes, bit for bit.
+func TestOneSnapshotIsStaticDecomposition(t *testing.T) {
+	dir := t.TempDir()
+	snaps := writeSnapshots(t, dir)
+	out := filepath.Join(dir, "out.gob")
+	if _, err := runLocal(t, 2, "-tensor", snaps[0], "-rank", "3", "-iters", "4", "-seed", "5", "-out", out); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := dismastd.ReadTensor(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := dismastd.NewStream(dismastd.Options{Rank: 3, MaxIters: 4, Seed: 5})
+	if _, err := s.Ingest(x); err != nil {
+		t.Fatal(err)
+	}
+	got := readState(t, out)
+	for m, want := range s.Factors() {
+		if d := mat.MaxAbsDiff(got.Factors[m], want); d != 0 {
+			t.Fatalf("mode %d differs from Stream.Ingest by %g", m, d)
 		}
 	}
 }

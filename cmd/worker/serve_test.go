@@ -356,4 +356,19 @@ func TestServeArgErrors(t *testing.T) {
 			t.Errorf("run(%v) err = %v, want exclusivity error", args, err)
 		}
 	}
+	// -method reaches serve mode's plan too, so a bogus one is refused
+	// before the listener comes up. A build that ignores it would serve
+	// until a signal: the deadline turns that into a failure.
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-serve-http", "127.0.0.1:0", "-method", "bogus"}, io.Discard, io.Discard)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "bogus") {
+			t.Errorf("serve mode with -method bogus: err = %v, want it refused", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("serve mode started with -method bogus")
+	}
 }

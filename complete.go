@@ -12,7 +12,8 @@ import (
 type CompletionOptions struct {
 	// Rank is the number of CP components. Required.
 	Rank int
-	// MaxIters bounds the ALS sweeps. Default 30.
+	// MaxIters bounds the ALS sweeps. Default (0) 30; a negative value
+	// is an error.
 	MaxIters int
 	// Tol stops iteration when the relative RMSE change falls below it.
 	// Default 1e-6.
@@ -27,8 +28,8 @@ type CompletionOptions struct {
 	// The result is identical bit for bit at every size — completion
 	// has no cross-row reductions to reorder.
 	Workers int
-	// Parts is the number of tensor partitions per mode; defaults to
-	// Workers.
+	// Parts is the number of tensor partitions per mode; defaults (0)
+	// to Workers, and a negative value is an error.
 	Parts int
 	// Partitioner chooses GTP or MTP.
 	Partitioner Partitioner
@@ -40,6 +41,9 @@ type CompletionOptions struct {
 func (o CompletionOptions) internal() (completion.DistributedOptions, error) {
 	if o.Workers < 0 {
 		return completion.DistributedOptions{}, fmt.Errorf("dismastd: Workers must be positive, got %d", o.Workers)
+	}
+	if o.MaxIters < 0 || o.Parts < 0 {
+		return completion.DistributedOptions{}, fmt.Errorf("dismastd: MaxIters and Parts must be non-negative, got %d and %d", o.MaxIters, o.Parts)
 	}
 	return completion.DistributedOptions{
 		Options: completion.Options{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Lambda: o.Lambda, Seed: o.Seed, Threads: o.Threads},

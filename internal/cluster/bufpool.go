@@ -85,23 +85,3 @@ func (p *bufPool) put(b []byte) {
 	}
 	p.mu.Unlock()
 }
-
-// stats reports lifetime get and miss counts (tests assert steady-state
-// misses stay flat).
-func (p *bufPool) stats() (gets, misses int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.gets, p.misses
-}
-
-// retained reports what the free lists hold right now (tests assert it
-// stays bounded and flat).
-func (p *bufPool) retained() (bufs int, bytes int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for c, s := range p.classes {
-		bufs += len(s)
-		bytes += int64(len(s)) << c
-	}
-	return bufs, bytes
-}

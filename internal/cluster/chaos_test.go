@@ -97,7 +97,7 @@ func TestChaosTCPTransientCutRecoversExactFactors(t *testing.T) {
 	// One transient connection drop mid-step on rank 1's outbound link
 	// to rank 0: the send path must cut, redial, and resend without the
 	// algorithm noticing.
-	plan := cluster.NewFaultPlan().Add(cluster.FaultRule{From: 1, To: 0, FirstSeq: 3, Op: cluster.FaultCut})
+	plan := cluster.NewFaultPlan(cluster.FaultRule{From: 1, To: 0, FirstSeq: 3, Op: cluster.FaultCut})
 	for _, n := range nodes {
 		n.SetRecvTimeout(30 * time.Second)
 		if n.Rank() == 1 {
@@ -172,7 +172,7 @@ func TestChaosTCPKillMidAllReduce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n.Rank() == 2 {
-			n.SetFaultPlan(cluster.NewFaultPlan().Add(cluster.FaultRule{
+			n.SetFaultPlan(cluster.NewFaultPlan(cluster.FaultRule{
 				From: 2, To: 0, TagPrefix: "reduce", Op: cluster.FaultError, Err: crash,
 			}))
 		}

@@ -299,7 +299,7 @@ func TestRecvTimeout(t *testing.T) {
 func TestSendHookFaultInjection(t *testing.T) {
 	c := NewLocal(3)
 	c.SetRecvTimeout(2 * time.Second)
-	c.SetFaultPlan(NewFaultPlan().Add(FaultRule{From: 2, To: AnyRank, FirstSeq: 1, LastSeq: -1, Op: FaultError}))
+	c.SetFaultPlan(NewFaultPlan(FaultRule{From: 2, To: AnyRank, FirstSeq: 1, LastSeq: -1, Op: FaultError}))
 	_, err := c.Run(func(w *Worker) error {
 		for i := 0; i < 5; i++ {
 			if err := w.Barrier(); err != nil {

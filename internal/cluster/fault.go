@@ -103,29 +103,9 @@ type FaultPlan struct {
 	fired map[FaultOp]int
 }
 
-// NewFaultPlan returns an empty plan (injects nothing until rules are
-// added).
-func NewFaultPlan() *FaultPlan {
-	return &FaultPlan{seq: make(map[[2]int]int), fired: make(map[FaultOp]int)}
-}
-
-// Add appends a rule and returns the plan for chaining.
-func (p *FaultPlan) Add(rule FaultRule) *FaultPlan {
-	p.mu.Lock()
-	p.rules = append(p.rules, rule)
-	p.mu.Unlock()
-	return p
-}
-
-// Fired returns how many faults the plan has injected so far.
-func (p *FaultPlan) Fired() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, c := range p.fired {
-		n += c
-	}
-	return n
+// NewFaultPlan returns a plan injecting the given rules, in order.
+func NewFaultPlan(rules ...FaultRule) *FaultPlan {
+	return &FaultPlan{rules: rules, seq: make(map[[2]int]int), fired: make(map[FaultOp]int)}
 }
 
 // FiredOp returns how many faults of one kind have been injected.

@@ -11,9 +11,10 @@ import (
 
 func TestFaultPlanSchedule(t *testing.T) {
 	boom := errors.New("boom")
-	p := NewFaultPlan().
-		Add(FaultRule{From: 0, To: 1, FirstSeq: 1, Op: FaultError, Err: boom}).
-		Add(FaultRule{From: 2, To: AnyRank, TagPrefix: "gram", FirstSeq: 0, LastSeq: -1, Op: FaultDrop})
+	p := NewFaultPlan(
+		FaultRule{From: 0, To: 1, FirstSeq: 1, Op: FaultError, Err: boom},
+		FaultRule{From: 2, To: AnyRank, TagPrefix: "gram", FirstSeq: 0, LastSeq: -1, Op: FaultDrop},
+	)
 
 	// Seq 0 on (0,1) is clean; seq 1 fires the error rule exactly once.
 	if inj := p.decide(0, 1, "x"); inj != nil {
@@ -40,13 +41,13 @@ func TestFaultPlanSchedule(t *testing.T) {
 	if got := p.FiredOp(FaultDrop); got != 3 {
 		t.Fatalf("FiredOp(drop) = %d", got)
 	}
-	if got := p.Fired(); got != 4 {
-		t.Fatalf("Fired = %d", got)
+	if got := p.FiredOp(FaultError) + p.FiredOp(FaultDrop); got != 4 {
+		t.Fatalf("%d faults fired, want 4", got)
 	}
 }
 
 func TestFaultPlanDefaultError(t *testing.T) {
-	p := NewFaultPlan().Add(FaultRule{From: AnyRank, To: AnyRank, Op: FaultError})
+	p := NewFaultPlan(FaultRule{From: AnyRank, To: AnyRank, Op: FaultError})
 	inj := p.decide(3, 4, "tag")
 	if inj == nil || inj.err == nil {
 		t.Fatal("no default error materialized")
@@ -64,7 +65,7 @@ func TestLocalFaultPlanError(t *testing.T) {
 	boom := errors.New("injected link failure")
 	c := NewLocal(3)
 	c.SetRecvTimeout(10 * time.Second)
-	c.SetFaultPlan(NewFaultPlan().Add(FaultRule{From: 1, To: 0, FirstSeq: 0, Op: FaultError, Err: boom}))
+	c.SetFaultPlan(NewFaultPlan(FaultRule{From: 1, To: 0, FirstSeq: 0, Op: FaultError, Err: boom}))
 	start := time.Now()
 	_, err := c.Run(func(w *Worker) error {
 		return w.Barrier()
@@ -85,7 +86,7 @@ func TestLocalFaultPlanDrop(t *testing.T) {
 	// the receiver: the receive must end in a timeout, not a hang.
 	c := NewLocal(2)
 	c.SetRecvTimeout(100 * time.Millisecond)
-	plan := NewFaultPlan().Add(FaultRule{From: 0, To: 1, TagPrefix: "lost", Op: FaultDrop})
+	plan := NewFaultPlan(FaultRule{From: 0, To: 1, TagPrefix: "lost", Op: FaultDrop})
 	c.SetFaultPlan(plan)
 	_, err := c.Run(func(w *Worker) error {
 		if w.Rank() == 0 {
@@ -105,7 +106,7 @@ func TestLocalFaultPlanDrop(t *testing.T) {
 func TestLocalFaultPlanDelay(t *testing.T) {
 	const lag = 50 * time.Millisecond
 	c := NewLocal(2)
-	c.SetFaultPlan(NewFaultPlan().Add(FaultRule{From: 0, To: 1, Op: FaultDelay, Delay: lag}))
+	c.SetFaultPlan(NewFaultPlan(FaultRule{From: 0, To: 1, Op: FaultDelay, Delay: lag}))
 	var elapsed time.Duration
 	var mu sync.Mutex
 	start := time.Now()
@@ -131,7 +132,7 @@ func TestLocalFaultPlanCutDelivers(t *testing.T) {
 	// In-process there is no connection to cut: like a recovered TCP
 	// cut, the message still arrives.
 	c := NewLocal(2)
-	plan := NewFaultPlan().Add(FaultRule{From: AnyRank, To: AnyRank, FirstSeq: 0, LastSeq: -1, Op: FaultCut})
+	plan := NewFaultPlan(FaultRule{From: AnyRank, To: AnyRank, FirstSeq: 0, LastSeq: -1, Op: FaultCut})
 	c.SetFaultPlan(plan)
 	_, err := c.Run(func(w *Worker) error {
 		if w.Rank() == 0 {

@@ -1,16 +1,17 @@
 // Package cluster implements the distributed runtime DisMASTD runs on:
-// a fixed-size group of workers exchanging tagged messages through a
-// pluggable Transport, with the collectives the paper's computation
-// needs (broadcast, gather, all-reduce) built on top, and per-rank
-// metrics (bytes, messages, work units) that feed both the
+// a fixed-size group of workers exchanging tagged messages into each
+// other's mailboxes, with the collectives the paper's computation needs
+// (broadcast, gather, all-reduce) built on top, and per-rank metrics
+// (bytes, messages, work units) that feed both the
 // communication-complexity checks (Theorem 4) and the simtime cost
 // model.
 //
-// Two transports are provided: an in-process transport that delivers
-// through shared memory (used by the experiment harness — the paper's
-// cluster is simulated as goroutine workers), and a TCP transport that
-// runs the same worker code across OS processes (cmd/worker,
-// examples/multiprocess), each message one fixed-layout frame.
+// The same Worker code runs on two runtimes: Local, whose ranks are
+// goroutines of one process delivering straight into each other's
+// mailboxes (the library, the experiment harness and cmd/worker without
+// -join), and TCPNode, one rank per OS process joined at a rendezvous
+// (cmd/worker -join, examples/multiprocess), each message one
+// fixed-layout frame.
 package cluster
 
 import (

@@ -184,7 +184,7 @@ func TestTCPReconnectAfterCut(t *testing.T) {
 	// every message still arrives (tags demultiplex across the old and
 	// new connection), with the cut recovered inside a single Send call.
 	nodes := startTCPCluster(t, 2)
-	plan := NewFaultPlan().Add(FaultRule{From: 0, To: 1, FirstSeq: 1, Op: FaultCut})
+	plan := NewFaultPlan(FaultRule{From: 0, To: 1, FirstSeq: 1, Op: FaultCut})
 	for _, n := range nodes {
 		if n.Rank() == 0 {
 			n.SetFaultPlan(plan)
@@ -284,7 +284,7 @@ func TestTCPRunMetricsAreDeltas(t *testing.T) {
 func TestTCPSendHook(t *testing.T) {
 	nodes := startTCPCluster(t, 2)
 	boom := errors.New("hooked")
-	nodes[0].SetFaultPlan(NewFaultPlan().Add(FaultRule{From: AnyRank, To: AnyRank, TagPrefix: "poisoned", LastSeq: -1, Op: FaultError, Err: boom}))
+	nodes[0].SetFaultPlan(NewFaultPlan(FaultRule{From: AnyRank, To: AnyRank, TagPrefix: "poisoned", LastSeq: -1, Op: FaultError, Err: boom}))
 	_, err := nodes[0].Run(func(w *Worker) error {
 		if err := w.Send(1-w.Rank(), "clean", nil); err != nil {
 			return err

@@ -35,14 +35,13 @@ func TestChaosLocalSendFaultMidSweep(t *testing.T) {
 	boom := errors.New("injected mid-sweep link failure")
 	// Rank 1's 30th send lands well inside the ALS sweeps (the initial
 	// Gram replication alone takes a handful per pair).
-	plan := cluster.NewFaultPlan().
-		Add(cluster.FaultRule{From: 1, To: cluster.AnyRank, FirstSeq: 30, LastSeq: -1, Op: cluster.FaultError, Err: boom})
+	plan := cluster.NewFaultPlan(cluster.FaultRule{From: 1, To: cluster.AnyRank, FirstSeq: 30, LastSeq: -1, Op: cluster.FaultError, Err: boom})
 
 	job, err := NewStepJob(prev, full, Options{Rank: 3, MaxIters: 5, Tol: 0, Workers: 3, Method: partition.MTPMethod, Seed: 75})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := cluster.NewLocal(job.Workers())
+	cl := cluster.NewLocal(job.opts.Workers)
 	cl.SetRecvTimeout(60 * time.Second)
 	cl.SetFaultPlan(plan)
 
@@ -69,8 +68,12 @@ func TestChaosLocalSendFaultMidSweep(t *testing.T) {
 	}
 	// The transport's injection counters mirror the plan's accounting.
 	m := cl.Obs().Reg.Snapshot().Counters
-	if m["transport.faults.injected"] != int64(plan.Fired()) {
-		t.Fatalf("faults.injected = %d, plan fired %d", m["transport.faults.injected"], plan.Fired())
+	fired := 0
+	for _, op := range []cluster.FaultOp{cluster.FaultError, cluster.FaultDrop, cluster.FaultDelay, cluster.FaultCut} {
+		fired += plan.FiredOp(op)
+	}
+	if m["transport.faults.injected"] != int64(fired) {
+		t.Fatalf("faults.injected = %d, plan fired %d", m["transport.faults.injected"], fired)
 	}
 	if m["transport.faults.error"] != int64(plan.FiredOp(cluster.FaultError)) {
 		t.Fatalf("faults.error = %d, plan fired %d", m["transport.faults.error"], plan.FiredOp(cluster.FaultError))
@@ -91,13 +94,12 @@ func TestChaosLocalDropPoisonsViaTimeout(t *testing.T) {
 	prev := initState(t, full.Prefix([]int{12, 10, 8}), 3, 93)
 	before := runtime.NumGoroutine()
 
-	plan := cluster.NewFaultPlan().
-		Add(cluster.FaultRule{From: 2, To: 0, TagPrefix: "reduce", FirstSeq: 0, LastSeq: -1, Op: cluster.FaultDrop})
+	plan := cluster.NewFaultPlan(cluster.FaultRule{From: 2, To: 0, TagPrefix: "reduce", FirstSeq: 0, LastSeq: -1, Op: cluster.FaultDrop})
 	job, err := NewStepJob(prev, full, Options{Rank: 3, MaxIters: 3, Tol: 0, Workers: 3, Method: partition.MTPMethod, Seed: 95})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := cluster.NewLocal(job.Workers())
+	cl := cluster.NewLocal(job.opts.Workers)
 	cl.SetRecvTimeout(250 * time.Millisecond)
 	cl.SetFaultPlan(plan)
 	_, runErr := cl.Run(job.RunWorker)

@@ -162,24 +162,6 @@ func Step(prev *dtd.State, snapshot *tensor.Tensor, o Options) (*dtd.State, *Ste
 	return NewSession(o.Workers).Step(prev, snapshot, o)
 }
 
-// RankPhases returns each rank's per-phase wall-time aggregates from
-// the step's run (index = rank; empty when the run carried no
-// instrumentation) — the per-rank view the cluster observability plane
-// and the bench imbalance tables consume, where phasesOf's cross-rank
-// merge would hide exactly the skew being measured.
-func (s *StepStats) RankPhases() [][]obs.PhaseStat {
-	if s.Cluster == nil {
-		return nil
-	}
-	out := make([][]obs.PhaseStat, len(s.Cluster.Ranks))
-	for i, rk := range s.Cluster.Ranks {
-		if rk.Obs != nil {
-			out[i] = obs.AggregatePhases(rk.Obs.Phases)
-		}
-	}
-	return out
-}
-
 // phasesOf merges every rank's span aggregates into one per-phase
 // wall-time breakdown (mttkrp, solve, allreduce, exchange, loss).
 func phasesOf(stats *cluster.RunStats) []obs.PhaseStat {
@@ -259,9 +241,6 @@ func stateOf(factors []*mat.Dense) *dtd.State {
 	}
 	return st
 }
-
-// Workers returns the cluster size the job was planned for.
-func (j *StepJob) Workers() int { return j.opts.Workers }
 
 // Result assembles the new state and summary statistics after every
 // rank's RunWorker has returned. The Cluster field of the stats is left

@@ -419,9 +419,9 @@ func TestStepJobFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := cluster.NewLocal(job.Workers())
+	cl := cluster.NewLocal(job.opts.Workers)
 	cl.SetRecvTimeout(5 * time.Second)
-	cl.SetFaultPlan(cluster.NewFaultPlan().Add(cluster.FaultRule{From: 1, To: 0, FirstSeq: 10, Op: cluster.FaultError}))
+	cl.SetFaultPlan(cluster.NewFaultPlan(cluster.FaultRule{From: 1, To: 0, FirstSeq: 10, Op: cluster.FaultError}))
 	done := make(chan struct{})
 	var runErr error
 	go func() {

@@ -397,7 +397,7 @@ func linkSends(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, o ElasticO
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := cluster.NewFaultPlan().Add(cluster.FaultRule{From: from, To: to, FirstSeq: 0, LastSeq: -1, Op: cluster.FaultCut})
+	counter := cluster.NewFaultPlan(cluster.FaultRule{From: from, To: to, FirstSeq: 0, LastSeq: -1, Op: cluster.FaultCut})
 	if _, err := runElasticFaults(t, job, o.World, counter, 60*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestElasticRecoveryIndependentOfDeathPoint(t *testing.T) {
 	afterStep0 := linkSends(t, prev, snaps, o, 1, 1, 0)
 	afterStep1 := linkSends(t, prev, snaps, o, 2, 1, 0)
 	fault := func(tag string, seq, last int) *cluster.FaultPlan {
-		return cluster.NewFaultPlan().Add(cluster.FaultRule{From: 1, To: 0, TagPrefix: tag, FirstSeq: seq, LastSeq: last, Op: cluster.FaultError})
+		return cluster.NewFaultPlan(cluster.FaultRule{From: 1, To: 0, TagPrefix: tag, FirstSeq: seq, LastSeq: last, Op: cluster.FaultError})
 	}
 	for _, tc := range []struct {
 		name string
@@ -513,7 +513,7 @@ func TestElasticSurvivorsRestartTheSameStep(t *testing.T) {
 	chain, _ := chainRun(t, prev, snaps, []int{3, 2, 2}, o.Options)
 
 	seq := linkSends(t, prev, snaps, o, 2, 0, 2) - 1
-	plan := cluster.NewFaultPlan().Add(cluster.FaultRule{From: 0, To: 2, TagPrefix: "v0|obsfence/dec", FirstSeq: seq, Op: cluster.FaultError})
+	plan := cluster.NewFaultPlan(cluster.FaultRule{From: 0, To: 2, TagPrefix: "v0|obsfence/dec", FirstSeq: seq, Op: cluster.FaultError})
 	final, stats := killInStep(t, prev, snaps, o, 0, 1, plan)
 	// The split happened: rank 1 bound step 2's engine before the
 	// recovery epoch.
@@ -540,7 +540,7 @@ func TestElasticDeathInLastSyncRecovers(t *testing.T) {
 
 	last := len(snaps) - 1
 	seq := linkSends(t, prev, snaps, o, len(snaps), 1, 2) - 1
-	plan := cluster.NewFaultPlan().Add(cluster.FaultRule{From: 1, To: 2, TagPrefix: "v0|rows/2", FirstSeq: seq, Op: cluster.FaultError})
+	plan := cluster.NewFaultPlan(cluster.FaultRule{From: 1, To: 2, TagPrefix: "v0|rows/2", FirstSeq: seq, Op: cluster.FaultError})
 	final, _ := killInStep(t, prev, snaps, o, 1, last, plan)
 	requireSameState(t, final, chain, "recovered run vs the 3-3-2 Step chain")
 }
@@ -572,7 +572,7 @@ func TestElasticCoordinatorDeathInLastFenceFinishes(t *testing.T) {
 		return nil
 	}
 	seq := linkSends(t, prev, snaps, o, len(snaps), 0, 2) - 1
-	plan := cluster.NewFaultPlan().Add(cluster.FaultRule{From: 0, To: 2, TagPrefix: "v0|obsfence/dec", FirstSeq: seq, Op: cluster.FaultError})
+	plan := cluster.NewFaultPlan(cluster.FaultRule{From: 0, To: 2, TagPrefix: "v0|obsfence/dec", FirstSeq: seq, Op: cluster.FaultError})
 	ckSteps = nil // the counting run checkpointed too
 	job, err := NewElasticJob(prev, snaps, o)
 	if err != nil {

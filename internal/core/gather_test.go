@@ -27,7 +27,7 @@ func (j *StepJob) bind(w *cluster.Worker) *dtd.Sweep {
 // rank 0's replicas and every rank's run statistics.
 func runAndGather(t *testing.T, job *StepJob) (got, want, replica []*mat.Dense, stats *cluster.RunStats) {
 	t.Helper()
-	workers := job.Workers()
+	workers := job.opts.Workers
 	n := len(job.plan.Dims)
 	r := job.opts.Rank
 	ownedRows := make([][]*mat.Dense, workers) // [rank][mode]: that rank's owned rows, in OwnedSlices order

@@ -21,7 +21,6 @@ import (
 type Session struct {
 	cl      *cluster.Local
 	workers int
-	steps   int
 }
 
 // NewSession returns a session over a fresh in-process cluster of the
@@ -29,12 +28,6 @@ type Session struct {
 func NewSession(workers int) *Session {
 	return &Session{cl: cluster.NewLocal(workers), workers: workers}
 }
-
-// Workers returns the cluster size every step runs on.
-func (s *Session) Workers() int { return s.workers }
-
-// Steps returns the number of completed steps.
-func (s *Session) Steps() int { return s.steps }
 
 // Step advances the decomposition from prev to the new snapshot on the
 // session's cluster. o.Workers must match the session (zero adopts
@@ -61,6 +54,5 @@ func (s *Session) Step(prev *dtd.State, snapshot *tensor.Tensor, o Options) (*dt
 	stats.Cluster = runStats
 	stats.Phases = phasesOf(runStats)
 	job.overrideAlgoMetrics(runStats)
-	s.steps++
 	return st, stats, nil
 }

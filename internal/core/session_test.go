@@ -36,9 +36,6 @@ func TestSessionMatchesStepBitwise(t *testing.T) {
 		}
 		sessState, stepState = got, want
 	}
-	if sess.Steps() != seq.Len()-1 {
-		t.Fatalf("session counted %d steps, want %d", sess.Steps(), seq.Len()-1)
-	}
 }
 
 // TestSessionRejectsWorkerMismatch: a session is sized once; asking it

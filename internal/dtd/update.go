@@ -59,7 +59,6 @@ type Updater struct {
 	tmp, oldRow []float64
 	touched     []int32
 
-	events      int64
 	rowsTouched int64
 }
 
@@ -132,7 +131,6 @@ func (u *Updater) Reset(st *State) {
 	if grown {
 		u.delta.Grow(st.Dims)
 	}
-	u.events = 0
 	u.rowsTouched = 0
 }
 
@@ -196,9 +194,6 @@ func (u *Updater) Anchor() *State {
 	return &State{Dims: append([]int(nil), u.anchorDims...), Factors: u.tilde}
 }
 
-// Events returns the number of events applied since the last Reset.
-func (u *Updater) Events() int64 { return u.events }
-
 // RowsTouched returns the number of row solves performed since the
 // last Reset — the bounded work the event path actually did.
 func (u *Updater) RowsTouched() int64 { return u.rowsTouched }
@@ -219,7 +214,6 @@ func (u *Updater) Apply(coords []int32, vals []float64) {
 		panic(fmt.Sprintf("dtd: Apply with %d coords for %d values of order %d", len(coords), len(vals), n))
 	}
 	u.delta.Append(coords, vals)
-	u.events += int64(len(vals))
 	for m := 0; m < n; m++ {
 		u.touched = u.touched[:0]
 		for e := range vals {

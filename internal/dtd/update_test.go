@@ -56,8 +56,8 @@ func TestUpdaterMaintainsGrams(t *testing.T) {
 	u.Apply(grown, gvals)
 	u.Apply(coords[4*3:], vals[4:])
 
-	if u.Events() != 18 || u.Pending() != 18 {
-		t.Fatalf("events/pending = %d/%d, want 18/18", u.Events(), u.Pending())
+	if u.Pending() != 18 {
+		t.Fatalf("pending = %d, want 18", u.Pending())
 	}
 	for m, f := range st.Factors {
 		a0 := f.SliceRows(0, anchor[m])
@@ -197,7 +197,7 @@ func TestUpdaterResetReanchors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.Pending() != 0 || u.Events() != 0 || u.RowsTouched() != 0 {
+	if u.Pending() != 0 || u.RowsTouched() != 0 {
 		t.Fatal("Reset kept pending state")
 	}
 	for m := range st.Factors {

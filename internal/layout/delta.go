@@ -66,9 +66,6 @@ func emptyHeads(buf []int32, n int) []int32 {
 	return buf
 }
 
-// Order returns the number of modes.
-func (d *Delta) Order() int { return len(d.dims) }
-
 // NNZ returns the number of appended entries.
 func (d *Delta) NNZ() int { return len(d.vals) }
 

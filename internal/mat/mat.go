@@ -99,17 +99,6 @@ func (m *Dense) Add(a, b *Dense) {
 	}
 }
 
-// Sub stores a - b into m. m may alias a or b exactly, never partially.
-func (m *Dense) Sub(a, b *Dense) {
-	a.mustSameShape(b, "Sub")
-	m.mustSameShape(a, "Sub")
-	mustElementwiseAlias("Sub", m, a)
-	mustElementwiseAlias("Sub", m, b)
-	for i := range m.Data {
-		m.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
 // Scale stores s*a into m. m may alias a exactly, never partially.
 func (m *Dense) Scale(s float64, a *Dense) {
 	m.mustSameShape(a, "Scale")

@@ -78,11 +78,6 @@ func TestAddSubScale(t *testing.T) {
 	if sum.At(1, 1) != 12 {
 		t.Fatalf("Add wrong: %v", sum.Data)
 	}
-	diff := New(2, 2)
-	diff.Sub(b, a)
-	if diff.At(0, 0) != 4 {
-		t.Fatalf("Sub wrong: %v", diff.Data)
-	}
 	sc := New(2, 2)
 	sc.Scale(2, a)
 	if sc.At(1, 0) != 6 {

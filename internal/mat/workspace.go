@@ -2,14 +2,14 @@ package mat
 
 import "fmt"
 
-// Workspace is a sized scratch-buffer arena with checkout/reset
+// Workspace is a sized scratch-buffer arena with checkout/release
 // semantics, built so steady-state hot loops perform zero heap
 // allocations: ALS sweeps, streaming steps and distributed iterations
 // execute the same sequence of scratch checkouts every pass, so after a
 // warm-up pass every Take is served from a cached slab.
 //
-// Checkout is positional: the i-th Take since the last Reset reuses the
-// i-th slab, growing it (one allocation) only when the requested size
+// Checkout is positional: the i-th Take since the last Release(0) reuses
+// the i-th slab, growing it (one allocation) only when the requested size
 // exceeds the slab's running-maximum capacity. Mark/Release give nested
 // scopes — a kernel may Mark, take its temporaries, and Release them
 // without disturbing the caller's earlier checkouts.
@@ -17,7 +17,7 @@ import "fmt"
 // Rules:
 //
 //   - A matrix or vector returned by Take/TakeVec is valid until the
-//     position is released (Release below its mark, or Reset). Using it
+//     position is released (Release below its mark). Using it
 //     after that reads memory re-checked-out by someone else.
 //   - Take zeroes the returned buffer, so a workspace matrix behaves
 //     exactly like a fresh New(r, c).
@@ -35,7 +35,7 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 // Take checks out a zeroed r x c matrix backed by workspace memory.
 // The returned header is owned by the workspace and reused across
-// Reset cycles; do not retain it past Release/Reset.
+// release cycles; do not retain it past its Release.
 func (w *Workspace) Take(r, c int) *Dense {
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("mat: Workspace.Take(%d, %d) with negative dimension", r, c))
@@ -72,6 +72,3 @@ func (w *Workspace) Release(mark int) {
 	}
 	w.n = mark
 }
-
-// Reset returns every checkout to the arena, keeping the slabs cached.
-func (w *Workspace) Reset() { w.n = 0 }

@@ -30,7 +30,7 @@ func TestWorkspaceTakeIsZeroedAndShaped(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = 7
 	}
-	ws.Reset()
+	ws.Release(0)
 	m2 := ws.Take(3, 4)
 	for i, v := range m2.Data {
 		if v != 0 {
@@ -42,7 +42,7 @@ func TestWorkspaceTakeIsZeroedAndShaped(t *testing.T) {
 func TestWorkspacePositionalReuse(t *testing.T) {
 	ws := NewWorkspace()
 	a := ws.Take(4, 4)
-	ws.Reset()
+	ws.Release(0)
 	b := ws.Take(4, 4)
 	if &a.Data[0] != &b.Data[0] {
 		t.Fatal("same-position same-size Take did not reuse the cached slab")
@@ -52,13 +52,13 @@ func TestWorkspacePositionalReuse(t *testing.T) {
 	}
 	// A larger request at the same position grows the slab once, and a
 	// later smaller request still reuses the grown slab.
-	ws.Reset()
+	ws.Release(0)
 	big := ws.Take(8, 8)
 	grown := ws.Floats()
 	if grown < 64 {
 		t.Fatalf("slab did not grow: %d floats cached", grown)
 	}
-	ws.Reset()
+	ws.Release(0)
 	small := ws.Take(2, 2)
 	if ws.Floats() != grown {
 		t.Fatalf("small Take after growth changed capacity: %d -> %d", grown, ws.Floats())

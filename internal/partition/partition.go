@@ -14,7 +14,6 @@ package partition
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -115,31 +114,10 @@ func GTP(slices []int64, p int) *ModePlan {
 
 // MTP implements Algorithm 3: sort the slices by descending nnz, then
 // repeatedly give the heaviest unassigned slice to the partition with
-// the smallest current load (a max-min / LPT greedy). Unlike GTP the
-// resulting partitions are generally non-contiguous.
-func MTP(slices []int64, p int) *ModePlan {
-	checkParts(len(slices), p)
-	order, loaded := heaviestFirst(slices)
-	h := make(loadHeap, p)
-	for i := range h {
-		h[i] = partLoad{part: i}
-	}
-	heap.Init(&h)
-	assign := make([]int32, len(slices))
-	for _, i := range order[:loaded] {
-		min := &h[0]
-		assign[i] = int32(min.part)
-		min.load += slices[i]
-		min.count++
-		heap.Fix(&h, 0)
-	}
-	counts := make([]int, p)
-	for _, pl := range h {
-		counts[pl.part] = pl.count
-	}
-	spreadEmpty(order[loaded:], assign, counts)
-	return &ModePlan{Parts: p, Assign: assign, Loads: loadsFromAssign(slices, assign, p), Sorted: loaded}
-}
+// the smallest current load (a max-min / LPT greedy) — fewest slices,
+// then lowest index, on a tie. Unlike GTP the resulting partitions are
+// generally non-contiguous. It is WeightedLPT at unit weights.
+func MTP(slices []int64, p int) *ModePlan { return WeightedLPT(slices, nil, p) }
 
 // heaviestFirst returns the slice indices in the order MTP and
 // WeightedLPT place them — descending nnz, ties by ascending index — and
@@ -213,34 +191,6 @@ func checkParts(slices, p int) {
 		panic("partition: empty slice histogram")
 	}
 }
-
-type partLoad struct {
-	part  int
-	load  int64
-	count int // slices assigned so far
-}
-
-// loadHeap is a min-heap by load, then by slice count, then by part
-// index. The count tie-break matters on sparse modes: zero-nnz slices
-// leave the load unchanged, and without it every empty slice would pile
-// onto one partition — whose factor-row update work is proportional to
-// its *row count*, not its nnz — creating a straggler the nnz statistic
-// never sees.
-type loadHeap []partLoad
-
-func (h loadHeap) Len() int { return len(h) }
-func (h loadHeap) Less(i, j int) bool {
-	if h[i].load != h[j].load {
-		return h[i].load < h[j].load
-	}
-	if h[i].count != h[j].count {
-		return h[i].count < h[j].count
-	}
-	return h[i].part < h[j].part
-}
-func (h loadHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *loadHeap) Push(x any)   { *h = append(*h, x.(partLoad)) }
-func (h *loadHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
 
 // maxLoad returns the heaviest partition's nnz — the makespan the
 // optimal partitioning problem minimises.
@@ -330,9 +280,16 @@ func ImbalanceCV(loads []float64) float64 {
 // the weights are uniform, and a speed-aware plan when they are the
 // measured per-rank costs the imbalance detector broadcasts. Zero-nnz
 // slices spread round-robin by slice count, exactly as in MTP and for
-// the same reason. Weights must be positive and one per partition.
+// the same reason. Weights must be positive and one per partition; nil
+// weights are unit costs, which is MTP.
 func WeightedLPT(slices []int64, weights []float64, p int) *ModePlan {
 	checkParts(len(slices), p)
+	if weights == nil {
+		weights = make([]float64, p)
+		for q := range weights {
+			weights[q] = 1
+		}
+	}
 	if len(weights) != p {
 		panic(fmt.Sprintf("partition: %d weights for %d partitions", len(weights), p))
 	}

@@ -26,8 +26,33 @@ func referenceOrder(slices []int64) []int {
 	return order
 }
 
-// referenceMTP is Algorithm 3 over referenceOrder: the implementation
-// MTP replaced, kept as the oracle.
+type partLoad struct {
+	part  int
+	load  int64
+	count int // slices assigned so far
+}
+
+// loadHeap is a min-heap by load, then by slice count, then by part
+// index: Algorithm 3's "lightest partition" as the heap MTP ran on
+// before it became WeightedLPT at unit weights.
+type loadHeap []partLoad
+
+func (h loadHeap) Len() int { return len(h) }
+func (h loadHeap) Less(i, j int) bool {
+	if h[i].load != h[j].load {
+		return h[i].load < h[j].load
+	}
+	if h[i].count != h[j].count {
+		return h[i].count < h[j].count
+	}
+	return h[i].part < h[j].part
+}
+func (h loadHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *loadHeap) Push(x any)   { *h = append(*h, x.(partLoad)) }
+func (h *loadHeap) Pop() any     { old := *h; x := old[len(old)-1]; *h = old[:len(old)-1]; return x }
+
+// referenceMTP is Algorithm 3 over referenceOrder and a min-heap of
+// partition loads: the implementation MTP replaced, kept as the oracle.
 func referenceMTP(slices []int64, p int) *ModePlan {
 	order := referenceOrder(slices)
 	h := make(loadHeap, p)
@@ -104,7 +129,8 @@ func referenceWeightedLPT(slices []int64, weights []float64, p int) *ModePlan {
 }
 
 // TestSortingOnlyLoadedSlicesChangesNoPlan pins MTP and WeightedLPT to
-// the all-slices sort they replaced, over histograms shaped like the
+// the all-slices sort they replaced — and MTP to the heap it ran on —
+// over histograms shaped like the
 // ones that matter: mostly empty, heavily tied, every length down to 1.
 func TestSortingOnlyLoadedSlicesChangesNoPlan(t *testing.T) {
 	src := xrand.New(20251005)
@@ -126,7 +152,7 @@ func TestSortingOnlyLoadedSlicesChangesNoPlan(t *testing.T) {
 				loaded++
 			}
 		}
-		p := 1 + src.Intn(9)
+		p := 1 + src.Intn(40)
 
 		got, want := MTP(slices, p), referenceMTP(slices, p)
 		if !reflect.DeepEqual(got.Assign, want.Assign) || !reflect.DeepEqual(got.Loads, want.Loads) {

@@ -44,15 +44,3 @@ func (s *Sequence) Dims(i int) []int { return s.Steps[i] }
 
 // Snapshot materialises snapshot i as its own tensor.
 func (s *Sequence) Snapshot(i int) *Tensor { return s.Full.Prefix(s.Steps[i]) }
-
-// Delta returns the relative complement of snapshot i-1 in snapshot i,
-// i.e. the new data that arrived at step i. For i == 0 it is the whole
-// first snapshot (previous dims are all zero). The returned tensor has
-// snapshot i's dims.
-func (s *Sequence) Delta(i int) *Tensor {
-	snap := s.Snapshot(i)
-	if i == 0 {
-		return snap
-	}
-	return snap.Complement(s.Steps[i-1])
-}

@@ -1,9 +1,8 @@
 // Package tensor implements sparse tensors of arbitrary order in
 // coordinate (COO) format, together with the operations the
 // multi-aspect streaming setting needs: prefix sub-tensors, relative
-// complements of consecutive snapshots, binary region classification
-// (the 2^N sub-tensor tuples of the paper's Fig. 2), and per-mode slice
-// histograms that drive the GTP/MTP partitioners.
+// complements of consecutive snapshots, and per-mode slice histograms
+// that drive the GTP/MTP partitioners.
 //
 // Coordinates are stored flat as int32 (mode sizes up to 2^31-1, far
 // beyond the paper's 1.2e7) so a 3rd-order entry costs 20 bytes.
@@ -48,40 +47,6 @@ func (t *Tensor) Coord(e int, buf []int) []int {
 
 // Val returns entry e's value.
 func (t *Tensor) Val(e int) float64 { return t.Vals[e] }
-
-// At returns the value at idx, or 0 when absent, by binary search over
-// the sorted coordinates. Intended for tests and small tensors.
-func (t *Tensor) At(idx []int) float64 {
-	if len(idx) != t.Order() {
-		panic(fmt.Sprintf("tensor: At with %d indices on order-%d tensor", len(idx), t.Order()))
-	}
-	n := t.Order()
-	lo, hi := 0, t.NNZ()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if compareCoords(t.Coords[mid*n:mid*n+n], idx) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < t.NNZ() && compareCoords(t.Coords[lo*n:lo*n+n], idx) == 0 {
-		return t.Vals[lo]
-	}
-	return 0
-}
-
-func compareCoords(c []int32, idx []int) int {
-	for m, v := range c {
-		switch {
-		case int(v) < idx[m]:
-			return -1
-		case int(v) > idx[m]:
-			return 1
-		}
-	}
-	return 0
-}
 
 // Norm returns the Frobenius norm sqrt(Σ x²) over the stored entries.
 func (t *Tensor) Norm() float64 { return math.Sqrt(t.NormSq()) }
@@ -204,31 +169,6 @@ func (t *Tensor) ToDense() []float64 {
 		out[off] = t.Vals[e]
 	}
 	return out
-}
-
-// Equal reports whether two tensors have identical dims, coordinates,
-// and values (exact float comparison; both sides must be Built so the
-// coordinate order is canonical).
-func Equal(a, b *Tensor) bool {
-	if a.Order() != b.Order() || a.NNZ() != b.NNZ() {
-		return false
-	}
-	for m := range a.Dims {
-		if a.Dims[m] != b.Dims[m] {
-			return false
-		}
-	}
-	for i := range a.Coords {
-		if a.Coords[i] != b.Coords[i] {
-			return false
-		}
-	}
-	for i := range a.Vals {
-		if a.Vals[i] != b.Vals[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Builder accumulates coordinate/value pairs and produces a canonical

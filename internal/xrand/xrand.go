@@ -148,10 +148,7 @@ func NewZipf(src *Source, alpha float64, n int) *Zipf {
 	return &Zipf{src: src, cdf: cdf}
 }
 
-// N returns the number of ranks the sampler draws from.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Draw returns the next Zipf-distributed rank in [0, N()).
+// Draw returns the next Zipf-distributed rank in [0, n).
 func (z *Zipf) Draw() int {
 	u := z.src.Float64()
 	lo, hi := 0, len(z.cdf)-1

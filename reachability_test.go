@@ -1,9 +1,12 @@
 package dismastd
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -87,10 +90,10 @@ func TestEveryInternalPackageIsReachable(t *testing.T) {
 // type in this module implements. The library calls them, never a file
 // of this module, so a method of one of these names counts as used.
 var stdlibMethods = map[string]bool{
+	// fmt.Stringer, which fmt and log/slog call on the values they format
+	"String": true,
 	// sort.Interface
 	"Len": true, "Less": true, "Swap": true,
-	// heap.Interface
-	"Push": true, "Pop": true,
 	// slog.Handler
 	"Enabled": true, "Handle": true, "WithAttrs": true, "WithGroup": true,
 }
@@ -112,27 +115,29 @@ var reachabilityAllowlist = map[string]string{
 	"cluster.Local.SetElastic":   "drain-then-fail semantics the core elastic tests run in-process",
 }
 
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // TestShippedCodeIsCalledByWhatShips is the declaration-level companion
 // of TestEveryInternalPackageIsReachable: it fails for every top-level
 // func, method and type in internal/, exported or not, that no non-test
-// .go file of the module names outside its own declaration. Any
-// identifier of the same name counts as a use, so a method is kept
-// alive by a call on any type; files under benchmark/ and examples/
-// count as users. A declaration only tests call is moved into the
-// package's _test.go files, deleted with its tests, or named in
-// reachabilityAllowlist.
+// .go file of the module uses outside its own declaration. Uses are
+// resolved by type: the non-test files of every package in the module
+// are type-checked (the standard library from its source), and an
+// identifier counts as a use of the declaration it denotes, so a method
+// of one type is not kept alive by a same-name method of another. A
+// method is also used when shipped code calls a method of that name on
+// an interface the method's type implements, or when it implements one
+// of stdlibMethods. Files under benchmark/ and examples/ count as users;
+// a method's receiver is not a use of its type. A declaration only
+// tests call is moved into the package's _test.go files, deleted with
+// its tests, or named in reachabilityAllowlist.
 func TestShippedCodeIsCalledByWhatShips(t *testing.T) {
-	type decl struct {
-		key  string // package.Name or package.Type.Method
-		name string
-		node ast.Node
-		pos  token.Position
-	}
+	const module = "dismastd"
 	fset := token.NewFileSet()
-	var decls []decl
-	// uses[name] holds, for each identifier spelling name, the top-level
-	// func or spec it appears in.
-	uses := map[string][]ast.Node{}
+	files := map[string][]*ast.File{} // package directory -> its non-test files
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -150,65 +155,143 @@ func TestShippedCodeIsCalledByWhatShips(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		gated := strings.HasPrefix(filepath.ToSlash(p), "internal/")
-		// Identifiers that declare rather than use: a func's or type's
-		// own name, and a method's receiver type — a type only its own
-		// methods name is not used.
-		declaring := map[*ast.Ident]bool{}
-		var owners []ast.Node
-		for _, dn := range f.Decls {
-			switch dn := dn.(type) {
-			case *ast.FuncDecl:
-				owners = append(owners, dn)
-				declaring[dn.Name] = true
-				key := dn.Name.Name
-				if dn.Recv != nil {
-					recv := receiverType(dn.Recv.List[0].Type)
-					declaring[recv] = true
-					key = recv.Name + "." + key
-				}
-				exempt := dn.Name.Name == "init" || dn.Recv != nil && stdlibMethods[dn.Name.Name]
-				if gated && !exempt {
-					decls = append(decls, decl{f.Name.Name + "." + key, dn.Name.Name, dn, fset.Position(dn.Pos())})
-				}
-			case *ast.GenDecl:
-				for _, s := range dn.Specs {
-					owners = append(owners, s)
-					if ts, ok := s.(*ast.TypeSpec); ok {
-						declaring[ts.Name] = true
-						if gated {
-							decls = append(decls, decl{f.Name.Name + "." + ts.Name.Name, ts.Name.Name, ts, fset.Position(ts.Pos())})
-						}
-					}
-				}
-			}
-		}
-		for _, n := range owners {
-			ast.Inspect(n, func(x ast.Node) bool {
-				if id, ok := x.(*ast.Ident); ok && !declaring[id] {
-					uses[id.Name] = append(uses[id.Name], n)
-				}
-				return true
-			})
-		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		files[dir] = append(files[dir], f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// Type-check every package; a module import is checked on demand
+	// from the files above, anything else comes from GOROOT source.
+	std := importer.ForCompiler(fset, "source", nil)
+	infos := map[string]*types.Info{}
+	checked := map[string]*types.Package{}
+	var check func(dir string) (*types.Package, error)
+	conf := types.Config{Importer: importerFunc(func(p string) (*types.Package, error) {
+		if p == module {
+			return check(".")
+		}
+		if rel, ok := strings.CutPrefix(p, module+"/"); ok {
+			return check(rel)
+		}
+		return std.Import(p)
+	})}
+	check = func(dir string) (*types.Package, error) {
+		if pkg, ok := checked[dir]; ok {
+			return pkg, nil
+		}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		pkg, err := conf.Check(path.Join(module, dir), fset, files[dir], info)
+		if err != nil {
+			return nil, fmt.Errorf("type-check %s: %w", dir, err)
+		}
+		checked[dir], infos[dir] = pkg, info
+		return pkg, nil
+	}
+
+	type decl struct {
+		key  string // package.Name or package.Type.Method
+		obj  types.Object
+		node ast.Node
+		pos  token.Position
+	}
+	var decls []decl
+	// uses[obj] holds the top-level func or spec of each identifier
+	// denoting obj; called holds the interface methods shipped code names.
+	uses := map[types.Object][]ast.Node{}
+	called := map[*types.Func]bool{}
+	for dir, fs := range files {
+		if _, err := check(dir); err != nil {
+			t.Fatal(err)
+		}
+		info := infos[dir]
+		gated := strings.HasPrefix(dir, "internal/")
+		for _, f := range fs {
+			var owners []ast.Node
+			var recvs []*ast.Ident // receiver types: declaring, not using
+			for _, dn := range f.Decls {
+				switch dn := dn.(type) {
+				case *ast.FuncDecl:
+					owners = append(owners, dn)
+					key := dn.Name.Name
+					if dn.Recv != nil {
+						recv := receiverType(dn.Recv.List[0].Type)
+						recvs = append(recvs, recv)
+						key = recv.Name + "." + key
+					}
+					if gated && dn.Name.Name != "init" {
+						decls = append(decls, decl{f.Name.Name + "." + key, info.Defs[dn.Name], dn, fset.Position(dn.Pos())})
+					}
+				case *ast.GenDecl:
+					for _, s := range dn.Specs {
+						owners = append(owners, s)
+						if ts, ok := s.(*ast.TypeSpec); ok && gated {
+							decls = append(decls, decl{f.Name.Name + "." + ts.Name.Name, info.Defs[ts.Name], ts, fset.Position(ts.Pos())})
+						}
+					}
+				}
+			}
+			for _, n := range owners {
+				ast.Inspect(n, func(x ast.Node) bool {
+					id, ok := x.(*ast.Ident)
+					if !ok || slices.Contains(recvs, id) {
+						return true
+					}
+					obj := info.Uses[id]
+					if fn, ok := obj.(*types.Func); ok {
+						if r := fn.Type().(*types.Signature).Recv(); r != nil && types.IsInterface(r.Type()) {
+							called[fn] = true
+						}
+					}
+					if obj != nil {
+						uses[obj] = append(uses[obj], n)
+					}
+					return true
+				})
+			}
+		}
+	}
 	if len(decls) == 0 {
 		t.Fatal("found no declarations under internal/")
 	}
+	// implemented reports whether fn is a method shipped code reaches
+	// through an interface: a call of that name on an interface its
+	// receiver type (or a pointer to it) implements.
+	implemented := func(fn *types.Func) bool {
+		sig := fn.Type().(*types.Signature)
+		if sig.Recv() == nil {
+			return false
+		}
+		if stdlibMethods[fn.Name()] {
+			return true
+		}
+		recv := sig.Recv().Type()
+		if _, ok := recv.(*types.Pointer); !ok {
+			recv = types.NewPointer(recv)
+		}
+		for im := range called {
+			iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if im.Name() == fn.Name() && types.Implements(recv, iface) {
+				return true
+			}
+		}
+		return false
+	}
 	allowed := 0
 	for _, d := range decls {
-		used := slices.ContainsFunc(uses[d.name], func(n ast.Node) bool { return n != d.node })
+		used := slices.ContainsFunc(uses[d.obj], func(n ast.Node) bool { return n != d.node })
+		if fn, ok := d.obj.(*types.Func); ok && !used {
+			used = implemented(fn)
+		}
 		if _, ok := reachabilityAllowlist[d.key]; ok {
 			allowed++
 			if used {
-				t.Errorf("%s is allowlisted but shipped code names it: drop the entry", d.key)
+				t.Errorf("%s is allowlisted but shipped code uses it: drop the entry", d.key)
 			}
 		} else if !used {
-			t.Errorf("%s: %s is named by no non-test file", d.pos, d.key)
+			t.Errorf("%s: %s is used by no non-test file", d.pos, d.key)
 		}
 	}
 	if allowed != len(reachabilityAllowlist) {

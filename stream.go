@@ -20,8 +20,8 @@ import (
 type Options struct {
 	// Rank is the number of CP components R. Required.
 	Rank int
-	// MaxIters bounds the ALS sweeps per snapshot. Default 10, the
-	// paper's setting.
+	// MaxIters bounds the ALS sweeps per snapshot. Default (0) 10, the
+	// paper's setting; a negative value is an error.
 	MaxIters int
 	// Tol stops a snapshot's iteration when the relative loss change
 	// falls below it. Default 1e-6.
@@ -37,8 +37,9 @@ type Options struct {
 	// dynamic algorithm (DTD) bit for bit; more workers change only the
 	// reduction order of the Gram partials.
 	Workers int
-	// Parts is the number of tensor partitions per mode; it defaults to
-	// Workers (the paper's recommended setting).
+	// Parts is the number of tensor partitions per mode; it defaults (0)
+	// to Workers, the paper's recommended setting, and a negative value
+	// is an error.
 	Parts int
 	// Partitioner chooses GTP or MTP. Default GTP; MTP balances better
 	// on skewed data.
@@ -83,6 +84,9 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Workers < 0 {
 		return o, fmt.Errorf("dismastd: Workers must be positive, got %d", o.Workers)
+	}
+	if o.MaxIters < 0 || o.Parts < 0 {
+		return o, fmt.Errorf("dismastd: MaxIters and Parts must be non-negative, got %d and %d", o.MaxIters, o.Parts)
 	}
 	if o.Threads < 0 {
 		return o, fmt.Errorf("dismastd: Threads must be non-negative, got %d", o.Threads)

@@ -112,20 +112,15 @@ func TestEventPathMatchesBulkAtBoundaries(t *testing.T) {
 // fitOf measures 1 − ‖X − X̂‖/‖X‖ over every cell of x.
 func fitOf(s *dismastd.Stream, x *dismastd.Tensor) float64 {
 	idx := make([]int, len(x.Dims))
-	var walk func(m int) float64
-	walk = func(m int) float64 {
-		if m == len(x.Dims) {
-			d := x.At(idx) - s.Predict(idx)
-			return d * d
+	sum := 0.0
+	for off, v := range x.ToDense() { // row-major: last mode fastest
+		for m, rest := len(idx)-1, off; m >= 0; m-- {
+			idx[m], rest = rest%x.Dims[m], rest/x.Dims[m]
 		}
-		sum := 0.0
-		for i := 0; i < x.Dims[m]; i++ {
-			idx[m] = i
-			sum += walk(m + 1)
-		}
-		return sum
+		d := v - s.Predict(idx)
+		sum += d * d
 	}
-	return 1 - math.Sqrt(walk(0))/x.Norm()
+	return 1 - math.Sqrt(sum)/x.Norm()
 }
 
 // TestEventStreamFitProperty is the randomized property behind the
