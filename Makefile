@@ -13,7 +13,7 @@ NUMERIC_PKGS = ./internal/par/... ./internal/mat/... ./internal/mttkrp/... \
 	./internal/layout/... ./internal/cp/... ./internal/dtd/... \
 	./internal/completion/...
 
-.PHONY: all build fmt test vet race chaos check census fuzz profile clean
+.PHONY: all build fmt test vet race portable chaos check census fuzz profile clean
 
 all: check
 
@@ -42,6 +42,14 @@ race:
 	$(GO) test -race $(CLUSTER_PKGS) $(NUMERIC_PKGS) ./internal/goldens/... ./internal/obs/... ./internal/sample/... \
 		./internal/bench/... ./internal/complexity/...
 
+# The portable order-3 MTTKRP loop. amd64 builds run the SSE2 kernel in
+# internal/layout, so the purego tag holds the Go loop to the COO oracle
+# and the goldens here, and an arm64 vet checks that the non-amd64 file
+# set compiles.
+portable:
+	$(GO) test -tags purego ./internal/layout/... ./internal/mttkrp/... ./internal/goldens/...
+	GOARCH=arm64 $(GO) vet ./internal/layout/...
+
 # The recovery tests of the stream driver and the worker binary —
 # rank deaths, joins, drains, rebalances, kill-and-resume — three times
 # over with -race: which rank sees a death first, and where each
@@ -51,7 +59,7 @@ CHAOS_TESTS = Elastic|Chaos|Rebalance|Kill|OneDriver
 chaos:
 	$(GO) test -race -count=3 -run '$(CHAOS_TESTS)' ./internal/core/ ./cmd/worker/
 
-check: fmt vet test race
+check: fmt vet test race portable
 
 # The counts ROADMAP.md's aim 2 ("fewer packages, fewer options, fewer
 # lines") is judged by: Go lines outside benchmark/, split into non-test

@@ -135,8 +135,9 @@ func (l *ModeLayout) ChunkStarts(c int) []int32 {
 }
 
 // AccumulateGroups adds the mode MTTKRP contribution of groups
-// [g0, g1) into dst. tmp and acc are R-sized scratch (tmp is unused by
-// the order-3 fast path but must still be sized R).
+// [g0, g1) into dst. tmp and acc are R-sized scratch (the order-3 fast
+// path reads only their length on amd64, and tmp nowhere, but both
+// must still be sized R).
 //
 // Determinism: the compiled kernel performs, entry by entry in
 // position order, exactly the operation sequence of the COO walk —
@@ -184,47 +185,24 @@ func (l *ModeLayout) AccumulateGroups(dst *mat.Dense, factors []*mat.Dense, g0, 
 	}
 }
 
-// accumulateGroups3 is the order-3 fast path: with exactly two
-// non-target modes a < b (a is the lead), each entry contributes
-// (v·A_a[c_a][c])·A_b[c_b][c] — the same left-associated product chain
-// as the generic path, fused into the accumulate. The loop is bound by
-// the accumulator's own loads and stores, so it takes four entries per
-// pass over acc. Go evaluates acc[c] + t0 + t1 + t2 + t3 left to right
-// and, at the default GOAMD64=v1, fuses no multiply into an add, so
-// each cell still adds its entries one at a time in position order:
-// the bits equal four separate passes. A scalar loop takes the last
-// len % 4 positions of the row.
-func (l *ModeLayout) accumulateGroups3(dst *mat.Dense, factors []*mat.Dense, g0, g1 int, acc []float64) {
-	a := l.Lead
-	b := 3 - l.Mode - a
-	fa, fb := factors[a], factors[b]
-	ca, cb, vals := l.Coords[a], l.Coords[b], l.Vals
-	// Factor rows are resliced to len(acc) so the column loops below
-	// compile without bounds checks.
-	r := len(acc)
-	for g := g0; g < g1; g++ {
-		clear(acc)
-		p, p1 := l.RowStarts[g], l.RowStarts[g+1]
-		for ; p+4 <= p1; p += 4 {
-			v0, v1, v2, v3 := vals[p], vals[p+1], vals[p+2], vals[p+3]
-			ra0, rb0 := fa.Row(int(ca[p]))[:r], fb.Row(int(cb[p]))[:r]
-			ra1, rb1 := fa.Row(int(ca[p+1]))[:r], fb.Row(int(cb[p+1]))[:r]
-			ra2, rb2 := fa.Row(int(ca[p+2]))[:r], fb.Row(int(cb[p+2]))[:r]
-			ra3, rb3 := fa.Row(int(ca[p+3]))[:r], fb.Row(int(cb[p+3]))[:r]
-			for c := range acc {
-				acc[c] = acc[c] + v0*ra0[c]*rb0[c] + v1*ra1[c]*rb1[c] + v2*ra2[c]*rb2[c] + v3*ra3[c]*rb3[c]
-			}
-		}
-		for ; p < p1; p++ {
-			v := vals[p]
-			ra, rb := fa.Row(int(ca[p]))[:r], fb.Row(int(cb[p]))[:r]
-			for c := range acc {
-				acc[c] += v * ra[c] * rb[c]
-			}
-		}
-		out := dst.Row(int(l.Rows[g]))
-		for c := range out {
-			out[c] += acc[c]
-		}
+// others3 returns the two non-target modes of an order-3 layout, the
+// lead a first, and panics unless dst is the layout's mode-size × r
+// output and factors[a], factors[b] have their mode's rows of exactly r
+// columns: the amd64 kernel loads rows through raw pointers, so the
+// shapes are checked once per call, before the first load.
+func (l *ModeLayout) others3(dst *mat.Dense, factors []*mat.Dense, r int) (a, b int) {
+	a = l.Lead
+	b = 3 - l.Mode - a
+	mustShape("destination", dst, l.Dims[l.Mode], r)
+	mustShape("lead factor", factors[a], l.Dims[a], r)
+	mustShape("second factor", factors[b], l.Dims[b], r)
+	return a, b
+}
+
+// mustShape panics unless m is rows × cols with at least rows·cols
+// values behind it.
+func mustShape(what string, m *mat.Dense, rows, cols int) {
+	if m.Rows != rows || m.Cols != cols || len(m.Data) < rows*cols {
+		panic(fmt.Sprintf("layout: %s is %dx%d with %d values, want %dx%d", what, m.Rows, m.Cols, len(m.Data), rows, cols))
 	}
 }

@@ -16,7 +16,8 @@ import (
 // multiset exactly (every listed entry once, coordinates and value
 // intact), positions are mode-sorted, the sort is stable within a row,
 // and its kernel reproduces the COO view's MTTKRP bit for bit at a
-// fuzzed R in [1, 17].
+// fuzzed R in [1, 33]: up to two of the amd64 kernel's 16-column
+// register blocks and an odd last column.
 func FuzzCompileLayout(f *testing.F) {
 	f.Add(uint8(3), uint8(6), uint16(100), uint64(1), uint8(0), uint8(0), uint8(4))
 	f.Add(uint8(1), uint8(9), uint16(30), uint64(2), uint8(1), uint8(3), uint8(0))
@@ -118,7 +119,7 @@ func FuzzCompileLayout(f *testing.F) {
 			t.Fatalf("groups cover %d positions, want %d", pos, len(want))
 		}
 
-		r := int(rank)%17 + 1
+		r := int(rank)%33 + 1
 		factors := randomFactors(dims, r, seed+1)
 		got := mat.New(dims[target], r)
 		accumulate(l, got, factors, r)

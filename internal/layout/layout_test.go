@@ -286,6 +286,54 @@ func TestAccumulateGroupsAllocFree(t *testing.T) {
 	}
 }
 
+// TestAccumulateGroupsChecksShapes: the order-3 kernel loads factor
+// and destination rows through raw pointers on amd64, so before the
+// first load it panics on a factor or destination of the wrong shape —
+// here one row or one column short — instead of reading past it.
+func TestAccumulateGroupsChecksShapes(t *testing.T) {
+	const r = 6
+	dims := []int{8, 7, 6}
+	x := randomTensor(dims, 300, 4)
+	short := func(m *mat.Dense, rows, cols int) *mat.Dense {
+		return &mat.Dense{Rows: rows, Cols: cols, Data: m.Data[:rows*cols]}
+	}
+	for mode := range dims {
+		l := layout.Compile(x, mode, nil)
+		a, b := l.Lead, 3-mode-l.Lead
+		for _, tc := range []struct {
+			name string
+			edit func(dst *mat.Dense, factors []*mat.Dense) *mat.Dense
+		}{
+			{"lead factor one row short", func(dst *mat.Dense, f []*mat.Dense) *mat.Dense {
+				f[a] = short(f[a], dims[a]-1, r)
+				return dst
+			}},
+			{"second factor one row short", func(dst *mat.Dense, f []*mat.Dense) *mat.Dense {
+				f[b] = short(f[b], dims[b]-1, r)
+				return dst
+			}},
+			{"second factor one column short", func(dst *mat.Dense, f []*mat.Dense) *mat.Dense {
+				f[b] = short(f[b], dims[b], r-1)
+				return dst
+			}},
+			{"destination one row short", func(dst *mat.Dense, _ []*mat.Dense) *mat.Dense {
+				return short(dst, dims[mode]-1, r)
+			}},
+		} {
+			factors := randomFactors(dims, r, 5)
+			dst := tc.edit(mat.New(dims[mode], r), factors)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("mode %d, %s: AccumulateGroups did not panic", mode, tc.name)
+					}
+				}()
+				l.AccumulateGroups(dst, factors, 0, l.NumRows(), make([]float64, r), make([]float64, r))
+			}()
+		}
+	}
+}
+
 // rowsOfLengths builds an order-n tensor whose target-mode row i holds
 // exactly i+1 entries, i in 0..8: every row length 1–9, so the order-3
 // kernel meets every remainder mod 4 and up to two full blocks of four.
@@ -330,13 +378,42 @@ func subsetTensor(x *tensor.Tensor, entries []int32) *tensor.Tensor {
 	return sub
 }
 
+// withSpecials overwrites about one factor value in five with a value
+// that tests the kernel's arithmetic rather than its indexing: −0, a
+// signed subnormal, or a signed 1e160, whose products with another
+// such factor overflow to ±Inf (and whose ±Inf sums in a row may give
+// NaN — the one NaN every path makes alike). No factor is NaN: ingest
+// refuses non-finite values.
+func withSpecials(factors []*mat.Dense, seed uint64) []*mat.Dense {
+	src := xrand.New(seed)
+	for _, f := range factors {
+		for i := range f.Data {
+			sign := float64(1 - 2*src.Intn(2))
+			switch src.Intn(15) {
+			case 0:
+				f.Data[i] = math.Copysign(0, -1)
+			case 1:
+				f.Data[i] = sign * 3e-310
+			case 2:
+				f.Data[i] = sign * 1e160
+			}
+		}
+	}
+	return factors
+}
+
 // TestCompiledRemaindersAndRanks holds the compiled kernel to the COO
 // view and the flat scatter, bit for bit, on rows of every length 1–9
-// (every remainder of the order-3 kernel's four-entry blocks), at
-// R in {1, 2, 3, 4, 5, 10, 17}, for orders 2, 3 and 4 (the generic path and the fast path) and for
-// all entries and a two-thirds subset. Dropping the kernel's tail loop,
-// or summing the four entries of a block before adding them to the
-// accumulator, fails it.
+// (every remainder of the portable order-3 loop's four-entry blocks),
+// at R in {1, 2, 3, 4, 5, 10, 16, 17, 32, 33} — on amd64 one register
+// block of 16 columns with and without an odd last column, one block
+// and a partial one, two full blocks, and two blocks plus an odd
+// column — for orders 2, 3 and 4 (the generic path and the fast path)
+// and for all entries and a two-thirds subset, with factors holding
+// −0, subnormals and products that overflow to ±Inf. Dropping a
+// kernel's tail (the portable loop's last entries, the amd64 kernel's
+// odd column), summing two entries' products before adding them to the
+// accumulator, or multiplying A_b before A_a fails it.
 func TestCompiledRemaindersAndRanks(t *testing.T) {
 	for _, n := range []int{2, 3, 4} {
 		for target := 0; target < n; target++ {
@@ -355,8 +432,8 @@ func TestCompiledRemaindersAndRanks(t *testing.T) {
 				region := subsetTensor(x, entries)
 				compiled := mttkrp.NewKernelOf(x, target, entries, layout.Compiled)
 				view := mttkrp.NewKernelOf(x, target, entries, layout.COO)
-				for _, r := range []int{1, 2, 3, 4, 5, 10, 17} {
-					factors := randomFactors(x.Dims, r, uint64(r))
+				for _, r := range []int{1, 2, 3, 4, 5, 10, 16, 17, 32, 33} {
+					factors := withSpecials(randomFactors(x.Dims, r, uint64(r)), uint64(100+r))
 					got := mat.New(x.Dims[target], r)
 					accumulate(compiled, got, factors, r)
 					coo := mat.New(x.Dims[target], r)

@@ -3,6 +3,7 @@ package dismastd
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -25,13 +26,10 @@ import (
 func TestEveryInternalPackageIsReachable(t *testing.T) {
 	const module = "dismastd"
 	fset := token.NewFileSet()
-	isShipped := func(name string) bool {
-		return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
-	}
 	// imports returns the module-local directories the non-test files of
 	// dir import.
 	imports := func(dir string) (deps []string) {
-		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool { return isShipped(fi.Name()) }, parser.ImportsOnly)
+		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool { return isShipped(t, dir, fi.Name()) }, parser.ImportsOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +70,7 @@ func TestEveryInternalPackageIsReachable(t *testing.T) {
 	}
 
 	err = filepath.WalkDir("internal", func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !isShipped(d.Name()) {
+		if err != nil || d.IsDir() || !isShipped(t, filepath.Dir(p), d.Name()) {
 			return err
 		}
 		if dir := filepath.ToSlash(filepath.Dir(p)); !reached[dir] {
@@ -84,6 +82,21 @@ func TestEveryInternalPackageIsReachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// isShipped reports whether the file name in dir is non-test Go code
+// the build of this platform compiles: a file whose //go:build line or
+// _GOOS/_GOARCH suffix excludes it is left out, so a per-architecture
+// pair of files declaring one function is read as the build reads it.
+func isShipped(t *testing.T, dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
 }
 
 // stdlibMethods names the methods of the standard-library interfaces a
@@ -125,15 +138,16 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // func, method and type in internal/, exported or not, that no non-test
 // .go file of the module uses outside its own declaration. Uses are
 // resolved by type: the non-test files of every package in the module
-// are type-checked (the standard library from its source), and an
-// identifier counts as a use of the declaration it denotes, so a method
-// of one type is not kept alive by a same-name method of another. A
-// method is also used when shipped code calls a method of that name on
-// an interface the method's type implements, or when it implements one
-// of stdlibMethods. Files under benchmark/ and examples/ count as users;
-// a method's receiver is not a use of its type. A declaration only
-// tests call is moved into the package's _test.go files, deleted with
-// its tests, or named in reachabilityAllowlist.
+// that this platform's build selects are type-checked (the standard
+// library from its source), and an identifier counts as a use of the
+// declaration it denotes, so a method of one type is not kept alive by
+// a same-name method of another. A method is also used when shipped
+// code calls a method of that name on an interface the method's type
+// implements, or when it implements one of stdlibMethods. Files under
+// benchmark/ and examples/ count as users; a method's receiver is not a
+// use of its type. A declaration only tests call is moved into the
+// package's _test.go files, deleted with its tests, or named in
+// reachabilityAllowlist.
 func TestShippedCodeIsCalledByWhatShips(t *testing.T) {
 	const module = "dismastd"
 	fset := token.NewFileSet()
@@ -148,7 +162,7 @@ func TestShippedCodeIsCalledByWhatShips(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !isShipped(t, filepath.Dir(p), d.Name()) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
