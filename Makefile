@@ -11,7 +11,7 @@ CLUSTER_PKGS = . ./internal/cluster/... ./internal/core/... ./internal/dplan/...
 # goroutines.
 NUMERIC_PKGS = ./internal/par/... ./internal/mat/... ./internal/mttkrp/... \
 	./internal/layout/... ./internal/cp/... ./internal/dtd/... \
-	./internal/completion/...
+	./internal/completion/... ./internal/tensor/...
 
 .PHONY: all build fmt test vet race portable chaos check census fuzz profile clean
 
@@ -27,8 +27,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# Options left at Threads 0 run on max(1, GOMAXPROCS/Workers) threads,
+# so on a multi-core machine the root package's default-options tests
+# and the goldens built on them cover the pooled path only; the second
+# run holds them to the sequential one.
 test: build
 	$(GO) test ./...
+	GOMAXPROCS=1 $(GO) test . ./internal/goldens/...
 
 # Race-detector pass over the cluster transport, the distributed step
 # driver, the worker binary, and the workspace-threaded numeric stack —

@@ -108,7 +108,9 @@ type workerConfig struct {
 
 // threadsPerRank shares the process's GOMAXPROCS among the ranks it
 // runs: every rank's numeric kernels get max(1, GOMAXPROCS/workers)
-// compute threads. Results are identical at every thread count.
+// compute threads — what dismastd.Options.Threads defaults to, applied
+// here because worker mode builds core.Options itself. Results are
+// identical at every thread count.
 func threadsPerRank(workers int) int {
 	return max(1, runtime.GOMAXPROCS(0)/max(1, workers))
 }
@@ -170,8 +172,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			opts: dismastd.Options{
 				Rank: *rank, MaxIters: *iters, ForgettingFactor: *mu, Seed: *seed,
 				Workers: *workers, Partitioner: dismastd.Partitioner(pm),
-				Threads: threadsPerRank(*workers), Solver: *solver,
-				SweepEvery: *sweepEvery,
+				Solver: *solver, SweepEvery: *sweepEvery,
 			},
 			drainTimeout: *drainTimeout,
 		}

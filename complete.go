@@ -33,8 +33,9 @@ type CompletionOptions struct {
 	Parts int
 	// Partitioner chooses GTP or MTP.
 	Partitioner Partitioner
-	// Threads sizes the shared-memory pool each worker runs on. 0 or 1
-	// means sequential; results are bitwise identical at every value.
+	// Threads sizes the shared-memory pool each worker runs on. The
+	// default (0) is max(1, GOMAXPROCS/Workers), as for Options.Threads;
+	// 1 means sequential. Results are bitwise identical at every value.
 	Threads int
 }
 
@@ -45,9 +46,13 @@ func (o CompletionOptions) internal() (completion.DistributedOptions, error) {
 	if o.MaxIters < 0 || o.Parts < 0 {
 		return completion.DistributedOptions{}, fmt.Errorf("dismastd: MaxIters and Parts must be non-negative, got %d and %d", o.MaxIters, o.Parts)
 	}
+	workers, threads := max(o.Workers, 1), o.Threads
+	if threads == 0 {
+		threads = defaultThreads(workers)
+	}
 	return completion.DistributedOptions{
-		Options: completion.Options{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Lambda: o.Lambda, Seed: o.Seed, Threads: o.Threads},
-		Workers: max(o.Workers, 1), Parts: o.Parts, Method: partition.Method(o.Partitioner),
+		Options: completion.Options{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Lambda: o.Lambda, Seed: o.Seed, Threads: threads},
+		Workers: workers, Parts: o.Parts, Method: partition.Method(o.Partitioner),
 	}, nil
 }
 

@@ -116,13 +116,14 @@ type CPResult struct {
 	Fit     float64 // 1 − Loss/‖X‖_F
 }
 
-// Decompose runs static CP-ALS on x — the non-streaming baseline. A
-// maxIters <= 0 selects 50 sweeps. Use NewStream for streaming data.
+// Decompose runs static CP-ALS on x — the non-streaming baseline — on
+// GOMAXPROCS threads. A maxIters <= 0 selects 50 sweeps. Use NewStream
+// for streaming data.
 func Decompose(x *Tensor, rank int, maxIters int) (*CPResult, error) {
 	if maxIters <= 0 {
 		maxIters = 50
 	}
-	st, stats, err := dtd.Init(x, dtd.Options{Rank: rank, MaxIters: maxIters})
+	st, stats, err := dtd.Init(x, dtd.Options{Rank: rank, MaxIters: maxIters, Threads: defaultThreads(1)})
 	if err != nil {
 		return nil, err
 	}

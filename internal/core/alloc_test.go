@@ -122,8 +122,7 @@ func TestBindDefaultsToCompiledUnderSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rank := 0; rank < workers; rank++ {
-		for m := 0; m < full.Order(); m++ {
-			k := job.kernel(rank, m)
+		for m, k := range job.kernels(rank, nil) {
 			if _, ok := k.(*layout.ModeLayout); !ok {
 				t.Errorf("rank %d mode %d kernel is %T, want *layout.ModeLayout", rank, m, k)
 			}

@@ -33,10 +33,10 @@ import (
 	"dismastd/internal/cluster"
 	"dismastd/internal/dplan"
 	"dismastd/internal/dtd"
-	"dismastd/internal/layout"
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
 	"dismastd/internal/obs"
+	"dismastd/internal/par"
 	"dismastd/internal/partition"
 	"dismastd/internal/sample"
 	"dismastd/internal/tensor"
@@ -349,15 +349,17 @@ func (l *naiveLoss) inner() float64 {
 	return inner
 }
 
-// kernel builds rank me's mode-m kernel: the compiled layout of the
-// rank's entry list, fresh for each binding (a rank binds a plan once).
-func (j *StepJob) kernel(me, m int) mttkrp.Kernel {
-	return mttkrp.NewKernelOf(j.plan.Tensor, m, j.plan.EntryLists[me][m], layout.Compiled)
+// kernels builds rank me's kernels, one per mode, as chunks of pool:
+// the compiled layouts of the rank's entry lists, fresh for each binding
+// (a rank binds a plan once).
+func (j *StepJob) kernels(me int, pool *par.Pool) []mttkrp.Kernel {
+	return mttkrp.CompileKernels(pool, j.plan.Tensor, j.plan.EntryLists[me])
 }
 
-// bindRank derives rank w's engine from the plan: kernels over the
-// rank's entry lists (see kernel), the rows it owns, and its
-// collectives; the engine stacks the step's starting point for the rank
+// bindRank derives rank w's engine from the plan: the rank's pool of
+// Threads, kernels over the rank's entry lists compiled on it (see
+// kernels), the rows it owns, and its collectives; the engine adopts
+// the pool and stacks the step's starting point for the rank
 // (dtd.Sweep.Bind from nil factors). The sampled solver forces the
 // broadcast row exchange (see Options.Solver). It also returns the
 // rank's row Exchanger, which the engine's exchanges run on and the
@@ -367,16 +369,16 @@ func (j *StepJob) bindRank(w *cluster.Worker) (*dtd.Sweep, *dplan.Exchanger) {
 	me := w.Rank()
 	comp := j.plan.Tensor
 	n := comp.Order()
-	kernels := make([]mttkrp.Kernel, n)
+	pool := par.New(j.opts.Threads)
+	sp := w.Obs().Span("plan/compile")
+	kernels := j.kernels(me, pool)
+	sp.End()
 	owned := make([][]int32, n)
 	sorted := 0
-	sp := w.Obs().Span("plan/compile")
-	for m := range kernels {
-		kernels[m] = j.kernel(me, m)
+	for m := range owned {
 		owned[m] = j.plan.OwnedSlices[m][me]
 		sorted += j.plan.ModePlans[m].Sorted
 	}
-	sp.End()
 	w.Obs().Counter("plan.slices.sorted").Add(int64(sorted))
 	var smp *sample.Sampler
 	if j.opts.Solver == sample.Sampled {
@@ -394,7 +396,7 @@ func (j *StepJob) bindRank(w *cluster.Worker) (*dtd.Sweep, *dplan.Exchanger) {
 		broadcast: j.opts.broadcastRows || smp != nil,
 		cBytes:    w.Obs().Counter("allreduce.bytes"),
 	}
-	eng := j.sweep.Bind(nil, kernels, owned, smp, comm, w.Obs())
+	eng := j.sweep.Bind(pool, nil, kernels, owned, smp, comm, w.Obs())
 	if j.opts.naiveLoss {
 		comm.naive = &naiveLoss{entries: j.plan.EntryLists[me][n-1], comp: comp, factors: eng.Factors(), tmp: make([]float64, j.opts.Rank)}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"dismastd/internal/layout"
 	"dismastd/internal/obs"
+	"dismastd/internal/par"
 )
 
 // TestIterationAllocFree pins the workspace property on the world-of-one
@@ -34,7 +35,7 @@ func TestIterationAllocFree(t *testing.T) {
 				}
 				// bindSolo's binding, over the COO oracle too.
 				kernels, owned := worldBindingOf(s, kind)
-				e := s.Bind(nil, kernels, owned, nil, nil, opts.Obs)
+				e := s.Bind(par.New(s.opts.Threads), nil, kernels, owned, nil, nil, opts.Obs)
 				defer e.Close()
 
 				pass := func() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dismastd/internal/mat"
+	"dismastd/internal/par"
 )
 
 // The tests in this file pin the two shortcuts a binding takes around
@@ -102,7 +103,7 @@ func TestColdQuietPassMatchesThreeSums(t *testing.T) {
 			after := cloneAll(cold.full)
 			fresh := bindWorld(s, cloneAll(after), nil, false)
 			_, owned := worldBinding(s)
-			rebound := s.Bind(after, cold.kernels, owned, nil, nil, nil)
+			rebound := s.Bind(par.New(s.opts.Threads), after, cold.kernels, owned, nil, nil, nil)
 			defer fresh.Close()
 			defer rebound.Close()
 			for _, e := range []*Sweep{cold, fresh, rebound} {

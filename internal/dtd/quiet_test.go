@@ -13,6 +13,7 @@ import (
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
 	"dismastd/internal/obs"
+	"dismastd/internal/par"
 	"dismastd/internal/partition"
 	"dismastd/internal/tensor"
 	"dismastd/internal/xrand"
@@ -102,9 +103,9 @@ func bindRank(s *Sweep, plan *dplan.Plan, w *cluster.Worker, oracle bool, o *obs
 	}
 	comm := clusterComm{w: w, exch: dplan.NewExchanger(w, plan)}
 	if oracle {
-		return s.bind(nil, kernels, owned, allLive(n), nil, comm, o)
+		return s.bind(par.New(s.opts.Threads), nil, kernels, owned, allLive(n), nil, comm, o)
 	}
-	return s.Bind(nil, kernels, owned, nil, comm, o)
+	return s.Bind(par.New(s.opts.Threads), nil, kernels, owned, nil, comm, o)
 }
 
 // runStep runs the step once per rank on a fresh in-process cluster.
@@ -303,9 +304,9 @@ func worldBindingOf(s *Sweep, kind layout.Kind) ([]mttkrp.Kernel, [][]int32) {
 func bindWorld(s *Sweep, factors []*mat.Dense, comm Comm, oracle bool) *Sweep {
 	kernels, owned := worldBinding(s)
 	if oracle {
-		return s.bind(factors, kernels, owned, allLive(len(owned)), nil, comm, nil)
+		return s.bind(par.New(s.opts.Threads), factors, kernels, owned, allLive(len(owned)), nil, comm, nil)
 	}
-	return s.Bind(factors, kernels, owned, nil, comm, nil)
+	return s.Bind(par.New(s.opts.Threads), factors, kernels, owned, nil, comm, nil)
 }
 
 // TestAbortedRunLeavesOrdinaryFactors pins the write-out contract: a

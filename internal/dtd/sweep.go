@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"dismastd/internal/layout"
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
 	"dismastd/internal/obs"
@@ -214,7 +213,9 @@ func NewSweep(prev *State, snapshot *tensor.Tensor, o Options) (*Sweep, error) {
 	sp := opts.Obs.Span("plan/complement")
 	comp := snapshot
 	if !emptyBox(prev.Dims) {
-		comp = snapshot.Complement(prev.Dims)
+		pool := par.New(opts.Threads)
+		comp = snapshot.Complement(prev.Dims, pool)
+		pool.Close()
 	}
 	sp.End()
 
@@ -265,7 +266,9 @@ func (e *Sweep) stack() []*mat.Dense {
 	return out
 }
 
-// Bind returns the engine for one rank of the step. factors are the
+// Bind returns the engine for one rank of the step. pool is the rank's
+// shared-memory pool (nil: sequential), which the engine adopts: its
+// kernels run on it, and Close closes it. factors are the
 // rank's replicas of the stacked factors, adopted and updated in place —
 // warm factors, which cold_test.go binds as the cold quiet pass's
 // oracle — or nil for the step's starting point, which the binding then
@@ -283,7 +286,7 @@ func (e *Sweep) stack() []*mat.Dense {
 // in none of its mode's kernel groups is quiet (see quietRows). The
 // sampled solver names every row — its leverage scores read all of them
 // after every solve.
-func (e *Sweep) Bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]int32, smp *sample.Sampler, comm Comm, o *obs.Obs) *Sweep {
+func (e *Sweep) Bind(pool *par.Pool, factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]int32, smp *sample.Sampler, comm Comm, o *obs.Obs) *Sweep {
 	named := make([][]bool, len(kernels))
 	if smp == nil {
 		for m, k := range kernels {
@@ -293,12 +296,12 @@ func (e *Sweep) Bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]in
 			}
 		}
 	}
-	return e.bind(factors, kernels, owned, named, smp, comm, o)
+	return e.bind(pool, factors, kernels, owned, named, smp, comm, o)
 }
 
 // bind is Bind with the live rows as data: named[m][i] reports whether
 // row i of mode m is live, a nil named[m] that every row is.
-func (e *Sweep) bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]int32, named [][]bool, smp *sample.Sampler, comm Comm, o *obs.Obs) *Sweep {
+func (e *Sweep) bind(pool *par.Pool, factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]int32, named [][]bool, smp *sample.Sampler, comm Comm, o *obs.Obs) *Sweep {
 	n := len(e.newDims)
 	r := e.opts.Rank
 	cold := factors == nil
@@ -334,7 +337,7 @@ func (e *Sweep) bind(factors []*mat.Dense, kernels []mttkrp.Kernel, owned [][]in
 		fullG:     make([]*mat.Dense, n),
 		h:         mat.New(r, r),
 		smp:       smp,
-		pool:      par.New(e.opts.Threads),
+		pool:      pool,
 		trace:     make([]float64, 0, e.opts.MaxIters),
 		obs:       o,
 		names:     make([]sweepNames, n),
@@ -440,16 +443,15 @@ func newGramBatch(r int) (buf []float64, g0, g1, cross *mat.Dense) {
 }
 
 // bindSolo binds the world of one: every row owned, kernels over the
-// whole complement, the step's starting point, no Comm.
+// whole complement compiled on the engine's pool, the step's starting
+// point, no Comm.
 func (e *Sweep) bindSolo() (*Sweep, error) {
 	n := len(e.newDims)
-	kernels := make([]mttkrp.Kernel, n)
-	owned := make([][]int32, n)
+	pool := par.New(e.opts.Threads)
 	sp := e.opts.Obs.Span("plan/compile")
-	for m := range kernels {
-		kernels[m] = mttkrp.NewKernel(e.comp, m, layout.Compiled)
-	}
+	kernels := mttkrp.CompileKernels(pool, e.comp, nil)
 	sp.End()
+	owned := make([][]int32, n)
 	for m := range owned {
 		owned[m] = make([]int32, e.newDims[m])
 		for i := range owned[m] {
@@ -463,13 +465,14 @@ func (e *Sweep) bindSolo() (*Sweep, error) {
 		smp, err = sample.New(e.comp, nil, e.opts.Rank, sample.DefaultSamples, e.opts.Seed, 0)
 		sp.End()
 		if err != nil {
+			pool.Close()
 			return nil, err
 		}
 	}
-	return e.Bind(nil, kernels, owned, smp, nil, e.opts.Obs), nil
+	return e.Bind(pool, nil, kernels, owned, smp, nil, e.opts.Obs), nil
 }
 
-// Close releases the engine's pool goroutines.
+// Close releases the goroutines of the pool the engine adopted in Bind.
 func (e *Sweep) Close() { e.pool.Close() }
 
 // Factors returns the rank's factor replicas as the sweeps left them.

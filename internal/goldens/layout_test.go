@@ -12,6 +12,7 @@ import (
 	"dismastd/internal/layout"
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
+	"dismastd/internal/par"
 	"dismastd/internal/partition"
 	"dismastd/internal/sample"
 	"dismastd/internal/tensor"
@@ -88,7 +89,7 @@ func oracleStep(t *testing.T, prev *dtd.State, x *tensor.Tensor, opts dtd.Option
 			}
 		}
 		exch := dplan.NewExchanger(w, plan)
-		eng := s.Bind(nil, kernels, owned, smp, oracleComm{w, exch, smp != nil}, nil)
+		eng := s.Bind(par.New(opts.Threads), nil, kernels, owned, smp, oracleComm{w, exch, smp != nil}, nil)
 		defer eng.Close()
 		if err := eng.Run(nil); err != nil {
 			return err

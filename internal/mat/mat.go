@@ -324,17 +324,21 @@ func RandomUniform(r, c int, src *xrand.Source) *Dense {
 	return m
 }
 
-// StackRows returns the (a.Rows+b.Rows) x Cols matrix [A; B]. The paper
+// StackRows returns the (a.Rows+b.Rows) x Cols matrix [A; B] in fresh
+// storage, which may have spare capacity past its last row. The paper
 // stacks the old-region block A^(0) on top of the growth block A^(1) to
 // form the full factor.
 func StackRows(a, b *Dense) *Dense {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: StackRows column mismatch %d vs %d", a.Cols, b.Cols))
 	}
-	out := New(a.Rows+b.Rows, a.Cols)
-	copy(out.Data[:len(a.Data)], a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
-	return out
+	// Appending to a capacity-capped view of a's data allocates the
+	// result and writes each element once; New would zero it all first.
+	// With b empty that append would return a's own storage.
+	if len(b.Data) == 0 {
+		return &Dense{Rows: a.Rows, Cols: a.Cols, Data: append([]float64{}, a.Data...)}
+	}
+	return &Dense{Rows: a.Rows + b.Rows, Cols: a.Cols, Data: append(a.Data[:len(a.Data):len(a.Data)], b.Data...)}
 }
 
 // SliceRows returns rows [from, to) of m as a view sharing storage.

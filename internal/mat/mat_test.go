@@ -244,6 +244,15 @@ func TestStackAndSliceRows(t *testing.T) {
 	if s.At(0, 0) != 9 {
 		t.Fatal("SliceRows is not a view")
 	}
+	if a.At(0, 0) != 1 {
+		t.Fatal("StackRows shares storage with its top block")
+	}
+	// An empty bottom block still gets a copy of the top one.
+	same := StackRows(a, New(0, 2))
+	same.Set(1, 1, 7)
+	if same.Rows != 2 || a.At(1, 1) != 4 {
+		t.Fatalf("StackRows with no bottom rows: %+v aliases or resizes %+v", same, a)
+	}
 }
 
 func TestCholeskyReconstruction(t *testing.T) {

@@ -3,6 +3,7 @@ package mttkrp
 import (
 	"dismastd/internal/layout"
 	"dismastd/internal/mat"
+	"dismastd/internal/par"
 	"dismastd/internal/tensor"
 )
 
@@ -69,4 +70,31 @@ func NewKernelOf(t *tensor.Tensor, mode int, entries []int32, kind layout.Kind) 
 		return layout.Compile(t, mode, entries)
 	}
 	return newModeView(t, mode, entries)
+}
+
+// CompileKernels compiles the layout of every mode of t as chunks of
+// pool, one mode per index: over entries[m] for mode m (NewKernelOf),
+// or over every entry of t when entries is nil (NewKernel). A mode's
+// layout depends on nothing but its mode and entry list, so the kernels
+// are the same at every thread count.
+func CompileKernels(pool *par.Pool, t *tensor.Tensor, entries [][]int32) []Kernel {
+	c := &compileTask{t: t, entries: entries, out: make([]Kernel, t.Order())}
+	pool.For(len(c.out), c)
+	return c.out
+}
+
+type compileTask struct {
+	t       *tensor.Tensor
+	entries [][]int32
+	out     []Kernel
+}
+
+func (c *compileTask) RunChunk(lo, hi, _ int) {
+	for m := lo; m < hi; m++ {
+		if c.entries == nil {
+			c.out[m] = NewKernel(c.t, m, layout.Compiled)
+		} else {
+			c.out[m] = NewKernelOf(c.t, m, c.entries[m], layout.Compiled)
+		}
+	}
 }

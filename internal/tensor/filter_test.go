@@ -1,8 +1,10 @@
 package tensor
 
 import (
+	"fmt"
 	"testing"
 
+	"dismastd/internal/par"
 	"dismastd/internal/xrand"
 )
 
@@ -20,23 +22,54 @@ func builderFilter(t *Tensor, box []int, inside bool, dims []int) *Tensor {
 	return b.Build()
 }
 
+// inPrefix reports whether entry e lies in the prefix box of dims.
+func (t *Tensor) inPrefix(e int, dims []int) bool {
+	base := e * t.Order()
+	for m, d := range dims {
+		if int(t.Coords[base+m]) >= d {
+			return false
+		}
+	}
+	return true
+}
+
+// filterPools are the pools the complement is extracted on besides the
+// caller: one thread (the nil pool), and 2, 3 and 8 chunks of bitmap
+// words, so a few hundred entries put chunk boundaries between words.
+func filterPools(tb testing.TB) []*par.Pool {
+	pools := []*par.Pool{par.New(1), par.New(2), par.New(3), par.New(8)}
+	tb.Cleanup(func() {
+		for _, p := range pools {
+			p.Close()
+		}
+	})
+	return pools
+}
+
 // checkFilterAgainstBuilder asserts that Prefix(box) and Complement(box)
-// equal their Builder-built oracles entry for entry — dims, NNZ,
-// coordinates, values, NormSq — and that each result is canonical
-// (coordinates strictly increasing: sorted, no duplicates).
-func checkFilterAgainstBuilder(t *testing.T, x *Tensor, box []int) {
+// — the latter on the caller and on each of pools — equal their
+// Builder-built oracles entry for entry — dims, NNZ, coordinates,
+// values, NormSq — and that each result is canonical (coordinates
+// strictly increasing: sorted, no duplicates).
+func checkFilterAgainstBuilder(t *testing.T, x *Tensor, box []int, pools []*par.Pool) {
 	t.Helper()
 	pre, comp := x.Prefix(box), x.Complement(box)
 	if pre.NNZ()+comp.NNZ() != x.NNZ() {
 		t.Fatalf("prefix + complement of %v hold %d entries, tensor has %d", box, pre.NNZ()+comp.NNZ(), x.NNZ())
 	}
-	for _, tc := range []struct {
+	type result struct {
 		name      string
 		got, want *Tensor
-	}{
+	}
+	wantComp := builderFilter(x, box, false, x.Dims)
+	results := []result{
 		{"Prefix", pre, builderFilter(x, box, true, box)},
-		{"Complement", comp, builderFilter(x, box, false, x.Dims)},
-	} {
+		{"Complement", comp, wantComp},
+	}
+	for _, p := range pools {
+		results = append(results, result{fmt.Sprintf("Complement on %d threads", p.Threads()), x.Complement(box, p), wantComp})
+	}
+	for _, tc := range results {
 		got, want := tc.got, tc.want
 		if !Equal(got, want) {
 			t.Fatalf("%s(%v) of dims %v differs from the Builder-built result: nnz %d vs %d, dims %v vs %v",
@@ -61,25 +94,31 @@ func checkFilterAgainstBuilder(t *testing.T, x *Tensor, box []int) {
 // TestFilterMatchesBuilder is the randomized property: over random
 // orders, shapes, occupancies and prefix boxes — the empty box, the
 // full box and boxes with some modes empty or full among them — the
-// direct filtered copy is the Builder-built tensor.
+// direct filtered copy is the Builder-built tensor, on every pool. The
+// last 60 trials have modes of up to 40 and up to 3000 entries, so each
+// of 8 chunks holds several bitmap words.
 func TestFilterMatchesBuilder(t *testing.T) {
+	pools := filterPools(t)
 	src := xrand.New(20240915)
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + src.Intn(4)
+	for trial := 0; trial < 360; trial++ {
+		n, maxDim, maxNNZ := 1+src.Intn(4), 9, 400
+		if trial >= 300 {
+			n, maxDim, maxNNZ = 2+src.Intn(3), 40, 3000
+		}
 		dims := make([]int, n)
 		for m := range dims {
-			dims[m] = 1 + src.Intn(9)
+			dims[m] = 1 + src.Intn(maxDim)
 		}
-		x := randomTensor(dims, src.Intn(400), uint64(trial))
+		x := randomTensor(dims, src.Intn(maxNNZ), uint64(trial))
 		empty := make([]int, n)
-		checkFilterAgainstBuilder(t, x, empty)
-		checkFilterAgainstBuilder(t, x, dims)
+		checkFilterAgainstBuilder(t, x, empty, pools)
+		checkFilterAgainstBuilder(t, x, dims, pools)
 		for rep := 0; rep < 4; rep++ {
 			box := make([]int, n)
 			for m, d := range dims {
 				box[m] = src.Intn(d + 1)
 			}
-			checkFilterAgainstBuilder(t, x, box)
+			checkFilterAgainstBuilder(t, x, box, pools)
 		}
 	}
 }
@@ -92,6 +131,8 @@ func FuzzFilterMatchesBuilder(f *testing.F) {
 	f.Add(uint8(1), uint8(9), uint16(30), uint64(2), uint8(0))    // empty box
 	f.Add(uint8(4), uint8(3), uint16(200), uint64(3), uint8(255)) // full box
 	f.Add(uint8(2), uint8(1), uint16(0), uint64(4), uint8(0b0110))
+	f.Add(uint8(2), uint8(12), uint16(500), uint64(5), uint8(0b100101)) // several bitmap words before the mode-0 suffix
+	pools := filterPools(f)
 	f.Fuzz(func(t *testing.T, order, dimSpread uint8, nnz uint16, seed uint64, boxBits uint8) {
 		n := int(order)%4 + 1
 		dims := make([]int, n)
@@ -109,7 +150,7 @@ func FuzzFilterMatchesBuilder(f *testing.F) {
 				box[m] = dims[m]
 			}
 		}
-		checkFilterAgainstBuilder(t, randomTensor(dims, int(nnz)%512, seed), box)
+		checkFilterAgainstBuilder(t, randomTensor(dims, int(nnz)%512, seed), box, pools)
 	})
 }
 

@@ -13,6 +13,8 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+
+	"dismastd/internal/par"
 )
 
 // Tensor is an immutable sparse tensor in sorted coordinate format.
@@ -81,50 +83,188 @@ func (t *Tensor) SliceNNZ(mode int) []int64 {
 // tensor's own dims.
 func (t *Tensor) Prefix(dims []int) *Tensor {
 	t.checkPrefixDims(dims)
-	return t.filter(dims, true, dims)
+	return t.filter(dims, true, dims, nil)
 }
 
 // Complement returns the relative complement X \ X~ with respect to the
 // prefix snapshot of the given old dims: every entry having at least
 // one coordinate at or beyond oldDims[m] — the union of the paper's
 // binary-tuple regions other than X^(0,…,0). The result keeps the full
-// tensor's dims.
-func (t *Tensor) Complement(oldDims []int) *Tensor {
+// tensor's dims. Given a pool, the scan runs as its chunks; with none,
+// or a nil one, it runs on the caller. The result is the same entry for
+// entry either way.
+func (t *Tensor) Complement(oldDims []int, pool ...*par.Pool) *Tensor {
 	t.checkPrefixDims(oldDims)
-	return t.filter(oldDims, false, t.Dims)
+	var p *par.Pool
+	if len(pool) > 0 {
+		p = pool[0]
+	}
+	return t.filter(oldDims, false, t.Dims, p)
 }
 
 // filter copies the entries whose membership in the prefix box equals
 // inside into a new tensor of the given dims, in source order. The
 // source is canonical (sorted, deduplicated, no stored zeros) and an
 // order-preserving subset of a canonical tensor is canonical, so the
-// result needs no Builder: one predicate pass marks and counts the kept
-// entries, the result is allocated once at its final size, and the copy
-// pass visits the marked entries only.
-func (t *Tensor) filter(box []int, inside bool, dims []int) *Tensor {
-	n := t.Order()
-	keep := make([]uint64, (t.NNZ()+63)/64) // bit e: entry e is kept
-	nnz := 0
-	for e := 0; e < t.NNZ(); e++ {
-		if t.inPrefix(e, box) == inside {
-			keep[e>>6] |= 1 << (e & 63)
-			nnz++
+// result needs no Builder.
+//
+// Canonical order sorts by mode 0 first, so the entries at or beyond
+// box[0] in mode 0 — outside the box — are a suffix, found by binary
+// search and taken (complement) or dropped (prefix) as one block. Only
+// the rest is tested: a predicate pass marks the kept entries in a
+// bitmap and counts them, the result is allocated once at its final
+// size, and a copy pass moves each run of kept entries as one block. On
+// a pool both passes run as chunks of whole 64-entry bitmap words; the
+// per-chunk counts give each chunk its output offset, so the result is
+// the sequential one.
+func (t *Tensor) filter(box []int, inside bool, dims []int, pool *par.Pool) *Tensor {
+	f := filterRun{src: t, box: box, inside: inside, end: t.firstAtOrBeyond(box[0])}
+	f.keep = make([]uint64, (f.end+63)/64)
+	words := len(f.keep)
+	var chunks *filterChunks
+	kept := 0
+	if pool.Threads() > 1 {
+		chunks = &filterChunks{run: f, at: make([]int, pool.Threads())}
+		pool.For(words, chunks)
+		for i, c := range chunks.at {
+			chunks.at[i], kept = kept, kept+c
 		}
+	} else {
+		kept = f.mark(0, words)
+	}
+	suffix := 0
+	if !inside {
+		suffix = t.NNZ() - f.end
 	}
 	out := &Tensor{Dims: append([]int(nil), dims...)}
-	if nnz == 0 {
+	if kept+suffix == 0 {
 		return out
 	}
-	out.Coords = make([]int32, 0, nnz*n)
-	out.Vals = make([]float64, 0, nnz)
-	for w, word := range keep {
-		for ; word != 0; word &= word - 1 {
-			e := w<<6 + bits.TrailingZeros64(word)
-			out.Coords = append(out.Coords, t.Coords[e*n:e*n+n]...)
-			out.Vals = append(out.Vals, t.Vals[e])
+	n := t.Order()
+	out.Coords = make([]int32, (kept+suffix)*n)
+	out.Vals = make([]float64, kept+suffix)
+	if chunks != nil {
+		chunks.run.out, chunks.copying = out, true
+		pool.For(words, chunks)
+	} else {
+		f.out = out
+		f.copyKept(0, words, 0)
+	}
+	copy(out.Coords[kept*n:], t.Coords[f.end*n:f.end*n+suffix*n])
+	copy(out.Vals[kept:], t.Vals[f.end:f.end+suffix])
+	return out
+}
+
+// firstAtOrBeyond returns the first entry whose mode-0 coordinate is at
+// least c, or NNZ when there is none: entries are sorted by mode 0 first.
+func (t *Tensor) firstAtOrBeyond(c int) int {
+	n := t.Order()
+	lo, hi := 0, t.NNZ()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(t.Coords[mid*n]) < c {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return out
+	return lo
+}
+
+// filterRun is one filter call over entries [0, end): bit e of keep
+// marks entry e as kept.
+type filterRun struct {
+	src    *Tensor
+	box    []int
+	inside bool
+	end    int
+	keep   []uint64
+	out    *Tensor
+}
+
+// mark fills keep words [w0, w1) and returns the number of kept entries
+// they hold.
+func (f *filterRun) mark(w0, w1 int) int {
+	n := f.src.Order()
+	var flip uint64 // 1 when the kept entries are the ones inside the box
+	if f.inside {
+		flip = 1
+	}
+	kept := 0
+	for w := w0; w < w1; w++ {
+		lo, hi := w<<6, min(w<<6+64, f.end)
+		word := markWord(f.src.Coords[lo*n:hi*n], n, f.box, flip)
+		f.keep[w] = word
+		kept += bits.OnesCount64(word)
+	}
+	return kept
+}
+
+// markWord returns the keep bits of up to 64 entries, n coordinates
+// each, all below box[0] in mode 0: bit k is set when entry k is beyond
+// the box in another mode, flipped by flip. Every other mode is
+// compared, so the bit is computed, not branched on.
+func markWord(coords []int32, n int, box []int, flip uint64) uint64 {
+	var word uint64
+	for k := 0; k*n < len(coords); k++ {
+		c := coords[k*n : k*n+n]
+		var beyond uint64
+		for m := 1; m < n; m++ {
+			if int(c[m]) >= box[m] {
+				beyond = 1
+			}
+		}
+		word |= (beyond ^ flip) << k
+	}
+	return word
+}
+
+// copyKept copies the kept entries of keep words [w0, w1) to out,
+// starting at output entry at. Runs of kept entries — merged across
+// word boundaries — move as one block each.
+func (f *filterRun) copyKept(w0, w1, at int) {
+	run, end := 0, 0 // the pending run of kept entries, [run, end)
+	for w := w0; w < w1; w++ {
+		for word := f.keep[w]; word != 0; {
+			lo := bits.TrailingZeros64(word)
+			l := bits.TrailingZeros64(^(word >> lo))
+			if e := w<<6 + lo; e != end {
+				at = f.copyRun(run, end, at)
+				run = e
+			}
+			end = w<<6 + lo + l
+			word &^= (uint64(1)<<l - 1) << lo
+		}
+	}
+	f.copyRun(run, end, at)
+}
+
+// copyRun copies source entries [e0, e1) to out at output entry at and
+// returns the output entry after them.
+func (f *filterRun) copyRun(e0, e1, at int) int {
+	n := f.src.Order()
+	copy(f.out.Coords[at*n:], f.src.Coords[e0*n:e1*n])
+	copy(f.out.Vals[at:], f.src.Vals[e0:e1])
+	return at + e1 - e0
+}
+
+// filterChunks runs a filterRun's two passes as pool chunks of keep
+// words. Chunk tid's mark pass leaves its kept count in at[tid]; filter
+// turns the counts into output offsets for the copy pass. The pool
+// splits both passes identically, so chunk tid covers the same words in
+// each.
+type filterChunks struct {
+	run     filterRun
+	at      []int
+	copying bool
+}
+
+func (c *filterChunks) RunChunk(lo, hi, tid int) {
+	if c.copying {
+		c.run.copyKept(lo, hi, c.at[tid])
+	} else {
+		c.at[tid] = c.run.mark(lo, hi)
+	}
 }
 
 func (t *Tensor) checkPrefixDims(dims []int) {
@@ -136,16 +276,6 @@ func (t *Tensor) checkPrefixDims(dims []int) {
 			panic(fmt.Sprintf("tensor: prefix dim %d out of range [0, %d] in mode %d", d, t.Dims[m], m))
 		}
 	}
-}
-
-func (t *Tensor) inPrefix(e int, dims []int) bool {
-	base := e * t.Order()
-	for m, d := range dims {
-		if int(t.Coords[base+m]) >= d {
-			return false
-		}
-	}
-	return true
 }
 
 // ToDense expands the tensor into a dense row-major array (last mode

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"time"
 
 	"dismastd/internal/core"
@@ -46,9 +47,11 @@ type Options struct {
 	Partitioner Partitioner
 
 	// Threads sizes the shared-memory pool each worker runs its numeric
-	// kernels on. 0 or 1 means sequential. Factors are bitwise identical
-	// at every value — parallelism never reorders a floating-point
-	// reduction.
+	// kernels on — complement extraction and kernel compilation too. The
+	// default (0) shares the process among the workers: max(1,
+	// GOMAXPROCS/Workers), read when the options are first resolved; 1
+	// means sequential. Factors are bitwise identical at every value —
+	// parallelism never reorders a floating-point reduction.
 	Threads int
 
 	// Layout is accepted and ignored: "compiled", "coo" and "" all run
@@ -91,6 +94,9 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Threads < 0 {
 		return o, fmt.Errorf("dismastd: Threads must be non-negative, got %d", o.Threads)
 	}
+	if o.Threads == 0 {
+		o.Threads = defaultThreads(o.Workers)
+	}
 	if o.SweepEvery < 0 {
 		return o, fmt.Errorf("dismastd: SweepEvery must be non-negative, got %d", o.SweepEvery)
 	}
@@ -101,6 +107,13 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("dismastd: %v", err)
 	}
 	return o, nil
+}
+
+// defaultThreads is the pool size each of workers in-process ranks gets
+// when the options leave Threads 0: the process's GOMAXPROCS shared
+// among them, at least one.
+func defaultThreads(workers int) int {
+	return max(1, runtime.GOMAXPROCS(0)/max(1, workers))
 }
 
 // solverKind returns the parsed Solver; call after withDefaults.
