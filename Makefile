@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages exercising the distributed machinery; these are the ones the
 # race detector must stay clean on. The root package is one of them:
-# every Stream boundary and every Complete runs on a cluster.Local.
+# every Stream boundary runs on a cluster.Local.
 CLUSTER_PKGS = . ./internal/cluster/... ./internal/core/... ./internal/dplan/... ./cmd/worker/...
 
 # The workspace-threaded numeric stack. Workspaces are per-worker by
@@ -69,16 +69,22 @@ check: fmt vet test race portable
 # The counts ROADMAP.md's aim 2 ("fewer packages, fewer options, fewer
 # lines") is judged by: Go lines outside benchmark/, split into non-test
 # and test; packages under internal/; each binary's flags as its -h
-# lists them; and each internal package's exported identifiers — a grep
-# of its non-test files for top-level `func Name`, `func (recv) Name`
-# and `type Name` lines with Name capitalised (no `type (` groups are
-# in use). Report only — no count fails the target.
+# lists them; the exported fields of the root package's option structs
+# as `go doc` lists them; and each internal package's exported
+# identifiers — a grep of its non-test files for top-level `func Name`,
+# `func (recv) Name` and `type Name` lines with Name capitalised (no
+# `type (` groups are in use). Report only — no count fails the target.
+CENSUS_OPTIONS = Options CompletionOptions
+
 census:
 	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -exec cat {} + | wc -l)"
 	@echo "test Go lines outside benchmark/: $$(find . -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -exec cat {} + | wc -l)"
 	@echo "packages under internal/: $$($(GO) list ./internal/... | wc -l)"
 	@for d in cmd/*; do \
 		echo "flags of $$(basename $$d): $$($(GO) run ./$$d -h 2>&1 | grep -c '^  -')"; \
+	done
+	@for t in $(CENSUS_OPTIONS); do \
+		echo "exported fields of dismastd.$$t: $$($(GO) doc dismastd.$$t | awk "/^type $$t struct/,/^}/" | grep -cE '^	[A-Z]')"; \
 	done
 	@for d in $$(find internal -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u); do \
 		echo "exported funcs, methods and types of $$d: $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -cE '^(func (\([^)]*\) )?|type )[A-Z]')"; \

@@ -315,54 +315,11 @@ func TestCompleteAPI(t *testing.T) {
 	if _, err := dismastd.Complete(first, dismastd.CompletionOptions{Rank: 0}); err == nil {
 		t.Fatal("rank 0 accepted")
 	}
-	if _, err := dismastd.Complete(first, dismastd.CompletionOptions{Rank: 2, Workers: -3}); err == nil {
-		t.Fatal("Complete accepted Workers -3")
-	}
-	if _, err := dismastd.CompleteNext(res, second, dismastd.CompletionOptions{Rank: 2, Workers: -3}); err == nil {
-		t.Fatal("CompleteNext accepted Workers -3")
-	}
-	for _, o := range []dismastd.CompletionOptions{
-		{Rank: 2, MaxIters: -1, Workers: 2},
-		{Rank: 2, Parts: -4, Workers: 2},
-	} {
-		if _, err := dismastd.Complete(first, o); err == nil {
-			t.Fatalf("Complete accepted %+v", o)
-		}
+	if _, err := dismastd.Complete(first, dismastd.CompletionOptions{Rank: 2, MaxIters: -1}); err == nil {
+		t.Fatal("Complete accepted MaxIters -1")
 	}
 	smaller := first
 	if _, err := dismastd.CompleteNext(next, smaller, dismastd.CompletionOptions{Rank: 2}); err == nil {
 		t.Fatal("shrinking snapshot accepted")
-	}
-}
-
-func TestCompleteDistributedMatchesCentralized(t *testing.T) {
-	first, second := growingRatings(t)
-	opts := dismastd.CompletionOptions{Rank: 2, MaxIters: 10, Seed: 7}
-	central, err := dismastd.Complete(first, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	centralNext, err := dismastd.CompleteNext(central, second, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 3
-	opts.Partitioner = dismastd.MTP
-	distributed, err := dismastd.Complete(first, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	distributedNext, err := dismastd.CompleteNext(distributed, second, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range [][2]*dismastd.CompletionResult{{central, distributed}, {centralNext, distributedNext}} {
-		for m := range pair[0].Factors {
-			for i := range pair[0].Factors[m].Data {
-				if pair[0].Factors[m].Data[i] != pair[1].Factors[m].Data[i] {
-					t.Fatalf("mode %d elem %d differs", m, i)
-				}
-			}
-		}
 	}
 }

@@ -5,7 +5,7 @@
 // state. It has four modes:
 //
 //	worker -tensor s0.tsv,s1.tsv -workers 3 -out state.gob       # in-process cluster
-//	worker -serve 127.0.0.1:9000 -size 3                          # rendezvous
+//	worker -serve 127.0.0.1:9000 -workers 3                       # rendezvous
 //	worker -join 127.0.0.1:9000 -tensor s0.tsv,s1.tsv -out state.gob   # x3: TCP cluster
 //	worker -serve-http 127.0.0.1:8080 -state model.gob            # online serving
 //
@@ -122,9 +122,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	serveHTTP := fs.String("serve-http", "", "serve mode: run the online ingest/query front end on this address (e.g. 127.0.0.1:8080)")
 	statePath := fs.String("state", "", "serve mode: model checkpoint path — resumed at start if present, written on shutdown")
 	sweepEvery := fs.Int("sweep-every", 4096, "serve mode: run the drift-backstop full ALS sweep once this many events are pending (0 = only on /flush and shutdown)")
-	workers := fs.Int("workers", 1, "in-process cluster size every step (without -join) or serve-mode sweep runs DisMASTD on (1 = centralized DTD, bit for bit)")
+	workers := fs.Int("workers", 1, "cluster size: the in-process cluster every step runs on (without -join), the ranks a rendezvous (-serve) waits for, or the in-process cluster serve-mode sweeps run DisMASTD on (1 = centralized DTD, bit for bit)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "serve mode: bound on draining in-flight requests at shutdown")
-	size := fs.Int("size", 0, "rendezvous mode: cluster size")
 	joinWindow := fs.Duration("join-window", 0, "rendezvous mode: bound on total cluster formation time (0 = none)")
 	join := fs.String("join", "", "worker mode: rendezvous address to join (empty = run every rank in this process)")
 	listen := fs.String("listen", "127.0.0.1:0", "worker mode: this rank's listen address")
@@ -181,10 +180,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer signal.Stop(sig)
 		return runServe(cfg, stdout, stderr, sig)
 	case *serve != "":
-		if *size <= 0 {
-			return fmt.Errorf("-serve requires -size")
+		if *workers <= 0 {
+			return fmt.Errorf("-workers must be positive, got %d", *workers)
 		}
-		rv, err := cluster.NewRendezvousConfigured(*serve, *size, cluster.RendezvousConfig{
+		rv, err := cluster.NewRendezvousConfigured(*serve, *workers, cluster.RendezvousConfig{
 			JoinWindow: *joinWindow,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(stderr, "worker: "+format+"\n", args...)
@@ -193,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "worker: rendezvous on %s for %d ranks\n", rv.Addr(), *size)
+		fmt.Fprintf(stderr, "worker: rendezvous on %s for %d ranks\n", rv.Addr(), *workers)
 		return rv.Wait()
 	case *join != "" || *tensorPath != "":
 		if *join == "" {

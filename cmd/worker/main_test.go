@@ -102,12 +102,13 @@ func TestWorkerArgErrors(t *testing.T) {
 	mentions := map[string]string{
 		"elastic without heartbeat": "-heartbeat",
 		"no workers in process":     "-workers",
+		"no workers to rendezvous":  "-workers",
 		"missing snapshot":          "nope.tsv",
 		"missing prev":              "prev state",
 	}
 	for name, args := range map[string][]string{
 		"neither mode":              {},
-		"serve without size":        {"-serve", "127.0.0.1:0"},
+		"no workers to rendezvous":  {"-serve", "127.0.0.1:0", "-workers", "0"},
 		"join without file":         {"-join", "127.0.0.1:1"},
 		"bad method":                {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-method", "zzz"},
 		"resume without checkpoint": {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-resume"},

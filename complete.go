@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dismastd/internal/completion"
-	"dismastd/internal/partition"
 )
 
 // CompletionOptions configures tensor completion (fitting the observed
@@ -23,37 +22,21 @@ type CompletionOptions struct {
 	Lambda float64
 	// Seed makes runs reproducible. Default 1.
 	Seed uint64
-	// Workers is the size of the in-process cluster the fit runs on;
-	// 0 or 1 (default) is one rank, and a negative value is an error.
-	// The result is identical bit for bit at every size — completion
-	// has no cross-row reductions to reorder.
-	Workers int
-	// Parts is the number of tensor partitions per mode; defaults (0)
-	// to Workers, and a negative value is an error.
-	Parts int
-	// Partitioner chooses GTP or MTP.
-	Partitioner Partitioner
-	// Threads sizes the shared-memory pool each worker runs on. The
-	// default (0) is max(1, GOMAXPROCS/Workers), as for Options.Threads;
-	// 1 means sequential. Results are bitwise identical at every value.
+	// Threads sizes the shared-memory pool the fit runs on. The default
+	// (0) is GOMAXPROCS; 1 means sequential. Results are bitwise
+	// identical at every value.
 	Threads int
 }
 
-func (o CompletionOptions) internal() (completion.DistributedOptions, error) {
-	if o.Workers < 0 {
-		return completion.DistributedOptions{}, fmt.Errorf("dismastd: Workers must be positive, got %d", o.Workers)
+func (o CompletionOptions) internal() (completion.Options, error) {
+	if o.MaxIters < 0 {
+		return completion.Options{}, fmt.Errorf("dismastd: MaxIters must be non-negative, got %d", o.MaxIters)
 	}
-	if o.MaxIters < 0 || o.Parts < 0 {
-		return completion.DistributedOptions{}, fmt.Errorf("dismastd: MaxIters and Parts must be non-negative, got %d and %d", o.MaxIters, o.Parts)
-	}
-	workers, threads := max(o.Workers, 1), o.Threads
+	threads := o.Threads
 	if threads == 0 {
-		threads = defaultThreads(workers)
+		threads = defaultThreads(1)
 	}
-	return completion.DistributedOptions{
-		Options: completion.Options{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Lambda: o.Lambda, Seed: o.Seed, Threads: threads},
-		Workers: workers, Parts: o.Parts, Method: partition.Method(o.Partitioner),
-	}, nil
+	return completion.Options{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Lambda: o.Lambda, Seed: o.Seed, Threads: threads}, nil
 }
 
 // CompletionResult reports a completion fit.
@@ -67,13 +50,13 @@ type CompletionResult struct {
 // recommendation setting of the paper's introduction, where missing
 // ratings are predicted from the latent factors with Predict. Unlike
 // Decompose, unobserved cells do not pull predictions toward zero.
-// The fit runs on an in-process cluster of Workers ranks.
+// The fit runs in this process, on a pool of Threads threads.
 func Complete(x *Tensor, opts CompletionOptions) (*CompletionResult, error) {
 	o, err := opts.internal()
 	if err != nil {
 		return nil, err
 	}
-	res, err := completion.DecomposeDistributed(x, o)
+	res, err := completion.Decompose(x, o)
 	if err != nil {
 		return nil, err
 	}
@@ -83,8 +66,7 @@ func Complete(x *Tensor, opts CompletionOptions) (*CompletionResult, error) {
 // CompleteNext advances a completion model along a multi-aspect stream:
 // the previous result's factors are extended to the new snapshot's
 // (grown) dims and refined by warm-started sweeps over its
-// observations, on an in-process cluster of Workers ranks like
-// Complete. prev is not modified.
+// observations, in this process like Complete. prev is not modified.
 func CompleteNext(prev *CompletionResult, snapshot *Tensor, opts CompletionOptions) (*CompletionResult, error) {
 	o, err := opts.internal()
 	if err != nil {

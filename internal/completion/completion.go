@@ -20,7 +20,10 @@
 //
 // solved with the same Cholesky machinery as the rest of the library.
 // StreamStep extends the solver to multi-aspect streaming snapshots by
-// warm-starting from the previous factors.
+// warm-starting from the previous factors. Decompose and StreamStep run
+// one loop on one thread pool, and, as the paper's Section IV-B4 takes
+// the loss from intermediates the sweep already holds, each sweep's
+// RMSE is summed inside its last mode's row solves.
 package completion
 
 import (
@@ -30,6 +33,7 @@ import (
 
 	"dismastd/internal/mat"
 	"dismastd/internal/mttkrp"
+	"dismastd/internal/par"
 	"dismastd/internal/tensor"
 	"dismastd/internal/xrand"
 )
@@ -44,8 +48,9 @@ type Options struct {
 
 	// Threads sizes the shared-memory pool the sweep runs on (see
 	// internal/par). 0 or 1 means sequential. Each factor row's normal
-	// system is built and solved by exactly one chunk, so results are
-	// bitwise identical at every value.
+	// system is built and solved by exactly one chunk, and the RMSE adds
+	// per-row partials in row order, so results are bitwise identical at
+	// every value.
 	Threads int
 }
 
@@ -92,33 +97,112 @@ type Result struct {
 // ErrNoObservations reports completion of a tensor without entries.
 var ErrNoObservations = errors.New("completion: tensor has no observed entries")
 
+// Decompose fits x's observed entries from seeded random factors.
+func Decompose(x *tensor.Tensor, o Options) (*Result, error) {
+	opts, err := o.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	src := xrand.New(opts.Seed)
+	init := make([]*mat.Dense, x.Order())
+	for m, d := range x.Dims {
+		init[m] = mat.RandomUniform(d, opts.Rank, src)
+	}
+	return fit(x, init, opts)
+}
+
+// fit is the one completion loop: weighted-ALS sweeps over x's
+// observed entries from factors, updated in place, on one pool of
+// opts.Threads threads. The kernels group each mode's observations by
+// row once; the pattern is fixed across sweeps, so the compile is
+// amortised over them. The RMSE needs no pass of its own: the last
+// mode's row solves leave every factor at its end-of-sweep value for the
+// entries of the row just solved, so each of that mode's row groups
+// sums its own squared residuals, and the sweep adds those partials in
+// group order — the same sum at every thread count.
+func fit(x *tensor.Tensor, factors []*mat.Dense, opts Options) (*Result, error) {
+	if x.NNZ() == 0 {
+		return nil, ErrNoObservations
+	}
+	n := x.Order()
+	pool := par.New(opts.Threads)
+	defer pool.Close()
+	kernels := mttkrp.CompileKernels(pool, x, nil)
+	t := &rowsTask{
+		factors: factors,
+		wss:     mat.NewWorkspaceSet(pool.Threads()),
+		rank:    opts.Rank,
+		lambda:  opts.Lambda,
+		resid:   make([]float64, kernels[n-1].NumRows()),
+	}
+	prev := math.Inf(1)
+	trace := make([]float64, 0, opts.MaxIters)
+	for sweep := 0; sweep < opts.MaxIters; sweep++ {
+		for m := 0; m < n; m++ {
+			t.mode, t.kernel = m, kernels[m]
+			pool.ForChunks(kernels[m].ChunkStarts(pool.Threads()), t)
+		}
+		var sum float64
+		for _, s := range t.resid {
+			sum += s
+		}
+		rmse := math.Sqrt(sum / float64(x.NNZ()))
+		trace = append(trace, rmse)
+		stop := relChange(prev, rmse) < opts.Tol
+		prev = rmse
+		if stop {
+			break
+		}
+	}
+	return &Result{Factors: factors, Iters: len(trace), RMSE: trace[len(trace)-1], RMSETrace: trace}, nil
+}
+
+// rowsTask is the par.Body for one mode's row solves: kernel row groups
+// [g0, g1), each solved with scratch from the running thread's
+// workspace. At the last mode it also writes each group's squared
+// residual sum into resid, indexed by group.
+type rowsTask struct {
+	factors []*mat.Dense
+	kernel  mttkrp.Kernel
+	wss     *mat.WorkspaceSet
+	rank    int
+	lambda  float64
+	mode    int
+	resid   []float64
+}
+
+func (t *rowsTask) RunChunk(g0, g1, tid int) {
+	ws := t.wss.At(tid)
+	mark := ws.Mark()
+	h := ws.TakeVec(t.rank)
+	sys := ws.Take(t.rank, t.rank)
+	rhs := ws.Take(t.rank, 1)
+	sol := ws.Take(t.rank, 1)
+	var resid []float64
+	if t.mode == len(t.factors)-1 {
+		resid = t.resid
+	}
+	solveGroups(t.kernel, t.factors, t.mode, t.lambda, g0, g1, h, sys, rhs, sol, ws, resid)
+	ws.Release(mark)
+}
+
 // solveGroups solves the per-row regularised normal equations for the
 // kernel's row groups [g0, g1), reading observations through the
-// Kernel interface so both representations share one solver. h, sys,
-// rhs, sol are scratch buffers sized R, RxR, Rx1, Rx1; ws supplies the
-// solver scratch. Each group's observations are visited in position
-// order — the stable order both kernels preserve — so the fit is
-// bitwise identical across representations, thread counts and ranks.
-func solveGroups(kern mttkrp.Kernel, factors []*mat.Dense, mode int, lambda float64, g0, g1 int, h []float64, sys, rhs, sol *mat.Dense, ws *mat.Workspace) {
-	n := len(factors)
+// Kernel interface. h, sys, rhs, sol are scratch buffers sized R, RxR,
+// Rx1, Rx1; ws supplies the solver scratch. Each group's observations
+// are visited in position order — the stable order every kernel
+// preserves — so the fit is bitwise identical across representations
+// and thread counts. A non-nil resid (the last mode only) receives each
+// group's Σ (x − prediction)² at the solved row, every prediction formed
+// in RMSE's operation order.
+func solveGroups(kern mttkrp.Kernel, factors []*mat.Dense, mode int, lambda float64, g0, g1 int, h []float64, sys, rhs, sol *mat.Dense, ws *mat.Workspace, resid []float64) {
 	r := len(h)
 	for g := g0; g < g1; g++ {
 		sys.Zero()
 		rhs.Zero()
 		p0, p1 := kern.GroupRange(g)
 		for p := p0; p < p1; p++ {
-			for c := range h {
-				h[c] = 1
-			}
-			for k := 0; k < n; k++ {
-				if k == mode {
-					continue
-				}
-				row := factors[k].Row(int(kern.EntryCoord(p, k)))
-				for c := range h {
-					h[c] *= row[c]
-				}
-			}
+			entryProduct(h, kern, factors, mode, p)
 			v := kern.EntryVal(p)
 			for i, hi := range h {
 				if hi == 0 {
@@ -147,11 +231,46 @@ func solveGroups(kern mttkrp.Kernel, factors []*mat.Dense, mode int, lambda floa
 			mat.TransposeInto(sol, rt)
 			ws.Release(mark)
 		}
-		copy(factors[mode].Row(int(kern.GroupRow(g))), sol.Data)
+		a := factors[mode].Row(int(kern.GroupRow(g)))
+		copy(a, sol.Data)
+		if resid == nil {
+			continue
+		}
+		var sum float64
+		for p := p0; p < p1; p++ {
+			entryProduct(h, kern, factors, mode, p)
+			pred := 0.0
+			for c := range h {
+				// The conversion keeps the product rounded on its own,
+				// as RMSE's stored tmp[c] is, wherever the compiler
+				// could fuse a multiply-add.
+				pred += float64(h[c] * a[c])
+			}
+			d := kern.EntryVal(p) - pred
+			sum += d * d
+		}
+		resid[g] = sum
 	}
 	// Rows with no observations have no group and keep their current
 	// values, pinned only by the regulariser's pull in subsequent
 	// predictions.
+}
+
+// entryProduct sets h to the Hadamard product of the entry at position
+// p's factor rows in every mode but mode, multiplied in mode order.
+func entryProduct(h []float64, kern mttkrp.Kernel, factors []*mat.Dense, mode int, p int32) {
+	for c := range h {
+		h[c] = 1
+	}
+	for k := range factors {
+		if k == mode {
+			continue
+		}
+		row := factors[k].Row(int(kern.EntryCoord(p, k)))
+		for c := range h {
+			h[c] *= row[c]
+		}
+	}
 }
 
 // RMSE returns the root mean squared prediction error over x's
@@ -184,13 +303,12 @@ func RMSE(x *tensor.Tensor, factors []*mat.Dense) float64 {
 	return math.Sqrt(sum / float64(x.NNZ()))
 }
 
-// StreamStep advances a completion model along a multi-aspect stream on
-// an in-process cluster of o.Workers ranks: the previous factors are
-// extended with seeded random rows for the growth ranges and refined
-// over the new snapshot's observations by warm-started weighted ALS.
-// prevFactors is not modified.
-func StreamStep(prevFactors []*mat.Dense, snapshot *tensor.Tensor, o DistributedOptions) (*DistributedResult, error) {
-	opts, err := o.Options.withDefaults()
+// StreamStep advances a completion model along a multi-aspect stream:
+// the previous factors are extended with seeded random rows for the
+// growth ranges and refined over the new snapshot's observations by
+// warm-started weighted ALS. prevFactors is not modified.
+func StreamStep(prevFactors []*mat.Dense, snapshot *tensor.Tensor, o Options) (*Result, error) {
+	opts, err := o.withDefaults()
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +327,7 @@ func StreamStep(prevFactors []*mat.Dense, snapshot *tensor.Tensor, o Distributed
 		}
 		factors[m] = mat.StackRows(f, mat.RandomUniform(grow, opts.Rank, src))
 	}
-	return o.fit(snapshot, factors, opts)
+	return fit(snapshot, factors, opts)
 }
 
 func relChange(prev, cur float64) float64 {

@@ -1,6 +1,6 @@
 // Package dplan builds the data-distribution plan of the distributed
 // decomposition (internal/core, which runs DisMASTD and, from the empty
-// state, the DMS-MG baseline) and of distributed completion:
+// state, the DMS-MG baseline):
 //
 //   - per-mode slice partitioning via GTP or MTP (Section IV-A2),
 //   - assignment of partitions to workers,
@@ -137,8 +137,8 @@ func (p *Plan) RankLoads() []float64 {
 // entry lists, owned-slice lists, and the row subscriptions. The entry
 // and owned-slice lists — the ones as long as the data — are sized by a
 // counting pass before they are filled; a list nothing lands in stays
-// nil. A one-worker plan (the completion driver's single-rank run)
-// skips the entry walks altogether.
+// nil. A one-worker plan (a one-rank core step's) skips the entry
+// walks altogether.
 func (p *Plan) assemble() {
 	n := len(p.Dims)
 	t := p.Tensor

@@ -123,23 +123,11 @@ func TestDMSMGGolden(t *testing.T) {
 
 func TestCompletionGolden(t *testing.T) {
 	x := sparseRandom([]int{12, 10, 8}, 400, 13)
-	res, err := completion.DecomposeDistributed(x, completion.DistributedOptions{
-		Options: completion.Options{Rank: 3, MaxIters: 5, Seed: 7},
-		Workers: 1,
-	})
+	res, err := completion.Decompose(x, completion.Options{Rank: 3, MaxIters: 5, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkHash(t, "completion", hashFactors(res.Factors), goldCompletion)
-
-	dres, err := completion.DecomposeDistributed(x, completion.DistributedOptions{
-		Options: completion.Options{Rank: 3, MaxIters: 5, Seed: 7},
-		Workers: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkHash(t, "completion/distributed", hashFactors(dres.Factors), goldCompletionDist)
 }
 
 func checkHash(t *testing.T, name string, got, want uint64) {

@@ -289,32 +289,15 @@ func TestCompletionGoldenEveryLayout(t *testing.T) {
 			// completion builds its kernels itself and reads them only
 			// through the row-group enumeration, so the oracle arm holds
 			// the two representations to the same enumeration over what
-			// both engines below build: the whole tensor, and each of
-			// three ranks' entry lists.
-			plan := dplan.Build(x, 3, 0, partition.GTPMethod)
+			// the engine below builds: the whole tensor.
 			for m := 0; m < x.Order(); m++ {
 				checkSameEnumeration(t, x, m, nil)
-				for rank := 0; rank < 3; rank++ {
-					checkSameEnumeration(t, x, m, plan.EntryLists[rank][m])
-				}
 			}
 		}
-		res, err := completion.DecomposeDistributed(x, completion.DistributedOptions{
-			Options: completion.Options{Rank: 3, MaxIters: 5, Seed: 7, Threads: threads},
-			Workers: 1,
-		})
+		res, err := completion.Decompose(x, completion.Options{Rank: 3, MaxIters: 5, Seed: 7, Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkHash(t, "completion", hashFactors(res.Factors), goldCompletion)
-
-		dres, err := completion.DecomposeDistributed(x, completion.DistributedOptions{
-			Options: completion.Options{Rank: 3, MaxIters: 5, Seed: 7, Threads: threads},
-			Workers: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkHash(t, "completion/distributed", hashFactors(dres.Factors), goldCompletionDist)
 	})
 }

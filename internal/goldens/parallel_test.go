@@ -82,23 +82,11 @@ func TestCompletionGoldenEveryThreadCount(t *testing.T) {
 	for _, threads := range threadSweep {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
 			x := sparseRandom([]int{12, 10, 8}, 400, 13)
-			res, err := completion.DecomposeDistributed(x, completion.DistributedOptions{
-				Options: completion.Options{Rank: 3, MaxIters: 5, Seed: 7, Threads: threads},
-				Workers: 1,
-			})
+			res, err := completion.Decompose(x, completion.Options{Rank: 3, MaxIters: 5, Seed: 7, Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkHash(t, "completion", hashFactors(res.Factors), goldCompletion)
-
-			dres, err := completion.DecomposeDistributed(x, completion.DistributedOptions{
-				Options: completion.Options{Rank: 3, MaxIters: 5, Seed: 7, Threads: threads},
-				Workers: 3,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkHash(t, "completion/distributed", hashFactors(dres.Factors), goldCompletionDist)
 		})
 	}
 }
