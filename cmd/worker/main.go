@@ -29,10 +29,11 @@
 // that error, for -resume; with -elastic, which requires -heartbeat,
 // they absorb the dead rank — re-run the interrupted step without it
 // from the state they hold, exactly as a static cluster of the
-// survivors would — and finish the stream, and scripted joins and
-// drains are admitted at step fences. -listen, -heartbeat, -elastic and
-// the flags that require it, and -debug-addr need a TCP node and are
-// refused without -join.
+// survivors would — and finish the stream, and the joins and drains of
+// the membership -script are admitted at step fences. -listen,
+// -heartbeat, -elastic and the flags that require it, -debug-addr and a
+// -script join or drain need a TCP node and are refused without -join;
+// a -script kill runs on either transport.
 //
 // -serve-http skips files and clusters entirely: one process ingests
 // events over HTTP and answers reconstruction and top-K queries from
@@ -54,7 +55,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -98,10 +98,7 @@ type workerConfig struct {
 	debugAddr    string
 
 	elastic bool // absorb rank deaths and continue, instead of failing for -resume
-	members int
-	joinAt  map[int]int // step -> joining world rank
-	drainAt map[int]int // step -> draining world rank
-	killAt  map[int]int // step -> chaos-killed world rank
+	script  []core.ScriptEvent
 
 	rebalance bool
 }
@@ -142,10 +139,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	heartbeat := fs.Duration("heartbeat", 0, "peer failure-detection probe interval (0 = off)")
 	debugAddr := fs.String("debug-addr", "", "worker mode: serve /metrics, /debug/state, /debug/timeline and /debug/pprof/ on this address (no auth — bind loopback only; empty = off)")
 	elastic := fs.Bool("elastic", false, "worker mode: absorb rank deaths — the survivors re-run the interrupted step without the dead rank and finish the stream — instead of failing for -resume; enables scripted joins and drains at step fences; requires -heartbeat")
-	members := fs.Int("members", 0, "elastic mode: initial members, world ranks 0..N-1 (0 = every rank; the rest start as spares)")
-	joinAt := fs.String("join-at", "", "elastic mode: scripted joins as rank:step,... — identical on every rank")
-	drainAt := fs.String("drain-at", "", "elastic mode: scripted drains as rank:step,... — identical on every rank")
-	killAt := fs.String("kill-at", "", "chaos testing: kill script as rank:step,... — the named rank crashes mid-step; identical on every rank")
+	script := fs.String("script", "", "worker mode: membership script as verb:rank:step,... (e.g. kill:1:1,join:3:2), identical on every rank — kill crashes that rank mid-step; join admits that spare and drain retires that member at the step's fence (both need -elastic); the ranks no join names start as members")
 	rebalance := fs.Bool("rebalance-on-imbalance", false, "elastic mode: arm the observability plane's imbalance detector — sustained per-rank compute skew re-partitions the stream live at the next fence")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -198,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *join == "" {
 			set := map[string]bool{}
 			fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			for _, name := range []string{"listen", "heartbeat", "elastic", "members", "join-at", "drain-at", "rebalance-on-imbalance", "debug-addr"} {
+			for _, name := range []string{"listen", "heartbeat", "elastic", "rebalance-on-imbalance", "debug-addr"} {
 				if set[name] {
 					return fmt.Errorf("-%s needs a TCP node: give -join", name)
 				}
@@ -213,20 +207,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *resume && *checkpoint == "" {
 			return fmt.Errorf("-resume requires -checkpoint")
 		}
-		joins, err := parseRankSteps(*joinAt)
+		events, err := core.ParseScript(*script)
 		if err != nil {
-			return fmt.Errorf("-join-at: %w", err)
+			return fmt.Errorf("-script: %w", err)
 		}
-		drains, err := parseRankSteps(*drainAt)
-		if err != nil {
-			return fmt.Errorf("-drain-at: %w", err)
-		}
-		kills, err := parseRankSteps(*killAt)
-		if err != nil {
-			return fmt.Errorf("-kill-at: %w", err)
-		}
-		if !*elastic && (len(joins)+len(drains) > 0 || *members != 0) {
-			return fmt.Errorf("-members/-join-at/-drain-at require -elastic")
+		for _, ev := range events {
+			switch {
+			case ev.Verb == "kill":
+			case *join == "":
+				return fmt.Errorf("-script entry %q needs a TCP node: give -join", ev)
+			case !*elastic:
+				return fmt.Errorf("-script entry %q requires -elastic", ev)
+			}
 		}
 		if *elastic && *heartbeat <= 0 {
 			// Over TCP only heartbeats mark a dead peer down; without them
@@ -249,8 +241,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			rank: *rank, iters: *iters, mu: *mu, method: pm, seed: *seed,
 			solver:  sk,
 			timeout: *timeout, heartbeat: *heartbeat, debugAddr: *debugAddr,
-			elastic: *elastic, members: *members,
-			joinAt: joins, drainAt: drains, killAt: kills,
+			elastic: *elastic, script: events,
 			rebalance: *rebalance,
 		}
 		return runWorker(stdout, stderr, cfg)
@@ -347,20 +338,14 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 		return nil
 	}
 
-	members := cfg.members
-	if members == 0 {
-		members = n.Size()
-	}
 	// A resumed run re-indexes the script against the remaining
 	// snapshots; events for already-checkpointed steps are dropped.
-	shift := func(script map[int]int) map[int]int {
-		out := map[int]int{}
-		for s, r := range script {
-			if s >= start {
-				out[s-start] = r
-			}
+	var script []string
+	for _, ev := range cfg.script {
+		if ev.Step >= start {
+			ev.Step -= start
+			script = append(script, ev.String())
 		}
-		return out
 	}
 	stepStart := time.Now()
 	o := core.ElasticOptions{
@@ -370,10 +355,7 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 			Solver: cfg.solver, Obs: n.Obs(),
 		},
 		World:          n.Size(),
-		Members:        members,
-		KillAtStep:     shift(cfg.killAt),
-		JoinAtStep:     shift(cfg.joinAt),
-		DrainAtStep:    shift(cfg.drainAt),
+		Script:         strings.Join(script, ","),
 		FailOnPeerDown: !cfg.elastic,
 		// The driver's plane gathers once per step fence, observation
 		// only unless -rebalance-on-imbalance arms its detector.
@@ -469,31 +451,6 @@ func writeFileDurably(path string, write func(io.Writer) error) (err error) {
 	}
 	defer dir.Close()
 	return dir.Sync()
-}
-
-// parseRankSteps parses a "rank:step,rank:step" membership script with
-// at most one event of its kind per step.
-func parseRankSteps(s string) (map[int]int, error) {
-	out := map[int]int{}
-	if s == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		rs, ss, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("entry %q is not rank:step", part)
-		}
-		rank, err1 := strconv.Atoi(rs)
-		step, err2 := strconv.Atoi(ss)
-		if err1 != nil || err2 != nil || rank < 0 || step < 0 {
-			return nil, fmt.Errorf("entry %q is not rank:step", part)
-		}
-		if _, dup := out[step]; dup {
-			return nil, fmt.Errorf("two events at step %d", step)
-		}
-		out[step] = rank
-	}
-	return out, nil
 }
 
 // debugState is the /debug/state document: this rank's per-phase

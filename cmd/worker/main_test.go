@@ -105,6 +105,13 @@ func TestWorkerArgErrors(t *testing.T) {
 		"no workers to rendezvous":  "-workers",
 		"missing snapshot":          "nope.tsv",
 		"missing prev":              "prev state",
+		"unknown script verb":       `-script: entry "pause:1:1": unknown verb`,
+		"malformed script entry":    `-script: entry "kill:1" is not verb:rank:step`,
+		"two kills at one step":     `-script: entries "kill:1:1" and "kill:2:1"`,
+		"join without elastic":      `-script entry "join:3:1" requires -elastic`,
+		"drain without elastic":     `-script entry "drain:1:1" requires -elastic`,
+		"join in process":           `-script entry "join:2:1" needs a TCP node`,
+		"drain in process":          `-script entry "drain:1:1" needs a TCP node`,
 	}
 	for name, args := range map[string][]string{
 		"neither mode":              {},
@@ -113,8 +120,13 @@ func TestWorkerArgErrors(t *testing.T) {
 		"bad method":                {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-method", "zzz"},
 		"resume without checkpoint": {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-resume"},
 		"rebalance without elastic": {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-rebalance-on-imbalance"},
-		"members without elastic":   {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-members", "2"},
-		"drain without elastic":     {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-drain-at", "1:1"},
+		"unknown script verb":       {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "pause:1:1"},
+		"malformed script entry":    {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "kill:1"},
+		"two kills at one step":     {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "kill:1:1,kill:2:1"},
+		"join without elastic":      {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "join:3:1"},
+		"drain without elastic":     {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "drain:1:1"},
+		"join in process":           {"-tensor", "x.tsv", "-script", "join:2:1"},
+		"drain in process":          {"-tensor", "x.tsv", "-script", "drain:1:1"},
 		"elastic without heartbeat": {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-elastic"},
 		"no workers in process":     {"-tensor", "x.tsv", "-workers", "0"},
 		"missing snapshot":          {"-tensor", filepath.Join(dir, "nope.tsv")},
@@ -134,9 +146,8 @@ func TestWorkerArgErrors(t *testing.T) {
 		{"-listen", "127.0.0.1:0"},
 		{"-heartbeat", "150ms"},
 		{"-elastic"},
-		{"-members", "2"},
-		{"-join-at", "2:1"},
-		{"-drain-at", "1:1"},
+		{"-script", "join:2:1"},
+		{"-script", "drain:1:1"},
 		{"-rebalance-on-imbalance"},
 		{"-debug-addr", "127.0.0.1:0"},
 	} {
@@ -209,7 +220,7 @@ func TestInProcessKillAndResume(t *testing.T) {
 		"-tensor", strings.Join(snaps, ","), "-workers", "3",
 		"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s",
 	}
-	stdout, err := runLocal(t, 2, append([]string{"-checkpoint", ckpt, "-kill-at", "1:1"}, base...)...)
+	stdout, err := runLocal(t, 2, append([]string{"-checkpoint", ckpt, "-script", "kill:1:1"}, base...)...)
 	if err == nil || !strings.Contains(err.Error(), "scripted crash") && !errors.Is(err, cluster.ErrClosed) {
 		t.Fatalf("killed run returned %v, want the crash or a closed cluster", err)
 	}
@@ -377,7 +388,7 @@ func TestKillAndResume(t *testing.T) {
 	// is an arbitrary goroutine: exactly one scripted crash, every other
 	// worker a typed peer-down.
 	errsA, outA := runCluster(t,
-		append([]string{"-checkpoint", ckpt, "-heartbeat", "150ms", "-kill-at", "1:1"}, base...),
+		append([]string{"-checkpoint", ckpt, "-heartbeat", "150ms", "-script", "kill:1:1"}, base...),
 		[][]string{nil, nil, nil})
 	crashes := 0
 	for w, err := range errsA {
@@ -570,7 +581,7 @@ func TestElasticWorkerJoinAndDrain(t *testing.T) {
 	base := []string{
 		"-tensor", snaps[0] + "," + snaps[1],
 		"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s",
-		"-elastic", "-heartbeat", "150ms", "-members", "3", "-join-at", "3:1", "-drain-at", "1:1",
+		"-elastic", "-heartbeat", "150ms", "-script", "join:3:1,drain:1:1",
 		"-out", state,
 	}
 	errs, out := runCluster(t, base, [][]string{nil, nil, nil, nil})
@@ -602,7 +613,7 @@ func TestElasticWorkerKillRecovers(t *testing.T) {
 	opts := []string{"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s"}
 	base := append([]string{
 		"-tensor", snaps[0] + "," + snaps[1],
-		"-elastic", "-kill-at", "1:1", "-heartbeat", "150ms",
+		"-elastic", "-script", "kill:1:1", "-heartbeat", "150ms",
 		"-out", state,
 	}, opts...)
 	errs, out := runCluster(t, base, [][]string{nil, nil, nil})

@@ -20,8 +20,8 @@ package cluster
 //     epoch, the same view and step, which AwaitAdopt returns.
 //
 // Which ranks join or drain, and when, is not negotiated here: every
-// rank derives the same ViewChange from a shared script (the elastic
-// driver's JoinAtStep/DrainAtStep), so a spare only waits in
+// rank derives the same ViewChange from a shared script (the join and
+// drain events of the elastic driver's Script), so a spare only waits in
 // AwaitAdopt and a drainer only takes part in the transition.
 //
 // Limitation (documented, by design): proposal agreement substitutes

@@ -35,10 +35,14 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -61,17 +65,14 @@ var ErrScriptedCrash = errors.New("core: scripted crash")
 type ElasticOptions struct {
 	Options
 
-	World   int // total ranks in the world cluster, members + spares
-	Members int // initial members, world ranks 0..Members-1
+	World int // total ranks in the world cluster, members + spares
 
-	// Chaos script, known to every rank: admission is deterministic, no
-	// join or drain request crosses the wire. KillAtStep[s] crashes that
-	// world rank mid-step s, at the start of its second sweep.
-	// JoinAtStep[s] admits that spare world rank at step s's fence;
-	// DrainAtStep[s] retires that member there.
-	KillAtStep  map[int]int
-	JoinAtStep  map[int]int
-	DrainAtStep map[int]int
+	// Script is the membership script (ParseScript), known to every
+	// rank: admission is deterministic, no join or drain request crosses
+	// the wire. The world ranks no join names are the initial members;
+	// the joiners must be the highest world ranks. NewElasticJob replays
+	// the script over membership and refuses any event that cannot fire.
+	Script string
 
 	// FailOnPeerDown makes a mid-step rank death fatal: every survivor's
 	// RunWorker returns the rank-attributed ErrPeerDown instead of
@@ -114,9 +115,90 @@ type ElasticOptions struct {
 	slowRanks map[int]float64
 }
 
-// killSweep is the 0-based sweep at whose start a KillAtStep victim
+// killSweep is the 0-based sweep at whose start a kill's victim
 // crashes: one completed sweep into its step.
 const killSweep = 1
+
+// ScriptEvent is one membership event at stream step Step: Verb "kill"
+// crashes world rank Rank mid-step, at the start of its second sweep;
+// "join" admits that spare at the step's fence, "drain" retires that
+// member there.
+type ScriptEvent struct {
+	Verb       string
+	Rank, Step int
+}
+
+// String is the event's entry in the script's text form.
+func (e ScriptEvent) String() string { return fmt.Sprintf("%s:%d:%d", e.Verb, e.Rank, e.Step) }
+
+// ParseScript parses a membership script, verb:rank:step entries joined
+// by commas (e.g. "kill:1:1,join:3:2"), into its events in the order
+// they fire: by step, and within a step drain and join at its fence
+// before kill. It refuses, naming the entry, a malformed one, an
+// unknown verb and two events of one verb at one step.
+func ParseScript(s string) ([]ScriptEvent, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var out []ScriptEvent
+	for _, entry := range strings.Split(s, ",") {
+		verb, rest, _ := strings.Cut(entry, ":")
+		rankText, stepText, _ := strings.Cut(rest, ":")
+		rank, err1 := strconv.Atoi(rankText)
+		step, err2 := strconv.Atoi(stepText)
+		if err1 != nil || err2 != nil || rank < 0 || step < 0 {
+			return nil, fmt.Errorf("entry %q is not verb:rank:step", entry)
+		}
+		if verb != "kill" && verb != "join" && verb != "drain" {
+			return nil, fmt.Errorf("entry %q: unknown verb %q (kill, join or drain)", entry, verb)
+		}
+		out = append(out, ScriptEvent{verb, rank, step})
+	}
+	slices.SortStableFunc(out, func(a, b ScriptEvent) int { return cmp.Or(a.Step-b.Step, strings.Compare(a.Verb, b.Verb)) })
+	for i := 1; i < len(out); i++ {
+		if a, b := out[i-1], out[i]; a.Step == b.Step && a.Verb == b.Verb {
+			return nil, fmt.Errorf("entries %q and %q: two %ss at step %d", a, b, b.Verb, b.Step)
+		}
+	}
+	return out, nil
+}
+
+// checkScript replays a parsed script over membership and returns the
+// number of initial members: the world ranks no join names, which must
+// be ranks 0..members-1. A kill or drain must name a member, a join a
+// spare that never joined, and no step may be left without a member.
+func checkScript(script []ScriptEvent, world, steps int) (int, error) {
+	const member, spare, gone = 0, 1, 2
+	state := make([]int, world)
+	members := world
+	for _, ev := range script {
+		if ev.Step >= steps || ev.Rank >= world {
+			return 0, fmt.Errorf("core: script entry %q is not in %d steps of a world of %d", ev, steps, world)
+		}
+		if ev.Verb == "join" && state[ev.Rank] == member {
+			state[ev.Rank] = spare
+			members--
+		}
+	}
+	if members == 0 || slices.Contains(state[:members], spare) {
+		return 0, fmt.Errorf("core: the %d scripted joiners are not the highest ranks of a world of %d above an initial member", world-members, world)
+	}
+	names := [...]string{member: "a member", spare: "a spare", gone: "gone"}
+	n := members
+	for _, ev := range script {
+		want, next, delta := member, gone, -1
+		if ev.Verb == "join" {
+			want, next, delta = spare, member, 1
+		}
+		if st := state[ev.Rank]; st != want {
+			return 0, fmt.Errorf("core: script entry %q: rank %d is %s at step %d", ev, ev.Rank, names[st], ev.Step)
+		}
+		if state[ev.Rank], n = next, n+delta; n == 0 {
+			return 0, fmt.Errorf("core: script entry %q leaves step %d with no member", ev, ev.Step)
+		}
+	}
+	return members, nil
+}
 
 // TransitionStats records one membership transition (a fence-admitted
 // join/drain or a mid-step failure recovery).
@@ -146,6 +228,8 @@ type TransitionStats struct {
 // world rank on a cluster with elastic semantics, then read Result.
 type ElasticJob struct {
 	opts      ElasticOptions
+	script    []ScriptEvent
+	members   int // initial members, world ranks 0..members-1
 	prev      *dtd.State
 	snapshots []*tensor.Tensor
 
@@ -162,36 +246,21 @@ func NewElasticJob(prev *dtd.State, snapshots []*tensor.Tensor, o ElasticOptions
 	if len(snapshots) == 0 {
 		return nil, errors.New("core: elastic run needs at least one snapshot")
 	}
-	if o.Members <= 0 || o.World < o.Members {
-		return nil, fmt.Errorf("core: world %d with %d initial members", o.World, o.Members)
+	if o.World <= 0 {
+		return nil, fmt.Errorf("core: world of %d ranks", o.World)
 	}
-	probe := o.Options
-	probe.Workers = o.Members
-	if _, err := probe.withDefaults(); err != nil {
+	script, err := ParseScript(o.Script)
+	if err != nil {
+		return nil, fmt.Errorf("core: script %w", err)
+	}
+	members, err := checkScript(script, o.World, len(snapshots))
+	if err != nil {
 		return nil, err
 	}
-	joiners := map[int]bool{}
-	for s, r := range o.JoinAtStep {
-		if s < 0 || s >= len(snapshots) {
-			return nil, fmt.Errorf("core: join scripted at step %d of %d", s, len(snapshots))
-		}
-		if r < o.Members || r >= o.World {
-			return nil, fmt.Errorf("core: scripted joiner %d is not a spare of world %d", r, o.World)
-		}
-		if joiners[r] {
-			return nil, fmt.Errorf("core: spare %d scripted to join twice", r)
-		}
-		joiners[r] = true
-	}
-	for s, r := range o.KillAtStep {
-		if s < 0 || s >= len(snapshots) || r < 0 || r >= o.World {
-			return nil, fmt.Errorf("core: kill of rank %d scripted at step %d", r, s)
-		}
-	}
-	for s, r := range o.DrainAtStep {
-		if s < 0 || s >= len(snapshots) || r < 0 || r >= o.World {
-			return nil, fmt.Errorf("core: drain of rank %d scripted at step %d", r, s)
-		}
+	probe := o.Options
+	probe.Workers = members
+	if _, err := probe.withDefaults(); err != nil {
+		return nil, err
 	}
 	for r, h := range o.slowRanks {
 		if r < 0 || r >= o.World || h < 0 || math.IsNaN(h) {
@@ -200,6 +269,8 @@ func NewElasticJob(prev *dtd.State, snapshots []*tensor.Tensor, o ElasticOptions
 	}
 	return &ElasticJob{
 		opts:      o,
+		script:    script,
+		members:   members,
 		prev:      prev,
 		snapshots: snapshots,
 		byEpoch:   map[int64]*TransitionStats{},
@@ -294,15 +365,24 @@ func (j *ElasticJob) obsFence(vw *cluster.Worker, v cluster.View, rs *rankStream
 	return nil
 }
 
-// joinStep reports the step at which the given spare is scripted to
-// join, or -1.
+// joinStep reports the step at which the given spare joins: every
+// spare is a joiner, since the initial members are the ranks no join
+// names.
 func (j *ElasticJob) joinStep(world int) int {
-	for s, r := range j.opts.JoinAtStep {
-		if r == world {
-			return s
+	at := slices.IndexFunc(j.script, func(ev ScriptEvent) bool { return ev.Verb == "join" && ev.Rank == world })
+	return j.script[at].Step
+}
+
+// scripted returns the world ranks the script names for verb at step
+// s: none or one.
+func (j *ElasticJob) scripted(verb string, s int) []int {
+	var ranks []int
+	for _, ev := range j.script {
+		if ev.Verb == verb && ev.Step == s {
+			ranks = append(ranks, ev.Rank)
 		}
 	}
-	return -1
+	return ranks
 }
 
 // dimsBefore returns the state dimensions entering step s.
@@ -332,16 +412,13 @@ func (j *ElasticJob) record(epoch int64, bytes int64, fill func(*TransitionStats
 }
 
 // RunWorker is the per-world-rank body. Initial members stream from
-// step 0; scripted spares wait for adoption and join mid-stream;
-// unscripted spares are never admitted and exit immediately.
+// step 0; spares — the ranks the script joins — wait for adoption and
+// join mid-stream.
 func (j *ElasticJob) RunWorker(w *cluster.Worker) error {
 	me := w.Rank()
-	v := cluster.InitialView(j.opts.Members)
+	v := cluster.InitialView(j.members)
 	if !v.Contains(me) {
 		s := j.joinStep(me)
-		if s < 0 {
-			return nil
-		}
 		av, cookie, err := cluster.AwaitAdopt(w)
 		if err != nil {
 			return fmt.Errorf("core: spare %d awaiting adoption: %w", me, err)
@@ -445,13 +522,7 @@ func (j *ElasticJob) stream(w *cluster.Worker, v cluster.View, vw *cluster.Worke
 func (j *ElasticJob) fence(w *cluster.Worker, v cluster.View, vw *cluster.Worker, s int, prev *dtd.State, rs *rankStream) (cluster.View, *cluster.Worker, bool, error) {
 	// Admission follows the shared script, so every member derives the
 	// same change without exchanging requests.
-	vc := cluster.ViewChange{}
-	if r, ok := j.opts.JoinAtStep[s]; ok {
-		vc.Join = []int{r}
-	}
-	if r, ok := j.opts.DrainAtStep[s]; ok {
-		vc.Leave = []int{r}
-	}
+	vc := cluster.ViewChange{Join: j.scripted("join", s), Leave: j.scripted("drain", s)}
 	// The staged fire is consumed either way: a membership change
 	// re-partitions (with the new weights) on its own epoch bump.
 	rebalance := rs.pending && vc.Empty()
@@ -561,9 +632,10 @@ func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	}
 	eng, exch := job.bindRank(vw)
 	defer eng.Close()
+	victims := j.scripted("kill", s)
 	err = eng.Run(func(sweep int) error {
-		if r, ok := j.opts.KillAtStep[s]; ok && r == w.Rank() && sweep == killSweep {
-			return fmt.Errorf("%w: rank %d at step %d sweep %d", ErrScriptedCrash, r, s, sweep)
+		if sweep == killSweep && slices.Contains(victims, w.Rank()) {
+			return fmt.Errorf("%w: rank %d at step %d sweep %d", ErrScriptedCrash, w.Rank(), s, sweep)
 		}
 		return nil
 	})

@@ -9,7 +9,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -38,11 +40,10 @@ func elasticSeq(t *testing.T, rank int) (*dtd.State, []*tensor.Tensor) {
 	return prev, snaps
 }
 
-func elasticBase(world, members int) ElasticOptions {
+func elasticBase(world int) ElasticOptions {
 	return ElasticOptions{
 		Options: Options{Rank: 3, MaxIters: 30, Tol: 1e-10, Mu: 0.8, Seed: 21, Method: partition.MTPMethod},
 		World:   world,
-		Members: members,
 	}
 }
 
@@ -110,7 +111,7 @@ func requireSameState(t *testing.T, got, want *dtd.State, what string) {
 // elasticity is pay-for-what-you-use.
 func TestElasticStaticMatchesStepBitwise(t *testing.T) {
 	prev, snaps := elasticSeq(t, 3)
-	o := elasticBase(3, 3)
+	o := elasticBase(3)
 	ref, refLoss := referenceRun(t, prev, snaps, 3, o.Options)
 
 	job, err := NewElasticJob(prev, snaps, o)
@@ -137,6 +138,81 @@ func TestElasticStaticMatchesStepBitwise(t *testing.T) {
 	}
 }
 
+// TestElasticScriptReplay: NewElasticJob replays the script over
+// membership — the fence's join and drain against the membership
+// entering the step, then the kill — and refuses, naming the entry,
+// every event that could not fire as written.
+func TestElasticScriptReplay(t *testing.T) {
+	prev, snaps := elasticSeq(t, 3) // three steps
+	for _, tc := range []struct {
+		world  int
+		script string
+		want   string // "" = accepted
+	}{
+		{4, "kill:1:1,join:3:2", ""},
+		{4, "join:3:1,kill:3:1", ""},
+		{3, "drain:2:1,kill:1:2", ""},
+		{4, "kill:3:0,join:3:2", `"kill:3:0": rank 3 is a spare at step 0`},
+		{4, "drain:3:0,join:3:1", `"drain:3:0": rank 3 is a spare at step 0`},
+		{4, "join:3:1,drain:3:1", `"drain:3:1": rank 3 is a spare at step 1`},
+		{3, "drain:1:0,kill:1:1", `"kill:1:1": rank 1 is gone at step 1`},
+		{3, "drain:1:1,kill:1:1", `"kill:1:1": rank 1 is gone at step 1`},
+		{4, "join:3:1,join:3:2", `"join:3:2": rank 3 is a member at step 2`},
+		{4, "join:3:0,kill:3:1,join:3:2", `"join:3:2": rank 3 is gone at step 2`},
+		{1, "drain:0:1", `"drain:0:1" leaves step 1 with no member`},
+		{2, "kill:1:0,kill:0:1", `"kill:0:1" leaves step 1 with no member`},
+		{4, "join:1:1", `the 1 scripted joiners are not the highest ranks`},
+		{1, "join:0:1", `above an initial member`},
+		{4, "kill:1:3", `"kill:1:3" is not in 3 steps of a world of 4`},
+		{4, "kill:4:1", `"kill:4:1" is not in 3 steps of a world of 4`},
+		{4, "kill:1:1,kill:2:1", `script entries "kill:1:1" and "kill:2:1": two kills at step 1`},
+		{4, "pause:1:1", `script entry "pause:1:1": unknown verb`},
+	} {
+		o := elasticBase(tc.world)
+		o.Script = tc.script
+		_, err := NewElasticJob(prev, snaps, o)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("world %d, %s refused: %v", tc.world, tc.script, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("world %d, %s: error %v, want one naming %s", tc.world, tc.script, err, tc.want)
+		}
+	}
+}
+
+// TestParseScript: the events come out in firing order — by step, and
+// a step's drain and join before its kill — each printing as its entry,
+// and every refusal names the offending entry.
+func TestParseScript(t *testing.T) {
+	script, err := ParseScript("kill:1:2,kill:2:1,join:3:2,drain:0:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := make([]string, len(script))
+	for i, ev := range script {
+		parts[i] = ev.String()
+	}
+	if got, want := strings.Join(parts, ","), "kill:2:1,drain:0:2,join:3:2,kill:1:2"; got != want {
+		t.Fatalf("parsed %q, want %q", got, want)
+	}
+	if script, err := ParseScript(""); err != nil || script != nil {
+		t.Fatalf("empty script = %v, %v", script, err)
+	}
+	for text, want := range map[string]string{
+		"kill:1":            `"kill:1" is not verb:rank:step`,
+		"kill:1:1:1":        `"kill:1:1:1" is not verb:rank:step`,
+		"kill:x:1":          `"kill:x:1" is not verb:rank:step`,
+		"kill:1:-1":         `"kill:1:-1" is not verb:rank:step`,
+		"kill:1:1,":         `"" is not verb:rank:step`,
+		"pause:1:1":         `"pause:1:1": unknown verb "pause"`,
+		"join:3:1,join:2:1": `"join:3:1" and "join:2:1": two joins at step 1`,
+	} {
+		if _, err := ParseScript(text); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one naming %s", text, err, want)
+		}
+	}
+}
+
 // TestElasticKillAndJoinMidStream is the headline chaos test: world of
 // 4 ranks streams 3 steps with 3 members; rank 1 crashes mid-sweep in
 // step 1, the survivors re-run the step without it, and spare rank 3 is
@@ -148,12 +224,11 @@ func TestElasticStaticMatchesStepBitwise(t *testing.T) {
 func TestElasticKillAndJoinMidStream(t *testing.T) {
 	const r = 3
 	prev, snaps := elasticSeq(t, r)
-	o := elasticBase(4, 3)
+	o := elasticBase(4)
 	_, refLoss := referenceRun(t, prev, snaps, 3, o.Options)
 	chain, chainLoss := chainRun(t, prev, snaps, []int{3, 2, 3}, o.Options)
 
-	o.KillAtStep = map[int]int{1: 1}
-	o.JoinAtStep = map[int]int{2: 3}
+	o.Script = "kill:1:1,join:3:2"
 	job, err := NewElasticJob(prev, snaps, o)
 	if err != nil {
 		t.Fatal(err)
@@ -229,10 +304,10 @@ func TestElasticKillAndJoinMidStream(t *testing.T) {
 // carries to the uninterrupted result bit for bit.
 func TestElasticFailPolicyStopsOnPeerDown(t *testing.T) {
 	prev, snaps := elasticSeq(t, 3)
-	o := elasticBase(3, 3)
+	o := elasticBase(3)
 	ref, _ := referenceRun(t, prev, snaps, 3, o.Options)
 
-	o.KillAtStep = map[int]int{1: 1}
+	o.Script = "kill:1:1"
 	o.FailOnPeerDown = true
 	var saved []*dtd.State // view rank 0 only: no lock needed
 	o.Checkpoint = func(step int, st *dtd.State, _ *StepStats) error {
@@ -269,7 +344,7 @@ func TestElasticFailPolicyStopsOnPeerDown(t *testing.T) {
 		t.Fatalf("checkpoint hook saw %d steps, want only the completed step 0", len(saved))
 	}
 
-	o.KillAtStep, o.Checkpoint = nil, nil
+	o.Script, o.Checkpoint = "", nil
 	resumed, err := NewElasticJob(saved[0], snaps[1:], o)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +368,7 @@ func TestElasticFailPolicyStopsOnPeerDown(t *testing.T) {
 // or the plane's merged ones — can be cut by step.
 func TestElasticStampsSpansWithStep(t *testing.T) {
 	prev, snaps := elasticSeq(t, 3)
-	o := elasticBase(2, 2)
+	o := elasticBase(2)
 	o.MaxIters = 2
 	job, err := NewElasticJob(prev, snaps, o)
 	if err != nil {
@@ -326,14 +401,14 @@ func TestElasticStampsSpansWithStep(t *testing.T) {
 // statistics.
 func TestElasticDrainMidStream(t *testing.T) {
 	prev, snaps := elasticSeq(t, 3)
-	o := elasticBase(3, 3)
+	o := elasticBase(3)
 	_, refLoss := referenceRun(t, prev, snaps, 3, o.Options)
 
 	var mu sync.Mutex
 	var ckSteps []int
 	var ckDims []int
 	var ckLoss []float64
-	o.DrainAtStep = map[int]int{1: 2}
+	o.Script = "drain:2:1"
 	o.Checkpoint = func(step int, st *dtd.State, stats *StepStats) error {
 		mu.Lock()
 		defer mu.Unlock()
@@ -413,7 +488,7 @@ func linkSends(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, o ElasticO
 func killInStep(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, o ElasticOptions, victim, step int, plan *cluster.FaultPlan) (*dtd.State, *cluster.RunStats) {
 	t.Helper()
 	if plan == nil {
-		o.KillAtStep = map[int]int{step: victim}
+		o.Script = fmt.Sprintf("kill:%d:%d", victim, step)
 	}
 	job, err := NewElasticJob(prev, snaps, o)
 	if err != nil {
@@ -462,7 +537,7 @@ func killInStep(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, o Elastic
 // 3, 2 and 2 workers bit for bit.
 func TestElasticRecoveryIndependentOfDeathPoint(t *testing.T) {
 	prev, snaps := elasticSeq(t, 3)
-	o := elasticBase(3, 3)
+	o := elasticBase(3)
 	chain, _ := chainRun(t, prev, snaps, []int{3, 2, 2}, o.Options)
 
 	// Step 1's plan: rank 1 owns rows in every mode, so the state sync
@@ -509,7 +584,7 @@ func TestElasticRecoveryIndependentOfDeathPoint(t *testing.T) {
 // Step chain over 3, 2 and 2 workers bit for bit.
 func TestElasticSurvivorsRestartTheSameStep(t *testing.T) {
 	prev, snaps := elasticSeq(t, 3)
-	o := elasticBase(3, 3)
+	o := elasticBase(3)
 	chain, _ := chainRun(t, prev, snaps, []int{3, 2, 2}, o.Options)
 
 	seq := linkSends(t, prev, snaps, o, 2, 0, 2) - 1
@@ -535,7 +610,7 @@ func TestElasticSurvivorsRestartTheSameStep(t *testing.T) {
 // chain over 3, 3 and 2 workers bit for bit.
 func TestElasticDeathInLastSyncRecovers(t *testing.T) {
 	prev, snaps := elasticSeq(t, 3)
-	o := elasticBase(3, 3)
+	o := elasticBase(3)
 	chain, _ := chainRun(t, prev, snaps, []int{3, 3, 2}, o.Options)
 
 	last := len(snaps) - 1
@@ -555,7 +630,7 @@ func TestElasticDeathInLastSyncRecovers(t *testing.T) {
 // over 3, 3 and 3 workers bit for bit.
 func TestElasticCoordinatorDeathInLastFenceFinishes(t *testing.T) {
 	prev, snaps := elasticSeq(t, 3)
-	o := elasticBase(3, 3)
+	o := elasticBase(3)
 	chain, chainLoss := chainRun(t, prev, snaps, []int{3, 3, 3}, o.Options)
 
 	last := len(snaps) - 1

@@ -51,7 +51,7 @@ func TestRebalanceOnImbalanceChaos(t *testing.T) {
 	const r = 3
 	const threshold = 0.25
 	prev, snaps := rebalanceSeq(t, r)
-	o := elasticBase(3, 3)
+	o := elasticBase(3)
 	o.MaxIters = 10
 	_, refLoss := referenceRun(t, prev, snaps, 3, o.Options)
 
@@ -165,7 +165,7 @@ func TestRebalanceOnImbalanceChaos(t *testing.T) {
 // fence is pure observation.
 func TestElasticPlaneKeepsMathsBitwise(t *testing.T) {
 	prev, snaps := elasticSeq(t, 3)
-	o := elasticBase(3, 3)
+	o := elasticBase(3)
 	_, refLoss := referenceRun(t, prev, snaps, 3, o.Options)
 
 	job, err := NewElasticJob(prev, snaps, o)

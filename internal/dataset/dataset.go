@@ -136,6 +136,15 @@ func (s Spec) Generate() *tensor.Tensor {
 	if len(s.Dims) == 0 || len(s.Skew) != len(s.Dims) {
 		panic(fmt.Sprintf("dataset: spec %q has %d dims, %d skews", s.Name, len(s.Dims), len(s.Skew)))
 	}
+	// Duplicates are found by each cell's mixed-radix linear index,
+	// which must fit in a uint64.
+	cells := uint64(1)
+	for _, d := range s.Dims {
+		if d > 0 && cells > math.MaxUint64/uint64(d) {
+			panic(fmt.Sprintf("dataset: spec %q dims %v do not index in 64 bits", s.Name, s.Dims))
+		}
+		cells *= uint64(d)
+	}
 	src := xrand.New(s.Seed)
 	n := len(s.Dims)
 	samplers := make([]func() int, n)
@@ -151,27 +160,22 @@ func (s Spec) Generate() *tensor.Tensor {
 	}
 	b := tensor.NewBuilder(s.Dims)
 	idx := make([]int, n)
-	seen := make(map[string]struct{}, s.NNZ)
-	key := make([]byte, 4*n)
+	seen := make(map[uint64]struct{}, s.NNZ)
 	for e := 0; e < s.NNZ; e++ {
 		// Redraw duplicate coordinates (bounded) so values stay in
 		// their nominal range instead of merging; real review data has
 		// one rating per (reviewer, product, time) cell.
 		placed := false
 		for try := 0; try < 64; try++ {
+			key := uint64(0)
 			for m := range idx {
 				idx[m] = samplers[m]()
+				key = key*uint64(s.Dims[m]) + uint64(idx[m])
 			}
-			for m, v := range idx {
-				key[4*m] = byte(v)
-				key[4*m+1] = byte(v >> 8)
-				key[4*m+2] = byte(v >> 16)
-				key[4*m+3] = byte(v >> 24)
-			}
-			if _, dup := seen[string(key)]; dup {
+			if _, dup := seen[key]; dup {
 				continue
 			}
-			seen[string(key)] = struct{}{}
+			seen[key] = struct{}{}
 			placed = true
 			break
 		}

@@ -38,10 +38,6 @@ type Options struct {
 	// dynamic algorithm (DTD) bit for bit; more workers change only the
 	// reduction order of the Gram partials.
 	Workers int
-	// Parts is the number of tensor partitions per mode; it defaults (0)
-	// to Workers, the paper's recommended setting, and a negative value
-	// is an error.
-	Parts int
 	// Partitioner chooses GTP or MTP. Default GTP; MTP balances better
 	// on skewed data.
 	Partitioner Partitioner
@@ -88,8 +84,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Workers < 0 {
 		return o, fmt.Errorf("dismastd: Workers must be positive, got %d", o.Workers)
 	}
-	if o.MaxIters < 0 || o.Parts < 0 {
-		return o, fmt.Errorf("dismastd: MaxIters and Parts must be non-negative, got %d and %d", o.MaxIters, o.Parts)
+	if o.MaxIters < 0 {
+		return o, fmt.Errorf("dismastd: MaxIters must be non-negative, got %d", o.MaxIters)
 	}
 	if o.Threads < 0 {
 		return o, fmt.Errorf("dismastd: Threads must be non-negative, got %d", o.Threads)
@@ -234,7 +230,7 @@ func (s *Stream) coreOptions(seed uint64) core.Options {
 	return core.Options{
 		Rank: s.vopts.Rank, MaxIters: s.vopts.MaxIters, Tol: s.vopts.Tol,
 		Mu: s.vopts.ForgettingFactor, Seed: seed,
-		Workers: s.vopts.Workers, Parts: s.vopts.Parts,
+		Workers: s.vopts.Workers,
 		Method:  partition.Method(s.vopts.Partitioner),
 		Threads: s.vopts.Threads,
 		Solver:  s.sk,
