@@ -73,14 +73,17 @@ check: fmt vet test race portable
 # and of core.ElasticOptions as `go doc` lists them; and each internal
 # package's exported identifiers — a grep of its non-test files for
 # top-level `func Name`, `func (recv) Name` and `type Name` lines with
-# Name capitalised (no `type (` groups are in use). Report only — no
-# count fails the target.
+# Name capitalised (no `type (` groups are in use); and the entries of
+# reachabilityAllowlist, the internal declarations only tests may call
+# (reachability_test.go bounds them at 10). Report only — no count
+# fails the target.
 CENSUS_OPTIONS = dismastd.Options dismastd.CompletionOptions dismastd/internal/core.ElasticOptions
 
 census:
 	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -exec cat {} + | wc -l)"
 	@echo "test Go lines outside benchmark/: $$(find . -name '*_test.go' ! -path './benchmark/*' ! -path './.*' -exec cat {} + | wc -l)"
 	@echo "packages under internal/: $$($(GO) list ./internal/... | wc -l)"
+	@echo "reachability allowlist entries: $$(awk '/^var reachabilityAllowlist = /,/^}/' reachability_test.go | grep -c '^	"')"
 	@for d in cmd/*; do \
 		echo "flags of $$(basename $$d): $$($(GO) run ./$$d -h 2>&1 | grep -c '^  -')"; \
 	done

@@ -3,6 +3,7 @@ package dismastd_test
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"dismastd"
@@ -119,6 +120,15 @@ func TestStreamValidation(t *testing.T) {
 	} {
 		if _, err := dismastd.NewStream(o).Ingest(first); err == nil {
 			t.Fatalf("%+v accepted", o)
+		}
+	}
+	// A forgetting factor outside (0, 1] is refused when the options
+	// resolve, which an empty event batch already does — not at the
+	// first sweep.
+	for _, mu := range []float64{2, -0.5, math.NaN()} {
+		_, err := dismastd.NewStream(dismastd.Options{Rank: 2, ForgettingFactor: mu}).IngestEvents(nil)
+		if err == nil || !strings.Contains(err.Error(), "ForgettingFactor") {
+			t.Errorf("ForgettingFactor %v: err = %v, want it refused", mu, err)
 		}
 	}
 	s = dismastd.NewStream(dismastd.Options{Rank: 2})

@@ -22,18 +22,18 @@
 // -checkpoint writes the state after every completed step (view rank 0,
 // fsynced temp file renamed over the target), and a rerun with -resume
 // continues from the last checkpoint and reproduces the uninterrupted
-// run bit for bit. Over TCP, -heartbeat enables peer failure detection:
-// a dead rank surfaces as a typed peer-down error within a few
-// intervals instead of stalling until the receive timeout. What the
-// survivors then do is the one policy choice: by default they stop with
-// that error, for -resume; with -elastic, which requires -heartbeat,
-// they absorb the dead rank — re-run the interrupted step without it
-// from the state they hold, exactly as a static cluster of the
-// survivors would — and finish the stream, and the joins and drains of
-// the membership -script are admitted at step fences. -listen,
-// -heartbeat, -elastic and the flags that require it, -debug-addr and a
-// -script join or drain need a TCP node and are refused without -join;
-// a -script kill runs on either transport.
+// run bit for bit, from the membership the -script leaves after the
+// checkpointed steps. A dead rank surfaces as a typed peer-down error:
+// in process once its goroutine returns, over TCP through -heartbeat
+// within a few intervals. What the survivors then do is the one policy
+// choice: by default they stop with that error, for -resume; with
+// -elastic they absorb the dead rank — re-run the interrupted step
+// without it from the state they hold, exactly as a static cluster of
+// the survivors would — and finish the stream, and the joins and
+// drains of the membership -script are admitted at step fences. Every
+// policy and script runs on either transport; only -listen, -heartbeat
+// and -debug-addr need a TCP node, and over TCP -elastic requires
+// -heartbeat.
 //
 // -serve-http skips files and clusters entirely: one process ingests
 // events over HTTP and answers reconstruction and top-K queries from
@@ -54,7 +54,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,6 +66,7 @@ import (
 	"dismastd/internal/dtd"
 	"dismastd/internal/obs"
 	obscluster "dismastd/internal/obs/cluster"
+	"dismastd/internal/par"
 	"dismastd/internal/partition"
 	"dismastd/internal/sample"
 	"dismastd/internal/tensor"
@@ -103,15 +103,6 @@ type workerConfig struct {
 	rebalance bool
 }
 
-// threadsPerRank shares the process's GOMAXPROCS among the ranks it
-// runs: every rank's numeric kernels get max(1, GOMAXPROCS/workers)
-// compute threads — what dismastd.Options.Threads defaults to, applied
-// here because worker mode builds core.Options itself. Results are
-// identical at every thread count.
-func threadsPerRank(workers int) int {
-	return max(1, runtime.GOMAXPROCS(0)/max(1, workers))
-}
-
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -138,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	timeout := fs.Duration("timeout", 2*time.Minute, "join and receive timeout")
 	heartbeat := fs.Duration("heartbeat", 0, "peer failure-detection probe interval (0 = off)")
 	debugAddr := fs.String("debug-addr", "", "worker mode: serve /metrics, /debug/state, /debug/timeline and /debug/pprof/ on this address (no auth — bind loopback only; empty = off)")
-	elastic := fs.Bool("elastic", false, "worker mode: absorb rank deaths — the survivors re-run the interrupted step without the dead rank and finish the stream — instead of failing for -resume; enables scripted joins and drains at step fences; requires -heartbeat")
+	elastic := fs.Bool("elastic", false, "worker mode: absorb rank deaths — the survivors re-run the interrupted step without the dead rank and finish the stream — instead of failing for -resume; enables scripted joins and drains at step fences; over TCP requires -heartbeat")
 	script := fs.String("script", "", "worker mode: membership script as verb:rank:step,... (e.g. kill:1:1,join:3:2), identical on every rank — kill crashes that rank mid-step; join admits that spare and drain retires that member at the step's fence (both need -elastic); the ranks no join names start as members")
 	rebalance := fs.Bool("rebalance-on-imbalance", false, "elastic mode: arm the observability plane's imbalance detector — sustained per-rank compute skew re-partitions the stream live at the next fence")
 	if err := fs.Parse(args); err != nil {
@@ -192,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *join == "" {
 			set := map[string]bool{}
 			fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			for _, name := range []string{"listen", "heartbeat", "elastic", "rebalance-on-imbalance", "debug-addr"} {
+			for _, name := range []string{"listen", "heartbeat", "debug-addr"} {
 				if set[name] {
 					return fmt.Errorf("-%s needs a TCP node: give -join", name)
 				}
@@ -212,19 +203,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-script: %w", err)
 		}
 		for _, ev := range events {
-			switch {
-			case ev.Verb == "kill":
-			case *join == "":
-				return fmt.Errorf("-script entry %q needs a TCP node: give -join", ev)
-			case !*elastic:
+			if ev.Verb != "kill" && !*elastic {
 				return fmt.Errorf("-script entry %q requires -elastic", ev)
 			}
 		}
-		if *elastic && *heartbeat <= 0 {
+		if *elastic && *join != "" && *heartbeat <= 0 {
 			// Over TCP only heartbeats mark a dead peer down; without them
 			// a death stalls the survivors until -timeout, which no policy
 			// can absorb.
-			return fmt.Errorf("-elastic requires -heartbeat (a rank death is seen only through missed heartbeats)")
+			return fmt.Errorf("-elastic over TCP requires -heartbeat (a rank death is seen only through missed heartbeats)")
 		}
 		if *rebalance && !*elastic {
 			return fmt.Errorf("-rebalance-on-imbalance requires -elastic (a rebalance is a view change)")
@@ -298,14 +285,14 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 	// in-process cluster, whose rank 0 is one of its goroutines.
 	var n node
 	var tcp *cluster.TCPNode
-	rank, threads := 0, threadsPerRank(cfg.workers)
+	rank, threads := 0, par.ThreadsPerRank(cfg.workers)
 	if cfg.join != "" {
 		var err error
 		if tcp, err = cluster.JoinTCP(cfg.join, cfg.listen, cfg.timeout); err != nil {
 			return fmt.Errorf("join cluster: %w", err)
 		}
 		defer tcp.Close()
-		n, rank, threads = tcp, tcp.Rank(), threadsPerRank(1)
+		n, rank, threads = tcp, tcp.Rank(), par.ThreadsPerRank(1)
 	} else {
 		n = cluster.NewLocal(cfg.workers)
 	}
@@ -339,13 +326,12 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 	}
 
 	// A resumed run re-indexes the script against the remaining
-	// snapshots; events for already-checkpointed steps are dropped.
-	var script []string
-	for _, ev := range cfg.script {
-		if ev.Step >= start {
-			ev.Step -= start
-			script = append(script, ev.String())
-		}
+	// snapshots: the checkpointed steps' events land at negative steps,
+	// so the run starts from the membership they leave.
+	script := make([]string, len(cfg.script))
+	for i, ev := range cfg.script {
+		ev.Step -= start
+		script[i] = ev.String()
 	}
 	stepStart := time.Now()
 	o := core.ElasticOptions{

@@ -19,6 +19,7 @@ import (
 
 	"dismastd"
 	"dismastd/internal/cluster"
+	"dismastd/internal/core"
 	"dismastd/internal/dtd"
 	"dismastd/internal/mat"
 	"dismastd/internal/obs"
@@ -100,37 +101,42 @@ func TestWorkerArgErrors(t *testing.T) {
 	// What a rejection must name, where the refusal is about that flag
 	// or file rather than about loading x.tsv.
 	mentions := map[string]string{
-		"elastic without heartbeat": "-heartbeat",
-		"no workers in process":     "-workers",
-		"no workers to rendezvous":  "-workers",
-		"missing snapshot":          "nope.tsv",
-		"missing prev":              "prev state",
-		"unknown script verb":       `-script: entry "pause:1:1": unknown verb`,
-		"malformed script entry":    `-script: entry "kill:1" is not verb:rank:step`,
-		"two kills at one step":     `-script: entries "kill:1:1" and "kill:2:1"`,
-		"join without elastic":      `-script entry "join:3:1" requires -elastic`,
-		"drain without elastic":     `-script entry "drain:1:1" requires -elastic`,
-		"join in process":           `-script entry "join:2:1" needs a TCP node`,
-		"drain in process":          `-script entry "drain:1:1" needs a TCP node`,
+		"elastic without heartbeat":            "-heartbeat",
+		"no workers in process":                "-workers",
+		"no workers to rendezvous":             "-workers",
+		"missing snapshot":                     "nope.tsv",
+		"missing prev":                         "prev state",
+		"unknown script verb":                  `-script: entry "pause:1:1": unknown verb`,
+		"malformed script entry":               `-script: entry "kill:1" is not verb:rank:step`,
+		"two kills at one step":                `-script: entries "kill:1:1" and "kill:2:1"`,
+		"join without elastic":                 `-script entry "join:3:1" requires -elastic`,
+		"drain without elastic":                `-script entry "drain:1:1" requires -elastic`,
+		"join in process without elastic":      `-script entry "join:2:1" requires -elastic`,
+		"drain in process without elastic":     `-script entry "drain:1:1" requires -elastic`,
+		"rebalance without elastic":            "-rebalance-on-imbalance requires -elastic",
+		"rebalance in process without elastic": "-rebalance-on-imbalance requires -elastic",
+		"bogus solver":                         "bogus",
 	}
 	for name, args := range map[string][]string{
-		"neither mode":              {},
-		"no workers to rendezvous":  {"-serve", "127.0.0.1:0", "-workers", "0"},
-		"join without file":         {"-join", "127.0.0.1:1"},
-		"bad method":                {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-method", "zzz"},
-		"resume without checkpoint": {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-resume"},
-		"rebalance without elastic": {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-rebalance-on-imbalance"},
-		"unknown script verb":       {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "pause:1:1"},
-		"malformed script entry":    {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "kill:1"},
-		"two kills at one step":     {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "kill:1:1,kill:2:1"},
-		"join without elastic":      {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "join:3:1"},
-		"drain without elastic":     {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "drain:1:1"},
-		"join in process":           {"-tensor", "x.tsv", "-script", "join:2:1"},
-		"drain in process":          {"-tensor", "x.tsv", "-script", "drain:1:1"},
-		"elastic without heartbeat": {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-elastic"},
-		"no workers in process":     {"-tensor", "x.tsv", "-workers", "0"},
-		"missing snapshot":          {"-tensor", filepath.Join(dir, "nope.tsv")},
-		"missing prev":              {"-tensor", snap, "-prev", filepath.Join(dir, "nope.gob")},
+		"neither mode":                         {},
+		"no workers to rendezvous":             {"-serve", "127.0.0.1:0", "-workers", "0"},
+		"join without file":                    {"-join", "127.0.0.1:1"},
+		"bad method":                           {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-method", "zzz"},
+		"resume without checkpoint":            {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-resume"},
+		"rebalance without elastic":            {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-rebalance-on-imbalance"},
+		"unknown script verb":                  {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "pause:1:1"},
+		"malformed script entry":               {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "kill:1"},
+		"two kills at one step":                {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "kill:1:1,kill:2:1"},
+		"join without elastic":                 {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "join:3:1"},
+		"drain without elastic":                {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "drain:1:1"},
+		"join in process without elastic":      {"-tensor", "x.tsv", "-script", "join:2:1"},
+		"drain in process without elastic":     {"-tensor", "x.tsv", "-script", "drain:1:1"},
+		"rebalance in process without elastic": {"-tensor", "x.tsv", "-rebalance-on-imbalance"},
+		"bogus solver":                         {"-tensor", "x.tsv", "-solver", "bogus"},
+		"elastic without heartbeat":            {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-elastic"},
+		"no workers in process":                {"-tensor", "x.tsv", "-workers", "0"},
+		"missing snapshot":                     {"-tensor", filepath.Join(dir, "nope.tsv")},
+		"missing prev":                         {"-tensor", snap, "-prev", filepath.Join(dir, "nope.gob")},
 	} {
 		err := run(args, &stdout, &stderr)
 		if err == nil {
@@ -140,15 +146,12 @@ func TestWorkerArgErrors(t *testing.T) {
 			t.Fatalf("%s: error %q does not name %s", name, err, want)
 		}
 	}
-	// Without -join the ranks run in this process, so every flag that
-	// configures a TCP node is refused by name.
+	// Without -join the ranks run in this process, so the transport
+	// settings of a TCP node are refused by name; every policy and
+	// script runs in process.
 	for _, flagArgs := range [][]string{
 		{"-listen", "127.0.0.1:0"},
 		{"-heartbeat", "150ms"},
-		{"-elastic"},
-		{"-script", "join:2:1"},
-		{"-script", "drain:1:1"},
-		{"-rebalance-on-imbalance"},
 		{"-debug-addr", "127.0.0.1:0"},
 	} {
 		err := run(append([]string{"-tensor", "x.tsv"}, flagArgs...), &stdout, &stderr)
@@ -636,7 +639,20 @@ func TestElasticWorkerKillRecovers(t *testing.T) {
 	if !strings.Contains(out, "final loss=") {
 		t.Fatalf("survivors produced no final summary: %q", out)
 	}
+	got, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, killReference(t, dir, snaps, opts)) {
+		t.Fatal("survivors' -out differs from the 3-rank then 2-rank static runs")
+	}
+}
 
+// killReference returns the -out of the static TCP runs a kill of rank
+// 1 of 3 during step 1 of snaps must reproduce: three ranks over
+// snapshot 0, then two from its checkpoint over snapshot 1.
+func killReference(t *testing.T, dir string, snaps, opts []string) []byte {
+	t.Helper()
 	ckpt := filepath.Join(dir, "ref")
 	ref := filepath.Join(dir, "ref.gob")
 	for _, run := range []struct {
@@ -653,16 +669,107 @@ func TestElasticWorkerKillRecovers(t *testing.T) {
 			}
 		}
 	}
-	got, err := os.ReadFile(state)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := os.ReadFile(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("survivors' -out differs from the 3-rank then 2-rank static runs")
+	return want
+}
+
+// TestInProcessElasticMatchesTCP: cluster.Local fails the way a TCP
+// cluster does, so every policy and script runs in process and writes
+// the TCP cluster's bytes. A four-rank -elastic stream in which spare 3
+// joins at step 1 and member 1 drains at step 2 writes the -out and
+// prints the rank-0 lines of the four-process TCP run; and an in-process
+// -elastic kill of rank 1 during step 1 writes the -out of the static
+// runs that switch to two ranks at that step, failing with the scripted
+// crash alone.
+func TestInProcessElasticMatchesTCP(t *testing.T) {
+	dir := t.TempDir()
+	snaps := writeSchedule(t, dir, []float64{0.7, 0.85, 1.0})
+	opts := []string{"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s"}
+	base := append([]string{"-tensor", strings.Join(snaps, ","), "-elastic", "-script", "join:3:1,drain:1:2"}, opts...)
+	tcpOut, localOut := filepath.Join(dir, "tcp.gob"), filepath.Join(dir, "local.gob")
+	// A slow detector keeps the drained process's exit from reading as a
+	// death before the stream ends, which would add a recovery to the
+	// TCP run's transition count.
+	errs, tcpStdout := runCluster(t, append([]string{"-out", tcpOut, "-heartbeat", "1s"}, base...), make([][]string, 4))
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("TCP worker %d: %v", w, err)
+		}
+	}
+	stdout, err := runLocal(t, 2, append([]string{"-workers", "4", "-out", localOut}, base...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rank0Lines(stdout) != rank0Lines(tcpStdout) || !strings.Contains(stdout, "transitions=2") {
+		t.Fatalf("in-process rank-0 lines\n%s\nTCP rank-0 lines\n%s", stdout, tcpStdout)
+	}
+	want, err1 := os.ReadFile(tcpOut)
+	got, err2 := os.ReadFile(localOut)
+	if err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+		t.Fatalf("in-process -out differs from the TCP cluster's (%v, %v)", err1, err2)
+	}
+
+	two := snaps[1:]
+	killOut := filepath.Join(dir, "kill.gob")
+	_, err = runLocal(t, 2, append([]string{"-tensor", strings.Join(two, ","), "-workers", "3", "-elastic", "-script", "kill:1:1", "-out", killOut}, opts...)...)
+	if err == nil || !errors.Is(err, core.ErrScriptedCrash) || !strings.HasPrefix(err.Error(), "rank 1: ") {
+		t.Fatalf("in-process kill returned %v, want rank 1's scripted crash", err)
+	}
+	if _, down := cluster.AsPeerDown(err); down {
+		t.Fatalf("in-process kill returned a survivor's error: %v", err)
+	}
+	got, err = os.ReadFile(killOut)
+	if err != nil || !bytes.Equal(got, killReference(t, dir, two, opts)) {
+		t.Fatalf("in-process survivors' -out differs from the 3-rank then 2-rank static runs (%v)", err)
+	}
+}
+
+// rank0Lines keeps the lines a worker run prints for view rank 0.
+func rank0Lines(stdout string) string {
+	var keep []string
+	for _, line := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(line, "rank 0: ") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+// TestElasticResumeKeepsMembership: -resume starts from the membership
+// the -script leaves after the checkpointed steps. Member 1 drains at
+// step 1 of a three-rank -elastic stream; resumed after step 1's
+// checkpoint, the run must not readmit it, and writes the uninterrupted
+// run's -out byte for byte.
+func TestElasticResumeKeepsMembership(t *testing.T) {
+	dir := t.TempDir()
+	snaps := writeSchedule(t, dir, []float64{0.7, 0.85, 1.0})
+	ckpt := filepath.Join(dir, "ckpt")
+	whole, resumed := filepath.Join(dir, "whole.gob"), filepath.Join(dir, "resumed.gob")
+	base := []string{
+		"-tensor", strings.Join(snaps, ","), "-workers", "3", "-checkpoint", ckpt,
+		"-elastic", "-script", "drain:1:1",
+		"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s",
+	}
+	if _, err := runLocal(t, 2, append([]string{"-out", whole}, base...)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(checkpointPath(ckpt, 2)); err != nil {
+		t.Fatal(err)
+	}
+	stdout, err := runLocal(t, 2, append([]string{"-resume", "-out", resumed}, base...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(stdout, "rank 0: iters="); n != 1 {
+		t.Fatalf("resumed run ran %d steps, want only step 2: %q", n, stdout)
+	}
+	want, err1 := os.ReadFile(whole)
+	got, err2 := os.ReadFile(resumed)
+	if err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+		t.Fatalf("resumed -out differs from the uninterrupted run's (%v, %v)", err1, err2)
 	}
 }
 

@@ -338,6 +338,12 @@ func writeJSON(w http.ResponseWriter, v any) {
 func runServe(cfg serveConfig, stdout, stderr io.Writer, sig <-chan os.Signal) error {
 	logger := obs.NewLogger(stderr, slog.LevelInfo)
 	stream := dismastd.NewStream(cfg.opts)
+	// A stream resolves its options at the first call that needs them;
+	// an empty event batch is such a call and changes nothing, so bad
+	// options are refused here, before the listener comes up.
+	if _, err := stream.IngestEvents(nil); err != nil {
+		return err
+	}
 	if cfg.statePath != "" {
 		f, err := os.Open(cfg.statePath)
 		switch {

@@ -356,19 +356,30 @@ func TestServeArgErrors(t *testing.T) {
 			t.Errorf("run(%v) err = %v, want exclusivity error", args, err)
 		}
 	}
-	// -method reaches serve mode's plan too, so a bogus one is refused
-	// before the listener comes up. A build that ignores it would serve
-	// until a signal: the deadline turns that into a failure.
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-serve-http", "127.0.0.1:0", "-method", "bogus"}, io.Discard, io.Discard)
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "bogus") {
-			t.Errorf("serve mode with -method bogus: err = %v, want it refused", err)
+	// Every option reaches serve mode's stream, so a bad one is refused
+	// by name before the listener comes up. A build that ignores it
+	// would serve until a signal: the deadline turns that into a failure.
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-method", "bogus"}, "bogus"},
+		{[]string{"-solver", "bogus"}, "bogus"},
+		{[]string{"-mu", "2"}, "ForgettingFactor"},
+		{[]string{"-sweep-every", "-1"}, "SweepEvery"},
+		{[]string{"-rank", "0"}, "Rank"},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			done <- run(append([]string{"-serve-http", "127.0.0.1:0"}, tc.flags...), io.Discard, io.Discard)
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("serve mode with %v: err = %v, want it refused naming %s", tc.flags, err, tc.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("serve mode started with %v", tc.flags)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("serve mode started with -method bogus")
 	}
 }

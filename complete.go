@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dismastd/internal/completion"
+	"dismastd/internal/par"
 )
 
 // CompletionOptions configures tensor completion (fitting the observed
@@ -34,7 +35,7 @@ func (o CompletionOptions) internal() (completion.Options, error) {
 	}
 	threads := o.Threads
 	if threads == 0 {
-		threads = defaultThreads(1)
+		threads = par.ThreadsPerRank(1)
 	}
 	return completion.Options{Rank: o.Rank, MaxIters: o.MaxIters, Tol: o.Tol, Lambda: o.Lambda, Seed: o.Seed, Threads: threads}, nil
 }

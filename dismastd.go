@@ -37,6 +37,7 @@ import (
 	"dismastd/internal/dataset"
 	"dismastd/internal/dtd"
 	"dismastd/internal/mat"
+	"dismastd/internal/par"
 	"dismastd/internal/partition"
 	"dismastd/internal/tensor"
 )
@@ -123,7 +124,7 @@ func Decompose(x *Tensor, rank int, maxIters int) (*CPResult, error) {
 	if maxIters <= 0 {
 		maxIters = 50
 	}
-	st, stats, err := dtd.Init(x, dtd.Options{Rank: rank, MaxIters: maxIters, Threads: defaultThreads(1)})
+	st, stats, err := dtd.Init(x, dtd.Options{Rank: rank, MaxIters: maxIters, Threads: par.ThreadsPerRank(1)})
 	if err != nil {
 		return nil, err
 	}

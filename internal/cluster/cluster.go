@@ -327,7 +327,6 @@ type Local struct {
 	fc          faultCounters
 	logger      *slog.Logger
 	pool        *bufPool
-	elastic     bool
 }
 
 // faultCounters are the pre-resolved injection counters both transports
@@ -391,29 +390,21 @@ func (c *Local) SetLogger(l *slog.Logger) { c.logger = l }
 // recovered TCP cut, the message is delivered.
 func (c *Local) SetFaultPlan(p *FaultPlan) { c.fault = p }
 
-// SetElastic switches Run to elastic failure semantics, matching what a
-// TCP deployment's heartbeats provide: a worker function returning —
-// with or without an error — marks its rank down in every other
-// mailbox (drain-then-fail), instead of an error poisoning the whole
-// cluster. Survivors observe the exit as a rank-attributed ErrPeerDown
-// on their next receive from it and can run the membership protocol;
-// a returned error is still recorded and returned by Run. Chaos tests
-// simulate a crash by returning nil mid-algorithm. Must be set before
-// Run.
-func (c *Local) SetElastic(on bool) { c.elastic = on }
-
 // Size returns the number of workers the cluster runs.
 func (c *Local) Size() int { return c.size }
 
 // Run executes fn once per rank concurrently and waits for all ranks.
-// The first error poisons every mailbox so blocked receives fail fast,
-// and is returned after all goroutines exit. Statistics are valid even
-// on error.
+// A rank whose fn returns, with or without an error, is marked down in
+// every other mailbox the way TCP heartbeats mark a dead node,
+// drain-then-fail: what it sent still arrives, then receives from it
+// fail with a rank-attributed ErrPeerDown. The first error, attributed
+// to its rank, is returned after all goroutines exit. Statistics are
+// valid even on error.
 func (c *Local) Run(fn func(*Worker) error) (*RunStats, error) {
 	mboxes := make([]*mailbox, c.size)
 	metrics := make([]*Metrics, c.size)
 	for i := range mboxes {
-		mboxes[i] = newMailbox()
+		mboxes[i] = newMailbox(c.size)
 		metrics[i] = &Metrics{}
 	}
 	workers := make([]*Worker, c.size)
@@ -472,34 +463,19 @@ func (c *Local) Run(fn func(*Worker) error) (*RunStats, error) {
 		wg.Add(1)
 		go func(w *Worker) {
 			defer wg.Done()
-			err := fn(w)
-			if c.elastic {
-				// Elastic semantics: any exit — crash simulation, drain,
-				// or normal completion — reads as this rank going dark.
-				// Drain-then-fail delivery means finished peers' queued
-				// messages still land, so normal completion is unharmed.
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("rank %d: %w", w.rank, err)
-					}
-					mu.Unlock()
-				}
-				for r, mb := range mboxes {
-					if r != w.rank {
-						mb.peerDown(w.rank, &ErrPeerDown{Rank: w.rank}, false)
-					}
-				}
-				return
-			}
-			if err != nil {
+			// Allocated up front, with the down maps sized in newMailbox,
+			// so a rank's exit counts in no peer's allocation measurement.
+			down := &ErrPeerDown{Rank: w.rank}
+			if err := fn(w); err != nil {
 				mu.Lock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf("rank %d: %w", w.rank, err)
 				}
 				mu.Unlock()
-				for _, mb := range mboxes {
-					mb.fail(fmt.Errorf("%w: rank %d failed: %v", ErrClosed, w.rank, err))
+			}
+			for r, mb := range mboxes {
+				if r != w.rank {
+					mb.peerDown(w.rank, down, false)
 				}
 			}
 		}(workers[i])

@@ -262,7 +262,7 @@ func TestWorkerErrorPropagates(t *testing.T) {
 			return boom
 		}
 		// Other ranks block on a message that never comes; they must be
-		// released by the poisoned mailbox, not the timeout.
+		// released by rank 1's down mark, not the timeout.
 		_, err := w.Recv(1, "never")
 		if err == nil {
 			return errors.New("recv succeeded unexpectedly")
@@ -278,11 +278,16 @@ func TestRecvTimeout(t *testing.T) {
 	c := NewLocal(2)
 	c.SetRecvTimeout(50 * time.Millisecond)
 	start := time.Now()
+	// Rank 1 stays alive but silent until rank 0 gives up: a rank that
+	// returned would read as down, not as a timeout.
+	done := make(chan struct{})
 	_, err := c.Run(func(w *Worker) error {
 		if w.Rank() == 0 {
+			defer close(done)
 			_, err := w.Recv(1, "silence")
 			return err
 		}
+		<-done
 		return nil
 	})
 	if err == nil || !errors.Is(err, ErrTimeout) {

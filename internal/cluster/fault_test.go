@@ -61,7 +61,7 @@ func TestFaultPlanDefaultError(t *testing.T) {
 
 func TestLocalFaultPlanError(t *testing.T) {
 	// An injected send error must surface as a rank-attributed run error
-	// and release every other rank via the poisoned mailboxes.
+	// and release every other rank through the failed rank's down mark.
 	boom := errors.New("injected link failure")
 	c := NewLocal(3)
 	c.SetRecvTimeout(10 * time.Second)
@@ -83,15 +83,20 @@ func TestLocalFaultPlanError(t *testing.T) {
 
 func TestLocalFaultPlanDrop(t *testing.T) {
 	// A dropped message looks like success to the sender and silence to
-	// the receiver: the receive must end in a timeout, not a hang.
+	// the receiver: the receive must end in a timeout, not a hang. The
+	// sender stays alive until then, or its exit would read as down.
 	c := NewLocal(2)
 	c.SetRecvTimeout(100 * time.Millisecond)
 	plan := NewFaultPlan(FaultRule{From: 0, To: 1, TagPrefix: "lost", Op: FaultDrop})
 	c.SetFaultPlan(plan)
+	done := make(chan struct{})
 	_, err := c.Run(func(w *Worker) error {
 		if w.Rank() == 0 {
-			return w.Send(1, "lost", []byte("gone"))
+			err := w.Send(1, "lost", []byte("gone"))
+			<-done
+			return err
 		}
+		defer close(done)
 		_, err := w.Recv(0, "lost")
 		return err
 	})

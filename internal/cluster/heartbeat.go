@@ -22,9 +22,11 @@ import (
 const heartbeatTag = "\x00hb"
 
 // ErrPeerDown reports a peer declared dead by failure detection: no
-// traffic arrived from the rank within the detection window. It
-// surfaces from both pending receives (via the poisoned mailbox) and
-// later sends to the dead rank.
+// traffic arrived from the rank within the detection window — or, on
+// cluster.Local, the rank's worker function returned, which reads the
+// same. It surfaces from both pending receives (via the poisoned
+// mailbox over TCP, the drained-and-down queue in process) and later
+// sends to the dead rank.
 type ErrPeerDown struct {
 	Rank int
 }

@@ -11,8 +11,8 @@ import (
 // receive timeout — usually a deadlocked or crashed peer.
 var ErrTimeout = errors.New("cluster: receive timed out")
 
-// ErrClosed reports an operation on a cluster that has been shut down
-// or poisoned by another worker's failure.
+// ErrClosed reports an operation on a TCP node that has been shut down
+// or whose listener failed.
 var ErrClosed = errors.New("cluster: closed")
 
 type mailKey struct {
@@ -81,8 +81,10 @@ type mailbox struct {
 	revoked map[int]bool
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{queues: make(map[mailKey]*msgQueue)}
+// newMailbox returns an empty mailbox with room to mark every one of
+// peers senders down without growing.
+func newMailbox(peers int) *mailbox {
+	m := &mailbox{queues: make(map[mailKey]*msgQueue), down: make(map[int]error, peers)}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -124,9 +126,6 @@ func (m *mailbox) fail(err error) {
 // cannot re-poison a recovering worker mid-protocol.
 func (m *mailbox) peerDown(rank int, err error, poison bool) {
 	m.mu.Lock()
-	if m.down == nil {
-		m.down = make(map[int]error)
-	}
 	if _, dup := m.down[rank]; !dup {
 		m.down[rank] = err
 	}
@@ -168,9 +167,6 @@ func (m *mailbox) clearPoison() {
 // when the sender is marked down AND its (from, tag) queue is empty.
 // Caller holds mu.
 func (m *mailbox) downErr(from int, tag string) error {
-	if m.down == nil {
-		return nil
-	}
 	err := m.down[from]
 	if err == nil {
 		return nil

@@ -14,7 +14,6 @@ import (
 // epoch.
 func TestAgreeViewKillAndJoin(t *testing.T) {
 	c := NewLocal(4)
-	c.SetElastic(true)
 	cur := newView(0, []int{0, 1, 2})
 	vc := ViewChange{Dead: []int{1}, Join: []int{3}}
 	var mu sync.Mutex
@@ -85,7 +84,6 @@ func TestAgreeViewKillAndJoin(t *testing.T) {
 // carry on in the shrunken view.
 func TestAgreeViewDrain(t *testing.T) {
 	c := NewLocal(3)
-	c.SetElastic(true)
 	cur := newView(0, []int{0, 1, 2})
 	vc := ViewChange{Leave: []int{2}}
 	_, err := c.Run(func(w *Worker) error {
@@ -123,7 +121,6 @@ func TestAgreeViewDrain(t *testing.T) {
 // loudly instead of splitting the view.
 func TestAgreeViewProposalMismatch(t *testing.T) {
 	c := NewLocal(3)
-	c.SetElastic(true)
 	c.SetRecvTimeout(2 * time.Second)
 	cur := newView(0, []int{0, 1, 2})
 	var mu sync.Mutex

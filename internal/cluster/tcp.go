@@ -327,7 +327,7 @@ func JoinTCP(coordAddr, listenAddr string, timeout time.Duration) (*TCPNode, err
 		size:        len(addrs),
 		addrs:       addrs,
 		ln:          ln,
-		mbox:        newMailbox(),
+		mbox:        newMailbox(len(addrs)),
 		metrics:     &Metrics{},
 		obs:         obs.New(),
 		recvTimeout: 60 * time.Second,

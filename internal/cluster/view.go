@@ -17,8 +17,8 @@ package cluster
 // Failure flows through three mechanisms that compose:
 //
 //   - per-sender down marks (mailbox.peerDown) with drain-then-fail
-//     delivery, set by Local's elastic mode when a worker exits and by
-//     the TCP heartbeat when a peer goes silent;
+//     delivery, set by Local when a worker exits and by the TCP
+//     heartbeat when a peer goes silent;
 //   - epoch revocation (Worker.Revoke): the first rank to observe an
 //     ErrPeerDown broadcasts a revoke, poisoning every survivor's
 //     mailbox once so receives blocked on *live* peers of the doomed
@@ -60,15 +60,6 @@ func newView(epoch int64, members []int) View {
 		}
 	}
 	return View{Epoch: epoch, Members: out}
-}
-
-// InitialView is the epoch-0 view over world ranks 0..members−1.
-func InitialView(members int) View {
-	v := View{Members: make([]int, members)}
-	for i := range v.Members {
-		v.Members[i] = i
-	}
-	return v
 }
 
 // Size returns the number of members.

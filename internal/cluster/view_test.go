@@ -41,7 +41,7 @@ func TestDecodeViewRefusesUnsortedMembers(t *testing.T) {
 }
 
 func TestViewChangeApply(t *testing.T) {
-	cur := InitialView(4) // {0,1,2,3} epoch 0
+	cur := View{Members: []int{0, 1, 2, 3}} // epoch 0
 	vc := ViewChange{Dead: []int{1}, Join: []int{5}}
 	next := vc.apply(cur)
 	if next.Epoch != 1 {
@@ -238,7 +238,6 @@ func TestViewWorkerEpochMetricsNoBleed(t *testing.T) {
 // survivors — after its queued messages drain.
 func TestElasticExitMarksRankDown(t *testing.T) {
 	c := NewLocal(3)
-	c.SetElastic(true)
 	_, err := c.Run(func(w *Worker) error {
 		if w.Rank() == 2 {
 			// Send one farewell, then die: drain-then-fail must hand
@@ -273,7 +272,6 @@ func TestElasticExitMarksRankDown(t *testing.T) {
 // dead rank 1. Rank 0's revoke must surface ErrPeerDown(1) at rank 2.
 func TestRevokeUnblocksThirdParty(t *testing.T) {
 	c := NewLocal(3)
-	c.SetElastic(true)
 	c.SetRecvTimeout(500 * time.Millisecond)
 	_, err := c.Run(func(w *Worker) error {
 		switch w.Rank() {

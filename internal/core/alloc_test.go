@@ -81,7 +81,7 @@ func testEngineAllocFree(t *testing.T, workers, threads int) {
 		var passErr error
 		pass := func() {
 			if passErr != nil {
-				return // a failed rank stops participating; peers unblock via poisoning
+				return // a failed rank stops participating; peers unblock via its down mark
 			}
 			passErr = eng.Run(nil)
 		}

@@ -3,7 +3,8 @@ package core
 // Chaos coverage for the in-process transport: deterministic FaultPlan
 // schedules injected into a real DisMASTD step. A mid-sweep send
 // failure must produce a fast, rank-attributed error, unblock every
-// rank through the poisoned mailboxes, and leave no goroutines behind.
+// rank through the failed rank's down mark, and leave no goroutines
+// behind.
 
 import (
 	"errors"
@@ -49,8 +50,8 @@ func TestChaosLocalSendFaultMidSweep(t *testing.T) {
 	_, runErr := cl.Run(job.RunWorker)
 	elapsed := time.Since(start)
 
-	// Run returning at all proves the poisoned mailboxes released every
-	// blocked rank; fail-fast means far sooner than the receive timeout.
+	// Run returning at all proves the down marks released every blocked
+	// rank; fail-fast means far sooner than the receive timeout.
 	if runErr == nil {
 		t.Fatal("injected fault produced no error")
 	}

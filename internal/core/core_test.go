@@ -412,7 +412,7 @@ func TestImbalanceReported(t *testing.T) {
 
 func TestStepJobFaultInjection(t *testing.T) {
 	// A network fault mid-step must surface as an error from every
-	// blocked rank, not a hang: the poisoned mailboxes release them.
+	// blocked rank, not a hang: the failed rank's down mark releases them.
 	full := sparseRandom([]int{20, 18, 15}, 600, 71)
 	prev := initState(t, full.Prefix([]int{16, 14, 12}), 3, 73)
 	job, err := NewStepJob(prev, full, Options{Rank: 3, MaxIters: 5, Tol: 0, Workers: 3, Method: partition.MTPMethod, Seed: 75})

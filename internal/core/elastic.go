@@ -69,9 +69,12 @@ type ElasticOptions struct {
 
 	// Script is the membership script (ParseScript), known to every
 	// rank: admission is deterministic, no join or drain request crosses
-	// the wire. The world ranks no join names are the initial members;
-	// the joiners must be the highest world ranks. NewElasticJob replays
-	// the script over membership and refuses any event that cannot fire.
+	// the wire. The world ranks no join names are the members before
+	// the first event; the joiners must be the highest world ranks.
+	// Events at negative steps fired before this run's first snapshot —
+	// a resumed run's checkpointed steps — so the run starts from the
+	// membership they leave. NewElasticJob replays the script over
+	// membership and refuses any event that cannot fire.
 	Script string
 
 	// FailOnPeerDown makes a mid-step rank death fatal: every survivor's
@@ -134,8 +137,10 @@ func (e ScriptEvent) String() string { return fmt.Sprintf("%s:%d:%d", e.Verb, e.
 // ParseScript parses a membership script, verb:rank:step entries joined
 // by commas (e.g. "kill:1:1,join:3:2"), into its events in the order
 // they fire: by step, and within a step drain and join at its fence
-// before kill. It refuses, naming the entry, a malformed one, an
-// unknown verb and two events of one verb at one step.
+// before kill. A negative step is one before the run's first snapshot
+// (see ElasticOptions.Script). It refuses, naming the entry, a
+// malformed one, an unknown verb and two events of one verb at one
+// step.
 func ParseScript(s string) ([]ScriptEvent, error) {
 	if s == "" {
 		return nil, nil
@@ -146,7 +151,7 @@ func ParseScript(s string) ([]ScriptEvent, error) {
 		rankText, stepText, _ := strings.Cut(rest, ":")
 		rank, err1 := strconv.Atoi(rankText)
 		step, err2 := strconv.Atoi(stepText)
-		if err1 != nil || err2 != nil || rank < 0 || step < 0 {
+		if err1 != nil || err2 != nil || rank < 0 {
 			return nil, fmt.Errorf("entry %q is not verb:rank:step", entry)
 		}
 		if verb != "kill" && verb != "join" && verb != "drain" {
@@ -164,16 +169,19 @@ func ParseScript(s string) ([]ScriptEvent, error) {
 }
 
 // checkScript replays a parsed script over membership and returns the
-// number of initial members: the world ranks no join names, which must
-// be ranks 0..members-1. A kill or drain must name a member, a join a
-// spare that never joined, and no step may be left without a member.
-func checkScript(script []ScriptEvent, world, steps int) (int, error) {
+// world ranks that are members when the run's first step starts. The
+// world ranks no join names are the members before the first event,
+// and must be ranks 0..k-1; the events at negative steps leave the
+// membership the run starts from. A kill or drain must name a member,
+// a join a spare that never joined, and no step may be left without a
+// member.
+func checkScript(script []ScriptEvent, world, steps int) ([]int, error) {
 	const member, spare, gone = 0, 1, 2
 	state := make([]int, world)
 	members := world
 	for _, ev := range script {
 		if ev.Step >= steps || ev.Rank >= world {
-			return 0, fmt.Errorf("core: script entry %q is not in %d steps of a world of %d", ev, steps, world)
+			return nil, fmt.Errorf("core: script entry %q is not in %d steps of a world of %d", ev, steps, world)
 		}
 		if ev.Verb == "join" && state[ev.Rank] == member {
 			state[ev.Rank] = spare
@@ -181,7 +189,7 @@ func checkScript(script []ScriptEvent, world, steps int) (int, error) {
 		}
 	}
 	if members == 0 || slices.Contains(state[:members], spare) {
-		return 0, fmt.Errorf("core: the %d scripted joiners are not the highest ranks of a world of %d above an initial member", world-members, world)
+		return nil, fmt.Errorf("core: the %d scripted joiners are not the highest ranks of a world of %d above an initial member", world-members, world)
 	}
 	names := [...]string{member: "a member", spare: "a spare", gone: "gone"}
 	n := members
@@ -191,13 +199,21 @@ func checkScript(script []ScriptEvent, world, steps int) (int, error) {
 			want, next, delta = spare, member, 1
 		}
 		if st := state[ev.Rank]; st != want {
-			return 0, fmt.Errorf("core: script entry %q: rank %d is %s at step %d", ev, ev.Rank, names[st], ev.Step)
+			return nil, fmt.Errorf("core: script entry %q: rank %d is %s at step %d", ev, ev.Rank, names[st], ev.Step)
 		}
 		if state[ev.Rank], n = next, n+delta; n == 0 {
-			return 0, fmt.Errorf("core: script entry %q leaves step %d with no member", ev, ev.Step)
+			return nil, fmt.Errorf("core: script entry %q leaves step %d with no member", ev, ev.Step)
 		}
 	}
-	return members, nil
+	// Replayed, a rank joins at most once and leaves after that: it is
+	// a member at step 0 unless it still waits to join or left earlier.
+	var initial []int
+	for r := range world {
+		if !slices.ContainsFunc(script, func(ev ScriptEvent) bool { return ev.Rank == r && (ev.Verb == "join") == (ev.Step >= 0) }) {
+			initial = append(initial, r)
+		}
+	}
+	return initial, nil
 }
 
 // TransitionStats records one membership transition (a fence-admitted
@@ -225,11 +241,12 @@ type TransitionStats struct {
 
 // ElasticJob drives len(snapshots) streaming steps over an elastic
 // world cluster. Build one with NewElasticJob, run RunWorker once per
-// world rank on a cluster with elastic semantics, then read Result.
+// world rank — on a cluster.Local, or a TCP cluster with heartbeats so
+// a dead rank reads as down — then read Result.
 type ElasticJob struct {
 	opts      ElasticOptions
 	script    []ScriptEvent
-	members   int // initial members, world ranks 0..members-1
+	members   []int // world ranks that are members at step 0
 	prev      *dtd.State
 	snapshots []*tensor.Tensor
 
@@ -258,7 +275,7 @@ func NewElasticJob(prev *dtd.State, snapshots []*tensor.Tensor, o ElasticOptions
 		return nil, err
 	}
 	probe := o.Options
-	probe.Workers = members
+	probe.Workers = len(members)
 	if _, err := probe.withDefaults(); err != nil {
 		return nil, err
 	}
@@ -365,11 +382,14 @@ func (j *ElasticJob) obsFence(vw *cluster.Worker, v cluster.View, rs *rankStream
 	return nil
 }
 
-// joinStep reports the step at which the given spare joins: every
-// spare is a joiner, since the initial members are the ranks no join
-// names.
+// joinStep reports the step at which a world rank outside the initial
+// view joins, or -1 for a rank gone before the run's first step (one a
+// negative-step drain or kill removed).
 func (j *ElasticJob) joinStep(world int) int {
-	at := slices.IndexFunc(j.script, func(ev ScriptEvent) bool { return ev.Verb == "join" && ev.Rank == world })
+	at := slices.IndexFunc(j.script, func(ev ScriptEvent) bool { return ev.Verb == "join" && ev.Rank == world && ev.Step >= 0 })
+	if at < 0 {
+		return -1
+	}
 	return j.script[at].Step
 }
 
@@ -413,12 +433,15 @@ func (j *ElasticJob) record(epoch int64, bytes int64, fill func(*TransitionStats
 
 // RunWorker is the per-world-rank body. Initial members stream from
 // step 0; spares — the ranks the script joins — wait for adoption and
-// join mid-stream.
+// join mid-stream; a rank gone before step 0 returns at once.
 func (j *ElasticJob) RunWorker(w *cluster.Worker) error {
 	me := w.Rank()
-	v := cluster.InitialView(j.members)
+	v := cluster.View{Members: j.members}
 	if !v.Contains(me) {
 		s := j.joinStep(me)
+		if s < 0 {
+			return nil
+		}
 		av, cookie, err := cluster.AwaitAdopt(w)
 		if err != nil {
 			return fmt.Errorf("core: spare %d awaiting adoption: %w", me, err)

@@ -85,7 +85,6 @@ func runElastic(t *testing.T, j *ElasticJob, world int) (*cluster.RunStats, erro
 func runElasticFaults(t *testing.T, j *ElasticJob, world int, plan *cluster.FaultPlan, timeout time.Duration) (*cluster.RunStats, error) {
 	t.Helper()
 	c := cluster.NewLocal(world)
-	c.SetElastic(true)
 	c.SetRecvTimeout(timeout)
 	if plan != nil {
 		c.SetFaultPlan(plan)
@@ -152,6 +151,9 @@ func TestElasticScriptReplay(t *testing.T) {
 		{4, "kill:1:1,join:3:2", ""},
 		{4, "join:3:1,kill:3:1", ""},
 		{3, "drain:2:1,kill:1:2", ""},
+		{4, "join:3:-1,drain:1:-2,kill:2:0", ""},
+		{3, "drain:1:-1,kill:1:0", `"kill:1:0": rank 1 is gone at step 0`},
+		{2, "kill:1:-1,drain:0:-1", `"kill:1:-1" leaves step -1 with no member`},
 		{4, "kill:3:0,join:3:2", `"kill:3:0": rank 3 is a spare at step 0`},
 		{4, "drain:3:0,join:3:1", `"drain:3:0": rank 3 is a spare at step 0`},
 		{4, "join:3:1,drain:3:1", `"drain:3:1": rank 3 is a spare at step 1`},
@@ -202,7 +204,7 @@ func TestParseScript(t *testing.T) {
 		"kill:1":            `"kill:1" is not verb:rank:step`,
 		"kill:1:1:1":        `"kill:1:1:1" is not verb:rank:step`,
 		"kill:x:1":          `"kill:x:1" is not verb:rank:step`,
-		"kill:1:-1":         `"kill:1:-1" is not verb:rank:step`,
+		"kill:-1:1":         `"kill:-1:1" is not verb:rank:step`,
 		"kill:1:1,":         `"" is not verb:rank:step`,
 		"pause:1:1":         `"pause:1:1": unknown verb "pause"`,
 		"join:3:1,join:2:1": `"join:3:1" and "join:2:1": two joins at step 1`,
@@ -320,7 +322,6 @@ func TestElasticFailPolicyStopsOnPeerDown(t *testing.T) {
 	}
 	errs := make([]error, 3)
 	c := cluster.NewLocal(3)
-	c.SetElastic(true)
 	c.SetRecvTimeout(60 * time.Second)
 	c.Run(func(w *cluster.Worker) error {
 		errs[w.Rank()] = job.RunWorker(w)
@@ -496,7 +497,6 @@ func killInStep(t *testing.T, prev *dtd.State, snaps []*tensor.Tensor, o Elastic
 	}
 	errs := make([]error, o.World)
 	c := cluster.NewLocal(o.World)
-	c.SetElastic(true)
 	c.SetRecvTimeout(10 * time.Second)
 	if plan != nil {
 		c.SetFaultPlan(plan)
@@ -655,7 +655,6 @@ func TestElasticCoordinatorDeathInLastFenceFinishes(t *testing.T) {
 	}
 	errs := make([]error, o.World)
 	c := cluster.NewLocal(o.World)
-	c.SetElastic(true)
 	c.SetRecvTimeout(10 * time.Second)
 	c.SetFaultPlan(plan)
 	c.Run(func(w *cluster.Worker) error {

@@ -31,7 +31,17 @@
 // independent; each cluster worker owns its own.)
 package par
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
+
+// ThreadsPerRank is the pool size each of the ranks one process runs
+// gets when nothing else sets it: the process's GOMAXPROCS shared
+// among them, at least one.
+func ThreadsPerRank(ranks int) int {
+	return max(1, runtime.GOMAXPROCS(0)/max(1, ranks))
+}
 
 // Body is one parallel region's work. RunChunk processes indices
 // [lo, hi) as thread tid; tid is in [0, Threads()) and is stable for

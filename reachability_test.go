@@ -125,7 +125,6 @@ var reachabilityAllowlist = map[string]string{
 	"cluster.NewFaultPlan":       "fault-injection seam the core chaos and elastic tests drive",
 	"cluster.Local.SetFaultPlan": "installs a fault plan on the in-process cluster for the core chaos tests",
 	"cluster.FaultPlan.FiredOp":  "tells the core chaos tests which scripted fault fired",
-	"cluster.Local.SetElastic":   "drain-then-fail semantics the core elastic tests run in-process",
 }
 
 // importerFunc adapts a function to types.Importer.

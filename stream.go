@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"time"
 
 	"dismastd/internal/core"
 	"dismastd/internal/dtd"
 	"dismastd/internal/layout"
+	"dismastd/internal/par"
 	"dismastd/internal/partition"
 	"dismastd/internal/sample"
 	"dismastd/internal/tensor"
@@ -87,11 +87,14 @@ func (o Options) withDefaults() (Options, error) {
 	if o.MaxIters < 0 {
 		return o, fmt.Errorf("dismastd: MaxIters must be non-negative, got %d", o.MaxIters)
 	}
+	if !(o.ForgettingFactor >= 0 && o.ForgettingFactor <= 1) {
+		return o, fmt.Errorf("dismastd: ForgettingFactor must be in (0, 1] or 0 for the default, got %v", o.ForgettingFactor)
+	}
 	if o.Threads < 0 {
 		return o, fmt.Errorf("dismastd: Threads must be non-negative, got %d", o.Threads)
 	}
 	if o.Threads == 0 {
-		o.Threads = defaultThreads(o.Workers)
+		o.Threads = par.ThreadsPerRank(o.Workers)
 	}
 	if o.SweepEvery < 0 {
 		return o, fmt.Errorf("dismastd: SweepEvery must be non-negative, got %d", o.SweepEvery)
@@ -103,13 +106,6 @@ func (o Options) withDefaults() (Options, error) {
 		return o, fmt.Errorf("dismastd: %v", err)
 	}
 	return o, nil
-}
-
-// defaultThreads is the pool size each of workers in-process ranks gets
-// when the options leave Threads 0: the process's GOMAXPROCS shared
-// among them, at least one.
-func defaultThreads(workers int) int {
-	return max(1, runtime.GOMAXPROCS(0)/max(1, workers))
 }
 
 // solverKind returns the parsed Solver; call after withDefaults.
