@@ -433,7 +433,7 @@ func (c *Local) Run(fn func(*Worker) error) (*RunStats, error) {
 					if err != nil {
 						return err
 					}
-					mboxes[to].peerDown(dead, &ErrPeerDown{Rank: dead}, true)
+					mboxes[to].peerDown(dead, &ErrPeerDown{Rank: dead, cause: downRevoked}, true)
 					return nil
 				}
 				if c.fault != nil {
@@ -465,7 +465,7 @@ func (c *Local) Run(fn func(*Worker) error) (*RunStats, error) {
 			defer wg.Done()
 			// Allocated up front, with the down maps sized in newMailbox,
 			// so a rank's exit counts in no peer's allocation measurement.
-			down := &ErrPeerDown{Rank: w.rank}
+			down := &ErrPeerDown{Rank: w.rank, cause: downReturned}
 			if err := fn(w); err != nil {
 				mu.Lock()
 				if firstErr == nil {

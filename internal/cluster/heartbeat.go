@@ -21,18 +21,37 @@ import (
 // byte, so probes can never be mistaken for payload traffic.
 const heartbeatTag = "\x00hb"
 
-// ErrPeerDown reports a peer declared dead by failure detection: no
-// traffic arrived from the rank within the detection window — or, on
-// cluster.Local, the rank's worker function returned, which reads the
-// same. It surfaces from both pending receives (via the poisoned
-// mailbox over TCP, the drained-and-down queue in process) and later
-// sends to the dead rank.
+// ErrPeerDown reports a peer declared dead: no traffic arrived from the
+// rank within the heartbeat detection window, or, on cluster.Local, the
+// rank's worker function returned, or a survivor revoked the rank for
+// the whole world (Worker.Revoke). The three read the same to callers;
+// only the message says which. It surfaces from both pending receives
+// (via the poisoned mailbox over TCP, the drained-and-down queue in
+// process) and later sends to the dead rank.
 type ErrPeerDown struct {
-	Rank int
+	Rank  int
+	cause downCause
 }
 
+// downCause is why a rank was declared down. The zero value is a
+// heartbeat expiry.
+type downCause uint8
+
+const (
+	downSilent   downCause = iota // no heartbeat within the detection window
+	downReturned                  // the in-process rank's worker function returned
+	downRevoked                   // a survivor revoked the rank
+)
+
 func (e *ErrPeerDown) Error() string {
-	return fmt.Sprintf("cluster: peer rank %d down (no heartbeat within detection window)", e.Rank)
+	why := "no heartbeat within detection window"
+	switch e.cause {
+	case downReturned:
+		why = "its worker returned"
+	case downRevoked:
+		why = "revoked by a survivor"
+	}
+	return fmt.Sprintf("cluster: peer rank %d down (%s)", e.Rank, why)
 }
 
 // AsPeerDown extracts an ErrPeerDown from err's chain, if present.
@@ -153,7 +172,7 @@ func (n *TCPNode) heartbeatLoop(hb *heartbeat) {
 			// fast) and mark the sender down so that, after an elastic
 			// recovery clears the poison, receives from the dead rank
 			// keep failing with the rank-attributed error.
-			n.mbox.peerDown(r, &ErrPeerDown{Rank: r}, true)
+			n.mbox.peerDown(r, &ErrPeerDown{Rank: r, cause: downSilent}, true)
 		}
 		probe := Message{From: n.rank, Tag: heartbeatTag}
 		for r := 0; r < n.size; r++ {

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -44,8 +46,8 @@ func TestHeartbeatDetectsDeadPeer(t *testing.T) {
 		if !ok {
 			t.Fatalf("rank %d error = %v, want ErrPeerDown", n.Rank(), err)
 		}
-		if pd.Rank != 2 {
-			t.Fatalf("peer-down rank = %d, want 2", pd.Rank)
+		if pd.Rank != 2 || pd.cause != downSilent {
+			t.Fatalf("peer-down %v, want rank 2 with no heartbeat", pd)
 		}
 	}
 	// Detection must be bounded by a few heartbeat intervals, far below
@@ -76,8 +78,8 @@ func TestHeartbeatSendToDeadPeerFailsTyped(t *testing.T) {
 			return w.Send(1, "late", []byte("x"))
 		})
 		if pd, ok := AsPeerDown(err); ok {
-			if pd.Rank != 1 {
-				t.Fatalf("peer-down rank = %d, want 1", pd.Rank)
+			if pd.Rank != 1 || pd.cause != downSilent {
+				t.Fatalf("peer-down %v, want rank 1 with no heartbeat", pd)
 			}
 			return
 		}
@@ -121,15 +123,51 @@ func TestHeartbeatRejectsBadConfig(t *testing.T) {
 }
 
 func TestPeerDownErrorFormat(t *testing.T) {
-	err := error(&ErrPeerDown{Rank: 7})
-	if err.Error() == "" {
-		t.Fatal("empty message")
+	for _, c := range []struct {
+		cause downCause
+		want  string
+	}{
+		{downSilent, "cluster: peer rank 7 down (no heartbeat within detection window)"},
+		{downReturned, "cluster: peer rank 7 down (its worker returned)"},
+		{downRevoked, "cluster: peer rank 7 down (revoked by a survivor)"},
+	} {
+		err := fmt.Errorf("step 3: %w", &ErrPeerDown{Rank: 7, cause: c.cause})
+		if got := errors.Unwrap(err).Error(); got != c.want {
+			t.Errorf("cause %d: message %q, want %q", c.cause, got, c.want)
+		}
+		var pd *ErrPeerDown
+		if !errors.As(err, &pd) || pd.Rank != 7 {
+			t.Fatalf("errors.As failed on %v", err)
+		}
+		if pd, ok := AsPeerDown(err); !ok || pd.Rank != 7 {
+			t.Fatalf("AsPeerDown(%v) = %v, %v", err, pd, ok)
+		}
+		if errors.Is(err, ErrClosed) {
+			t.Fatal("ErrPeerDown must not match ErrClosed")
+		}
 	}
-	var pd *ErrPeerDown
-	if !errors.As(err, &pd) || pd.Rank != 7 {
-		t.Fatalf("errors.As failed on %v", err)
+	// A literal without a cause reads as a heartbeat expiry.
+	if got := (&ErrPeerDown{Rank: 2}).Error(); !strings.Contains(got, "no heartbeat") {
+		t.Errorf("zero cause reads %q, want the heartbeat wording", got)
 	}
-	if errors.Is(err, ErrClosed) {
-		t.Fatal("ErrPeerDown must not match ErrClosed")
+}
+
+// TestLocalReturnedRankNamesNoHeartbeat: on cluster.Local no heartbeat
+// runs, so a peer whose worker function returned is reported as having
+// returned, rank-attributed, not as a missed heartbeat.
+func TestLocalReturnedRankNamesNoHeartbeat(t *testing.T) {
+	_, err := NewLocal(2).Run(func(w *Worker) error {
+		if w.Rank() == 1 {
+			return nil
+		}
+		_, err := w.Recv(1, "never")
+		return err
+	})
+	pd, ok := AsPeerDown(err)
+	if !ok || pd.Rank != 1 {
+		t.Fatalf("error = %v, want rank 1's ErrPeerDown", err)
+	}
+	if msg := err.Error(); strings.Contains(msg, "heartbeat") || !strings.Contains(msg, "its worker returned") {
+		t.Fatalf("error %q names a heartbeat or not the return", msg)
 	}
 }

@@ -473,7 +473,7 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 				if hb := n.hb.Load(); hb != nil {
 					hb.markDown(dead)
 				}
-				n.mbox.peerDown(dead, &ErrPeerDown{Rank: dead}, true)
+				n.mbox.peerDown(dead, &ErrPeerDown{Rank: dead, cause: downRevoked}, true)
 			}
 			n.pool.put(msg.Payload)
 			continue
@@ -575,7 +575,7 @@ func (n *TCPNode) send(to int, msg Message) error {
 		default:
 		}
 		if hb := n.hb.Load(); hb != nil && hb.isDown(to) {
-			return &ErrPeerDown{Rank: to}
+			return &ErrPeerDown{Rank: to, cause: downSilent}
 		}
 		if err := n.writeTo(to, &msg, dialAttempts); err == nil {
 			return nil

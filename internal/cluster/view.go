@@ -236,7 +236,7 @@ func decodeRevoke(b []byte) (int, error) {
 // reachable from any interleaving. Idempotent per dead rank; call on
 // the root worker before ClearFault.
 func (w *Worker) Revoke(dead int) {
-	w.mbox.peerDown(dead, &ErrPeerDown{Rank: dead}, true)
+	w.mbox.peerDown(dead, &ErrPeerDown{Rank: dead, cause: downRevoked}, true)
 	var payload [4]byte
 	binary.LittleEndian.PutUint32(payload[:], uint32(dead))
 	for r := 0; r < w.worldSize(); r++ {

@@ -17,6 +17,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"dismastd/internal/tensor"
 	"dismastd/internal/xrand"
@@ -160,7 +161,7 @@ func (s Spec) Generate() *tensor.Tensor {
 	}
 	b := tensor.NewBuilder(s.Dims)
 	idx := make([]int, n)
-	seen := make(map[uint64]struct{}, s.NNZ)
+	seen := newCellSet(s.NNZ)
 	for e := 0; e < s.NNZ; e++ {
 		// Redraw duplicate coordinates (bounded) so values stay in
 		// their nominal range instead of merging; real review data has
@@ -172,12 +173,10 @@ func (s Spec) Generate() *tensor.Tensor {
 				idx[m] = samplers[m]()
 				key = key*uint64(s.Dims[m]) + uint64(idx[m])
 			}
-			if _, dup := seen[key]; dup {
-				continue
+			if seen.insert(key) {
+				placed = true
+				break
 			}
-			seen[key] = struct{}{}
-			placed = true
-			break
 		}
 		if !placed {
 			continue // Zipf head saturated; accept slightly fewer entries
@@ -189,6 +188,39 @@ func (s Spec) Generate() *tensor.Tensor {
 		b.Append(idx, v)
 	}
 	return b.Build()
+}
+
+// cellSet is a set of mixed-radix cell indices: one flat open-addressed
+// table with linear probing, sized once for n insertions at a load of
+// at most one half. A slot holds its index plus one; 0 marks it empty.
+type cellSet struct {
+	slots []uint64
+	shift uint // 64 − log₂ len(slots): a hash's top bits pick the slot
+}
+
+func newCellSet(n int) cellSet {
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	return cellSet{slots: make([]uint64, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+}
+
+// insert adds cell and reports whether it was absent. cell must be
+// below MaxUint64, which every index of a cell count that fits in 64
+// bits is.
+func (s cellSet) insert(cell uint64) bool {
+	k := cell + 1
+	mask := uint64(len(s.slots) - 1)
+	for i := (k * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k
+			return true
+		case k:
+			return false
+		}
+	}
 }
 
 // Stats reports the Table III statistics of a generated tensor.

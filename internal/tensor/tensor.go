@@ -9,10 +9,11 @@
 package tensor
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"dismastd/internal/par"
 )
@@ -304,6 +305,12 @@ func (t *Tensor) ToDense() []float64 {
 // Builder accumulates coordinate/value pairs and produces a canonical
 // sorted, deduplicated Tensor. Duplicate coordinates are summed, and
 // entries whose accumulated value is exactly zero are dropped.
+//
+// Build orders the entries with a stable LSD radix sort and merges
+// each run of equal coordinates in one pass, so a canonical tensor
+// costs O(nnz) per 8-bit coordinate digit rather than a comparison
+// sort's O(nnz log nnz) closure calls. Its result is the one a
+// comparison sort of the append order gives, bit for bit; see Build.
 type Builder struct {
 	dims   []int
 	coords []int32
@@ -342,48 +349,195 @@ func (b *Builder) Len() int { return len(b.vals) }
 
 // Build sorts, deduplicates (summing values), drops exact zeros, and
 // returns the canonical Tensor. The Builder must not be reused.
+//
+// The entries are ordered by a stable LSD radix sort that moves each
+// entry's coordinates and value: one counting pass per 8-bit digit of
+// each mode's coordinate, last mode first and low digit first, after a
+// single pass that histograms every digit. Modes of size ≤ 1, and
+// digits all entries share, cost no pass; a 4800×180×128 tensor takes
+// four. One pass then sums each run of equal coordinates and drops the
+// zero sums, in place in the outputs, which are allocated once.
+//
+// The order a cell's repeats are summed in shows in the result's bits
+// only when the cell repeats three or more times, or a repeat is NaN:
+// two other addends commute. There the canonical order is a comparison
+// sort's — pdqsort from append order under lexicographic comparison —
+// so when the merge meets such a run it starts over from a
+// slices.SortFunc order. The result is the comparison-sorted build's
+// bit for bit on every input, but for which NaN a sum of two NaNs
+// returns: Go leaves that unspecified.
 func (b *Builder) Build() *Tensor {
-	n := len(b.dims)
-	nnz := len(b.vals)
-	perm := make([]int, nnz)
-	for i := range perm {
-		perm[i] = i
+	n, nnz := len(b.dims), len(b.vals)
+	t := &Tensor{Dims: b.dims, Coords: make([]int32, nnz*n), Vals: make([]float64, nnz)}
+	b.radixSortInto(t)
+	w, ok := mergeRuns(t.Coords, t.Vals, n, true)
+	if !ok {
+		b.comparisonSortInto(t)
+		w, _ = mergeRuns(t.Coords, t.Vals, n, false)
 	}
-	sort.Slice(perm, func(x, y int) bool {
-		cx := b.coords[perm[x]*n : perm[x]*n+n]
-		cy := b.coords[perm[y]*n : perm[y]*n+n]
-		for m := 0; m < n; m++ {
-			if cx[m] != cy[m] {
-				return cx[m] < cy[m]
-			}
-		}
-		return false
-	})
-	t := &Tensor{Dims: b.dims}
-	for _, e := range perm {
-		c := b.coords[e*n : e*n+n]
-		if len(t.Vals) > 0 && sameCoords(t.Coords[len(t.Coords)-n:], c) {
-			t.Vals[len(t.Vals)-1] += b.vals[e]
-			continue
-		}
-		t.Coords = append(t.Coords, c...)
-		t.Vals = append(t.Vals, b.vals[e])
+	if 2*w <= nnz {
+		// Keep no more than twice the memory the entries need, as
+		// append growth would.
+		t.Coords = append([]int32(nil), t.Coords[:w*n]...)
+		t.Vals = append([]float64(nil), t.Vals[:w]...)
 	}
-	// Drop entries that cancelled to exactly zero.
-	w := 0
-	for e := 0; e < len(t.Vals); e++ {
-		if t.Vals[e] == 0 {
-			continue
-		}
-		if w != e {
-			copy(t.Coords[w*n:w*n+n], t.Coords[e*n:e*n+n])
-			t.Vals[w] = t.Vals[e]
-		}
-		w++
-	}
-	t.Coords = t.Coords[:w*n]
-	t.Vals = t.Vals[:w]
+	t.Coords, t.Vals = t.Coords[:w*n], t.Vals[:w]
 	return t
+}
+
+// radixBits is the width of one radix-sort digit: 256 buckets.
+const radixBits = 8
+
+// radixSortInto writes b's entries into t's coordinates and values in
+// canonical coordinate order, equal coordinates in append order.
+func (b *Builder) radixSortInto(t *Tensor) {
+	n, nnz := len(b.dims), len(b.vals)
+	type digit struct {
+		mode  int
+		shift uint
+	}
+	var digits []digit
+	for m := n - 1; m >= 0; m-- {
+		if b.dims[m] <= 1 {
+			continue
+		}
+		for s := 0; s < bits.Len(uint(b.dims[m]-1)); s += radixBits {
+			digits = append(digits, digit{m, uint(s)})
+		}
+	}
+	const mask = 1<<radixBits - 1
+	counts := make([][1 << radixBits]int, len(digits))
+	for e := 0; e < nnz; e++ {
+		c := b.coords[e*n : e*n+n]
+		for i, d := range digits {
+			counts[i][uint32(c[d.mode])>>d.shift&mask]++
+		}
+	}
+	// A digit every entry shares moves nothing.
+	passes := 0
+	for i, d := range digits {
+		if nnz > 0 && counts[i][uint32(b.coords[d.mode])>>d.shift&mask] != nnz {
+			digits[passes], counts[passes] = d, counts[i]
+			passes++
+		}
+	}
+	srcC, srcV := b.coords, b.vals
+	if passes == 0 {
+		copy(t.Coords, srcC)
+		copy(t.Vals, srcV)
+		return
+	}
+	// Passes alternate between t and a spare, so the last one writes t.
+	dstC, dstV := t.Coords, t.Vals
+	var spareC []int32
+	var spareV []float64
+	if passes > 1 {
+		spareC, spareV = make([]int32, nnz*n), make([]float64, nnz)
+		if passes%2 == 0 {
+			dstC, dstV, spareC, spareV = spareC, spareV, dstC, dstV
+		}
+	}
+	for i, d := range digits[:passes] {
+		at := &counts[i]
+		sum := 0
+		for k, c := range at {
+			at[k], sum = sum, sum+c
+		}
+		for e := 0; e < nnz; e++ {
+			k := uint32(srcC[e*n+d.mode]) >> d.shift & mask
+			o := at[k]
+			at[k]++
+			src, dst := srcC[e*n:e*n+n], dstC[o*n:o*n+n]
+			for m, c := range src {
+				dst[m] = c
+			}
+			dstV[o] = srcV[e]
+		}
+		srcC, srcV = dstC, dstV
+		dstC, dstV, spareC, spareV = spareC, spareV, dstC, dstV
+	}
+}
+
+// comparisonSortInto writes b's entries into t's coordinates and values
+// in the order pdqsort gives from append order under lexicographic
+// coordinate comparison. When every mode's coordinate bits fit in 64
+// together, it sorts each entry's packed coordinates beside its index:
+// the packed keys compare as the coordinates do, and pdqsort's moves
+// depend on nothing but the comparisons' outcomes, so the order is the
+// same, without chasing each compared entry's coordinates.
+func (b *Builder) comparisonSortInto(t *Tensor) {
+	n, nnz := len(b.dims), len(b.vals)
+	width, total := make([]int, n), 0
+	for m, d := range b.dims {
+		width[m] = bits.Len(uint(max(d, 1) - 1))
+		total += width[m]
+	}
+	if total > 64 {
+		order := make([]int, nnz)
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(x, y int) int {
+			return slices.Compare(b.coords[x*n:x*n+n], b.coords[y*n:y*n+n])
+		})
+		for i, e := range order {
+			b.moveEntry(t, i, e)
+		}
+		return
+	}
+	type keyed struct {
+		key uint64
+		e   int
+	}
+	ks := make([]keyed, nnz)
+	for e := range ks {
+		key := uint64(0)
+		for m, c := range b.coords[e*n : e*n+n] {
+			key = key<<width[m] | uint64(c)
+		}
+		ks[e] = keyed{key, e}
+	}
+	slices.SortFunc(ks, func(x, y keyed) int { return cmp.Compare(x.key, y.key) })
+	for i, k := range ks {
+		b.moveEntry(t, i, k.e)
+	}
+}
+
+// moveEntry copies b's entry e to t's entry i.
+func (b *Builder) moveEntry(t *Tensor, i, e int) {
+	n := len(b.dims)
+	copy(t.Coords[i*n:i*n+n], b.coords[e*n:e*n+n])
+	t.Vals[i] = b.vals[e]
+}
+
+// mergeRuns sums each run of equal coordinates among the sorted entries
+// into one entry, drops the sums that are exactly zero, compacts the
+// result to the front of coords and vals, and returns its entry count.
+// With strict set it gives up, returning false, at the first run whose
+// sum depends on the order of its addends: three or more entries, or
+// two with a NaN among them.
+func mergeRuns(coords []int32, vals []float64, n int, strict bool) (int, bool) {
+	w := 0
+	for i := 0; i < len(vals); {
+		c := coords[i*n : i*n+n]
+		sum := vals[i]
+		j := i + 1
+		for ; j < len(vals) && sameCoords(coords[j*n:j*n+n], c); j++ {
+			if strict && (j > i+1 || math.IsNaN(sum) || math.IsNaN(vals[j])) {
+				return 0, false
+			}
+			sum += vals[j]
+		}
+		if sum != 0 {
+			if w != i {
+				copy(coords[w*n:w*n+n], c)
+			}
+			vals[w] = sum
+			w++
+		}
+		i = j
+	}
+	return w, true
 }
 
 func sameCoords(a, b []int32) bool {

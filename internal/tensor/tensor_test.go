@@ -284,6 +284,68 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// benchBuild times Build alone on fresh Builders holding the given
+// entries: filling the Builder runs with the timer stopped.
+func benchBuild(b *testing.B, dims []int, coords []int32, vals []float64) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bu := NewBuilder(dims)
+		bu.coords = append(bu.coords, coords...)
+		bu.vals = append(bu.vals, vals...)
+		b.StartTimer()
+		_ = bu.Build()
+	}
+}
+
+// BenchmarkBuildShuffled1M builds 1 M distinct cells of a 4800×180×128
+// tensor (the bulk_nnz workload's mode sizes) appended in random order:
+// no cell repeats, so Build takes the radix path.
+func BenchmarkBuildShuffled1M(b *testing.B) {
+	dims := []int{4800, 180, 128}
+	const nnz = 1 << 20
+	src := xrand.New(2)
+	seen := make(map[[3]int32]bool, nnz)
+	coords := make([]int32, 0, 3*nnz)
+	vals := make([]float64, 0, nnz)
+	for len(vals) < nnz {
+		c := [3]int32{int32(src.Intn(dims[0])), int32(src.Intn(dims[1])), int32(src.Intn(dims[2]))}
+		if seen[c] {
+			continue
+		}
+		seen[c] = true
+		coords = append(coords, c[:]...)
+		vals = append(vals, float64(1+src.Intn(5)))
+	}
+	benchBuild(b, dims, coords, vals)
+}
+
+// BenchmarkBuildRepeated builds 100 k cells of a 4800×180×128 tensor,
+// each appended three times, in random order: the repeats' sum order is
+// observable, so Build takes the comparison path.
+func BenchmarkBuildRepeated(b *testing.B) {
+	dims := []int{4800, 180, 128}
+	const cells, reps = 100000, 3
+	src := xrand.New(3)
+	coords := make([]int32, 0, 3*cells*reps)
+	vals := make([]float64, 0, cells*reps)
+	for e := 0; e < cells; e++ {
+		c := []int32{int32(src.Intn(dims[0])), int32(src.Intn(dims[1])), int32(src.Intn(dims[2]))}
+		for r := 0; r < reps; r++ {
+			coords = append(coords, c...)
+			vals = append(vals, src.Float64())
+		}
+	}
+	perm := src.Perm(len(vals))
+	shuffled, shuffledVals := make([]int32, len(coords)), make([]float64, len(vals))
+	for i, j := range perm {
+		copy(shuffled[3*i:3*i+3], coords[3*j:3*j+3])
+		shuffledVals[i] = vals[j]
+	}
+	benchBuild(b, dims, shuffled, shuffledVals)
+}
+
 func BenchmarkComplement(b *testing.B) {
 	x := randomTensor([]int{500, 500, 100}, 200000, 7)
 	old := []int{400, 400, 80}
