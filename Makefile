@@ -13,7 +13,7 @@ NUMERIC_PKGS = ./internal/par/... ./internal/mat/... ./internal/mttkrp/... \
 	./internal/layout/... ./internal/cp/... ./internal/dtd/... \
 	./internal/completion/... ./internal/tensor/...
 
-.PHONY: all build fmt test vet race portable chaos check census fuzz profile clean
+.PHONY: all build fmt test vet race portable chaos check census results fuzz profile clean
 
 all: check
 
@@ -41,11 +41,10 @@ test: build
 # kill-and-resume) and the in-place kernel/aliasing tests must all pass
 # with -race. internal/goldens holds the cross-engine equivalences,
 # among them the three-rank DMS-MG binding over cluster.Local;
-# internal/bench and internal/complexity drive core steps on
-# cluster.Local.
+# internal/bench drives core steps on cluster.Local.
 race:
 	$(GO) test -race $(CLUSTER_PKGS) $(NUMERIC_PKGS) ./internal/goldens/... ./internal/obs/... ./internal/sample/... \
-		./internal/bench/... ./internal/complexity/...
+		./internal/bench/...
 
 # The portable order-3 MTTKRP loop. amd64 builds run the SSE2 kernel in
 # internal/layout, so the purego tag holds the Go loop to the COO oracle
@@ -65,6 +64,16 @@ chaos:
 	$(GO) test -race -count=3 -run '$(CHAOS_TESTS)' ./internal/core/ ./cmd/worker/
 
 check: fmt vet test race portable
+
+# The committed evaluation is one run of
+# `go run ./cmd/dismastd-bench -exp all -svgdir results/figures`.
+# This reruns that command line into a temporary directory (about 20 s
+# on two cores) and compares the output with results/full_run.txt on
+# the deterministic columns, and the charts with results/figures/ byte
+# for byte. `go test` reruns only its fastest blocks; the whole rerun
+# is the build-tagged TestFullRunIsTheCode.
+results:
+	$(GO) test -tags results -count=1 -run '^TestFullRunIsTheCode$$' ./cmd/dismastd-bench/
 
 # The counts ROADMAP.md's aim 2 ("fewer packages, fewer options, fewer
 # lines") is judged by: Go lines outside benchmark/, split into non-test

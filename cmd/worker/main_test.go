@@ -336,6 +336,26 @@ func writeSchedule(t *testing.T, dir string, fracs []float64) []string {
 	return snaps
 }
 
+// writeGrownBook writes one Book-like tensor per entry of nnz into dir
+// as a binary snapshot: a larger nnz at the same seed is the smaller
+// tensor grown in every mode, as `datagen -nnz` gives it.
+func writeGrownBook(t *testing.T, dir string, nnz ...int) []string {
+	t.Helper()
+	snaps := make([]string, len(nnz))
+	for i, n := range nnz {
+		snaps[i] = filepath.Join(dir, fmt.Sprintf("book%d.bin", n))
+		f, err := os.Create(snaps[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dismastd.WriteTensorBinary(f, dismastd.GenerateDataset(dismastd.DatasetBook, n, 17)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	return snaps
+}
+
 // runCluster starts a rendezvous plus one worker goroutine per entry in
 // extra (appended to the shared base args) and returns each worker's
 // error and combined output.
@@ -679,21 +699,23 @@ func killReference(t *testing.T, dir string, snaps, opts []string) []byte {
 // TestInProcessElasticMatchesTCP: cluster.Local fails the way a TCP
 // cluster does, so every policy and script runs in process and writes
 // the TCP cluster's bytes. A four-rank -elastic stream in which spare 3
-// joins at step 1 and member 1 drains at step 2 writes the -out and
-// prints the rank-0 lines of the four-process TCP run; and an in-process
-// -elastic kill of rank 1 during step 1 writes the -out of the static
-// runs that switch to two ranks at that step, failing with the scripted
-// crash alone.
+// joins and member 1 drains at step 1 writes the -out and prints the
+// rank-0 lines of the four-process TCP run, one transition on both; the
+// TCP run's detector is fast and its steps long, so the drained
+// process's window expires mid-stream, and a non-member's silence must
+// not read as a death. And an in-process -elastic kill of rank 1 during
+// step 1 writes the -out of the static runs that switch to two ranks at
+// that step, failing with the scripted crash alone.
 func TestInProcessElasticMatchesTCP(t *testing.T) {
 	dir := t.TempDir()
-	snaps := writeSchedule(t, dir, []float64{0.7, 0.85, 1.0})
-	opts := []string{"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s"}
-	base := append([]string{"-tensor", strings.Join(snaps, ","), "-elastic", "-script", "join:3:1,drain:1:2"}, opts...)
+	// Each step after the first grows the tensor several-fold, so at R 10
+	// both run for hundreds of milliseconds: far past the 150 ms window
+	// a 50 ms detector gives the drained process.
+	long := writeGrownBook(t, dir, 2000, 10000, 20000)
+	base := []string{"-tensor", strings.Join(long, ","), "-elastic", "-script", "join:3:1,drain:1:1",
+		"-rank", "10", "-iters", "100", "-seed", "5", "-timeout", "30s"}
 	tcpOut, localOut := filepath.Join(dir, "tcp.gob"), filepath.Join(dir, "local.gob")
-	// A slow detector keeps the drained process's exit from reading as a
-	// death before the stream ends, which would add a recovery to the
-	// TCP run's transition count.
-	errs, tcpStdout := runCluster(t, append([]string{"-out", tcpOut, "-heartbeat", "1s"}, base...), make([][]string, 4))
+	errs, tcpStdout := runCluster(t, append([]string{"-out", tcpOut, "-heartbeat", "50ms"}, base...), make([][]string, 4))
 	for w, err := range errs {
 		if err != nil {
 			t.Fatalf("TCP worker %d: %v", w, err)
@@ -703,7 +725,7 @@ func TestInProcessElasticMatchesTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rank0Lines(stdout) != rank0Lines(tcpStdout) || !strings.Contains(stdout, "transitions=2") {
+	if rank0Lines(stdout) != rank0Lines(tcpStdout) || !strings.Contains(stdout, "transitions=1") {
 		t.Fatalf("in-process rank-0 lines\n%s\nTCP rank-0 lines\n%s", stdout, tcpStdout)
 	}
 	want, err1 := os.ReadFile(tcpOut)
@@ -712,7 +734,8 @@ func TestInProcessElasticMatchesTCP(t *testing.T) {
 		t.Fatalf("in-process -out differs from the TCP cluster's (%v, %v)", err1, err2)
 	}
 
-	two := snaps[1:]
+	opts := []string{"-rank", "3", "-iters", "3", "-seed", "5", "-timeout", "30s"}
+	two := writeSchedule(t, dir, []float64{0.85, 1.0})
 	killOut := filepath.Join(dir, "kill.gob")
 	_, err = runLocal(t, 2, append([]string{"-tensor", strings.Join(two, ","), "-workers", "3", "-elastic", "-script", "kill:1:1", "-out", killOut}, opts...)...)
 	if err == nil || !errors.Is(err, core.ErrScriptedCrash) || !strings.HasPrefix(err.Error(), "rank 1: ") {

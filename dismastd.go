@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 
+	"dismastd/internal/core"
 	"dismastd/internal/cp"
 	"dismastd/internal/dataset"
 	"dismastd/internal/dtd"
@@ -124,7 +125,17 @@ func Decompose(x *Tensor, rank int, maxIters int) (*CPResult, error) {
 	if maxIters <= 0 {
 		maxIters = 50
 	}
-	st, stats, err := dtd.Init(x, dtd.Options{Rank: rank, MaxIters: maxIters, Threads: par.ThreadsPerRank(1)})
+	if rank <= 0 {
+		return nil, fmt.Errorf("dismastd: rank must be positive, got %d", rank)
+	}
+	if x.NNZ() == 0 {
+		return nil, dtd.ErrEmptyTensor
+	}
+	// Static CP-ALS is a one-worker step from the empty state: the path
+	// a Stream's first snapshot takes.
+	st, stats, err := core.Step(dtd.EmptyState(x.Order(), rank), x, core.Options{
+		Rank: rank, MaxIters: maxIters, Workers: 1, Threads: par.ThreadsPerRank(1),
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,13 @@
 // and Fig. 7 (running time vs number of nodes).
 //
 // Each runner executes the real distributed algorithms on the
-// in-process cluster and reports both the measured wall-clock per
-// iteration and the simtime cluster estimate (see internal/simtime and
-// DESIGN.md for why both exist on a single-core host). The numbers are
-// not the paper's absolute numbers — the testbed differs — but the
-// shapes the paper argues from are asserted by this package's tests.
+// in-process cluster, every step through core.Step, and reports both
+// the measured wall-clock per iteration and the cost model's cluster
+// estimate (see costModel and DESIGN.md for why both exist on a host
+// with far fewer cores than ranks). The numbers are not the paper's
+// absolute numbers — the testbed differs — but the shapes the paper
+// argues from are asserted by this package's tests, and the committed
+// run (results/full_run.txt) by cmd/dismastd-bench's.
 package bench
 
 import (
@@ -22,7 +24,6 @@ import (
 	"dismastd/internal/dataset"
 	"dismastd/internal/dtd"
 	"dismastd/internal/partition"
-	"dismastd/internal/simtime"
 	"dismastd/internal/tensor"
 )
 
@@ -35,7 +36,6 @@ type Config struct {
 	Workers   int     // cluster size; the paper's testbed has 15 nodes
 	Threads   int     // compute threads per worker; 0/1 = sequential
 	Seed      uint64
-	Model     simtime.Model
 	Datasets  []dataset.Kind
 }
 
@@ -58,9 +58,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
-	if c.Model == (simtime.Model{}) {
-		c.Model = simtime.Default()
-	}
 	if len(c.Datasets) == 0 {
 		c.Datasets = dataset.Kinds
 	}
@@ -69,6 +66,47 @@ func (c Config) withDefaults() Config {
 
 func (c Config) generate(k dataset.Kind) *tensor.Tensor {
 	return dataset.Preset(k, c.TargetNNZ, c.Seed).Generate()
+}
+
+// paperStream is the prologue every stream runner shares: generate
+// dataset k, cut the paper's 75%→100% stream from it, and scale the
+// cost model to the generated tensor.
+func (c Config) paperStream(k dataset.Kind) (*tensor.Sequence, costModel, error) {
+	t := c.generate(k)
+	seq, err := dataset.Stream(t, dataset.PaperFractions)
+	return seq, c.scaledModel(k, t.Dims), err
+}
+
+// step runs one streaming step on the product's path, core.Step, at the
+// run's Seed and Threads: from prev, or from dtd.EmptyState when prev
+// is nil. Every step of every runner goes through it, bootstraps
+// included: a one-worker step from the empty state is static CP-ALS,
+// dtd.Init bit for bit (TestCoreOneWorkerIsDTD in internal/goldens).
+func (c Config) step(prev *dtd.State, snap *tensor.Tensor, o core.Options) (*dtd.State, *core.StepStats, error) {
+	if prev == nil {
+		prev = dtd.EmptyState(snap.Order(), o.Rank)
+	}
+	o.Seed, o.Threads = c.Seed, c.Threads
+	return core.Step(prev, snap, o)
+}
+
+// bootstrap decomposes a stream's first snapshot on one worker at the
+// default tolerance: the state the streaming methods start from.
+func (c Config) bootstrap(snap *tensor.Tensor) (*dtd.State, error) {
+	st, _, err := c.step(nil, snap, core.Options{Rank: c.Rank, MaxIters: c.MaxIters, Mu: c.Mu, Workers: 1})
+	return st, err
+}
+
+// finalStep is the fixture of Figs. 6 and 7: dataset k's cost model,
+// the state entering its final stream step (the 95% snapshot,
+// bootstrapped) and the 100% snapshot.
+func (c Config) finalStep(k dataset.Kind) (costModel, *dtd.State, *tensor.Tensor, error) {
+	seq, model, err := c.paperStream(k)
+	if err != nil {
+		return model, nil, nil, err
+	}
+	st, err := c.bootstrap(seq.Snapshot(seq.Len() - 2))
+	return model, st, seq.Snapshot(seq.Len() - 1), err
 }
 
 // scaledModel returns the cost model matched to dataset k at this run's
@@ -86,10 +124,10 @@ func (c Config) generate(k dataset.Kind) *tensor.Tensor {
 //     proportional scale to stay partitionable.
 //
 // See DESIGN.md ("Substitutions").
-func (c Config) scaledModel(k dataset.Kind, genDims []int) simtime.Model {
+func (c Config) scaledModel(k dataset.Kind, genDims []int) costModel {
 	paperDims, paperNNZ := dataset.PaperRow(k)
-	m := c.Model
-	m.ComputeRate *= float64(c.TargetNNZ) / paperNNZ
+	m := defaultModel()
+	m.computeRate *= float64(c.TargetNNZ) / paperNNZ
 	var ours, paper float64
 	for _, d := range genDims {
 		ours += float64(d)
@@ -97,7 +135,7 @@ func (c Config) scaledModel(k dataset.Kind, genDims []int) simtime.Model {
 	for _, d := range paperDims {
 		paper += d
 	}
-	m.Bandwidth *= ours / paper
+	m.bandwidth *= ours / paper
 	return m
 }
 
@@ -106,11 +144,11 @@ func (c Config) scaledModel(k dataset.Kind, genDims []int) simtime.Model {
 // iterations. This is where the streaming methods bank their largest
 // practical win on big data: DMS-MG reships the whole tensor every
 // snapshot, DisMASTD only the relative complement.
-func setupPerIter(model simtime.Model, setupBytes int64, iters int) time.Duration {
+func setupPerIter(model costModel, setupBytes int64, iters int) time.Duration {
 	if iters < 1 {
 		iters = 1
 	}
-	return time.Duration(float64(setupBytes) / model.Bandwidth / float64(iters) * float64(time.Second))
+	return time.Duration(float64(setupBytes) / model.bandwidth / float64(iters) * float64(time.Second))
 }
 
 // ---- Table III ----------------------------------------------------------
@@ -245,24 +283,23 @@ type Measurement struct {
 }
 
 // runDisMASTD performs one streaming step and returns the new state
-// plus its measurement. From dtd.EmptyState it is the DMS-MG baseline
+// plus its measurement. From a nil prev it is the DMS-MG baseline
 // of Section V — static CP-ALS of the whole snapshot, Θ(nnz(X)·R) per
 // iteration against DisMASTD's Θ(nnz(X \ X̃)·R): the gap Fig. 5
 // measures.
-func (c Config) runDisMASTD(model simtime.Model, prev *dtd.State, snap *tensor.Tensor, method partition.Method, workers, parts int) (*dtd.State, Measurement, error) {
-	st, stats, err := core.Step(prev, snap, core.Options{
-		Rank: c.Rank, MaxIters: c.MaxIters, Tol: 1e-9, Mu: c.Mu, Seed: c.Seed,
-		Workers: workers, Parts: parts, Method: method, Threads: c.Threads,
+func (c Config) runDisMASTD(model costModel, prev *dtd.State, snap *tensor.Tensor, method partition.Method, workers, parts int) (*dtd.State, Measurement, error) {
+	st, stats, err := c.step(prev, snap, core.Options{
+		Rank: c.Rank, MaxIters: c.MaxIters, Tol: 1e-9, Mu: c.Mu,
+		Workers: workers, Parts: parts, Method: method,
 	})
 	if err != nil {
 		return nil, Measurement{}, err
 	}
-	waves := simtime.Waves(parts, workers)
 	m := Measurement{
 		Iters:       stats.Iters,
 		NNZ:         stats.ComplementNNZ,
 		WallPerIter: stats.Cluster.Wall / time.Duration(stats.Iters),
-		SimPerIter:  model.PerIteration(stats.Cluster, stats.Iters, waves) + setupPerIter(model, stats.SetupBytes, stats.Iters),
+		SimPerIter:  model.perIteration(stats.Cluster, stats.Iters, waves(parts, workers)) + setupPerIter(model, stats.SetupBytes, stats.Iters),
 		Stats:       stats.Cluster,
 	}
 	return st, m, nil
@@ -286,9 +323,7 @@ func Fig5(cfg Config) ([]Fig5Point, error) {
 	cfg = cfg.withDefaults()
 	var points []Fig5Point
 	for _, k := range cfg.Datasets {
-		t := cfg.generate(k)
-		model := cfg.scaledModel(k, t.Dims)
-		seq, err := dataset.Stream(t, dataset.PaperFractions)
+		seq, model, err := cfg.paperStream(k)
 		if err != nil {
 			return nil, err
 		}
@@ -296,18 +331,17 @@ func Fig5(cfg Config) ([]Fig5Point, error) {
 		for i := range snaps {
 			snaps[i] = seq.Snapshot(i)
 		}
+		// Steps leave their prev untouched, so both streaming methods
+		// start from the one bootstrap.
+		boot, err := cfg.bootstrap(snaps[0])
+		if err != nil {
+			return nil, fmt.Errorf("fig5 %s init: %w", k, err)
+		}
 		for _, method := range Methods {
-			var st *dtd.State
-			if method.Streaming {
-				st, _, err = dtd.Init(snaps[0], dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads})
-				if err != nil {
-					return nil, fmt.Errorf("fig5 %s %s init: %w", k, method.Name, err)
-				}
-			}
+			st := boot
 			for i := 1; i < seq.Len(); i++ {
 				if !method.Streaming {
-					// DMS-MG: the same step, from scratch every snapshot.
-					st = dtd.EmptyState(snaps[i].Order(), cfg.Rank)
+					st = nil // DMS-MG: the same step, from scratch every snapshot.
 				}
 				var m Measurement
 				st, m, err = cfg.runDisMASTD(model, st, snaps[i], method.Partitioner, cfg.Workers, cfg.Workers)
@@ -348,18 +382,10 @@ func Fig6(cfg Config) ([]Fig6Point, error) {
 	cfg = cfg.withDefaults()
 	var points []Fig6Point
 	for _, k := range cfg.Datasets {
-		t := cfg.generate(k)
-		model := cfg.scaledModel(k, t.Dims)
-		seq, err := dataset.Stream(t, dataset.PaperFractions)
-		if err != nil {
-			return nil, err
-		}
-		prevSnap := seq.Snapshot(seq.Len() - 2)
-		st, _, err := dtd.Init(prevSnap, dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads})
+		model, st, last, err := cfg.finalStep(k)
 		if err != nil {
 			return nil, fmt.Errorf("fig6 %s init: %w", k, err)
 		}
-		last := seq.Snapshot(seq.Len() - 1)
 		for _, method := range Methods[:2] { // the DisMASTD variants
 			for _, p := range Table4PartCounts {
 				_, m, err := cfg.runDisMASTD(model, st, last, method.Partitioner, cfg.Workers, p)
@@ -402,17 +428,10 @@ func Fig7(cfg Config) ([]Fig7Point, error) {
 	cfg = cfg.withDefaults()
 	var points []Fig7Point
 	for _, k := range cfg.Datasets {
-		t := cfg.generate(k)
-		model := cfg.scaledModel(k, t.Dims)
-		seq, err := dataset.Stream(t, dataset.PaperFractions)
-		if err != nil {
-			return nil, err
-		}
-		st, _, err := dtd.Init(seq.Snapshot(seq.Len()-2), dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads})
+		model, st, last, err := cfg.finalStep(k)
 		if err != nil {
 			return nil, fmt.Errorf("fig7 %s init: %w", k, err)
 		}
-		last := seq.Snapshot(seq.Len() - 1)
 		for _, nodes := range Fig7NodeCounts {
 			_, m, err := cfg.runDisMASTD(model, st, last, partition.MTPMethod, nodes, nodes)
 			if err != nil {

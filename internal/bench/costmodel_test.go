@@ -1,4 +1,4 @@
-package simtime
+package bench
 
 import (
 	"testing"
@@ -19,7 +19,7 @@ func statsFor(works []float64, bytes []int64) *cluster.RunStats {
 }
 
 func TestStragglerDominatesCompute(t *testing.T) {
-	m := Model{ComputeRate: 100, Bandwidth: 1e12, Latency: 0, Startup: 0}
+	m := costModel{computeRate: 100, bandwidth: 1e12, latency: 0, startup: 0}
 	// Work {100, 400}: the straggler takes 4s regardless of the total.
 	got := m.estimate(statsFor([]float64{100, 400}, []int64{0, 0}), 1, 1)
 	if got != 4*time.Second {
@@ -28,7 +28,7 @@ func TestStragglerDominatesCompute(t *testing.T) {
 }
 
 func TestStartupChargedPerIteration(t *testing.T) {
-	m := Model{ComputeRate: 1e12, Bandwidth: 1e12, Startup: 100 * time.Millisecond}
+	m := costModel{computeRate: 1e12, bandwidth: 1e12, startup: 100 * time.Millisecond}
 	one := m.estimate(statsFor([]float64{1}, []int64{0}), 1, 1)
 	ten := m.estimate(statsFor([]float64{1}, []int64{0}), 10, 1)
 	if ten-one < 890*time.Millisecond {
@@ -37,7 +37,7 @@ func TestStartupChargedPerIteration(t *testing.T) {
 }
 
 func TestNetworkTerm(t *testing.T) {
-	m := Model{ComputeRate: 1e12, Bandwidth: 1000, Latency: 0, Startup: 0}
+	m := costModel{computeRate: 1e12, bandwidth: 1000, latency: 0, startup: 0}
 	got := m.estimate(statsFor([]float64{0}, []int64{5000}), 1, 1)
 	if got != 5*time.Second {
 		t.Fatalf("network estimate %v, want 5s", got)
@@ -45,9 +45,9 @@ func TestNetworkTerm(t *testing.T) {
 }
 
 func TestPerIteration(t *testing.T) {
-	m := Model{ComputeRate: 100, Bandwidth: 1e12, Startup: 0}
+	m := costModel{computeRate: 100, bandwidth: 1e12, startup: 0}
 	st := statsFor([]float64{1000}, []int64{0})
-	if per := m.PerIteration(st, 10, 1); per != time.Second {
+	if per := m.perIteration(st, 10, 1); per != time.Second {
 		t.Fatalf("per-iteration %v, want 1s", per)
 	}
 }
@@ -55,7 +55,7 @@ func TestPerIteration(t *testing.T) {
 func TestMoreWorkersReduceEstimate(t *testing.T) {
 	// Splitting the same total work across more ranks must reduce the
 	// estimate until startup dominates — the Fig. 7 shape.
-	m := Default()
+	m := defaultModel()
 	est := func(workers int) time.Duration {
 		works := make([]float64, workers)
 		bytes := make([]int64, workers)
@@ -70,18 +70,18 @@ func TestMoreWorkersReduceEstimate(t *testing.T) {
 		t.Fatalf("15 workers (%v) not faster than 3 (%v)", t15, t3)
 	}
 	// Diminishing returns: the speedup is bounded by the startup floor.
-	if t15 < 10*Default().Startup {
+	if t15 < 10*defaultModel().startup {
 		t.Fatalf("estimate %v below the startup floor", t15)
 	}
 }
 
 func TestItersClamped(t *testing.T) {
-	m := Default()
+	m := defaultModel()
 	st := statsFor([]float64{100}, []int64{100})
 	if m.estimate(st, 0, 1) != m.estimate(st, 1, 1) {
 		t.Fatal("iters=0 not clamped to 1")
 	}
-	if m.PerIteration(st, 0, 1) != m.estimate(st, 1, 1) {
+	if m.perIteration(st, 0, 1) != m.estimate(st, 1, 1) {
 		t.Fatal("PerIteration iters=0 not clamped")
 	}
 }
@@ -91,14 +91,14 @@ func TestWaves(t *testing.T) {
 		{8, 15, 1}, {15, 15, 1}, {16, 15, 2}, {30, 15, 2}, {38, 15, 3}, {5, 0, 1},
 	}
 	for _, c := range cases {
-		if got := Waves(c.parts, c.workers); got != c.want {
-			t.Fatalf("Waves(%d, %d) = %d, want %d", c.parts, c.workers, got, c.want)
+		if got := waves(c.parts, c.workers); got != c.want {
+			t.Fatalf("waves(%d, %d) = %d, want %d", c.parts, c.workers, got, c.want)
 		}
 	}
 }
 
 func TestWavesIncreaseEstimate(t *testing.T) {
-	m := Default()
+	m := defaultModel()
 	st := statsFor([]float64{100}, []int64{100})
 	if m.estimate(st, 10, 3) <= m.estimate(st, 10, 1) {
 		t.Fatal("extra scheduling waves must cost time")

@@ -7,7 +7,6 @@ import (
 	"dismastd/internal/core"
 	"dismastd/internal/cp"
 	"dismastd/internal/dataset"
-	"dismastd/internal/dtd"
 	"dismastd/internal/partition"
 )
 
@@ -33,29 +32,28 @@ func Fit(cfg Config) ([]FitPoint, error) {
 	cfg = cfg.withDefaults()
 	var points []FitPoint
 	for _, k := range cfg.Datasets {
-		t := cfg.generate(k)
-		seq, err := dataset.Stream(t, dataset.PaperFractions)
+		seq, _, err := cfg.paperStream(k)
 		if err != nil {
 			return nil, err
 		}
-		st, _, err := dtd.Init(seq.Snapshot(0), dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads})
+		st, err := cfg.bootstrap(seq.Snapshot(0))
 		if err != nil {
 			return nil, err
 		}
 		for i := 1; i < seq.Len(); i++ {
 			snap := seq.Snapshot(i)
-			st, _, err = core.Step(st, snap, core.Options{
-				Rank: cfg.Rank, MaxIters: cfg.MaxIters, Tol: 1e-9, Mu: cfg.Mu, Seed: cfg.Seed,
-				Workers: cfg.Workers, Method: partition.MTPMethod, Threads: cfg.Threads,
+			st, _, err = cfg.step(st, snap, core.Options{
+				Rank: cfg.Rank, MaxIters: cfg.MaxIters, Tol: 1e-9, Mu: cfg.Mu,
+				Workers: cfg.Workers, Method: partition.MTPMethod,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("fit %s step %d: %w", k, i, err)
 			}
 			streaming := 1 - cp.LossAgainst(snap, st.Factors)/snap.Norm()
 
-			_, mgStats, err := core.Step(dtd.EmptyState(snap.Order(), cfg.Rank), snap, core.Options{
-				Rank: cfg.Rank, MaxIters: cfg.MaxIters, Tol: 1e-9, Seed: cfg.Seed,
-				Workers: cfg.Workers, Method: partition.MTPMethod, Threads: cfg.Threads,
+			_, mgStats, err := cfg.step(nil, snap, core.Options{
+				Rank: cfg.Rank, MaxIters: cfg.MaxIters, Tol: 1e-9,
+				Workers: cfg.Workers, Method: partition.MTPMethod,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("fit %s step %d recompute: %w", k, i, err)

@@ -109,3 +109,32 @@ func TestParallelBenchFixturesAgree(t *testing.T) {
 		pool.Close()
 	}
 }
+
+// TestFigureColumnsIgnoreThreads pins the premise of the check on the
+// committed run (cmd/dismastd-bench's results tests): the columns it
+// compares do not depend on the thread count. Fig. 7 at Threads 1 and 3
+// must print the same nnz, iteration count and sim/iter in every row;
+// only the wall clock may differ.
+func TestFigureColumnsIgnoreThreads(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Datasets = []dataset.Kind{dataset.Clothing}
+	var runs [2][]Fig7Point
+	for i, threads := range []int{1, 3} {
+		cfg.Threads = threads
+		points, err := Fig7(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = points
+	}
+	if len(runs[0]) != len(runs[1]) || len(runs[0]) == 0 {
+		t.Fatalf("%d rows at Threads 1, %d at Threads 3", len(runs[0]), len(runs[1]))
+	}
+	for i, a := range runs[0] {
+		b := runs[1][i]
+		if a.Dataset != b.Dataset || a.Nodes != b.Nodes || a.NNZ != b.NNZ || a.Iters != b.Iters || a.SimPerIter != b.SimPerIter {
+			t.Errorf("%s at %d nodes: nnz %d, iters %d, sim/iter %v at Threads 1; nnz %d, iters %d, sim/iter %v at Threads 3",
+				a.Dataset, a.Nodes, a.NNZ, a.Iters, a.SimPerIter, b.NNZ, b.Iters, b.SimPerIter)
+		}
+	}
+}

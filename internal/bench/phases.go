@@ -17,7 +17,6 @@ import (
 
 	"dismastd/internal/core"
 	"dismastd/internal/dataset"
-	"dismastd/internal/dtd"
 	"dismastd/internal/obs"
 	"dismastd/internal/partition"
 )
@@ -62,12 +61,11 @@ type PhasesReport struct {
 // run's observability snapshots.
 func StreamPhases(cfg Config, k dataset.Kind) (*PhasesReport, error) {
 	cfg = cfg.withDefaults()
-	t := cfg.generate(k)
-	seq, err := dataset.Stream(t, dataset.PaperFractions)
+	seq, _, err := cfg.paperStream(k)
 	if err != nil {
 		return nil, err
 	}
-	st, _, err := dtd.Init(seq.Snapshot(0), dtd.Options{Rank: cfg.Rank, MaxIters: cfg.MaxIters, Mu: cfg.Mu, Seed: cfg.Seed, Threads: cfg.Threads})
+	st, err := cfg.bootstrap(seq.Snapshot(0))
 	if err != nil {
 		return nil, fmt.Errorf("phases %s init: %w", k, err)
 	}
@@ -78,9 +76,9 @@ func StreamPhases(cfg Config, k dataset.Kind) (*PhasesReport, error) {
 	report := &PhasesReport{Dataset: k.String(), Workers: cfg.Workers, Threads: threads, GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	durs := map[string][]time.Duration{}
 	for i := 1; i < seq.Len(); i++ {
-		next, stats, err := core.Step(st, seq.Snapshot(i), core.Options{
-			Rank: cfg.Rank, MaxIters: cfg.MaxIters, Tol: 1e-9, Mu: cfg.Mu, Seed: cfg.Seed,
-			Workers: cfg.Workers, Method: partition.MTPMethod, Threads: cfg.Threads,
+		next, stats, err := cfg.step(st, seq.Snapshot(i), core.Options{
+			Rank: cfg.Rank, MaxIters: cfg.MaxIters, Tol: 1e-9, Mu: cfg.Mu,
+			Workers: cfg.Workers, Method: partition.MTPMethod,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("phases %s step %d: %w", k, i, err)

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"time"
 
+	"dismastd/internal/core"
 	"dismastd/internal/cp"
-	"dismastd/internal/dtd"
 	"dismastd/internal/obs"
 	"dismastd/internal/sample"
 )
@@ -41,10 +41,8 @@ func SampledGap(cfg Config) ([]SampledPoint, error) {
 		norm := t.Norm()
 		var exactFit float64
 		for _, solver := range []sample.Kind{sample.Exact, sample.Sampled} {
-			o := obs.New()
-			st, stats, err := dtd.Init(t, dtd.Options{
-				Rank: cfg.Rank, MaxIters: cfg.MaxIters, Tol: 1e-12, Seed: cfg.Seed,
-				Threads: cfg.Threads, Solver: solver, Obs: o,
+			st, stats, err := cfg.step(nil, t, core.Options{
+				Rank: cfg.Rank, MaxIters: cfg.MaxIters, Tol: 1e-12, Workers: 1, Solver: solver,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("sampled %s %v: %w", k, solver, err)

@@ -1,4 +1,4 @@
-package complexity
+package bench
 
 import (
 	"testing"
@@ -10,28 +10,41 @@ import (
 	"dismastd/internal/xrand"
 )
 
-func base() Params {
-	return Params{N: 3, I: 40, D: 10, R: 8, M: 4, NNZ: 5000}
+// The theorems are stated up to constant factors, so these tests
+// compare ratios across parameter sweeps, never absolute values.
+//
+// The implementation deviates from the theorems in two documented
+// ways. Memory: every worker holds a full replica of every factor
+// (against Theorem 3). Time: the engine does less than Theorem 2 — its
+// IR² term sits inside the iteration loop, but a sweep solves and Grams
+// only the rows a complement entry names (I_live of them) and carries
+// the rest as Ã·T, so the per-iteration row cost is I_live·R² + R³ and
+// IR² is paid once per step (see DESIGN.md, "One sweep, two bindings").
+// The theorem stays the upper bound; the work counters the tests
+// measure charge what is done.
+
+func base() theoremParams {
+	return theoremParams{N: 3, I: 40, D: 10, R: 8, M: 4, NNZ: 5000}
 }
 
 func TestFormulasMonotone(t *testing.T) {
 	p := base()
-	grow := func(name string, f func(Params) Params, eval func(Params) float64) {
+	grow := func(name string, f func(theoremParams) theoremParams, eval func(theoremParams) float64) {
 		if eval(f(p)) <= eval(p) {
 			t.Fatalf("%s: formula not increasing", name)
 		}
 	}
-	for name, eval := range map[string]func(Params) float64{
-		"time": TimeOps, "memory": MemoryFloats, "comm": CommBytes, "implMemory": ImplMemoryFloats,
+	for name, eval := range map[string]func(theoremParams) float64{
+		"time": TimeOps, "memory": MemoryFloats, "comm": commBytes, "implMemory": ImplMemoryFloats,
 	} {
-		grow(name+"/nnz", func(q Params) Params { q.NNZ *= 2; return q }, eval)
-		grow(name+"/R", func(q Params) Params { q.R *= 2; return q }, eval)
-		grow(name+"/I", func(q Params) Params { q.I *= 2; return q }, eval)
+		grow(name+"/nnz", func(q theoremParams) theoremParams { q.NNZ *= 2; return q }, eval)
+		grow(name+"/R", func(q theoremParams) theoremParams { q.R *= 2; return q }, eval)
+		grow(name+"/I", func(q theoremParams) theoremParams { q.I *= 2; return q }, eval)
 	}
 	// M enters memory and communication but not the time formula.
 	q := p
 	q.M *= 4
-	if CommBytes(q) <= CommBytes(p) || MemoryFloats(q) <= MemoryFloats(p) {
+	if commBytes(q) <= commBytes(p) || MemoryFloats(q) <= MemoryFloats(p) {
 		t.Fatal("M should increase memory and communication")
 	}
 	if TimeOps(q) != TimeOps(p) {
@@ -149,10 +162,10 @@ func TestMemoryEstimateOrdering(t *testing.T) {
 //
 // per iteration. The engine's IR² and dR² are over the rows the
 // complement names only (plus R³ for the rest, and IR² once per step —
-// the package comment's second deviation), so on a dims-dominated step
+// the second deviation above), so on a dims-dominated step
 // the measured work sits well under this bound; when the complement
 // touches every row the two coincide.
-func TimeOps(p Params) float64 {
+func TimeOps(p theoremParams) float64 {
 	n := float64(p.N)
 	i := float64(p.I)
 	d := float64(p.D)
@@ -171,7 +184,7 @@ func TimeOps(p Params) float64 {
 //
 // — the complement entries, the replicated R×R products on M workers,
 // and the factor matrices plus their MTTKRP buffers.
-func MemoryFloats(p Params) float64 {
+func MemoryFloats(p theoremParams) float64 {
 	n := float64(p.N)
 	i := float64(p.I)
 	d := float64(p.D)
@@ -186,7 +199,7 @@ func MemoryFloats(p Params) float64 {
 // paper's collectively-owned N·(I+d)·R), trading memory for the simpler
 // subscription-based row exchange. The complement is additionally
 // indexed once per mode (N·nnz entry ids).
-func ImplMemoryFloats(p Params) float64 {
+func ImplMemoryFloats(p theoremParams) float64 {
 	n := float64(p.N)
 	i := float64(p.I)
 	d := float64(p.D)

@@ -11,10 +11,11 @@ import (
 // probes every peer each interval over the regular message connections;
 // any inbound traffic (probe or payload) refreshes the sender's
 // last-seen time. A peer silent for misses consecutive intervals is
-// declared down: the node's mailbox is poisoned with ErrPeerDown so
-// blocked receives fail within a bounded window instead of burning the
-// full receive timeout, and subsequent sends to the dead rank fail
-// immediately.
+// declared down, and subsequent sends to it fail immediately. When the
+// peer is a member of the view the node runs (the whole world until a
+// ViewWorker is derived), the node's mailbox is also poisoned with
+// ErrPeerDown so blocked receives fail within a bounded window instead
+// of burning the full receive timeout.
 
 // heartbeatTag is the reserved tag probes travel under. User tags come
 // from Worker.Send callers and collective names; none start with a NUL
@@ -167,12 +168,13 @@ func (n *TCPNode) heartbeatLoop(hb *heartbeat) {
 		// probe I/O (a hanging dial) push detection past the window.
 		for _, r := range hb.expire(n.rank) {
 			n.tc.hbMisses.Inc()
-			n.obs.Logger().Warn("peer declared down", "peer", r, "window", hb.window)
-			// Poison (the pre-elastic contract: blocked receives fail
-			// fast) and mark the sender down so that, after an elastic
-			// recovery clears the poison, receives from the dead rank
-			// keep failing with the rank-attributed error.
-			n.mbox.peerDown(r, &ErrPeerDown{Rank: r, cause: downSilent}, true)
+			// Mark the sender down, drain-then-fail. A member's silence
+			// also poisons the mailbox (blocked receives fail fast); a
+			// non-member's — a drained rank, a finished spare — is no
+			// fault, as cluster.Local treats a returned rank.
+			member := n.mbox.isMember(r)
+			n.obs.Logger().Warn("peer declared down", "peer", r, "window", hb.window, "member", member)
+			n.mbox.peerDown(r, &ErrPeerDown{Rank: r, cause: downSilent}, member)
 		}
 		probe := Message{From: n.rank, Tag: heartbeatTag}
 		for r := 0; r < n.size; r++ {

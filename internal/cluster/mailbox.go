@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -79,6 +80,11 @@ type mailbox struct {
 	// clears the poison to run the membership protocol, a straggler's
 	// duplicate revoke for the same dead rank must not poison it again.
 	revoked map[int]bool
+
+	// members are the world ranks of the view this rank runs, set when a
+	// ViewWorker is derived; nil means the whole world. Only a member's
+	// silence is a fault to the TCP heartbeat detector.
+	members []int
 }
 
 // newMailbox returns an empty mailbox with room to mark every one of
@@ -152,6 +158,21 @@ func (m *mailbox) revive(rank int) {
 	delete(m.down, rank)
 	delete(m.revoked, rank)
 	m.mu.Unlock()
+}
+
+// setView records the members of the view this rank now runs.
+func (m *mailbox) setView(members []int) {
+	m.mu.Lock()
+	m.members = members
+	m.mu.Unlock()
+}
+
+// isMember reports whether a world rank belongs to the view this rank
+// runs (every rank does before a view is set).
+func (m *mailbox) isMember(rank int) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.members == nil || slices.Contains(m.members, rank)
 }
 
 // clearPoison removes a whole-mailbox poison so the elastic recovery

@@ -166,6 +166,7 @@ func (w *Worker) ViewWorker(v View) (*Worker, error) {
 	// pre- from post-transition work. Epochs are serial per rank, so the
 	// stamp and the derived worker change together.
 	w.obs.SetEpoch(v.Epoch)
+	w.mbox.setView(append([]int(nil), v.Members...))
 	return &Worker{
 		rank:         me,
 		size:         v.Size(),

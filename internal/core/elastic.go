@@ -733,16 +733,6 @@ func (j *ElasticJob) recover(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	vw.Revoke(dead)
 	vw.ClearFault()
 	vc := cluster.ViewChange{Dead: []int{dead}}
-	if !v.Contains(dead) {
-		// A non-member went dark: a drained rank or a finished spare,
-		// whose process exit a TCP failure detector reports exactly like
-		// a crash. Membership is unchanged, but the poison aborted this
-		// rank's step at an arbitrary point (and the revocation above
-		// aborts everyone else), so the members still run a transition:
-		// the empty change bumps the epoch, fencing off the aborted
-		// step's in-flight messages before the restart.
-		vc = cluster.ViewChange{}
-	}
 	next, restart, err := cluster.AgreeView(w, v, vc, step)
 	if err != nil {
 		return v, vw, step, fmt.Errorf("core: recovering from down rank %d: %w", dead, err)

@@ -125,6 +125,7 @@ var reachabilityAllowlist = map[string]string{
 	"cluster.NewFaultPlan":       "fault-injection seam the core chaos and elastic tests drive",
 	"cluster.Local.SetFaultPlan": "installs a fault plan on the in-process cluster for the core chaos tests",
 	"cluster.FaultPlan.FiredOp":  "tells the core chaos tests which scripted fault fired",
+	"dtd.Init":                   "static CP-ALS on the world-of-one binding, the oracle the goldens and the core tests hold a one-worker core.Step from dtd.EmptyState to",
 }
 
 // importerFunc adapts a function to types.Importer.
