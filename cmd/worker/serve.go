@@ -141,12 +141,6 @@ func (s *serveServer) mux() *http.ServeMux {
 	return mux
 }
 
-// eventJSON is the wire form of one event.
-type eventJSON struct {
-	Coords []int   `json:"coords"`
-	Value  float64 `json:"value"`
-}
-
 // ingestResponse reports what one /ingest call did.
 type ingestResponse struct {
 	Events      int     `json:"events"`
@@ -164,18 +158,24 @@ func (s *serveServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var raw []eventJSON
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&raw); err != nil {
+	body, err := readBody(w, r)
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "read body: "+err.Error(), code)
+		return
+	}
+	events, err := decodeEvents(body)
+	if err != nil {
 		http.Error(w, "body must be a JSON array of {coords, value}: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(raw) == 0 {
+	if len(events) == 0 {
 		http.Error(w, "empty batch", http.StatusBadRequest)
 		return
-	}
-	events := make([]dismastd.Event, len(raw))
-	for i, e := range raw {
-		events[i] = dismastd.Event{Coords: e.Coords, Value: e.Value}
 	}
 	s.mu.Lock()
 	rep, err := s.stream.IngestEvents(events)

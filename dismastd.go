@@ -128,9 +128,6 @@ func Decompose(x *Tensor, rank int, maxIters int) (*CPResult, error) {
 	if rank <= 0 {
 		return nil, fmt.Errorf("dismastd: rank must be positive, got %d", rank)
 	}
-	if x.NNZ() == 0 {
-		return nil, dtd.ErrEmptyTensor
-	}
 	// Static CP-ALS is a one-worker step from the empty state: the path
 	// a Stream's first snapshot takes.
 	st, stats, err := core.Step(dtd.EmptyState(x.Order(), rank), x, core.Options{

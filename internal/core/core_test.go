@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -371,6 +372,28 @@ func TestStaticStepValidation(t *testing.T) {
 	} {
 		if _, _, err := Step(dtd.EmptyState(3, 2), x, opts); err == nil {
 			t.Fatalf("%s accepted", name)
+		}
+	}
+}
+
+// TestStaticStepRejectsEmptySnapshot: static CP-ALS of a snapshot
+// without entries fails with dtd.ErrEmptyTensor on every path into the
+// engine — Step and a Session's Step, at one worker and at three — while
+// a prior that spans cells still anchors a step whose snapshot adds no
+// entry.
+func TestStaticStepRejectsEmptySnapshot(t *testing.T) {
+	empty := tensor.NewBuilder([]int{5, 4, 3}).Build()
+	prev := initState(t, sparseRandom([]int{5, 4, 3}, 30, 15), 2, 17)
+	for _, workers := range []int{1, 3} {
+		opts := Options{Rank: 2, MaxIters: 2, Workers: workers, Seed: 19}
+		if _, _, err := Step(dtd.EmptyState(3, 2), empty, opts); !errors.Is(err, dtd.ErrEmptyTensor) {
+			t.Fatalf("workers=%d: Step returned %v, want dtd.ErrEmptyTensor", workers, err)
+		}
+		if _, _, err := NewSession(workers).Step(dtd.EmptyState(3, 2), empty, opts); !errors.Is(err, dtd.ErrEmptyTensor) {
+			t.Fatalf("workers=%d: Session.Step returned %v, want dtd.ErrEmptyTensor", workers, err)
+		}
+		if _, _, err := Step(prev, empty, opts); err != nil {
+			t.Fatalf("workers=%d: step from a non-empty prior over no new entries: %v", workers, err)
 		}
 	}
 }

@@ -126,7 +126,8 @@ type Stats struct {
 // state (wrong order, or a mode that shrank).
 var ErrDimsMismatch = errors.New("dtd: snapshot dims incompatible with previous state")
 
-// ErrEmptyTensor reports decomposition of a tensor without entries.
+// ErrEmptyTensor reports static CP-ALS — a step from a prior that spans
+// no cell, such as EmptyState — of a snapshot without entries.
 var ErrEmptyTensor = errors.New("dtd: tensor has no non-zero entries")
 
 // Init decomposes the first snapshot and returns the initial streaming
@@ -137,9 +138,6 @@ func Init(x *tensor.Tensor, o Options) (*State, *Stats, error) {
 	opts, err := o.withDefaults()
 	if err != nil {
 		return nil, nil, err
-	}
-	if x.NNZ() == 0 {
-		return nil, nil, ErrEmptyTensor
 	}
 	return Step(EmptyState(x.Order(), opts.Rank), x, o)
 }

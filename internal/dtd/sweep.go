@@ -209,7 +209,11 @@ func NewSweep(prev *State, snapshot *tensor.Tensor, o Options) (*Sweep, error) {
 	}
 
 	// A prior with no row in some mode spans no cell: X \ X̃ is X, and the
-	// step sweeps the snapshot itself instead of a copy of it.
+	// step sweeps the snapshot itself instead of a copy of it — static
+	// CP-ALS, which has nothing to fit in a snapshot without entries.
+	if emptyBox(prev.Dims) && snapshot.NNZ() == 0 {
+		return nil, ErrEmptyTensor
+	}
 	sp := opts.Obs.Span("plan/complement")
 	comp := snapshot
 	if !emptyBox(prev.Dims) {

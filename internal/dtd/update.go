@@ -198,8 +198,10 @@ func (u *Updater) Anchor() *State {
 // last Reset — the bounded work the event path actually did.
 func (u *Updater) RowsTouched() int64 { return u.rowsTouched }
 
-// Delta exposes the pending region (read-only) so the flush path can
-// rebuild the sweep snapshot without a second copy of the entries.
+// Delta exposes the pending region, so the flush path can rebuild the
+// sweep snapshot without a second copy of the entries, and a caller
+// about to sweep can queue a batch with Append — Apply without the row
+// solves, which that sweep would discard.
 func (u *Updater) Delta() *layout.Delta { return u.delta }
 
 // Apply admits one micro-batch — coords flat entry-major, vals the

@@ -139,7 +139,7 @@ type StepReport struct {
 // keep it past the next call.
 type EventReport struct {
 	Events      int         // events admitted by this call
-	RowsUpdated int64       // factor rows re-solved (bounded work actually done)
+	RowsUpdated int64       // factor rows re-solved (bounded work actually done); 0 in a call that swept, whose sweep supersedes them
 	Pending     int         // events accumulated toward the next full sweep
 	Grew        bool        // whether this call grew any mode
 	Dims        []int       // current mode sizes after the call
@@ -258,7 +258,9 @@ func (s *Stream) Ingest(snapshot *Tensor) (*StepReport, error) {
 // current mode sizes grow the affected modes. Each touched factor row
 // is re-solved with the Eq. (5) row update against the pending region
 // — bounded work per event — and the batch joins the pending region
-// consumed by the next full sweep. Before any data has been
+// consumed by the next full sweep. A call that brings the pending
+// region to SweepEvery skips the row solves: its own sweep starts from
+// the anchor and would discard them. Before any data has been
 // decomposed, events buffer until the first flush runs full CP-ALS.
 func (s *Stream) IngestEvents(events []Event) (EventReport, error) {
 	if err := s.ensureOpts(); err != nil {
@@ -267,18 +269,22 @@ func (s *Stream) IngestEvents(events []Event) (EventReport, error) {
 	start := time.Now()
 	s.rep = EventReport{Events: len(events), Dims: s.rep.Dims}
 	rep := &s.rep
+	// The pending count is exact (the pending region keeps every event),
+	// so whether this call ends at a SweepEvery boundary is known before
+	// the batch lands.
+	sweeps := s.vopts.SweepEvery > 0 && s.pendingEvents()+len(events) >= s.vopts.SweepEvery
 	if len(events) > 0 {
 		if err := s.checkEvents(events); err != nil {
 			return EventReport{}, err
 		}
 		if s.state == nil {
 			s.bufferPreInit(events)
-		} else if err := s.applyEvents(events, rep); err != nil {
+		} else if err := s.applyEvents(events, !sweeps, rep); err != nil {
 			return EventReport{}, err
 		}
 	}
 	rep.Pending = s.pendingEvents()
-	if s.vopts.SweepEvery > 0 && rep.Pending >= s.vopts.SweepEvery {
+	if sweeps {
 		sr, err := s.Flush()
 		if err != nil {
 			return EventReport{}, err
@@ -447,8 +453,12 @@ func (s *Stream) bufferPreInit(events []Event) {
 }
 
 // applyEvents grows the live dims when the batch requires it, then
-// hands the batch to the row updater.
-func (s *Stream) applyEvents(events []Event, rep *EventReport) error {
+// hands the batch to the row updater — to the pending region alone when
+// solve is false: the sweep that ends such a call starts from the
+// anchor and re-anchors the updater, dropping every row a solve would
+// write. Growth runs either way, so its random draws are consumed and
+// later growth rows stay the same.
+func (s *Stream) applyEvents(events []Event, solve bool, rep *EventReport) error {
 	if s.updater == nil {
 		u, err := dtd.NewUpdater(s.state, s.dtdOptions(s.vopts.Seed))
 		if err != nil {
@@ -483,6 +493,10 @@ func (s *Stream) applyEvents(events []Event, rep *EventReport) error {
 	}
 	if len(s.evCoords) != n*len(s.evVals) {
 		return fmt.Errorf("dismastd: inconsistent event batch")
+	}
+	if !solve {
+		s.updater.Delta().Append(s.evCoords, s.evVals)
+		return nil
 	}
 	before := s.updater.RowsTouched()
 	s.updater.Apply(s.evCoords, s.evVals)

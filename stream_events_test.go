@@ -2,7 +2,9 @@ package dismastd_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"reflect"
@@ -556,5 +558,80 @@ func TestIngestEventsNoAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state IngestEvents allocates %v per run", allocs)
+	}
+}
+
+// hashStream folds a stream's observable state — mode sizes, pending
+// count, boundary count and the exact bits of every factor entry —
+// into one FNV-1a checksum.
+func hashStream(s *dismastd.Stream) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, d := range s.Dims() {
+		put(uint64(d))
+	}
+	put(uint64(s.Pending()))
+	put(uint64(s.Snapshots()))
+	for _, f := range s.Factors() {
+		put(uint64(f.Rows)<<32 | uint64(f.Cols))
+		for _, v := range f.Data {
+			put(math.Float64bits(v))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestEventScriptPinned runs one seeded script of IngestEvents calls —
+// a pre-init batch that sweeps, then batches of 1, 16, 63, 64, 200 and
+// 192 events, some growing one mode and some every mode — at SweepEvery
+// 64, and holds the stream's state after every call to hashes recorded
+// before the event path stopped re-solving rows in a call that ends at
+// its own sweep boundary: the solves such a call skips were dropped by
+// that sweep anyway. A call that swept re-solved no row.
+func TestEventScriptPinned(t *testing.T) {
+	sizes := []int{80, 1, 16, 63, 64, 200, 192}
+	grow := []int{0, 1, 3, 0, 1, 3, 1} // modes grown by each batch: none, one, or all three
+	want := map[int][]uint64{
+		1: {0x25faa3aa2b9bdb66, 0x52e07ec9512c4919, 0x8f4a842b40ab71be, 0xb8a31204ba0589a7, 0x6194bd28470c51e5, 0x9a0e5ca3bdc65c41, 0x20971ce038a5ec6b},
+		3: {0x8098837c70460500, 0x2bed5921c4b2fe64, 0x491401d60970d5aa, 0x601b60cef15431dd, 0xcec8a23c495a831e, 0xa07c5e20ceeae37a, 0x5553a38a98694665},
+	}
+	for _, workers := range []int{1, 3} {
+		s := dismastd.NewStream(dismastd.Options{Rank: 3, MaxIters: 4, Seed: 9, Workers: workers, SweepEvery: 64})
+		rng := rand.New(rand.NewSource(55))
+		dims := []int{7, 6, 5}
+		for call, n := range sizes {
+			preInit := s.Factors() == nil
+			batch := make([]dismastd.Event, n)
+			for e := range batch {
+				coords := make([]int, len(dims))
+				for m, d := range dims {
+					coords[m] = rng.Intn(d)
+				}
+				batch[e] = dismastd.Event{Coords: coords, Value: 0.5 + 4*rng.Float64()}
+			}
+			for k := 0; k < grow[call]; k++ {
+				m := (call + k) % len(dims)
+				batch[n-1].Coords[m] = dims[m] + rng.Intn(2)
+			}
+			rep, err := s.IngestEvents(batch)
+			if err != nil {
+				t.Fatalf("workers=%d call %d: %v", workers, call, err)
+			}
+			if rep.Grew != (grow[call] > 0 && !preInit) {
+				t.Fatalf("workers=%d call %d: grew %v", workers, call, rep.Grew)
+			}
+			dims = append(dims[:0], s.Dims()...)
+			got := hashStream(s)
+			if w := want[workers]; call >= len(w) || got != w[call] {
+				t.Errorf("workers=%d call %d (%d events): state hash %#x", workers, call, n, got)
+			}
+			if rep.Sweep != nil && !preInit && rep.RowsUpdated != 0 {
+				t.Errorf("workers=%d call %d: swept, yet re-solved %d rows", workers, call, rep.RowsUpdated)
+			}
+		}
 	}
 }
