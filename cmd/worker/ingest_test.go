@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"syscall"
 	"testing"
 
 	"dismastd"
@@ -123,51 +122,5 @@ func TestIngestRefusesOversizedBody(t *testing.T) {
 	}
 	if s.stream.Pending() != 0 {
 		t.Fatalf("refused bodies left %d events pending", s.stream.Pending())
-	}
-}
-
-// TestIngestBodyStatuses: what the decoder refuses answers 400; a
-// coordinate it reads but the stream's growth ceiling refuses answers
-// 413, as it did when encoding/json read the body.
-func TestIngestBodyStatuses(t *testing.T) {
-	opts := dismastd.Options{Rank: 2, MaxIters: 2, Seed: 1}
-	base, sig, done := startServe(t, serveConfig{opts: opts})
-	defer func() {
-		sig <- syscall.SIGTERM
-		<-done
-	}()
-	post := func(body string) int {
-		resp, err := http.Post(base+"/ingest", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if code := post(`[{"coords":[7,5,3],"value":1},{"COORDS":[1,2,3],"Value":2}]`); code != http.StatusOK {
-		t.Fatalf("valid body: status %d", code)
-	}
-	for _, tc := range []struct {
-		body string
-		want int
-	}{
-		{`[{"coords":[1,2,3],"value":1}`, http.StatusBadRequest},                      // truncated
-		{`[{"coords":[1.0,2,3],"value":1}]`, http.StatusBadRequest},                   // fractional coordinate
-		{`[{"coords":[1,2,3],"value":1e999}]`, http.StatusBadRequest},                 // value out of range
-		{`[{"coords":[99999999999999999999,2,3],"value":1}]`, http.StatusBadRequest},  // past int64
-		{`null`, http.StatusBadRequest},                                               // no events
-		{`[{"coords":[3000000000,2,3],"value":1}]`, http.StatusRequestEntityTooLarge}, // past int32
-		{`[{"coords":[1,2,3],"value":1}] trailing`, http.StatusOK},                    // not read
-	} {
-		if code := post(tc.body); code != tc.want {
-			t.Errorf("%s: status %d, want %d", tc.body, code, tc.want)
-		}
-	}
-	var stats struct {
-		Events int `json:"events"`
-	}
-	getJSON(t, base+"/stats", &stats)
-	if stats.Events != 3 {
-		t.Fatalf("/stats counts %d events, want the 3 accepted", stats.Events)
 	}
 }

@@ -281,6 +281,30 @@ func TestServeQueryErrors(t *testing.T) {
 	if len(before.Dims) != 3 || !reflect.DeepEqual(before.Dims, after.Dims) {
 		t.Errorf("/stats dims %v -> %v across a refused ingest", before.Dims, after.Dims)
 	}
+
+	// What the body decoder refuses answers 400; a coordinate it reads
+	// but the growth ceiling refuses answers 413.
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`[{"coords":[1,2,3],"value":1}`, http.StatusBadRequest},                      // truncated
+		{`[{"coords":[1.0,2,3],"value":1}]`, http.StatusBadRequest},                   // fractional coordinate
+		{`[{"coords":[1,2,3],"value":1e999}]`, http.StatusBadRequest},                 // value out of range
+		{`[{"coords":[99999999999999999999,2,3],"value":1}]`, http.StatusBadRequest},  // past int64
+		{`null`, http.StatusBadRequest},                                               // no events
+		{`[{"coords":[3000000000,2,3],"value":1}]`, http.StatusRequestEntityTooLarge}, // past int32
+		{`[{"COORDS":[1,2,3],"Value":1}] trailing`, http.StatusOK},                    // keys fold; the tail is not read
+	} {
+		resp, err := http.Post(base+"/ingest", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+		}
+	}
 }
 
 // TestServeGracefulShutdown exercises S6 under load: concurrent
