@@ -55,10 +55,10 @@ portable:
 	GOARCH=arm64 $(GO) vet ./internal/layout/...
 
 # The recovery tests of the stream driver and the worker binary —
-# rank deaths, joins, drains, rebalances, kill-and-resume — three times
-# over with -race: which rank sees a death first, and where each
-# survivor is when it does, varies from run to run.
-CHAOS_TESTS = Elastic|Chaos|Rebalance|Kill|OneDriver
+# rank deaths, joins, drains, kill-and-resume — three times over with
+# -race: which rank sees a death first, and where each survivor is when
+# it does, varies from run to run.
+CHAOS_TESTS = Elastic|Chaos|Kill|OneDriver
 
 chaos:
 	$(GO) test -race -count=3 -run '$(CHAOS_TESTS)' ./internal/core/ ./cmd/worker/

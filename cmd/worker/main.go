@@ -99,8 +99,6 @@ type workerConfig struct {
 
 	elastic bool // absorb rank deaths and continue, instead of failing for -resume
 	script  []core.ScriptEvent
-
-	rebalance bool
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
@@ -131,10 +129,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	debugAddr := fs.String("debug-addr", "", "worker mode: serve /metrics, /debug/state, /debug/timeline and /debug/pprof/ on this address (no auth — bind loopback only; empty = off)")
 	elastic := fs.Bool("elastic", false, "worker mode: absorb rank deaths — the survivors re-run the interrupted step without the dead rank and finish the stream — instead of failing for -resume; enables scripted joins and drains at step fences; over TCP requires -heartbeat")
 	script := fs.String("script", "", "worker mode: membership script as verb:rank:step,... (e.g. kill:1:1,join:3:2), identical on every rank — kill crashes that rank mid-step; join admits that spare and drain retires that member at the step's fence (both need -elastic); the ranks no join names start as members")
-	rebalance := fs.Bool("rebalance-on-imbalance", false, "elastic mode: arm the observability plane's imbalance detector — sustained per-rank compute skew re-partitions the stream live at the next fence")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	var pm partition.Method
 	switch strings.ToLower(*method) {
 	case "gtp":
@@ -149,6 +148,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case *serveHTTP != "":
 		if *serve != "" || *join != "" {
 			return fmt.Errorf("-serve-http is exclusive with -serve and -join")
+		}
+		// A flag serve mode does not read would be silently ignored.
+		if set["debug-addr"] {
+			return fmt.Errorf("-debug-addr: serve mode has no debug listener (its counters are on /stats)")
+		}
+		reads := map[string]bool{"serve-http": true, "state": true, "sweep-every": true, "drain-timeout": true,
+			"workers": true, "rank": true, "iters": true, "mu": true, "seed": true, "method": true, "solver": true}
+		unread := "" // the first in lexical order, as fs.Visit walks them
+		fs.Visit(func(f *flag.Flag) {
+			if unread == "" && !reads[f.Name] {
+				unread = f.Name
+			}
+		})
+		if unread != "" {
+			return fmt.Errorf("-%s is not read in serve mode", unread)
 		}
 		cfg := serveConfig{
 			addr:      *serveHTTP,
@@ -181,8 +195,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return rv.Wait()
 	case *join != "" || *tensorPath != "":
 		if *join == "" {
-			set := map[string]bool{}
-			fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 			for _, name := range []string{"listen", "heartbeat", "debug-addr"} {
 				if set[name] {
 					return fmt.Errorf("-%s needs a TCP node: give -join", name)
@@ -213,9 +225,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			// can absorb.
 			return fmt.Errorf("-elastic over TCP requires -heartbeat (a rank death is seen only through missed heartbeats)")
 		}
-		if *rebalance && !*elastic {
-			return fmt.Errorf("-rebalance-on-imbalance requires -elastic (a rebalance is a view change)")
-		}
 		sk, err := sample.ParseKind(*solver)
 		if err != nil {
 			return err
@@ -229,7 +238,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			solver:  sk,
 			timeout: *timeout, heartbeat: *heartbeat, debugAddr: *debugAddr,
 			elastic: *elastic, script: events,
-			rebalance: *rebalance,
 		}
 		return runWorker(stdout, stderr, cfg)
 	default:
@@ -343,10 +351,9 @@ func runWorker(stdout, stderr io.Writer, cfg workerConfig) error {
 		World:          n.Size(),
 		Script:         strings.Join(script, ","),
 		FailOnPeerDown: !cfg.elastic,
-		// The driver's plane gathers once per step fence, observation
-		// only unless -rebalance-on-imbalance arms its detector.
-		RebalanceOnImbalance: cfg.rebalance,
-		PlaneReady:           func(_ int, p *obscluster.Plane) { planeHolder.Store(p) },
+		// The driver's plane gathers once per step fence and only
+		// observes.
+		PlaneReady: func(_ int, p *obscluster.Plane) { planeHolder.Store(p) },
 		// Runs on whichever rank is the view's rank 0 when the step ends
 		// (this node's rank 0 unless -elastic outlived it).
 		Checkpoint: func(step int, st *dtd.State, stats *core.StepStats) error {
@@ -440,8 +447,8 @@ func writeFileDurably(path string, write func(io.Writer) error) (err error) {
 }
 
 // debugState is the /debug/state document: this rank's per-phase
-// timing aggregates, plus the cluster table and detector state once
-// this rank's plane has coordinated a fence.
+// timing aggregates, plus the cluster table once this rank's plane has
+// coordinated a fence.
 type debugState struct {
 	Phases  []obs.PhaseStat      `json:"phases"`
 	Cluster *obscluster.Snapshot `json:"cluster,omitempty"`

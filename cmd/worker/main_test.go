@@ -101,42 +101,38 @@ func TestWorkerArgErrors(t *testing.T) {
 	// What a rejection must name, where the refusal is about that flag
 	// or file rather than about loading x.tsv.
 	mentions := map[string]string{
-		"elastic without heartbeat":            "-heartbeat",
-		"no workers in process":                "-workers",
-		"no workers to rendezvous":             "-workers",
-		"missing snapshot":                     "nope.tsv",
-		"missing prev":                         "prev state",
-		"unknown script verb":                  `-script: entry "pause:1:1": unknown verb`,
-		"malformed script entry":               `-script: entry "kill:1" is not verb:rank:step`,
-		"two kills at one step":                `-script: entries "kill:1:1" and "kill:2:1"`,
-		"join without elastic":                 `-script entry "join:3:1" requires -elastic`,
-		"drain without elastic":                `-script entry "drain:1:1" requires -elastic`,
-		"join in process without elastic":      `-script entry "join:2:1" requires -elastic`,
-		"drain in process without elastic":     `-script entry "drain:1:1" requires -elastic`,
-		"rebalance without elastic":            "-rebalance-on-imbalance requires -elastic",
-		"rebalance in process without elastic": "-rebalance-on-imbalance requires -elastic",
-		"bogus solver":                         "bogus",
+		"elastic without heartbeat":        "-heartbeat",
+		"no workers in process":            "-workers",
+		"no workers to rendezvous":         "-workers",
+		"missing snapshot":                 "nope.tsv",
+		"missing prev":                     "prev state",
+		"unknown script verb":              `-script: entry "pause:1:1": unknown verb`,
+		"malformed script entry":           `-script: entry "kill:1" is not verb:rank:step`,
+		"two kills at one step":            `-script: entries "kill:1:1" and "kill:2:1"`,
+		"join without elastic":             `-script entry "join:3:1" requires -elastic`,
+		"drain without elastic":            `-script entry "drain:1:1" requires -elastic`,
+		"join in process without elastic":  `-script entry "join:2:1" requires -elastic`,
+		"drain in process without elastic": `-script entry "drain:1:1" requires -elastic`,
+		"bogus solver":                     "bogus",
 	}
 	for name, args := range map[string][]string{
-		"neither mode":                         {},
-		"no workers to rendezvous":             {"-serve", "127.0.0.1:0", "-workers", "0"},
-		"join without file":                    {"-join", "127.0.0.1:1"},
-		"bad method":                           {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-method", "zzz"},
-		"resume without checkpoint":            {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-resume"},
-		"rebalance without elastic":            {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-rebalance-on-imbalance"},
-		"unknown script verb":                  {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "pause:1:1"},
-		"malformed script entry":               {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "kill:1"},
-		"two kills at one step":                {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "kill:1:1,kill:2:1"},
-		"join without elastic":                 {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "join:3:1"},
-		"drain without elastic":                {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "drain:1:1"},
-		"join in process without elastic":      {"-tensor", "x.tsv", "-script", "join:2:1"},
-		"drain in process without elastic":     {"-tensor", "x.tsv", "-script", "drain:1:1"},
-		"rebalance in process without elastic": {"-tensor", "x.tsv", "-rebalance-on-imbalance"},
-		"bogus solver":                         {"-tensor", "x.tsv", "-solver", "bogus"},
-		"elastic without heartbeat":            {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-elastic"},
-		"no workers in process":                {"-tensor", "x.tsv", "-workers", "0"},
-		"missing snapshot":                     {"-tensor", filepath.Join(dir, "nope.tsv")},
-		"missing prev":                         {"-tensor", snap, "-prev", filepath.Join(dir, "nope.gob")},
+		"neither mode":                     {},
+		"no workers to rendezvous":         {"-serve", "127.0.0.1:0", "-workers", "0"},
+		"join without file":                {"-join", "127.0.0.1:1"},
+		"bad method":                       {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-method", "zzz"},
+		"resume without checkpoint":        {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-resume"},
+		"unknown script verb":              {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "pause:1:1"},
+		"malformed script entry":           {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "kill:1"},
+		"two kills at one step":            {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "kill:1:1,kill:2:1"},
+		"join without elastic":             {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "join:3:1"},
+		"drain without elastic":            {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-script", "drain:1:1"},
+		"join in process without elastic":  {"-tensor", "x.tsv", "-script", "join:2:1"},
+		"drain in process without elastic": {"-tensor", "x.tsv", "-script", "drain:1:1"},
+		"bogus solver":                     {"-tensor", "x.tsv", "-solver", "bogus"},
+		"elastic without heartbeat":        {"-join", "127.0.0.1:1", "-tensor", "x.tsv", "-elastic"},
+		"no workers in process":            {"-tensor", "x.tsv", "-workers", "0"},
+		"missing snapshot":                 {"-tensor", filepath.Join(dir, "nope.tsv")},
+		"missing prev":                     {"-tensor", snap, "-prev", filepath.Join(dir, "nope.gob")},
 	} {
 		err := run(args, &stdout, &stderr)
 		if err == nil {
@@ -919,7 +915,7 @@ func TestDebugServerBeforePlane(t *testing.T) {
 		if body := c.get("/debug/timeline"); !strings.Contains(body, `"mode0/mttkrp"`) {
 			t.Fatalf("%s: /debug/timeline missing the rank's span: %s", stage, body)
 		}
-		planeHolder.Store(obscluster.NewPlane(false, o, 1))
+		planeHolder.Store(obscluster.NewPlane(o, 1))
 	}
 }
 
@@ -948,7 +944,7 @@ func TestDebugServerServesProfilesAndMetrics(t *testing.T) {
 	// only after the record was cut, so a timeline carrying it is the
 	// rank's, one without it the plane's. Concurrent scrapes meanwhile
 	// share the listener's runtime sampler (and race the fence's own).
-	planeHolder.Store(obscluster.NewPlane(false, o, 1))
+	planeHolder.Store(obscluster.NewPlane(o, 1))
 	var scrapers sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		scrapers.Add(1)
@@ -968,8 +964,7 @@ func TestDebugServerServesProfilesAndMetrics(t *testing.T) {
 		}()
 	}
 	if _, err := cluster.NewLocal(1).Run(func(w *cluster.Worker) error {
-		_, err := planeHolder.Load().Fence(w, []int{0}, 0, 0, []float64{1})
-		return err
+		return planeHolder.Load().Fence(w, 0, 0)
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -369,24 +369,31 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestServeArgErrors checks the flag-level mode validation.
+// TestServeArgErrors checks the flag-level mode validation: the other
+// modes are exclusive with serve mode, every flag serve mode does not
+// read is refused rather than ignored, and every option it does read
+// reaches its stream, so a bad one is refused by name before the
+// listener comes up. A build that accepts any of them would serve until
+// a signal: the deadline turns that into a failure.
 func TestServeArgErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-serve-http", "127.0.0.1:0", "-join", "127.0.0.1:9"},
-		{"-serve-http", "127.0.0.1:0", "-serve", "127.0.0.1:9"},
-	} {
-		var errBuf bytes.Buffer
-		if err := run(args, io.Discard, &errBuf); err == nil || !strings.Contains(err.Error(), "exclusive") {
-			t.Errorf("run(%v) err = %v, want exclusivity error", args, err)
-		}
-	}
-	// Every option reaches serve mode's stream, so a bad one is refused
-	// by name before the listener comes up. A build that ignores it
-	// would serve until a signal: the deadline turns that into a failure.
 	for _, tc := range []struct {
 		flags []string
 		want  string
 	}{
+		{[]string{"-join", "127.0.0.1:9"}, "exclusive"},
+		{[]string{"-serve", "127.0.0.1:9"}, "exclusive"},
+		{[]string{"-debug-addr", "127.0.0.1:0"}, "serve mode has no debug listener"},
+		{[]string{"-tensor", "x.tsv"}, "-tensor is not read in serve mode"},
+		{[]string{"-prev", "p.gob"}, "-prev is not read in serve mode"},
+		{[]string{"-out", "o.gob"}, "-out is not read in serve mode"},
+		{[]string{"-checkpoint", "ckpt"}, "-checkpoint is not read in serve mode"},
+		{[]string{"-resume"}, "-resume is not read in serve mode"},
+		{[]string{"-elastic"}, "-elastic is not read in serve mode"},
+		{[]string{"-script", "kill:1:1"}, "-script is not read in serve mode"},
+		{[]string{"-heartbeat", "1s"}, "-heartbeat is not read in serve mode"},
+		{[]string{"-listen", "127.0.0.1:0"}, "-listen is not read in serve mode"},
+		{[]string{"-timeout", "1s"}, "-timeout is not read in serve mode"},
+		{[]string{"-join-window", "1s"}, "-join-window is not read in serve mode"},
 		{[]string{"-method", "bogus"}, "bogus"},
 		{[]string{"-solver", "bogus"}, "bogus"},
 		{[]string{"-mu", "2"}, "ForgettingFactor"},

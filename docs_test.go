@@ -23,9 +23,11 @@ import (
 // after it is not checked). A name the code spells in a string — a
 // metric, span or benchmark row such as `mttkrp.rows` — is not an
 // identifier and passes. Every backticked repository path must exist
-// in the tree (see repoPath). All sides are read with go/parser or from
-// the tree itself, so renaming or deleting a flag, an endpoint, a
-// declaration or a file without its documentation fails here.
+// in the tree (see repoPath), and every backticked Prometheus series
+// must be one that non-test Go registers (see metricSeries). All sides
+// are read with go/parser or from the tree itself, so renaming or
+// deleting a flag, an endpoint, a declaration, a metric or a file
+// without its documentation fails here.
 func TestDocsNameOnlyWhatShips(t *testing.T) {
 	flags := map[string]bool{}
 	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
@@ -80,6 +82,11 @@ func TestDocsNameOnlyWhatShips(t *testing.T) {
 
 	tree := treePaths(t)
 
+	series := metricSeries(t)
+	if !series.has("plane_fences") || !series.has("runtime_heap_bytes") || !series.has("plane_fence_gather_ns_p50") {
+		t.Fatalf("parsing found metric namespaces %v, missing plane_fences, runtime_heap_bytes or plane_fence_gather_ns_p50", series.namespaces)
+	}
+
 	flagSpan := regexp.MustCompile(`^-([a-z][a-z0-9-]*)(=|\s|$)`)
 	// A qualified identifier not itself qualified or inside a path: the
 	// `/` keeps file names like internal/mat/mat.go out.
@@ -97,6 +104,9 @@ func TestDocsNameOnlyWhatShips(t *testing.T) {
 			}
 			if p, ok := repoPath(c.text); ok && !tree.has(p) {
 				t.Errorf("%s:%d: `%s` names %s, which is not in the tree", doc, c.line, c.text, p)
+			}
+			if name, ok := series.named(c.text); ok && !series.has(name) {
+				t.Errorf("%s:%d: `%s` names series %s, which no non-test Go registers", doc, c.line, c.text, name)
 			}
 			for _, m := range qualified.FindAllStringSubmatch(c.text, -1) {
 				pkg, ident := m[2], m[3]
@@ -135,6 +145,114 @@ func repoPath(text string) (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// seriesSet is what the /metrics exposition can write: the registry
+// names non-test Go passes to Counter, Gauge or Histogram as a string
+// literal, with dots written as underscores; the literal prefixes of
+// names built by concatenation; and the first segment of each, the
+// namespaces a documented series is recognised by.
+type seriesSet struct {
+	exact, histograms, namespaces map[string]bool
+	prefixes                      []string
+}
+
+// histogramSuffixes are what a histogram's series append to its name
+// (see obs.MetricsSnapshot.WritePrometheus); the bare name is its
+// family.
+var histogramSuffixes = []string{"", "_bucket", "_sum", "_count", "_p50", "_p95", "_p99"}
+
+// snakeCase matches a token that may be a Prometheus series.
+var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)+$`)
+
+// named reports whether a code span names a Prometheus series, and
+// which: a snake_case token whose first segment is a registered
+// namespace. A span with {, } or * is a template and is skipped; of a
+// slash-joined span such as plane_fence_gather_ns_p50/p95/p99 the
+// first part is the series.
+func (s seriesSet) named(text string) (string, bool) {
+	if strings.ContainsAny(text, "{}*") {
+		return "", false
+	}
+	name, _, _ := strings.Cut(text, "/")
+	if !snakeCase.MatchString(name) {
+		return "", false
+	}
+	ns, _, _ := strings.Cut(name, "_")
+	return name, s.namespaces[ns]
+}
+
+// has reports whether the exposition can write the series name.
+func (s seriesSet) has(name string) bool {
+	if s.exact[name] {
+		return true
+	}
+	for _, suffix := range histogramSuffixes {
+		if s.histograms[strings.TrimSuffix(name, suffix)] {
+			return true
+		}
+	}
+	for _, p := range s.prefixes {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// metricSeries parses every non-test Go file of the module for metric
+// registrations.
+func metricSeries(t *testing.T) seriesSet {
+	t.Helper()
+	s := seriesSet{exact: map[string]bool{}, histograms: map[string]bool{}, namespaces: map[string]bool{}}
+	prom := strings.NewReplacer(".", "_")
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		eachCall(t, path, func(method string, args []ast.Expr) {
+			if method != "Counter" && method != "Gauge" && method != "Histogram" || len(args) == 0 {
+				return
+			}
+			arg, concatenated := args[0], false
+			for {
+				bin, ok := arg.(*ast.BinaryExpr)
+				if !ok || bin.Op != token.ADD {
+					break
+				}
+				arg, concatenated = bin.X, true
+			}
+			lit, ok := stringArg([]ast.Expr{arg}, 0)
+			if !ok || lit == "" {
+				return
+			}
+			name := prom.Replace(lit)
+			switch {
+			case concatenated:
+				s.prefixes = append(s.prefixes, name)
+			case method == "Histogram":
+				s.histograms[name] = true
+			default:
+				s.exact[name] = true
+			}
+			ns, _, _ := strings.Cut(name, "_")
+			s.namespaces[ns] = true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // pathSet is every file and directory of the tree, slash-separated and

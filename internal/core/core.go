@@ -77,15 +77,6 @@ type Options struct {
 	// be nil.
 	Obs *obs.Obs
 
-	// rankWeights optionally skews the partitioning by per-rank cost
-	// weights (index = rank, length = Workers): the planner minimises
-	// weighted completion time, so a rank with weight 2 — twice the
-	// measured cost per entry — receives roughly half the entries. Nil
-	// means uniform and reproduces the unweighted plan bitwise. Only the
-	// elastic driver sets it: its imbalance detector feeds EWMA-derived
-	// weights in here when a fence-time rebalance fires.
-	rankWeights []float64
-
 	// Ablation baselines, set only by this package's tests and
 	// benchmarks. broadcastRows replaces the subscription-based row
 	// exchange with a full broadcast of every owner's rows (implied by
@@ -127,9 +118,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if opts.Threads < 0 {
 		return opts, fmt.Errorf("core: negative thread count %d", opts.Threads)
-	}
-	if opts.rankWeights != nil && len(opts.rankWeights) != opts.Workers {
-		return opts, fmt.Errorf("core: %d rank weights for %d workers", len(opts.rankWeights), opts.Workers)
 	}
 	if opts.Threads == 0 {
 		opts.Threads = 1
@@ -217,7 +205,7 @@ func NewStepJob(prev *dtd.State, snapshot *tensor.Tensor, o Options) (*StepJob, 
 		}
 	}
 	sp := opts.Obs.Span("plan/partition")
-	plan := dplan.BuildWeighted(sweep.Complement(), opts.Workers, opts.Parts, opts.Method, opts.rankWeights)
+	plan := dplan.Build(sweep.Complement(), opts.Workers, opts.Parts, opts.Method)
 	sp.End()
 	if opts.Obs != nil {
 		for _, mp := range plan.ModePlans {

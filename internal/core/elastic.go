@@ -27,10 +27,10 @@
 //     nothing to hand off.
 //
 // Membership never changes the maths: every step runs the same
-// dtd.Sweep engine as a Step call, bound to the plan for its view.
-// Without detector weights a run therefore reproduces, bitwise, the
-// chain of Step calls over the member counts its steps completed at —
-// with no membership events, the plain chain.
+// dtd.Sweep engine as a Step call, bound to the plan for its view. A
+// run therefore reproduces, bitwise, the chain of Step calls over the
+// member counts its steps completed at — with no membership events,
+// the plain chain.
 
 package core
 
@@ -38,13 +38,11 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"dismastd/internal/cluster"
 	"dismastd/internal/dplan"
@@ -93,29 +91,13 @@ type ElasticOptions struct {
 	// that rank's run.
 	Checkpoint func(step int, st *dtd.State, stats *StepStats) error
 
-	// RebalanceOnImbalance arms the cluster observability plane's
-	// imbalance detector. The plane always runs: after each step's state
-	// sync every member gathers its metric deltas, runtime gauges and
-	// fresh spans to the view coordinator, whose detector broadcasts its
-	// verdict back. Armed, a smoothed per-rank imbalance CV over the
-	// threshold makes the next membership fence bump the view epoch (no
-	// membership change) and the stream re-partition with the
-	// detector's cost weights — a live rebalance of a skewed stream.
-	RebalanceOnImbalance bool
-
 	// PlaneReady, when set, is called once per world rank with that
-	// rank's freshly built plane, before any fence runs — the hook
-	// cmd/worker uses to serve the plane on /debug/state and
-	// /debug/timeline.
+	// rank's freshly built cluster observability plane, before any fence
+	// runs — the hook cmd/worker uses to serve the plane on /debug/state
+	// and /debug/timeline. The plane always runs: after each step's
+	// state sync every member gathers its metric deltas, runtime gauges
+	// and fresh spans to the view coordinator. It only observes.
 	PlaneReady func(world int, p *obscluster.Plane)
-
-	// slowRanks, set only by this package's tests, scripts heterogeneous
-	// hardware: world rank → extra compute nanoseconds per unit of
-	// planned load, burned inside a compute-phase span every step. The
-	// observability plane sees the padding exactly as it would a member
-	// with slower cores, which is what the rebalance chaos test uses to
-	// provoke the detector deterministically.
-	slowRanks map[int]float64
 }
 
 // killSweep is the 0-based sweep at whose start a kill's victim
@@ -226,17 +208,10 @@ type TransitionStats struct {
 	Leave []int // world ranks drained
 
 	// BytesSent is the state the transition shipped, summed over ranks:
-	// a joiner's boot transfer. Recoveries, drains and rebalances ship
-	// none — every member already holds the fence state — and the view
-	// agreement's control messages are not counted.
+	// a joiner's boot transfer. Recoveries and drains ship none — every
+	// member already holds the fence state — and the view agreement's
+	// control messages are not counted.
 	BytesSent int64
-
-	// Rebalance marks an epoch bump triggered by the imbalance detector
-	// rather than a membership change: same members, new plan weights.
-	// CV is the detector statistic that fired it; the next step simply
-	// plans differently.
-	Rebalance bool
-	CV        float64
 }
 
 // ElasticJob drives len(snapshots) streaming steps over an elastic
@@ -279,11 +254,6 @@ func NewElasticJob(prev *dtd.State, snapshots []*tensor.Tensor, o ElasticOptions
 	if _, err := probe.withDefaults(); err != nil {
 		return nil, err
 	}
-	for r, h := range o.slowRanks {
-		if r < 0 || r >= o.World || h < 0 || math.IsNaN(h) {
-			return nil, fmt.Errorf("core: scripted handicap %v on rank %d of world %d", h, r, o.World)
-		}
-	}
 	return &ElasticJob{
 		opts:      o,
 		script:    script,
@@ -312,74 +282,22 @@ func (j *ElasticJob) Result() (*dtd.State, float64, []TransitionStats, error) {
 }
 
 // stepOpts derives the per-step Options for the view: one partition per
-// member, plus the current detector cost weights mapped from world ranks
-// into view-rank order.
-func (j *ElasticJob) stepOpts(v cluster.View, rs *rankStream) Options {
+// member.
+func (j *ElasticJob) stepOpts(v cluster.View) Options {
 	opts := j.opts.Options
 	opts.Workers = v.Size()
 	opts.Parts = v.Size()
-	if rs.weightByWorld != nil {
-		rw := make([]float64, v.Size())
-		for i, world := range v.Members {
-			rw[i] = rs.weightByWorld[world]
-		}
-		opts.rankWeights = rw
-	}
 	return opts
 }
 
-// rankStream is one member's mutable stream-scope state living outside
-// the per-step jobs: its observability plane and the detector-derived
-// cost weights. Weights are keyed by world rank — the identity that
-// survives view changes — and every member's copy evolves identically
-// because it is driven only by the broadcast fence decisions (joiners
-// receive the current weights in their boot transfer).
-type rankStream struct {
-	plane         *obscluster.Plane
-	weightByWorld []float64 // nil until a rebalance first fires
-	pending       bool      // detector fired; bump the epoch at the next fence
-	cv            float64   // CV of the firing decision
-}
-
-// newRankStream builds the per-rank stream state; w is the root (world)
+// newPlane builds a rank's observability plane; w is the root (world)
 // worker.
-func (j *ElasticJob) newRankStream(w *cluster.Worker) *rankStream {
-	rs := &rankStream{plane: obscluster.NewPlane(j.opts.RebalanceOnImbalance, w.Obs(), w.Size())}
+func (j *ElasticJob) newPlane(w *cluster.Worker) *obscluster.Plane {
+	p := obscluster.NewPlane(w.Obs(), w.Size())
 	if j.opts.PlaneReady != nil {
-		j.opts.PlaneReady(w.Rank(), rs.plane)
+		j.opts.PlaneReady(w.Rank(), p)
 	}
-	return rs
-}
-
-// obsFence runs the plane's fence round after a step's state sync. The
-// detector input is the step plan's per-rank planned load scaled by the
-// weights it was planned under — the modelled cost — so a successful
-// weighted rebalance reads as balanced and the detector re-arms only on
-// fresh skew. A fire stages the epoch bump for the next membership
-// fence and folds the broadcast weights into the world-keyed table.
-func (j *ElasticJob) obsFence(vw *cluster.Worker, v cluster.View, rs *rankStream, job *StepJob, s int) error {
-	loads := job.plan.RankLoads()
-	for i, rw := range job.opts.rankWeights {
-		loads[i] *= rw
-	}
-	dec, err := rs.plane.Fence(vw, v.Members, v.Epoch, s, loads)
-	if err != nil {
-		return err
-	}
-	if dec.Fire {
-		if rs.weightByWorld == nil {
-			rs.weightByWorld = make([]float64, j.opts.World)
-			for i := range rs.weightByWorld {
-				rs.weightByWorld[i] = 1
-			}
-		}
-		for i, world := range v.Members {
-			rs.weightByWorld[world] = dec.Weights[i]
-		}
-		rs.pending = true
-		rs.cv = dec.CV
-	}
-	return nil
+	return p
 }
 
 // joinStep reports the step at which a world rank outside the initial
@@ -454,18 +372,17 @@ func (j *ElasticJob) RunWorker(w *cluster.Worker) error {
 			return err
 		}
 		vw.Obs().Counter("elastic.epochs").Add(1)
-		rs := j.newRankStream(w)
-		prev, err := j.recvBoot(vw, s, rs)
+		prev, err := j.recvBoot(vw, s)
 		if err != nil {
 			return err
 		}
-		return j.stream(w, av, vw, prev, s, true, rs)
+		return j.stream(w, av, vw, prev, s, true, j.newPlane(w))
 	}
 	vw, err := w.ViewWorker(v)
 	if err != nil {
 		return err
 	}
-	return j.stream(w, v, vw, j.prev, 0, false, j.newRankStream(w))
+	return j.stream(w, v, vw, j.prev, 0, false, j.newPlane(w))
 }
 
 // stream runs steps start..end on the member's current view. adopted
@@ -476,10 +393,10 @@ func (j *ElasticJob) RunWorker(w *cluster.Worker) error {
 //
 // The last-fence rule: the final fence decides nothing, so a member
 // whose final sync completed proposes the step after the last. If a peer
-// leaves that recovery round, it got the decision and finished: every
+// leaves that recovery round, it got the release and finished: every
 // survivor holds the synced state, and this member ends the run with it,
 // recording Result and the last Checkpoint in place of view rank 0.
-func (j *ElasticJob) stream(w *cluster.Worker, v cluster.View, vw *cluster.Worker, prev *dtd.State, start int, adopted bool, rs *rankStream) error {
+func (j *ElasticJob) stream(w *cluster.Worker, v cluster.View, vw *cluster.Worker, prev *dtd.State, start int, adopted bool, plane *obscluster.Plane) error {
 	var before *dtd.State
 	last := len(j.snapshots) - 1
 	fenced := adopted // step s's fence already ran: a joiner's first step, a restarted step
@@ -488,7 +405,7 @@ func (j *ElasticJob) stream(w *cluster.Worker, v cluster.View, vw *cluster.Worke
 		if !fenced {
 			var cont bool
 			var err error
-			v, vw, cont, err = j.fence(w, v, vw, s, prev, rs)
+			v, vw, cont, err = j.fence(w, v, vw, s, prev)
 			if err != nil {
 				return err
 			}
@@ -496,7 +413,7 @@ func (j *ElasticJob) stream(w *cluster.Worker, v cluster.View, vw *cluster.Worke
 				return nil // drained
 			}
 		}
-		synced, stats, err := j.runStep(w, v, vw, prev, s, rs)
+		synced, stats, err := j.runStep(w, v, vw, prev, s, plane)
 		restart := s + 1
 		if err != nil {
 			if j.opts.FailOnPeerDown {
@@ -536,21 +453,13 @@ func (j *ElasticJob) stream(w *cluster.Worker, v cluster.View, vw *cluster.Worke
 
 // fence is the between-steps membership barrier: scripted joins and
 // drains for step s are agreed on, joiners adopted and booted with the
-// synced state, drainers released. A pending detector fire with no
-// membership change still runs the view agreement — the empty change
-// bumps the epoch, marking the re-partition boundary — at zero factor
-// traffic, since every member already holds the synced state. The
-// returned bool is false when this rank drained. With an empty change
-// and no pending rebalance the fence costs nothing.
-func (j *ElasticJob) fence(w *cluster.Worker, v cluster.View, vw *cluster.Worker, s int, prev *dtd.State, rs *rankStream) (cluster.View, *cluster.Worker, bool, error) {
+// synced state, drainers released. The returned bool is false when this
+// rank drained. With an empty change the fence costs nothing.
+func (j *ElasticJob) fence(w *cluster.Worker, v cluster.View, vw *cluster.Worker, s int, prev *dtd.State) (cluster.View, *cluster.Worker, bool, error) {
 	// Admission follows the shared script, so every member derives the
 	// same change without exchanging requests.
 	vc := cluster.ViewChange{Join: j.scripted("join", s), Leave: j.scripted("drain", s)}
-	// The staged fire is consumed either way: a membership change
-	// re-partitions (with the new weights) on its own epoch bump.
-	rebalance := rs.pending && vc.Empty()
-	rs.pending = false
-	if vc.Empty() && !rebalance {
+	if vc.Empty() {
 		return v, vw, true, nil
 	}
 	next, _, err := cluster.AgreeView(w, v, vc, s)
@@ -571,7 +480,7 @@ func (j *ElasticJob) fence(w *cluster.Worker, v cluster.View, vw *cluster.Worker
 	if vw2.Rank() == 0 && len(vc.Join) > 0 {
 		base := vw2.MetricsSnapshot()
 		for _, r := range vc.Join {
-			if err := j.sendBoot(vw2, next.RankOf(r), prev, rs); err != nil {
+			if err := j.sendBoot(vw2, next.RankOf(r), prev); err != nil {
 				return v, vw, false, err
 			}
 		}
@@ -582,34 +491,24 @@ func (j *ElasticJob) fence(w *cluster.Worker, v cluster.View, vw *cluster.Worker
 			t.Step = s
 			t.Join = append([]int(nil), vc.Join...)
 			t.Leave = append([]int(nil), vc.Leave...)
-			if rebalance {
-				t.Rebalance = true
-				t.CV = rs.cv
-			}
 		})
-	}
-	if rebalance {
-		vw2.Obs().Counter("elastic.rebalances").Add(1)
 	}
 	return next, vw2, true, nil
 }
 
 // sendBoot ships the synced pre-step state to a freshly adopted joiner
-// — the only rank missing it — as one message per mode, plus the
-// current detector weight table so the joiner's plans agree with every
-// incumbent's (empty when no rebalance ever fired).
-func (j *ElasticJob) sendBoot(vw *cluster.Worker, to int, prev *dtd.State, rs *rankStream) error {
+// — the only rank missing it — as one message per mode.
+func (j *ElasticJob) sendBoot(vw *cluster.Worker, to int, prev *dtd.State) error {
 	for m, f := range prev.Factors {
 		if err := vw.Send(to, vw.StreamTagIndexed("boot", m), cluster.EncodeFloat64s(f.Data)); err != nil {
 			return err
 		}
 	}
-	return vw.Send(to, vw.StreamTag("boot/w"), cluster.EncodeFloat64s(rs.weightByWorld))
+	return nil
 }
 
-// recvBoot receives the joiner's warm-start state and the detector
-// weight table from view rank 0.
-func (j *ElasticJob) recvBoot(vw *cluster.Worker, s int, rs *rankStream) (*dtd.State, error) {
+// recvBoot receives the joiner's warm-start state from view rank 0.
+func (j *ElasticJob) recvBoot(vw *cluster.Worker, s int) (*dtd.State, error) {
 	dims := j.dimsBefore(s)
 	factors := make([]*mat.Dense, len(dims))
 	for m, d := range dims {
@@ -627,20 +526,6 @@ func (j *ElasticJob) recvBoot(vw *cluster.Worker, s int, rs *rankStream) (*dtd.S
 		factors[m] = mat.New(d, j.opts.Rank)
 		copy(factors[m].Data, vals)
 	}
-	payload, err := vw.Recv(0, vw.StreamTag("boot/w"))
-	if err != nil {
-		return nil, err
-	}
-	ww, err := cluster.DecodeFloat64s(payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(ww) > 0 {
-		if len(ww) != j.opts.World {
-			return nil, fmt.Errorf("core: boot weights for %d world ranks, want %d", len(ww), j.opts.World)
-		}
-		rs.weightByWorld = ww
-	}
 	return &dtd.State{Dims: append([]int(nil), dims...), Factors: factors}, nil
 }
 
@@ -648,8 +533,8 @@ func (j *ElasticJob) recvBoot(vw *cluster.Worker, s int, rs *rankStream) (*dtd.S
 // member holds: the step a static cluster of the view's members runs.
 // Returns the synced post-step state and the step's statistics — also
 // when only the fence after the sync failed.
-func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Worker, prev *dtd.State, s int, rs *rankStream) (*dtd.State, *StepStats, error) {
-	job, err := NewStepJob(prev, j.snapshots[s], j.stepOpts(v, rs))
+func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Worker, prev *dtd.State, s int, plane *obscluster.Plane) (*dtd.State, *StepStats, error) {
+	job, err := NewStepJob(prev, j.snapshots[s], j.stepOpts(v))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -666,16 +551,15 @@ func (j *ElasticJob) runStep(w *cluster.Worker, v cluster.View, vw *cluster.Work
 	if err != nil {
 		return nil, nil, err
 	}
-	j.chaosSlow(w, vw, job)
 	synced, err := syncState(exch, eng.Factors())
 	if err != nil {
 		return nil, nil, err
 	}
 	stats := job.statsOf(eng.LossTrace())
 	// Observability fence: lockstep with the state sync, so every member
-	// contributes and receives the decision — and no member leaves the
-	// step while another is still inside its sync.
-	return synced, stats, j.obsFence(vw, v, rs, job, s)
+	// contributes and waits for the coordinator's release — and no
+	// member leaves the step while another is still inside its sync.
+	return synced, stats, plane.Fence(vw, v.Epoch, s)
 }
 
 // stepDone is the recording end of a step — view rank 0's, and under
@@ -694,29 +578,12 @@ func (j *ElasticJob) stepDone(s int, synced *dtd.State, stats *StepStats) error 
 	return j.opts.Checkpoint(s, synced, stats)
 }
 
-// chaosSlow burns this rank's scripted compute handicap — extra
-// nanoseconds proportional to the planned load it was assigned —
-// inside a compute-phase span, so the plane's detector observes it as
-// genuinely slower hardware. A no-op unless the rank is scripted in
-// slowRanks. The "/mttkrp" suffix is what routes the padding into the
-// detector's compute-time statistic (obs.PhaseOf); the "chaos/" prefix
-// keeps it distinguishable from real kernels in timelines.
-func (j *ElasticJob) chaosSlow(w, vw *cluster.Worker, job *StepJob) {
-	h := j.opts.slowRanks[w.Rank()]
-	if h <= 0 {
-		return
-	}
-	sp := vw.Obs().Span("chaos/mttkrp")
-	defer sp.End()
-	time.Sleep(time.Duration(h * job.plan.RankLoads()[vw.Rank()]))
-}
-
 // recover handles one mid-step rank death: revoke the dead rank's epoch
 // (unblocking survivors stuck on live-but-blocked peers), then agree in
 // one view round the shrunken view and the step every survivor
 // restarts, and record the transition. step is this rank's proposal.
 // Survivors need not be in the same step: one that received step s's
-// fence decision before the coordinator died has gone on into step s+1
+// fence release before the coordinator died has gone on into step s+1
 // while another fails inside step s. The step's collectives keep them at
 // most one step apart, so restarting from the least step any survivor
 // proposes — from the fence state each still holds — puts them back in

@@ -105,6 +105,33 @@ func requireSameState(t *testing.T, got, want *dtd.State, what string) {
 	}
 }
 
+// TestElasticPlaneKeepsMathsBitwise: the plane's fence round runs
+// after every step, and it must not change a single bit of the
+// decomposition — the fence is pure observation.
+func TestElasticPlaneKeepsMathsBitwise(t *testing.T) {
+	prev, snaps := elasticSeq(t, 3)
+	o := elasticBase(3)
+	_, refLoss := referenceRun(t, prev, snaps, 3, o.Options)
+
+	job, err := NewElasticJob(prev, snaps, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runElastic(t, job, 3); err != nil {
+		t.Fatal(err)
+	}
+	_, gotLoss, transitions, err := job.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(transitions) != 0 {
+		t.Fatalf("observing plane recorded %d transitions", len(transitions))
+	}
+	if gotLoss != refLoss {
+		t.Fatalf("plane-enabled loss %v, reference %v — observation changed the maths", gotLoss, refLoss)
+	}
+}
+
 // TestElasticStaticMatchesStepBitwise: with no membership events the
 // elastic driver must reproduce the sequential Step driver bitwise —
 // elasticity is pay-for-what-you-use.
@@ -279,9 +306,6 @@ func TestElasticKillAndJoinMidStream(t *testing.T) {
 	for _, d := range snaps[1].Dims {
 		wantBoot += int64(8*d*r) + int64(len("v2|boot/0")) + 8
 	}
-	// Plus the detector weight table — empty here (no rebalance has
-	// fired), so the boot/w message is tag + accounting overhead only.
-	wantBoot += int64(len("v2|boot/w")) + 8
 	if join.BytesSent != wantBoot {
 		t.Fatalf("join sent %d bytes, want %d (boot state only)", join.BytesSent, wantBoot)
 	}

@@ -35,11 +35,6 @@ type Plan struct {
 	Parts   int // partitions per mode (≥ Workers means finer grain)
 	Method  partition.Method
 
-	// Weights holds the per-worker cost weights the plan was built with
-	// (BuildWeighted), nil for the unweighted heuristics. Informational:
-	// assemble() never reads it.
-	Weights []float64
-
 	ModePlans []*partition.ModePlan // per-mode slice -> partition
 	Owner     [][]int32             // [mode][slice] -> owning worker
 
@@ -68,26 +63,11 @@ type Plan struct {
 // workers idle (the left side of the Fig. 6 U-curve, where parallelism
 // is limited by the partition count).
 func Build(t *tensor.Tensor, workers, parts int, method partition.Method) *Plan {
-	return BuildWeighted(t, workers, parts, method, nil)
-}
-
-// BuildWeighted is Build with optional per-worker cost weights. Nil
-// weights reproduce Build exactly. With len(weights) == workers the
-// per-mode partitioning switches to partition.WeightedLPT, minimising
-// the weighted makespan max_w weights[w]·load_w — the fence-time
-// rebalance path uses this with the measured per-rank costs the
-// imbalance detector broadcast, so a skewed stream re-partitions toward
-// the ranks that are actually fast. When parts > workers each
-// partition inherits the weight of the worker it lands on round-robin.
-func BuildWeighted(t *tensor.Tensor, workers, parts int, method partition.Method, weights []float64) *Plan {
 	if workers <= 0 {
 		panic(fmt.Sprintf("dplan: %d workers", workers))
 	}
 	if parts <= 0 {
 		parts = workers
-	}
-	if weights != nil && len(weights) != workers {
-		panic(fmt.Sprintf("dplan: %d weights for %d workers", len(weights), workers))
 	}
 	n := t.Order()
 	p := &Plan{
@@ -97,40 +77,14 @@ func BuildWeighted(t *tensor.Tensor, workers, parts int, method partition.Method
 		Parts:   parts,
 		Method:  method,
 	}
-	var partWeights []float64
-	if weights != nil {
-		p.Weights = append([]float64(nil), weights...)
-		partWeights = make([]float64, parts)
-		for q := range partWeights {
-			partWeights[q] = weights[q%workers] // round-robin owner's weight
-		}
-	}
 	p.ModePlans = make([]*partition.ModePlan, n)
 	for m := 0; m < n; m++ {
-		var mp *partition.ModePlan
-		if partWeights != nil {
-			mp = partition.WeightedLPT(t.SliceNNZ(m), partWeights, parts)
-		} else {
-			mp = partition.Partition(t.SliceNNZ(m), parts, method)
-		}
+		mp := partition.Partition(t.SliceNNZ(m), parts, method)
 		mp.Mode = m
 		p.ModePlans[m] = mp
 	}
 	p.assemble()
 	return p
-}
-
-// RankLoads returns each worker's total planned nnz across all modes —
-// the deterministic load signal every rank can feed the imbalance
-// detector without any communication (the plan is identical everywhere).
-func (p *Plan) RankLoads() []float64 {
-	out := make([]float64, p.Workers)
-	for _, mp := range p.ModePlans {
-		for part, l := range mp.Loads {
-			out[part%p.Workers] += float64(l)
-		}
-	}
-	return out
 }
 
 // assemble derives everything downstream of the mode plans: ownership,

@@ -104,19 +104,11 @@ func TestAssembleMatchesMapReference(t *testing.T) {
 		x := randomTensor(dims, 1+src.Intn(400), uint64(trial)+500)
 		workers := 1 + src.Intn(5)
 		parts := src.Intn(2 * workers) // 0 defaults to workers; both sides of it occur
-		var p *Plan
-		switch trial % 3 {
-		case 0:
-			p = Build(x, workers, parts, partition.GTPMethod)
-		case 1:
-			p = Build(x, workers, parts, partition.MTPMethod)
-		default:
-			weights := make([]float64, workers)
-			for w := range weights {
-				weights[w] = 0.5 + 2*src.Float64()
-			}
-			p = BuildWeighted(x, workers, parts, partition.MTPMethod, weights)
+		method := partition.GTPMethod
+		if trial%2 == 1 {
+			method = partition.MTPMethod
 		}
+		p := Build(x, workers, parts, method)
 		ref := referenceAssemble(p)
 		for _, f := range []struct {
 			name      string

@@ -9,6 +9,10 @@ import (
 	"dismastd/internal/obs"
 )
 
+// alpha is the smoothing factor of the per-phase EWMAs in (0, 1]:
+// higher reacts faster, lower rides out one-step noise.
+const alpha = 0.5
+
 // phaseAgg is one (rank, span-name) cell of the cluster table.
 type phaseAgg struct {
 	Name    string
@@ -33,10 +37,9 @@ type rankAgg struct {
 	order  []*phaseAgg // creation order; snapshots sort by name
 
 	// computeNs is the last fence's compute-phase (mttkrp + solve)
-	// delta total — the duration signal the detector EWMAs. Comm-wait
-	// phases are excluded on purpose: a straggler inflates everyone
-	// else's allreduce/exchange wait, which would cancel the skew the
-	// detector is looking for.
+	// delta total. Comm-wait phases are excluded on purpose: a
+	// straggler inflates everyone else's allreduce/exchange wait, so
+	// only compute time tells a slow rank from the ranks waiting on it.
 	computeNs int64
 }
 
@@ -56,7 +59,6 @@ type Aggregator struct {
 	epoch  int64
 	step   int
 	fences int64
-	last   Decision // weights cleared (alias-free copy of the scalars)
 }
 
 func newAggregator(worldSize int) *Aggregator {
@@ -153,18 +155,14 @@ func (a *Aggregator) absorbLocal(rec *fenceRecord) {
 	}
 }
 
-// evaluate runs the detector over the freshly absorbed fence and stores
-// the decision for Snapshot.
-func (a *Aggregator) evaluate(det *Detector, members []int, loads []float64, epoch int64, step int) Decision {
+// fenced records that the fence of step at epoch has absorbed every
+// member's record.
+func (a *Aggregator) fenced(epoch int64, step int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.epoch = epoch
 	a.step = step
 	a.fences++
-	dec := det.evaluate(a, members, loads, step)
-	a.last = dec
-	a.last.Weights = nil // the scratch alias must not leak to readers
-	return dec
 }
 
 // PhaseAggSnapshot is one (rank, phase) cell of the exported table.
@@ -189,26 +187,12 @@ type RankAggSnapshot struct {
 	Phases     []PhaseAggSnapshot `json:"phases,omitempty"`
 }
 
-// DetectorSnapshot is the detector's exported state.
-type DetectorSnapshot struct {
-	Threshold    float64 `json:"threshold"`
-	Cooldown     int     `json:"cooldown"`
-	Armed        bool    `json:"armed"`
-	CV           float64 `json:"cv"`
-	LoadCV       float64 `json:"load_cv"`
-	DurCV        float64 `json:"duration_cv"`
-	Suggested    int64   `json:"suggested"`
-	Fired        int64   `json:"fired"`
-	LastFireStep int     `json:"last_fire_step"` // -1 before any fire
-}
-
 // Snapshot is the cluster part of cmd/worker's /debug/state document.
 type Snapshot struct {
 	Epoch         int64             `json:"epoch"`
 	Step          int               `json:"step"`
 	Fences        int64             `json:"fences"`
 	TimelineSpans uint64            `json:"timeline_spans"`
-	Detector      DetectorSnapshot  `json:"detector"`
 	Ranks         []RankAggSnapshot `json:"ranks"`
 }
 
@@ -224,7 +208,6 @@ func (p *Plane) Snapshot() Snapshot {
 		Step:          a.step,
 		Fences:        a.fences,
 		TimelineSpans: a.tlTotal,
-		Detector:      p.det.snapshot(a.last),
 	}
 	for world := range a.ranks {
 		ra := &a.ranks[world]

@@ -10,7 +10,7 @@ import (
 // TestFenceAllocFree pins the plane's steady-state allocation contract:
 // once the scratch buffers, intern table, and buffer pool are warm, a
 // full fence round — span collection, record encode, pooled gather,
-// EWMA evaluation, decision broadcast and decode — performs zero heap
+// absorb and release — performs zero heap
 // allocations on every rank. Rank 0 measures with AllocsPerRun (which
 // counts process-wide mallocs, so rank 1's fences are inside the
 // measurement too); rank 1 runs the matching lockstep iterations.
@@ -18,16 +18,14 @@ func TestFenceAllocFree(t *testing.T) {
 	const m, runs = 2, 100
 	c := cluster.NewLocal(m)
 	c.SetRecvTimeout(10 * time.Second)
-	members := identityMembers(m)
-	loads := []float64{60, 40}
 
 	_, err := c.Run(func(w *cluster.Worker) error {
-		p := NewPlane(false, w.Obs(), w.Size())
+		p := NewPlane(w.Obs(), w.Size())
 		step := 0
 		var ferr error
 		pass := func() {
 			span(w.Obs(), "mode0/mttkrp")
-			if _, err := p.Fence(w, members, 0, step, loads); err != nil && ferr == nil {
+			if err := p.Fence(w, 0, step); err != nil && ferr == nil {
 				ferr = err
 			}
 			step++

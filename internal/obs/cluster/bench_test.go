@@ -18,19 +18,14 @@ func BenchmarkObsFence(b *testing.B) {
 			b.Run(fmt.Sprintf("M=%d/spans=%d", m, spansPerStep), func(b *testing.B) {
 				c := cluster.NewLocal(m)
 				c.SetRecvTimeout(time.Minute)
-				members := identityMembers(m)
-				loads := make([]float64, m)
-				for i := range loads {
-					loads[i] = 100
-				}
 				b.ResetTimer()
 				stats, err := c.Run(func(w *cluster.Worker) error {
-					p := NewPlane(false, w.Obs(), w.Size())
+					p := NewPlane(w.Obs(), w.Size())
 					for i := 0; i < b.N; i++ {
 						for s := 0; s < spansPerStep; s++ {
 							span(w.Obs(), "mode0/mttkrp")
 						}
-						if _, err := p.Fence(w, members, 0, i, loads); err != nil {
+						if err := p.Fence(w, 0, i); err != nil {
 							return err
 						}
 					}

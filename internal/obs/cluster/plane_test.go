@@ -18,49 +18,35 @@ func span(o *obs.Obs, name string) {
 	sp.End()
 }
 
-func identityMembers(m int) []int {
-	members := make([]int, m)
-	for i := range members {
-		members[i] = i
-	}
-	return members
-}
-
 // TestFenceGatherByteAccounting runs one fence on a 3-rank cluster with
-// a known span pattern per rank and checks three contracts at once: the
-// coordinator's table holds every rank's phases, all ranks receive the
-// identical decision, and the transport counters equal the byte totals
-// computed from the wire format — record sizes from the per-rank span
-// pattern, decision sizes from the (empty) weight vector, each message
-// charged len(payload)+len(tag)+8 on both sides.
+// a known span pattern per rank and checks two contracts at once: the
+// coordinator's table holds every rank's phases, and the transport
+// counters equal the byte totals computed from the wire format —
+// record sizes from the per-rank span pattern, an empty release per
+// peer, each message charged len(payload)+len(tag)+8 on both sides.
 func TestFenceGatherByteAccounting(t *testing.T) {
 	const m = 3
 	c := cluster.NewLocal(m)
 	c.SetRecvTimeout(5 * time.Second)
-	members := identityMembers(m)
-	loads := []float64{100, 100, 100}
 
 	var (
 		mu       sync.Mutex
-		decs     [m]Decision
 		rootSnap Snapshot
 		tagLen   int
 		dtagLen  int
 	)
 	stats, err := c.Run(func(w *cluster.Worker) error {
-		p := NewPlane(false, w.Obs(), w.Size())
+		p := NewPlane(w.Obs(), w.Size())
 		// Rank r records r+1 mttkrp spans and one solve span before the
 		// fence — distinguishable payload sizes per rank.
 		for i := 0; i <= w.Rank(); i++ {
 			span(w.Obs(), "mode0/mttkrp")
 		}
 		span(w.Obs(), "solve")
-		dec, err := p.Fence(w, members, 0, 0, loads)
-		if err != nil {
+		if err := p.Fence(w, 0, 0); err != nil {
 			return err
 		}
 		mu.Lock()
-		decs[w.Rank()] = dec
 		if w.Rank() == 0 {
 			rootSnap = p.Snapshot()
 		} else if tagLen == 0 {
@@ -72,20 +58,6 @@ func TestFenceGatherByteAccounting(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// Decision is byte-identical everywhere; the weight alias is nil
-	// because the (unarmed) detector never fires.
-	for r := 1; r < m; r++ {
-		d, d0 := decs[r], decs[0]
-		if d.Suggested != d0.Suggested || d.Fire != d0.Fire ||
-			d.CV != d0.CV || d.LoadCV != d0.LoadCV || d.DurCV != d0.DurCV ||
-			len(d.Weights) != 0 {
-			t.Errorf("rank %d decision %+v != rank 0 %+v", r, d, d0)
-		}
-	}
-	if decs[0].LoadCV != 0 {
-		t.Errorf("uniform loads gave LoadCV %v, want 0", decs[0].LoadCV)
 	}
 
 	// Coordinator table: every rank's phase deltas landed intact.
@@ -109,8 +81,8 @@ func TestFenceGatherByteAccounting(t *testing.T) {
 	}
 
 	// Exact byte accounting. Each non-root rank ships one record sized
-	// by its span pattern; the coordinator replies with one 0-weight
-	// decision per peer. Rank 0's own record never touches the wire.
+	// by its span pattern; the coordinator releases each peer with an
+	// empty message. Rank 0's own record never touches the wire.
 	recordSize := func(r int) int64 {
 		n := recordHeaderSize +
 			phaseWireSize("mode0/mttkrp") + phaseWireSize("solve") +
@@ -120,7 +92,7 @@ func TestFenceGatherByteAccounting(t *testing.T) {
 	var wantBytes int64
 	for r := 1; r < m; r++ {
 		wantBytes += recordSize(r) + int64(tagLen) + 8
-		wantBytes += int64(decisionSize(0)) + int64(dtagLen) + 8
+		wantBytes += int64(dtagLen) + 8
 	}
 	var sentB, recvB, sentM, recvM int64
 	for _, rk := range stats.Ranks {
@@ -147,16 +119,14 @@ func TestFenceAccumulatesAcrossRounds(t *testing.T) {
 	const m = 2
 	c := cluster.NewLocal(m)
 	c.SetRecvTimeout(5 * time.Second)
-	members := identityMembers(m)
-	loads := []float64{50, 50}
 
 	var rootSnap Snapshot
 	_, err := c.Run(func(w *cluster.Worker) error {
-		p := NewPlane(false, w.Obs(), w.Size())
+		p := NewPlane(w.Obs(), w.Size())
 		for step := 0; step < 3; step++ {
 			span(w.Obs(), "mode0/mttkrp")
 			span(w.Obs(), "mode0/mttkrp")
-			if _, err := p.Fence(w, members, 0, step, loads); err != nil {
+			if err := p.Fence(w, 0, step); err != nil {
 				return err
 			}
 		}
@@ -200,15 +170,13 @@ func TestTimelineEpochStamped(t *testing.T) {
 	const m, epoch = 3, 5
 	c := cluster.NewLocal(m)
 	c.SetRecvTimeout(5 * time.Second)
-	members := identityMembers(m)
-	loads := []float64{10, 10, 10}
 
 	var buf bytes.Buffer
 	_, err := c.Run(func(w *cluster.Worker) error {
-		p := NewPlane(false, w.Obs(), w.Size())
+		p := NewPlane(w.Obs(), w.Size())
 		w.Obs().SetEpoch(epoch)
 		span(w.Obs(), "stream/mttkrp")
-		if _, err := p.Fence(w, members, epoch, 0, loads); err != nil {
+		if err := p.Fence(w, epoch, 0); err != nil {
 			return err
 		}
 		if w.Rank() == 0 {
@@ -257,8 +225,6 @@ func TestConcurrentScrape(t *testing.T) {
 	const m, rounds = 3, 40
 	c := cluster.NewLocal(m)
 	c.SetRecvTimeout(10 * time.Second)
-	members := identityMembers(m)
-	loads := []float64{30, 20, 10}
 
 	var planeMu sync.Mutex
 	var rootPlane *Plane
@@ -294,10 +260,6 @@ func TestConcurrentScrape(t *testing.T) {
 				scrapeErr = &tornSnapshotError{lo: lo, hi: hi}
 				return
 			}
-			if snap.Detector.Fired > snap.Detector.Suggested {
-				scrapeErr = &tornSnapshotError{lo: snap.Detector.Fired, hi: snap.Detector.Suggested}
-				return
-			}
 			tl := p.Timeline()
 			for i := 1; i < len(tl); i++ {
 				if tl[i].Start < tl[i-1].Start {
@@ -319,7 +281,7 @@ func TestConcurrentScrape(t *testing.T) {
 	}()
 
 	_, err := c.Run(func(w *cluster.Worker) error {
-		p := NewPlane(false, w.Obs(), w.Size())
+		p := NewPlane(w.Obs(), w.Size())
 		if w.Rank() == 0 {
 			planeMu.Lock()
 			rootPlane = p
@@ -328,7 +290,7 @@ func TestConcurrentScrape(t *testing.T) {
 		}
 		for step := 0; step < rounds; step++ {
 			span(w.Obs(), "mode0/mttkrp")
-			if _, err := p.Fence(w, members, 0, step, loads); err != nil {
+			if err := p.Fence(w, 0, step); err != nil {
 				return err
 			}
 		}

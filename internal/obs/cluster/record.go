@@ -18,18 +18,12 @@ import (
 //	span     u16 nameLen · name · i64 epoch · i32 snapshot ·
 //	         i32 iter · i64 startNs · i64 durNs
 //
-// The decision reply is a fixed header plus the per-member weights:
-//
-//	u8 flags (bit0 suggested · bit1 fire) · f64 cv · f64 loadCV ·
-//	f64 durCV · u32 nWeights · nWeights × f64
-//
 // Every size is exactly computable from the contents, which is what the
 // byte-accounting test asserts against the transport counters.
 const (
-	recordHeaderSize  = 4 + 8 + 4 + 8*3 + 4 + 4
-	phaseEntryFixed   = 2 + 8 + 8
-	spanEntryFixed    = 2 + 8 + 4 + 4 + 8 + 8
-	decisionFixedSize = 1 + 8*3 + 4
+	recordHeaderSize = 4 + 8 + 4 + 8*3 + 4 + 4
+	phaseEntryFixed  = 2 + 8 + 8
+	spanEntryFixed   = 2 + 8 + 4 + 4 + 8 + 8
 )
 
 // phaseWireSize returns one phase delta's encoded size.
@@ -37,9 +31,6 @@ func phaseWireSize(name string) int { return phaseEntryFixed + len(name) }
 
 // spanWireSize returns one span event's encoded size.
 func spanWireSize(name string) int { return spanEntryFixed + len(name) }
-
-// decisionSize returns the decision payload size for n weights.
-func decisionSize(n int) int { return decisionFixedSize + 8*n }
 
 // fenceRecord is one member's report for one fence, in wire order. A
 // rank fills its own from its tracer, the coordinator decodes peers'
@@ -228,80 +219,4 @@ func (r *reporter) collect(tr *obs.Tracer, world int, epoch int64, step int) *fe
 		rec.spans = rec.spans[len(rec.spans)-r.spanCap:]
 	}
 	return rec
-}
-
-// Decision is the coordinator's verdict for one fence, broadcast to
-// every member so all ranks plan the next step identically.
-type Decision struct {
-	// Suggested reports the CV crossed the detector threshold this
-	// fence (whatever the cooldown or arming state).
-	Suggested bool
-	// Fire asks the elastic driver to run a fence-time rebalance: bump
-	// the view epoch and re-partition the next step with Weights.
-	Fire bool
-	// CV is max(LoadCV, DurCV) — the gauge the threshold compares.
-	CV     float64
-	LoadCV float64 // CV of the EWMA'd planned per-rank loads
-	DurCV  float64 // CV of the EWMA'd measured per-rank compute time
-	// Weights are the per-member (view-rank order) cost weights for
-	// partition.WeightedLPT: measured ns per planned nnz, normalised,
-	// snapped to uniform inside the noise band. Aliases detector (or
-	// decode) scratch — copy before keeping past the next Fence.
-	Weights []float64
-}
-
-func encodeDecision(buf []byte, d Decision) {
-	le := binary.LittleEndian
-	var flags byte
-	if d.Suggested {
-		flags |= 1
-	}
-	if d.Fire {
-		flags |= 2
-	}
-	buf[0] = flags
-	le.PutUint64(buf[1:], math.Float64bits(d.CV))
-	le.PutUint64(buf[9:], math.Float64bits(d.LoadCV))
-	le.PutUint64(buf[17:], math.Float64bits(d.DurCV))
-	le.PutUint32(buf[25:], uint32(len(d.Weights)))
-	off := decisionFixedSize
-	for _, w := range d.Weights {
-		le.PutUint64(buf[off:], math.Float64bits(w))
-		off += 8
-	}
-	if off != len(buf) {
-		panic(fmt.Sprintf("obscluster: encoded %d bytes into a %d-byte decision", off, len(buf)))
-	}
-}
-
-// decodeDecision parses a decision payload, appending the weights into
-// *scratch (reset first) so the steady state allocates nothing.
-func decodeDecision(buf []byte, scratch *[]float64) (Decision, error) {
-	if len(buf) < decisionFixedSize {
-		return Decision{}, fmt.Errorf("obscluster: decision payload %d bytes, want >= %d", len(buf), decisionFixedSize)
-	}
-	if buf[0]&^3 != 0 {
-		return Decision{}, fmt.Errorf("obscluster: decision flags %#x", buf[0])
-	}
-	le := binary.LittleEndian
-	d := Decision{
-		Suggested: buf[0]&1 != 0,
-		Fire:      buf[0]&2 != 0,
-		CV:        math.Float64frombits(le.Uint64(buf[1:])),
-		LoadCV:    math.Float64frombits(le.Uint64(buf[9:])),
-		DurCV:     math.Float64frombits(le.Uint64(buf[17:])),
-	}
-	n := int(le.Uint32(buf[25:]))
-	if len(buf) != decisionSize(n) {
-		return Decision{}, fmt.Errorf("obscluster: decision payload %d bytes for %d weights", len(buf), n)
-	}
-	ws := (*scratch)[:0]
-	off := decisionFixedSize
-	for i := 0; i < n; i++ {
-		ws = append(ws, math.Float64frombits(le.Uint64(buf[off:])))
-		off += 8
-	}
-	*scratch = ws
-	d.Weights = ws
-	return d, nil
 }

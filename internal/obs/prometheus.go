@@ -8,8 +8,8 @@ import (
 )
 
 // Prometheus text-exposition export (version 0.0.4), dependency-free.
-// The registry's dot-separated metric names ("elastic.rebalance.fired")
-// become underscore-separated series ("elastic_rebalance_fired");
+// The registry's dot-separated metric names ("elastic.recoveries")
+// become underscore-separated series ("elastic_recoveries");
 // histograms export the standard cumulative le-bucket series plus
 // derived p50/p95/p99 gauges so tail latencies are scrapeable without
 // server-side histogram_quantile.

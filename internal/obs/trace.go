@@ -78,8 +78,7 @@ func (t *Tracer) SetRank(rank int) {
 
 // SetEpoch stamps subsequent spans with the cluster view epoch, so
 // timelines recorded before and after an elastic membership transition
-// (or an imbalance-triggered rebalance) are distinguishable in the
-// exported JSONL.
+// are distinguishable in the exported JSONL.
 func (t *Tracer) SetEpoch(epoch int64) {
 	if t == nil {
 		return

@@ -50,7 +50,7 @@ type ModePlan struct {
 	Parts  int
 	Assign []int32 // Assign[i] is the partition owning slice i
 	Loads  []int64 // Loads[p] is the total nnz assigned to partition p
-	Sorted int     // slices the heuristic sorted: the non-empty ones under MTP and WeightedLPT, none under GTP
+	Sorted int     // slices the heuristic sorted: the non-empty ones under MTP, none under GTP
 }
 
 // loadsFromAssign recomputes the per-partition loads of an assignment.
@@ -115,12 +115,32 @@ func GTP(slices []int64, p int) *ModePlan {
 // MTP implements Algorithm 3: sort the slices by descending nnz, then
 // repeatedly give the heaviest unassigned slice to the partition with
 // the smallest current load (a max-min / LPT greedy) — fewest slices,
-// then lowest index, on a tie. Unlike GTP the resulting partitions are
-// generally non-contiguous. It is WeightedLPT at unit weights.
-func MTP(slices []int64, p int) *ModePlan { return WeightedLPT(slices, nil, p) }
+// then lowest index, on a tie. Zero-nnz slices spread round-robin by
+// slice count (spreadEmpty). Unlike GTP the resulting partitions are
+// generally non-contiguous.
+func MTP(slices []int64, p int) *ModePlan {
+	checkParts(len(slices), p)
+	order, loaded := heaviestFirst(slices)
+	assign := make([]int32, len(slices))
+	loads := make([]int64, p)
+	counts := make([]int, p)
+	for _, i := range order[:loaded] {
+		best := 0
+		for q := 1; q < p; q++ {
+			if loads[q] < loads[best] || (loads[q] == loads[best] && counts[q] < counts[best]) {
+				best = q
+			}
+		}
+		assign[i] = int32(best)
+		loads[best] += slices[i]
+		counts[best]++
+	}
+	spreadEmpty(order[loaded:], assign, counts)
+	return &ModePlan{Parts: p, Assign: assign, Loads: loads, Sorted: loaded}
+}
 
-// heaviestFirst returns the slice indices in the order MTP and
-// WeightedLPT place them — descending nnz, ties by ascending index — and
+// heaviestFirst returns the slice indices in the order MTP places
+// them — descending nnz, ties by ascending index — and
 // how many of them carry load. Only those are sorted: under that order
 // the empty slices are a tail in ascending index order, which is the
 // order a single pass meets them in, so a mode whose complement names a
@@ -245,77 +265,4 @@ func ImbalanceStdDev(loads []int64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss/float64(len(loads))) / mean
-}
-
-// ImbalanceCV is ImbalanceStdDev over float64 loads — the same
-// coefficient-of-variation statistic, arithmetic step for step, so the
-// imbalance detector's fence-time reading of measured per-rank costs is
-// directly comparable to the planning-time partition.modeN.cv gauges.
-// Allocation-free, as the detector runs it every step fence.
-func ImbalanceCV(loads []float64) float64 {
-	if len(loads) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, l := range loads {
-		sum += l
-	}
-	mean := sum / float64(len(loads))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, l := range loads {
-		d := l - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss/float64(len(loads))) / mean
-}
-
-// WeightedLPT partitions one mode's slice histogram onto p partitions
-// whose unit costs differ: partition q processes one nnz in weights[q]
-// time, so its completion time for load L is weights[q]·L. The greedy
-// walks slices by descending nnz and gives each to the partition with
-// the smallest resulting weighted completion — plain LPT (≈ MTP) when
-// the weights are uniform, and a speed-aware plan when they are the
-// measured per-rank costs the imbalance detector broadcasts. Zero-nnz
-// slices spread round-robin by slice count, exactly as in MTP and for
-// the same reason. Weights must be positive and one per partition; nil
-// weights are unit costs, which is MTP.
-func WeightedLPT(slices []int64, weights []float64, p int) *ModePlan {
-	checkParts(len(slices), p)
-	if weights == nil {
-		weights = make([]float64, p)
-		for q := range weights {
-			weights[q] = 1
-		}
-	}
-	if len(weights) != p {
-		panic(fmt.Sprintf("partition: %d weights for %d partitions", len(weights), p))
-	}
-	for q, w := range weights {
-		if !(w > 0) || math.IsInf(w, 1) {
-			panic(fmt.Sprintf("partition: weight[%d] = %v, want positive finite", q, w))
-		}
-	}
-	order, loaded := heaviestFirst(slices)
-	assign := make([]int32, len(slices))
-	loads := make([]int64, p)
-	counts := make([]int, p)
-	for _, i := range order[:loaded] {
-		a := slices[i]
-		best := 0
-		bestCost := weights[0] * float64(loads[0]+a)
-		for q := 1; q < p; q++ {
-			cost := weights[q] * float64(loads[q]+a)
-			if cost < bestCost || (cost == bestCost && counts[q] < counts[best]) {
-				best, bestCost = q, cost
-			}
-		}
-		assign[i] = int32(best)
-		loads[best] += a
-		counts[best]++
-	}
-	spreadEmpty(order[loaded:], assign, counts)
-	return &ModePlan{Parts: p, Assign: assign, Loads: loads, Sorted: loaded}
 }

@@ -9,8 +9,7 @@ import (
 	"dismastd/internal/xrand"
 )
 
-// referenceOrder is the placement order MTP and WeightedLPT used before
-// heaviestFirst: every slice, empty ones included, sorted by descending
+// referenceOrder is the placement order MTP used before heaviestFirst: every slice, empty ones included, sorted by descending
 // nnz then ascending index.
 func referenceOrder(slices []int64) []int {
 	order := make([]int, len(slices))
@@ -33,8 +32,8 @@ type partLoad struct {
 }
 
 // loadHeap is a min-heap by load, then by slice count, then by part
-// index: Algorithm 3's "lightest partition" as the heap MTP ran on
-// before it became WeightedLPT at unit weights.
+// index: Algorithm 3's "lightest partition" as the heap MTP once ran
+// on.
 type loadHeap []partLoad
 
 func (h loadHeap) Len() int { return len(h) }
@@ -90,48 +89,9 @@ func referenceMTP(slices []int64, p int) *ModePlan {
 	return &ModePlan{Parts: p, Assign: assign, Loads: loadsFromAssign(slices, assign, p)}
 }
 
-// referenceWeightedLPT is the weighted greedy over referenceOrder.
-func referenceWeightedLPT(slices []int64, weights []float64, p int) *ModePlan {
-	order := referenceOrder(slices)
-	assign := make([]int32, len(slices))
-	loads := make([]int64, p)
-	counts := make([]int, p)
-	zeroFrom := len(order)
-	for pos, i := range order {
-		a := slices[i]
-		if a == 0 {
-			zeroFrom = pos
-			break
-		}
-		best := 0
-		bestCost := weights[0] * float64(loads[0]+a)
-		for q := 1; q < p; q++ {
-			cost := weights[q] * float64(loads[q]+a)
-			if cost < bestCost || (cost == bestCost && counts[q] < counts[best]) {
-				best, bestCost = q, cost
-			}
-		}
-		assign[i] = int32(best)
-		loads[best] += a
-		counts[best]++
-	}
-	for _, i := range order[zeroFrom:] {
-		min := 0
-		for q := 1; q < p; q++ {
-			if counts[q] < counts[min] {
-				min = q
-			}
-		}
-		assign[i] = int32(min)
-		counts[min]++
-	}
-	return &ModePlan{Parts: p, Assign: assign, Loads: loads}
-}
-
-// TestSortingOnlyLoadedSlicesChangesNoPlan pins MTP and WeightedLPT to
-// the all-slices sort they replaced — and MTP to the heap it ran on —
-// over histograms shaped like the
-// ones that matter: mostly empty, heavily tied, every length down to 1.
+// TestSortingOnlyLoadedSlicesChangesNoPlan pins MTP to the all-slices
+// sort and the heap it replaced over histograms shaped like the ones
+// that matter: mostly empty, heavily tied, every length down to 1.
 func TestSortingOnlyLoadedSlicesChangesNoPlan(t *testing.T) {
 	src := xrand.New(20251005)
 	for trial := 0; trial < 500; trial++ {
@@ -160,21 +120,6 @@ func TestSortingOnlyLoadedSlicesChangesNoPlan(t *testing.T) {
 		}
 		if got.Sorted != loaded {
 			t.Fatalf("trial %d: MTP sorted %d slices, %d carry load", trial, got.Sorted, loaded)
-		}
-
-		weights := make([]float64, p)
-		for q := range weights {
-			weights[q] = 0.25 + 4*src.Float64()
-			if trial%2 == 0 {
-				weights[q] = 1 // uniform weights tie on cost and fall to the count rule
-			}
-		}
-		got, want = WeightedLPT(slices, weights, p), referenceWeightedLPT(slices, weights, p)
-		if !reflect.DeepEqual(got.Assign, want.Assign) || !reflect.DeepEqual(got.Loads, want.Loads) {
-			t.Fatalf("trial %d (n=%d zeros=%d%% p=%d): WeightedLPT differs from the all-slices sort", trial, n, zeroPct, p)
-		}
-		if got.Sorted != loaded {
-			t.Fatalf("trial %d: WeightedLPT sorted %d slices, %d carry load", trial, got.Sorted, loaded)
 		}
 	}
 }
