@@ -49,9 +49,12 @@ race:
 # The portable order-3 MTTKRP loop. amd64 builds run the SSE2 kernel in
 # internal/layout, so the purego tag holds the Go loop to the COO oracle
 # and the goldens here, and an arm64 vet checks that the non-amd64 file
-# set compiles.
+# set compiles. The event path runs the same row kernel, so its tests
+# run under the tag too: TestEventScriptPinned's hashes hold the
+# portable loop on /ingest's row updates.
 portable:
 	$(GO) test -tags purego ./internal/layout/... ./internal/mttkrp/... ./internal/goldens/...
+	$(GO) test -tags purego -run 'Event|Updater|Delta' . ./internal/dtd/...
 	GOARCH=arm64 $(GO) vet ./internal/layout/...
 
 # The recovery tests of the stream driver and the worker binary —

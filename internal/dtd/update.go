@@ -14,10 +14,13 @@ import (
 // an append-only pending region (layout.Delta) and each micro-batch
 // re-solves only the factor rows the batch touched, using the same
 // Eq. (5) row update the whole-sweep driver applies — numerator from an
-// exact per-row MTTKRP over the pending region, denominators from
-// incrementally maintained Gram blocks. Everything else is left alone,
-// so the cost of a batch is O(batch · order · pending-row-nnz · R²)
-// plus one R³ Cholesky per mode, independent of the tensor size.
+// exact per-row MTTKRP over the pending region (on an order-3 region,
+// the compiled layout's row kernel), denominators from incrementally
+// maintained Gram blocks, each row solved in place. Everything else is
+// left alone, so a batch costs, per mode, two R×R Cholesky
+// factorisations and, per touched row, O(pending-row-nnz · R) for the
+// numerator plus O(R²) for the solve and the Gram folds — independent
+// of the tensor size.
 //
 // The updater is anchored at the state of the last full sweep: tilde
 // holds the anchor factors, anchorDims the anchor region, and the
@@ -54,10 +57,9 @@ type Updater struct {
 
 	ws *mat.Workspace
 	denoms
-	l0, l1      *mat.Dense // Cholesky factors of d0, d1
-	numBuf      *mat.Dense // 1×R numerator / in-place solution
-	tmp, oldRow []float64
-	touched     []int32
+	l0, l1  *mat.Dense // Cholesky factors of d0, d1
+	oldRow  []float64
+	touched []int32
 
 	rowsTouched int64
 }
@@ -84,8 +86,6 @@ func NewUpdater(st *State, o Options) (*Updater, error) {
 		denoms: newDenoms(r),
 		l0:     mat.New(r, r),
 		l1:     mat.New(r, r),
-		numBuf: mat.New(1, r),
-		tmp:    make([]float64, r),
 		oldRow: make([]float64, r),
 		delta:  layout.NewDelta(st.Dims),
 	}
@@ -228,37 +228,35 @@ func (u *Updater) Apply(coords []int32, vals []float64) {
 }
 
 // updateMode re-solves the touched rows of one mode with the Eq. (5)
-// row update, then folds each new row into the mode's Gram blocks.
+// row update, then folds each new row into the mode's Gram blocks. A
+// row's numerator is built in the factor row itself (AccumulateRow
+// reads only the other modes' factors) and solved there, once the old
+// row is saved for the Gram downdate.
 func (u *Updater) updateMode(m int) {
 	u.fill(u.gram0, u.gram1, u.cross, m, u.opts.Mu, nil)
 	mat.RidgeCholeskyInto(u.l0, u.d0, u.ws)
 	mat.RidgeCholeskyInto(u.l1, u.d1, u.ws)
 
-	num := u.numBuf.Row(0)
 	for _, i := range u.touched {
 		u.rowsTouched++
-		for c := range num {
-			num[c] = 0
-		}
-		u.delta.AccumulateRow(num, u.live.Factors, m, i, u.tmp)
 		live := u.live.Factors[m].Row(int(i))
 		copy(u.oldRow, live)
+		u.delta.AccumulateRow(live, u.live.Factors, m, i)
 		l := u.l1
 		inAnchor := int(i) < u.anchorDims[m]
 		if inAnchor {
-			// num += μ · ã_i · hprod (the history term of A^(0)'s rule).
+			// live += μ · ã_i · hprod (the history term of A^(0)'s rule).
 			trow := u.tilde[m].Row(int(i))
 			for s, ts := range trow {
 				hrow := u.hprod.Row(s)
 				w := u.opts.Mu * ts
-				for c := range num {
-					num[c] += w * hrow[c]
+				for c := range live {
+					live[c] += w * hrow[c]
 				}
 			}
 			l = u.l0
 		}
-		mat.SolveRightFactoredRange(u.numBuf, u.numBuf, l, 0, 1, u.ws)
-		copy(live, num)
+		solveRow(l, live)
 		if inAnchor {
 			addOuter(u.gram0[m], live, live, 1)
 			addOuter(u.gram0[m], u.oldRow, u.oldRow, -1)
@@ -274,6 +272,40 @@ func (u *Updater) updateMode(m int) {
 			addOuter(u.gram1[m], live, live, 1)
 			addOuter(u.gram1[m], u.oldRow, u.oldRow, -1)
 		}
+	}
+}
+
+// solveRow solves x·LLᵀ = b in place for one row b = x of length R,
+// given the lower-triangular L: the row as one right-hand-side column,
+// with mat.CholeskySolveColumns' exact operation order — forward then
+// backward substitution, zero entries of L skipped, each unknown
+// multiplied by 1/lᵢᵢ — so the bits equal mat.SolveRightFactoredRange's
+// without its workspace transpose.
+func solveRow(l *mat.Dense, x []float64) {
+	n := len(x)
+	ld := l.Data[:n*n]
+	for i := 0; i < n; i++ {
+		s := x[i]
+		for k, lik := range ld[i*n : i*n+i] {
+			if lik == 0 {
+				continue
+			}
+			s -= lik * x[k]
+		}
+		inv := 1 / ld[i*n+i]
+		x[i] = s * inv
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for k := i + 1; k < n; k++ {
+			lki := ld[k*n+i]
+			if lki == 0 {
+				continue
+			}
+			s -= lki * x[k]
+		}
+		inv := 1 / ld[i*n+i]
+		x[i] = s * inv
 	}
 }
 

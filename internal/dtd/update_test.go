@@ -316,3 +316,92 @@ func TestUpdaterApplyNoAllocWarm(t *testing.T) {
 		t.Fatalf("warmed Apply allocates %v per run", allocs)
 	}
 }
+
+// TestSolveRowMatchesFactoredRange holds the Updater's in-place row
+// solve to mat.SolveRightFactoredRange, the transpose-through-workspace
+// route it replaced, bit for bit: R in {1, 2, 10, 17}, factors from
+// mat.RidgeCholeskyInto of random SPD matrices — dense ones,
+// block-diagonal ones (whose factors hold exact zeros below the
+// diagonal, which both solves skip) and rank-deficient ones (which take
+// the ridge).
+func TestSolveRowMatchesFactoredRange(t *testing.T) {
+	src := xrand.New(31)
+	ws := mat.NewWorkspace()
+	zeros := 0
+	for _, r := range []int{1, 2, 10, 17} {
+		for trial := 0; trial < 60; trial++ {
+			rows := r + 2
+			if trial%3 == 2 {
+				rows = max(1, r/2) // rank-deficient Gram: the ridge path
+			}
+			d := mat.New(r, r)
+			mat.GramInto(d, mat.RandomGaussian(rows, r, src))
+			if trial%3 == 1 {
+				blk := 1 + trial%4
+				for i := 0; i < r; i++ {
+					for j := 0; j < r; j++ {
+						if i/blk != j/blk {
+							d.Set(i, j, 0)
+						}
+					}
+				}
+			}
+			l := mat.New(r, r)
+			mat.RidgeCholeskyInto(l, d, ws)
+			for i := 0; i < r; i++ {
+				for j := 0; j < i; j++ {
+					if l.At(i, j) == 0 {
+						zeros++
+					}
+				}
+			}
+			want := mat.RandomGaussian(1, r, src)
+			got := want.Clone()
+			mat.SolveRightFactoredRange(want, want, l, 0, 1, ws)
+			solveRow(l, got.Row(0))
+			for c := range got.Data {
+				if math.Float64bits(got.Data[c]) != math.Float64bits(want.Data[c]) {
+					t.Fatalf("R %d trial %d col %d: in-place solve %v, SolveRightFactoredRange %v", r, trial, c, got.Data[c], want.Data[c])
+				}
+			}
+		}
+	}
+	if zeros == 0 {
+		t.Fatal("no factor held a zero below its diagonal; the skip is untested")
+	}
+}
+
+// BenchmarkSolveRow times one R = 10 row solve three ways: in place, as
+// the Updater runs it; through mat.CholeskySolveColumns on the row as a
+// one-column block of stride 1, the same operations without the
+// dedicated loop; and through SolveRightFactoredRange's workspace
+// transpose, as the Updater ran it before.
+func BenchmarkSolveRow(b *testing.B) {
+	const r = 10
+	src := xrand.New(5)
+	d := mat.New(r, r)
+	mat.GramInto(d, mat.RandomGaussian(2*r, r, src))
+	ws := mat.NewWorkspace()
+	l := mat.New(r, r)
+	mat.RidgeCholeskyInto(l, d, ws)
+	rhs := mat.RandomGaussian(1, r, src)
+	x := mat.New(1, r)
+	b.Run("in_place", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(x.Data, rhs.Data)
+			solveRow(l, x.Data)
+		}
+	})
+	b.Run("columns_stride1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(x.Data, rhs.Data)
+			mat.CholeskySolveColumns(l, x.Data, 1, 0, 1)
+		}
+	})
+	b.Run("factored_range", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(x.Data, rhs.Data)
+			mat.SolveRightFactoredRange(x, x, l, 0, 1, ws)
+		}
+	})
+}

@@ -185,6 +185,18 @@ func (l *ModeLayout) AccumulateGroups(dst *mat.Dense, factors []*mat.Dense, g0, 
 	}
 }
 
+// accumulateGroups3 is the order-3 fast path of AccumulateGroups: each
+// group's positions run through the shared row kernel accumulateRow3,
+// once per group, with acc as its scratch.
+func (l *ModeLayout) accumulateGroups3(dst *mat.Dense, factors []*mat.Dense, g0, g1 int, acc []float64) {
+	a, b := l.others3(dst, factors, len(acc))
+	ca, cb, vals := l.Coords[a], l.Coords[b], l.Vals
+	for g := g0; g < g1; g++ {
+		p, p1 := l.RowStarts[g], l.RowStarts[g+1]
+		accumulateRow3(dst.Row(int(l.Rows[g])), acc, factors[a], factors[b], vals[p:p1], ca[p:p1], cb[p:p1])
+	}
+}
+
 // others3 returns the two non-target modes of an order-3 layout, the
 // lead a first, and panics unless dst is the layout's mode-size × r
 // output and factors[a], factors[b] have their mode's rows of exactly r

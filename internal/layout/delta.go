@@ -2,6 +2,7 @@ package layout
 
 import (
 	"fmt"
+	"slices"
 
 	"dismastd/internal/mat"
 )
@@ -14,7 +15,8 @@ import (
 // it arrives instead of recompiling the whole region on every small
 // delta. The event-granularity ingestion path appends every incoming
 // event here and asks for exact per-row MTTKRP contributions over the
-// pending region (AccumulateRow); the periodic full sweep still goes
+// pending region (AccumulateRow), which on an order-3 region run the
+// compiled layout's own row kernel; the periodic full sweep still goes
 // through Compile, which remains the representation of record for
 // whole-region kernels.
 //
@@ -24,14 +26,22 @@ import (
 // next[m][e] the entry appended before e in the same row, so walking a
 // row visits its entries newest-first. The walk order is fixed by
 // arrival order alone, which keeps the accumulation deterministic for
-// a given event sequence. Reset keeps every backing array, so a warmed
-// Delta appends and accumulates without allocating.
+// a given event sequence. Reset keeps every backing array, the row
+// gather scratch included, so a warmed Delta appends and accumulates
+// without allocating.
 type Delta struct {
 	dims   []int
 	vals   []float64
 	coords [][]int32 // coords[m][e]: entry e's mode-m coordinate
 	next   [][]int32 // next[m][e]: previous entry in e's mode-m row, or -1
 	head   [][]int32 // head[m][i]: latest entry of row i, or -1
+
+	// One row's entries gathered newest-first for the order-3 kernel —
+	// value and the two other-mode coordinates — and R-sized scratch
+	// (the portable kernel's accumulator, the generic walk's product).
+	rowVals    []float64
+	rowA, rowB []int32
+	rowScratch []float64
 }
 
 // NewDelta returns an empty incremental layout for a region with the
@@ -139,20 +149,31 @@ func (d *Delta) Entry(e int, buf []int) ([]int, float64) {
 	return buf, d.vals[e]
 }
 
-// AccumulateRow adds the mode-MTTKRP contribution of every pending
-// entry in the given row into acc (length R): for each entry,
-// acc[c] += v · ∏_{k≠mode} factors[k][coord_k][c], the same
-// left-associated ascending-mode product chain as the whole-region
-// kernels. tmp is R-sized scratch. Entries are visited newest-first
-// (the row thread's order), which is fixed for a given event sequence.
-func (d *Delta) AccumulateRow(acc []float64, factors []*mat.Dense, mode int, row int32, tmp []float64) {
-	n := len(d.dims)
+// AccumulateRow writes the mode-MTTKRP contribution of every pending
+// entry in the given row into acc (length R, whatever it held before):
+// acc[c] = Σ_e v · ∏_{k≠mode} factors[k][coord_k][c], each product the
+// left-associated ascending-mode chain of the whole-region kernels,
+// summed from +0 newest-first (the row thread's order, fixed for a
+// given event sequence). factors[mode] is not read, so acc may be a
+// row of it. On an order-3 region the row's entries are gathered into
+// the Delta's scratch and run through accumulateRow3, the compiled
+// layout's row kernel, with the bits of the generic walk other orders
+// take.
+func (d *Delta) AccumulateRow(acc []float64, factors []*mat.Dense, mode int, row int32) {
+	clear(acc)
+	r := len(acc)
+	d.rowScratch = slices.Grow(d.rowScratch[:0], r)[:r]
+	if len(d.dims) == 3 {
+		d.accumulateRow3(acc, factors, mode, row)
+		return
+	}
+	tmp := d.rowScratch
 	for e := d.head[mode][row]; e >= 0; e = d.next[mode][e] {
 		v := d.vals[e]
 		for c := range tmp {
 			tmp[c] = v
 		}
-		for k := 0; k < n; k++ {
+		for k := range d.dims {
 			if k == mode {
 				continue
 			}
@@ -165,4 +186,27 @@ func (d *Delta) AccumulateRow(acc []float64, factors []*mat.Dense, mode int, row
 			acc[c] += tmp[c]
 		}
 	}
+}
+
+// accumulateRow3 is AccumulateRow's order-3 path: it gathers the row's
+// entries newest-first and checks the two read factors' shapes, which
+// the kernel's raw loads rely on, before handing them to the row
+// kernel.
+func (d *Delta) accumulateRow3(acc []float64, factors []*mat.Dense, mode int, row int32) {
+	a, b := 0, 2
+	if mode == 0 {
+		a = 1
+	} else if mode == 2 {
+		b = 1
+	}
+	mustShape("lead factor", factors[a], d.dims[a], len(acc))
+	mustShape("second factor", factors[b], d.dims[b], len(acc))
+	vals, ca, cb := d.rowVals[:0], d.rowA[:0], d.rowB[:0]
+	for e := d.head[mode][row]; e >= 0; e = d.next[mode][e] {
+		vals = append(vals, d.vals[e])
+		ca = append(ca, d.coords[a][e])
+		cb = append(cb, d.coords[b][e])
+	}
+	d.rowVals, d.rowA, d.rowB = vals, ca, cb
+	accumulateRow3(acc, d.rowScratch, factors[a], factors[b], vals, ca, cb)
 }

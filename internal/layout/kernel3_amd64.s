@@ -33,13 +33,13 @@
 	ADDSD acc, X9; \
 	MOVSD X9, off(AX)
 
-// func accumulateRow3(out, fa, fb *float64, stride int, vals *float64, ca, cb *int32, n, w int)
+// func accumulateBlock3(out, fa, fb *float64, stride int, vals *float64, ca, cb *int32, n, w int)
 //
 // Registers: X0–X7 hold columns 0–15 of the row accumulator, two per
 // register; X8 is the entry's value in both lanes; R8/R9 are the factor
 // bases, R10 their row stride in bytes; R11/R12/R13 walk vals, ca and cb;
 // CX counts entries down; DX is the block width w.
-TEXT ·accumulateRow3(SB), NOSPLIT, $0-72
+TEXT ·accumulateBlock3(SB), NOSPLIT, $0-72
 	MOVQ fa+8(FP), R8
 	MOVQ fb+16(FP), R9
 	MOVQ stride+24(FP), R10

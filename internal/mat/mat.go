@@ -60,11 +60,10 @@ func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns row i as a mutable slice view into the matrix.
 func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy of m.
+// Clone returns a deep copy of m. The copy appends m's values to an
+// empty slice, so its storage is not zeroed before it is written.
 func (m *Dense) Clone() *Dense {
-	out := New(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
+	return &Dense{Rows: m.Rows, Cols: m.Cols, Data: append([]float64{}, m.Data[:m.Rows*m.Cols]...)}
 }
 
 // CopyFrom copies src into m. Dimensions must match. m may be src
