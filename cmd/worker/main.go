@@ -37,7 +37,8 @@
 //
 // -serve-http skips files and clusters entirely: one process ingests
 // events over HTTP and answers reconstruction and top-K queries from
-// epoch-swapped factor snapshots (see serve.go).
+// epoch-swapped factor snapshots (see serve.go); -debug-addr serves
+// its runtime metrics and profiles.
 package main
 
 import (
@@ -126,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	seed := fs.Uint64("seed", 1, "initialisation seed")
 	timeout := fs.Duration("timeout", 2*time.Minute, "join and receive timeout")
 	heartbeat := fs.Duration("heartbeat", 0, "peer failure-detection probe interval (0 = off)")
-	debugAddr := fs.String("debug-addr", "", "worker mode: serve /metrics, /debug/state, /debug/timeline and /debug/pprof/ on this address (no auth — bind loopback only; empty = off)")
+	debugAddr := fs.String("debug-addr", "", "worker (with -join) and serve modes: serve /metrics, /debug/state, /debug/timeline and /debug/pprof/ on this address (no auth — bind loopback only; empty = off)")
 	elastic := fs.Bool("elastic", false, "worker mode: absorb rank deaths — the survivors re-run the interrupted step without the dead rank and finish the stream — instead of failing for -resume; enables scripted joins and drains at step fences; over TCP requires -heartbeat")
 	script := fs.String("script", "", "worker mode: membership script as verb:rank:step,... (e.g. kill:1:1,join:3:2), identical on every rank — kill crashes that rank mid-step; join admits that spare and drain retires that member at the step's fence (both need -elastic); the ranks no join names start as members")
 	if err := fs.Parse(args); err != nil {
@@ -150,11 +151,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-serve-http is exclusive with -serve and -join")
 		}
 		// A flag serve mode does not read would be silently ignored.
-		if set["debug-addr"] {
-			return fmt.Errorf("-debug-addr: serve mode has no debug listener (its counters are on /stats)")
-		}
 		reads := map[string]bool{"serve-http": true, "state": true, "sweep-every": true, "drain-timeout": true,
-			"workers": true, "rank": true, "iters": true, "mu": true, "seed": true, "method": true, "solver": true}
+			"workers": true, "rank": true, "iters": true, "mu": true, "seed": true, "method": true, "solver": true,
+			"debug-addr": true}
 		unread := "" // the first in lexical order, as fs.Visit walks them
 		fs.Visit(func(f *flag.Flag) {
 			if unread == "" && !reads[f.Name] {
@@ -173,6 +172,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 				Solver: *solver, SweepEvery: *sweepEvery,
 			},
 			drainTimeout: *drainTimeout,
+			debugAddr:    *debugAddr,
 		}
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -11,19 +11,23 @@
 //	curl 'http://127.0.0.1:8080/stats'
 //
 // Writes (ingest, flush) are serialized on the stream; queries never
-// touch it. Every write publishes a read-only snapshot behind an atomic
-// pointer — epoch-swapped, so any number of concurrent readers score
-// against a consistent model while the next micro-batch lands. A
-// snapshot holds each factor as an immutable spine of row blocks (see
-// snapshot.go): the snapshot after an event batch shares every block
-// with its predecessor except those holding a row the batch named, so
-// publishing costs O(batch · R) plus a spine copy, not O(model); a write
-// that ran a full sweep rebuilds every block. Queries cost what they
-// ask for: /predict reads one row per mode, /topk scores the target
-// mode once and heap-selects k rows instead of sorting all of them. On
-// SIGTERM the listener stops accepting, in-flight requests drain,
-// pending events are flushed, and the final checkpoint is written to
-// -state before the process exits.
+// touch it. Reads score a read-only snapshot behind an atomic pointer —
+// epoch-swapped, so any number of concurrent readers score against a
+// consistent model while the next micro-batch lands. A snapshot is
+// published when someone reads it: a write publishes at once only if a
+// reader has loaded the current snapshot since it was published, and
+// otherwise records which row blocks it changed, so writes nobody reads
+// copy nothing; the first read that finds unpublished writes publishes
+// them all under the writer lock. A snapshot holds each factor as an
+// immutable spine of row blocks (see snapshot.go): it shares every
+// block with its predecessor except those holding a row a write since
+// named, so publishing costs O(changed blocks · R) plus a spine copy,
+// not O(model); after a full sweep it rebuilds every block. Queries
+// cost what they ask for: /predict reads one row per mode, /topk scores
+// the target mode once and heap-selects k rows instead of sorting all
+// of them. On SIGTERM the listener stops accepting, in-flight requests
+// drain, pending events are flushed, and the final checkpoint is
+// written to -state before the process exits.
 package main
 
 import (
@@ -46,6 +50,7 @@ import (
 
 	"dismastd"
 	"dismastd/internal/obs"
+	obscluster "dismastd/internal/obs/cluster"
 )
 
 // serveConfig carries the parsed serve-mode flags.
@@ -54,35 +59,41 @@ type serveConfig struct {
 	statePath    string // resumed at start if present, written on shutdown
 	opts         dismastd.Options
 	drainTimeout time.Duration
+	debugAddr    string // serves the process's /metrics and /debug/ endpoints; empty = off
 
 	ready chan<- net.Addr // tests: receives the bound address once listening
 }
 
 // factorSnapshot is one epoch's published read-only model, swapped in
-// atomically after every write. Readers load the pointer once and score
-// against a consistent model for the whole request. Its row blocks are
-// shared with neighbouring epochs wherever the rows are equal and are
-// never written once published; only the writer, under serveServer.mu,
-// builds the next one.
+// atomically. Readers load the pointer once and score against a
+// consistent model for the whole request. Its row blocks are shared
+// with neighbouring epochs wherever the rows are equal and are never
+// written once published; only a holder of serveServer.mu builds the
+// next one.
 type factorSnapshot struct {
-	epoch   int64
+	epoch   int64 // the last write it includes
 	dims    []int
 	factors []*blockFactor
 	sweeps  int // full-sweep boundaries behind this model
 	pending int // events awaiting the next sweep when published
+
+	read atomic.Bool // a reader has loaded it: the next write publishes at once
 }
 
 // serveServer is the HTTP front end: a write-locked stream plus the
 // epoch-swapped snapshot the read paths serve from.
 type serveServer struct {
-	mu     sync.Mutex // serializes stream writes (ingest, flush, save)
+	mu     sync.Mutex // serializes stream writes (ingest, flush, save) and publishes
 	stream *dismastd.Stream
 	snap   atomic.Pointer[factorSnapshot]
-	epoch  atomic.Int64
-	// unpublished is set when a write failed after it may have changed
-	// factor rows; the next publish then rebuilds every block. Guarded
-	// by mu.
-	unpublished bool
+	// epoch numbers the writes that changed the model: a snapshot of
+	// epoch e holds every write up to e. Only a holder of mu stores it,
+	// and a write that publishes stores its snapshot first.
+	epoch atomic.Int64
+	// dirty records what the writes since the last publish changed; a
+	// write that failed after it may have changed factor rows marks
+	// everything. Guarded by mu.
+	dirty dirtyBlocks
 
 	events  atomic.Int64
 	queries atomic.Int64
@@ -91,31 +102,48 @@ type serveServer struct {
 
 func newServeServer(stream *dismastd.Stream, log *slog.Logger) *serveServer {
 	s := &serveServer{stream: stream, log: log}
-	s.publishLocked(nil, true) // a resumed stream has a model to serve immediately
+	s.wroteLocked(nil, true) // a resumed stream has a model to serve immediately
 	return s
 }
 
-// publishLocked swaps in the snapshot of the live factors that follows
-// a write. batch is what the write applied since the previous publish:
-// an IngestEvents call that did not sweep changes only the rows its own
-// coordinates name (and appends growth rows), so only their blocks are
-// copied and the rest are shared with the previous snapshot. swept
-// marks a write that ran a full sweep, which moves every row: all
-// blocks are rebuilt. Callers must hold s.mu. Before the first data it
-// is a no-op — queries answer 503 until the first flush initialises the
-// model.
-func (s *serveServer) publishLocked(batch []dismastd.Event, swept bool) {
-	factors := s.stream.Factors()
-	if factors == nil {
+// wroteLocked records a write that changed the model. batch is what an
+// IngestEvents call that did not sweep applied: it changes only the
+// rows its own coordinates name (and appends growth rows), so only
+// their blocks are marked. swept marks a write that ran a full sweep,
+// which moves every row. The write publishes at once if a reader has
+// loaded the current snapshot — readers then stay lock-free, also while
+// the next sweep holds the lock — and otherwise only advances the epoch,
+// leaving the publish to the first read that wants it. Callers must
+// hold s.mu. Before the first data it is a no-op — queries answer 503
+// until the first flush initialises the model.
+func (s *serveServer) wroteLocked(batch []dismastd.Event, swept bool) {
+	if s.stream.Factors() == nil {
 		return
 	}
+	if swept {
+		s.dirty.all = true
+	} else {
+		s.dirty.mark(batch, s.stream.Dims())
+	}
+	if cur := s.snap.Load(); cur != nil && cur.read.Load() {
+		s.publishLocked(s.epoch.Load() + 1)
+		return
+	}
+	s.epoch.Add(1)
+}
+
+// publishLocked swaps in the snapshot of the live factors at epoch,
+// copying only the blocks the writes since the previous publish marked
+// and sharing the rest with it, then advances s.epoch to epoch.
+// Callers must hold s.mu.
+func (s *serveServer) publishLocked(epoch int64) {
+	factors := s.stream.Factors()
 	prev := s.snap.Load()
-	if swept || s.unpublished {
+	if s.dirty.all {
 		prev = nil
 	}
-	s.unpublished = false
 	snap := &factorSnapshot{
-		epoch:   s.epoch.Add(1),
+		epoch:   epoch,
 		dims:    append([]int(nil), s.stream.Dims()...),
 		factors: make([]*blockFactor, len(factors)),
 		sweeps:  s.stream.Snapshots(),
@@ -126,9 +154,34 @@ func (s *serveServer) publishLocked(batch []dismastd.Event, swept bool) {
 		if prev != nil {
 			old = prev.factors[m]
 		}
-		snap.factors[m], _ = publishFactor(old, f, batch, m)
+		snap.factors[m], _ = publishFactor(old, f, s.dirty.mode(m))
 	}
+	s.dirty.reset()
 	s.snap.Store(snap)
+	s.epoch.Store(epoch)
+}
+
+// current returns the snapshot a read answers from, nil before the
+// first model: one that holds every write whose response has returned.
+// A read that finds writes unpublished takes the writer lock and
+// publishes them all. The epoch is loaded before the snapshot, so a
+// snapshot that is not stale against it holds every write acknowledged
+// by then.
+func (s *serveServer) current() *factorSnapshot {
+	epoch := s.epoch.Load()
+	snap := s.snap.Load()
+	if epoch > 0 && (snap == nil || snap.epoch < epoch) {
+		s.mu.Lock()
+		if snap = s.snap.Load(); snap == nil || snap.epoch < s.epoch.Load() {
+			s.publishLocked(s.epoch.Load())
+			snap = s.snap.Load()
+		}
+		s.mu.Unlock()
+	}
+	if snap != nil && !snap.read.Load() {
+		snap.read.Store(true)
+	}
+	return snap
 }
 
 func (s *serveServer) mux() *http.ServeMux {
@@ -180,7 +233,7 @@ func (s *serveServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	rep, err := s.stream.IngestEvents(events)
 	if err != nil {
-		s.unpublished = true
+		s.dirty.all = true
 		s.mu.Unlock()
 		code := http.StatusBadRequest
 		if errors.Is(err, dismastd.ErrGrowthTooLarge) {
@@ -189,7 +242,7 @@ func (s *serveServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
-	s.publishLocked(events, rep.Sweep != nil)
+	s.wroteLocked(events, rep.Sweep != nil)
 	resp := ingestResponse{
 		Events:      rep.Events,
 		RowsUpdated: rep.RowsUpdated,
@@ -215,12 +268,14 @@ func (s *serveServer) handleFlush(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	rep, err := s.stream.Flush()
 	if err != nil {
-		s.unpublished = true
+		s.dirty.all = true
 		s.mu.Unlock()
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	s.publishLocked(nil, rep != nil)
+	if rep != nil {
+		s.wroteLocked(nil, true)
+	}
 	epoch := s.epoch.Load()
 	s.mu.Unlock()
 	out := map[string]any{"swept": rep != nil, "epoch": epoch}
@@ -233,7 +288,7 @@ func (s *serveServer) handleFlush(w http.ResponseWriter, r *http.Request) {
 
 // loadSnapshot answers 503 until the first model exists.
 func (s *serveServer) loadSnapshot(w http.ResponseWriter) *factorSnapshot {
-	snap := s.snap.Load()
+	snap := s.current()
 	if snap == nil {
 		http.Error(w, "no model yet: ingest events and flush first", http.StatusServiceUnavailable)
 	}
@@ -310,7 +365,7 @@ func (s *serveServer) handleStats(w http.ResponseWriter, r *http.Request) {
 		"queries": s.queries.Load(),
 		"epoch":   s.epoch.Load(),
 	}
-	if snap := s.snap.Load(); snap != nil {
+	if snap := s.current(); snap != nil {
 		out["dims"] = snap.dims
 		out["sweeps"] = snap.sweeps
 		out["pending"] = snap.pending
@@ -359,6 +414,16 @@ func runServe(cfg serveConfig, stdout, stderr io.Writer, sig <-chan os.Signal) e
 			}
 			logger.Info("resumed model", "path", cfg.statePath, "dims", fmt.Sprint(stream.Dims()), "sweeps", stream.Snapshots())
 		}
+	}
+	if cfg.debugAddr != "" {
+		// Serve mode has no cluster, so no plane: the endpoints show the
+		// process's runtime and its profiles.
+		dbg, addr, err := startDebugServer(cfg.debugAddr, obs.New(), func() *obscluster.Plane { return nil })
+		if err != nil {
+			return fmt.Errorf("debug listener: %w", err)
+		}
+		defer dbg.Close()
+		logger.Info("debug endpoints serving", "addr", addr.String())
 	}
 	srv := newServeServer(stream, logger)
 	httpSrv, addr, err := startHTTPServer(cfg.addr, srv.mux())

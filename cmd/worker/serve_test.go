@@ -372,8 +372,8 @@ func TestServeGracefulShutdown(t *testing.T) {
 // TestServeArgErrors checks the flag-level mode validation: the other
 // modes are exclusive with serve mode, every flag serve mode does not
 // read is refused rather than ignored, and every option it does read
-// reaches its stream, so a bad one is refused by name before the
-// listener comes up. A build that accepts any of them would serve until
+// reaches its stream or its listeners, so a bad one is refused by name
+// before the listener comes up. A build that accepts any of them would serve until
 // a signal: the deadline turns that into a failure.
 func TestServeArgErrors(t *testing.T) {
 	for _, tc := range []struct {
@@ -382,7 +382,6 @@ func TestServeArgErrors(t *testing.T) {
 	}{
 		{[]string{"-join", "127.0.0.1:9"}, "exclusive"},
 		{[]string{"-serve", "127.0.0.1:9"}, "exclusive"},
-		{[]string{"-debug-addr", "127.0.0.1:0"}, "serve mode has no debug listener"},
 		{[]string{"-tensor", "x.tsv"}, "-tensor is not read in serve mode"},
 		{[]string{"-prev", "p.gob"}, "-prev is not read in serve mode"},
 		{[]string{"-out", "o.gob"}, "-out is not read in serve mode"},
@@ -399,6 +398,7 @@ func TestServeArgErrors(t *testing.T) {
 		{[]string{"-mu", "2"}, "ForgettingFactor"},
 		{[]string{"-sweep-every", "-1"}, "SweepEvery"},
 		{[]string{"-rank", "0"}, "Rank"},
+		{[]string{"-debug-addr", "127.0.0.1:99999"}, "debug listener"},
 	} {
 		done := make(chan error, 1)
 		go func() {
@@ -412,5 +412,41 @@ func TestServeArgErrors(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("serve mode started with %v", tc.flags)
 		}
+	}
+}
+
+// TestServeDebugAddr: serve mode mounts the debug endpoints on
+// -debug-addr — profiles and /metrics answer while it serves — and
+// closes them at shutdown.
+func TestServeDebugAddr(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback networking unavailable: %v", err)
+	}
+	debugAddr := ln.Addr().String()
+	ln.Close()
+	base, sig, done := startServe(t, serveConfig{debugAddr: debugAddr, opts: dismastd.Options{Rank: 2, MaxIters: 2, Seed: 1}})
+	postJSON(t, base+"/ingest", serveEvents(40, 3), nil)
+	for _, path := range []string{"/debug/pprof/cmdline", "/metrics"} {
+		resp, err := http.Get("http://" + debugAddr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		if path == "/metrics" && !strings.Contains(string(body), "runtime_heap_bytes") {
+			t.Fatalf("/metrics lacks the runtime gauges: %s", body)
+		}
+	}
+	sig <- syscall.SIGTERM
+	if err := <-done; err != nil {
+		t.Fatalf("serve shutdown: %v", err)
+	}
+	if resp, err := http.Get("http://" + debugAddr + "/metrics"); err == nil {
+		resp.Body.Close()
+		t.Fatal("debug listener still serving after shutdown")
 	}
 }

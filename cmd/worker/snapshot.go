@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"dismastd"
@@ -29,13 +30,61 @@ func (f *blockFactor) row(i int) []float64 {
 	return f.blocks[i/blockRows][off : off+f.cols]
 }
 
+// dirtyBlocks records which row blocks the writes since the last
+// publish changed: one bit per block of each mode, sized by the model,
+// and an "everything" mark for a write that swept or failed. However
+// many writes go unread, the record stays O(blocks).
+type dirtyBlocks struct {
+	all   bool
+	modes [][]uint64 // bit b of modes[m]: block b of mode m holds a changed row
+}
+
+// mark records the rows events name; dims are the live mode sizes,
+// which every coordinate is inside once the write has applied.
+func (d *dirtyBlocks) mark(events []dismastd.Event, dims []int) {
+	if d.all {
+		return
+	}
+	if d.modes == nil {
+		d.modes = make([][]uint64, len(dims))
+	}
+	for m, n := range dims {
+		if words := ((n+blockRows-1)/blockRows + 63) / 64; len(d.modes[m]) < words {
+			d.modes[m] = append(d.modes[m], make([]uint64, words-len(d.modes[m]))...)
+		}
+	}
+	for i := range events {
+		for m, c := range events[i].Coords {
+			b := c / blockRows
+			d.modes[m][b/64] |= 1 << (b % 64)
+		}
+	}
+}
+
+// mode returns mode m's block bits, nil when no write named the mode.
+func (d *dirtyBlocks) mode(m int) []uint64 {
+	if m < len(d.modes) {
+		return d.modes[m]
+	}
+	return nil
+}
+
+// reset empties the record once a publish has taken it in.
+func (d *dirtyBlocks) reset() {
+	d.all = false
+	for _, words := range d.modes {
+		clear(words)
+	}
+}
+
 // publishFactor returns the snapshot of live that follows prev, and how
 // many blocks it copied. The caller vouches that live differs from prev
-// only in rows batch names in this mode and in rows appended since:
-// exactly those blocks are re-copied — plus, when the mode grew,
+// only in the blocks dirty marks in this mode and in rows appended
+// since: exactly those blocks are re-copied — plus, when the mode grew,
 // everything from the block holding the first new row onward — and all
-// others are shared with prev. A nil prev rebuilds every block.
-func publishFactor(prev *blockFactor, live *mat.Dense, batch []dismastd.Event, mode int) (*blockFactor, int) {
+// others are shared with prev, however many writes the marks gather. A
+// nil prev rebuilds every block.
+func publishFactor(prev *blockFactor, live *mat.Dense, dirty []uint64) (*blockFactor, int) {
 	next := &blockFactor{
 		rows: live.Rows, cols: live.Cols,
 		blocks: make([][]float64, (live.Rows+blockRows-1)/blockRows),
@@ -46,8 +95,10 @@ func publishFactor(prev *blockFactor, live *mat.Dense, batch []dismastd.Event, m
 			shared = prev.rows / blockRows
 		}
 		copy(next.blocks, prev.blocks[:shared])
-		for i := range batch {
-			next.blocks[batch[i].Coords[mode]/blockRows] = nil // stale: copy below
+		for w, word := range dirty {
+			for ; word != 0; word &= word - 1 {
+				next.blocks[w*64+bits.TrailingZeros64(word)] = nil // stale: copy below
+			}
 		}
 	}
 	copied := 0

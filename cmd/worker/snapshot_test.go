@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dismastd"
@@ -23,8 +25,8 @@ import (
 // snapshotOf publishes hand-built factors as a first snapshot.
 func snapshotOf(factors ...*mat.Dense) *factorSnapshot {
 	snap := &factorSnapshot{epoch: 1}
-	for m, f := range factors {
-		bf, _ := publishFactor(nil, f, nil, m)
+	for _, f := range factors {
+		bf, _ := publishFactor(nil, f, nil)
 		snap.factors = append(snap.factors, bf)
 		snap.dims = append(snap.dims, f.Rows)
 	}
@@ -171,7 +173,7 @@ func TestTopKClampsKBeforeSizing(t *testing.T) {
 	for i := range live.Data {
 		live.Data[i] = rng.NormFloat64()
 	}
-	target, _ := publishFactor(nil, live, nil, 0)
+	target, _ := publishFactor(nil, live, nil)
 	weights := []float64{1, -2, 0.5, 3}
 	all := selectTopK(target, weights, target.rows)
 	huge := selectTopK(target, weights, math.MaxInt32)
@@ -198,7 +200,7 @@ func TestTopKAllocationsIndependentOfRows(t *testing.T) {
 		for i := range live.Data {
 			live.Data[i] = rng.Float64()
 		}
-		target, _ := publishFactor(nil, live, nil, 0)
+		target, _ := publishFactor(nil, live, nil)
 		return testing.AllocsPerRun(10, func() { selectTopK(target, weights, 10) })
 	}
 	if small, big := allocs(600), allocs(60000); small != big {
@@ -263,7 +265,7 @@ func TestNonFiniteModelAnswers500(t *testing.T) {
 	}
 }
 
-// TestPublishCopiesOnlyTouchedBlocks is the write path's work guard at
+// TestPublishCopiesOnlyTouchedBlocks is the publish's work guard at
 // the serving benchmark's model size: a 16-event batch re-copies at
 // most 16 blocks per mode however many rows the mode has, and one
 // growth row adds only the tail block.
@@ -274,26 +276,28 @@ func TestPublishCopiesOnlyTouchedBlocks(t *testing.T) {
 	for e := range batch {
 		batch[e].Coords = []int{rng.Intn(dims[0]), rng.Intn(dims[1]), rng.Intn(dims[2])}
 	}
+	var dirty dirtyBlocks
+	dirty.mark(batch, dims)
 	for m, d := range dims {
 		live := mat.New(d, 10)
 		for i := range live.Data {
 			live.Data[i] = float64(i)
 		}
-		prev, all := publishFactor(nil, live, nil, m)
+		prev, all := publishFactor(nil, live, nil)
 		if want := (d + blockRows - 1) / blockRows; all != want {
 			t.Fatalf("mode %d: first publish copied %d blocks, want %d", m, all, want)
 		}
 		for _, ev := range batch {
 			live.Row(ev.Coords[m])[3]++
 		}
-		next, copied := publishFactor(prev, live, batch, m)
+		next, copied := publishFactor(prev, live, dirty.mode(m))
 		if copied == 0 || copied > len(batch) {
 			t.Fatalf("mode %d: a %d-event batch copied %d of %d blocks", m, len(batch), copied, all)
 		}
 		requireSnapshotOf(t, next, live)
 
 		grown := mat.StackRows(live, mat.New(1, 10))
-		_, copied = publishFactor(next, grown, []dismastd.Event{{Coords: []int{d, d, d}}}, m)
+		_, copied = publishFactor(next, grown, nil)
 		if copied != 1 {
 			t.Fatalf("mode %d: one appended row copied %d blocks, want 1", m, copied)
 		}
@@ -330,10 +334,14 @@ func flatten(snap *factorSnapshot) [][]float64 {
 // TestSnapshotsTrackLiveFactors is the model test behind copy-on-write
 // publishing: over a seeded interleaving of /ingest (plain, growing one
 // mode, growing every mode, crossing -sweep-every boundaries) and
-// /flush, every published snapshot is bitwise the live factors, a
-// snapshot is never written after publication, and a non-sweeping batch
-// shares every block it does not name. /topk and /predict readers run
-// throughout, so the race detector checks the sharing.
+// /flush, in runs of one to four writes before the test reads, the
+// snapshot its read is answered from holds the last write's epoch and
+// is bitwise the live factors; no snapshot is written after
+// publication; a block no write since the previous read named is
+// shared with that read's snapshot, whoever published in between; and
+// nothing is shared across a sweep. /topk and /predict readers run
+// throughout, publishing when they find writes unpublished, so the
+// race detector checks the sharing.
 func TestSnapshotsTrackLiveFactors(t *testing.T) {
 	opts := dismastd.Options{Rank: 3, MaxIters: 3, Seed: 5, SweepEvery: 120}
 	srv := quietServer(dismastd.NewStream(opts))
@@ -385,58 +393,77 @@ func TestSnapshotsTrackLiveFactors(t *testing.T) {
 		}
 		return batch
 	}
+	// read is the test's own read: it answers from a snapshot holding
+	// every write so far, publishing it if no reader has.
+	read := func() *factorSnapshot {
+		if code := getJSON(t, ts.URL+"/predict?at=0,0,0", nil); code != http.StatusOK {
+			t.Fatalf("predict status %d", code)
+		}
+		return srv.snap.Load()
+	}
 	first := draw(300)
 	first[0].Coords = []int{dims[0] - 1, dims[1] - 1, dims[2] - 1}
 	postJSON(t, ts.URL+"/ingest", first, nil)
 	postJSON(t, ts.URL+"/flush", nil, nil)
 
-	var sweeps, flushes, growths, sharedBlocks int
-	for step := 0; step < 160; step++ {
-		old := srv.snap.Load()
+	var sweeps, flushes, growths, sharedBlocks, multiWrite int
+	old := read()
+	for step := 0; step < 100; step++ {
 		frozen := flatten(old)
 
-		var batch []eventJSON
+		var named []eventJSON // every event written since old
 		swept := false
-		if op := rng.Intn(10); op == 9 {
-			var rep struct {
-				Swept bool `json:"swept"`
-			}
-			if resp := postJSON(t, ts.URL+"/flush", nil, &rep); resp.StatusCode != http.StatusOK {
-				t.Fatalf("step %d: flush status %d", step, resp.StatusCode)
-			}
-			swept = rep.Swept
-			flushes++
-		} else {
-			batch = draw(1 + rng.Intn(8))
-			switch op {
-			case 7: // grow one mode by one or two rows
-				m := rng.Intn(2)
-				dims[m] += 1 + rng.Intn(2)
-				batch[len(batch)-1].Coords[m] = dims[m] - 1
-			case 8: // grow every mode
-				for m := range dims {
-					dims[m]++
-					batch[0].Coords[m] = dims[m] - 1
+		var epoch int64
+		writes := 1 + rng.Intn(4)
+		for range writes {
+			if op := rng.Intn(10); op == 9 {
+				var rep struct {
+					Swept bool  `json:"swept"`
+					Epoch int64 `json:"epoch"`
 				}
-			}
-			var rep ingestResponse
-			if resp := postJSON(t, ts.URL+"/ingest", batch, &rep); resp.StatusCode != http.StatusOK {
-				t.Fatalf("step %d: ingest status %d", step, resp.StatusCode)
-			}
-			swept = rep.Swept
-			if rep.Grew {
-				growths++
+				if resp := postJSON(t, ts.URL+"/flush", nil, &rep); resp.StatusCode != http.StatusOK {
+					t.Fatalf("step %d: flush status %d", step, resp.StatusCode)
+				}
+				swept = swept || rep.Swept
+				epoch = rep.Epoch
+				flushes++
+			} else {
+				batch := draw(1 + rng.Intn(8))
+				switch op {
+				case 7: // grow one mode by one or two rows
+					m := rng.Intn(2)
+					dims[m] += 1 + rng.Intn(2)
+					batch[len(batch)-1].Coords[m] = dims[m] - 1
+				case 8: // grow every mode
+					for m := range dims {
+						dims[m]++
+						batch[0].Coords[m] = dims[m] - 1
+					}
+				}
+				var rep ingestResponse
+				if resp := postJSON(t, ts.URL+"/ingest", batch, &rep); resp.StatusCode != http.StatusOK {
+					t.Fatalf("step %d: ingest status %d", step, resp.StatusCode)
+				}
+				swept = swept || rep.Swept
+				epoch = rep.Epoch
+				named = append(named, batch...)
+				if rep.Grew {
+					growths++
+				}
 			}
 		}
 		if swept {
 			sweeps++
 		}
+		if writes > 1 {
+			multiWrite++
+		}
 
+		snap := read()
 		srv.mu.Lock()
-		snap := srv.snap.Load()
 		live := srv.stream.Factors()
-		if snap == old || snap.epoch != old.epoch+1 {
-			t.Fatalf("step %d: write did not publish a new epoch", step)
+		if snap.epoch != epoch || snap.epoch != srv.epoch.Load() {
+			t.Fatalf("step %d: read answered from epoch %d, the last write's is %d, the server's %d", step, snap.epoch, epoch, srv.epoch.Load())
 		}
 		if fmt.Sprint(snap.dims) != fmt.Sprint(srv.stream.Dims()) || fmt.Sprint(snap.dims) != fmt.Sprint(dims) {
 			t.Fatalf("step %d: snapshot dims %v, stream %v, sent %v", step, snap.dims, srv.stream.Dims(), dims)
@@ -456,24 +483,288 @@ func TestSnapshotsTrackLiveFactors(t *testing.T) {
 			}
 		}
 		for m, f := range snap.factors {
-			named := map[int]bool{}
-			for _, ev := range batch {
-				named[ev.Coords[m]/blockRows] = true
+			touched := map[int]bool{}
+			for _, ev := range named {
+				touched[ev.Coords[m]/blockRows] = true
 			}
 			for b := 0; b < old.factors[m].rows/blockRows; b++ {
 				same := &f.blocks[b][0] == &old.factors[m].blocks[b][0]
 				switch {
 				case swept && same:
 					t.Fatalf("step %d: mode %d block %d shared across a sweep", step, m, b)
-				case !swept && !named[b] && !same:
-					t.Fatalf("step %d: mode %d block %d copied though the batch does not name it", step, m, b)
+				case !swept && !touched[b] && !same:
+					t.Fatalf("step %d: mode %d block %d copied though no write since the last read names it", step, m, b)
 				case same:
 					sharedBlocks++
 				}
 			}
 		}
+		old = snap
 	}
-	if sweeps < 2 || flushes == 0 || growths < 5 || sharedBlocks == 0 {
-		t.Fatalf("vacuous run: %d sweeps, %d flushes, %d growths, %d shared blocks", sweeps, flushes, growths, sharedBlocks)
+	if sweeps < 2 || flushes == 0 || growths < 5 || sharedBlocks == 0 || multiWrite < 20 {
+		t.Fatalf("vacuous run: %d sweeps, %d flushes, %d growths, %d shared blocks, %d multi-write steps", sweeps, flushes, growths, sharedBlocks, multiWrite)
+	}
+}
+
+// kruskalAt is dismastd.Predict's sum over the rank of the factors'
+// rows at idx, in its operation order.
+func kruskalAt(factors []*mat.Dense, idx []int) float64 {
+	total := 0.0
+	for c := 0; c < factors[0].Cols; c++ {
+		p := 1.0
+		for m, f := range factors {
+			p *= f.Row(idx[m])[c]
+		}
+		total += p
+	}
+	return total
+}
+
+// TestPublicationReadYourWrites runs readers beside one writer: every
+// read that starts after a write's response has returned answers from
+// that write's epoch or a later one, and its scores are bit for bit
+// those of the live factors as of the epoch it names — whether the
+// write published, or the read found it unpublished and published it.
+func TestPublicationReadYourWrites(t *testing.T) {
+	opts := dismastd.Options{Rank: 3, MaxIters: 3, Seed: 8, SweepEvery: 150}
+	srv := quietServer(dismastd.NewStream(opts))
+	ts := httptest.NewServer(srv.mux())
+	defer ts.Close()
+
+	rng := rand.New(rand.NewSource(31))
+	dims := []int{90, 40, 5}
+	draw := func(n int) []eventJSON {
+		batch := make([]eventJSON, n)
+		for e := range batch {
+			batch[e] = eventJSON{Coords: []int{rng.Intn(dims[0]), rng.Intn(dims[1]), rng.Intn(dims[2])}, Value: 1 + 4*rng.Float64()}
+		}
+		return batch
+	}
+	first := draw(200)
+	first[0].Coords = []int{dims[0] - 1, dims[1] - 1, dims[2] - 1}
+	postJSON(t, ts.URL+"/ingest", first, nil)
+	postJSON(t, ts.URL+"/flush", nil, nil)
+
+	// models[e] is the live model as the write of epoch e left it; acked
+	// is the epoch of the last write whose response has returned.
+	var modelsMu sync.Mutex
+	models := map[int64][]*mat.Dense{}
+	var acked atomic.Int64
+	record := func() {
+		srv.mu.Lock()
+		epoch := srv.epoch.Load()
+		var model []*mat.Dense
+		for _, f := range srv.stream.Factors() {
+			model = append(model, f.Clone())
+		}
+		srv.mu.Unlock()
+		modelsMu.Lock()
+		models[epoch] = model
+		modelsMu.Unlock()
+		acked.Store(epoch)
+	}
+	record()
+
+	type observation struct {
+		floor, epoch int64
+		idx          []int
+		value        float64      // /predict
+		results      []topKResult // /topk over mode 0, every row
+		topk         bool
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	var stopOnce sync.Once
+	stopReaders := func() { stopOnce.Do(func() { close(stop); readers.Wait() }) }
+	defer stopReaders()
+	observed := make([][]observation, 3)
+	for r := range observed {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			src := rand.New(rand.NewSource(int64(r)))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ob := observation{floor: acked.Load(), topk: i%2 == 1,
+					idx: []int{src.Intn(90), src.Intn(40), src.Intn(5)}}
+				url := ts.URL + "/predict?at=" + atQuery(ob.idx)
+				if ob.topk {
+					ob.idx[0] = 0
+					url = fmt.Sprintf("%s/topk?mode=0&k=100000&at=_,%d,%d", ts.URL, ob.idx[1], ob.idx[2])
+				}
+				var rep struct {
+					Epoch   int64        `json:"epoch"`
+					Value   float64      `json:"value"`
+					Results []topKResult `json:"results"`
+				}
+				resp, err := http.Get(url)
+				if err != nil {
+					t.Errorf("reader: %v", err)
+					return
+				}
+				err = json.NewDecoder(resp.Body).Decode(&rep)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil {
+					t.Errorf("reader: %s answered %d (%v)", url, resp.StatusCode, err)
+					return
+				}
+				ob.epoch, ob.value, ob.results = rep.Epoch, rep.Value, rep.Results
+				observed[r] = append(observed[r], ob)
+			}
+		}(r)
+	}
+
+	for w := 0; w < 150; w++ {
+		batch := draw(1 + rng.Intn(6))
+		if w%10 == 3 {
+			dims[0]++
+			batch[0].Coords[0] = dims[0] - 1
+		}
+		if resp := postJSON(t, ts.URL+"/ingest", batch, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("write %d: ingest status %d", w, resp.StatusCode)
+		}
+		record()
+	}
+	stopReaders()
+
+	checked := 0
+	for _, obs := range observed {
+		for _, ob := range obs {
+			if ob.epoch < ob.floor {
+				t.Fatalf("read started after the write of epoch %d returned, answered from epoch %d", ob.floor, ob.epoch)
+			}
+			model := models[ob.epoch]
+			if model == nil {
+				t.Fatalf("read answered from epoch %d, which no write produced", ob.epoch)
+			}
+			if ob.topk {
+				want := topKOracle(model, 0, ob.idx, model[0].Rows, ranksBefore)
+				if err := sameResults(ob.results, want); err != nil {
+					t.Fatalf("/topk at epoch %d: %v", ob.epoch, err)
+				}
+			} else if want := kruskalAt(model, ob.idx); math.Float64bits(ob.value) != math.Float64bits(want) {
+				t.Fatalf("/predict%v at epoch %d = %v, that epoch's factors give %v", ob.idx, ob.epoch, ob.value, want)
+			}
+			checked++
+		}
+	}
+	if checked < 50 {
+		t.Fatalf("vacuous run: %d reads checked", checked)
+	}
+}
+
+// TestUnreadWritesPublishNothing: after one read, the next write
+// publishes (its snapshot was read) and the 10 000 /ingest batches
+// after it, growth among them, build no snapshot while nobody reads;
+// what the server keeps for the next publish stays one bit per row
+// block; the first read then publishes the live factors.
+func TestUnreadWritesPublishNothing(t *testing.T) {
+	opts := dismastd.Options{Rank: 2, MaxIters: 2, Seed: 3, SweepEvery: 0}
+	srv := quietServer(dismastd.NewStream(opts))
+	mux := srv.mux()
+	post := func(path string, body []eventJSON) {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(b)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	dims := []int{400, 300, 200}
+	draw := func() []eventJSON {
+		batch := make([]eventJSON, 4)
+		for e := range batch {
+			batch[e] = eventJSON{Coords: []int{rng.Intn(dims[0]), rng.Intn(dims[1]), rng.Intn(dims[2])}, Value: 1 + rng.Float64()}
+		}
+		return batch
+	}
+	warm := draw()
+	warm[0].Coords = []int{dims[0] - 1, dims[1] - 1, dims[2] - 1}
+	post("/ingest", warm)
+	post("/flush", nil)
+	if srv.current() == nil {
+		t.Fatal("no model after the first flush")
+	}
+	post("/ingest", draw())
+	published := srv.snap.Load()
+	if published.epoch != srv.epoch.Load() {
+		t.Fatal("the write after a read did not publish")
+	}
+	for w := 0; w < 10000; w++ {
+		batch := draw()
+		if w%500 == 0 {
+			dims[1]++
+			batch[0].Coords[1] = dims[1] - 1
+		}
+		post("/ingest", batch)
+	}
+	if srv.snap.Load() != published {
+		t.Fatal("writes nobody read built a snapshot")
+	}
+	for m, d := range dims {
+		if got, want := len(srv.dirty.mode(m)), ((d+blockRows-1)/blockRows+63)/64; got != want {
+			t.Fatalf("mode %d: %d words of publication state for %d rows, want %d", m, got, d, want)
+		}
+	}
+
+	snap := srv.current()
+	if snap == published || snap.epoch != srv.epoch.Load() || fmt.Sprint(snap.dims) != fmt.Sprint(dims) {
+		t.Fatalf("the first read published epoch %d dims %v, want epoch %d dims %v", snap.epoch, snap.dims, srv.epoch.Load(), dims)
+	}
+	for m, f := range snap.factors {
+		requireSnapshotOf(t, f, srv.stream.Factors()[m])
+	}
+}
+
+// TestReadSnapshotsPublishEveryWrite: while every snapshot is read, each
+// write — plain, growing, sweeping, flushing — has published its own
+// epoch before its response returns, as it did before publication
+// waited for readers, so a read never needs the writer lock.
+func TestReadSnapshotsPublishEveryWrite(t *testing.T) {
+	opts := dismastd.Options{Rank: 3, MaxIters: 3, Seed: 2, SweepEvery: 60}
+	srv := quietServer(dismastd.NewStream(opts))
+	ts := httptest.NewServer(srv.mux())
+	defer ts.Close()
+	postJSON(t, ts.URL+"/ingest", serveEvents(80, 4), nil) // sweeps: the model exists
+
+	sweeps := 0
+	for w := 0; w < 60; w++ {
+		if code := getJSON(t, ts.URL+"/predict?at=1,1,1", nil); code != http.StatusOK {
+			t.Fatalf("write %d: predict status %d", w, code)
+		}
+		var epoch int64
+		if w%15 == 14 {
+			var rep struct {
+				Epoch int64 `json:"epoch"`
+			}
+			postJSON(t, ts.URL+"/flush", nil, &rep)
+			epoch = rep.Epoch
+			sweeps++
+		} else {
+			batch := serveEvents(5, int64(w))
+			if w%7 == 0 {
+				batch[0].Coords = []int{8 + w/7, 5, 3}
+			}
+			var rep ingestResponse
+			postJSON(t, ts.URL+"/ingest", batch, &rep)
+			epoch = rep.Epoch
+			if rep.Swept {
+				sweeps++
+			}
+		}
+		if snap := srv.snap.Load(); snap == nil || snap.epoch != epoch {
+			t.Fatalf("write %d (epoch %d) returned before publishing", w, epoch)
+		}
+	}
+	if sweeps < 3 {
+		t.Fatalf("vacuous run: %d sweeps", sweeps)
 	}
 }

@@ -102,6 +102,11 @@ func (o *Options) withDefaults() (Options, error) {
 type State struct {
 	Dims    []int
 	Factors []*mat.Dense
+
+	// grams, when set, holds Factors[m]ᵀFactors[m] per mode, bitwise
+	// mat.Gram's: Updater.Anchor carries the Grams it took at Reset so
+	// the next sweep's NewSweep does not take them again.
+	grams []*mat.Dense
 }
 
 // Clone returns a deep copy of the state.

@@ -230,7 +230,11 @@ func NewSweep(prev *State, snapshot *tensor.Tensor, o Options) (*Sweep, error) {
 	gramsTilde := make([]*mat.Dense, n)
 	for m := 0; m < n; m++ {
 		growth[m] = mat.RandomUniform(snapshot.Dims[m]-prev.Dims[m], opts.Rank, src)
-		gramsTilde[m] = mat.Gram(prev.Factors[m])
+		if prev.grams != nil {
+			gramsTilde[m] = prev.grams[m]
+		} else {
+			gramsTilde[m] = mat.Gram(prev.Factors[m])
+		}
 	}
 	sp.End()
 	return &Sweep{step: step{

@@ -43,6 +43,7 @@ type Updater struct {
 	live       *State
 	anchorDims []int
 	tilde      []*mat.Dense // anchor factors Ã_n (cloned at Reset)
+	tildeGram  []*mat.Dense // Ã_nᵀÃ_n, taken at Reset; handed on by Anchor
 	gram0      []*mat.Dense // A_n^(0)ᵀ A_n^(0), maintained per row
 	gram1      []*mat.Dense // A_n^(1)ᵀ A_n^(1), maintained per row
 	cross      []*mat.Dense // Ã_nᵀ A_n^(0), maintained per row
@@ -75,21 +76,23 @@ func NewUpdater(st *State, o Options) (*Updater, error) {
 	r := opts.Rank
 	n := len(st.Dims)
 	u := &Updater{
-		opts:   opts,
-		tilde:  make([]*mat.Dense, n),
-		gram0:  make([]*mat.Dense, n),
-		gram1:  make([]*mat.Dense, n),
-		cross:  make([]*mat.Dense, n),
-		grown:  make([]*mat.Dense, n),
-		src:    xrand.New(opts.Seed),
-		ws:     mat.NewWorkspace(),
-		denoms: newDenoms(r),
-		l0:     mat.New(r, r),
-		l1:     mat.New(r, r),
-		oldRow: make([]float64, r),
-		delta:  layout.NewDelta(st.Dims),
+		opts:      opts,
+		tilde:     make([]*mat.Dense, n),
+		tildeGram: make([]*mat.Dense, n),
+		gram0:     make([]*mat.Dense, n),
+		gram1:     make([]*mat.Dense, n),
+		cross:     make([]*mat.Dense, n),
+		grown:     make([]*mat.Dense, n),
+		src:       xrand.New(opts.Seed),
+		ws:        mat.NewWorkspace(),
+		denoms:    newDenoms(r),
+		l0:        mat.New(r, r),
+		l1:        mat.New(r, r),
+		oldRow:    make([]float64, r),
+		delta:     layout.NewDelta(st.Dims),
 	}
 	for m := 0; m < n; m++ {
+		u.tildeGram[m] = mat.New(r, r)
 		u.gram0[m] = mat.New(r, r)
 		u.gram1[m] = mat.New(r, r)
 		u.cross[m] = mat.New(r, r)
@@ -118,6 +121,7 @@ func (u *Updater) Reset(st *State) {
 			u.grown[m] = nil // replaced by the sweep: let the old storage go
 		}
 		mat.GramInto(u.gram0[m], f)
+		u.tildeGram[m].CopyFrom(u.gram0[m])
 		u.gram1[m].Zero()
 		u.cross[m].CopyFrom(u.gram0[m])
 	}
@@ -189,9 +193,11 @@ func (u *Updater) Pending() int { return u.delta.NNZ() }
 
 // Anchor returns the state of the last full sweep — the prev argument
 // the drift-backstop sweep steps from. The factors are the updater's
-// own anchor copies; treat the result as read-only.
+// own anchor copies, and their Grams, taken at Reset, ride along so
+// NewSweep need not recompute them; treat the result as read-only and
+// as valid until the next Reset.
 func (u *Updater) Anchor() *State {
-	return &State{Dims: append([]int(nil), u.anchorDims...), Factors: u.tilde}
+	return &State{Dims: append([]int(nil), u.anchorDims...), Factors: u.tilde, grams: u.tildeGram}
 }
 
 // RowsTouched returns the number of row solves performed since the

@@ -405,3 +405,49 @@ func BenchmarkSolveRow(b *testing.B) {
 		}
 	})
 }
+
+// TestAnchorStepMatchesPlainState: Anchor hands the next sweep the Grams
+// Reset took, and a step from it is bit for bit a step from a plain
+// State holding the same factors — in the factors and in the loss
+// trace — before and after a Reset onto grown factors.
+func TestAnchorStepMatchesPlainState(t *testing.T) {
+	opts := Options{Rank: 3, MaxIters: 6, Seed: 9}
+	u, st := anchoredUpdater(t, []int{6, 5, 4}, opts)
+	dims := []int{6, 5, 4}
+	for round := 0; round < 2; round++ {
+		coords, vals := eventStream(dims, 10, uint64(20+round))
+		u.Apply(coords, vals)
+		dims = []int{dims[0] + 2, dims[1], dims[2] + 1}
+		if err := u.Grow(dims); err != nil {
+			t.Fatal(err)
+		}
+
+		anchor := u.Anchor()
+		plain := &State{Dims: append([]int(nil), anchor.Dims...)}
+		for m, f := range anchor.Factors {
+			if anchor.grams == nil || !sameBits(anchor.grams[m].Data, mat.Gram(f).Data) {
+				t.Fatalf("round %d mode %d: Anchor carries no Gram, or not mat.Gram's bits", round, m)
+			}
+			plain.Factors = append(plain.Factors, f.Clone())
+		}
+		snap := sparseRandom(dims, 80, uint64(30+round))
+		got, gotStats, err := Step(anchor, snap, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantStats, err := Step(plain, snap, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := range want.Factors {
+			if !sameBits(got.Factors[m].Data, want.Factors[m].Data) {
+				t.Fatalf("round %d mode %d: a step from Anchor differs from a step from a plain State", round, m)
+			}
+		}
+		if !sameBits(gotStats.LossTrace, wantStats.LossTrace) {
+			t.Fatalf("round %d: loss trace %v from Anchor, %v from a plain State", round, gotStats.LossTrace, wantStats.LossTrace)
+		}
+		st = got
+		u.Reset(st)
+	}
+}
