@@ -42,7 +42,7 @@ type Updater struct {
 	opts       Options
 	live       *State
 	anchorDims []int
-	tilde      []*mat.Dense // anchor factors Ã_n (cloned at Reset)
+	tilde      []*mat.Dense // anchor factors Ã_n (copied at Reset)
 	tildeGram  []*mat.Dense // Ã_nᵀÃ_n, taken at Reset; handed on by Anchor
 	gram0      []*mat.Dense // A_n^(0)ᵀ A_n^(0), maintained per row
 	gram1      []*mat.Dense // A_n^(1)ᵀ A_n^(1), maintained per row
@@ -112,10 +112,15 @@ func (u *Updater) Reset(st *State) {
 	u.live = st
 	u.anchorDims = append(u.anchorDims[:0], st.Dims...)
 	for m, f := range st.Factors {
-		if u.tilde[m] != nil && u.tilde[m].Rows == f.Rows {
-			u.tilde[m].CopyFrom(f)
+		// The anchor copy keeps its storage across boundaries: a mode that
+		// grew since the last one fits the eighth of spare rows the copy
+		// was allocated with, so a growing stream does not allocate the
+		// whole factor at every sweep.
+		data := f.Data[:f.Rows*f.Cols]
+		if t := u.tilde[m]; t != nil && cap(t.Data) >= len(data) {
+			t.Rows, t.Cols, t.Data = f.Rows, f.Cols, append(t.Data[:0], data...)
 		} else {
-			u.tilde[m] = f.Clone()
+			u.tilde[m] = mat.NewFrom(f.Rows, f.Cols, append(make([]float64, 0, (f.Rows+f.Rows/8)*f.Cols), data...))
 		}
 		if f != u.grown[m] {
 			u.grown[m] = nil // replaced by the sweep: let the old storage go

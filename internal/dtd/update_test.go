@@ -451,3 +451,35 @@ func TestAnchorStepMatchesPlainState(t *testing.T) {
 		u.Reset(st)
 	}
 }
+
+// TestResetKeepsAnchorStorage: Reset onto factors that grew within the
+// anchor copy's spare rows copies them, bit for bit, into the storage
+// the copy already holds instead of allocating the whole factor again.
+func TestResetKeepsAnchorStorage(t *testing.T) {
+	opts := Options{Rank: 3, MaxIters: 4, Seed: 4}
+	dims := []int{40, 24, 16}
+	u, _ := anchoredUpdater(t, dims, opts)
+	before := make([]*float64, len(dims))
+	for m := range dims {
+		before[m] = &u.tilde[m].Data[:1][0]
+	}
+	coords, vals := eventStream(dims, 30, 7)
+	u.Apply(coords, vals)
+	grown := []int{dims[0] + 3, dims[1] + 1, dims[2]}
+	if err := u.Grow(grown); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := Step(u.Anchor(), sparseRandom(grown, 90, 8), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.Reset(st)
+	for m, f := range st.Factors {
+		if u.tilde[m].Rows != grown[m] || !sameBits(u.tilde[m].Data, f.Data[:f.Rows*f.Cols]) {
+			t.Fatalf("mode %d: the anchor after Reset is not the new factor", m)
+		}
+		if &u.tilde[m].Data[0] != before[m] {
+			t.Fatalf("mode %d: Reset reallocated an anchor that had room for %d rows", m, grown[m])
+		}
+	}
+}
