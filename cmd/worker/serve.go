@@ -23,10 +23,15 @@
 // block with its predecessor except those holding a row a write since
 // named, so publishing costs O(changed blocks · R) plus a spine copy,
 // not O(model); after a full sweep it rebuilds every block. Queries
-// cost what they ask for: /predict reads one row per mode, /topk scores
-// the target mode once and heap-selects k rows instead of sorting all
-// of them. On SIGTERM the listener stops accepting, in-flight requests
-// drain, pending events are flushed, and the final checkpoint is
+// cost what they ask for: /predict reads one row per mode; /topk
+// heap-selects k rows of the target mode instead of sorting all of
+// them, and once it holds k rows it skips every row block whose norm
+// bound (each published block carries one) shows that none of its rows
+// can beat the k-th. Its answer is the full scan's bit for bit, and it
+// costs the full scan's O(I·R + I log k) only in the worst case: when
+// the k-th score is ≤ 0, or no block's rows are short enough. On
+// SIGTERM the listener stops accepting, in-flight requests drain,
+// pending events are flushed, and the final checkpoint is
 // written to -state before the process exits.
 package main
 
@@ -354,7 +359,7 @@ func (s *serveServer) handleTopK(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	results := selectTopK(snap.factors[mode], snap.topKWeights(mode, idx), k)
+	results, _ := selectTopK(snap.factors[mode], snap.topKWeights(mode, idx), k)
 	s.queries.Add(1)
 	writeJSON(w, map[string]any{"epoch": snap.epoch, "mode": mode, "results": results})
 }

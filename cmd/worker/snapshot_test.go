@@ -105,11 +105,55 @@ func sameResults(got, want []topKResult) error {
 	return nil
 }
 
-// TestTopKMatchesFullSort is the licence for select-don't-sort: on
-// random models built to tie heavily (a handful of distinct values,
-// zeros of both signs, all-zero weight vectors), with every mode as the
-// target and k below, at and beyond the row count, the /topk response
-// is the full sort's — index for index, score bit for bit.
+// sameRanking is sameResults with every NaN score matching every other:
+// the top-K order does not read NaN payload bits, and heap selection
+// and the full sort can carry different ones.
+func sameRanking(got, want []topKResult) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Index != w.Index || math.Float64bits(g.Score) != math.Float64bits(w.Score) && !(g.Score != g.Score && w.Score != w.Score) {
+			return fmt.Errorf("result %d = %+v, want %+v", i, g, w)
+		}
+	}
+	return nil
+}
+
+// specialValues are the entries the pruning bound must survive: signed
+// zeros, NaN, ±Inf, subnormals, values whose squares overflow (±1e160)
+// or underflow (±1e-160), and a few ordinary ones.
+var specialValues = []float64{
+	0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+	1e160, -1e160, 5e-324, -5e-324, 1e-310, 1e-160, -1e-160,
+	1, -1, 0.5, 3,
+}
+
+// Indexes into specialValues, for seeds and hand-built rows.
+const (
+	svNaN      = 2
+	svPosInf   = 3
+	svHuge     = 5
+	svNegHuge  = 6
+	svTinySub  = 7 // specialValues[svTinySub:svOne] are subnormal or ±1e-160
+	svTiny     = 10
+	svNegTiny  = 11
+	svOne      = 12
+	svNegOne   = 13
+	svSpecials = 12 // specialValues[:svSpecials] are the non-ordinary ones
+)
+
+// TestTopKMatchesFullSort is the licence for select-don't-sort and for
+// skipping blocks: on random models built to tie heavily (a handful of
+// distinct values, zeros of both signs, all-zero weight vectors), with
+// every mode as the target and k below, at and beyond the row count,
+// the /topk response is the full sort's — index for index, score bit
+// for bit. Then, on targets of many row blocks — a heavy head, runs of
+// zero rows, rows tying the k-th score, special values, and a block
+// mixing a NaN row with an overflowing one — pruned selection is the
+// full sort's too, NaN scores compared as NaN; and the bound skipped
+// blocks along the way.
 func TestTopKMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	values := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 0.5, 2, 1e-3}
@@ -162,6 +206,182 @@ func TestTopKMatchesFullSort(t *testing.T) {
 			}
 		}
 	}
+
+	var blocks, scored int // over the k ≤ 10 queries
+	for trial := 0; trial < 60; trial++ {
+		rank := 1 + rng.Intn(5)
+		rows := blockRows*(2+rng.Intn(12)) + rng.Intn(blockRows)
+		target := manyBlockTarget(rng, rows, rank, trial)
+		// The weight rows: dense, positive, all zero, tiny, huge, and
+		// one holding special values.
+		weights := mat.New(6, rank)
+		for c := 0; c < rank; c++ {
+			weights.Row(0)[c] = rng.NormFloat64()
+			weights.Row(1)[c] = 0.1 + rng.Float64()
+			weights.Row(3)[c] = 1e-160 * (1 + rng.Float64())
+			weights.Row(4)[c] = 1e150 * rng.NormFloat64()
+			weights.Row(5)[c] = specialValues[rng.Intn(len(specialValues))]
+		}
+		factors := []*mat.Dense{target, weights}
+		snap := snapshotOf(factors...)
+		for w := 0; w < weights.Rows; w++ {
+			idx := []int{0, w}
+			for _, k := range []int{1, 10, rows, rows + 5} {
+				got, n := selectTopK(snap.factors[0], snap.topKWeights(0, idx), k)
+				want := topKOracle(factors, 0, idx, k, ranksBefore)
+				if err := sameRanking(got, want); err != nil {
+					t.Fatalf("trial %d (%d rows, rank %d) weights %d k %d: %v", trial, rows, rank, w, k, err)
+				}
+				if k <= 10 {
+					blocks += len(snap.factors[0].blocks)
+					scored += n
+				}
+			}
+		}
+	}
+	if (blocks-scored)*5 < blocks {
+		t.Fatalf("vacuous run: top-1 and top-10 queries skipped %d of %d blocks", blocks-scored, blocks)
+	}
+}
+
+// manyBlockTarget builds a rows×rank target in which only a few blocks
+// can win: a heavy head in the first rows, then Zipf-decaying rows among
+// runs of zero rows, copies of head rows that tie their scores exactly,
+// and, by trial, special values and a block mixing a NaN row with a row
+// whose squares overflow.
+func manyBlockTarget(rng *rand.Rand, rows, rank, trial int) *mat.Dense {
+	target := mat.New(rows, rank)
+	for i := 0; i < rows; i++ {
+		if i >= 8 && (rng.Intn(4) > 0 || i/blockRows%3 == 1) {
+			continue // a zero row; every third block is all zero
+		}
+		scale := 100 / float64(1+i)
+		for c := range target.Row(i) {
+			target.Row(i)[c] = scale * rng.NormFloat64()
+		}
+	}
+	for n := 0; n < 12; n++ { // ties: a head row again, further down
+		copy(target.Row(rng.Intn(rows)), target.Row(rng.Intn(8)))
+	}
+	switch trial % 4 {
+	case 1: // scattered special values
+		for n := 0; n < 6; n++ {
+			target.Row(rng.Intn(rows))[rng.Intn(rank)] = specialValues[rng.Intn(svSpecials)]
+		}
+	case 2: // one block: a NaN row and a row whose squares overflow, either way round, then finite rows
+		b := 1 + rng.Intn(rows/blockRows-1)
+		nan, huge := b*blockRows+3, b*blockRows+9
+		if trial%8 == 2 {
+			nan, huge = huge, nan
+		}
+		target.Row(nan)[0] = math.NaN()
+		target.Row(huge)[rank-1] = 1e160
+		for i := b*blockRows + 10; i < b*blockRows+20; i++ {
+			target.Row(i)[0] = 1e-3
+		}
+	case 3: // a block of tiny rows whose squares underflow or are subnormal
+		b := rng.Intn(rows / blockRows)
+		for i := b * blockRows; i < (b+1)*blockRows; i++ {
+			for c := range target.Row(i) {
+				target.Row(i)[c] = specialValues[svTinySub+rng.Intn(svOne-svTinySub)]
+			}
+		}
+	}
+	return target
+}
+
+// TestTopKPruningEngages pins where the bound prunes and where it
+// stops. A serving-shaped target — a Zipf head scattered among mostly
+// zero rows — scores at most a quarter of its blocks for a top-10 query
+// whose weights lie with the rows; weights against them make every
+// score, the k-th among them, ≤ 0, and then every block is scored.
+// Both answer as the full sort.
+func TestTopKPruningEngages(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	const rank = 10
+	live := mat.New(300*blockRows, rank)
+	for n := 1; n <= 1500; n++ { // the n-th longest row has norm ∝ 1/n
+		row := live.Row(rng.Intn(live.Rows))
+		for c := range row {
+			row[c] = (0.2 + rng.Float64()) / float64(n)
+		}
+	}
+	weights := mat.New(2, rank)
+	for c := 0; c < rank; c++ {
+		weights.Row(0)[c] = 0.5 + rng.Float64()
+		weights.Row(1)[c] = -weights.Row(0)[c]
+	}
+	factors := []*mat.Dense{live, weights}
+	snap := snapshotOf(factors...)
+	blocks := len(snap.factors[0].blocks)
+	for w, check := range []func(scored int) bool{
+		func(scored int) bool { return scored*4 <= blocks },
+		func(scored int) bool { return scored == blocks },
+	} {
+		idx := []int{0, w}
+		got, scored := selectTopK(snap.factors[0], snap.topKWeights(0, idx), 10)
+		if err := sameResults(got, topKOracle(factors, 0, idx, 10, ranksBefore)); err != nil {
+			t.Fatalf("weights %d: %v", w, err)
+		}
+		if !check(scored) {
+			t.Fatalf("weights %d (k-th score %v): scored %d of %d blocks", w, got[9].Score, scored, blocks)
+		}
+	}
+}
+
+// FuzzSelectTopK: a target of up to five row blocks, a weight vector
+// and k, read from the fuzzer's bytes, selected with pruning must be
+// the full sort's, NaN scores compared as NaN. Bytes: rank, rows (two),
+// k, a mask of the blocks that hold values (the rest are zero rows),
+// then the weights and the target's values in row-major order, reused
+// cyclically; a value byte below len(specialValues) picks a special
+// value, any other a finite value of either sign.
+func FuzzSelectTopK(f *testing.F) {
+	seed := func(rank, rows, k int, mask byte, vals ...byte) []byte {
+		return append([]byte{byte(rank - 1), byte(rows - 1), byte((rows - 1) >> 8), byte(k - 1), mask}, vals...)
+	}
+	f.Add(seed(3, 300, 10, 0x1f, 40, 90, 200, 17, 255, 128, 64, 33, 99))
+	f.Add(seed(2, 200, 1, 0x1f, svOne, svOne, svNaN, 0, svHuge, svOne, 70, 71))     // NaN and overflowing rows
+	f.Add(seed(4, 320, 1, 0x15, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)) // every special value
+	f.Add(seed(2, 256, 10, 0x0a, svOne, svNegOne, svTiny, svNegTiny, svTinySub))    // underflowing squares
+	f.Add(seed(3, 180, 185, 0x07, svHuge, svNegHuge, svOne, 20, 30))                // k beyond the rows
+	f.Add(seed(1, 129, 5, 0x1f, svPosInf, svOne, 0, 1, svNaN))                      // +Inf weights
+	f.Add(seed(2, 320, 64, 0x1f, svOne, svOne, 48, 48, 48, 48))                     // ties everywhere
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		rank := 1 + int(data[0])%4
+		rows := 1 + (int(data[1])|int(data[2])<<8)%(5*blockRows)
+		k := 1 + int(data[3])%(rows+5)
+		mask, body := data[4], data[5:]
+		value := func(e int) float64 {
+			b := body[e%len(body)]
+			if int(b) < len(specialValues) {
+				return specialValues[b]
+			}
+			v := float64(b>>1&7+1) * math.Ldexp(1, int(b>>4)-8)
+			if b&1 == 1 {
+				v = -v
+			}
+			return v
+		}
+		weights, target := mat.New(1, rank), mat.New(rows, rank)
+		for c := range weights.Data {
+			weights.Data[c] = value(c)
+		}
+		for e := range target.Data {
+			if mask>>(e/rank/blockRows)&1 == 1 {
+				target.Data[e] = value(rank + e)
+			}
+		}
+		factors := []*mat.Dense{target, weights}
+		snap := snapshotOf(factors...)
+		got, _ := selectTopK(snap.factors[0], snap.topKWeights(0, []int{0, 0}), k)
+		if err := sameRanking(got, topKOracle(factors, 0, []int{0, 0}, k, ranksBefore)); err != nil {
+			t.Fatalf("rank %d rows %d k %d: %v", rank, rows, k, err)
+		}
+	})
 }
 
 // TestTopKClampsKBeforeSizing: k beyond the row count returns every row
@@ -175,8 +395,8 @@ func TestTopKClampsKBeforeSizing(t *testing.T) {
 	}
 	target, _ := publishFactor(nil, live, nil)
 	weights := []float64{1, -2, 0.5, 3}
-	all := selectTopK(target, weights, target.rows)
-	huge := selectTopK(target, weights, math.MaxInt32)
+	all, _ := selectTopK(target, weights, target.rows)
+	huge, _ := selectTopK(target, weights, math.MaxInt32)
 	if err := sameResults(huge, all); err != nil {
 		t.Fatalf("k=MaxInt32 differs from k=rows: %v", err)
 	}
@@ -230,14 +450,14 @@ func TestNonFiniteModelAnswers500(t *testing.T) {
 
 	for _, at := range [][]int{{0, 0}, {0, 1}} {
 		for _, k := range []int{1, 7, 150} {
-			got := selectTopK(snap.factors[0], snap.topKWeights(0, at), k)
+			got, _ := selectTopK(snap.factors[0], snap.topKWeights(0, at), k)
 			want := topKOracle(factors, 0, at, k, ranksBefore)
 			if err := sameResults(got, want); err != nil {
 				t.Fatalf("at %v k %d: %v", at, k, err)
 			}
 		}
 	}
-	if best := selectTopK(snap.factors[0], snap.topKWeights(0, []int{0, 0}), 150); best[0].Index != 5 || best[149].Index != 70 {
+	if best, _ := selectTopK(snap.factors[0], snap.topKWeights(0, []int{0, 0}), 150); best[0].Index != 5 || best[149].Index != 70 {
 		t.Fatalf("+Inf row must rank first and NaN row last, got first %+v last %+v", best[0], best[149])
 	}
 
@@ -304,11 +524,21 @@ func TestPublishCopiesOnlyTouchedBlocks(t *testing.T) {
 	}
 }
 
-// requireSnapshotOf fails unless every row of snap is bitwise live's.
+// requireSnapshotOf fails unless every row of snap is bitwise live's
+// and every block's bound is the one blockBound gives its rows of live.
 func requireSnapshotOf(t *testing.T, snap *blockFactor, live *mat.Dense) {
 	t.Helper()
 	if snap.rows != live.Rows || snap.cols != live.Cols {
 		t.Fatalf("snapshot is %dx%d, live factor %dx%d", snap.rows, snap.cols, live.Rows, live.Cols)
+	}
+	if len(snap.bounds) != len(snap.blocks) {
+		t.Fatalf("%d bounds for %d blocks", len(snap.bounds), len(snap.blocks))
+	}
+	for b, got := range snap.bounds {
+		lo, hi := b*blockRows*live.Cols, min((b+1)*blockRows, live.Rows)*live.Cols
+		if want := blockBound(live.Data[lo:hi], live.Cols); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("block %d: bound %v, its rows give %v", b, got, want)
+		}
 	}
 	for i := 0; i < live.Rows; i++ {
 		for c, v := range live.Row(i) {

@@ -206,6 +206,9 @@ func (f *filterRun) mark(w0, w1 int) int {
 // the box in another mode, flipped by flip. Every other mode is
 // compared, so the bit is computed, not branched on.
 func markWord(coords []int32, n int, box []int, flip uint64) uint64 {
+	if n == 3 {
+		return markWord3(coords, box[1], box[2], flip)
+	}
 	var word uint64
 	for k := 0; k*n < len(coords); k++ {
 		c := coords[k*n : k*n+n]
@@ -216,6 +219,19 @@ func markWord(coords []int32, n int, box []int, flip uint64) uint64 {
 			}
 		}
 		word |= (beyond ^ flip) << k
+	}
+	return word
+}
+
+// markWord3 is markWord at order 3: c ≥ b exactly when b−1−c is
+// negative, so an entry is beyond the box when the OR of its two
+// differences has the sign bit set.
+func markWord3(coords []int32, b1, b2 int, flip uint64) uint64 {
+	var word uint64
+	for k := 0; len(coords) >= 3; k++ {
+		beyond := uint64((b1-1-int(coords[1]))|(b2-1-int(coords[2]))) >> 63
+		word |= (beyond ^ flip) << k
+		coords = coords[3:]
 	}
 	return word
 }
